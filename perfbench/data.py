@@ -127,17 +127,22 @@ def dirty_customers(size: int, seed: int) -> List[Row]:
 class UpdateStream:
     """A seeded stream of 16-update batches over a live tid set.
 
-    70 % of the updates modify CITY to a mistyped city name (a fresh value,
-    which breaks phi1 wherever the tuple shares its ZIP), 20 % insert a
-    customer at one of the relation's addresses and 10 % delete a live
-    tuple.  Every modified or deleted tid is live and distinct within its
-    batch.  The caller reports the tids its inserts received through
-    :meth:`inserted`, so the stream never reads the program's state.
+    70 % of the updates set CITY to the city of the tuple's own postal code
+    (a valid correction, so the stream itself brings no new violations),
+    20 % insert a customer at one of the relation's addresses and 10 %
+    delete a live tuple.  Every modified or deleted tid is live and
+    distinct within its batch.  The stream knows each tuple's postal code
+    from the rows it was given and from its own inserts, whose tids the
+    caller reports through :meth:`inserted`; it never reads the program's
+    state.
     """
 
-    def __init__(self, tids: Sequence[int], size: int, seed: int, batch_size: int = 16):
+    def __init__(self, rows: Sequence[Row], tids: Sequence[int], size: int, seed: int,
+                 batch_size: int = 16):
         self.rng = random.Random(seed + 2)
         self.generator = CustomerGenerator(size, seed, random.Random(seed + 3))
+        self.city = {address[4]: address[2] for address in self.generator.addresses}
+        self.zip_of = {tid: row["ZIP"] for tid, row in zip(tids, rows)}
         self.live = list(tids)
         self.batch_size = batch_size
 
@@ -157,12 +162,12 @@ class UpdateStream:
             if draw < 0.3:
                 batch.append(("delete", tid))
             else:
-                typo = self.rng.choice(CITIES) + self.rng.choice("XQZ")
-                batch.append(("modify", (tid, {"CITY": typo})))
+                batch.append(("modify", (tid, {"CITY": self.city[self.zip_of[tid]]})))
         deleted = {payload for kind, payload in batch if kind == "delete"}
         if deleted:
             self.live = [tid for tid in self.live if tid not in deleted]
         return batch
 
-    def inserted(self, tids: Sequence[int]) -> None:
+    def inserted(self, tids: Sequence[int], rows: Sequence[Row]) -> None:
         self.live.extend(tids)
+        self.zip_of.update((tid, row["ZIP"]) for tid, row in zip(tids, rows))

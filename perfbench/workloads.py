@@ -296,7 +296,7 @@ def monitor_repair(ctx: Context) -> Result:
     ctx.fingerprint["relation_rows"] = len(rows)
     system, setup_s, relation = repeated_setup(ctx, rows, "monitor", clean=True)
     ctx.fingerprint["incremental_mode"] = system.monitor(NAME).mode
-    stream = UpdateStream(relation.tids(), len(rows), ctx.seed)
+    stream = UpdateStream(rows, relation.tids(), len(rows), ctx.seed)
     latencies: List[float] = []
     writes: List[float] = []
     updates = 0
@@ -317,7 +317,8 @@ def monitor_repair(ctx: Context) -> Result:
         writes.append(elapsed)
         updates += len(changes)
         if tids is not None:
-            stream.inserted([tid for (kind, _), tid in zip(batch, tids) if kind == "insert"])
+            inserts = [(tid, row) for (kind, row), tid in zip(batch, tids) if kind == "insert"]
+            stream.inserted([tid for tid, _ in inserts], [row for _, row in inserts])
     rss = peak_rss_mb()
     # oracle: the incrementally maintained report equals a fresh batch detect
     with ctx.unmeasured(system):
