@@ -127,47 +127,84 @@ def dirty_customers(size: int, seed: int) -> List[Row]:
 class UpdateStream:
     """A seeded stream of 16-update batches over a live tid set.
 
-    70 % of the updates set CITY to the city of the tuple's own postal code
-    (a valid correction, so the stream itself brings no new violations),
-    20 % insert a customer at one of the relation's addresses and 10 %
-    delete a live tuple.  Every modified or deleted tid is live and
-    distinct within its batch.  The stream knows each tuple's postal code
-    from the rows it was given and from its own inserts, whose tids the
-    caller reports through :meth:`inserted`; it never reads the program's
-    state.
+    Every batch holds 11 modifies, 3 inserts and 2 deletes (70/20/10 % of
+    16, rounded), in a seeded order.  A modify sets CITY to another valid
+    city, which breaks phi1 in the tuple's postal-code group whenever the
+    group has other members.  An insert adds a customer at one of the
+    relation's addresses; a delete removes a live tuple.  Modified and
+    deleted tids are live and distinct within a batch.
+
+    One modify of every batch targets a tuple whose postal code has exactly
+    one other live customer, and gives it a city that sorts before the
+    partner's; the other targets are drawn uniformly.  That group becomes a
+    1:1 tie between an updated and a trusted value, and the program breaks
+    cost ties by value order, so the incremental repair picks the updated
+    value, may not write the trusted cell, and runs its full round budget.
+    Drawn uniformly, about half of the batches hold such a tie, and batch
+    cost swings between two rounds and the full budget, so any figure over
+    a few batches would move by 10x with the seed.  Pinning one such tie
+    per batch makes every batch the same kind of work.
+
+    The stream knows each tuple's postal code from the rows it was given
+    and from its own inserts, whose tids the caller reports through
+    :meth:`inserted`; it never reads the program's state.
     """
 
-    def __init__(self, rows: Sequence[Row], tids: Sequence[int], size: int, seed: int,
-                 batch_size: int = 16):
+    MODIFIES, INSERTS, DELETES = 11, 3, 2
+
+    def __init__(self, rows: Sequence[Row], tids: Sequence[int], size: int, seed: int):
         self.rng = random.Random(seed + 2)
         self.generator = CustomerGenerator(size, seed, random.Random(seed + 3))
         self.city = {address[4]: address[2] for address in self.generator.addresses}
-        self.zip_of = {tid: row["ZIP"] for tid, row in zip(tids, rows)}
-        self.live = list(tids)
-        self.batch_size = batch_size
+        self.zip_of: Dict[int, str] = {}
+        self.members: Dict[str, set] = {}
+        self.live: List[int] = []
+        #: tids whose CITY is known to be their address's city: not noisy
+        #: when given, and never modified by the stream
+        self.trusted: set = set()
+        self._add(tids, rows)
+
+    def _add(self, tids: Sequence[int], rows: Sequence[Row]) -> None:
+        for tid, row in zip(tids, rows):
+            self.zip_of[tid] = row["ZIP"]
+            self.members.setdefault(row["ZIP"], set()).add(tid)
+            self.live.append(tid)
+            if row["CITY"] == self.city[row["ZIP"]]:
+                self.trusted.add(tid)
+
+    def _modify(self, tid: int, city: str = "") -> Tuple[str, object]:
+        self.trusted.discard(tid)
+        city = city or other_city(self.city[self.zip_of[tid]], self.rng)
+        return ("modify", (tid, {"CITY": city}))
 
     def next_batch(self) -> List[Tuple[str, object]]:
         """One batch as ``(kind, payload)`` pairs: insert/modify/delete."""
-        picked = set()
-        batch: List[Tuple[str, object]] = []
-        while len(batch) < self.batch_size:
-            draw = self.rng.random()
-            if draw < 0.2:
-                batch.append(("insert", self.generator.row()))
-                continue
+        first = min(CITIES)
+        pairs = sorted(
+            code for code, tids in self.members.items()
+            if len(tids) == 2 and tids <= self.trusted and self.city[code] != first
+        )
+        code = self.rng.choice(pairs)
+        pair = sorted(self.members[code])
+        tie = self.rng.choice(pair)
+        # the partner stays untouched, so the tie is still there when repaired
+        picked = set(pair)
+        earlier = [city for city in CITIES if city < self.city[code]]
+        batch = [self._modify(tie, self.rng.choice(earlier))]
+        kinds = ["modify"] * (self.MODIFIES - 1) + ["delete"] * self.DELETES
+        for kind in kinds:
             tid = self.live[self.rng.randrange(len(self.live))]
-            if tid in picked:
-                continue
+            while tid in picked:
+                tid = self.live[self.rng.randrange(len(self.live))]
             picked.add(tid)
-            if draw < 0.3:
-                batch.append(("delete", tid))
-            else:
-                batch.append(("modify", (tid, {"CITY": self.city[self.zip_of[tid]]})))
+            batch.append(self._modify(tid) if kind == "modify" else ("delete", tid))
+        batch += [("insert", self.generator.row()) for _ in range(self.INSERTS)]
+        self.rng.shuffle(batch)
         deleted = {payload for kind, payload in batch if kind == "delete"}
-        if deleted:
-            self.live = [tid for tid in self.live if tid not in deleted]
+        self.live = [tid for tid in self.live if tid not in deleted]
+        for tid in deleted:
+            self.members[self.zip_of.pop(tid)].discard(tid)
         return batch
 
     def inserted(self, tids: Sequence[int], rows: Sequence[Row]) -> None:
-        self.live.extend(tids)
-        self.zip_of.update((tid, row["ZIP"]) for tid, row in zip(tids, rows))
+        self._add(tids, rows)

@@ -2,12 +2,14 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload clean-batch --seed 1 --seconds 20 --trace 0
+    python3 perfbench/run.py --workload clean-batch --seed 1 --seconds 25 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics for ``--seconds``.
-``--trace 1`` runs a fixed amount of the workload twice, untraced and then
-with every layer's entry points wrapped in spans (and the program's own
-telemetry on), and reports the per-layer metrics of the traced pass.
+``--trace 1`` runs a fixed amount of the workload several times, untraced
+and with every layer's entry points wrapped in spans (and the program's
+own telemetry on), and reports the per-layer metrics of a traced pass.
+The metric names and units are those of ``BENCHMARK.json``; the README
+next to this file maps each one to its layer and workload.
 
 Every metric is printed as ``name value unit``; the fingerprint follows as
 one JSON line, and the last line is the result object
@@ -30,45 +32,23 @@ from pathlib import Path
 HERE = Path(__file__).resolve().parent
 SRC = HERE.parent / "src"
 
-#: end-to-end metrics, the same names on every workload
-END_TO_END = {"setup_s": "s", "op_ms": "ms", "write_ms": "ms", "peak_rss_mb": "MB"}
-
-#: fixed work of each pass of a traced run: rounds, batches, seconds of requests
-TRACE_WORK = {"clean-batch": 1, "monitor-repair": 3, "serve-mixed": 6.0}
+#: fixed work of each pass of a traced run: rounds, or seconds of requests
+TRACE_WORK = {"clean-batch": 1, "monitor-repair": 1, "serve-mixed": 6.0}
 
 STATEMENT_KINDS = (
     "q_window", "q_c_sargable", "lhs_values", "value_freq", "group_stats",
     "row_fetch", "majority_value", "attr_freq", "page_fetch",
 )
 
-#: per-layer metrics and units, in report order
-PER_LAYER = (
-    [("backends.load_ms", "ms"), ("backends.execute_ms", "ms"),
-     ("backends.statements", "count"), ("backends.rows_returned", "count")]
-    + [(f"backends.statement_ms.{kind}", "ms") for kind in STATEMENT_KINDS]
-    + [("backends.delta_batch_ms", "ms"), ("backends.delta_batches", "count"),
-       ("delta.ops_recorded", "count"), ("delta.ops_shipped", "count"),
-       ("pool.wait_ms", "ms"), ("pool.acquired", "count"), ("pool.timeouts", "count"),
-       ("detection.detect_ms", "ms"), ("detection.detect_self_ms", "ms"),
-       ("detection.rows_per_violation", "ratio"),
-       ("plan_cache.hits", "count"), ("plan_cache.misses", "count"),
-       ("detection.detect_for_tuples_ms", "ms"),
-       ("detection.detect_for_tuples_self_ms", "ms"),
-       ("detection.incremental.apply_ms", "ms"),
-       ("detection.incremental.report_ms", "ms"),
-       ("detection.incremental.tuples_examined", "count"),
-       ("monitor.apply_batch_ms", "ms"), ("monitor.repair_affected_ms", "ms"),
-       ("repair.plan_self_ms", "ms"), ("repair.source_ms", "ms"),
-       ("repair.iterations", "count"), ("repair.rows_fetched", "count"),
-       ("repair.fetch_fraction", "ratio"), ("repair.fallback_shipback", "count"),
-       ("repair.incremental_ms", "ms"), ("repair.incremental_rounds", "count"),
-       ("sources.ms", "ms"), ("sources.calls", "count"), ("sources.rows", "count"),
-       ("audit.self_ms", "ms"), ("explorer.self_ms", "ms"),
-       ("explorer.rows_paged", "count"), ("engine.copy_ms", "ms"),
-       ("system.unattributed_ms", "ms"), ("process.cpu_util", "ratio"),
-       ("process.gc_ms", "ms"), ("serve.gen_late_ms", "ms"),
-       ("obs.trace_overhead", "ratio")]
-)
+
+def load_spec(path):
+    """Metric names and units, ``(end_to_end, per_layer)``, from BENCHMARK.json."""
+    with open(path) as handle:
+        spec = json.load(handle)
+    return tuple(
+        {metric["name"]: metric["unit"] for metric in spec[kind]}
+        for kind in ("end_to_end", "per_layer")
+    )
 
 
 def parse_args(argv):
@@ -101,7 +81,7 @@ class GcTimer:
         gc.callbacks.remove(self)
 
 
-def layer_metrics(spans, ctx, result, overhead, cpu_util, gc_ms):
+def layer_metrics(spans, ctx, result, overhead, cpu_util, gc_ms, names):
     """The per-layer figures of one traced pass."""
     from spans import summarise, value_under
 
@@ -165,28 +145,21 @@ def layer_metrics(spans, ctx, result, overhead, cpu_util, gc_ms):
     }
     for kind in STATEMENT_KINDS:
         metrics[f"backends.statement_ms.{kind}"] = hists.get(f"statement_ms.{kind}", 0.0)
-    if set(metrics) != {name for name, _unit in PER_LAYER}:
-        raise RuntimeError("per-layer metrics disagree with PER_LAYER")
+    if set(metrics) != set(names):
+        raise RuntimeError("per-layer metrics disagree with BENCHMARK.json")
     return metrics
 
 
-def traced_run(workload, args, workdir, tally):
-    """Untraced then traced pass of the same fixed work; per-layer metrics."""
-    from spans import Recorder, check_partition, self_times
+def timed_pass(workload, args, workdir, tally, recorder=None):
+    """One pass of the traced run's fixed work; traced when given a recorder."""
     from workloads import Context
 
-    work = TRACE_WORK[args.workload]
-    # the first pass warms imports and caches, so the two compared passes
-    # start from the same state
-    workload(Context(args.seed, args.seconds, str(workdir), tally, work=work, setups=1))
-    plain = Context(args.seed, args.seconds, str(workdir), tally, work=work, setups=1)
-    workload(plain)
-    recorder = Recorder()
     ctx = Context(
-        args.seed, args.seconds, str(workdir), tally,
-        recorder=recorder, work=work, setups=1, telemetry=True,
+        args.seed, args.seconds, str(workdir), tally, recorder=recorder,
+        work=TRACE_WORK[args.workload], setups=1, telemetry=recorder is not None,
     )
-    recorder.install()
+    if recorder is not None:
+        recorder.install()
     try:
         with GcTimer() as gc_timer:
             cpu_started, wall_started = time.process_time(), time.perf_counter()
@@ -194,16 +167,39 @@ def traced_run(workload, args, workdir, tally):
             cpu = time.process_time() - cpu_started
             wall = time.perf_counter() - wall_started
     finally:
-        recorder.uninstall()
+        if recorder is not None:
+            recorder.uninstall()
+    return ctx, result, cpu / wall, gc_timer.seconds * 1000.0
+
+
+def traced_run(workload, args, workdir, tally, names):
+    """Untraced and traced passes of the same fixed work; per-layer metrics.
+
+    After a warm-up pass, the passes run untraced, traced, traced,
+    untraced, so a steady drift of machine speed cancels out of the
+    tracing overhead.  The per-layer figures come from the first traced
+    pass.
+    """
+    from spans import Recorder, check_partition, self_times
+
+    # the warm-up pass loads imports and caches, so the compared passes
+    # start from the same state
+    timed_pass(workload, args, workdir, tally)
+    plain = [timed_pass(workload, args, workdir, tally)[0]]
+    recorder = Recorder()
+    ctx, result, cpu_util, gc_ms = timed_pass(workload, args, workdir, tally, recorder)
+    traced = [ctx, timed_pass(workload, args, workdir, tally, Recorder())[0]]
+    plain.append(timed_pass(workload, args, workdir, tally)[0])
     spans = recorder.spans
     selfs = self_times(spans)
     if not check_partition(spans, selfs):
         tally.fail("trace_parts_exceed_wall")
     roots = sum(span.duration for span in spans if span.parent is None)
+    plain_wall = sum(run.op_wall for run in plain)
     metrics = layer_metrics(
         spans, ctx, result,
-        overhead=ctx.op_wall / plain.op_wall if plain.op_wall else 0.0,
-        cpu_util=cpu / wall, gc_ms=gc_timer.seconds * 1000.0,
+        overhead=sum(run.op_wall for run in traced) / plain_wall if plain_wall else 0.0,
+        cpu_util=cpu_util, gc_ms=gc_ms, names=names,
     )
     extra = {
         "trace.spans": len(spans),
@@ -223,6 +219,7 @@ def main(argv=None) -> int:
     if not (SRC / "repro" / "__init__.py").is_file():
         print(f"perfbench: no program sources at {SRC}", file=sys.stderr)
         return 2
+    end_to_end, per_layer = load_spec(HERE.parent / "BENCHMARK.json")
     sys.path[:0] = [str(SRC), str(HERE)]
     from stats import Tally
     from workloads import WORKLOADS, Context
@@ -238,8 +235,8 @@ def main(argv=None) -> int:
     tally = Tally()
     try:
         if args.trace:
-            metrics, detail, fingerprint = traced_run(workload, args, workdir, tally)
-            units = dict(PER_LAYER)
+            metrics, detail, fingerprint = traced_run(workload, args, workdir, tally, per_layer)
+            units = per_layer
             detail_units = {
                 key: "ms" if key.endswith("_ms") else "ratio" if "share" in key else "count"
                 for key in detail
@@ -247,9 +244,9 @@ def main(argv=None) -> int:
         else:
             ctx = Context(args.seed, args.seconds, str(workdir), tally)
             result = workload(ctx)
-            metrics = {name: result.metrics[name] for name in END_TO_END}
-            units = dict(END_TO_END)
-            detail = {k: v for k, v in result.metrics.items() if k not in END_TO_END}
+            metrics = {name: result.metrics[name] for name in end_to_end}
+            units = end_to_end
+            detail = {k: v for k, v in result.metrics.items() if k not in end_to_end}
             detail_units = {k: result.units.get(k, "ms") for k in detail}
             fingerprint = ctx.fingerprint
     finally:

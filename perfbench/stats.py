@@ -45,6 +45,10 @@ def median(samples: Sequence[float]) -> float:
     return statistics.median(samples) if samples else 0.0
 
 
+def mean(samples: Sequence[float]) -> float:
+    return statistics.fmean(samples) if samples else 0.0
+
+
 @dataclass
 class OpenLoop:
     """A fixed-rate request schedule and its latency/lateness accounting.

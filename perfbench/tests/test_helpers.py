@@ -23,6 +23,7 @@ from spans import (  # noqa: E402
     value_under,
 )
 from stats import OpenLoop, Tally, percentile, tail  # noqa: E402
+from data import UpdateStream, dirty_customers  # noqa: E402
 
 
 # -- percentile rule ---------------------------------------------------------------
@@ -176,3 +177,36 @@ def test_tally_counts_exceptions_and_mismatches():
     assert tally.errors == {"TimeoutError": 1, "oracle": 1}
     assert tally.error_rate == 1.0
     assert Tally().error_rate == 0.0
+
+
+# -- update stream -------------------------------------------------------------------
+
+
+def test_update_stream_batches_have_a_fixed_mix_and_one_value_order_tie():
+    rows = dirty_customers(600, 3)
+    tids = list(range(1, len(rows) + 1))
+    stream = UpdateStream(rows, tids, len(rows), 3)
+    next_tid = len(rows) + 1
+    for _ in range(5):
+        pairs = {tid: code for code, members in stream.members.items()
+                 if len(members) == 2 for tid in members}
+        batch = stream.next_batch()
+        kinds = [kind for kind, _ in batch]
+        assert (kinds.count("modify"), kinds.count("insert"), kinds.count("delete")) == (11, 3, 2)
+        touched = [payload[0] if kind == "modify" else payload
+                   for kind, payload in batch if kind != "insert"]
+        assert len(set(touched)) == len(touched)
+        ties = [tid for kind, payload in batch if kind == "modify"
+                for tid, change in [payload]
+                if tid in pairs and change["CITY"] < stream.city[pairs[tid]]]
+        assert ties
+        inserts = [payload for kind, payload in batch if kind == "insert"]
+        stream.inserted(list(range(next_tid, next_tid + len(inserts))), inserts)
+        next_tid += len(inserts)
+
+
+def test_update_stream_is_seeded():
+    rows = dirty_customers(300, 5)
+    tids = list(range(1, len(rows) + 1))
+    first, second = (UpdateStream(rows, tids, len(rows), 5) for _ in range(2))
+    assert first.next_batch() == second.next_batch()

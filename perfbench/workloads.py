@@ -8,7 +8,7 @@ oracles that run outside the timed operations and feed the shared
 
 - ``clean-batch``: 50k rows, one closed-loop client walking the paper's
   steps: detect, audit, explore, repair, apply, detect.
-- ``monitor-repair``: 5k rows cleaned in set-up, then a closed-loop stream
+- ``monitor-repair``: 2k rows cleaned in set-up, then a closed-loop stream
   of 16-update batches through the monitor in post-clean repair mode.
 - ``serve-mixed``: 20k rows; an open loop of ``detect_for_tuples`` requests
   at a ladder of fixed rates while the writer ships 16-update batches at a
@@ -32,7 +32,7 @@ from repro.monitor.updates import Update
 
 from data import ATTRIBUTES, CFDS, UpdateStream, dirty_customers, other_city
 from spans import Recorder
-from stats import OpenLoop, Tally, median, tail
+from stats import OpenLoop, Tally, mean, median, tail
 
 NAME = "customer"
 SCHEMA = RelationSchema(
@@ -58,8 +58,8 @@ class Context:
     tally: Tally
     #: span recorder of the traced pass (None when untraced)
     recorder: Optional[Recorder] = None
-    #: fixed amount of work (rounds, batches or seconds of requests) for
-    #: the two passes of a traced run; None measures for ``seconds``
+    #: fixed amount of work (rounds, or seconds of requests) for the
+    #: passes of a traced run; None measures for ``seconds``
     work: Optional[float] = None
     setups: int = 3
     telemetry: bool = False
@@ -169,7 +169,11 @@ def resolved_plan(system: Semandaq) -> str:
 
 
 def more(ctx: Context, done: int, deadline: float) -> bool:
-    """Whether the closed loop goes on: fixed work, or until the deadline."""
+    """Whether another round starts: a fixed number, or until the deadline.
+
+    The deadline is checked between rounds, so a run measures whole rounds
+    and may end up to one round past ``seconds``.
+    """
     if ctx.work is not None:
         return done < ctx.work
     return done == 0 or time.perf_counter() < deadline
@@ -198,17 +202,21 @@ def set_up(ctx: Context, rows, label: str, clean=False, pool_size=None):
 
 
 def repeated_setup(ctx: Context, rows, label: str, **kwargs):
-    """Set up ``ctx.setups`` times; keeps the last system, returns the median time."""
+    """Set up ``ctx.setups`` times; keeps the last system, returns every time."""
     times = []
     for attempt in range(ctx.setups):
         system, elapsed, relation = set_up(ctx, rows, f"{label}-{attempt}", **kwargs)
         times.append(elapsed)
         if attempt < ctx.setups - 1:
             ctx.close(system)
-    return system, median(times), relation
+    return system, times, relation
 
 
 # -- clean-batch ------------------------------------------------------------------
+
+#: clean-batch: passes of the pure calls (detect, audit, explore, repair) per round
+REPEATS = 2
+CLEAN_STEPS = ("detect", "audit", "explore", "repair", "apply", "post_detect")
 
 
 def _walk(system: Semandaq) -> int:
@@ -221,11 +229,17 @@ def _walk(system: Semandaq) -> int:
 
 
 def clean_batch(ctx: Context) -> Result:
+    """Rounds of: set up, then detect/audit/explore/repair ``REPEATS`` times,
+    apply the repair and detect again.
+
+    Only detect, audit, explore and repair are pure, so they repeat within
+    a round; apply needs a fresh store, so it and the detect after it run
+    once per round.  A pass of the paper's steps is timed as the sum of the
+    per-call medians, which rests on many more samples than whole passes.
+    """
     rows = dirty_customers(50_000, ctx.seed)
     ctx.fingerprint["relation_rows"] = len(rows)
-    samples: Dict[str, List[float]] = {
-        key: [] for key in ("setup", "detect", "audit", "explore", "repair", "apply", "pipeline")
-    }
+    samples: Dict[str, List[float]] = {key: [] for key in ("setup",) + CLEAN_STEPS}
     reports: List[Any] = []
     after: List[Any] = []
     deadline = time.perf_counter() + ctx.seconds
@@ -234,23 +248,19 @@ def clean_batch(ctx: Context) -> Result:
     while more(ctx, rounds, deadline):
         system, setup_s, _ = set_up(ctx, rows, f"clean-{rounds % 2}")
         samples["setup"].append(setup_s)
-        for _repeat in range(2):
+        for _repeat in range(REPEATS):
+            report, elapsed = ctx.call("detect", lambda: system.detect(NAME))
+            samples["detect"].append(elapsed)
+            reports.append(report)
             for key, fn in (
-                ("detect", lambda: system.detect(NAME)),
                 ("audit", lambda: system.audit(NAME)),
                 ("explore", lambda: _walk(system)),
+                ("repair", lambda: system.repair(NAME)),
             ):
                 samples[key].append(ctx.call(key, fn)[1])
-        started = time.perf_counter()
-        report, elapsed = ctx.call("detect", lambda: system.detect(NAME))
-        samples["detect"].append(elapsed)
-        reports.append(report)
-        samples["audit"].append(ctx.call("audit", lambda: system.audit(NAME))[1])
-        samples["explore"].append(ctx.call("explore", lambda: _walk(system))[1])
-        samples["repair"].append(ctx.call("repair", lambda: system.repair(NAME))[1])
         samples["apply"].append(ctx.call("apply_repair", lambda: system.apply_repair(NAME))[1])
-        post, _ = ctx.call("detect", lambda: system.detect(NAME))
-        samples["pipeline"].append(time.perf_counter() - started)
+        post, elapsed = ctx.call("detect", lambda: system.detect(NAME))
+        samples["post_detect"].append(elapsed)
         after.append(post)
         rss = max(rss, peak_rss_mb())
         ctx.close(system)
@@ -271,10 +281,12 @@ def clean_batch(ctx: Context) -> Result:
             ctx.tally.check(post.total_violations() == 0, "post_apply_violations")
     ctx.fingerprint["rounds"] = rounds
     ms = {key: 1000.0 * median(values) for key, values in samples.items()}
+    pass_ms = sum(ms[key] for key in CLEAN_STEPS)
     return Result(
         metrics={
             "setup_s": median(samples["setup"]),
-            "op_ms": ms["pipeline"],
+            "op_ms": pass_ms,
+            "op_mean_ms": sum(1000.0 * mean(samples[key]) for key in CLEAN_STEPS),
             "write_ms": ms["apply"],
             "peak_rss_mb": rss,
             "detect_ms": ms["detect"],
@@ -282,7 +294,7 @@ def clean_batch(ctx: Context) -> Result:
             "explore_ms": ms["explore"],
             "repair_ms": ms["repair"],
             "apply_ms": ms["apply"],
-            "pipeline_s": ms["pipeline"] / 1000.0,
+            "pipeline_s": pass_ms / 1000.0,
         },
         units={"pipeline_s": "s"},
     )
@@ -290,51 +302,72 @@ def clean_batch(ctx: Context) -> Result:
 
 # -- monitor-repair ---------------------------------------------------------------
 
+#: monitor-repair: relation size and update batches per round
+MONITOR_ROWS = 2_000
+BATCHES_PER_ROUND = 4
+
 
 def monitor_repair(ctx: Context) -> Result:
-    rows = dirty_customers(5_000, ctx.seed)
+    """Rounds of: set up and clean (``ctx.setups`` times, keeping the last
+    store), then ``BATCHES_PER_ROUND`` update batches.
+
+    Every round replays the same seeded stream on a fresh store, so the
+    work of a run (and its peak memory: the monitor keeps every repair it
+    made) does not depend on how many batches fit in the time.
+    """
+    rows = dirty_customers(MONITOR_ROWS, ctx.seed)
     ctx.fingerprint["relation_rows"] = len(rows)
-    system, setup_s, relation = repeated_setup(ctx, rows, "monitor", clean=True)
-    ctx.fingerprint["incremental_mode"] = system.monitor(NAME).mode
-    stream = UpdateStream(rows, relation.tids(), len(rows), ctx.seed)
+    setups: List[float] = []
     latencies: List[float] = []
     writes: List[float] = []
     updates = 0
-    report = None
+    rss = 0.0
     deadline = time.perf_counter() + ctx.seconds
-    while more(ctx, len(latencies), deadline):
-        batch = stream.next_batch()
-        changes = [
-            Update.insert(payload) if kind == "insert"
-            else Update.delete(payload) if kind == "delete"
-            else Update.modify(*payload)
-            for kind, payload in batch
-        ]
-        started = time.perf_counter()
-        tids, elapsed = ctx.call("apply_updates", lambda: system.apply_updates(NAME, changes))
-        report, _ = ctx.call("current_report", lambda: system.monitor(NAME).current_report())
-        latencies.append(time.perf_counter() - started)
-        writes.append(elapsed)
-        updates += len(changes)
-        if tids is not None:
-            inserts = [(tid, row) for (kind, row), tid in zip(batch, tids) if kind == "insert"]
-            stream.inserted([tid for tid, _ in inserts], [row for _, row in inserts])
-    rss = peak_rss_mb()
-    # oracle: the incrementally maintained report equals a fresh batch detect
-    with ctx.unmeasured(system):
-        fresh = system.detect(NAME)
-    if report is not None:
-        ctx.tally.check(canonical(report) == canonical(fresh), "monitor_oracle")
-    ctx.fingerprint["relation_rows_final"] = fresh.tuple_count
-    ctx.fingerprint["batches"] = len(latencies)
-    ctx.count_examined(system)
-    ctx.close(system)
+    rounds = 0
+    while more(ctx, rounds, deadline):
+        # a 2k-row set-up is short, so each round sets up several times
+        system, times, relation = repeated_setup(
+            ctx, rows, f"monitor-{rounds % 2}", clean=True
+        )
+        setups.extend(times)
+        ctx.fingerprint["incremental_mode"] = system.monitor(NAME).mode
+        stream = UpdateStream(rows, relation.tids(), len(rows), ctx.seed)
+        report = None
+        for _batch in range(BATCHES_PER_ROUND):
+            batch = stream.next_batch()
+            changes = [
+                Update.insert(payload) if kind == "insert"
+                else Update.delete(payload) if kind == "delete"
+                else Update.modify(*payload)
+                for kind, payload in batch
+            ]
+            started = time.perf_counter()
+            tids, elapsed = ctx.call("apply_updates", lambda: system.apply_updates(NAME, changes))
+            report, _ = ctx.call("current_report", lambda: system.monitor(NAME).current_report())
+            latencies.append(time.perf_counter() - started)
+            writes.append(elapsed)
+            updates += len(changes)
+            if tids is not None:
+                inserts = [(tid, row) for (kind, row), tid in zip(batch, tids) if kind == "insert"]
+                stream.inserted([tid for tid, _ in inserts], [row for _, row in inserts])
+        rss = max(rss, peak_rss_mb())
+        # oracle: the incrementally maintained report equals a fresh batch detect
+        with ctx.unmeasured(system):
+            fresh = system.detect(NAME)
+        if report is not None:
+            ctx.tally.check(canonical(report) == canonical(fresh), "monitor_oracle")
+        ctx.fingerprint["relation_rows_final"] = fresh.tuple_count
+        ctx.count_examined(system)
+        ctx.close(system)
+        rounds += 1
+    ctx.fingerprint.update(rounds=rounds, batches=len(latencies))
     batch_ms = 1000.0 * median(latencies)
     found = tail(latencies)
     return Result(
         metrics={
-            "setup_s": setup_s,
+            "setup_s": median(setups),
             "op_ms": batch_ms,
+            "op_mean_ms": 1000.0 * mean(latencies),
             "write_ms": 1000.0 * median(writes),
             "peak_rss_mb": rss,
             "update_p50_ms": batch_ms,
@@ -369,7 +402,7 @@ def serve_mixed(ctx: Context) -> Result:
     workers = max(1, (os.cpu_count() or 2) - 1)
     rows = dirty_customers(20_000, ctx.seed)
     ctx.fingerprint["relation_rows"] = len(rows)
-    system, setup_s, relation = repeated_setup(ctx, rows, "serve", pool_size=workers)
+    system, setups, relation = repeated_setup(ctx, rows, "serve", pool_size=workers)
     ctx.fingerprint.update(incremental_mode=system.monitor(NAME).mode, workers=workers)
     rng = random.Random(ctx.seed + 11)
     tids = relation.tids()
@@ -438,10 +471,12 @@ def serve_mixed(ctx: Context) -> Result:
             work.put(request)
         step_end = step_start + duration
         # the writer: batch j is due at start + j / rate, applied back to
-        # back when behind, until the step ends
+        # back when behind; a batch not started by the end of the step waits
+        # for the next step, and one not started by the end of the last step
+        # counts against write_keepup
         while True:
             due = writes.due(len(write_latencies))
-            if due >= step_end:
+            if due >= step_end or time.perf_counter() >= step_end:
                 break
             delay = due - time.perf_counter()
             if delay > 0:
@@ -459,7 +494,7 @@ def serve_mixed(ctx: Context) -> Result:
         backlogs.append(sum(1 for r in requests if r.step == step and r.done == 0.0))
         step_start = step_end
     window = time.perf_counter() - started
-    offered = writes.count_until(started + window)
+    offered = writes.count_until(step_end)
     for _ in threads:
         work.put(None)
     for thread in threads:
@@ -486,8 +521,9 @@ def serve_mixed(ctx: Context) -> Result:
     ctx.fingerprint["requests"] = len(requests)
     return Result(
         metrics={
-            "setup_s": setup_s,
+            "setup_s": median(setups),
             "op_ms": 1000.0 * median(nominal.latencies),
+            "op_mean_ms": 1000.0 * mean(nominal.latencies),
             "write_ms": 1000.0 * median(apply_latencies),
             "peak_rss_mb": rss,
             "serve_p50_ms": 1000.0 * median(nominal.latencies),
