@@ -2,7 +2,7 @@
 
 Usage, from the root of a checkout::
 
-    python3 perfbench/run.py --workload clean-batch --seed 1 --seconds 25 --trace 0
+    python3 perfbench/run.py --workload clean-batch --seed 1 --seconds 35 --trace 0
 
 ``--trace 0`` measures the end-to-end metrics for ``--seconds``.
 ``--trace 1`` runs a fixed amount of the workload several times, untraced
@@ -233,6 +233,7 @@ def main(argv=None) -> int:
     workdir = HERE / "out" / f"{label}-{os.getpid()}"
     workdir.mkdir(parents=True, exist_ok=True)
     tally = Tally()
+    samples = {}
     try:
         if args.trace:
             metrics, detail, fingerprint = traced_run(workload, args, workdir, tally, per_layer)
@@ -249,6 +250,7 @@ def main(argv=None) -> int:
             detail = {k: v for k, v in result.metrics.items() if k not in end_to_end}
             detail_units = {k: result.units.get(k, "ms") for k in detail}
             fingerprint = ctx.fingerprint
+            samples = result.samples
     finally:
         # the stores are scratch; results and spans stay in perfbench/out
         for path in workdir.glob("*.db*"):
@@ -274,7 +276,10 @@ def main(argv=None) -> int:
         },
     }
     with open(workdir / "result.json", "w") as handle:
-        json.dump({"fingerprint": fingerprint, "detail": detail, **outcome}, handle, indent=1)
+        json.dump(
+            {"fingerprint": fingerprint, "detail": detail, "samples": samples, **outcome},
+            handle, indent=1,
+        )
     print(json.dumps(outcome))
     return 0
 

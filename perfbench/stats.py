@@ -14,6 +14,9 @@ T = TypeVar("T")
 TAIL_PERCENTILES = (99.9, 99.0, 90.0, 50.0)
 #: samples that must lie beyond a reported percentile
 MIN_BEYOND = 10
+#: percentile of the bounded timings: the machine's slow spells last
+#: seconds and can cover more than half a run, so a median moves with them
+FAST_PERCENTILE = 10.0
 
 
 def _rank(pct: float, count: int) -> int:
@@ -41,12 +44,14 @@ def tail(samples: Sequence[float]) -> Optional[Tuple[float, float, int]]:
     return None
 
 
+def fast(samples: Sequence[float]) -> float:
+    """The lower decile of ``samples``: an operation's cost when the machine
+    does not slow it."""
+    return percentile(samples, FAST_PERCENTILE)
+
+
 def median(samples: Sequence[float]) -> float:
     return statistics.median(samples) if samples else 0.0
-
-
-def mean(samples: Sequence[float]) -> float:
-    return statistics.fmean(samples) if samples else 0.0
 
 
 @dataclass

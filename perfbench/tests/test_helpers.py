@@ -22,7 +22,7 @@ from spans import (  # noqa: E402
     union_length,
     value_under,
 )
-from stats import OpenLoop, Tally, percentile, tail  # noqa: E402
+from stats import OpenLoop, Tally, fast, percentile, tail  # noqa: E402
 from data import UpdateStream, dirty_customers  # noqa: E402
 
 
@@ -46,6 +46,12 @@ def test_tail_picks_highest_percentile_with_ten_samples_beyond():
     pct, value, count = tail([float(i) for i in range(1000)])
     assert (pct, value, count) == (99.0, 989.0, 1000)
     assert tail(list(range(10000)))[0] == 99.9
+
+
+def test_fast_is_the_lower_decile():
+    assert fast(list(range(1, 101))) == 10
+    assert fast([5.0, 3.0, 9.0, 4.0, 8.0, 6.0]) == 3.0  # under ten samples: the minimum
+    assert fast([3.0, 1.0] + [9.0] * 9) == 3.0  # 11 samples: the second fastest
 
 
 def test_percentile_of_nothing_raises():

@@ -17,6 +17,7 @@ oracles that run outside the timed operations and feed the shared
 
 from __future__ import annotations
 
+import gc
 import os
 import queue
 import random
@@ -32,7 +33,7 @@ from repro.monitor.updates import Update
 
 from data import ATTRIBUTES, CFDS, UpdateStream, dirty_customers, other_city
 from spans import Recorder
-from stats import OpenLoop, Tally, mean, median, tail
+from stats import OpenLoop, Tally, fast, median, tail
 
 NAME = "customer"
 SCHEMA = RelationSchema(
@@ -44,6 +45,8 @@ LADDER = (20, 40, 60, 80)
 LATENCY_LIMIT = 0.050
 #: serve-mixed: writer batches offered per second
 WRITE_RATE = 5.0
+#: serve-mixed: seconds of one pass through the ladder
+CYCLE_SECONDS = 3.5
 TOGGLED = 16
 REQUEST_SETS = 64
 
@@ -131,6 +134,8 @@ class Result:
 
     metrics: Dict[str, float]
     units: Dict[str, str]
+    #: the raw timings (seconds) behind the figures, kept in result.json
+    samples: Dict[str, List[float]] = field(default_factory=dict)
 
 
 def remove_store(path: str) -> None:
@@ -182,6 +187,8 @@ def more(ctx: Context, done: int, deadline: float) -> bool:
 def set_up(ctx: Context, rows, label: str, clean=False, pool_size=None):
     """Semandaq() through the first warm detect; returns (system, seconds, relation)."""
     path = ctx.store(label)
+    # garbage of earlier work is collected here, not inside the timed set-up
+    gc.collect()
     started = time.perf_counter()
     system, _ = ctx.call("Semandaq", lambda: ctx.system(path, pool_size))
     relation, _ = ctx.call("register_relation", lambda: system.register_relation(SCHEMA, rows))
@@ -214,8 +221,6 @@ def repeated_setup(ctx: Context, rows, label: str, **kwargs):
 
 # -- clean-batch ------------------------------------------------------------------
 
-#: clean-batch: passes of the pure calls (detect, audit, explore, repair) per round
-REPEATS = 2
 CLEAN_STEPS = ("detect", "audit", "explore", "repair", "apply", "post_detect")
 
 
@@ -229,13 +234,14 @@ def _walk(system: Semandaq) -> int:
 
 
 def clean_batch(ctx: Context) -> Result:
-    """Rounds of: set up, then detect/audit/explore/repair ``REPEATS`` times,
-    apply the repair and detect again.
+    """Rounds of: set up, detect, audit, explore, repair, apply the repair
+    and detect again.
 
-    Only detect, audit, explore and repair are pure, so they repeat within
-    a round; apply needs a fresh store, so it and the detect after it run
-    once per round.  A pass of the paper's steps is timed as the sum of the
-    per-call medians, which rests on many more samples than whole passes.
+    Apply needs a fresh store, so every round sets up anew; one pass per
+    round spreads the samples of every step, apply and set-up included,
+    evenly over the run.  A pass of the paper's steps is timed as the sum
+    of the per-step figures, which rests on many more samples than whole
+    passes.
     """
     rows = dirty_customers(50_000, ctx.seed)
     ctx.fingerprint["relation_rows"] = len(rows)
@@ -248,16 +254,15 @@ def clean_batch(ctx: Context) -> Result:
     while more(ctx, rounds, deadline):
         system, setup_s, _ = set_up(ctx, rows, f"clean-{rounds % 2}")
         samples["setup"].append(setup_s)
-        for _repeat in range(REPEATS):
-            report, elapsed = ctx.call("detect", lambda: system.detect(NAME))
-            samples["detect"].append(elapsed)
-            reports.append(report)
-            for key, fn in (
-                ("audit", lambda: system.audit(NAME)),
-                ("explore", lambda: _walk(system)),
-                ("repair", lambda: system.repair(NAME)),
-            ):
-                samples[key].append(ctx.call(key, fn)[1])
+        report, elapsed = ctx.call("detect", lambda: system.detect(NAME))
+        samples["detect"].append(elapsed)
+        reports.append(report)
+        for key, fn in (
+            ("audit", lambda: system.audit(NAME)),
+            ("explore", lambda: _walk(system)),
+            ("repair", lambda: system.repair(NAME)),
+        ):
+            samples[key].append(ctx.call(key, fn)[1])
         samples["apply"].append(ctx.call("apply_repair", lambda: system.apply_repair(NAME))[1])
         post, elapsed = ctx.call("detect", lambda: system.detect(NAME))
         samples["post_detect"].append(elapsed)
@@ -284,11 +289,11 @@ def clean_batch(ctx: Context) -> Result:
     pass_ms = sum(ms[key] for key in CLEAN_STEPS)
     return Result(
         metrics={
-            "setup_s": median(samples["setup"]),
-            "op_ms": pass_ms,
-            "op_mean_ms": sum(1000.0 * mean(samples[key]) for key in CLEAN_STEPS),
-            "write_ms": ms["apply"],
+            "setup_s": fast(samples["setup"]),
+            "op_p10_ms": sum(1000.0 * fast(samples[key]) for key in CLEAN_STEPS),
+            "write_p10_ms": 1000.0 * fast(samples["apply"]),
             "peak_rss_mb": rss,
+            "setup_p50_s": ms["setup"] / 1000.0,
             "detect_ms": ms["detect"],
             "audit_ms": ms["audit"],
             "explore_ms": ms["explore"],
@@ -296,7 +301,8 @@ def clean_batch(ctx: Context) -> Result:
             "apply_ms": ms["apply"],
             "pipeline_s": pass_ms / 1000.0,
         },
-        units={"pipeline_s": "s"},
+        units={"pipeline_s": "s", "setup_p50_s": "s"},
+        samples=samples,
     )
 
 
@@ -361,22 +367,25 @@ def monitor_repair(ctx: Context) -> Result:
         ctx.close(system)
         rounds += 1
     ctx.fingerprint.update(rounds=rounds, batches=len(latencies))
-    batch_ms = 1000.0 * median(latencies)
     found = tail(latencies)
     return Result(
         metrics={
-            "setup_s": median(setups),
-            "op_ms": batch_ms,
-            "op_mean_ms": 1000.0 * mean(latencies),
-            "write_ms": 1000.0 * median(writes),
+            "setup_s": fast(setups),
+            "op_p10_ms": 1000.0 * fast(latencies),
+            "write_p10_ms": 1000.0 * fast(writes),
             "peak_rss_mb": rss,
-            "update_p50_ms": batch_ms,
+            "setup_p50_s": median(setups),
+            "update_p50_ms": 1000.0 * median(latencies),
             "update_tail_ms": 1000.0 * found[1] if found else 0.0,
             "update_tail_pct": found[0] if found else 0.0,
             "updates_per_s": updates / sum(latencies),
             "batches": float(len(latencies)),
         },
-        units={"updates_per_s": "1/s", "update_tail_pct": "pct", "batches": "count"},
+        units={
+            "setup_p50_s": "s", "updates_per_s": "1/s", "update_tail_pct": "pct",
+            "batches": "count",
+        },
+        samples={"setup": setups, "batch": latencies, "write": writes},
     )
 
 
@@ -385,7 +394,7 @@ def monitor_repair(ctx: Context) -> Result:
 
 @dataclass
 class _Request:
-    step: int
+    rate: int
     due: float
     tid_set: int
     picked: float = 0.0
@@ -402,7 +411,8 @@ def serve_mixed(ctx: Context) -> Result:
     workers = max(1, (os.cpu_count() or 2) - 1)
     rows = dirty_customers(20_000, ctx.seed)
     ctx.fingerprint["relation_rows"] = len(rows)
-    system, setups, relation = repeated_setup(ctx, rows, "serve", pool_size=workers)
+    system, elapsed, relation = set_up(ctx, rows, "serve", pool_size=workers)
+    setups = [elapsed]
     ctx.fingerprint.update(incremental_mode=system.monitor(NAME).mode, workers=workers)
     rng = random.Random(ctx.seed + 11)
     tids = relation.tids()
@@ -428,10 +438,12 @@ def serve_mixed(ctx: Context) -> Result:
                     oracles[index].add(canonical(system.detect_for_tuples(NAME, tid_set)))
 
     if ctx.work is not None:
-        steps = [(LADDER[0], float(ctx.work))]
+        ladder = [(LADDER[0], float(ctx.work))]
     else:
-        steps = [(LADDER[0], 0.4 * ctx.seconds)] + [
-            (rate, 0.2 * ctx.seconds) for rate in LADDER[1:]
+        # the ladder repeats until the time is up, so every rate is sampled
+        # across the whole run, not in one stretch a slow spell may cover
+        ladder = [(LADDER[0], 0.4 * CYCLE_SECONDS)] + [
+            (rate, 0.2 * CYCLE_SECONDS) for rate in LADDER[1:]
         ]
     work: "queue.Queue[Optional[_Request]]" = queue.Queue()
     requests: List[_Request] = []
@@ -456,54 +468,77 @@ def serve_mixed(ctx: Context) -> Result:
         thread.start()
     cpu_started = time.process_time()
     started = time.perf_counter()
-    writes = OpenLoop(WRITE_RATE, started)
     write_latencies: List[float] = []
     apply_latencies: List[float] = []
-    loops: List[OpenLoop] = []
-    backlogs: List[int] = []
-    step_start = started
-    for step, (rate, duration) in enumerate(steps):
-        loop = OpenLoop(float(rate), step_start)
-        loops.append(loop)
-        for k in range(loop.count_until(step_start + duration)):
-            request = _Request(step, loop.due(k), rng.randrange(len(tid_sets)))
-            requests.append(request)
-            work.put(request)
-        step_end = step_start + duration
-        # the writer: batch j is due at start + j / rate, applied back to
-        # back when behind; a batch not started by the end of the step waits
-        # for the next step, and one not started by the end of the last step
-        # counts against write_keepup
-        while True:
-            due = writes.due(len(write_latencies))
-            if due >= step_end or time.perf_counter() >= step_end:
-                break
-            delay = due - time.perf_counter()
+    offered = 0
+    #: requests per rate, and the most left queued at the end of any step
+    by_rate: Dict[int, OpenLoop] = {}
+    backlogs: Dict[int, int] = {}
+    #: set-ups between cycles, kept out of the serving window
+    paused_wall = paused_cpu = 0.0
+    deadline = started + ctx.seconds
+    cycles = 0
+    while cycles == 0 or (ctx.work is None and time.perf_counter() < deadline):
+        for rate, duration in ladder:
+            step_start = time.perf_counter()
+            step_end = step_start + duration
+            loop = OpenLoop(float(rate), step_start)
+            step_requests = [
+                _Request(rate, loop.due(k), rng.randrange(len(tid_sets)))
+                for k in range(loop.count_until(step_end))
+            ]
+            for request in step_requests:
+                work.put(request)
+            requests.extend(step_requests)
+            # the writer: batch j of the step is due at step start + j / rate,
+            # applied back to back when behind; a batch not started by the end
+            # of its step counts against write_keepup
+            writes = OpenLoop(WRITE_RATE, step_start)
+            offered += writes.count_until(step_end)
+            applied = 0
+            while True:
+                due = writes.due(applied)
+                if due >= step_end or time.perf_counter() >= step_end:
+                    break
+                delay = due - time.perf_counter()
+                if delay > 0:
+                    time.sleep(delay)
+                toggle = batches[len(write_latencies) % 2]
+                began = time.perf_counter()
+                apply_latencies.append(
+                    ctx.call("apply_updates", lambda: system.apply_updates(NAME, toggle))[1]
+                )
+                ctx.call("current_report", lambda: system.monitor(NAME).current_report())
+                write_latencies.append(time.perf_counter() - began)
+                applied += 1
+            delay = step_end - time.perf_counter()
             if delay > 0:
                 time.sleep(delay)
-            toggle = batches[len(write_latencies) % 2]
-            began = time.perf_counter()
-            apply_latencies.append(
-                ctx.call("apply_updates", lambda: system.apply_updates(NAME, toggle))[1]
-            )
-            ctx.call("current_report", lambda: system.monitor(NAME).current_report())
-            write_latencies.append(time.perf_counter() - began)
-        delay = step_end - time.perf_counter()
-        if delay > 0:
-            time.sleep(delay)
-        backlogs.append(sum(1 for r in requests if r.step == step and r.done == 0.0))
-        step_start = step_end
-    window = time.perf_counter() - started
-    offered = writes.count_until(step_end)
+            queued = sum(1 for request in step_requests if request.done == 0.0)
+            backlogs[rate] = max(backlogs.get(rate, 0), queued)
+            by_rate.setdefault(rate, OpenLoop(float(rate), started))
+            # drain, so no step's latencies carry the queue of the step before
+            while any(request.done == 0.0 for request in step_requests):
+                time.sleep(0.002)
+        if ctx.work is None:
+            # a set-up after every cycle spreads the setup_s samples over the run
+            wall_mark, cpu_mark = time.perf_counter(), time.process_time()
+            extra, elapsed, _ = set_up(ctx, rows, "serve-extra", pool_size=workers)
+            ctx.close(extra)
+            setups.append(elapsed)
+            paused_wall += time.perf_counter() - wall_mark
+            paused_cpu += time.process_time() - cpu_mark
+        cycles += 1
+    window = time.perf_counter() - started - paused_wall
     for _ in threads:
         work.put(None)
     for thread in threads:
         thread.join()
-    cpu = time.process_time() - cpu_started
+    cpu = time.process_time() - cpu_started - paused_cpu
     rss = peak_rss_mb()
 
     for request in requests:
-        loops[request.step].record(request.due, request.picked, request.began, request.done)
+        by_rate[request.rate].record(request.due, request.picked, request.began, request.done)
         if request.report is not None:
             ctx.tally.check(
                 canonical(request.report) in oracles[request.tid_set], "serve_oracle"
@@ -511,21 +546,21 @@ def serve_mixed(ctx: Context) -> Result:
     ctx.count_examined(system)
     ctx.close(system)
     max_rps = 0.0
-    for (rate, _duration), loop, backlog in zip(steps, loops, backlogs):
-        if not loop.keeps_up(LATENCY_LIMIT, backlog, workers):
+    for rate, backlog in backlogs.items():
+        if not by_rate[rate].keeps_up(LATENCY_LIMIT, backlog, workers):
             break
         max_rps = float(rate)
-    nominal = loops[0]
+    nominal = by_rate[LADDER[0]]
     found = tail(nominal.latencies)
-    lateness = [late for loop in loops for late in loop.lateness]
-    ctx.fingerprint["requests"] = len(requests)
+    lateness = [late for loop in by_rate.values() for late in loop.lateness]
+    ctx.fingerprint.update(requests=len(requests), cycles=cycles)
     return Result(
         metrics={
-            "setup_s": median(setups),
-            "op_ms": 1000.0 * median(nominal.latencies),
-            "op_mean_ms": 1000.0 * mean(nominal.latencies),
-            "write_ms": 1000.0 * median(apply_latencies),
+            "setup_s": fast(setups),
+            "op_p10_ms": 1000.0 * fast(nominal.latencies),
+            "write_p10_ms": 1000.0 * fast(apply_latencies),
             "peak_rss_mb": rss,
+            "setup_p50_s": median(setups),
             "serve_p50_ms": 1000.0 * median(nominal.latencies),
             "serve_tail_ms": 1000.0 * found[1] if found else 0.0,
             "serve_tail_pct": found[0] if found else 0.0,
@@ -537,9 +572,10 @@ def serve_mixed(ctx: Context) -> Result:
             "cpu_util": cpu / window,
         },
         units={
-            "serve_tail_pct": "pct", "serve_samples": "count", "serve_max_rps": "1/s",
+            "setup_p50_s": "s", "serve_tail_pct": "pct", "serve_samples": "count", "serve_max_rps": "1/s",
             "write_keepup": "ratio", "cpu_util": "ratio",
         },
+        samples={"setup": setups, "serve": nominal.latencies, "write": apply_latencies},
     )
 
 
