@@ -19,7 +19,7 @@ SIZE = 600
 _clean, _noise = make_dirty_customers(SIZE, rate=0.05, seed=131)
 _DATABASE = make_database(_noise.dirty)
 _CFDS = paper_cfds()
-_REPORT = ErrorDetector(_DATABASE).detect("customer", _CFDS)
+_REPORT = ErrorDetector(_DATABASE, use_sql=False).detect("customer", _CFDS)
 _RELATION = _DATABASE.relation("customer")
 
 

@@ -1,11 +1,11 @@
-"""DETECT-PLANS — detection plan families: legacy vs sargable vs window.
+"""DETECT-PLANS — detection plan families: legacy vs window.
 
-The plan-variant layer compiles the paper's ``Q_C``/``Q_V`` pair three
+The plan-variant layer compiles the paper's ``Q_C``/``Q_V`` pair two
 ways: the **legacy** tableau-joined form (non-sargable wildcard predicate,
 per-pattern fan-out inside one statement, separate covering-members round
-trip), the **sargable** per-pattern specialization (constant LHS positions
-become ``t.A = ?`` equalities riding the auto-built CFD-LHS index), and
-the one-pass **window** family (violating groups *and* member rows in a
+trip) and the **window** family: a sargable per-pattern ``Q_C`` (constant
+LHS positions become ``t.A = ?`` equalities riding the auto-built CFD-LHS
+index) and a one-pass ``Q_V`` (violating groups *and* member rows in a
 single statement — the detect→covering-members round trip disappears).
 
 Two tableau shapes on SQLite at 600/2400/9600 rows:
@@ -18,9 +18,9 @@ Two tableau shapes on SQLite at 600/2400/9600 rows:
   constant binds let the index prune each per-pattern statement.
 
 ``test_families_agree_at_every_size`` is the guard-rail: bit-identical
-violation reports across all three families (and the memory backend's
-fallback) at every size and shape.  Set ``BENCH_SMOKE=1`` to run the
-smallest size only (the CI smoke mode).
+violation reports across both families and the native detector at every
+size and shape.  Set ``BENCH_SMOKE=1`` to run the smallest size only (the
+CI smoke mode).
 """
 
 import os
@@ -35,7 +35,7 @@ from repro.detection.detector import ErrorDetector
 from repro.engine.database import Database
 
 SIZES = [600] if os.environ.get("BENCH_SMOKE") else [600, 2400, 9600]
-PLANS = ["legacy", "sargable", "window"]
+PLANS = ["legacy", "window"]
 
 #: constant-heavy tableau: the geography table's CC->CNT associations as
 #: explicit constant patterns (the noise flips CNT/CC cells, so each
@@ -93,7 +93,7 @@ def _keys(report):
 
 
 def test_families_agree_at_every_size():
-    """All three families (and the memory fallback) report identically."""
+    """Both families (and the native oracle) report identically."""
     rows = []
     for shape, cfds in _SHAPES.items():
         for size in SIZES:
@@ -109,22 +109,17 @@ def test_families_agree_at_every_size():
                     best = elapsed if best is None else min(best, elapsed)
                 timings[plan] = best
                 reports[plan] = _keys(report)
-            assert reports["legacy"] == reports["sargable"] == reports["window"]
-            # the embedded engine resolves window to its legacy fallback —
-            # and still agrees bit for bit
+            assert reports["legacy"] == reports["window"]
             database = Database()
             database.add_relation(_WORKLOADS[size].copy())
-            memory = ErrorDetector(database, detect_plan="window").detect(
-                "customer", cfds
-            )
-            assert _keys(memory) == reports["legacy"]
+            native = ErrorDetector(database, use_sql=False).detect("customer", cfds)
+            assert _keys(native) == reports["legacy"]
             rows.append(
                 {
                     "shape": shape,
                     "rows": size,
                     "violations": len(reports["legacy"]),
                     "legacy_ms": round(timings["legacy"], 3),
-                    "sargable_ms": round(timings["sargable"], 3),
                     "window_ms": round(timings["window"], 3),
                 }
             )
@@ -138,15 +133,15 @@ def test_families_agree_at_every_size():
         "window_speedup_narrow_top": round(
             narrow_top["legacy_ms"] / narrow_top["window_ms"], 3
         ),
-        "sargable_speedup_wide_top": round(
-            wide_top["legacy_ms"] / wide_top["sargable_ms"], 3
+        "window_speedup_wide_top": round(
+            wide_top["legacy_ms"] / wide_top["window_ms"], 3
         ),
     }
     emit_bench_json("DETECT-PLANS", rows, metrics=metrics)
     if not os.environ.get("BENCH_SMOKE"):
         # the acceptance claims, on the full sizes only (the smoke run is
         # too small for stable timings): the one-pass window plan beats
-        # legacy on the wildcard-heavy tableau, and the sargable constant
+        # legacy on the wildcard-heavy tableau, and its sargable constant
         # binds are at least on par with legacy on the constant-heavy one
         assert narrow_top["window_ms"] < narrow_top["legacy_ms"], narrow_top
-        assert wide_top["sargable_ms"] <= wide_top["legacy_ms"] * 1.05, wide_top
+        assert wide_top["window_ms"] <= wide_top["legacy_ms"] * 1.05, wide_top

@@ -2,7 +2,7 @@
 
 Companion experiment of [3] (TODS 2008): detection compiled to SQL scales
 roughly linearly with the relation size and with the number of CFDs /
-pattern tuples.  Absolute numbers depend on the embedded engine; the *shape*
+pattern tuples.  Absolute numbers depend on the backend (SQLite); the *shape*
 (linear growth, no blow-up with extra pattern tuples) is what this benchmark
 checks.
 """

@@ -12,7 +12,7 @@ import os
 import sys
 import time
 
-from repro import Database, Semandaq
+from repro import Database, Semandaq, SqliteBackend
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.obs import benchjson
 
@@ -41,6 +41,13 @@ def make_database(relation) -> Database:
     database = Database()
     database.add_relation(relation)
     return database
+
+
+def make_sqlite_backend(relation) -> SqliteBackend:
+    """An in-memory SQLite backend holding a copy of ``relation``."""
+    backend = SqliteBackend()
+    backend.add_relation(relation.copy())
+    return backend
 
 
 def report_series(title: str, rows) -> None:

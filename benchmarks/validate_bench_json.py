@@ -3,7 +3,7 @@
 CI runs this after the smoke benchmarks::
 
     PYTHONPATH=../src python validate_bench_json.py \
-        --expect INCR-SYNC DELTA-BATCH SQL-DELTA-PLANS BATCH-RESIDENT
+        --expect INCR-SYNC DELTA-BATCH BATCH-RESIDENT
 
 Every ``BENCH_*.json`` under ``--results-dir`` is schema-checked against
 :func:`repro.obs.benchjson.validate_bench_payload` (the same definition the

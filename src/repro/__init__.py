@@ -4,11 +4,13 @@ The package reproduces the system demonstrated in "Semandaq: A Data Quality
 System Based on Conditional Functional Dependencies" (Fan, Geerts, Jia,
 VLDB 2008) as a Python library:
 
-* :mod:`repro.engine` — the relational substrate (typed relations, indexes,
-  a SQL subset, CSV/JSON I/O);
-* :mod:`repro.backends` — pluggable storage backends the detection SQL is
-  pushed down to (the embedded engine, or real-DBMS pushdown via the stdlib
-  ``sqlite3`` module), selected with ``SemandaqConfig(backend=...)``;
+* :mod:`repro.engine` — the relational substrate (typed relations, hash
+  indexes, the working :class:`~repro.engine.database.Database`, CSV/JSON
+  I/O) the native paths run on;
+* :mod:`repro.backends` — the storage backends detection SQL is pushed
+  down to: real-DBMS pushdown via the stdlib ``sqlite3`` module (SQLite
+  3.25 or newer; ``:memory:`` by default), pluggable through
+  ``SemandaqConfig(backend=...)``;
 * :mod:`repro.core` — the CFD formalism (pattern tuples, tableaux, parsing,
   semantics);
 * :mod:`repro.analysis` — static analysis (consistency, implication, covers);
@@ -49,7 +51,6 @@ _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
 from .backends import (
     DeltaBatch,
-    MemoryBackend,
     SqliteBackend,
     StorageBackend,
     available_backends,
@@ -83,7 +84,6 @@ __all__ = [
     "Database",
     "StorageBackend",
     "DeltaBatch",
-    "MemoryBackend",
     "SqliteBackend",
     "available_backends",
     "create_backend",

@@ -8,27 +8,26 @@ down to the underlying DBMS.  This package makes that layer pluggable:
   ``apply_delta_batch``);
 * :class:`~repro.backends.delta.DeltaBatch` — the first-class, coalescing
   changeset the update path ships to a backend in one transaction;
-* :class:`~repro.backends.memory.MemoryBackend` — adapter over the embedded
-  engine (:mod:`repro.engine`);
-* :class:`~repro.backends.sqlite.SqliteBackend` — real-DBMS pushdown on the
-  stdlib ``sqlite3`` module (WAL, ``synchronous=NORMAL``, tid primary keys,
-  ``executemany`` bulk loads, automatic CFD-LHS indexes);
-* :mod:`~repro.backends.dialect` — per-backend SQL dialect descriptions the
-  detection-SQL generator consults, so the same ``Q_C``/``Q_V`` queries run
-  unmodified everywhere;
+* :class:`~repro.backends.sqlite.SqliteBackend` — the backend detection
+  SQL runs on: real-DBMS pushdown on the stdlib ``sqlite3`` module (WAL,
+  ``synchronous=NORMAL``, tid primary keys, ``executemany`` bulk loads,
+  automatic CFD-LHS indexes; SQLite 3.25 or newer);
+* :mod:`~repro.backends.dialect` — the SQL dialect description the
+  detection-SQL generator consults (string rendering, statement budgets);
 * :mod:`~repro.backends.registry` — name-based backend construction
   (``create_backend``), selected through ``SemandaqConfig(backend=...)``.
 
 To add a backend: implement :class:`StorageBackend`, give it a
 :class:`~repro.backends.dialect.SqlDialect` describing how non-string
-columns are rendered as strings and whether ``?`` parameters are supported,
-and register a factory with :func:`register_backend`.
+columns are rendered as strings and how many ``?`` parameters one
+statement may bind, and register a factory with :func:`register_backend`.
+The backend must run the SQLite-flavoured detection SQL (``?``
+parameters, row values, derived-table joins).
 """
 
 from .base import StorageBackend
 from .delta import DeltaBatch
-from .dialect import MEMORY_DIALECT, SQLITE_DIALECT, MemoryDialect, SqlDialect, SqliteDialect
-from .memory import MemoryBackend
+from .dialect import SQLITE_DIALECT, SqlDialect, SqliteDialect
 from .registry import (
     available_backends,
     create_backend,
@@ -40,12 +39,9 @@ from .sqlite import SqliteBackend
 __all__ = [
     "StorageBackend",
     "DeltaBatch",
-    "MemoryBackend",
     "SqliteBackend",
     "SqlDialect",
-    "MemoryDialect",
     "SqliteDialect",
-    "MEMORY_DIALECT",
     "SQLITE_DIALECT",
     "available_backends",
     "create_backend",

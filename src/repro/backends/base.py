@@ -25,10 +25,11 @@ database server:
 * **index management** — :meth:`ensure_index` lets the detector create
   indexes on CFD LHS attributes before running the grouping queries.
 
-Two implementations ship with the library: a
-:class:`~repro.backends.memory.MemoryBackend` adapter over the embedded
-engine, and a :class:`~repro.backends.sqlite.SqliteBackend` over the stdlib
-``sqlite3`` module.  New backends register themselves with
+The library ships one implementation, the
+:class:`~repro.backends.sqlite.SqliteBackend` over the stdlib ``sqlite3``
+module; test doubles and the telemetry layer's
+:class:`~repro.obs.instrument.InstrumentedBackend` substitute through this
+interface.  New backends register themselves with
 :func:`repro.backends.registry.register_backend` and become selectable via
 ``SemandaqConfig(backend=...)``.
 """
@@ -187,8 +188,7 @@ class StorageBackend(abc.ABC):
         """Run ``sql`` (in this backend's dialect) and return rows as dicts.
 
         Statements that produce no rows (DDL, DML) return an empty list.
-        ``parameters`` bind to ``?`` placeholders on dialects that support
-        them (:attr:`SqlDialect.supports_parameters`).
+        ``parameters`` bind to the statement's ``?`` placeholders.
         """
 
     @abc.abstractmethod
@@ -234,9 +234,8 @@ class StorageBackend(abc.ABC):
         surface, which routes to the pinned connection automatically.
 
         The base implementation is a no-op pin: backends without reader
-        pools (e.g. the embedded-engine adapter) are plain objects whose
-        reads need no per-thread connection, so the context just yields
-        the backend itself.  ``timeout`` bounds the wait for a pooled
+        pools are plain objects whose reads need no per-thread connection,
+        so the context just yields the backend itself.  ``timeout`` bounds the wait for a pooled
         connection on backends that have one.
         """
         del snapshot, timeout  # no pool: nothing to pin or snapshot

@@ -1,74 +1,33 @@
 """SQL dialect descriptions for the storage backends.
 
-The detection SQL generated by :mod:`repro.detection.sqlgen` must run
-unmodified on every backend, but the backends do not speak identical SQL:
-the embedded engine exposes a ``CONCAT`` scalar function for rendering
-non-string columns as strings, while SQLite (before 3.44) has no ``CONCAT``
-and uses ``CAST(... AS TEXT)`` instead.  A :class:`SqlDialect` captures the
-per-backend choices the generator needs:
+The detection SQL generated by :mod:`repro.detection.sqlgen` renders a few
+backend-specific pieces through a :class:`SqlDialect`:
 
 * how to render a data column as the string encoding used by the pattern
   tableau (:meth:`SqlDialect.string_expr`);
-* whether the backend supports ``?`` query parameters, in which case
-  literal values (the wildcard token) are passed out-of-band instead of
-  being quoted into the SQL string;
-* how to compare two possibly-NULL expressions the way the native
-  detector compares Python values — ``None == None`` is *equal*, not
-  UNKNOWN (:meth:`SqlDialect.null_safe_eq`);
-* the *plan-shape* capabilities the delta query compiler branches on:
-  :attr:`supports_row_values` selects the row-value ``IN (VALUES ...)``
-  semi-join form for the affected-group restriction, and
-  :attr:`max_parameters` / :attr:`max_or_terms` bound how many affected
-  tids/groups one delta statement may carry (the chunking budget).  Both
-  the incremental delta re-checks and the batch detector's restricted
-  ``detect_for_tuples`` / covering-members plans chunk by this budget, so
-  one statement never outgrows the engine's variable cap however wide the
-  CFD's LHS is.
+* the per-statement budgets the query compiler chunks by:
+  :attr:`~SqlDialect.max_parameters` bounds how many values one statement
+  binds, and :attr:`~SqlDialect.max_or_terms` bounds the OR chain of the
+  applicability counts.  The incremental delta re-checks, the batch
+  detector's restricted ``detect_for_tuples`` plans and the tuple-source
+  aggregates all chunk by this budget, so one statement never outgrows the
+  engine's variable cap however wide the CFD's LHS is.
 
-The string renderings are chosen so both dialects agree with the tableau
-encoding (``str(value)`` in Python): integers cast identically, floats go
-through a registered Python ``str`` function on SQLite (``CAST`` disagrees
-on exponent-form floats), and booleans are special-cased on SQLite, where
-they are stored as 0/1.
+The string renderings agree with the tableau encoding (``str(value)`` in
+Python): integers cast identically, floats go through a registered Python
+``str`` function on SQLite (``CAST`` disagrees on exponent-form floats),
+and booleans, stored as 0/1, are special-cased.
 """
 
 from __future__ import annotations
 
-import os
-import sqlite3
 from typing import Optional
 
 from ..engine.types import DataType
 
-#: environment switch forcing the portable delta plans on SQLite even when
-#: the library supports row values (used by CI to exercise the fallback)
-ROW_VALUES_ENV = "SEMANDAQ_SQLITE_ROW_VALUES"
-
 #: the portable floor of ``SQLITE_MAX_VARIABLE_NUMBER`` — builds compiled
 #: before SQLite 3.32 default to 999 bound parameters per statement
 SQLITE_PARAMETER_FLOOR = 999
-
-
-def sqlite_row_values_supported() -> bool:
-    """Whether the linked SQLite library speaks row values (3.15+).
-
-    ``SEMANDAQ_SQLITE_ROW_VALUES=0`` (or ``off``/``false``) forces the
-    portable plans regardless, so CI can exercise the fallback path on a
-    modern library.
-    """
-    if os.environ.get(ROW_VALUES_ENV, "").lower() in ("0", "off", "false"):
-        return False
-    return sqlite3.sqlite_version_info >= (3, 15)
-
-
-def sqlite_window_functions_supported() -> bool:
-    """Whether the linked SQLite library speaks window functions (3.25+).
-
-    The one-pass ``window`` detection plan family needs them (and the
-    derived-table joins that shipped long before); on older libraries the
-    plan selector falls back to the legacy tableau-joined shape.
-    """
-    return sqlite3.sqlite_version_info >= (3, 25)
 
 
 class SqlDialect:
@@ -76,123 +35,42 @@ class SqlDialect:
 
     #: dialect name, used in reprs and error messages
     name: str = "ansi"
-    #: whether ``execute`` accepts ``?`` placeholders with a parameter list
-    supports_parameters: bool = False
-    #: whether the engine parses row-value expressions —
-    #: ``(t.A, t.B) IN (VALUES (?, ?), ...)`` — which lets a multi-attribute
-    #: affected-group restriction run as an index-friendly semi-join
-    supports_row_values: bool = False
     #: bound-parameter budget per statement (``None`` = unbounded); the
-    #: delta query compiler sizes its chunks so one statement never binds
-    #: more than this many values
+    #: query compiler sizes its chunks so one statement never binds more
+    #: than this many values
     max_parameters: Optional[int] = None
-    #: cap on OR-chain disjuncts in the portable affected-group restriction.
-    #: Both engines dislike deep expression trees (SQLite caps the tree
-    #: depth at 1000; the embedded evaluator recurses per node), so the
-    #: OR-of-conjunctions form is always chunked at least this finely.
+    #: cap on OR-chain disjuncts in one statement.  SQLite caps the
+    #: expression-tree depth at 1000, so the applicability counts OR-ing
+    #: one conjunction per sub-CFD are chunked at least this finely.
     max_or_terms: int = 200
-    #: how many times :meth:`null_safe_eq` repeats a ``?`` right-hand side.
-    #: The portable expansion mentions the right operand twice, so a bound
-    #: value must be supplied twice per comparison; dialects with a native
-    #: null-safe operator (SQLite's ``IS``) bind it once.
-    null_safe_eq_binds: int = 2
-    #: whether the engine parses window functions (``... OVER (PARTITION BY
-    #: ...)``) and joins against derived tables — what the detection layer's
-    #: one-pass ``window`` plan family requires.  The embedded engine has
-    #: neither; SQLite grew window functions in 3.25.
-    supports_window_functions: bool = False
-    #: whether ``COUNT(DISTINCT x) OVER (...)`` parses.  SQLite rejects
-    #: DISTINCT inside window aggregates at any version, so its one-pass
-    #: plan takes the JOIN-on-aggregate rewrite; a dialect that sets this
-    #: flag would get the true single-scan window form instead.
-    supports_count_distinct_over: bool = False
 
     def string_expr(self, column: str, dtype: DataType) -> str:
         """Render ``column`` as the string encoding used by the tableau."""
         raise NotImplementedError
 
-    def null_safe_eq(self, left: str, right: str) -> str:
-        """An equality predicate that treats two NULLs as *equal*.
-
-        SQL's ``=`` is UNKNOWN when either side is NULL, but the native
-        detector compares Python values where ``None == None`` holds.
-        Delta restrictions that bind working-store values back into SQL go
-        through this rendering so a NULL never silently drops a predicate.
-        The portable form is the COALESCE-free three-way expansion; SQLite
-        overrides it with its ``IS`` operator.
-        """
-        return f"({left} = {right} OR ({left} IS NULL AND {right} IS NULL))"
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"{type(self).__name__}(name={self.name!r})"
-
-
-class MemoryDialect(SqlDialect):
-    """Dialect of the embedded SQL-subset engine (:mod:`repro.engine.sql`).
-
-    The embedded engine has no query-parameter channel wired through the
-    detector, so literals stay inline (quoted by the generator); non-string
-    columns go through the engine's ``CONCAT`` function, which stringifies
-    with Python ``str``.  Delta restrictions still use ``?`` placeholders —
-    the engine's executor binds them — with no parameter cap, but the
-    row-value form is not parsed, so multi-attribute group restrictions
-    keep the portable OR-of-conjunctions shape (chunked by
-    :attr:`max_or_terms`: the expression evaluator recurses per OR node).
-    """
-
-    name = "memory"
-    supports_parameters = False
-    supports_row_values = False
-    max_parameters = None
-
-    def string_expr(self, column: str, dtype: DataType) -> str:
-        if dtype is DataType.STRING:
-            return column
-        return f"CONCAT({column})"
 
 
 class SqliteDialect(SqlDialect):
     """Dialect of the stdlib :mod:`sqlite3` backend.
 
-    SQLite has no ``CONCAT`` scalar function, so non-string columns are
+    SQLite has no ``CONCAT`` before 3.44, so non-string columns are
     rendered with ``CAST(... AS TEXT)``.  Booleans are stored as 0/1 and
     would cast to ``'1'``/``'0'``, while the tableau encodes them as the
     Python strings ``'True'``/``'False'``; a ``CASE`` expression keeps the
-    two backends' string encodings identical.  Literal values travel as
-    ``?`` parameters.
+    string encodings identical.
 
-    Unlike the base dialects this one is *per-connection configurable*: the
-    :class:`~repro.backends.sqlite.SqliteBackend` builds an instance whose
-    ``max_parameters`` reflects the connection's actual
-    ``SQLITE_LIMIT_VARIABLE_NUMBER`` (the class default is the portable
-    999 floor), and ``supports_row_values`` reflects the linked library
-    version (row values shipped in SQLite 3.15).
+    The :class:`~repro.backends.sqlite.SqliteBackend` builds an instance
+    whose ``max_parameters`` reflects the connection's actual
+    ``SQLITE_LIMIT_VARIABLE_NUMBER`` (the default is the portable 999
+    floor).
     """
 
     name = "sqlite"
-    supports_parameters = True
-    null_safe_eq_binds = 1
 
-    def __init__(
-        self,
-        max_parameters: int = SQLITE_PARAMETER_FLOOR,
-        supports_row_values: Optional[bool] = None,
-        supports_window_functions: Optional[bool] = None,
-    ):
+    def __init__(self, max_parameters: int = SQLITE_PARAMETER_FLOOR):
         self.max_parameters = max_parameters
-        self.supports_row_values = (
-            sqlite_row_values_supported()
-            if supports_row_values is None
-            else supports_row_values
-        )
-        # window functions shipped in SQLite 3.25; DISTINCT window
-        # aggregates exist in no SQLite, so supports_count_distinct_over
-        # stays at the class-level False
-        self.supports_window_functions = (
-            sqlite_window_functions_supported()
-            if supports_window_functions is None
-            else supports_window_functions
-        )
 
     def string_expr(self, column: str, dtype: DataType) -> str:
         if dtype is DataType.STRING:
@@ -209,12 +87,7 @@ class SqliteDialect(SqlDialect):
             return f"pystr({column})"
         return f"CAST({column} AS TEXT)"
 
-    def null_safe_eq(self, left: str, right: str) -> str:
-        return f"{left} IS {right}"
 
-
-#: shared default dialect instances (the sqlite one uses the conservative
-#: 999-parameter floor; backends build per-connection instances with the
-#: real limit)
-MEMORY_DIALECT = MemoryDialect()
+#: shared default dialect instance (the conservative 999-parameter floor;
+#: backends build per-connection instances with the real limit)
 SQLITE_DIALECT = SqliteDialect()

@@ -3,8 +3,8 @@
 ``SemandaqConfig(backend="sqlite")`` selects a backend by name; this module
 is the indirection that makes the choice pluggable.  A backend *factory* is
 any callable taking keyword options and returning a
-:class:`~repro.backends.base.StorageBackend`.  The two built-in backends
-are pre-registered; third parties add their own with
+:class:`~repro.backends.base.StorageBackend`.  The built-in ``sqlite``
+backend is pre-registered; third parties add their own with
 :func:`register_backend` before constructing the system::
 
     from repro.backends import register_backend
@@ -18,7 +18,6 @@ from typing import Callable, Dict, List
 
 from ..errors import BackendError
 from .base import StorageBackend
-from .memory import MemoryBackend
 from .sqlite import SqliteBackend
 
 #: factory registry, keyed by backend name
@@ -57,5 +56,4 @@ def create_backend(name: str, **options) -> StorageBackend:
     return _REGISTRY[name](**options)
 
 
-register_backend("memory", MemoryBackend)
 register_backend("sqlite", SqliteBackend)

@@ -1,7 +1,9 @@
 """The SQLite backend: real-DBMS pushdown on the stdlib ``sqlite3`` module.
 
-This is the first backend that runs the paper's detection SQL on an actual
-database server.  Each relation becomes a SQLite table whose primary key is
+This is the backend the paper's detection SQL runs on.  It needs SQLite
+3.25 or newer (window functions and derived-table joins); an older linked
+library raises :class:`~repro.errors.UnsupportedSqliteError` on
+construction.  Each relation becomes a SQLite table whose primary key is
 the stable tuple id (``_tid INTEGER PRIMARY KEY`` — a rowid alias, so tid
 lookups are B-tree point reads), loaded with ``executemany`` batches.  The
 connection is tuned the way embedded-SQLite services usually are:
@@ -48,6 +50,7 @@ from ..errors import (
     SqlExecutionError,
     UnknownRelationError,
     UnknownTupleError,
+    UnsupportedSqliteError,
 )
 from ..engine.relation import Relation
 from ..engine.types import AttributeDef, DataType, RelationSchema
@@ -72,6 +75,10 @@ _AFFINITY_TYPES = {
     "INTEGER": DataType.INTEGER,
     "REAL": DataType.FLOAT,
 }
+
+#: oldest SQLite library the detection SQL runs on (window functions and
+#: derived-table joins shipped in 3.25)
+MIN_SQLITE_VERSION = (3, 25)
 
 #: name of the hidden tuple-id column
 TID_COLUMN = "_tid"
@@ -123,13 +130,16 @@ class SqliteBackend(StorageBackend):
         path: str = ":memory:",
         synchronous: str = "NORMAL",
         max_parameters: Optional[int] = None,
-        row_values: Optional[bool] = None,
-        window_functions: Optional[bool] = None,
         cached_statements: int = STATEMENT_CACHE_SIZE,
         pool_size: Optional[int] = None,
         busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS,
         pool_timeout: float = DEFAULT_POOL_TIMEOUT,
     ):
+        if sqlite3.sqlite_version_info < MIN_SQLITE_VERSION:
+            raise UnsupportedSqliteError(
+                f"SQLite {sqlite3.sqlite_version} is too old: the sqlite backend "
+                f"needs {'.'.join(map(str, MIN_SQLITE_VERSION))} or newer"
+            )
         self.path = str(path)
         self._synchronous = synchronous
         self._cached_statements = cached_statements
@@ -171,22 +181,15 @@ class SqliteBackend(StorageBackend):
         # The delta query compiler chunks its statements by this dialect's
         # parameter budget, so read the connection's real limit where the
         # stdlib exposes it (Python 3.11+); older builds keep the portable
-        # 999 floor.  ``max_parameters``/``row_values`` override the probe —
-        # e.g. to force the portable chunking against a capped server.
-        # ``window_functions`` likewise overrides the library-version probe
-        # the detect-plan auto-selection branches on — False simulates an
-        # old (pre-3.25) SQLite, pinning the legacy fallback.
+        # 999 floor.  ``max_parameters`` overrides the probe — e.g. to force
+        # fine chunking against a capped server.
         if max_parameters is None:
             max_parameters = self._probe_parameter_limit()
-        self.dialect = SqliteDialect(
-            max_parameters=max_parameters,
-            supports_row_values=row_values,
-            supports_window_functions=window_functions,
-        )
+        self.dialect = SqliteDialect(max_parameters=max_parameters)
         # The dialect renders FLOAT columns with pystr(...) so the string
         # encoding matches Python's str() exactly (CAST AS TEXT disagrees on
         # exponent-form floats: '1.0e+16' vs '1e+16'), keeping detection
-        # results identical to the memory backend.
+        # results identical to the native detector.
         self._conn.create_function("pystr", 1, _pystr, deterministic=True)
         self._schemas: Dict[str, RelationSchema] = {}
         self._next_tid: Dict[str, int] = {}

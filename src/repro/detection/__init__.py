@@ -4,7 +4,6 @@ from .detector import ErrorDetector
 from .incremental import IncrementalDetector
 from .sqlgen import (
     DETECT_PLANS,
-    DetectionQueries,
     DetectionSqlGenerator,
     default_detect_plan,
     resolve_detect_plan,
@@ -14,7 +13,6 @@ from .violations import MULTI, SINGLE, Violation, ViolationReport
 __all__ = [
     "ErrorDetector",
     "IncrementalDetector",
-    "DetectionQueries",
     "DetectionSqlGenerator",
     "DETECT_PLANS",
     "default_detect_plan",

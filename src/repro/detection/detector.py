@@ -16,18 +16,20 @@ and schema and row count come from the backend's catalog ops — ``detect``
 and ``detect_for_tuples`` perform **zero reads against the in-memory
 working store**, so batch detection runs against a remote server without
 shipping the relation back.  Backend values are decoded per schema dtype
-(:func:`decode_backend_value`) so reports stay identical across backends.
+(:func:`decode_backend_value`) so reports stay identical to the native
+oracle's.
 
 ``detect_for_tuples`` pushes the tuple restriction down as well: the
 PR 4-style delta plans re-check only the named tids (flat, dialect-chunked
 ``IN`` lists) and the LHS-value groups they belong to, instead of running
 a full detection and filtering the report afterwards.
 
-The detector accepts either a :class:`~repro.engine.database.Database`
-(wrapped in a :class:`~repro.backends.memory.MemoryBackend`, preserving the
-seed API) or any :class:`~repro.backends.base.StorageBackend`; detection SQL
-is generated in the backend's dialect through one cached generator per
-relation, whose prepared-plan cache persists across ``detect`` calls.
+The detector accepts any :class:`~repro.backends.base.StorageBackend`;
+detection SQL is generated in the backend's dialect through one cached
+generator per relation, whose prepared-plan cache persists across
+``detect`` calls.  Over a :class:`~repro.engine.database.Database` it runs
+the native path only, reading the working relations directly: asking it
+for SQL raises :class:`~repro.errors.SqlBackendRequiredError`.
 """
 
 from __future__ import annotations
@@ -48,7 +50,6 @@ from typing import (
 )
 
 from ..backends.base import StorageBackend
-from ..backends.memory import MemoryBackend
 from ..core.cfd import CFD
 from ..core.satisfaction import (
     multi_tuple_violation_groups,
@@ -58,7 +59,7 @@ from ..core.tableau import tableau_to_relation
 from ..engine.database import Database
 from ..engine.relation import Relation
 from ..engine.types import DataType, RelationSchema
-from ..errors import DetectionError
+from ..errors import DetectionError, SqlBackendRequiredError
 from ..obs.instrument import InstrumentedBackend
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .sqlgen import (
@@ -76,9 +77,8 @@ def decode_backend_value(schema: RelationSchema, attribute: str, value: Any) -> 
 
     SQLite hands back stored representations (0/1 for booleans); the
     working store holds engine values — hash-equal, but reports must show
-    the latter.  Every other type round-trips unchanged, so this is an
-    identity on the memory backend.  Shared by the batch detector and the
-    incremental detector's ``sql_delta`` mode.
+    the latter.  Every other type round-trips unchanged.  Shared by the
+    batch detector and the incremental detector's ``sql_delta`` mode.
     """
     if value is None:
         return None
@@ -120,31 +120,43 @@ class ErrorDetector:
     consistent snapshot of the store even while a writer streams delta
     batches — tuple count included, because the row count is read inside
     the snapshot too.
+
+    ``use_sql`` defaults to SQL detection over a backend and to native
+    detection over a :class:`~repro.engine.database.Database`; asking for
+    SQL over a Database raises
+    :class:`~repro.errors.SqlBackendRequiredError`.
     """
 
     def __init__(
         self,
         database: Union[Database, StorageBackend],
-        use_sql: bool = True,
+        use_sql: Optional[bool] = None,
         telemetry: Optional[Telemetry] = None,
         detect_plan: Optional[str] = None,
     ):
         #: telemetry context statements and spans are recorded under; the
         #: shared disabled default costs one attribute check per call site
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        #: the storage backend detection SQL runs on (None over a Database)
+        self.backend: Optional[StorageBackend] = None
+        #: the working database the native path reads (None over a backend)
+        self.database: Optional[Database] = None
         if isinstance(database, StorageBackend):
             self.backend = database
+            if self.telemetry.active and not isinstance(
+                self.backend, InstrumentedBackend
+            ):
+                self.backend = InstrumentedBackend(self.backend, self.telemetry)
+        elif use_sql:
+            raise SqlBackendRequiredError(
+                "SQL detection needs a StorageBackend; build the detector "
+                "over a backend, or use native detection over the Database"
+            )
         else:
-            self.backend = MemoryBackend(database)
-        if self.telemetry.active and not isinstance(
-            self.backend, InstrumentedBackend
-        ):
-            self.backend = InstrumentedBackend(self.backend, self.telemetry)
-        #: the wrapped in-memory database, when the backend exposes one
-        self.database = getattr(self.backend, "database", None)
-        self.use_sql = use_sql
+            self.database = database
+        self.use_sql = self.backend is not None if use_sql is None else use_sql
         #: requested detection plan family (``None`` = environment/auto);
-        #: each generator resolves it against its dialect's capabilities
+        #: each generator resolves it to the variant that runs
         self.detect_plan = detect_plan
         #: per-thread state (``last_sql``): a worker's statement log must
         #: not interleave with another thread's concurrent detection
@@ -182,7 +194,11 @@ class ErrorDetector:
     def _detect(self, relation_name: str, cfds: Sequence[CFD]) -> ViolationReport:
         self.last_sql = []
         if not self.use_sql:
-            relation = self.backend.to_relation(relation_name)
+            relation = (
+                self.database.relation(relation_name)
+                if self.database is not None
+                else self.backend.to_relation(relation_name)
+            )
             schema = relation.schema
             tuple_count = len(relation)
             self._validate(relation_name, cfds, schema)
@@ -217,8 +233,8 @@ class ErrorDetector:
         cleansing-review workflow.  On the SQL path the restriction is
         pushed down: the delta ``Q_C``/``Q_V`` plans re-check only the
         named tids and the LHS-value groups they belong to (flat tid ``IN``
-        lists and dialect-branched group restrictions, chunked by the
-        parameter budget), with the same report a full detection filtered
+        lists and row-value group restrictions, chunked by the parameter
+        budget), with the same report a full detection filtered
         to ``tids`` would produce.  The native path keeps the
         filter-after-detect evaluation as the oracle.
         """
@@ -415,7 +431,8 @@ class ErrorDetector:
         tables resident between detections; call this to return the
         backend to its pre-detection relation set — the facade does so on
         ``close()``.  Tableaux still leased by in-flight detections are
-        left alone; they simply stay cached when those leases drain.
+        left alone; they simply stay cached when those leases drain.  A
+        native detector over a Database never caches any.
         """
         with self._tableau_cond:
             for tableau_name in list(self._tableau_leases):
@@ -636,10 +653,7 @@ class ErrorDetector:
             for query in queries:
                 for row in self._execute(query):
                     lhs_values = tuple(row[attr] for attr in cfd.lhs)
-                    if query.pattern_index is not None:
-                        pattern_index = query.pattern_index
-                    else:
-                        pattern_index = int(row.get("pattern_id", 0))
+                    pattern_index = int(row["pattern_id"])
                     if (
                         lhs_values not in grouped
                         or pattern_index < grouped[lhs_values]

@@ -14,8 +14,10 @@ affected-group re-checks:
   dictionaries; each update touches only the affected groups.  This is the
   original pure-Python path and the correctness oracle.
 * ``sql_delta`` — the re-checks are compiled to *delta variants* of the
-  paper's ``Q_C``/``Q_V`` detection queries and pushed down to a storage
-  backend holding a resident copy of the relation: the affected tuple ids
+  paper's ``Q_C``/``Q_V`` detection queries and pushed down to the mirror
+  backend holding a resident copy of the relation (a ``sql_delta``
+  detector without a mirror raises
+  :class:`~repro.errors.SqlBackendRequiredError`): the affected tuple ids
   and LHS-value groups travel as ``?`` parameters, so the DBMS re-evaluates
   exactly the affected sub-instance (the FDB-style restriction that buys
   the incremental win).  The per-CFD pattern tableaux are materialised in
@@ -26,10 +28,9 @@ affected-group re-checks:
   — index-driven, no tableau join, shared with the batch detector),
   and :meth:`IncrementalDetector.report` assembles the violation report
   from backend rows alone — zero reads against the in-memory working
-  store.  The restriction shape and the chunking of large re-checks are
-  dialect-branched (row-value semi-joins and a per-statement parameter
-  budget on SQLite, portable OR chains on the embedded engine); see
-  :mod:`repro.detection.sqlgen`.
+  store.  Multi-attribute group restrictions are row-value semi-joins, and
+  large re-checks are chunked by the dialect's per-statement parameter
+  budget; see :mod:`repro.detection.sqlgen`.
 
 Updates flow through a first-class :class:`~repro.backends.delta.DeltaBatch`:
 single operations ship as singleton batches, and the :meth:`batch` context
@@ -52,12 +53,11 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 
 from ..backends.base import StorageBackend
 from ..backends.delta import DeltaBatch
-from ..backends.memory import MemoryBackend
 from ..core.cfd import CFD
 from ..core.tableau import tableau_to_relation
 from ..engine.database import Database
 from ..engine.relation import Relation
-from ..errors import DetectionError
+from ..errors import DetectionError, SqlBackendRequiredError
 from ..obs.instrument import InstrumentedBackend
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .detector import _sub_cfd, decode_backend_value
@@ -136,7 +136,6 @@ class IncrementalDetector:
         cfds: Sequence[CFD],
         mirror: Optional[StorageBackend] = None,
         mode: str = NATIVE_MODE,
-        delta_plan: str = "auto",
         detect_plan: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -144,6 +143,11 @@ class IncrementalDetector:
             raise DetectionError(
                 f"unknown incremental mode {mode!r}; "
                 f"expected one of {', '.join(INCREMENTAL_MODES)}"
+            )
+        if mode == SQL_DELTA_MODE and mirror is None:
+            raise SqlBackendRequiredError(
+                "sql_delta mode re-checks against the mirror backend's copy "
+                "of the relation; pass mirror=<StorageBackend>"
             )
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.database = database
@@ -156,8 +160,8 @@ class IncrementalDetector:
         self.mode = mode
         #: storage backend every applied update batch is shipped to as one
         #: :class:`DeltaBatch`, so a backend-resident copy stays current
-        #: without full re-syncs.  None when the working store *is* the
-        #: backend (the shared-memory configuration).
+        #: without full re-syncs.  None for a native detector that keeps no
+        #: backend copy.
         self.mirror = mirror
         #: set when a mirror delta failed after the working store mutated:
         #: the backend copy has silently diverged and needs a full re-sync
@@ -191,17 +195,9 @@ class IncrementalDetector:
         #: use, so retiring a monitor never pays a whole-relation scan)
         self._native_stale = False
         if self.mode == SQL_DELTA_MODE:
-            # In sql_delta mode the re-check queries run against this
-            # backend; it must already hold a current copy of the relation.
-            # With no mirror, a private shadow catalog shares the *live*
-            # relation object — queries see every working-store mutation,
-            # but the resident tableaux never pollute the user's database.
-            if mirror is not None:
-                self._query_backend: Optional[StorageBackend] = mirror
-            else:
-                shadow = Database()
-                shadow.add_relation(self.relation)
-                self._query_backend = MemoryBackend(shadow)
+            # In sql_delta mode the re-check queries run against the
+            # mirror; it must already hold a current copy of the relation.
+            self._query_backend: Optional[StorageBackend] = mirror
             if self.telemetry.active and not isinstance(
                 self._query_backend, InstrumentedBackend
             ):
@@ -211,7 +207,6 @@ class IncrementalDetector:
             self._generator: Optional[DetectionSqlGenerator] = DetectionSqlGenerator(
                 self.relation.schema,
                 dialect=self._query_backend.dialect,
-                delta_plan=delta_plan,
                 detect_plan=detect_plan,
                 telemetry=self.telemetry,
             )
@@ -373,11 +368,11 @@ class IncrementalDetector:
 
         An LHS group covered by several overlapping patterns comes back
         once per matching pattern — from the legacy (LHS, pattern_id)
-        grouping or from the specialized per-pattern statements; each
+        grouping or from the window family's per-pattern statements; each
         group is kept once, under its lowest violating pattern index — the
         rule every detection path follows.  One-pass window statements
-        deliver member rows directly; the grouped shapes enumerate
-        membership with one covering-members pass over the union of their
+        deliver member rows directly; the legacy grouping enumerates
+        membership with one covering-members pass over the union of its
         group keys, against the backend copy (the working store is never
         consulted).  Keys stay in the *backend's* value representation
         until the final decode, so the ``Q_V`` keys and the members keys
@@ -398,10 +393,7 @@ class IncrementalDetector:
             for query in queries:
                 for row in self._execute_delta(query):
                     lhs_values = tuple(row[attr] for attr in cfd.lhs)
-                    if query.pattern_index is not None:
-                        pattern_index = query.pattern_index
-                    else:
-                        pattern_index = int(row.get("pattern_id", 0))
+                    pattern_index = int(row["pattern_id"])
                     if (
                         lhs_values not in grouped
                         or pattern_index < grouped[lhs_values]
@@ -634,7 +626,7 @@ class IncrementalDetector:
         mode against its working store: the backend it compiled re-checks
         against is no longer its to query.
         """
-        if self.mode == SQL_DELTA_MODE and self.mirror is not None:
+        if self.mode == SQL_DELTA_MODE:
             self._fall_back_to_native()
         self.mirror = None
         self.mirror_desynced = False
@@ -680,7 +672,7 @@ class IncrementalDetector:
         Python state; it just no longer queries the backend.  A no-op in
         native mode.
         """
-        if self.mode == SQL_DELTA_MODE and self._query_backend is not None:
+        if self.mode == SQL_DELTA_MODE:
             self._fall_back_to_native()
 
     # -- report ------------------------------------------------------------------------

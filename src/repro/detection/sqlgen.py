@@ -17,62 +17,40 @@ whose value is literally ``'_'`` therefore cannot be misread as one), so
 the matching predicate for an LHS attribute ``X`` is
 ``(tab.X IS NULL OR tab.X = t.X)``.  For non-string attributes the data
 side is rendered as a string through the backend's
-:class:`~repro.backends.dialect.SqlDialect` (``CONCAT(...)`` on the embedded
-engine, ``CAST(... AS TEXT)`` on SQLite), so the comparison happens on the
-string encoding used by the tableau.  The generator is dialect-aware: the
-same :class:`DetectionQueries` run unmodified on every registered backend.
+:class:`~repro.backends.dialect.SqlDialect` (``CAST(... AS TEXT)`` on
+SQLite), so the comparison happens on the string encoding used by the
+tableau.
 
-Beyond the legacy tableau-joined queries the generator compiles two further
-*detection plan families*, selected by ``detect_plan``:
+Two *detection plan families* are compiled, selected by ``detect_plan``:
 
-* ``sargable`` — each tableau pattern row becomes its own statement whose
-  constant LHS positions render as parameter-bound equalities
-  (``t.A = ?``), riding the auto-built CFD-LHS index the way the covering
-  members plan already does; wildcard-only patterns collapse into a single
-  grouped query (per-pattern statements with identical SQL are emitted
-  once, labelled with the lowest pattern index).  Statement kinds:
-  ``q_c_sargable`` / ``q_v_sargable``.
-* ``window`` — ``Q_C`` keeps the sargable specialization, but ``Q_V``
-  becomes a *one-pass* plan that returns the violating groups **and**
-  their member rows in a single statement, eliminating the
-  detect→covering-members round trip.  On dialects with true DISTINCT
-  window aggregates it is ``COUNT(DISTINCT rhs) OVER (PARTITION BY
-  lhs...)``; SQLite (which rejects DISTINCT in window functions at every
-  version) gets the JOIN-on-aggregate rewrite.  Statement kind:
-  ``q_window``.
+* ``legacy`` — the paper's tableau-joined ``Q_C``/``Q_V`` above, with
+  group members enumerated by the covering members plan.
+* ``window`` — ``Q_C`` becomes one *sargable* statement per pattern row
+  whose constant LHS positions render as parameter-bound equalities
+  (``t.A = ?``), riding the auto-built CFD-LHS index (statement kind
+  ``q_c_sargable``); ``Q_V`` becomes a *one-pass* plan returning the
+  violating groups **and** their member rows in a single statement,
+  eliminating the detect→covering-members round trip.  SQLite rejects
+  DISTINCT in window functions, so the one pass is the JOIN-on-aggregate
+  rewrite (statement kind ``q_window``).  Per-pattern statements with
+  identical SQL are emitted once, labelled with the lowest pattern index.
 
-``detect_plan="auto"`` resolves to ``window`` where the dialect can
-evaluate it (SQLite 3.25+) and falls back to ``legacy`` elsewhere (the
-embedded engine, old SQLite); an explicit ``window`` request on an
-incapable dialect falls back the same way.  ``sargable`` runs on every
-dialect.  The resolved variant is part of every prepared-plan cache key,
-so flipping ``detect_plan`` mid-session can never serve a stale shape.
+``detect_plan="auto"`` resolves to ``window``.  The resolved variant is
+part of every prepared-plan cache key, so flipping ``detect_plan``
+mid-session can never serve a stale shape.  Inline literal values
+(pattern constants in the specialized plans) travel out-of-band as ``?``
+parameters — SQL strings never embed data values.
 
-On dialects that support query parameters, inline literal values (pattern
-constants in the specialized plans) travel out-of-band as ``?``
-parameters — SQL strings never embed data values there.  The in-memory
-dialect keeps the legacy inline quoting (:func:`_quote`).
-
-Delta variants of the queries (the ``delta_plans_*`` family) restrict
-re-evaluation to the tuples / LHS-value groups an update batch touched.
-The *shape* of that restriction is dialect-branched:
-
-* affected tids and single-attribute group keys always travel as a flat
-  ``IN (?, ?, ...)`` list (both engines parse it, and it is one expression
-  node regardless of length);
-* multi-attribute group keys use a row-value semi-join —
-  ``(t.X1, t.X2) IN (VALUES (?, ?), ...)`` — on dialects that support row
-  values (SQLite 3.15+), which lets the engine drive the probe through the
-  CFD-LHS index; other dialects (the embedded engine) keep the portable
-  OR-of-conjunctions form, rendered through the dialect's NULL-safe
-  equality so a bound NULL can never silently drop a disjunct.
-
-Chunking is driven by the dialect's *parameter budget*
+Delta variants of the queries (the ``delta_plans_*`` / ``plan_delta_*``
+family) restrict re-evaluation to the tuples / LHS-value groups an update
+batch touched.  Affected tids and single-attribute group keys travel as a
+flat ``IN (?, ?, ...)`` list; multi-attribute group keys use a row-value
+semi-join — ``(t.X1, t.X2) IN (VALUES (?, ?), ...)`` — which lets SQLite
+drive the probe through the CFD-LHS index.  Both shapes are one
+expression node however long, so chunking is driven by the dialect's
+*parameter budget* alone
 (:attr:`~repro.backends.dialect.SqlDialect.max_parameters`): each emitted
 statement binds at most that many values, however wide the CFD's LHS is.
-The portable OR form is additionally capped at
-:attr:`~repro.backends.dialect.SqlDialect.max_or_terms` disjuncts, because
-both engines bound their expression-tree depth.
 
 Two plan-quality mechanisms sit on top of the query builders:
 
@@ -98,13 +76,13 @@ from __future__ import annotations
 
 import os
 import threading
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
-from ..backends.dialect import MEMORY_DIALECT, SqlDialect
+from ..backends.dialect import SQLITE_DIALECT, SqlDialect
 from ..core.cfd import CFD
 from ..core.tableau import PATTERN_ID_COLUMN
-from ..engine.types import DataType, RelationSchema
+from ..engine.types import RelationSchema
 from ..errors import DetectionError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 
@@ -113,15 +91,11 @@ DATA_ALIAS = "t"
 #: alias used for the tableau relation in generated queries
 TABLEAU_ALIAS = "tab"
 
-#: delta-plan policies: ``auto`` lets the dialect pick the restriction
-#: shape, ``portable`` forces the OR-of-conjunctions form everywhere
-DELTA_PLANS = ("auto", "portable")
-
-#: detection plan families: ``auto`` picks per dialect capability,
-#: ``legacy`` keeps the tableau-joined queries, ``sargable`` specializes
-#: per pattern row with index-friendly constant equalities, ``window``
-#: adds the one-pass group+members ``Q_V``
-DETECT_PLANS = ("auto", "legacy", "sargable", "window")
+#: detection plan families: ``legacy`` keeps the tableau-joined queries,
+#: ``window`` specializes ``Q_C`` per pattern row with index-friendly
+#: constant equalities and adds the one-pass group+members ``Q_V``;
+#: ``auto`` resolves to ``window``
+DETECT_PLANS = ("auto", "legacy", "window")
 
 #: environment switch pre-selecting the detection plan family (used by CI
 #: to force the legacy shape on a modern library); an explicit
@@ -133,61 +107,60 @@ DETECT_PLAN_ENV = "SEMANDAQ_DETECT_PLAN"
 LHS_COLUMN_PREFIX = "lhs_"
 
 
+def _unknown_detect_plan(requested: str, source: str) -> DetectionError:
+    return DetectionError(
+        f"unknown {source} {requested!r}; "
+        f"expected one of {', '.join(DETECT_PLANS)}"
+    )
+
+
 def default_detect_plan() -> str:
     """The detection plan family used when the caller does not pick one.
 
-    ``SEMANDAQ_DETECT_PLAN`` (when set to a known family) overrides the
-    ``auto`` default, so a CI leg can pin every detector in a process to
-    one plan shape without threading configuration through each test.
+    ``SEMANDAQ_DETECT_PLAN`` overrides the ``auto`` default, so a CI leg
+    can pin every detector in a process to one plan shape without
+    threading configuration through each test.  An unknown value raises
+    :class:`~repro.errors.DetectionError`: a typo must not silently run
+    another family than the one the leg meant to pin.
     """
     value = os.environ.get(DETECT_PLAN_ENV, "").strip().lower()
-    if value in DETECT_PLANS:
-        return value
-    return "auto"
+    if not value:
+        return "auto"
+    if value not in DETECT_PLANS:
+        raise _unknown_detect_plan(value, DETECT_PLAN_ENV)
+    return value
 
 
 def resolve_detect_plan(requested: str, dialect: SqlDialect) -> str:
-    """Resolve a requested plan family against the dialect's capabilities.
+    """Resolve a requested plan family to the variant that runs.
 
-    ``legacy`` and ``sargable`` run everywhere.  ``window`` (and ``auto``,
-    which prefers it) needs window functions or DISTINCT window
-    aggregates; on a dialect with neither — the embedded engine, SQLite
-    before 3.25 — both fall back cleanly to ``legacy`` so the five-path
-    parity guarantees hold on every combination.
+    ``legacy`` and ``window`` resolve to themselves and ``auto`` to
+    ``window``; an unknown family raises
+    :class:`~repro.errors.DetectionError`.  Every supported dialect runs
+    both families, so ``dialect`` does not change the outcome.
     """
+    del dialect
     if requested not in DETECT_PLANS:
-        raise DetectionError(
-            f"unknown detect_plan {requested!r}; "
-            f"expected one of {', '.join(DETECT_PLANS)}"
-        )
-    if requested in ("legacy", "sargable"):
-        return requested
-    if dialect.supports_window_functions or dialect.supports_count_distinct_over:
-        return "window"
-    return "legacy"
-
-
-def _quote(value: str) -> str:
-    """Inline-quote a literal for the in-memory dialect (no parameter channel)."""
-    return "'" + str(value).replace("'", "''") + "'"
+        raise _unknown_detect_plan(requested, "detect_plan")
+    return "window" if requested == "auto" else requested
 
 
 @dataclass(frozen=True)
 class SqlQuery:
     """One generated query: SQL text plus its bound parameter values.
 
-    ``parameters`` is empty on dialects without parameter support (values
-    are inlined) and for queries whose placeholders are bound by the caller
-    at execution time (the group-members query).  ``rhs_attribute`` names
-    the RHS attribute a ``Q_V`` query detects disagreements on (``None``
-    for the other query kinds).  ``kind`` is the statement-kind tag the
+    ``parameters`` is empty for queries whose placeholders the caller
+    binds at execution time (the ``*_query`` builders of the restricted
+    statements; the ``*_plans`` helpers return them bound).
+    ``rhs_attribute`` names the RHS attribute a ``Q_V`` query detects
+    disagreements on (``None`` for the other query kinds).  ``kind`` is the statement-kind tag the
     telemetry layer buckets executions under (``q_c``, ``q_v``,
     ``q_c_sargable``, ``q_window``, ``delta_single``, ``covering_members``,
     ...); detectors announce it to the instrumented backend via
     :meth:`~repro.obs.telemetry.Telemetry.tag_statements`.
-    ``pattern_index`` is set on the per-pattern specialized plans (the
-    sargable and window families), whose statements carry no
-    ``pattern_id`` column — the pattern is implicit in the statement.
+    ``pattern_index`` is set on the per-pattern specialized plans of the
+    ``window`` family, whose statements carry no ``pattern_id`` column —
+    the pattern is implicit in the statement.
     """
 
     sql: str
@@ -203,44 +176,11 @@ class SqlQuery:
         return fragment in self.sql
 
 
-@dataclass(frozen=True)
-class DetectionQueries:
-    """The generated SQL for one CFD: tableau name plus the queries.
-
-    A merged CFD can carry wildcard patterns on several RHS attributes;
-    ``multi_sqls`` holds one ``Q_V`` per such attribute (each query's
-    ``rhs_attribute`` says which one it covers).
-    """
-
-    cfd_id: str
-    tableau_name: str
-    single_sql: Optional[SqlQuery]
-    multi_sqls: Tuple[SqlQuery, ...]
-    group_members_sql: Optional[SqlQuery]
-
-    @property
-    def multi_sql(self) -> Optional[SqlQuery]:
-        """The first ``Q_V`` query (kept for single-RHS callers)."""
-        return self.multi_sqls[0] if self.multi_sqls else None
-
-    def all_sql(self) -> List[str]:
-        """Every generated query's SQL text, for logging/inspection."""
-        return [
-            query.sql
-            for query in (self.single_sql,) + self.multi_sqls
-            if query
-        ]
-
-
 class DetectionSqlGenerator:
     """Compiles CFDs into detection SQL against a given data relation schema.
 
-    ``dialect`` selects the SQL flavour; it defaults to the embedded
-    engine's dialect so existing callers keep their behaviour.
-    ``delta_plan`` selects the affected-group restriction shape of the
-    delta queries: ``"auto"`` (default) branches on the dialect's
-    capabilities, ``"portable"`` forces the OR-of-conjunctions form even
-    where row values are available (the debugging / fallback policy).
+    ``dialect`` supplies the string rendering and the statement budgets; it
+    defaults to the SQLite dialect with the portable 999-parameter floor.
     ``detect_plan`` selects the detection plan family (see
     :data:`DETECT_PLANS`); ``None`` means :func:`default_detect_plan`
     (the ``SEMANDAQ_DETECT_PLAN`` environment switch or ``auto``).
@@ -250,20 +190,13 @@ class DetectionSqlGenerator:
         self,
         schema: RelationSchema,
         dialect: Optional[SqlDialect] = None,
-        delta_plan: str = "auto",
         telemetry: Optional["Telemetry"] = None,
         detect_plan: Optional[str] = None,
     ):
-        if delta_plan not in DELTA_PLANS:
-            raise DetectionError(
-                f"unknown delta_plan {delta_plan!r}; "
-                f"expected one of {', '.join(DELTA_PLANS)}"
-            )
         self.schema = schema
-        self.dialect = dialect or MEMORY_DIALECT
-        self.delta_plan = delta_plan
+        self.dialect = dialect or SQLITE_DIALECT
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: the requested plan family and its dialect-resolved variant;
+        #: the requested plan family and its resolved variant;
         #: :meth:`set_detect_plan` re-resolves both
         self.requested_detect_plan = (
             default_detect_plan() if detect_plan is None else detect_plan
@@ -381,11 +314,9 @@ class DetectionSqlGenerator:
         return self.dialect.string_expr(f"{DATA_ALIAS}.{attribute}", dtype)
 
     def _bind_literal(self, value: str, params: List[Any]) -> str:
-        """Render a string literal: a ``?`` parameter when supported."""
-        if self.dialect.supports_parameters:
-            params.append(value)
-            return "?"
-        return _quote(value)
+        """Render a string literal as a ``?`` parameter bound to ``value``."""
+        params.append(value)
+        return "?"
 
     def _match_predicate(self, attribute: str) -> str:
         """The per-attribute LHS matching predicate against the tableau.
@@ -473,8 +404,8 @@ class DetectionSqlGenerator:
             # The caller-bound tid placeholders come last, *after* every
             # generator-bound wildcard placeholder, so binding order is
             # always ``query.parameters`` followed by the affected tids.
-            # A flat IN list is one expression node on both engines, so tid
-            # chunks are bounded by the parameter budget alone.
+            # A flat IN list is one expression node, so tid chunks are
+            # bounded by the parameter budget alone.
             placeholders = ", ".join("?" for _ in range(delta_tid_count))
             conditions.append(f"{DATA_ALIAS}._tid IN ({placeholders})")
         where = " AND ".join(conditions)
@@ -530,33 +461,6 @@ class DetectionSqlGenerator:
             for attr in self.wildcard_rhs_attributes(cfd)
         ]
 
-    def multi_tuple_query(
-        self,
-        cfd: CFD,
-        tableau_name: str,
-        rhs_attribute: Optional[str] = None,
-    ) -> Optional[SqlQuery]:
-        """``Q_V``: find LHS groups with >1 distinct value on a wildcard RHS.
-
-        Covers ``rhs_attribute`` (default: the first wildcard RHS
-        attribute).  Returns ``None`` when the CFD has no wildcard RHS
-        position or an empty LHS; use :meth:`multi_tuple_queries` to cover
-        every wildcard RHS attribute of a merged CFD.
-        """
-        if not cfd.lhs:
-            return None
-        wildcard_rhs = self.wildcard_rhs_attributes(cfd)
-        if not wildcard_rhs:
-            return None
-        if rhs_attribute is None:
-            rhs_attribute = wildcard_rhs[0]
-        elif rhs_attribute not in wildcard_rhs:
-            return None
-        return self._cached_plan(
-            ("multi", cfd, tableau_name, rhs_attribute, 0),
-            lambda: self._multi_tuple_query_for(cfd, tableau_name, rhs_attribute),
-        )
-
     def multi_tuple_query_delta(
         self,
         cfd: CFD,
@@ -569,12 +473,11 @@ class DetectionSqlGenerator:
         After a :class:`~repro.backends.delta.DeltaBatch` ships, only groups
         whose LHS values match a touched tuple's old or new LHS values can
         have changed violation status.  The query appends a group
-        restriction (see :meth:`uses_row_values` for its dialect-branched
-        shape); the caller binds ``query.parameters`` followed by the
-        groups' LHS values flattened with :meth:`flatten_group_keys` (the
-        delta placeholders come last; the portable NULL-safe form repeats
-        each value).  Prefer :meth:`delta_plans_multi`, which also chunks
-        by the dialect's parameter budget and returns bound queries.
+        restriction (see :meth:`_group_restriction`); the caller binds
+        ``query.parameters`` followed by the groups' LHS values flattened
+        with :meth:`flatten_group_keys` (the delta placeholders come
+        last).  Prefer :meth:`delta_plans_multi`, which also chunks by the
+        dialect's parameter budget and returns bound queries.
         """
         if not cfd.lhs:
             raise ValueError("delta Q_V needs a non-empty LHS")
@@ -587,46 +490,24 @@ class DetectionSqlGenerator:
             ),
         )
 
-    def uses_row_values(self, cfd: CFD) -> bool:
-        """Whether ``cfd``'s affected-group restriction is a row-value semi-join.
-
-        True only for a multi-attribute LHS on a dialect with row-value
-        support under the ``auto`` plan policy; single-attribute LHS keys
-        always use the flat ``IN`` list, and the ``portable`` policy forces
-        the OR-of-conjunctions form everywhere.
-        """
-        return (
-            len(cfd.lhs) > 1
-            and self.delta_plan == "auto"
-            and self.dialect.supports_row_values
-        )
-
     def _group_restriction(self, cfd: CFD, group_count: int) -> str:
         """The affected-group restriction over ``group_count`` LHS-value groups.
 
+        A flat ``IN`` list for a single-attribute LHS, a row-value
+        semi-join — ``(t.X1, t.X2) IN (VALUES (?, ?), ...)`` — otherwise.
         All placeholders are caller-bound (the groups' LHS values flattened
-        in ``cfd.lhs`` order).  NULL never appears among the bound values —
+        in ``cfd.lhs`` order).  NULL never appears among the bound values:
         a tuple with a NULL LHS cell belongs to no group on any detection
-        path — but the portable OR form still renders its equalities
-        through the dialect's NULL-safe comparison, so a stray NULL matches
-        the way the native detector's ``None == None`` does instead of
-        silently deactivating a disjunct.
+        path.
         """
         lhs = cfd.lhs
         if len(lhs) == 1:
             placeholders = ", ".join("?" for _ in range(group_count))
             return f"{DATA_ALIAS}.{lhs[0]} IN ({placeholders})"
-        if self.uses_row_values(cfd):
-            row = ", ".join(f"{DATA_ALIAS}.{attr}" for attr in lhs)
-            value_row = "(" + ", ".join("?" for _ in lhs) + ")"
-            values = ", ".join(value_row for _ in range(group_count))
-            return f"({row}) IN (VALUES {values})"
-        conjunction = " AND ".join(
-            self.dialect.null_safe_eq(f"{DATA_ALIAS}.{attr}", "?") for attr in lhs
-        )
-        return (
-            "(" + " OR ".join(f"({conjunction})" for _ in range(group_count)) + ")"
-        )
+        row = ", ".join(f"{DATA_ALIAS}.{attr}" for attr in lhs)
+        value_row = "(" + ", ".join("?" for _ in lhs) + ")"
+        values = ", ".join(value_row for _ in range(group_count))
+        return f"({row}) IN (VALUES {values})"
 
     def _multi_tuple_query_for(
         self,
@@ -663,16 +544,16 @@ class DetectionSqlGenerator:
         kind = "q_v" if delta_group_count is None else "delta_multi"
         return SqlQuery(sql, tuple(params), rhs_attribute=rhs_attribute, kind=kind)
 
-    # -- specialized plan families (sargable / window) -----------------------------
+    # -- the window plan family ----------------------------------------------------
 
     @property
     def one_pass_multi(self) -> bool:
         """Whether the resolved family's ``Q_V`` returns member rows directly.
 
-        True for the ``window`` family, whose one-pass statements make the
-        covering-members round trip unnecessary: callers bucket the
-        ``(tid, lhs_*)`` rows per group key instead of enumerating members
-        in a second query wave.
+        True for ``window`` (false for ``legacy``), whose one-pass
+        statements make the covering-members round trip unnecessary:
+        callers bucket the ``(tid, lhs_*)`` rows per group key instead of
+        enumerating members in a second query wave.
         """
         return self.detect_plan == "window"
 
@@ -763,44 +644,6 @@ class DetectionSqlGenerator:
             sql, tuple(params), kind="q_c_sargable", pattern_index=pattern_index
         )
 
-    def _sargable_multi_for(
-        self,
-        cfd: CFD,
-        rhs_attribute: str,
-        pattern_index: int,
-        delta_group_count: Optional[int] = None,
-    ) -> SqlQuery:
-        """Per-pattern sargable ``Q_V``: grouped over the data relation alone.
-
-        Same row shape as the legacy ``Q_V`` minus the ``pattern_id``
-        column (implicit in the statement); member enumeration still goes
-        through the covering members plan.
-        """
-        params: List[Any] = []
-        conditions = self._pattern_lhs_conditions(cfd, pattern_index, params)
-        conditions.append(f"{DATA_ALIAS}.{rhs_attribute} IS NOT NULL")
-        if delta_group_count is not None:
-            conditions.append(self._group_restriction(cfd, delta_group_count))
-        distinct = f"COUNT(DISTINCT {self._data_column(rhs_attribute)})"
-        select_columns = [f"{DATA_ALIAS}.{attr} AS {attr}" for attr in cfd.lhs]
-        select_columns.append(f"{distinct} AS distinct_rhs")
-        select_columns.append("COUNT(*) AS group_size")
-        group_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
-        sql = (
-            f"SELECT {', '.join(select_columns)}\n"
-            f"FROM {cfd.relation} {DATA_ALIAS}\n"
-            f"WHERE {' AND '.join(conditions)}\n"
-            f"GROUP BY {', '.join(group_columns)}\n"
-            f"HAVING {distinct} > 1"
-        )
-        return SqlQuery(
-            sql,
-            tuple(params),
-            rhs_attribute=rhs_attribute,
-            kind="q_v_sargable",
-            pattern_index=pattern_index,
-        )
-
     def _window_multi_for(
         self,
         cfd: CFD,
@@ -811,10 +654,8 @@ class DetectionSqlGenerator:
         """Per-pattern one-pass ``Q_V``: violating groups *and* members.
 
         Rows come back as ``(tid, lhs_*)`` — one per member of a violating
-        group — so the detect→covering-members round trip disappears.  On
-        a dialect with true DISTINCT window aggregates the statement is a
-        single scan filtered on ``COUNT(DISTINCT rhs) OVER (PARTITION BY
-        lhs...)``; SQLite rejects DISTINCT in window functions, so it gets
+        group — so the detect→covering-members round trip disappears.
+        SQLite rejects DISTINCT in window functions, so the statement is
         the JOIN-on-aggregate rewrite: the grouped ``HAVING`` subquery
         finds the violating keys and the self-join pulls their members
         (LHS equality to a violating key implies the pattern's constants
@@ -829,38 +670,22 @@ class DetectionSqlGenerator:
         member_columns = [f"{DATA_ALIAS}._tid AS tid"] + [
             f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
         ]
-        if self.dialect.supports_count_distinct_over:
-            partition = ", ".join(f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs)
-            inner_select = member_columns + [
-                f"{distinct} OVER (PARTITION BY {partition}) AS distinct_rhs"
-            ]
-            outer_columns = ["tid"] + [
-                f"{LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
-            ]
-            sql = (
-                f"SELECT {', '.join(outer_columns)}\n"
-                f"FROM (SELECT {', '.join(inner_select)}\n"
-                f"FROM {cfd.relation} {DATA_ALIAS}\n"
-                f"WHERE {' AND '.join(inner_conditions)}) w\n"
-                f"WHERE w.distinct_rhs > 1"
-            )
-        else:
-            group_select = [f"{DATA_ALIAS}.{attr} AS {attr}" for attr in cfd.lhs]
-            group_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
-            join_on = " AND ".join(
-                f"{DATA_ALIAS}.{attr} = g.{attr}" for attr in cfd.lhs
-            )
-            sql = (
-                f"SELECT {', '.join(member_columns)}\n"
-                f"FROM {cfd.relation} {DATA_ALIAS} JOIN (\n"
-                f"SELECT {', '.join(group_select)}\n"
-                f"FROM {cfd.relation} {DATA_ALIAS}\n"
-                f"WHERE {' AND '.join(inner_conditions)}\n"
-                f"GROUP BY {', '.join(group_columns)}\n"
-                f"HAVING {distinct} > 1\n"
-                f") g ON {join_on}\n"
-                f"WHERE {DATA_ALIAS}.{rhs_attribute} IS NOT NULL"
-            )
+        group_select = [f"{DATA_ALIAS}.{attr} AS {attr}" for attr in cfd.lhs]
+        group_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
+        join_on = " AND ".join(
+            f"{DATA_ALIAS}.{attr} = g.{attr}" for attr in cfd.lhs
+        )
+        sql = (
+            f"SELECT {', '.join(member_columns)}\n"
+            f"FROM {cfd.relation} {DATA_ALIAS} JOIN (\n"
+            f"SELECT {', '.join(group_select)}\n"
+            f"FROM {cfd.relation} {DATA_ALIAS}\n"
+            f"WHERE {' AND '.join(inner_conditions)}\n"
+            f"GROUP BY {', '.join(group_columns)}\n"
+            f"HAVING {distinct} > 1\n"
+            f") g ON {join_on}\n"
+            f"WHERE {DATA_ALIAS}.{rhs_attribute} IS NOT NULL"
+        )
         return SqlQuery(
             sql,
             tuple(params),
@@ -874,8 +699,8 @@ class DetectionSqlGenerator:
     ) -> List[SqlQuery]:
         """The ``Q_C`` statements of the resolved plan family.
 
-        ``legacy``: the single tableau-joined query.  ``sargable`` and
-        ``window``: one statement per constant-RHS pattern row; pattern
+        ``legacy``: the single tableau-joined query.  ``window``: one
+        sargable statement per constant-RHS pattern row; pattern
         rows that render to an identical statement (wildcard-only LHS with
         the same expected RHS, or patterns made identical by the sub-CFD
         restriction) are emitted once, labelled with the lowest pattern
@@ -902,11 +727,11 @@ class DetectionSqlGenerator:
     def plan_multi_queries(self, cfd: CFD, tableau_name: str) -> List[SqlQuery]:
         """The ``Q_V`` statements of the resolved plan family.
 
-        One statement per (wildcard RHS attribute × pattern row) for the
-        specialized families — deduplicated the same way as
-        :meth:`plan_single_queries`; wildcard-only patterns thereby keep a
-        single grouped query per RHS attribute.  For the ``window`` family
-        the statements are one-pass (see :attr:`one_pass_multi`).
+        ``legacy``: one tableau-joined query per wildcard RHS attribute.
+        ``window``: one one-pass statement (see :attr:`one_pass_multi`) per
+        (wildcard RHS attribute × pattern row), deduplicated the same way
+        as :meth:`plan_single_queries`; wildcard-only patterns thereby keep
+        a single statement per RHS attribute.
         """
         if self.detect_plan == "legacy":
             return list(self.multi_tuple_queries(cfd, tableau_name))
@@ -916,20 +741,12 @@ class DetectionSqlGenerator:
         for rhs_attribute in self.wildcard_rhs_attributes(cfd):
             seen = set()
             for index in self._wildcard_multi_patterns(cfd, rhs_attribute):
-                if self.one_pass_multi:
-                    query = self._cached_plan(
-                        ("multi_window", cfd, tableau_name, (rhs_attribute, index), 0),
-                        lambda index=index, rhs=rhs_attribute: self._window_multi_for(
-                            cfd, rhs, index
-                        ),
-                    )
-                else:
-                    query = self._cached_plan(
-                        ("multi_sarg", cfd, tableau_name, (rhs_attribute, index), 0),
-                        lambda index=index, rhs=rhs_attribute: self._sargable_multi_for(
-                            cfd, rhs, index
-                        ),
-                    )
+                query = self._cached_plan(
+                    ("multi_window", cfd, tableau_name, (rhs_attribute, index), 0),
+                    lambda index=index, rhs=rhs_attribute: self._window_multi_for(
+                        cfd, rhs, index
+                    ),
+                )
                 signature = (query.sql, query.parameters)
                 if signature in seen:
                     continue
@@ -943,8 +760,8 @@ class DetectionSqlGenerator:
         """Fully-bound restricted ``Q_C`` statements of the resolved family.
 
         The legacy family delegates to :meth:`delta_plans_single`; the
-        specialized families chunk the tid restriction per pattern
-        statement under the same parameter budget.
+        window family chunks the tid restriction per pattern statement
+        under the same parameter budget.
         """
         if self.detect_plan == "legacy":
             return self.delta_plans_single(cfd, tableau_name, tids)
@@ -963,7 +780,7 @@ class DetectionSqlGenerator:
             if signature in seen:
                 continue
             seen.add(signature)
-            size = self._chunk_size(len(probe.parameters), 1, or_form=False)
+            size = self._chunk_size(len(probe.parameters), 1)
             for chunk in self._chunked(list(tids), size):
                 chunk = self._padded(chunk, size)
                 query = self._cached_plan(
@@ -992,26 +809,21 @@ class DetectionSqlGenerator:
         """Fully-bound restricted ``Q_V`` statements of the resolved family.
 
         The legacy family delegates to :meth:`delta_plans_multi`; the
-        specialized families chunk the group restriction per pattern
-        statement (the window form restricts its grouped subquery, so the
-        one-pass member rows cover exactly the affected groups).
+        window family chunks the group restriction per pattern statement
+        (restricting its grouped subquery, so the one-pass member rows
+        cover exactly the affected groups).
         """
         if self.detect_plan == "legacy":
             return self.delta_plans_multi(cfd, tableau_name, rhs_attribute, keys)
         if not keys or not cfd.lhs:
             return []
-        if self.one_pass_multi:
-            cache_kind = "multi_window_delta"
-            builder = self._window_multi_for
-        else:
-            cache_kind = "multi_sarg_delta"
-            builder = self._sargable_multi_for
+        cache_kind = "multi_window_delta"
         plans: List[SqlQuery] = []
         seen = set()
         for index in self._wildcard_multi_patterns(cfd, rhs_attribute):
             probe = self._cached_plan(
                 (cache_kind, cfd, tableau_name, (rhs_attribute, index), 1),
-                lambda index=index: builder(
+                lambda index=index: self._window_multi_for(
                     cfd, rhs_attribute, index, delta_group_count=1
                 ),
             )
@@ -1019,20 +831,16 @@ class DetectionSqlGenerator:
             if signature in seen:
                 continue
             seen.add(signature)
-            size = self._chunk_size(
-                len(probe.parameters),
-                len(cfd.lhs) * self._key_binds(cfd),
-                or_form=not self._flat_restriction(cfd),
-            )
+            size = self._chunk_size(len(probe.parameters), len(cfd.lhs))
             for chunk in self._chunked(list(keys), size):
                 chunk = self._padded(chunk, size)
                 query = self._cached_plan(
                     (cache_kind, cfd, tableau_name, (rhs_attribute, index), len(chunk)),
-                    lambda index=index, count=len(chunk): builder(
+                    lambda index=index, count=len(chunk): self._window_multi_for(
                         cfd, rhs_attribute, index, delta_group_count=count
                     ),
                 )
-                flattened = self.flatten_group_keys(cfd, chunk)
+                flattened = self.flatten_group_keys(chunk)
                 plans.append(
                     SqlQuery(
                         query.sql,
@@ -1044,73 +852,6 @@ class DetectionSqlGenerator:
                 )
         return plans
 
-    def group_members_query(self, cfd: CFD) -> Optional[SqlQuery]:
-        """Parameterised query returning the tuples of one violating LHS group.
-
-        The data monitor and the explorer use it to enumerate the members of
-        a multi-tuple violation; the ``?`` placeholders are bound by the
-        caller to the LHS values (in order) at execution time, so
-        ``parameters`` is empty here.
-        """
-        if not cfd.lhs:
-            return None
-        conditions = [f"{DATA_ALIAS}.{attr} = ?" for attr in cfd.lhs]
-        select_columns = [f"{DATA_ALIAS}._tid AS tid"] + [
-            f"{DATA_ALIAS}.{attr} AS {attr}" for attr in cfd.rhs
-        ]
-        sql = (
-            f"SELECT {', '.join(select_columns)}\n"
-            f"FROM {cfd.relation} {DATA_ALIAS}\n"
-            f"WHERE {' AND '.join(conditions)}"
-        )
-        return SqlQuery(sql, kind="group_members")
-
-    def group_members_query_delta(
-        self,
-        cfd: CFD,
-        tableau_name: str,
-        rhs_attribute: str,
-        group_count: int,
-    ) -> SqlQuery:
-        """Tableau-joined member enumeration for affected violating groups.
-
-        Where :meth:`group_members_query` filters on the LHS values alone
-        and leaves pattern applicability to the caller (a working-store
-        scan), this form joins the materialised tableau so membership —
-        LHS non-NULL, pattern-constant match, non-NULL RHS — is decided by
-        the backend: ``SELECT`` the member tids plus their LHS values for
-        every group in the restriction, against one pattern row.
-
-        The caller binds ``query.parameters`` followed by the pattern
-        index, then the groups' LHS values flattened in ``cfd.lhs`` order.
-        """
-        if not cfd.lhs:
-            raise ValueError("the group-members query needs a non-empty LHS")
-        if group_count < 1:
-            raise ValueError("group_count must be at least 1")
-
-        def build() -> SqlQuery:
-            params: List[Any] = []
-            conditions = self._lhs_conditions(cfd)
-            conditions.append(f"{DATA_ALIAS}.{rhs_attribute} IS NOT NULL")
-            conditions.append(f"{TABLEAU_ALIAS}.{PATTERN_ID_COLUMN} = ?")
-            conditions.append(self._group_restriction(cfd, group_count))
-            select_columns = [f"{DATA_ALIAS}._tid AS tid"] + [
-                f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
-            ]
-            sql = (
-                f"SELECT {', '.join(select_columns)}\n"
-                f"FROM {cfd.relation} {DATA_ALIAS}, {tableau_name} {TABLEAU_ALIAS}\n"
-                f"WHERE {' AND '.join(conditions)}"
-            )
-            return SqlQuery(
-                sql, tuple(params), rhs_attribute=rhs_attribute, kind="delta_members"
-            )
-
-        return self._cached_plan(
-            ("members", cfd, tableau_name, rhs_attribute, group_count), build
-        )
-
     def covering_members_query(
         self,
         cfd: CFD,
@@ -1120,12 +861,12 @@ class DetectionSqlGenerator:
     ) -> SqlQuery:
         """Index-only member enumeration for violating LHS groups.
 
-        The tableau join of :meth:`group_members_query_delta` is redundant
-        once the group restriction is in place: a group key carries no
-        NULLs (the grouping queries guard every LHS attribute with ``IS
-        NOT NULL``), and whether a pattern's LHS constants match is a
-        function of the LHS values alone — so every tuple whose LHS equals
-        a violating key is applicable by construction.  Membership reduces
+        A tableau join is redundant once the group restriction is in
+        place: a group key carries no NULLs (the grouping queries guard
+        every LHS attribute with ``IS NOT NULL``), and whether a pattern's
+        LHS constants match is a function of the LHS values alone — so
+        every tuple whose LHS equals a violating key is applicable by
+        construction.  Membership reduces
         to the group restriction plus the non-NULL RHS guard, with plain
         (typed, parameter-bound) equalities on the LHS attributes that
         SQLite answers straight off the auto-built CFD-LHS index:
@@ -1458,7 +1199,7 @@ class DetectionSqlGenerator:
             pattern = sub.patterns[0]
             sub_params = sum(
                 1 for attr in sub.lhs if pattern.value(attr).is_constant
-            ) if self.dialect.supports_parameters else 0
+            )
             over_params = budget is not None and current_params + sub_params > budget
             over_terms = len(current) >= self.dialect.max_or_terms
             if current and (over_params or over_terms):
@@ -1526,31 +1267,27 @@ class DetectionSqlGenerator:
 
     # -- budget-chunked delta plans ------------------------------------------------
 
-    def _chunk_size(self, base_params: int, per_item: int, or_form: bool) -> Optional[int]:
-        """Items one delta statement may carry under the dialect's budgets.
+    def _chunk_size(self, base_params: int, per_item: int) -> Optional[int]:
+        """Items one delta statement may carry under the parameter budget.
 
-        ``None`` means unbounded (no parameter cap and a flat restriction
-        shape).  The parameter budget reserves ``base_params`` slots for
-        the generator-bound placeholders of the query body; a budget too
-        small to fit even one item raises (emitting a statement that is
-        known to blow the engine's variable cap would only defer the
-        failure to an opaque execution error).
+        ``None`` means unbounded (no parameter cap).  The budget reserves
+        ``base_params`` slots for the generator-bound placeholders of the
+        query body; a budget too small to fit even one item raises
+        (emitting a statement that is known to blow the engine's variable
+        cap would only defer the failure to an opaque execution error).
         """
-        bounds: List[int] = []
-        if self.dialect.max_parameters is not None:
-            budget = self.dialect.max_parameters - base_params
-            per_chunk = budget // max(1, per_item)
-            if per_chunk < 1:
-                raise DetectionError(
-                    f"the {self.dialect.name!r} dialect's parameter budget "
-                    f"({self.dialect.max_parameters}) cannot fit one delta item: "
-                    f"the query body binds {base_params} values and each item "
-                    f"needs {per_item} more"
-                )
-            bounds.append(per_chunk)
-        if or_form:
-            bounds.append(self.dialect.max_or_terms)
-        return min(bounds) if bounds else None
+        if self.dialect.max_parameters is None:
+            return None
+        budget = self.dialect.max_parameters - base_params
+        per_chunk = budget // max(1, per_item)
+        if per_chunk < 1:
+            raise DetectionError(
+                f"the {self.dialect.name!r} dialect's parameter budget "
+                f"({self.dialect.max_parameters}) cannot fit one delta item: "
+                f"the query body binds {base_params} values and each item "
+                f"needs {per_item} more"
+            )
+        return per_chunk
 
     def _chunked(self, items: Sequence[Any], size: Optional[int]) -> Iterable[Sequence[Any]]:
         if size is None or size >= len(items):
@@ -1563,7 +1300,7 @@ class DetectionSqlGenerator:
         """Pad a restriction chunk to a power-of-two length (up to ``cap``).
 
         Every restriction shape is a pure predicate (``IN`` lists, row-value
-        semi-joins, OR chains), so repeating the last item changes nothing
+        semi-joins), so repeating the last item changes nothing
         semantically — but it quantises the per-statement item count, which
         bounds the prepared-plan cache to O(log budget) entries per (kind,
         CFD) instead of one entry per distinct restriction size, and lets
@@ -1592,7 +1329,7 @@ class DetectionSqlGenerator:
         probe = self.single_tuple_query_delta(cfd, tableau_name, 1)
         if probe is None:
             return []
-        size = self._chunk_size(len(probe.parameters), 1, or_form=False)
+        size = self._chunk_size(len(probe.parameters), 1)
         plans: List[SqlQuery] = []
         for chunk in self._chunked(list(tids), size):
             chunk = self._padded(chunk, size)
@@ -1616,64 +1353,21 @@ class DetectionSqlGenerator:
         """Fully-bound delta ``Q_V`` statements covering every group in ``keys``.
 
         Each key is one group's LHS values in ``cfd.lhs`` order; chunking
-        follows the parameter budget (and, for the portable OR form, the
-        dialect's expression-depth cap).
+        follows the parameter budget.
         """
         if not keys:
             return []
         probe = self.multi_tuple_query_delta(cfd, tableau_name, rhs_attribute, 1)
-        size = self._chunk_size(
-            len(probe.parameters),
-            len(cfd.lhs) * self._key_binds(cfd),
-            or_form=not self._flat_restriction(cfd),
-        )
+        size = self._chunk_size(len(probe.parameters), len(cfd.lhs))
         plans: List[SqlQuery] = []
         for chunk in self._chunked(list(keys), size):
             chunk = self._padded(chunk, size)
             query = self.multi_tuple_query_delta(
                 cfd, tableau_name, rhs_attribute, len(chunk)
             )
-            flattened = self.flatten_group_keys(cfd, chunk)
+            flattened = self.flatten_group_keys(chunk)
             plans.append(SqlQuery(query.sql, tuple(query.parameters) + flattened,
                                   rhs_attribute=rhs_attribute, kind=query.kind))
-        return plans
-
-    def delta_plans_members(
-        self,
-        cfd: CFD,
-        tableau_name: str,
-        rhs_attribute: str,
-        pattern_index: int,
-        keys: Sequence[Tuple[Any, ...]],
-    ) -> List[SqlQuery]:
-        """Fully-bound group-member enumerations for groups under one pattern.
-
-        Each statement covers a budget-sized chunk of ``keys`` against the
-        tableau row ``pattern_index``; rows come back as ``(tid, lhs_*)``.
-        """
-        if not keys:
-            return []
-        probe = self.group_members_query_delta(cfd, tableau_name, rhs_attribute, 1)
-        size = self._chunk_size(
-            len(probe.parameters) + 1,  # +1: the pattern-index placeholder
-            len(cfd.lhs) * self._key_binds(cfd),
-            or_form=not self._flat_restriction(cfd),
-        )
-        plans: List[SqlQuery] = []
-        for chunk in self._chunked(list(keys), size):
-            chunk = self._padded(chunk, size)
-            query = self.group_members_query_delta(
-                cfd, tableau_name, rhs_attribute, len(chunk)
-            )
-            flattened = self.flatten_group_keys(cfd, chunk)
-            plans.append(
-                SqlQuery(
-                    query.sql,
-                    tuple(query.parameters) + (pattern_index,) + flattened,
-                    rhs_attribute=rhs_attribute,
-                    kind=query.kind,
-                )
-            )
         return plans
 
     def covering_members_plans(
@@ -1685,18 +1379,14 @@ class DetectionSqlGenerator:
     ) -> List[SqlQuery]:
         """Fully-bound covering member enumerations for every group in ``keys``.
 
-        The pattern-independent, index-driven counterpart of
-        :meth:`delta_plans_members`: each statement covers a budget-sized
-        chunk of ``keys``; rows come back as ``(tid, lhs_*)`` and the
-        caller buckets them per group key.
+        Pattern-independent and index-driven: each statement covers a
+        budget-sized chunk of ``keys``; rows come back as ``(tid, lhs_*)``
+        and the caller buckets them per group key.
         """
         if not keys:
             return []
-        size = self._chunk_size(
-            0,  # the covering query binds nothing besides the keys
-            len(cfd.lhs) * self._key_binds(cfd),
-            or_form=not self._flat_restriction(cfd),
-        )
+        # the covering query binds nothing besides the keys
+        size = self._chunk_size(0, len(cfd.lhs))
         plans: List[SqlQuery] = []
         for chunk in self._chunked(list(keys), size):
             chunk = self._padded(chunk, size)
@@ -1706,7 +1396,7 @@ class DetectionSqlGenerator:
             plans.append(
                 SqlQuery(
                     query.sql,
-                    self.flatten_group_keys(cfd, chunk),
+                    self.flatten_group_keys(chunk),
                     rhs_attribute=rhs_attribute,
                     kind=query.kind,
                 )
@@ -1719,12 +1409,12 @@ class DetectionSqlGenerator:
         """Fully-bound tid-LHS lookups covering every tid in ``tids``.
 
         Chunked by the dialect's parameter budget (a flat tid ``IN`` list
-        is one expression node on both engines); empty when ``tids`` is
-        empty or the CFD has no LHS.
+        is one expression node); empty when ``tids`` is empty or the CFD
+        has no LHS.
         """
         if not tids or not cfd.lhs:
             return []
-        size = self._chunk_size(0, 1, or_form=False)
+        size = self._chunk_size(0, 1)
         plans: List[SqlQuery] = []
         for chunk in self._chunked(list(tids), size):
             chunk = self._padded(chunk, size)
@@ -1740,17 +1430,13 @@ class DetectionSqlGenerator:
     ) -> List[SqlQuery]:
         """Fully-bound group-stats aggregates covering every group in ``keys``.
 
-        Chunked like the other group restrictions (parameter budget, and
-        the expression-depth cap for the portable OR form); empty when
-        ``keys`` is empty.
+        Chunked by the parameter budget like the other group
+        restrictions; empty when ``keys`` is empty.
         """
         if not keys:
             return []
-        size = self._chunk_size(
-            0,  # the stats query binds nothing besides the keys
-            len(cfd.lhs) * self._key_binds(cfd),
-            or_form=not self._flat_restriction(cfd),
-        )
+        # the stats query binds nothing besides the keys
+        size = self._chunk_size(0, len(cfd.lhs))
         plans: List[SqlQuery] = []
         for chunk in self._chunked(list(keys), size):
             chunk = self._padded(chunk, size)
@@ -1758,7 +1444,7 @@ class DetectionSqlGenerator:
             plans.append(
                 SqlQuery(
                     query.sql,
-                    self.flatten_group_keys(cfd, chunk),
+                    self.flatten_group_keys(chunk),
                     rhs_attribute=rhs_attribute,
                     kind=query.kind,
                 )
@@ -1773,17 +1459,13 @@ class DetectionSqlGenerator:
     ) -> List[SqlQuery]:
         """Fully-bound majority-value aggregates covering every group in ``keys``.
 
-        Chunked like the other group restrictions (parameter budget, and
-        the expression-depth cap for the portable OR form); empty when
-        ``keys`` is empty.
+        Chunked by the parameter budget like the other group
+        restrictions; empty when ``keys`` is empty.
         """
         if not keys:
             return []
-        size = self._chunk_size(
-            0,  # the majority-value query binds nothing besides the keys
-            len(cfd.lhs) * self._key_binds(cfd),
-            or_form=not self._flat_restriction(cfd),
-        )
+        # the majority-value query binds nothing besides the keys
+        size = self._chunk_size(0, len(cfd.lhs))
         plans: List[SqlQuery] = []
         for chunk in self._chunked(list(keys), size):
             chunk = self._padded(chunk, size)
@@ -1791,7 +1473,7 @@ class DetectionSqlGenerator:
             plans.append(
                 SqlQuery(
                     query.sql,
-                    self.flatten_group_keys(cfd, chunk),
+                    self.flatten_group_keys(chunk),
                     rhs_attribute=rhs_attribute,
                     kind=query.kind,
                 )
@@ -1802,13 +1484,13 @@ class DetectionSqlGenerator:
         """Fully-bound row fetches covering every tid in ``tids``.
 
         Chunked by the dialect's parameter budget (a flat tid ``IN`` list
-        is one expression node on both engines); empty when ``tids`` is
-        empty.  Padding repeats the last tid, so callers must de-duplicate
-        returned rows by ``tid``.
+        is one expression node); empty when ``tids`` is empty.  Padding
+        repeats the last tid, so callers must de-duplicate returned rows
+        by ``tid``.
         """
         if not tids:
             return []
-        size = self._chunk_size(0, 1, or_form=False)
+        size = self._chunk_size(0, 1)
         plans: List[SqlQuery] = []
         for chunk in self._chunked(list(tids), size):
             chunk = self._padded(chunk, size)
@@ -1816,44 +1498,10 @@ class DetectionSqlGenerator:
             plans.append(SqlQuery(query.sql, tuple(chunk), kind=query.kind))
         return plans
 
-    def _flat_restriction(self, cfd: CFD) -> bool:
-        """Whether the group restriction is a single expression node.
-
-        True for the IN-list (single-attribute LHS) and row-value forms;
-        false for the portable OR chain, which must also respect the
-        dialect's expression-depth cap.
-        """
-        return len(cfd.lhs) == 1 or self.uses_row_values(cfd)
-
-    def _key_binds(self, cfd: CFD) -> int:
-        """Placeholder occurrences per bound LHS value in the restriction.
-
-        The flat forms mention each value once; the portable OR chain goes
-        through the dialect's NULL-safe equality, whose expansion may
-        repeat the placeholder (:attr:`SqlDialect.null_safe_eq_binds`).
-        """
-        if self._flat_restriction(cfd):
-            return 1
-        return self.dialect.null_safe_eq_binds
-
-    def flatten_group_keys(
-        self, cfd: CFD, keys: Sequence[Tuple[Any, ...]]
-    ) -> Tuple[Any, ...]:
-        """Bind-ready flattening of group keys for the restriction's shape."""
-        binds = self._key_binds(cfd)
-        return tuple(
-            value for key in keys for value in key for _ in range(binds)
-        )
-
-    def generate(self, cfd: CFD, tableau_name: str) -> DetectionQueries:
-        """Generate all detection SQL for one (merged or normalised) CFD."""
-        return DetectionQueries(
-            cfd_id=cfd.identifier,
-            tableau_name=tableau_name,
-            single_sql=self.single_tuple_query(cfd, tableau_name),
-            multi_sqls=tuple(self.multi_tuple_queries(cfd, tableau_name)),
-            group_members_sql=self.group_members_query(cfd),
-        )
+    @staticmethod
+    def flatten_group_keys(keys: Sequence[Tuple[Any, ...]]) -> Tuple[Any, ...]:
+        """Bind-ready flattening of group keys (each in ``cfd.lhs`` order)."""
+        return tuple(value for key in keys for value in key)
 
 
 def tableau_relation_name(cfd: CFD, index: int) -> str:

@@ -1,15 +1,16 @@
-"""Relational engine substrate: typed relations, indexes, SQL, CSV/JSON I/O.
+"""Relational engine substrate: typed relations, indexes, CSV/JSON I/O.
 
-This package plays the role of the "Database Servers" layer in the Semandaq
-architecture (Fig. 1 of the paper): it stores the data to be cleaned and
-executes the SQL that the error detector generates from CFDs.
+This package holds the working copy of the data to be cleaned: the native
+paths (repair, audit, exploration, incremental monitoring and the native
+detection oracle) run on its :class:`Relation` objects.  The SQL the error
+detector generates from CFDs runs on a storage backend instead (the
+"Database Servers" layer of the paper's Fig. 1, :mod:`repro.backends`).
 """
 
 from .csvio import dump_csv, dump_json, load_csv, load_json
 from .database import Database
 from .index import HashIndex
 from .relation import Relation
-from .sql import ResultSet, execute_sql, parse_sql
 from .types import AttributeDef, DataType, RelationSchema
 
 __all__ = [
@@ -19,11 +20,8 @@ __all__ = [
     "HashIndex",
     "Relation",
     "RelationSchema",
-    "ResultSet",
     "dump_csv",
     "dump_json",
-    "execute_sql",
     "load_csv",
     "load_json",
-    "parse_sql",
 ]

@@ -1,26 +1,16 @@
-"""The database: a named collection of relations plus a SQL entry point.
+"""The database: a named collection of in-memory relations.
 
-This is the *embedded* implementation of the "Database Servers" layer of
-the Semandaq architecture.  A :class:`Database` owns
-:class:`~repro.engine.relation.Relation` objects and exposes an ``execute``
-method that runs statements written in the SQL subset (see
-:mod:`repro.engine.sql`).  The error detector compiles CFDs to SQL and runs
-them through this entry point, exactly as the paper's system pushes
-detection queries down to the underlying DBMS.
-
-Since the storage-backend subsystem (:mod:`repro.backends`) was introduced,
-this class is one of several database servers detection can target: it
-backs :class:`~repro.backends.memory.MemoryBackend`, while
-:class:`~repro.backends.sqlite.SqliteBackend` pushes the same queries down
-to a real DBMS.  Components that need backend-agnostic storage should
-depend on :class:`~repro.backends.base.StorageBackend` rather than on this
-class; ``Database`` remains the working store for the native (non-SQL)
-paths — repair, audit, exploration, incremental monitoring.
+A :class:`Database` owns :class:`~repro.engine.relation.Relation` objects
+and is the *working store* of the system: the native (non-SQL) paths —
+repair, audit, exploration, incremental monitoring and the native
+detection oracle — read and mutate it directly.  It runs no SQL: detection
+queries are pushed down to a :class:`~repro.backends.base.StorageBackend`
+(SQLite), into which the facade mirrors every relation.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Optional, Sequence
+from typing import Any, Dict, Iterable, List, Optional
 
 from ..errors import DuplicateRelationError, UnknownRelationError
 from .relation import Relation
@@ -28,7 +18,7 @@ from .types import RelationSchema
 
 
 class Database:
-    """A named collection of relations with SQL execution."""
+    """A named collection of in-memory relations."""
 
     def __init__(self, name: str = "semandaq"):
         self.name = name
@@ -87,26 +77,6 @@ class Database:
         return {
             name: rel.attribute_names for name, rel in sorted(self._relations.items())
         }
-
-    # -- SQL -------------------------------------------------------------------
-
-    def execute(self, sql: str, parameters: Optional[Sequence[Any]] = None):
-        """Execute a SQL statement and return a result.
-
-        SELECT statements return a :class:`repro.engine.sql.executor.ResultSet`;
-        INSERT/UPDATE/DELETE return the number of affected rows; CREATE TABLE
-        returns the new :class:`Relation`.
-        """
-        # Imported lazily to avoid a circular import (the executor needs
-        # Database for FROM-clause resolution).
-        from .sql import execute_sql
-
-        return execute_sql(self, sql, parameters)
-
-    def query(self, sql: str, parameters: Optional[Sequence[Any]] = None) -> List[Dict[str, Any]]:
-        """Run a SELECT and return its rows as a list of dicts."""
-        result = self.execute(sql, parameters)
-        return result.rows  # type: ignore[union-attr]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Database(name={self.name!r}, relations={self.relation_names()})"

@@ -63,6 +63,14 @@ class BackendError(EngineError):
     """
 
 
+class UnsupportedSqliteError(BackendError):
+    """The linked SQLite library is older than the minimum version (3.25).
+
+    Detection SQL uses window functions and derived-table joins, which
+    SQLite gained in 3.25.
+    """
+
+
 class UnknownTupleError(EngineError):
     """A tuple id does not exist in the relation."""
 
@@ -72,32 +80,16 @@ class UnknownTupleError(EngineError):
 
 
 # ---------------------------------------------------------------------------
-# SQL subset
+# SQL execution
 # ---------------------------------------------------------------------------
 
 
 class SqlError(EngineError):
-    """Base class for errors in the SQL subset."""
-
-
-class SqlLexError(SqlError):
-    """The SQL text could not be tokenised."""
-
-    def __init__(self, message: str, position: int):
-        super().__init__(f"{message} (at position {position})")
-        self.position = position
-
-
-class SqlParseError(SqlError):
-    """The SQL token stream could not be parsed."""
-
-
-class SqlPlanError(SqlError):
-    """A parsed query could not be converted into an executable plan."""
+    """Base class for errors raised while running SQL on a backend."""
 
 
 class SqlExecutionError(SqlError):
-    """A plan failed at execution time."""
+    """A statement failed at execution time."""
 
 
 # ---------------------------------------------------------------------------
@@ -128,6 +120,15 @@ class InconsistentCfdsError(CfdError):
 
 class DetectionError(SemandaqError):
     """Violation detection failed."""
+
+
+class SqlBackendRequiredError(DetectionError):
+    """SQL detection was asked for without a storage backend to run it on.
+
+    Raised by an :class:`~repro.detection.detector.ErrorDetector` built
+    over a :class:`~repro.engine.database.Database` with ``use_sql=True``,
+    and by a ``sql_delta`` incremental detector without a mirror backend.
+    """
 
 
 class RepairError(SemandaqError):

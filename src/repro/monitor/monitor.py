@@ -39,7 +39,6 @@ class DataMonitor:
         cleansed: bool = False,
         backend: Optional[StorageBackend] = None,
         mode: str = NATIVE_MODE,
-        delta_plan: str = "auto",
         detect_plan: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
     ):
@@ -52,8 +51,8 @@ class DataMonitor:
         self.cleansed = cleansed
         #: storage backend each applied update batch (and each
         #: incremental-repair changeset) is shipped to as one
-        #: :class:`~repro.backends.delta.DeltaBatch`; None when the working
-        #: store is the backend itself
+        #: :class:`~repro.backends.delta.DeltaBatch`; None when the monitor
+        #: keeps no backend copy (native mode only)
         self.backend = backend
         self.log = UpdateLog()
         self._detector = IncrementalDetector(
@@ -62,7 +61,6 @@ class DataMonitor:
             self.cfds,
             mirror=backend,
             mode=mode,
-            delta_plan=delta_plan,
             detect_plan=detect_plan,
             telemetry=telemetry,
         )

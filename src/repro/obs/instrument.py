@@ -19,8 +19,7 @@ The proxy is registered as a virtual subclass of :class:`StorageBackend`
 abstract-method contract for methods it forwards via ``__getattr__``), so
 ``isinstance`` checks across the stack keep working.  Every attribute it
 does not instrument — ``dialect``, ``name``, ``schema``, ``row_count``,
-the memory backend's ``database`` — passes straight through to the
-wrapped backend.
+SQLite's ``path`` — passes straight through to the wrapped backend.
 """
 
 from __future__ import annotations

@@ -3,8 +3,8 @@
 Answers the :class:`~repro.sources.base.TupleSource` protocol from the
 storage backend's resident copy alone — no ``to_relation`` / ``get_row`` /
 ``iter_rows`` on any path (the ``ForbiddenReadBackend`` pins in
-``tests/audit`` / ``tests/explorer`` / ``tests/repair`` enforce this on
-both backends).  Each method compiles to one of the generator's cached,
+``tests/audit`` / ``tests/explorer`` / ``tests/repair`` enforce this).
+Each method compiles to one of the generator's cached,
 budget-chunked plan kinds:
 
 ========================  =====================================================
@@ -24,7 +24,7 @@ question                  plan kind
 Values decode on the way back through
 :func:`~repro.detection.detector.decode_backend_value`, so group keys,
 histograms and fetched rows compare equal to the native source's Python
-values on every backend.
+values.
 """
 
 from __future__ import annotations
@@ -227,7 +227,7 @@ class BackendTupleSource(TupleSource):
                 rhs_filter=rhs_filter,
                 page_size=page_size,
             )
-            params.extend(generator.flatten_group_keys(cfd, [tuple(lhs_values)]))
+            params.extend(generator.flatten_group_keys([tuple(lhs_values)]))
             if rhs_filter == "eq":
                 params.append(rhs_value)
         else:

@@ -16,41 +16,36 @@ class SemandaqConfig:
     Attributes
     ----------
     backend:
-        Name of the storage backend detection SQL is pushed down to
-        (``"memory"`` for the embedded engine, ``"sqlite"`` for the stdlib
-        SQLite backend, or any name registered with
-        :func:`repro.backends.register_backend`).
+        Name of the storage backend detection SQL is pushed down to:
+        ``"sqlite"`` (the default, the stdlib SQLite backend; it needs
+        SQLite 3.25 or newer) or any name registered with
+        :func:`repro.backends.register_backend`.
     backend_options:
-        Keyword options forwarded to the backend factory (e.g.
-        ``{"path": "/tmp/semandaq.db"}`` for a file-backed SQLite store).
+        Keyword options forwarded to the backend factory.  Without a
+        ``path`` the SQLite store is a private ``:memory:`` database;
+        ``{"path": "/tmp/semandaq.db"}`` makes it file-backed.
     use_sql_detection:
         Run detection through generated SQL (the paper's technique).  When
-        false, the native Python detector is used instead (the ablation path).
+        false, the native Python detector reads the working database
+        instead (the oracle and ablation path).
     incremental_mode:
         How the data monitor's incremental detector re-checks affected
         groups after an update batch: ``"native"`` maintains group state in
         Python (the original path), ``"sql_delta"`` compiles the re-checks
         to parameterised delta ``Q_C``/``Q_V`` queries pushed down to the
         storage backend's resident copy.
-    sql_delta_plan:
-        Shape of the ``sql_delta`` affected-group restriction: ``"auto"``
-        branches on the backend dialect (row-value ``IN (VALUES ...)``
-        semi-joins on SQLite 3.15+, the OR-of-conjunctions form on the
-        embedded engine); ``"portable"`` forces the OR form everywhere
-        (the debugging / compatibility policy).
     detect_plan:
         Detection plan family the batch detector and the ``sql_delta``
         incremental detector compile ``Q_C``/``Q_V`` into.  ``"legacy"``
-        is the tableau-joined shape; ``"sargable"`` splits each pattern
-        row into its own statement with constant LHS positions bound as
-        index-friendly equalities; ``"window"`` adds the one-pass ``Q_V``
-        that returns violating groups and their member rows in a single
-        scan (eliminating the covering-members round trip).  ``"auto"``
-        picks ``window`` where the dialect supports it (SQLite 3.25+)
-        and falls back to ``legacy`` elsewhere (the embedded engine).
-        ``None`` defers to the ``SEMANDAQ_DETECT_PLAN`` environment
-        variable, defaulting to ``"auto"``.  Every family produces
-        bit-identical violation reports.
+        is the paper's tableau-joined shape; ``"window"`` splits ``Q_C``
+        into one statement per pattern row with constant LHS positions
+        bound as index-friendly equalities, and compiles ``Q_V`` to a
+        one-pass statement that returns violating groups and their member
+        rows in a single scan (eliminating the covering-members round
+        trip).  ``"auto"`` resolves to ``window``.  ``None`` defers to the
+        ``SEMANDAQ_DETECT_PLAN`` environment variable, defaulting to
+        ``"auto"``.  Both families produce bit-identical violation
+        reports.
     repair_source:
         Where the batch repairer reads its data from.  ``"auto"`` keeps the
         repair backend-resident whenever SQL detection is on: violations,
@@ -121,11 +116,10 @@ class SemandaqConfig:
         ``PoolTimeoutError`` (pool exhaustion blocks, bounded by this).
     """
 
-    backend: str = "memory"
+    backend: str = "sqlite"
     backend_options: Dict[str, Any] = field(default_factory=dict)
     use_sql_detection: bool = True
     incremental_mode: str = "native"
-    sql_delta_plan: str = "auto"
     detect_plan: Optional[str] = None
     telemetry: bool = False
     explain_plans: bool = False
@@ -156,13 +150,6 @@ class SemandaqConfig:
             raise ConfigurationError(
                 f"unknown incremental_mode {self.incremental_mode!r}; "
                 f"expected one of {', '.join(INCREMENTAL_MODES)}"
-            )
-        from ..detection.sqlgen import DELTA_PLANS
-
-        if self.sql_delta_plan not in DELTA_PLANS:
-            raise ConfigurationError(
-                f"unknown sql_delta_plan {self.sql_delta_plan!r}; "
-                f"expected one of {', '.join(DELTA_PLANS)}"
             )
         from ..detection.sqlgen import DETECT_PLANS
 

@@ -6,7 +6,8 @@ the data cleanser and the data monitor, and exposes the end-to-end workflow
 the demo walks through:
 
 1. connect data (register relations / load CSV — bulk-synced into the
-   configured storage backend, see :mod:`repro.backends`);
+   configured storage backend, an in-memory SQLite database by default,
+   see :mod:`repro.backends`);
 2. specify CFDs (textually, as objects, or discovered from reference data);
 3. detect violations (SQL-based, pushed down to the storage backend
    selected by ``SemandaqConfig.backend``);
@@ -25,7 +26,6 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, 
 from ..audit.report import DataAuditor, DataQualityReport
 from ..backends.base import StorageBackend
 from ..backends.delta import DeltaBatch
-from ..backends.memory import MemoryBackend
 from ..backends.registry import create_backend
 from ..core.cfd import CFD
 from ..detection.detector import ErrorDetector
@@ -61,13 +61,11 @@ class Semandaq:
     ):
         self.config = config or SemandaqConfig()
         self.config.validate()
+        #: the working store: the native paths (and the native detection
+        #: oracle) read it; every relation is mirrored into the backend
         self.database = database or Database()
         if backend is not None:
             self.backend = backend
-        elif self.config.backend == "memory":
-            # Share the working database so the memory configuration keeps a
-            # single copy of the data (the seed behaviour).
-            self.backend = MemoryBackend(self.database)
         else:
             backend_options = dict(self.config.backend_options)
             if self.config.backend == "sqlite":
@@ -79,10 +77,6 @@ class Semandaq:
                     "pool_timeout", self.config.pool_timeout
                 )
             self.backend = create_backend(self.config.backend, **backend_options)
-        self._backend_shared = (
-            isinstance(self.backend, MemoryBackend)
-            and self.backend.database is self.database
-        )
         #: the system-wide telemetry sink; shared by the detector, the
         #: monitors and the instrumented backend so ``metrics()`` is one
         #: coherent picture.  Disabled (a no-op) unless the config turns on
@@ -97,10 +91,12 @@ class Semandaq:
         self.constraints = ConstraintEngine(
             self.database,
             check_consistency_on_add=self.config.check_consistency_on_add,
-            backend=None if self._backend_shared else self.backend,
+            backend=self.backend,
         )
+        # SQL detection runs on the backend; the native detector (the
+        # oracle) reads the working database directly
         self.detector = ErrorDetector(
-            self.backend,
+            self.backend if self.config.use_sql_detection else self.database,
             use_sql=self.config.use_sql_detection,
             telemetry=self.telemetry,
             detect_plan=self.config.detect_plan,
@@ -179,13 +175,9 @@ class Semandaq:
     def _sync_backend(self, relation_name: str) -> None:
         """Mirror the working copy of ``relation_name`` into the backend.
 
-        A no-op when the backend shares the working database (the memory
-        configuration).  For real-DBMS backends this is the paper's load
-        step: the relation is bulk-loaded so detection SQL can run against
-        the database server.
+        This is the paper's load step: the relation is bulk-loaded so
+        detection SQL can run against the database server.
         """
-        if self._backend_shared:
-            return
         with self._sync_lock:
             self.backend.add_relation(
                 self.database.relation(relation_name), replace=True
@@ -210,8 +202,6 @@ class Semandaq:
         ``apply_repair`` ships per-tid deltas, so repeated ``detect`` calls
         never bulk-reload a relation that is already current.
         """
-        if self._backend_shared:
-            return
         with self._sync_lock:
             monitor = self._monitors.get(relation_name)
             if (
@@ -524,9 +514,7 @@ class Semandaq:
             if change.tid in replacement:
                 batch.record_update(change.tid, {change.attribute: change.new_value})
         monitor = self._monitors.get(relation_name)
-        if self._backend_shared:
-            pass
-        elif (
+        if (
             relation_name not in self._synced
             or relation_name in self._stale
             or (monitor is not None and monitor.backend_desynced)
@@ -572,8 +560,6 @@ class Semandaq:
         constant factor, not a new asymptotic cost; only the changed cells
         travel to the backend.
         """
-        if self._backend_shared:
-            return
         monitor = self._monitors.get(relation_name)
         if (
             old_relation is None
@@ -641,9 +627,8 @@ class Semandaq:
             self.constraints.cfds(relation_name),
             cost_model=self.cost_model,
             cleansed=cleansed,
-            backend=None if self._backend_shared else self.backend,
+            backend=self.backend,
             mode=self.config.incremental_mode,
-            delta_plan=self.config.sql_delta_plan,
             detect_plan=self.config.detect_plan,
             telemetry=self.telemetry,
         )
@@ -690,11 +675,10 @@ class Semandaq:
     def close(self) -> None:
         """Release backend resources (e.g. the SQLite connection).
 
-        The memory backend has nothing to release; file-backed backends
-        close their connection so the database file is unlocked.  Any
-        ``sql_delta`` monitors drop their resident tableaux first, and the
-        detector drops its cached detection tableaux, so a shared
-        in-memory store is left clean.
+        File-backed stores close their connections so the database file
+        is unlocked.  Any ``sql_delta`` monitors drop their resident
+        tableaux first, and the detector drops its cached detection
+        tableaux, so a caller-supplied backend is left clean.
         """
         for monitor in self._monitors.values():
             monitor.close()

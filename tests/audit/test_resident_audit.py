@@ -5,12 +5,12 @@ storage backend — dirty rows from one ``row_fetch``, clean categories from
 pushed-down applicability aggregates, the quality map's tid universe from
 the catalog row count — and the resulting report is *identical* to the
 native full-relation walk, for any relation (NULL cells included) and any
-multi-pattern tableau set, on both backends.
+multi-pattern tableau set.
 
 The pins extend the ``ForbiddenReadBackend`` contract of detection and
 repair to ``audit()``: no ``to_relation`` / ``get_row`` / ``iter_rows``
-on any path, and (on SQLite, where the backend holds its own copy) the
-working :class:`Relation` itself may be absent while the audit runs.
+on any path, and the working :class:`Relation` itself may be absent while
+the audit runs (the backend holds its own copy).
 """
 
 import pytest
@@ -23,8 +23,6 @@ from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
 from tests.doubles import ForbiddenReadBackend, ForbiddenRelation
-
-BACKENDS = ["memory", "sqlite"]
 
 ATTRIBUTES = ["A", "B", "C", "D"]
 
@@ -54,10 +52,9 @@ def _draw_cfd(data, index):
     return parse_cfd(f"r: {' ; '.join(patterns)}", name=f"cfd{index}")
 
 
-def _audit(backend_name, audit_source, relation, cfds):
+def _audit(audit_source, relation, cfds):
     system = Semandaq(
         config=SemandaqConfig(
-            backend=backend_name,
             audit_source=audit_source,
             check_consistency_on_add=False,
         )
@@ -70,10 +67,9 @@ def _audit(backend_name, audit_source, relation, cfds):
         system.close()
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_resident_audit_matches_native_oracle(backend_name, data):
+def test_resident_audit_matches_native_oracle(data):
     rows = data.draw(st.lists(row_strategy, min_size=1, max_size=12))
     cfds = [
         _draw_cfd(data, index)
@@ -82,8 +78,8 @@ def test_resident_audit_matches_native_oracle(backend_name, data):
     schema = RelationSchema.of("r", ATTRIBUTES)
     relation = Relation.from_rows(schema, rows)
 
-    native = _audit(backend_name, "native", relation, cfds)
-    resident = _audit(backend_name, "auto", relation, cfds)
+    native = _audit("native", relation, cfds)
+    resident = _audit("auto", relation, cfds)
 
     assert resident.to_dict() == native.to_dict()
     assert (
@@ -98,8 +94,8 @@ def test_resident_audit_matches_native_oracle(backend_name, data):
     assert resident.worst_attributes() == native.worst_attributes()
 
 
-def _make_system(backend_name, **config):
-    system = Semandaq(config=SemandaqConfig(backend=backend_name, **config))
+def _make_system(**config):
+    system = Semandaq(config=SemandaqConfig(**config))
     clean = generate_customers(60, seed=401)
     dirty = inject_noise(
         clean, rate=0.08, seed=402, attributes=["CITY", "STR", "CNT"]
@@ -116,10 +112,9 @@ def _pin_backend(system):
     return wrapped
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestResidentAuditPins:
-    def test_audit_ships_no_rows_out_of_the_backend(self, backend_name):
-        system = _make_system(backend_name)
+    def test_audit_ships_no_rows_out_of_the_backend(self):
+        system = _make_system()
         _pin_backend(system)
         report = system.audit("customer")
         assert report.tuple_count == 60
@@ -128,16 +123,16 @@ class TestResidentAuditPins:
         assert report.dirty_tuple_count() > 0
         system.close()
 
-    def test_resident_audit_counts_the_source_counter(self, backend_name):
-        system = _make_system(backend_name, telemetry=True)
+    def test_resident_audit_counts_the_source_counter(self):
+        system = _make_system(telemetry=True)
         system.audit("customer")
         assert system.metrics()["counters"]["audit.source_resident"] == 1
         system.close()
 
-    def test_native_override_still_walks_the_relation(self, backend_name):
-        system = _make_system(backend_name, audit_source="native")
+    def test_native_override_still_walks_the_relation(self):
+        system = _make_system(audit_source="native")
         native = system.audit("customer")
-        resident = _make_system(backend_name)
+        resident = _make_system()
         try:
             assert resident.audit("customer").to_dict() == native.to_dict()
         finally:
@@ -147,7 +142,7 @@ class TestResidentAuditPins:
 
 class TestAuditorNeverTouchesTheWorkingRelation:
     def test_audit_reads_the_backend_alone(self):
-        system = _make_system("sqlite")
+        system = _make_system()
         _pin_backend(system)
         system.detect("customer")  # sync + cache the report first
         real = system.database.relation("customer")

@@ -4,9 +4,10 @@
 the *net* per-tuple effect of an update batch and ships to a backend in one
 ``apply_delta_batch`` round trip — a single transaction on SQLite
 (``executemany`` per op kind, one commit) instead of one commit per
-statement.  These tests pin the coalescing algebra, the cross-backend
-application parity, SQLite's transactional atomicity and single-commit
-behaviour, and the backend context-manager protocol.
+statement.  These tests pin the coalescing algebra, the grouped
+application's parity with per-statement replay, SQLite's transactional
+atomicity and single-commit behaviour, and the backend context-manager
+protocol.
 """
 
 import sqlite3
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import DeltaBatch, MemoryBackend, SqliteBackend
+from repro.backends import DeltaBatch, SqliteBackend, StorageBackend
 from repro.engine.relation import Relation
 from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.errors import BackendError, ConstraintViolationError, UnknownTupleError
@@ -42,12 +43,9 @@ def _loaded(backend):
     return backend
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def backend(request):
-    if request.param == "memory":
-        instance = _loaded(MemoryBackend())
-    else:
-        instance = _loaded(SqliteBackend())
+@pytest.fixture
+def backend():
+    instance = _loaded(SqliteBackend())
     yield instance
     instance.close()
 
@@ -139,20 +137,22 @@ def _mixed_batch():
 class TestApplyDeltaBatch:
     def test_application_matches_per_statement_ops(self, backend):
         backend.apply_delta_batch("items", _mixed_batch())
-        oracle = _loaded(MemoryBackend())
-        oracle.insert_row("items", {"NAME": "screw", "QTY": 10, "OK": False}, tid=3)
-        oracle.update_row("items", 0, {"QTY": 6})
-        oracle.delete_row("items", 1)
-        oracle.delete_row("items", 2)
-        oracle.insert_row("items", {"NAME": "new washer", "QTY": 1, "OK": False}, tid=2)
-        assert list(backend.iter_rows("items")) == list(oracle.iter_rows("items"))
+        oracle = Relation.from_rows(SCHEMA, ROWS)
+        oracle.insert_at(3, {"NAME": "screw", "QTY": 10, "OK": False})
+        oracle.update(0, {"QTY": 6})
+        oracle.delete(1)
+        oracle.delete(2)
+        oracle.insert_at(2, {"NAME": "new washer", "QTY": 1, "OK": False})
+        assert list(backend.iter_rows("items")) == list(oracle.rows())
 
-    def test_memory_and_sqlite_agree(self):
-        memory, sqlite_backend = _loaded(MemoryBackend()), _loaded(SqliteBackend())
-        for instance in (memory, sqlite_backend):
-            instance.apply_delta_batch("items", _mixed_batch())
-        assert list(memory.iter_rows("items")) == list(sqlite_backend.iter_rows("items"))
-        sqlite_backend.close()
+    def test_grouped_path_matches_base_loop(self, backend):
+        # SQLite's one-transaction override against the interface's
+        # per-statement loop
+        looped = _loaded(SqliteBackend())
+        backend.apply_delta_batch("items", _mixed_batch())
+        StorageBackend.apply_delta_batch(looped, "items", _mixed_batch())
+        assert list(backend.iter_rows("items")) == list(looped.iter_rows("items"))
+        looped.close()
 
     def test_empty_batch_is_a_no_op(self, backend):
         before = list(backend.iter_rows("items"))
@@ -313,26 +313,25 @@ class TestBatchReplayProperty:
         ops, live = self._draw_ops(data)
         batch_backend = _loaded(SqliteBackend())
         replay_backend = _loaded(SqliteBackend())
-        memory_replay = _loaded(MemoryBackend())
+        relation_replay = Relation.from_rows(SCHEMA, ROWS)
         batch = DeltaBatch("items")
         for op, tid, payload in ops:
-            for backend in (replay_backend, memory_replay):
-                if op == "insert":
-                    backend.insert_row("items", payload, tid=tid)
-                elif op == "delete":
-                    backend.delete_row("items", tid)
-                else:
-                    backend.update_row("items", tid, payload)
             if op == "insert":
+                replay_backend.insert_row("items", payload, tid=tid)
+                relation_replay.insert_at(tid, payload)
                 batch.record_insert(tid, payload)
             elif op == "delete":
+                replay_backend.delete_row("items", tid)
+                relation_replay.delete(tid)
                 batch.record_delete(tid)
             else:
+                replay_backend.update_row("items", tid, payload)
+                relation_replay.update(tid, payload)
                 batch.record_update(tid, payload)
         batch_backend.apply_delta_batch("items", batch)
         expected = list(replay_backend.iter_rows("items"))
         assert list(batch_backend.iter_rows("items")) == expected
-        assert list(memory_replay.iter_rows("items")) == expected
+        assert list(relation_replay.rows()) == expected
 
         # rollback path: a poisoned batch (one op hits a missing tid) must
         # leave the backend exactly as it was — none of its valid ops stick
@@ -378,11 +377,6 @@ class TestBackendContextManager:
             assert backend.row_count("items") == 3
         with pytest.raises(sqlite3.ProgrammingError):
             backend._conn.execute("SELECT 1")
-
-    def test_memory_backend_supports_with(self):
-        with MemoryBackend() as backend:
-            _loaded(backend)
-            assert backend.row_count("items") == 3
 
 
 class TestExecuteCommitDiscipline:

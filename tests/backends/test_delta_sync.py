@@ -13,7 +13,7 @@ SQLite store.
 import pytest
 
 from repro import Semandaq, SemandaqConfig
-from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends import SqliteBackend
 from repro.datasets import generate_customers, paper_cfds
 from repro.detection.detector import ErrorDetector
 from repro.engine.database import Database
@@ -46,12 +46,9 @@ def _loaded(backend):
     return backend
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def backend(request):
-    if request.param == "memory":
-        instance = _loaded(MemoryBackend())
-    else:
-        instance = _loaded(SqliteBackend())
+@pytest.fixture
+def backend():
+    instance = _loaded(SqliteBackend())
     yield instance
     instance.close()
 
@@ -95,15 +92,17 @@ class TestDeltaOps:
         with pytest.raises(UnknownTupleError):
             backend.update_row("items", 42, {})
 
-    def test_delta_ops_keep_backends_identical(self):
-        memory, sqlite = _loaded(MemoryBackend()), _loaded(SqliteBackend())
-        for instance in (memory, sqlite):
-            instance.insert_row("items", {"NAME": "screw", "QTY": 9, "OK": False})
-            instance.update_row("items", 0, {"QTY": 6})
-            instance.delete_row("items", 1)
-            instance.insert_row("items", {"NAME": "rivet", "QTY": 3, "OK": True}, tid=8)
-        assert list(memory.iter_rows("items")) == list(sqlite.iter_rows("items"))
-        sqlite.close()
+    def test_delta_ops_keep_backend_identical_to_relation(self, backend):
+        relation = Relation.from_rows(SCHEMA, ROWS)
+        backend.insert_row("items", {"NAME": "screw", "QTY": 9, "OK": False})
+        relation.insert({"NAME": "screw", "QTY": 9, "OK": False})
+        backend.update_row("items", 0, {"QTY": 6})
+        relation.update(0, {"QTY": 6})
+        backend.delete_row("items", 1)
+        relation.delete(1)
+        backend.insert_row("items", {"NAME": "rivet", "QTY": 3, "OK": True}, tid=8)
+        relation.insert_at(8, {"NAME": "rivet", "QTY": 3, "OK": True})
+        assert list(backend.iter_rows("items")) == list(relation.rows())
 
 
 def _monitored_batch(system):
@@ -122,21 +121,20 @@ def _monitored_batch(system):
 
 
 class TestMonitoredDeltaSync:
-    def test_memory_and_sqlite_reports_agree_without_full_resync(self):
+    def test_sql_and_native_reports_agree_without_full_resync(self):
         reports, syncs = {}, {}
-        for backend_name in ("memory", "sqlite"):
-            system = Semandaq(config=SemandaqConfig(backend=backend_name))
+        for use_sql in (False, True):
+            system = Semandaq(config=SemandaqConfig(use_sql_detection=use_sql))
             system.register_relation(generate_customers(60, seed=47).copy())
             system.add_cfds(paper_cfds())
-            reports[backend_name] = _monitored_batch(system)
-            syncs[backend_name] = system.full_sync_count
+            reports[use_sql] = _monitored_batch(system)
+            syncs[use_sql] = system.full_sync_count
             system.close()
-        assert reports["memory"].vio() == reports["sqlite"].vio()
-        assert reports["memory"].dirty_tids() == reports["sqlite"].dirty_tids()
-        assert reports["sqlite"].total_violations() > 0
+        assert reports[False].vio() == reports[True].vio()
+        assert reports[False].dirty_tids() == reports[True].dirty_tids()
+        assert reports[True].total_violations() > 0
         # one bulk load at registration, never again afterwards
-        assert syncs["sqlite"] == 1
-        assert syncs["memory"] == 0  # shared working store: no sync at all
+        assert syncs[True] == 1
 
     def test_monitored_updates_ship_as_deltas_not_bulk_loads(self):
         system = Semandaq(config=SemandaqConfig(backend="sqlite"))

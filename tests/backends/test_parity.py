@@ -1,8 +1,8 @@
 """Multi-path detection parity and the SQLite end-to-end workflow.
 
-The acceptance bar of the backend subsystem: the native detector, the
-SQL-based detector on the embedded engine, the SQL-based detector on
-SQLite, and both incremental modes (``native`` Python state and the
+The acceptance bar of the backend subsystem: the native detector (the
+oracle, reading the working database), the SQL-based detector on SQLite,
+and both incremental modes (``native`` Python state and the
 backend-resident ``sql_delta`` re-checks) must produce identical violation
 reports on the dirty-customer workload — the same ``vio()`` maps and the
 same dirty tids.
@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Semandaq, SemandaqConfig
-from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternTuple
 from repro.datasets import generate_customers, inject_noise, paper_cfds
@@ -27,6 +27,7 @@ from repro.engine.csvio import dump_csv
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
+from repro.errors import SqlBackendRequiredError
 
 
 @pytest.fixture(scope="module")
@@ -43,14 +44,13 @@ def cfds():
     return paper_cfds()
 
 
-class TestThreeWayParity:
-    def test_native_memory_sql_and_sqlite_sql_agree(
+class TestNativeSqlParity:
+    def test_native_and_sqlite_sql_agree(
         self, dirty_customers, cfds, sqlite_backend_factory
     ):
         database = Database()
         database.add_relation(dirty_customers.copy())
         native = ErrorDetector(database, use_sql=False).detect("customer", cfds)
-        memory_sql = ErrorDetector(database, use_sql=True).detect("customer", cfds)
 
         sqlite_backend = sqlite_backend_factory()
         sqlite_backend.add_relation(dirty_customers.copy())
@@ -59,20 +59,22 @@ class TestThreeWayParity:
         )
         sqlite_backend.close()
 
-        assert native.vio() == memory_sql.vio() == sqlite_sql.vio()
-        assert (
-            native.dirty_tids()
-            == memory_sql.dirty_tids()
-            == sqlite_sql.dirty_tids()
-        )
+        assert native.vio() == sqlite_sql.vio()
+        assert native.dirty_tids() == sqlite_sql.dirty_tids()
         assert native.total_violations() == sqlite_sql.total_violations() > 0
 
-    def test_detector_accepts_backend_or_database(self, dirty_customers, cfds):
+    def test_database_detector_is_native_only(self, dirty_customers, cfds):
+        # SQL runs on a StorageBackend; over the working Database the
+        # detector is the native oracle and refuses SQL
         database = Database()
         database.add_relation(dirty_customers.copy())
-        from_db = ErrorDetector(database).detect("customer", cfds)
-        from_backend = ErrorDetector(MemoryBackend(database)).detect("customer", cfds)
-        assert from_db.vio() == from_backend.vio()
+        with pytest.raises(SqlBackendRequiredError):
+            ErrorDetector(database, use_sql=True)
+        native = ErrorDetector(database, use_sql=False)
+        assert native.backend is None
+        report = native.detect("customer", cfds)
+        assert report.total_violations() > 0
+        assert native.last_sql == []
 
     def test_sqlite_detection_uses_its_dialect(
         self, dirty_customers, cfds, sqlite_backend_factory
@@ -86,28 +88,23 @@ class TestThreeWayParity:
         assert all("CONCAT" not in sql for sql in detector.last_sql)
 
     def test_float_encoding_parity_on_exponent_form(self):
-        # CAST(1e16 AS TEXT) would give '1.0e+16' on SQLite while the memory
-        # engine's CONCAT gives str() -> '1e+16'; the sqlite dialect routes
-        # FLOAT through a registered Python str() function for exact parity.
+        # CAST(1e16 AS TEXT) would give '1.0e+16' on SQLite while the
+        # tableau encodes str() -> '1e+16'; the sqlite dialect routes FLOAT
+        # through a registered Python str() function for exact parity.
         from repro.core.parser import parse_cfd
-        from repro.engine.relation import Relation
-        from repro.engine.types import AttributeDef, DataType, RelationSchema
+        from repro.engine.types import AttributeDef, DataType
 
         schema = RelationSchema(
             "m", [AttributeDef("A", DataType.FLOAT), AttributeDef("B")]
         )
         rows = [{"A": 1e16, "B": "wrong"}, {"A": 2.5, "B": "right"}]
         cfd = parse_cfd("m: [A='1e+16'] -> [B='right']")
-        reports = {}
-        for backend_name in ("memory", "sqlite"):
-            from repro.backends import create_backend
-
-            backend = create_backend(backend_name)
-            backend.add_relation(Relation.from_rows(schema, rows))
-            reports[backend_name] = ErrorDetector(backend).detect("m", [cfd])
-            backend.close()
-        assert reports["memory"].vio() == reports["sqlite"].vio()
-        assert reports["sqlite"].total_violations() == 1
+        backend = SqliteBackend()
+        backend.add_relation(Relation.from_rows(schema, rows))
+        report = ErrorDetector(backend).detect("m", [cfd])
+        backend.close()
+        assert report.total_violations() == 1
+        assert report.dirty_tids() == {0}
 
     def test_lhs_indexes_created_on_sqlite(
         self, dirty_customers, cfds, sqlite_backend_factory
@@ -126,19 +123,15 @@ class TestThreeWayParity:
 
 
 def _all_path_reports(relation, cfds, make_sqlite_backend, detect_plan=None):
-    """Reports from every detection path: native, both SQL backends, and
-    both incremental evaluation modes.
+    """Reports from every detection path: native, SQL on SQLite, and both
+    incremental evaluation modes.
 
-    ``detect_plan`` pins a plan family on every SQL path (requesting
-    ``window`` on the embedded engine exercises the clean fallback to
-    ``legacy``); ``None`` keeps the auto selection.
+    ``detect_plan`` pins a plan family on every SQL path; ``None`` keeps
+    the auto selection.
     """
     database = Database()
     database.add_relation(relation.copy())
     native = ErrorDetector(database, use_sql=False).detect(relation.name, cfds)
-    memory_sql = ErrorDetector(
-        database, use_sql=True, detect_plan=detect_plan
-    ).detect(relation.name, cfds)
     sqlite_backend = make_sqlite_backend()
     sqlite_backend.add_relation(relation.copy())
     sqlite_sql = ErrorDetector(
@@ -158,7 +151,6 @@ def _all_path_reports(relation, cfds, make_sqlite_backend, detect_plan=None):
     sqlite_backend.close()
     return {
         "native": native,
-        "memory_sql": memory_sql,
         "sqlite_sql": sqlite_sql,
         "incremental": incremental,
         "sql_delta": sql_delta,
@@ -211,7 +203,6 @@ class TestOverlappingPatternParity:
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert (
             keys["native"]
-            == keys["memory_sql"]
             == keys["sqlite_sql"]
             == keys["incremental"]
             == keys["sql_delta"]
@@ -247,7 +238,6 @@ class TestOverlappingPatternParity:
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert (
             keys["native"]
-            == keys["memory_sql"]
             == keys["sqlite_sql"]
             == keys["incremental"]
             == keys["sql_delta"]
@@ -282,7 +272,6 @@ class TestOverlappingPatternParity:
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert (
             keys["native"]
-            == keys["memory_sql"]
             == keys["sqlite_sql"]
             == keys["incremental"]
             == keys["sql_delta"]
@@ -299,9 +288,9 @@ class TestNullCellParity:
 
     SQL equality is UNKNOWN for NULL while the native detector's Python
     comparisons see ``None`` directly; the plans guard every comparison
-    (``IS NOT NULL`` applicability, NULL-safe group restrictions), and this
+    (``IS NOT NULL`` applicability, NULL-free group keys), and this
     tableau pins that the guards add up to the native semantics on all
-    five detection paths.
+    four detection paths.
     """
 
     def test_null_lhs_and_rhs_cells(self, sqlite_backend_factory):
@@ -313,7 +302,6 @@ class TestNullCellParity:
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert (
             keys["native"]
-            == keys["memory_sql"]
             == keys["sqlite_sql"]
             == keys["incremental"]
             == keys["sql_delta"]
@@ -327,13 +315,12 @@ class TestNullCellParity:
         assert by_kind == {("multi", ("x", "1")), ("single", ("w", "3"))}
 
 
-class TestFivePathProperty:
-    """Randomised five-path equivalence: batch-native, batch-SQL on both
-    backends, incremental-native and ``sql_delta`` must produce identical
+class TestFourPathProperty:
+    """Randomised four-path equivalence: batch-native, batch-SQL on
+    SQLite, incremental-native and ``sql_delta`` must produce identical
     reports on random relations (NULL cells included) against random
     tableaux (overlapping patterns and multi-wildcard RHS included) —
-    under every detection plan family (the embedded engine resolves the
-    ``window`` request to its ``legacy`` fallback)."""
+    under both detection plan families."""
 
     attrs = ("A", "B", "C", "D")
     cell = st.sampled_from(["a", "b", None])
@@ -380,7 +367,7 @@ class TestFivePathProperty:
             )
         return cfds
 
-    @pytest.mark.parametrize("detect_plan", ["legacy", "sargable", "window"])
+    @pytest.mark.parametrize("detect_plan", ["legacy", "window"])
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
     def test_random_relations_and_tableaux_agree_on_all_paths(
@@ -405,7 +392,6 @@ class TestFivePathProperty:
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert (
             keys["native"]
-            == keys["memory_sql"]
             == keys["sqlite_sql"]
             == keys["incremental"]
             == keys["sql_delta"]
@@ -443,23 +429,19 @@ class TestSqliteEndToEnd:
         # the repaired relation was synced back into the backend
         assert system.backend.row_count("customer") == len(dirty_customers)
 
-    def test_sqlite_system_matches_memory_system(
+    def test_sqlite_system_matches_native_system(
         self, dirty_customers, cfds, sqlite_config
     ):
         csv_text = dump_csv(dirty_customers)
         reports = {}
-        for backend_name in ("memory", "sqlite"):
-            config = (
-                sqlite_config()
-                if backend_name == "sqlite"
-                else SemandaqConfig(backend="memory")
-            )
-            system = Semandaq(config=config)
+        for use_sql in (False, True):
+            system = Semandaq(config=sqlite_config(use_sql_detection=use_sql))
             system.load_csv(csv_text, "customer")
             system.add_cfds(cfds)
-            reports[backend_name] = system.detect("customer")
-        assert reports["memory"].vio() == reports["sqlite"].vio()
-        assert reports["memory"].dirty_tids() == reports["sqlite"].dirty_tids()
+            reports[use_sql] = system.detect("customer")
+            system.close()
+        assert reports[False].vio() == reports[True].vio()
+        assert reports[False].dirty_tids() == reports[True].dirty_tids()
 
     def test_monitor_updates_visible_after_resync(self, cfds, sqlite_config):
         # once a monitor exists, detect() re-syncs the working copy, so

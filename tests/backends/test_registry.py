@@ -3,7 +3,6 @@
 import pytest
 
 from repro.backends import (
-    MemoryBackend,
     SqliteBackend,
     available_backends,
     create_backend,
@@ -15,20 +14,13 @@ from repro.errors import BackendError
 
 
 class TestRegistry:
-    def test_builtins_are_registered(self):
-        assert "memory" in available_backends()
-        assert "sqlite" in available_backends()
-
-    def test_create_memory_backend(self):
-        backend = create_backend("memory")
-        assert isinstance(backend, MemoryBackend)
-        assert backend.dialect.name == "memory"
+    def test_sqlite_is_the_only_builtin(self):
+        assert available_backends() == ["sqlite"]
 
     def test_create_sqlite_backend_with_options(self, tmp_path):
         backend = create_backend("sqlite", path=str(tmp_path / "test.db"))
         assert isinstance(backend, SqliteBackend)
         assert backend.dialect.name == "sqlite"
-        assert backend.dialect.supports_parameters
         backend.close()
 
     def test_unknown_backend_raises(self):
@@ -36,17 +28,19 @@ class TestRegistry:
             create_backend("postgres")
 
     def test_register_and_unregister_custom_backend(self):
-        register_backend("custom-mem", MemoryBackend)
+        register_backend("custom-sqlite", SqliteBackend)
         try:
-            assert isinstance(create_backend("custom-mem"), MemoryBackend)
+            backend = create_backend("custom-sqlite")
+            assert isinstance(backend, SqliteBackend)
+            backend.close()
         finally:
-            unregister_backend("custom-mem")
-        assert "custom-mem" not in available_backends()
+            unregister_backend("custom-sqlite")
+        assert "custom-sqlite" not in available_backends()
 
     def test_duplicate_registration_requires_replace(self):
         with pytest.raises(BackendError):
-            register_backend("memory", MemoryBackend)
-        register_backend("memory", MemoryBackend, replace=True)
+            register_backend("sqlite", SqliteBackend)
+        register_backend("sqlite", SqliteBackend, replace=True)
 
     def test_unregister_unknown_raises(self):
         with pytest.raises(BackendError):
@@ -54,10 +48,10 @@ class TestRegistry:
 
     def test_invalid_name_raises(self):
         with pytest.raises(BackendError):
-            register_backend("", MemoryBackend)
+            register_backend("", SqliteBackend)
 
     def test_backends_implement_the_interface(self):
-        for name in ("memory", "sqlite"):
+        for name in available_backends():
             backend = create_backend(name)
             assert isinstance(backend, StorageBackend)
             backend.close()

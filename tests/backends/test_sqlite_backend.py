@@ -1,5 +1,7 @@
 """Tests for the SQLite storage backend: round trips, tid stability, bulk load."""
 
+import sqlite3
+
 import pytest
 
 from repro.backends import SqliteBackend
@@ -13,6 +15,7 @@ from repro.errors import (
     SqlExecutionError,
     UnknownRelationError,
     UnknownTupleError,
+    UnsupportedSqliteError,
 )
 
 SCHEMA = RelationSchema(
@@ -37,6 +40,19 @@ def backend():
     instance = SqliteBackend()
     yield instance
     instance.close()
+
+
+class TestVersionGate:
+    def test_sqlite_older_than_3_25_raises(self, monkeypatch):
+        # window functions and derived-table joins shipped in SQLite 3.25
+        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 24, 0))
+        monkeypatch.setattr(sqlite3, "sqlite_version", "3.24.0")
+        with pytest.raises(UnsupportedSqliteError, match="3.24.0"):
+            SqliteBackend()
+
+    def test_sqlite_3_25_is_accepted(self, monkeypatch):
+        monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 25, 0))
+        SqliteBackend().close()
 
 
 class TestCatalog:
@@ -159,7 +175,7 @@ class TestQueriesAndIndexes:
             "keyed", [AttributeDef("K"), AttributeDef("V")], key=("K",)
         )
         backend.create_relation(keyed, rows=[{"K": "a", "V": "1"}])
-        # same error type the memory backend raises for a duplicate key
+        # same error type the working store's Relation raises for a duplicate key
         with pytest.raises(ConstraintViolationError):
             backend.insert_many("keyed", [{"K": "a", "V": "2"}])
 

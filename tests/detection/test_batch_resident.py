@@ -5,7 +5,7 @@ The batch ``ErrorDetector``'s SQL path must behave like the paper's
 pushdown end to end: schema and row count come from catalog ops, the
 ``Q_C``/``Q_V``/members queries run inside the backend, and the report is
 assembled from backend rows alone — enforced here by the
-:class:`~tests.doubles.ForbiddenReadBackend` double on both backends.
+:class:`~tests.doubles.ForbiddenReadBackend` double over SQLite.
 ``detect_for_tuples`` ships the tuple restriction down as delta plans and
 must reproduce the old filter-after-detect semantics exactly, including
 under an enforced 999-variable cap.
@@ -15,7 +15,7 @@ import sqlite3
 
 import pytest
 
-from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternTuple
 from repro.datasets import generate_customers, inject_noise, paper_cfds
@@ -49,15 +49,12 @@ def _dirty_customers(size=120, seed=131):
     ).dirty
 
 
-def _backend_for(kind, relation):
-    """A loaded backend of ``kind`` plus a private native-oracle database."""
+def _backend_for(relation):
+    """A loaded SQLite backend plus a private native-oracle database."""
     database = Database()
     database.add_relation(relation.copy())
-    if kind == "sqlite":
-        backend = SqliteBackend()
-        backend.add_relation(relation.copy())
-    else:
-        backend = MemoryBackend(database)
+    backend = SqliteBackend()
+    backend.add_relation(relation.copy())
     return backend, database
 
 
@@ -72,17 +69,12 @@ def _filtered_oracle(database, relation_name, cfds, tids):
     )
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def backend_kind(request):
-    return request.param
-
-
 class TestZeroWorkingStoreReads:
     """detect() and detect_for_tuples() on the SQL path never ship rows back."""
 
-    def test_detect_zero_reads(self, backend_kind):
+    def test_detect_zero_reads(self):
         relation = _dirty_customers()
-        backend, database = _backend_for(backend_kind, relation)
+        backend, database = _backend_for(relation)
         detector = ErrorDetector(ForbiddenReadBackend(backend))
         report = detector.detect("customer", paper_cfds())
         assert report.total_violations() > 0
@@ -93,9 +85,9 @@ class TestZeroWorkingStoreReads:
         assert _violation_keys(report) == _violation_keys(oracle)
         backend.close()
 
-    def test_detect_for_tuples_zero_reads(self, backend_kind):
+    def test_detect_for_tuples_zero_reads(self):
         relation = _dirty_customers()
-        backend, database = _backend_for(backend_kind, relation)
+        backend, database = _backend_for(relation)
         detector = ErrorDetector(ForbiddenReadBackend(backend))
         full = ErrorDetector(database, use_sql=False).detect("customer", paper_cfds())
         wanted = sorted(full.dirty_tids())[:5] + [0, 1]
@@ -107,11 +99,11 @@ class TestZeroWorkingStoreReads:
         assert report.total_violations() > 0
         backend.close()
 
-    def test_repeated_detect_zero_reads(self, backend_kind):
+    def test_repeated_detect_zero_reads(self):
         # the per-relation generator and its plan cache persist across
         # calls; the second detect must stay backend-resident too
         relation = _dirty_customers(60, seed=137)
-        backend, database = _backend_for(backend_kind, relation)
+        backend, database = _backend_for(relation)
         detector = ErrorDetector(ForbiddenReadBackend(backend))
         first = detector.detect("customer", paper_cfds())
         second = detector.detect("customer", paper_cfds())
@@ -122,9 +114,9 @@ class TestZeroWorkingStoreReads:
 class TestDetectForTuplesPushdown:
     """Pushdown parity with the old filter-after-full-detect semantics."""
 
-    def test_matches_filter_after_detect_on_customers(self, backend_kind):
+    def test_matches_filter_after_detect_on_customers(self):
         relation = _dirty_customers()
-        backend, database = _backend_for(backend_kind, relation)
+        backend, database = _backend_for(relation)
         detector = ErrorDetector(backend)
         full = ErrorDetector(database, use_sql=False).detect("customer", paper_cfds())
         dirty = sorted(full.dirty_tids())
@@ -136,30 +128,30 @@ class TestDetectForTuplesPushdown:
             assert report.tuple_count == len(relation)
         backend.close()
 
-    def test_restriction_travels_in_the_sql(self, backend_kind):
+    def test_restriction_travels_in_the_sql(self):
         relation = _dirty_customers(40, seed=139)
-        backend, _database = _backend_for(backend_kind, relation)
+        backend, _database = _backend_for(relation)
         detector = ErrorDetector(backend)
         detector.detect_for_tuples("customer", paper_cfds(), [0, 1])
         assert detector.last_sql
         assert any("_tid IN" in sql for sql in detector.last_sql)
         backend.close()
 
-    def test_unknown_tids_produce_empty_report(self, backend_kind):
+    def test_unknown_tids_produce_empty_report(self):
         relation = _dirty_customers(30, seed=141)
-        backend, _database = _backend_for(backend_kind, relation)
+        backend, _database = _backend_for(relation)
         detector = ErrorDetector(backend)
         report = detector.detect_for_tuples("customer", paper_cfds(), [10_000, 10_001])
         assert report.total_violations() == 0
         assert report.tuple_count == len(relation)
         backend.close()
 
-    def test_null_rhs_tuple_does_not_drag_its_group_in(self, backend_kind):
+    def test_null_rhs_tuple_does_not_drag_its_group_in(self):
         # tid 6 shares LHS values with the violating-adjacent (z, 2) group
         # but carries a NULL RHS, so it is not a *member*: the old filter
         # semantics exclude any group it does not belong to
         relation = null_cell_relation()
-        backend, database = _backend_for(backend_kind, relation)
+        backend, database = _backend_for(relation)
         detector = ErrorDetector(backend)
         for wanted in ([6], [2], [0], [8], [0, 6]):
             report = detector.detect_for_tuples("r", [NULL_CELL_CFD], wanted)
@@ -168,7 +160,7 @@ class TestDetectForTuplesPushdown:
             )
         backend.close()
 
-    def test_overlapping_patterns_keep_lowest_pattern_index(self, backend_kind):
+    def test_overlapping_patterns_keep_lowest_pattern_index(self):
         schema = RelationSchema.of("r", ["A", "B", "C"])
         relation = Relation.from_rows(
             schema,
@@ -189,7 +181,7 @@ class TestDetectForTuplesPushdown:
             ),
             name="phi_overlap",
         )
-        backend, database = _backend_for(backend_kind, relation)
+        backend, database = _backend_for(relation)
         report = ErrorDetector(backend).detect_for_tuples("r", [cfd], [0, 2])
         assert _violation_keys(report) == _filtered_oracle(
             database, "r", [cfd], [0, 2]
@@ -247,9 +239,9 @@ class TestDetectForTuplesPushdown:
 class TestPreparedPlanCache:
     """The per-detector plan cache and its stale-plan invalidation."""
 
-    def test_repeated_detect_hits_the_cache(self, backend_kind):
+    def test_repeated_detect_hits_the_cache(self):
         relation = _dirty_customers(60, seed=149)
-        backend, _database = _backend_for(backend_kind, relation)
+        backend, _database = _backend_for(relation)
         detector = ErrorDetector(backend)
         first = detector.detect("customer", paper_cfds())
         generator = detector._generators["customer"]
@@ -261,7 +253,7 @@ class TestPreparedPlanCache:
         assert generator.plan_cache_misses == misses_after_first
         backend.close()
 
-    def test_reused_tableau_name_does_not_serve_stale_plans(self, backend_kind):
+    def test_reused_tableau_name_does_not_serve_stale_plans(self):
         # two different CFDs under the same registration slot get the same
         # positional tableau name; the first has no constant-RHS pattern
         # (its Q_C is a cached None), the second does — a stale cache hit
@@ -284,7 +276,7 @@ class TestPreparedPlanCache:
             patterns=(PatternTuple.of({"A": "x", "C": "c1"}),),
             name="phi_same_name",
         )
-        backend, _database = _backend_for(backend_kind, relation)
+        backend, _database = _backend_for(relation)
         detector = ErrorDetector(backend)
         detector.detect("r", [wildcard_only])
         report = detector.detect("r", [constant_rhs])

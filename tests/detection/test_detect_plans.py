@@ -1,20 +1,21 @@
 """The detection plan-variant layer: selection, shapes, cache keys, parity.
 
-Three plan families compile the paper's ``Q_C``/``Q_V`` pair: the legacy
-tableau-joined form, the sargable per-pattern specialization, and the
-one-pass window family.  These tests pin (a) the auto-selection and its
-clean fallback on dialects without window support, (b) the generated SQL
-shapes, (c) the variant-carrying prepared-plan cache keys — flipping
-``detect_plan`` mid-session must never serve a stale shape — and (d)
-report identity across every family on both backends, including the
-restricted ``detect_for_tuples`` path and the ``sql_delta`` re-checks.
+Two plan families compile the paper's ``Q_C``/``Q_V`` pair: the legacy
+tableau-joined form, and the window family (per-pattern sargable ``Q_C``,
+one-pass ``Q_V``).  These tests pin (a) the selection, including the
+``SEMANDAQ_DETECT_PLAN`` switch rejecting unknown values, (b) the
+generated SQL shapes, (c) the variant-carrying prepared-plan cache keys —
+flipping ``detect_plan`` mid-session must never serve a stale shape — and
+(d) report identity across the families and against the native oracle,
+including the restricted ``detect_for_tuples`` path and the ``sql_delta``
+re-checks.
 """
 
 import pytest
 
 from repro import Semandaq, SemandaqConfig
-from repro.backends import MemoryBackend, SqliteBackend
-from repro.backends.dialect import MEMORY_DIALECT, SqliteDialect
+from repro.backends import SqliteBackend
+from repro.backends.dialect import SqliteDialect
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
@@ -84,50 +85,48 @@ def _keys(report):
 
 
 class TestResolution:
-    def test_legacy_and_sargable_pass_through_everywhere(self):
-        for dialect in (MEMORY_DIALECT, SqliteDialect()):
-            assert resolve_detect_plan("legacy", dialect) == "legacy"
-            assert resolve_detect_plan("sargable", dialect) == "sargable"
+    def test_plan_families(self):
+        assert DETECT_PLANS == ("auto", "legacy", "window")
 
-    def test_auto_resolves_to_window_on_modern_sqlite(self):
-        dialect = SqliteDialect(supports_window_functions=True)
-        assert resolve_detect_plan("auto", dialect) == "window"
-        assert resolve_detect_plan("window", dialect) == "window"
+    def test_legacy_and_window_resolve_to_themselves(self):
+        assert resolve_detect_plan("legacy", SqliteDialect()) == "legacy"
+        assert resolve_detect_plan("window", SqliteDialect()) == "window"
 
-    def test_window_falls_back_to_legacy_without_support(self):
-        # the embedded engine and a simulated pre-3.25 SQLite
-        old_sqlite = SqliteDialect(supports_window_functions=False)
-        for dialect in (MEMORY_DIALECT, old_sqlite):
-            assert resolve_detect_plan("auto", dialect) == "legacy"
-            assert resolve_detect_plan("window", dialect) == "legacy"
+    def test_auto_resolves_to_window(self):
+        assert resolve_detect_plan("auto", SqliteDialect()) == "window"
 
-    def test_unknown_plan_rejected(self):
+    @pytest.mark.parametrize("plan", ["bogus", "sargable"])
+    def test_unknown_plan_rejected(self, plan):
         with pytest.raises(DetectionError, match="unknown detect_plan"):
-            resolve_detect_plan("bogus", MEMORY_DIALECT)
+            resolve_detect_plan(plan, SqliteDialect())
 
     def test_env_variable_is_the_default(self, monkeypatch):
         monkeypatch.delenv(DETECT_PLAN_ENV, raising=False)
         assert default_detect_plan() == "auto"
-        monkeypatch.setenv(DETECT_PLAN_ENV, "legacy")
-        assert default_detect_plan() == "legacy"
-        monkeypatch.setenv(DETECT_PLAN_ENV, "nonsense")
+        monkeypatch.setenv(DETECT_PLAN_ENV, "")
         assert default_detect_plan() == "auto"
+        monkeypatch.setenv(DETECT_PLAN_ENV, " Legacy ")
+        assert default_detect_plan() == "legacy"
 
-    def test_sqlite_backend_window_functions_override(self):
-        backend = SqliteBackend(window_functions=False)
-        try:
-            generator = DetectionSqlGenerator(
-                SCHEMA, dialect=backend.dialect, detect_plan="auto"
-            )
-            assert generator.detect_plan == "legacy"
-        finally:
-            backend.close()
+    @pytest.mark.parametrize("value", ["legcy", "sargable"])
+    def test_unknown_env_value_raises(self, monkeypatch, value):
+        # a typo (or a deleted family) in a CI leg meant to pin one plan
+        # must fail loudly instead of silently running auto
+        monkeypatch.setenv(DETECT_PLAN_ENV, value)
+        with pytest.raises(DetectionError, match=DETECT_PLAN_ENV):
+            default_detect_plan()
+        backend = SqliteBackend()
+        backend.add_relation(_relation())
+        with pytest.raises(DetectionError, match=DETECT_PLAN_ENV):
+            ErrorDetector(backend).detect("r", _cfds())
+        backend.close()
 
     def test_config_validates_detect_plan(self):
-        SemandaqConfig(detect_plan="sargable").validate()
+        SemandaqConfig(detect_plan="window").validate()
         SemandaqConfig(detect_plan=None).validate()
-        with pytest.raises(ConfigurationError, match="unknown detect_plan"):
-            SemandaqConfig(detect_plan="bogus").validate()
+        for plan in ("bogus", "sargable"):
+            with pytest.raises(ConfigurationError, match="unknown detect_plan"):
+                SemandaqConfig(detect_plan=plan).validate()
 
 
 class TestGeneratedShapes:
@@ -140,8 +139,8 @@ class TestGeneratedShapes:
 
         return make
 
-    def test_sargable_splits_constant_patterns(self, generator):
-        gen = generator("sargable")
+    def test_window_splits_constant_patterns(self, generator):
+        gen = generator("window")
         cfd = _cfds()[1]  # one constant-RHS pattern, one wildcard-only
         queries = gen.plan_single_queries(cfd, "tab")
         assert [q.kind for q in queries] == ["q_c_sargable"]
@@ -151,8 +150,8 @@ class TestGeneratedShapes:
         assert "t.A = ?" in queries[0].sql and "t.B = ?" in queries[0].sql
         assert queries[0].parameters == ("y", "2", "d2")
 
-    def test_wildcard_only_patterns_collapse_to_one_grouped_query(self, generator):
-        gen = generator("sargable")
+    def test_wildcard_only_patterns_collapse_to_one_statement(self, generator):
+        gen = generator("window")
         cfd = CFD(
             relation="r",
             lhs=("A",),
@@ -167,7 +166,7 @@ class TestGeneratedShapes:
         # identical renderings dedupe to the lowest pattern index
         assert len(queries) == 1
         assert queries[0].pattern_index == 0
-        assert queries[0].kind == "q_v_sargable"
+        assert queries[0].kind == "q_window"
 
     def test_window_multi_is_one_pass(self, generator):
         gen = generator("window")
@@ -219,43 +218,35 @@ class TestVariantCacheKeys:
         gen = DetectionSqlGenerator(
             SCHEMA,
             dialect=SqliteDialect(),
-            detect_plan="sargable",
+            detect_plan="window",
             telemetry=telemetry,
         )
         cfd = _cfds()[0]
         gen.plan_multi_queries(cfd, "tab")
         gen.plan_multi_queries(cfd, "tab")
         counters = telemetry.metrics.snapshot()["counters"]
-        assert counters["plan_cache.misses.sargable"] >= 1
-        assert counters["plan_cache.hits.sargable"] >= 1
+        assert counters["plan_cache.misses.window"] >= 1
+        assert counters["plan_cache.hits.window"] >= 1
 
 
 class TestCrossVariantParity:
-    @pytest.mark.parametrize("make_backend", [None, SqliteBackend], ids=["memory", "sqlite"])
-    def test_batch_reports_identical_across_families(self, make_backend):
+    def test_batch_reports_identical_across_families(self):
         relation = _relation()
         cfds = _cfds()
         reports = {}
         for plan in DETECT_PLANS:
-            if make_backend is None:
-                database = Database()
-                database.add_relation(relation.copy())
-                backend = MemoryBackend(database)
-            else:
-                backend = make_backend()
-                backend.add_relation(relation.copy())
+            backend = SqliteBackend()
+            backend.add_relation(relation.copy())
             detector = ErrorDetector(backend, detect_plan=plan)
             reports[plan] = _keys(detector.detect("r", cfds))
             backend.close()
-        assert (
-            reports["legacy"]
-            == reports["sargable"]
-            == reports["window"]
-            == reports["auto"]
-        )
+        database = Database()
+        database.add_relation(relation.copy())
+        native = _keys(ErrorDetector(database, use_sql=False).detect("r", cfds))
+        assert reports["legacy"] == reports["window"] == reports["auto"] == native
         assert reports["legacy"]  # the workload does violate
 
-    @pytest.mark.parametrize("plan", ["legacy", "sargable", "window"])
+    @pytest.mark.parametrize("plan", ["legacy", "window"])
     def test_detect_for_tuples_matches_filtered_full_detect(self, plan):
         backend = SqliteBackend()
         backend.add_relation(_relation())
@@ -272,7 +263,7 @@ class TestCrossVariantParity:
             assert _keys(restricted) == expected, (plan, tid)
         backend.close()
 
-    @pytest.mark.parametrize("plan", ["legacy", "sargable", "window"])
+    @pytest.mark.parametrize("plan", ["legacy", "window"])
     def test_sql_delta_rechecks_agree_with_batch(self, plan):
         database = Database()
         database.add_relation(_relation())

@@ -1,9 +1,10 @@
-"""Tests for the batch error detector (SQL path and native path)."""
+"""Tests for the batch error detector (SQL path on SQLite and native path)."""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import SqliteBackend
 from repro.core.parser import parse_cfd
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.detection.detector import ErrorDetector
@@ -13,9 +14,22 @@ from repro.engine.types import RelationSchema
 from repro.errors import DetectionError
 
 
+def _sqlite(relation):
+    backend = SqliteBackend()
+    backend.add_relation(relation.copy())
+    return backend
+
+
 @pytest.fixture
-def detector(customer_database):
-    return ErrorDetector(customer_database, use_sql=True)
+def customer_backend(customer_relation):
+    backend = _sqlite(customer_relation)
+    yield backend
+    backend.close()
+
+
+@pytest.fixture
+def detector(customer_backend):
+    return ErrorDetector(customer_backend, use_sql=True)
 
 
 @pytest.fixture
@@ -43,11 +57,11 @@ class TestDetectExample:
         assert report.vio_of(2) == 0 and report.vio_of(3) == 0
 
     def test_clean_relation_produces_empty_report(self, customer_cfds):
-        database = Database()
-        database.add_relation(generate_customers(50, seed=3))
-        detector = ErrorDetector(database)
+        backend = _sqlite(generate_customers(50, seed=3))
+        detector = ErrorDetector(backend)
         report = detector.detect("customer", customer_cfds)
         assert report.is_clean()
+        backend.close()
 
     def test_sql_statements_recorded(self, detector, customer_cfds):
         detector.detect("customer", customer_cfds)
@@ -55,19 +69,19 @@ class TestDetectExample:
         assert any("GROUP BY" in sql for sql in detector.last_sql)
 
     def test_cached_tableaux_released_on_demand(
-        self, detector, customer_cfds, customer_database
+        self, detector, customer_cfds, customer_backend
     ):
         # tableaux stay cached between detections (repeat detects are pure
         # reads — the concurrent serving contract), live in the reserved
         # __semandaq_ namespace, and drop on release_cached_tableaux()
-        before = set(customer_database.relation_names())
+        before = set(customer_backend.relation_names())
         detector.detect("customer", customer_cfds)
-        lingering = set(customer_database.relation_names()) - before
+        lingering = set(customer_backend.relation_names()) - before
         assert lingering
         assert all(name.startswith("__semandaq_tableau") for name in lingering)
         detector.detect("customer", customer_cfds)  # reuses the cache
         detector.release_cached_tableaux()
-        assert set(customer_database.relation_names()) == before
+        assert set(customer_backend.relation_names()) == before
 
     def test_wrong_relation_rejected(self, detector):
         with pytest.raises(DetectionError):
@@ -78,9 +92,9 @@ class TestDetectExample:
         assert all(4 in violation.tids for violation in report.violations)
         assert report.total_violations() >= 1
 
-    def test_multi_rhs_cfd_detected_per_attribute(self, customer_database):
+    def test_multi_rhs_cfd_detected_per_attribute(self, customer_backend):
         cfd = parse_cfd("customer: [CC=_] -> [CNT=_, AC=_]")
-        detector = ErrorDetector(customer_database)
+        detector = ErrorDetector(customer_backend)
         report = detector.detect("customer", [cfd])
         attrs = {violation.rhs_attribute for violation in report.violations}
         assert "CNT" in attrs  # CC=44 group disagrees on CNT
@@ -98,9 +112,11 @@ class TestSqlVsNative:
         dirty = inject_noise(clean, rate=0.05, seed=6, attributes=["CNT", "CITY", "STR", "CC"]).dirty
         database = Database()
         database.add_relation(dirty)
-        sql_report = ErrorDetector(database, use_sql=True).detect("customer", customer_cfds)
+        backend = _sqlite(dirty)
+        sql_report = ErrorDetector(backend, use_sql=True).detect("customer", customer_cfds)
         native_report = ErrorDetector(database, use_sql=False).detect("customer", customer_cfds)
         assert sql_report.vio() == native_report.vio()
+        backend.close()
 
     small_value = st.sampled_from(["a", "b", None])
 
@@ -124,7 +140,9 @@ class TestSqlVsNative:
             parse_cfd("customer: [CC='a'] -> [CNT='b']"),
             parse_cfd("customer: [CC=_] -> [CNT=_]"),
         ]
-        sql_report = ErrorDetector(database, use_sql=True).detect("customer", cfds)
+        backend = _sqlite(relation)
+        sql_report = ErrorDetector(backend, use_sql=True).detect("customer", cfds)
+        backend.close()
         native_report = ErrorDetector(database, use_sql=False).detect("customer", cfds)
         assert sql_report.vio() == native_report.vio()
         assert sql_report.dirty_tids() == native_report.dirty_tids()

@@ -9,7 +9,7 @@ regression.  These tests ask SQLite's planner directly.
 
 import pytest
 
-from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends import SqliteBackend, StorageBackend
 from repro.core.parser import parse_cfd
 from repro.detection.sqlgen import DetectionSqlGenerator
 
@@ -86,7 +86,7 @@ class TestSargableSinglePlan:
         generator = DetectionSqlGenerator(
             customer_relation.schema,
             dialect=sqlite_customer.dialect,
-            detect_plan="sargable",
+            detect_plan="window",
         )
         queries = generator.plan_single_queries(cfd, "tab")
         assert len(queries) == 1
@@ -106,7 +106,7 @@ class TestSargableSinglePlan:
         generator = DetectionSqlGenerator(
             customer_relation.schema,
             dialect=sqlite_customer.dialect,
-            detect_plan="sargable",
+            detect_plan="window",
         )
         query = generator.plan_single_queries(cfd, "tab")[0]
         detail = sqlite_customer.explain_query_plan(query.sql, query.parameters)
@@ -117,10 +117,9 @@ class TestSargableSinglePlan:
 
 
 class TestExplainHook:
-    def test_memory_backend_has_no_plan_introspection(self, customer_relation):
-        backend = MemoryBackend()
-        backend.add_relation(customer_relation)
-        assert backend.explain_query_plan("SELECT 1") is None
+    def test_base_backend_has_no_plan_introspection(self, sqlite_customer):
+        # backends without plan introspection inherit the None contract
+        assert StorageBackend.explain_query_plan(sqlite_customer, "SELECT 1") is None
 
     def test_sqlite_returns_rows_for_plain_select(self, sqlite_customer):
         detail = sqlite_customer.explain_query_plan("SELECT * FROM customer")

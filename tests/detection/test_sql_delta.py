@@ -5,9 +5,8 @@ affected-group re-checks to parameterised delta variants of ``Q_C``/``Q_V``
 and runs them against a storage backend's resident copy.  The acceptance
 bar is report identity with the pure-Python ``native`` mode — same
 violations, same pattern indices, same LHS values — across update
-sequences, on both query backends (the embedded engine and SQLite),
-including the overlapping-pattern and multi-wildcard-RHS tableaux that
-historically broke SQL/native parity.
+sequences, on a SQLite mirror, including the overlapping-pattern and
+multi-wildcard-RHS tableaux that historically broke SQL/native parity.
 """
 
 import sqlite3
@@ -17,7 +16,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.backends import SqliteBackend
-from repro.backends.dialect import SqliteDialect, sqlite_row_values_supported
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
@@ -31,9 +29,9 @@ from repro.detection.incremental import (
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
-from repro.errors import DetectionError
+from repro.errors import DetectionError, SqlBackendRequiredError
 from tests.doubles import ForbiddenRelation
-from tests.tableaux import NULL_CELL_CFD, ROW_VALUE_SKIP_REASON, null_cell_relation
+from tests.tableaux import NULL_CELL_CFD, null_cell_relation
 
 
 def _violation_keys(report):
@@ -51,38 +49,35 @@ def _violation_keys(report):
     )
 
 
-def _make_detector(relation, cfds, mode, backend_kind):
-    """A detector over a private working copy, with its query/mirror backend."""
+def _make_detector(relation, cfds, mode):
+    """A detector over a private working copy; sql_delta gets a SQLite mirror."""
     database = Database()
     database.add_relation(relation.copy())
-    if backend_kind == "sqlite":
+    if mode == SQL_DELTA_MODE:
         mirror = SqliteBackend()
         mirror.add_relation(database.relation(relation.name))
     else:
-        mirror = None  # the shared-memory configuration
+        mirror = None
     detector = IncrementalDetector(
         database, relation.name, cfds, mirror=mirror, mode=mode
     )
     return detector, mirror
 
 
-def _replay(script, relation, cfds, backend_kind):
+def _replay(script, relation, cfds):
     """Run ``script`` against a native and a sql_delta detector in lockstep.
 
     ``script(detector)`` applies the update sequence; reports must be
     identical after the whole sequence, and the sql_delta mirror copy must
     match the working store row for row.
     """
-    native, _ = _make_detector(relation, cfds, NATIVE_MODE, "memory")
-    sql_delta, mirror = _make_detector(relation, cfds, SQL_DELTA_MODE, backend_kind)
+    native, _ = _make_detector(relation, cfds, NATIVE_MODE)
+    sql_delta, mirror = _make_detector(relation, cfds, SQL_DELTA_MODE)
     script(native)
     script(sql_delta)
     assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
-    if mirror is not None:
-        assert dict(mirror.iter_rows(relation.name)) == dict(
-            sql_delta.relation.rows()
-        )
-        mirror.close()
+    assert dict(mirror.iter_rows(relation.name)) == dict(sql_delta.relation.rows())
+    mirror.close()
     return native, sql_delta
 
 
@@ -128,20 +123,15 @@ TWO_RHS_CFD = CFD(
 )
 
 
-@pytest.fixture(params=["memory", "sqlite"])
-def backend_kind(request):
-    return request.param
-
-
 class TestInitialState:
-    def test_initial_report_matches_native(self, backend_kind):
+    def test_initial_report_matches_native(self):
         dirty = generate_customers(80, seed=91)
         relation = Relation.from_rows(dirty.schema, dirty.to_list())
         relation.update(0, {"CNT": "Narnia"})
         relation.update(1, {"STR": "Wrong Street"})
-        native, _ = _make_detector(relation, paper_cfds(), NATIVE_MODE, "memory")
+        native, _ = _make_detector(relation, paper_cfds(), NATIVE_MODE)
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, backend_kind
+            relation, paper_cfds(), SQL_DELTA_MODE
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         assert sql_delta.report().total_violations() > 0
@@ -149,8 +139,7 @@ class TestInitialState:
         # native per-tuple state construction
         assert sql_delta.delta_queries > 0
         assert sql_delta.tuples_examined == 0
-        if mirror is not None:
-            mirror.close()
+        mirror.close()
 
     def test_unknown_mode_rejected(self):
         database = Database()
@@ -160,7 +149,7 @@ class TestInitialState:
 
 
 class TestUpdateParity:
-    def test_customer_update_sequence(self, backend_kind):
+    def test_customer_update_sequence(self):
         relation = generate_customers(60, seed=47)
         template = dict(relation.get(0))
 
@@ -177,14 +166,14 @@ class TestUpdateParity:
         def relation_last_tid(detector):
             return detector.relation.tids()[-1]
 
-        native, sql_delta = _replay(script, relation, paper_cfds(), backend_kind)
+        native, sql_delta = _replay(script, relation, paper_cfds())
         # and both agree with a from-scratch batch detection oracle
         oracle = ErrorDetector(sql_delta.database, use_sql=False).detect(
             "customer", paper_cfds()
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(oracle)
 
-    def test_overlapping_pattern_tableau(self, backend_kind):
+    def test_overlapping_pattern_tableau(self):
         def script(detector):
             with detector.batch():
                 # flip group (x, 2) into violation, heal group (y, 1)
@@ -196,7 +185,7 @@ class TestUpdateParity:
             detector.insert({"A": "x", "B": "1", "C": "c7"})
 
         native, sql_delta = _replay(
-            script, OVERLAP_RELATION, [OVERLAP_CFD], backend_kind
+            script, OVERLAP_RELATION, [OVERLAP_CFD]
         )
         by_group = {
             violation.lhs_values: violation.pattern_index
@@ -205,7 +194,7 @@ class TestUpdateParity:
         # each group once, under the lowest pattern that covers it
         assert by_group == {("x", "1"): 0, ("x", "2"): 0}
 
-    def test_two_wildcard_rhs_tableau(self, backend_kind):
+    def test_two_wildcard_rhs_tableau(self):
         def script(detector):
             with detector.batch():
                 detector.update(1, {"C": "c1"})  # heal the C disagreement
@@ -213,13 +202,13 @@ class TestUpdateParity:
             detector.insert({"A": "y", "B": "b9", "C": "c9"})  # break both for A=y
 
         native, sql_delta = _replay(
-            script, TWO_RHS_RELATION, [TWO_RHS_CFD], backend_kind
+            script, TWO_RHS_RELATION, [TWO_RHS_CFD]
         )
         report = sql_delta.report()
         assert {v.rhs_attribute for v in report.violations} == {"B", "C"}
         assert all(v.lhs_values == ("y",) for v in report.violations)
 
-    def test_delete_then_reinsert_same_tid_in_one_batch(self, backend_kind):
+    def test_delete_then_reinsert_same_tid_in_one_batch(self):
         # nets out to a replace: one delete + one insert under the same tid
         relation = generate_customers(20, seed=53)
 
@@ -230,7 +219,7 @@ class TestUpdateParity:
                 new_tid = detector.insert(replacement)
                 detector.update(new_tid, {"CITY": "Nowhere"})
 
-        _replay(script, relation, paper_cfds(), backend_kind)
+        _replay(script, relation, paper_cfds())
 
     value = st.sampled_from(["a", "b", None])
     operation = st.sampled_from(["insert", "delete", "update"])
@@ -249,8 +238,8 @@ class TestUpdateParity:
             parse_cfd("customer: [CC='a'] -> [CNT='b']"),
             parse_cfd("customer: [CC=_] -> [CNT=_]"),
         ]
-        native, _ = _make_detector(relation, cfds, NATIVE_MODE, "memory")
-        sql_delta, mirror = _make_detector(relation, cfds, SQL_DELTA_MODE, "sqlite")
+        native, _ = _make_detector(relation, cfds, NATIVE_MODE)
+        sql_delta, mirror = _make_detector(relation, cfds, SQL_DELTA_MODE)
         for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
             with native.batch(), sql_delta.batch():
                 for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
@@ -292,10 +281,10 @@ class TestNullParity:
     re-checks and the backend-resident member enumeration.
     """
 
-    def test_static_null_tableau_parity(self, backend_kind):
-        native, _ = _make_detector(NULL_RELATION, [NULL_CFD], NATIVE_MODE, "memory")
+    def test_static_null_tableau_parity(self):
+        native, _ = _make_detector(NULL_RELATION, [NULL_CFD], NATIVE_MODE)
         sql_delta, mirror = _make_detector(
-            NULL_RELATION, [NULL_CFD], SQL_DELTA_MODE, backend_kind
+            NULL_RELATION, [NULL_CFD], SQL_DELTA_MODE
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         report = sql_delta.report()
@@ -303,10 +292,9 @@ class TestNullParity:
         # the fully non-NULL group violates the FD part
         assert {v.kind for v in report.violations} == {"single", "multi"}
         assert {v.lhs_values for v in report.violations} == {("w", "3"), ("x", "1")}
-        if mirror is not None:
-            mirror.close()
+        mirror.close()
 
-    def test_null_updates_parity(self, backend_kind):
+    def test_null_updates_parity(self):
         def script(detector):
             with detector.batch():
                 detector.update(0, {"A": None})      # NULL an LHS cell
@@ -316,17 +304,17 @@ class TestNullParity:
                 detector.update(0, {"A": "x"})       # restore the LHS cell
                 detector.insert({"A": "q", "B": None, "C": "c1"})
                 detector.update(4, {"C": None})      # NULL an RHS cell
-        native, sql_delta = _replay(script, NULL_RELATION, [NULL_CFD], backend_kind)
+        native, sql_delta = _replay(script, NULL_RELATION, [NULL_CFD])
         # the re-created group and the un-NULLed RHS group both violate now
         assert {v.lhs_values for v in sql_delta.report().violations} == {
             ("x", "1"),
             ("z", "2"),
         }
 
-    def test_null_parity_against_batch_oracle(self, backend_kind):
+    def test_null_parity_against_batch_oracle(self):
         def script(detector):
             detector.update(2, {"A": "x"})  # pull a NULL-LHS tuple into a group
-        native, sql_delta = _replay(script, NULL_RELATION, [NULL_CFD], backend_kind)
+        native, sql_delta = _replay(script, NULL_RELATION, [NULL_CFD])
         oracle = ErrorDetector(sql_delta.database, use_sql=False).detect(
             "r", [NULL_CFD]
         )
@@ -357,8 +345,7 @@ class TestParameterBudget:
         )
         return relation, cfd
 
-    @pytest.mark.parametrize("delta_plan", ["auto", "portable"])
-    def test_wide_lhs_regression_under_999_variable_cap(self, delta_plan):
+    def test_wide_lhs_regression_under_999_variable_cap(self):
         # a 6-attribute LHS at 300 affected groups used to ship
         # 200 * 6 + pattern placeholders per statement — over SQLite's
         # default 999-variable cap; chunks are now sized by the dialect's
@@ -372,14 +359,13 @@ class TestParameterBudget:
             mirror._conn.setlimit(sqlite3.SQLITE_LIMIT_VARIABLE_NUMBER, 999)
         mirror.add_relation(database.relation("w"))
         sql_delta = IncrementalDetector(
-            database, "w", [cfd], mirror=mirror, mode=SQL_DELTA_MODE,
-            delta_plan=delta_plan,
+            database, "w", [cfd], mirror=mirror, mode=SQL_DELTA_MODE
         )
         with sql_delta.batch():
             for tid in range(0, 2 * 300, 2):
                 sql_delta.update(tid, {"C": f"y{tid % 3}"})
         native, _ = _make_detector(
-            sql_delta.relation, [cfd], NATIVE_MODE, "memory"
+            sql_delta.relation, [cfd], NATIVE_MODE
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         assert sql_delta.report().total_violations() == 300
@@ -415,11 +401,11 @@ class TestBackendResidentAssembly:
 
     _ForbiddenRelation = ForbiddenRelation
 
-    def test_report_reads_zero_working_store(self, backend_kind):
+    def test_report_reads_zero_working_store(self):
         relation = generate_customers(60, seed=101)
         relation.update(0, {"CNT": "Narnia"})
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, backend_kind
+            relation, paper_cfds(), SQL_DELTA_MODE
         )
         sql_delta.update(1, {"STR": "Elsewhere Road"})
         with sql_delta.batch():
@@ -433,10 +419,9 @@ class TestBackendResidentAssembly:
             sql_delta.relation = live
         assert report.total_violations() > 0
         assert report.tuple_count == len(live)
-        native, _ = _make_detector(live, paper_cfds(), NATIVE_MODE, "memory")
+        native, _ = _make_detector(live, paper_cfds(), NATIVE_MODE)
         assert _violation_keys(report) == _violation_keys(native.report())
-        if mirror is not None:
-            mirror.close()
+        mirror.close()
 
     def test_monitored_report_reads_zero_working_store(self):
         from repro.monitor.monitor import DataMonitor
@@ -461,12 +446,9 @@ class TestBackendResidentAssembly:
         mirror.close()
 
 
-class TestRowValuePlanGate:
-    """The row-value semi-join path and its version/env gate."""
+class TestRowValuePlans:
+    """The row-value semi-join restriction of multi-attribute groups."""
 
-    @pytest.mark.skipif(
-        not sqlite_row_values_supported(), reason=ROW_VALUE_SKIP_REASON
-    )
     def test_row_value_plans_run_against_sqlite(self):
         relation = OVERLAP_RELATION.copy()
         database = Database()
@@ -475,9 +457,6 @@ class TestRowValuePlanGate:
         mirror.add_relation(database.relation("r"))
         sql_delta = IncrementalDetector(
             database, "r", [OVERLAP_CFD], mirror=mirror, mode=SQL_DELTA_MODE
-        )
-        assert sql_delta._generator.uses_row_values(
-            sql_delta._units[0].cfd
         )
         seen = []
         original = mirror.execute
@@ -490,34 +469,11 @@ class TestRowValuePlanGate:
         sql_delta.update(0, {"C": "c9"})
         assert any("IN (VALUES" in sql for sql in seen)
         native, _ = _make_detector(
-            sql_delta.relation, [OVERLAP_CFD], NATIVE_MODE, "memory"
+            sql_delta.relation, [OVERLAP_CFD], NATIVE_MODE
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         mirror.close()
 
-    def test_forced_portable_backend_skips_row_values(self):
-        mirror = SqliteBackend(row_values=False)
-        assert not mirror.dialect.supports_row_values
-        database = Database()
-        database.add_relation(OVERLAP_RELATION.copy())
-        mirror.add_relation(database.relation("r"))
-        sql_delta = IncrementalDetector(
-            database, "r", [OVERLAP_CFD], mirror=mirror, mode=SQL_DELTA_MODE
-        )
-        assert not sql_delta._generator.uses_row_values(sql_delta._units[0].cfd)
-        sql_delta.update(0, {"C": "c9"})
-        native, _ = _make_detector(
-            sql_delta.relation, [OVERLAP_CFD], NATIVE_MODE, "memory"
-        )
-        assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
-        mirror.close()
-
-    def test_env_gate_forces_portable(self, monkeypatch):
-        monkeypatch.setenv("SEMANDAQ_SQLITE_ROW_VALUES", "0")
-        assert not sqlite_row_values_supported()
-        assert not SqliteDialect().supports_row_values
-        monkeypatch.delenv("SEMANDAQ_SQLITE_ROW_VALUES")
-        assert SqliteDialect(supports_row_values=False).supports_row_values is False
 
 
 class TestLifecycle:
@@ -560,7 +516,7 @@ class TestLifecycle:
     def test_detach_falls_back_to_native(self):
         relation = generate_customers(30, seed=59)
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, "sqlite"
+            relation, paper_cfds(), SQL_DELTA_MODE
         )
         sql_delta.update(0, {"CNT": "Narnia"})
         before = _violation_keys(sql_delta.report())
@@ -580,7 +536,7 @@ class TestLifecycle:
     def test_mark_resynced_rebuilds_from_backend(self):
         relation = generate_customers(30, seed=61)
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, "sqlite"
+            relation, paper_cfds(), SQL_DELTA_MODE
         )
 
         def exploding(name, batch):
@@ -597,7 +553,7 @@ class TestLifecycle:
         sql_delta.mark_resynced()
         assert not sql_delta.mirror_desynced
         native, _ = _make_detector(
-            sql_delta.relation, paper_cfds(), NATIVE_MODE, "memory"
+            sql_delta.relation, paper_cfds(), NATIVE_MODE
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         mirror.close()
@@ -605,7 +561,7 @@ class TestLifecycle:
     def test_close_drops_resident_tableaux(self):
         relation = generate_customers(10, seed=67)
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, "sqlite"
+            relation, paper_cfds(), SQL_DELTA_MODE
         )
         assert any(
             name.startswith("__semandaq_incr_") for name in mirror.relation_names()
@@ -622,7 +578,7 @@ class TestLifecycle:
         # (lazily rebuilt) native state, with no spurious desync flag
         relation = generate_customers(20, seed=69)
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, "sqlite"
+            relation, paper_cfds(), SQL_DELTA_MODE
         )
         sql_delta.close()
         assert sql_delta.mode == NATIVE_MODE
@@ -630,33 +586,34 @@ class TestLifecycle:
         assert not sql_delta.mirror_desynced
         assert mirror.get_row("customer", 0)["CNT"] == "Narnia"
         native, _ = _make_detector(
-            sql_delta.relation, paper_cfds(), NATIVE_MODE, "memory"
+            sql_delta.relation, paper_cfds(), NATIVE_MODE
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         mirror.close()
 
     def test_nested_batch_rejected(self):
         relation = generate_customers(5, seed=71)
-        native, _ = _make_detector(relation, paper_cfds(), NATIVE_MODE, "memory")
+        native, _ = _make_detector(relation, paper_cfds(), NATIVE_MODE)
         with native.batch():
             with pytest.raises(DetectionError):
                 with native.batch():
                     pass  # pragma: no cover
 
-    def test_shared_memory_mode_keeps_user_catalog_clean(self):
-        # with no mirror, the resident tableaux live in a private shadow
-        # catalog sharing the live relation — never in the user's database
-        relation = generate_customers(20, seed=73)
-        sql_delta, _ = _make_detector(relation, paper_cfds(), SQL_DELTA_MODE, "memory")
-        assert sql_delta.database.relation_names() == ["customer"]
-        # the shadow still sees working-store mutations live
-        sql_delta.update(0, {"CNT": "Narnia"})
-        assert sql_delta.report().total_violations() > 0
+    def test_sql_delta_without_mirror_raises(self):
+        # the re-checks run on the mirror's copy: without one there is
+        # nothing to push them down to
+        database = Database()
+        database.add_relation(generate_customers(20, seed=73))
+        with pytest.raises(SqlBackendRequiredError, match="mirror"):
+            IncrementalDetector(
+                database, "customer", paper_cfds(), mode=SQL_DELTA_MODE
+            )
+        assert database.relation_names() == ["customer"]
 
     def test_failed_recheck_rebuilds_consistent_state(self):
         relation = generate_customers(30, seed=79)
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, "sqlite"
+            relation, paper_cfds(), SQL_DELTA_MODE
         )
         original_execute = mirror.execute
         calls = {"remaining_failures": 1}
@@ -674,7 +631,7 @@ class TestLifecycle:
         # full queries, so the detector is consistent, not desynced
         assert not sql_delta.mirror_desynced
         native, _ = _make_detector(
-            sql_delta.relation, paper_cfds(), NATIVE_MODE, "memory"
+            sql_delta.relation, paper_cfds(), NATIVE_MODE
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         mirror.close()
@@ -687,8 +644,8 @@ class TestLifecycle:
         rows = [{"A": f"g{i % 600}", "B": "x"} for i in range(1200)]
         relation = Relation.from_rows(schema, rows)
         cfd = parse_cfd("r: [A=_] -> [B=_]")
-        native, _ = _make_detector(relation, [cfd], NATIVE_MODE, "memory")
-        sql_delta, mirror = _make_detector(relation, [cfd], SQL_DELTA_MODE, "sqlite")
+        native, _ = _make_detector(relation, [cfd], NATIVE_MODE)
+        sql_delta, mirror = _make_detector(relation, [cfd], SQL_DELTA_MODE)
         for detector in (native, sql_delta):
             with detector.batch():
                 for tid in range(1100):
@@ -733,7 +690,7 @@ class TestLifecycle:
             patterns=(PatternTuple.of({"A": "x", "C": "c1"}),),
             name="phi_const",
         )
-        sql_delta, mirror = _make_detector(relation, [cfd], SQL_DELTA_MODE, "sqlite")
+        sql_delta, mirror = _make_detector(relation, [cfd], SQL_DELTA_MODE)
         sql_delta.reset_cost_counter()
         sql_delta.update(0, {"C": "zz"})
         assert sql_delta.delta_queries == 1

@@ -2,21 +2,15 @@
 
 import pytest
 
-from repro.backends.dialect import (
-    MEMORY_DIALECT,
-    SQLITE_DIALECT,
-    SqliteDialect,
-    sqlite_row_values_supported,
-)
+from repro.backends import SqliteBackend
+from repro.backends.dialect import SQLITE_DIALECT, SqliteDialect
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
 from repro.core.tableau import tableau_to_relation
 from repro.detection.sqlgen import DetectionSqlGenerator, tableau_relation_name
-from repro.engine.database import Database
 from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.errors import DetectionError
-from tests.tableaux import ROW_VALUE_SKIP_REASON
 
 SCHEMA = RelationSchema.of("customer", ["NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"])
 
@@ -51,24 +45,14 @@ class TestSingleTupleQuery:
 class TestMultiTupleQuery:
     def test_variable_rhs_produces_group_query(self, generator):
         cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
-        sql = generator.multi_tuple_query(cfd, "tab")
+        (sql,) = generator.multi_tuple_queries(cfd, "tab")
         assert "GROUP BY" in sql
         assert "HAVING COUNT(DISTINCT t.STR) > 1" in sql
         assert "t.CNT IS NOT NULL" in sql and "t.ZIP IS NOT NULL" in sql
 
-    def test_constant_rhs_produces_none(self, generator):
+    def test_constant_rhs_produces_no_query(self, generator):
         cfd = parse_cfd("customer: [CC='44'] -> [CNT='UK']")
-        assert generator.multi_tuple_query(cfd, "tab") is None
-
-    def test_non_string_attributes_wrapped_in_concat(self):
-        schema = RelationSchema(
-            "orders",
-            [AttributeDef("QUANTITY", DataType.INTEGER), AttributeDef("PRODUCT")],
-        )
-        generator = DetectionSqlGenerator(schema)
-        cfd = parse_cfd("orders: [QUANTITY=_] -> [PRODUCT=_]")
-        sql = generator.multi_tuple_query(cfd, "tab")
-        assert "CONCAT(t.QUANTITY)" in sql
+        assert generator.multi_tuple_queries(cfd, "tab") == []
 
     def test_one_query_per_wildcard_rhs_attribute(self):
         from repro.core.cfd import CFD
@@ -87,16 +71,8 @@ class TestMultiTupleQuery:
         assert [query.rhs_attribute for query in queries] == ["B", "C"]
         assert "HAVING COUNT(DISTINCT t.B) > 1" in queries[0]
         assert "HAVING COUNT(DISTINCT t.C) > 1" in queries[1]
-        # the bundle carries every Q_V, not just the first wildcard RHS
-        bundle = generator.generate(merged, "tab")
-        assert len(bundle.multi_sqls) == 2
-        assert bundle.multi_sql is bundle.multi_sqls[0]
-        assert bundle.all_sql() == [query.sql for query in queries]
 
-    def test_explicit_rhs_attribute_selection(self, generator):
-        from repro.core.cfd import CFD
-        from repro.core.pattern import PatternTuple
-
+    def test_only_wildcard_rhs_attributes_get_a_query(self, generator):
         merged = CFD(
             relation="customer",
             lhs=("ZIP",),
@@ -106,63 +82,44 @@ class TestMultiTupleQuery:
             ),
             name="phi",
         )
-        query = generator.multi_tuple_query(merged, "tab", rhs_attribute="STR")
-        assert query.rhs_attribute == "STR"
         # CITY has no wildcard pattern, so no Q_V covers it
-        assert generator.multi_tuple_query(merged, "tab", rhs_attribute="CITY") is None
         assert [q.rhs_attribute for q in generator.multi_tuple_queries(merged, "tab")] == [
             "STR"
         ]
 
 
+@pytest.fixture
+def customer_backend(customer_relation):
+    backend = SqliteBackend()
+    backend.add_relation(customer_relation)
+    yield backend
+    backend.close()
+
+
 class TestGeneratedSqlRuns:
-    def test_queries_execute_on_engine(self, customer_relation):
-        database = Database()
-        database.add_relation(customer_relation)
+    def test_queries_execute_on_sqlite(self, customer_relation, customer_backend):
         cfd = parse_cfd("customer: [CC='44'] -> [CNT='UK']")
-        tableau = tableau_to_relation(cfd, "tab_phi4")
-        database.add_relation(tableau)
+        customer_backend.add_relation(tableau_to_relation(cfd, "tab_phi4"))
         generator = DetectionSqlGenerator(customer_relation.schema)
-        queries = generator.generate(cfd, "tab_phi4")
-        result = database.execute(queries.single_sql.sql, queries.single_sql.parameters)
-        assert [row["tid"] for row in result.rows] == [4]
+        query = generator.single_tuple_query(cfd, "tab_phi4")
+        rows = customer_backend.execute(query.sql, query.parameters)
+        assert [row["tid"] for row in rows] == [4]
 
-    def test_multi_query_executes_and_groups(self, customer_relation):
-        database = Database()
-        database.add_relation(customer_relation)
+    def test_multi_query_executes_and_groups(self, customer_relation, customer_backend):
         cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
-        tableau = tableau_to_relation(cfd, "tab_phi2")
-        database.add_relation(tableau)
+        customer_backend.add_relation(tableau_to_relation(cfd, "tab_phi2"))
         generator = DetectionSqlGenerator(customer_relation.schema)
-        query = generator.multi_tuple_query(cfd, "tab_phi2")
-        result = database.execute(query.sql, query.parameters)
-        assert len(result.rows) == 1
-        assert result.rows[0]["CNT"] == "UK"
-        assert result.rows[0]["distinct_rhs"] == 2
-
-    def test_group_members_query_parameterised(self, customer_relation):
-        database = Database()
-        database.add_relation(customer_relation)
-        cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
-        generator = DetectionSqlGenerator(customer_relation.schema)
-        query = generator.group_members_query(cfd)
-        assert query.parameters == ()  # placeholders are bound by the caller
-        result = database.execute(query.sql, ["UK", "EH4 1DT"])
-        assert {row["tid"] for row in result.rows} == {0, 1}
+        (query,) = generator.multi_tuple_queries(cfd, "tab_phi2")
+        rows = customer_backend.execute(query.sql, query.parameters)
+        assert len(rows) == 1
+        assert rows[0]["CNT"] == "UK"
+        assert rows[0]["distinct_rhs"] == 2
 
 
 class TestNaming:
     def test_tableau_relation_name_unique_per_index(self):
         cfd = parse_cfd("customer: [CC='44'] -> [CNT='UK']")
         assert tableau_relation_name(cfd, 0) != tableau_relation_name(cfd, 1)
-
-    def test_generate_bundles_everything(self, generator):
-        cfd = parse_cfd("customer: [CC='44'] -> [CNT='UK']")
-        queries = generator.generate(cfd, "tab")
-        assert queries.single_sql is not None
-        assert queries.multi_sql is None
-        assert queries.group_members_sql is not None
-        assert queries.all_sql() == [queries.single_sql.sql]
 
 
 def _two_lhs_cfd(relation="r"):
@@ -177,11 +134,9 @@ def _two_lhs_cfd(relation="r"):
 
 TWO_LHS_SCHEMA = RelationSchema.of("r", ["A", "B", "C"])
 
-_NO_ROW_VALUES = not sqlite_row_values_supported()
-
 
 class TestDeltaPlans:
-    """The dialect-branched, budget-chunked delta query plans."""
+    """The budget-chunked delta query plans."""
 
     def test_delta_qc_uses_in_list_and_carries_lhs(self):
         generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
@@ -192,41 +147,19 @@ class TestDeltaPlans:
         # the non-delta Q_C keeps its historical column list
         assert "lhs_A" not in generator.single_tuple_query(cfd, "tab").sql
 
-    def test_single_attribute_groups_use_flat_in_list_everywhere(self):
+    def test_single_attribute_groups_use_flat_in_list(self):
         cfd = parse_cfd("r: [A=_] -> [C=_]")
-        for dialect in (MEMORY_DIALECT, SqliteDialect()):
-            generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=dialect)
-            query = generator.multi_tuple_query_delta(cfd, "tab", "C", 4)
-            assert "t.A IN (?, ?, ?, ?)" in query.sql
-            assert "VALUES" not in query.sql
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
+        query = generator.multi_tuple_query_delta(cfd, "tab", "C", 4)
+        assert "t.A IN (?, ?, ?, ?)" in query.sql
+        assert "VALUES" not in query.sql
 
-    @pytest.mark.skipif(_NO_ROW_VALUES, reason=ROW_VALUE_SKIP_REASON)
-    def test_multi_attribute_groups_use_row_values_on_sqlite(self):
+    def test_multi_attribute_groups_use_row_values(self):
         generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
         cfd = _two_lhs_cfd()
-        assert generator.uses_row_values(cfd)
         query = generator.multi_tuple_query_delta(cfd, "tab", "C", 2)
         assert "(t.A, t.B) IN (VALUES (?, ?), (?, ?))" in query.sql
-
-    def test_portable_plan_forces_or_form(self):
-        generator = DetectionSqlGenerator(
-            TWO_LHS_SCHEMA, dialect=SqliteDialect(), delta_plan="portable"
-        )
-        cfd = _two_lhs_cfd()
-        assert not generator.uses_row_values(cfd)
-        query = generator.multi_tuple_query_delta(cfd, "tab", "C", 2)
-        assert "VALUES" not in query.sql
-        # SQLite's NULL-safe equality is its IS operator, bound once
-        assert "t.A IS ?" in query.sql
-        assert generator.flatten_group_keys(cfd, [("x", "y")]) == ("x", "y")
-
-    def test_memory_or_form_is_null_safe_and_repeats_binds(self):
-        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=MEMORY_DIALECT)
-        cfd = _two_lhs_cfd()
-        query = generator.multi_tuple_query_delta(cfd, "tab", "C", 1)
-        assert "(t.A = ? OR (t.A IS NULL AND ? IS NULL))" in query.sql
-        # the portable expansion mentions each bound value twice
-        assert generator.flatten_group_keys(cfd, [("x", "y")]) == ("x", "x", "y", "y")
+        assert generator.flatten_group_keys([("x", "y")]) == ("x", "y")
 
     def test_chunking_respects_parameter_budget(self):
         generator = DetectionSqlGenerator(
@@ -253,55 +186,13 @@ class TestDeltaPlans:
         for plan in plans:
             assert plan.sql.count("?") == len(plan.parameters) <= 10
 
-    def test_memory_dialect_is_unbounded_but_caps_or_chains(self):
-        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=MEMORY_DIALECT)
-        cfd = _two_lhs_cfd()
-        # flat tid restriction: one statement regardless of batch size
-        assert len(generator.delta_plans_single(
-            parse_cfd("r: [A=_] -> [C='c1']"), "tab", list(range(1000))
-        )) == 1
-        # OR-of-conjunctions: chunked at the expression-depth cap
-        keys = [(f"a{i}", f"b{i}") for i in range(450)]
-        plans = generator.delta_plans_multi(cfd, "tab", "C", keys)
-        assert len(plans) == 3  # ceil(450 / max_or_terms=200)
-
-    def test_members_plans_execute_on_engine(self):
-        database = Database()
-        relation_rows = [
-            {"A": "x", "B": "1", "C": "c1"},
-            {"A": "x", "B": "1", "C": "c2"},
-            {"A": "x", "B": "1", "C": None},  # NULL RHS: not a member
-            {"A": "y", "B": "2", "C": "c1"},
-        ]
-        from repro.engine.relation import Relation
-
-        database.add_relation(Relation.from_rows(TWO_LHS_SCHEMA, relation_rows))
-        cfd = _two_lhs_cfd()
-        database.add_relation(tableau_to_relation(cfd, "tab_members"))
-        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=MEMORY_DIALECT)
-        plans = generator.delta_plans_members(
-            cfd, "tab_members", "C", 0, [("x", "1"), ("y", "2")]
-        )
-        rows = [
-            row for plan in plans for row in database.query(plan.sql, plan.parameters)
-        ]
-        by_group = {}
-        for row in rows:
-            by_group.setdefault((row["lhs_A"], row["lhs_B"]), []).append(row["tid"])
-        assert by_group == {("x", "1"): [0, 1], ("y", "2"): [3]}
-
     def test_empty_inputs_produce_no_plans(self):
         generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
         cfd = _two_lhs_cfd()
         assert generator.delta_plans_single(cfd, "tab", []) == []
         assert generator.delta_plans_multi(cfd, "tab", "C", []) == []
-        assert generator.delta_plans_members(cfd, "tab", "C", 0, []) == []
         # a wildcard-RHS-only CFD has no Q_C, so no single plans either
         assert generator.delta_plans_single(cfd, "tab", [1, 2]) == []
-
-    def test_invalid_delta_plan_rejected(self):
-        with pytest.raises(DetectionError):
-            DetectionSqlGenerator(TWO_LHS_SCHEMA, delta_plan="quantum")
 
     def test_budget_too_small_for_one_item_raises(self):
         # silently emitting an over-budget statement would only defer the
@@ -315,18 +206,6 @@ class TestDeltaPlans:
 
 
 class TestDialects:
-    def test_memory_dialect_null_wildcard_and_uses_concat(self):
-        schema = RelationSchema(
-            "orders",
-            [AttributeDef("QUANTITY", DataType.INTEGER), AttributeDef("PRODUCT")],
-        )
-        generator = DetectionSqlGenerator(schema, dialect=MEMORY_DIALECT)
-        cfd = parse_cfd("orders: [QUANTITY='5'] -> [PRODUCT='gadget']")
-        query = generator.single_tuple_query(cfd, "tab")
-        assert "CONCAT(t.QUANTITY)" in query.sql
-        assert "tab.QUANTITY IS NULL" in query.sql
-        assert query.parameters == ()
-
     def test_sqlite_dialect_casts_and_parameterises(self):
         schema = RelationSchema(
             "orders",
@@ -345,5 +224,5 @@ class TestDialects:
     def test_sqlite_multi_query_parameters_match_placeholders(self, customer_relation):
         generator = DetectionSqlGenerator(customer_relation.schema, dialect=SQLITE_DIALECT)
         cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
-        query = generator.multi_tuple_query(cfd, "tab")
+        (query,) = generator.multi_tuple_queries(cfd, "tab")
         assert query.sql.count("?") == len(query.parameters) == 0

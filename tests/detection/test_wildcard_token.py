@@ -13,7 +13,7 @@ path and the tableau round-trip.
 
 import pytest
 
-from repro.backends import MemoryBackend, SqliteBackend
+from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternTuple, PatternValue
 from repro.core.tableau import relation_to_tableau, tableau_to_relation
@@ -90,8 +90,8 @@ class TestEncoding:
 
 
 class TestAllDetectionPaths:
-    """Native, memory-SQL, sqlite-SQL (every plan family), incremental
-    native and sql_delta must agree: only the genuine ``'_'`` rows violate."""
+    """Native, SQL on SQLite (both plan families), incremental native and
+    sql_delta must agree: only the genuine ``'_'`` rows violate."""
 
     def _expected(self):
         # tid 1 is the only violation: A='_' matches the constant, B != 'ok'
@@ -105,23 +105,17 @@ class TestAllDetectionPaths:
         )
         assert _keys(report) == self._expected()
 
-    @pytest.mark.parametrize("plan", ["legacy", "sargable", "window"])
-    def test_sql_paths_on_both_backends(self, plan):
-        for make_backend in (None, SqliteBackend):
-            if make_backend is None:
-                database = Database()
-                database.add_relation(_relation())
-                backend = MemoryBackend(database)
-            else:
-                backend = make_backend()
-                backend.add_relation(_relation())
-            report = ErrorDetector(backend, detect_plan=plan).detect(
-                "r", [_underscore_cfd()]
-            )
-            assert _keys(report) == self._expected(), (plan, backend.name)
-            backend.close()
+    @pytest.mark.parametrize("plan", ["legacy", "window"])
+    def test_sql_paths(self, plan):
+        backend = SqliteBackend()
+        backend.add_relation(_relation())
+        report = ErrorDetector(backend, detect_plan=plan).detect(
+            "r", [_underscore_cfd()]
+        )
+        assert _keys(report) == self._expected()
+        backend.close()
 
-    @pytest.mark.parametrize("plan", ["legacy", "sargable", "window"])
+    @pytest.mark.parametrize("plan", ["legacy", "window"])
     def test_restricted_detection(self, plan):
         backend = SqliteBackend()
         backend.add_relation(_relation())
@@ -178,7 +172,7 @@ class TestAllDetectionPaths:
         database = Database()
         database.add_relation(relation.copy())
         assert _keys(ErrorDetector(database, use_sql=False).detect("r", [cfd])) == expected
-        for plan in ("legacy", "sargable", "window"):
+        for plan in ("legacy", "window"):
             backend = SqliteBackend()
             backend.add_relation(relation.copy())
             report = ErrorDetector(backend, detect_plan=plan).detect("r", [cfd])

@@ -12,8 +12,8 @@ Two stand-ins enforce "zero working-store reads" from opposite sides:
   :class:`~repro.backends.base.StorageBackend` and fails the test on any
   *row-shipping* read (``to_relation`` / ``get_row`` / ``iter_rows``) while
   delegating catalog ops, query execution and writes — the batch detector
-  must run ``detect`` / ``detect_for_tuples`` through it untouched, on
-  every backend, and the backend-resident repair path
+  must run ``detect`` / ``detect_for_tuples`` through it untouched, and
+  the backend-resident repair path
   (``clean()`` / ``apply_repair``) must do the same.
 """
 

@@ -1,4 +1,4 @@
-"""Tests for the database catalog and SQL entry point."""
+"""Tests for the database catalog."""
 
 import pytest
 
@@ -59,21 +59,3 @@ class TestCatalog:
     def test_schema_summary(self, database):
         assert database.schema_summary() == {"emp": ["name", "salary", "dept"]}
 
-
-class TestSqlEntryPoint:
-    def test_query_returns_rows(self, database):
-        rows = database.query("SELECT name FROM emp WHERE salary > 15 ORDER BY name")
-        assert [row["name"] for row in rows] == ["bob", "cat"]
-
-    def test_execute_insert_returns_count(self, database):
-        count = database.execute("INSERT INTO emp (name, salary, dept) VALUES ('dan', 5, 'ops')")
-        assert count == 1
-        assert len(database.relation("emp")) == 4
-
-    def test_execute_create_table(self, database):
-        database.execute("CREATE TABLE t (a varchar, b int)")
-        assert database.has_relation("t")
-
-    def test_parameters(self, database):
-        rows = database.query("SELECT name FROM emp WHERE dept = ?", ["ops"])
-        assert [row["name"] for row in rows] == ["cat"]

@@ -6,8 +6,8 @@ from pushed-down aggregates (``attr_freq`` group histograms,
 rows, and hydrates tuple listings one ``page_fetch`` page at a time.
 Navigation output must be identical to the native full-relation walk, and
 no step may ship rows out of the backend (``to_relation`` / ``get_row`` /
-``iter_rows``) — on SQLite, not even the working :class:`Relation` needs
-to exist while the user navigates.
+``iter_rows``) — not even the working :class:`Relation` needs to exist
+while the user navigates.
 """
 
 import pytest
@@ -17,11 +17,8 @@ from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.errors import ExplorerError
 from tests.doubles import ForbiddenReadBackend, ForbiddenRelation
 
-BACKENDS = ["memory", "sqlite"]
-
-
-def _make_system(backend_name, **config):
-    system = Semandaq(config=SemandaqConfig(backend=backend_name, **config))
+def _make_system(**config):
+    system = Semandaq(config=SemandaqConfig(**config))
     clean = generate_customers(60, seed=401)
     dirty = inject_noise(
         clean, rate=0.08, seed=402, attributes=["CITY", "STR", "CNT"]
@@ -63,11 +60,10 @@ def _walk(explorer):
     return state
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestResidentExplorerParity:
-    def test_navigation_matches_native(self, backend_name):
-        native_system = _make_system(backend_name, audit_source="native")
-        resident_system = _make_system(backend_name)
+    def test_navigation_matches_native(self):
+        native_system = _make_system(audit_source="native")
+        resident_system = _make_system()
         try:
             native = native_system.explorer("customer")
             resident = resident_system.explorer("customer")
@@ -80,8 +76,8 @@ class TestResidentExplorerParity:
             native_system.close()
             resident_system.close()
 
-    def test_tuples_page_walks_the_group_in_keyset_pages(self, backend_name):
-        system = _make_system(backend_name)
+    def test_tuples_page_walks_the_group_in_keyset_pages(self):
+        system = _make_system()
         try:
             explorer = system.explorer("customer")
             cfd_id = explorer.list_cfds()[0].cfd_id
@@ -102,8 +98,8 @@ class TestResidentExplorerParity:
         finally:
             system.close()
 
-    def test_session_next_page(self, backend_name):
-        system = _make_system(backend_name)
+    def test_session_next_page(self):
+        system = _make_system()
         try:
             session = system.exploration_session("customer")
             with pytest.raises(ExplorerError, match="select an LHS combination"):
@@ -131,10 +127,9 @@ class TestResidentExplorerParity:
             system.close()
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestResidentExplorerPins:
-    def test_navigation_ships_no_rows_out_of_the_backend(self, backend_name):
-        system = _make_system(backend_name)
+    def test_navigation_ships_no_rows_out_of_the_backend(self):
+        system = _make_system()
         _pin_backend(system)
         try:
             explorer = system.explorer("customer")
@@ -146,8 +141,8 @@ class TestResidentExplorerPins:
         finally:
             system.close()
 
-    def test_session_paging_ships_no_rows_out_of_the_backend(self, backend_name):
-        system = _make_system(backend_name)
+    def test_session_paging_ships_no_rows_out_of_the_backend(self):
+        system = _make_system()
         _pin_backend(system)
         try:
             session = system.exploration_session("customer")
@@ -163,7 +158,7 @@ class TestResidentExplorerPins:
 
 class TestExplorerNeverTouchesTheWorkingRelation:
     def test_navigation_reads_the_backend_alone(self):
-        system = _make_system("sqlite")
+        system = _make_system()
         _pin_backend(system)
         system.detect("customer")  # sync + cache the report first
         real = system.database.relation("customer")

@@ -67,7 +67,7 @@ class TestEnabledMetrics:
     def test_detect_records_one_pass_kinds_under_auto(
         self, customer_relation, customer_cfds
     ):
-        # auto on a modern SQLite resolves to the window family: sargable
+        # auto resolves to the window family: sargable
         # Q_C plus the one-pass Q_V, no covering-members round trip
         # (detect_plan pinned so the SEMANDAQ_DETECT_PLAN CI leg cannot
         # flip the default under this test)

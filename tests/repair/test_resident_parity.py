@@ -7,14 +7,13 @@ included), *any* tableau set (overlapping patterns, multi-attribute and
 wildcard RHS, constant patterns) and *any* cost model (skewed attribute
 weights, protected cells), ``repair_with_source(BackendRepairSource(...))``
 must produce exactly the change list, cost and residual count of
-``repair(relation, ...)`` — on both storage backends.
+``repair(relation, ...)`` — on the SQLite backend.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.parser import parse_cfd
 from repro.engine.relation import Relation
@@ -56,10 +55,9 @@ def _changes(repair):
     ]
 
 
-@pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_resident_repair_matches_native_oracle(backend_name, data):
+def test_resident_repair_matches_native_oracle(data):
     rows = data.draw(st.lists(row_strategy, min_size=2, max_size=12))
     cfds = [
         _draw_cfd(data, index)
@@ -81,7 +79,7 @@ def test_resident_repair_matches_native_oracle(backend_name, data):
         relation, cfds
     )
 
-    backend = MemoryBackend() if backend_name == "memory" else SqliteBackend()
+    backend = SqliteBackend()
     try:
         backend.add_relation(relation.copy())
         source = BackendRepairSource(backend, "r")

@@ -5,14 +5,11 @@ The detection pushdown is pinned by wrapping the storage backend in
 ``tests/detection/test_batch_resident.py``).  These tests extend the same
 contract to the repair pipeline: with ``repair_source="auto"`` the whole
 ``clean()`` walk — detect, repair planning, apply, post-detect — must never
-ship rows out of the backend (``to_relation`` / ``get_row`` / ``iter_rows``),
-on both backends.
+ship rows out of the backend (``to_relation`` / ``get_row`` / ``iter_rows``).
 
-On SQLite the pin goes further: the working :class:`Relation` itself is
-replaced by a :class:`~tests.doubles.ForbiddenRelation` while ``repair()``
-plans, proving the planner reads *only* the backend (the embedded memory
-backend shares the working database — its executor legitimately reads the
-rows inside the store — so the relation-level pin is SQLite-only).
+The pin goes further: the working :class:`Relation` itself is replaced by
+a :class:`~tests.doubles.ForbiddenRelation` while ``repair()`` plans,
+proving the planner reads *only* the backend.
 """
 
 import pytest
@@ -21,11 +18,8 @@ from repro import Semandaq, SemandaqConfig
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from tests.doubles import ForbiddenReadBackend, ForbiddenRelation
 
-BACKENDS = ["memory", "sqlite"]
-
-
-def _make_system(backend_name):
-    system = Semandaq(config=SemandaqConfig(backend=backend_name))
+def _make_system():
+    system = Semandaq(config=SemandaqConfig())
     clean = generate_customers(60, seed=401)
     dirty = inject_noise(
         clean, rate=0.08, seed=402, attributes=["CITY", "STR", "CNT"]
@@ -42,17 +36,16 @@ def _pin_backend(system):
     return wrapped
 
 
-@pytest.mark.parametrize("backend_name", BACKENDS)
 class TestResidentRepairPins:
-    def test_pin_is_live(self, backend_name):
-        system = _make_system(backend_name)
+    def test_pin_is_live(self):
+        system = _make_system()
         wrapped = _pin_backend(system)
         with pytest.raises(AssertionError, match="read the working store"):
             wrapped.to_relation("customer")
         system.close()
 
-    def test_clean_ships_no_rows_out_of_the_backend(self, backend_name):
-        system = _make_system(backend_name)
+    def test_clean_ships_no_rows_out_of_the_backend(self):
+        system = _make_system()
         _pin_backend(system)
         summary = system.clean("customer")
         assert summary["cells_changed"] > 0
@@ -60,8 +53,8 @@ class TestResidentRepairPins:
         assert system._repairs["customer"].source == "backend"
         system.close()
 
-    def test_apply_repair_ships_no_rows_out_of_the_backend(self, backend_name):
-        system = _make_system(backend_name)
+    def test_apply_repair_ships_no_rows_out_of_the_backend(self):
+        system = _make_system()
         _pin_backend(system)
         before = system.detect("customer").total_violations()
         repair = system.repair("customer")
@@ -76,7 +69,7 @@ class TestResidentRepairPins:
 
 class TestPlannerNeverTouchesTheWorkingRelation:
     def test_repair_plans_from_the_backend_alone(self):
-        system = _make_system("sqlite")
+        system = _make_system()
         _pin_backend(system)
         real = system.database.relation("customer")
         system.database._relations["customer"] = ForbiddenRelation("customer")

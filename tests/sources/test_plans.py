@@ -119,9 +119,9 @@ class TestAttrFreqQuery:
         constant = generator.attr_freq_query(cfd, 0)
         wildcard = generator.attr_freq_query(cfd, 1)
         assert constant is not wildcard
-        # the memory dialect inlines pattern constants
-        assert "'x'" in constant.sql
-        assert "'x'" not in wildcard.sql
+        # pattern constants travel as bound parameters
+        assert "t.A = ?" in constant.sql and constant.parameters == ("x",)
+        assert wildcard.parameters == ()
 
     def test_validation(self):
         generator = DetectionSqlGenerator(_schema())
@@ -175,12 +175,13 @@ class TestApplicableQueries:
         finally:
             backend.close()
 
-    def test_chunks_are_single_on_the_memory_dialect(self):
-        # no parameter channel: constants are inlined, only the OR-term cap
-        # bounds a chunk
+    def test_chunks_follow_the_or_term_cap(self):
+        # 450 binds fit the 999-parameter floor, but SQLite's expression
+        # depth cap bounds the OR chain at max_or_terms disjuncts
         generator = DetectionSqlGenerator(_schema())
-        subs = self._subs(*[f"[A='a{i}'] -> [C=_]" for i in range(10)])
-        assert generator.applicable_sub_chunks(subs) == [subs]
+        subs = self._subs(*[f"[A='a{i}'] -> [C=_]" for i in range(450)])
+        chunks = generator.applicable_sub_chunks(subs)
+        assert [len(chunk) for chunk in chunks] == [200, 200, 50]
 
 
 class TestPageFetchQuery:

@@ -7,15 +7,14 @@ relation (NULL cells included) and *any* CFD, every protocol answer of
 ``BackendTupleSource`` — row counts, fetched rows, value frequencies,
 group aggregates, per-pattern applicability histograms, applicable-tuple
 counts and keyset pages under every RHS filter — equals the
-``NativeTupleSource`` scan, on both storage backends and under a
-parameter budget small enough to force chunked plans.
+``NativeTupleSource`` scan, on SQLite with its default parameter budget
+and with one small enough to force chunked plans.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends.memory import MemoryBackend
 from repro.backends.sqlite import SqliteBackend
 from repro.core.parser import parse_cfd
 from repro.engine.relation import Relation
@@ -33,7 +32,6 @@ pattern_value = st.sampled_from(["_", "a", "b"])
 row_strategy = st.fixed_dictionaries({name: cell_value for name in ATTRIBUTES})
 
 BACKENDS = {
-    "memory": MemoryBackend,
     "sqlite": SqliteBackend,
     # a parameter budget this small forces every key/tid restriction
     # through the chunked multi-statement paths

@@ -44,10 +44,13 @@ class TestSemandaqConfig:
         SemandaqConfig(incremental_mode="native").validate()
         SemandaqConfig(incremental_mode="sql_delta").validate()
 
-    def test_builtin_backends_are_valid(self):
-        SemandaqConfig(backend="memory").validate()
-        SemandaqConfig(backend="sqlite").validate()
+    def test_sqlite_is_the_default_backend(self):
+        assert SemandaqConfig().backend == "sqlite"
         SemandaqConfig(backend="sqlite", backend_options={"path": ":memory:"}).validate()
+
+    def test_memory_backend_is_gone(self):
+        with pytest.raises(ConfigurationError, match="available: sqlite"):
+            SemandaqConfig(backend="memory").validate()
 
     def test_serving_knobs_are_valid(self):
         SemandaqConfig(pool_size=0).validate()

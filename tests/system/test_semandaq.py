@@ -223,15 +223,10 @@ class TestMonitoring:
         assert len(relation) == before  # one in, one out
         assert len(system.monitor("customer").log) == 2
 
-    @pytest.mark.parametrize("backend_name", ["memory", "sqlite"])
-    def test_sql_delta_system_matches_native_system(
-        self, backend_name, customer_cfds
-    ):
+    def test_sql_delta_system_matches_native_system(self, customer_cfds):
         reports = {}
         for incremental_mode in ("native", "sql_delta"):
-            config = SemandaqConfig(
-                backend=backend_name, incremental_mode=incremental_mode
-            )
+            config = SemandaqConfig(incremental_mode=incremental_mode)
             with Semandaq(config=config) as semandaq:
                 semandaq.register_relation(generate_customers(50, seed=87).copy())
                 semandaq.add_cfds(customer_cfds)

@@ -1,6 +1,6 @@
 """Shared regression tableaux pinned by more than one suite.
 
-The NULL-cell tableau is asserted both by the five-path parity suite
+The NULL-cell tableau is asserted both by the four-path parity suite
 (``tests/backends/test_parity.py``) and by the incremental ``sql_delta``
 suite (``tests/detection/test_sql_delta.py``); keeping one copy here means
 a NULL-semantics change cannot silently leave one suite pinning stale
@@ -13,12 +13,6 @@ from repro.core.cfd import CFD
 from repro.core.pattern import PatternTuple
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
-
-#: skip reason for tests that pin the row-value delta plan specifically
-ROW_VALUE_SKIP_REASON = (
-    "sqlite3 library predates 3.15 (no row values) or forced off"
-)
-
 
 def null_cell_relation() -> Relation:
     """Data with NULL LHS and RHS cells in every interesting position."""
