@@ -813,10 +813,10 @@ class DetectionSqlGenerator:
         (restricting its grouped subquery, so the one-pass member rows
         cover exactly the affected groups).
         """
-        if self.detect_plan == "legacy":
-            return self.delta_plans_multi(cfd, tableau_name, rhs_attribute, keys)
         if not keys or not cfd.lhs:
             return []
+        if self.detect_plan == "legacy":
+            return self.delta_plans_multi(cfd, tableau_name, rhs_attribute, keys)
         cache_kind = "multi_window_delta"
         plans: List[SqlQuery] = []
         seen = set()

@@ -35,6 +35,10 @@ class TestBoundaries:
     def test_quantile_with_no_positive_values(self):
         assert quantile_boundaries([0, 0], 3) == (1.0, 2.0)
 
+    def test_quantile_requires_two_levels(self):
+        with pytest.raises(SemandaqError):
+            quantile_boundaries([1, 2], 1)
+
 
 class TestQualityMap:
     def test_clean_tuples_get_bucket_zero(self, customer_relation, report):
@@ -77,6 +81,23 @@ class TestQualityMap:
         quality_map = build_quality_map(customer_relation, report, levels=3)
         assert len(quality_map.shades) == 3
         assert quality_map.shades[0] == "clean"
+
+    def test_backend_resident_map_needs_a_tuple_count(self, report):
+        with pytest.raises(SemandaqError, match="tuple_count"):
+            build_quality_map(None, report)
+
+    def test_backend_resident_map_matches_the_relation_walk(
+        self, customer_relation, report
+    ):
+        # only dirty tids are seeded without a relation; clean ones are
+        # implicit, so every per-tuple answer must still agree
+        walked = build_quality_map(customer_relation, report)
+        resident = build_quality_map(None, report, tuple_count=len(customer_relation))
+        assert resident.boundaries == walked.boundaries
+        assert resident.histogram() == walked.histogram()
+        for tid in customer_relation.tids():
+            assert resident.shade_of(tid) == walked.shade_of(tid)
+        assert resident.dirtiest() == walked.dirtiest()
 
     def test_custom_levels(self, customer_relation, report):
         quality_map = build_quality_map(

@@ -52,11 +52,12 @@ def _draw_cfd(data, index):
     return parse_cfd(f"r: {' ; '.join(patterns)}", name=f"cfd{index}")
 
 
-def _audit(audit_source, relation, cfds):
+def _audit(audit_source, relation, cfds, detect_plan=None):
     system = Semandaq(
         config=SemandaqConfig(
             audit_source=audit_source,
             check_consistency_on_add=False,
+            detect_plan=detect_plan,
         )
     )
     try:
@@ -67,9 +68,15 @@ def _audit(audit_source, relation, cfds):
         system.close()
 
 
+#: the audit's violation report comes from SQL detection under either plan
+#: family; both must leave the resident audit identical to the native walk
+PLANS = ["legacy", "window"]
+
+
+@pytest.mark.parametrize("detect_plan", PLANS)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_resident_audit_matches_native_oracle(data):
+def test_resident_audit_matches_native_oracle(detect_plan, data):
     rows = data.draw(st.lists(row_strategy, min_size=1, max_size=12))
     cfds = [
         _draw_cfd(data, index)
@@ -78,8 +85,8 @@ def test_resident_audit_matches_native_oracle(data):
     schema = RelationSchema.of("r", ATTRIBUTES)
     relation = Relation.from_rows(schema, rows)
 
-    native = _audit("native", relation, cfds)
-    resident = _audit("auto", relation, cfds)
+    native = _audit("native", relation, cfds, detect_plan)
+    resident = _audit("auto", relation, cfds, detect_plan)
 
     assert resident.to_dict() == native.to_dict()
     assert (
@@ -113,8 +120,9 @@ def _pin_backend(system):
 
 
 class TestResidentAuditPins:
-    def test_audit_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_audit_ships_no_rows_out_of_the_backend(self, detect_plan):
+        system = _make_system(detect_plan=detect_plan)
         _pin_backend(system)
         report = system.audit("customer")
         assert report.tuple_count == 60
@@ -129,10 +137,11 @@ class TestResidentAuditPins:
         assert system.metrics()["counters"]["audit.source_resident"] == 1
         system.close()
 
-    def test_native_override_still_walks_the_relation(self):
-        system = _make_system(audit_source="native")
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_native_override_still_walks_the_relation(self, detect_plan):
+        system = _make_system(audit_source="native", detect_plan=detect_plan)
         native = system.audit("customer")
-        resident = _make_system()
+        resident = _make_system(detect_plan=detect_plan)
         try:
             assert resident.audit("customer").to_dict() == native.to_dict()
         finally:

@@ -8,11 +8,14 @@ from repro.backends import SqliteBackend
 from repro.engine.csvio import load_csv_into
 from repro.engine.relation import Relation
 from repro.engine.types import AttributeDef, DataType, RelationSchema
+from repro.backends.delta import DeltaBatch
 from repro.errors import (
     BackendError,
     ConstraintViolationError,
     DuplicateRelationError,
     SqlExecutionError,
+    TypeMismatchError,
+    UnknownAttributeError,
     UnknownRelationError,
     UnknownTupleError,
     UnsupportedSqliteError,
@@ -192,6 +195,115 @@ class TestQueriesAndIndexes:
         assert backend.insert_many("keyed", [{"K": "c", "V": "4"}]) == [1]
 
 
+KEYED = RelationSchema("keyed", [AttributeDef("K"), AttributeDef("V")], key=("K",))
+
+
+class TestErrorMapping:
+    """sqlite3 errors surface as the typed ``repro.errors`` hierarchy, and a
+    failed write leaves the stored rows untouched."""
+
+    def test_update_onto_a_taken_key_is_a_constraint_violation(self, backend):
+        backend.create_relation(
+            KEYED, rows=[{"K": "a", "V": "1"}, {"K": "b", "V": "2"}]
+        )
+        with pytest.raises(ConstraintViolationError):
+            backend.update_row("keyed", 1, {"K": "a"})
+        assert backend.get_row("keyed", 1) == {"K": "b", "V": "2"}
+        backend.update_row("keyed", 1, {"V": "3"})  # still writable
+        assert backend.get_row("keyed", 1)["V"] == "3"
+
+    def test_update_of_an_unknown_attribute_raises(self, backend):
+        backend.create_relation(SCHEMA, rows=ROWS)
+        with pytest.raises(UnknownAttributeError):
+            backend.update_row("mixed", 0, {"NOPE": 1})
+
+    def test_update_value_is_coerced_to_the_column_type(self, backend):
+        backend.create_relation(SCHEMA, rows=ROWS)
+        backend.update_row("mixed", 0, {"I": "42", "F": 3})
+        assert backend.get_row("mixed", 0)["I"] == 42
+        assert backend.get_row("mixed", 0)["F"] == 3.0
+        with pytest.raises(TypeMismatchError):
+            backend.update_row("mixed", 0, {"I": "forty-two"})
+        assert backend.get_row("mixed", 0)["I"] == 42
+
+    def test_batch_onto_a_taken_key_rolls_back_whole(self, backend):
+        backend.create_relation(
+            KEYED, rows=[{"K": "a", "V": "1"}, {"K": "b", "V": "2"}]
+        )
+        batch = DeltaBatch("keyed")
+        batch.record_update(0, {"V": "changed"})
+        batch.record_update(1, {"K": "a"})
+        with pytest.raises(ConstraintViolationError):
+            backend.apply_delta_batch("keyed", batch)
+        assert dict(backend.iter_rows("keyed")) == {
+            0: {"K": "a", "V": "1"},
+            1: {"K": "b", "V": "2"},
+        }
+
+    def test_dml_through_execute_maps_integrity_errors(self, backend):
+        backend.create_relation(KEYED, rows=[{"K": "a", "V": "1"}])
+        with pytest.raises(ConstraintViolationError):
+            backend.execute(
+                "INSERT INTO keyed (_tid, K, V) VALUES (?, ?, ?)", [5, "a", "x"]
+            )
+        assert backend.row_count("keyed") == 1
+
+    def test_wrong_binding_count_is_an_execution_error(self, backend):
+        backend.create_relation(SCHEMA, rows=ROWS)
+        with pytest.raises(SqlExecutionError):
+            backend.execute("SELECT S FROM mixed WHERE I = ? AND F = ?", [1])
+
+    def test_pooled_reader_maps_errors_too(self, tmp_path):
+        # one reader and a short timeout: a reader leaked by the failed
+        # statement would make the next read time out
+        backend = SqliteBackend(
+            path=str(tmp_path / "pooled.db"), pool_size=1, pool_timeout=0.5
+        )
+        try:
+            backend.create_relation(SCHEMA, rows=ROWS)
+            with pytest.raises(SqlExecutionError):
+                backend.execute("SELECT * FROM nowhere_at_all")
+            assert backend.execute("SELECT S FROM mixed WHERE I = ?", [2]) == [
+                {"S": "b"}
+            ]
+        finally:
+            backend.close()
+
+
+class TestReadConnection:
+    def test_nested_blocks_reuse_the_pinned_reader(self, tmp_path):
+        # with a single reader, a nested block that checked out a second
+        # connection would time out instead of re-entering
+        backend = SqliteBackend(
+            path=str(tmp_path / "nested.db"), pool_size=1, pool_timeout=0.5
+        )
+        try:
+            backend.create_relation(SCHEMA, rows=ROWS)
+            with backend.read_connection(snapshot=True) as outer:
+                with backend.read_connection() as inner:
+                    assert inner is outer
+                    assert backend.row_count("mixed") == 3
+                # still pinned after the inner block returns
+                with backend.read_connection() as again:
+                    assert again is outer
+            with backend.read_connection() as after:
+                assert after is outer  # released back to the pool
+        finally:
+            backend.close()
+
+    def test_snapshot_block_does_not_see_later_commits(self, tmp_path):
+        backend = SqliteBackend(path=str(tmp_path / "snapshot.db"), pool_size=2)
+        try:
+            backend.create_relation(SCHEMA, rows=ROWS)
+            with backend.read_connection(snapshot=True):
+                assert backend.row_count("mixed") == 3
+                backend.insert_many("mixed", [{"S": "late"}])
+                assert backend.row_count("mixed") == 3
+            assert backend.row_count("mixed") == 4
+        finally:
+            backend.close()
+
+
 class TestCsvBulkLoad:
     def test_load_csv_into_backend(self, backend):
         csv_text = "A,N\nx,1\ny,2\n,3\n"
@@ -210,6 +322,19 @@ class TestCsvBulkLoad:
 
 
 class TestReopen:
+    def test_reopen_ignores_tables_without_tids(self, tmp_path):
+        path = str(tmp_path / "foreign.db")
+        first = SqliteBackend(path=path)
+        first.create_relation(SCHEMA, rows=ROWS)
+        first.execute("CREATE TABLE notes (body TEXT)")
+        first.close()
+
+        second = SqliteBackend(path=path)
+        try:
+            assert second.relation_names() == ["mixed"]
+        finally:
+            second.close()
+
     def test_reopen_recovers_catalog_and_tids(self, tmp_path):
         path = str(tmp_path / "persist.db")
         first = SqliteBackend(path=path)

@@ -5,10 +5,10 @@ The batch ``ErrorDetector``'s SQL path must behave like the paper's
 pushdown end to end: schema and row count come from catalog ops, the
 ``Q_C``/``Q_V``/members queries run inside the backend, and the report is
 assembled from backend rows alone — enforced here by the
-:class:`~tests.doubles.ForbiddenReadBackend` double over SQLite.
-``detect_for_tuples`` ships the tuple restriction down as delta plans and
-must reproduce the old filter-after-detect semantics exactly, including
-under an enforced 999-variable cap.
+:class:`~tests.doubles.ForbiddenReadBackend` double over SQLite, under
+both plan families.  ``detect_for_tuples`` ships the tuple restriction
+down as delta plans and must reproduce the old filter-after-detect
+semantics exactly, including under an enforced 999-variable cap.
 """
 
 import sqlite3
@@ -69,13 +69,21 @@ def _filtered_oracle(database, relation_name, cfds, tids):
     )
 
 
+#: both detection plan families: the tableau-joined legacy Q_C/Q_V and the
+#: per-pattern window statements must keep every pushdown contract
+PLANS = ["legacy", "window"]
+
+
+@pytest.mark.parametrize("detect_plan", PLANS)
 class TestZeroWorkingStoreReads:
     """detect() and detect_for_tuples() on the SQL path never ship rows back."""
 
-    def test_detect_zero_reads(self):
+    def test_detect_zero_reads(self, detect_plan):
         relation = _dirty_customers()
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(ForbiddenReadBackend(backend))
+        detector = ErrorDetector(
+            ForbiddenReadBackend(backend), detect_plan=detect_plan
+        )
         report = detector.detect("customer", paper_cfds())
         assert report.total_violations() > 0
         assert report.tuple_count == len(relation)
@@ -85,10 +93,12 @@ class TestZeroWorkingStoreReads:
         assert _violation_keys(report) == _violation_keys(oracle)
         backend.close()
 
-    def test_detect_for_tuples_zero_reads(self):
+    def test_detect_for_tuples_zero_reads(self, detect_plan):
         relation = _dirty_customers()
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(ForbiddenReadBackend(backend))
+        detector = ErrorDetector(
+            ForbiddenReadBackend(backend), detect_plan=detect_plan
+        )
         full = ErrorDetector(database, use_sql=False).detect("customer", paper_cfds())
         wanted = sorted(full.dirty_tids())[:5] + [0, 1]
         report = detector.detect_for_tuples("customer", paper_cfds(), wanted)
@@ -99,12 +109,14 @@ class TestZeroWorkingStoreReads:
         assert report.total_violations() > 0
         backend.close()
 
-    def test_repeated_detect_zero_reads(self):
+    def test_repeated_detect_zero_reads(self, detect_plan):
         # the per-relation generator and its plan cache persist across
         # calls; the second detect must stay backend-resident too
         relation = _dirty_customers(60, seed=137)
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(ForbiddenReadBackend(backend))
+        detector = ErrorDetector(
+            ForbiddenReadBackend(backend), detect_plan=detect_plan
+        )
         first = detector.detect("customer", paper_cfds())
         second = detector.detect("customer", paper_cfds())
         assert _violation_keys(first) == _violation_keys(second)
@@ -114,10 +126,11 @@ class TestZeroWorkingStoreReads:
 class TestDetectForTuplesPushdown:
     """Pushdown parity with the old filter-after-full-detect semantics."""
 
-    def test_matches_filter_after_detect_on_customers(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_matches_filter_after_detect_on_customers(self, detect_plan):
         relation = _dirty_customers()
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(backend)
+        detector = ErrorDetector(backend, detect_plan=detect_plan)
         full = ErrorDetector(database, use_sql=False).detect("customer", paper_cfds())
         dirty = sorted(full.dirty_tids())
         for wanted in ([], dirty[:1], dirty[:4], [0, 1, 2], list(relation.tids())):
@@ -128,31 +141,34 @@ class TestDetectForTuplesPushdown:
             assert report.tuple_count == len(relation)
         backend.close()
 
-    def test_restriction_travels_in_the_sql(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_restriction_travels_in_the_sql(self, detect_plan):
         relation = _dirty_customers(40, seed=139)
         backend, _database = _backend_for(relation)
-        detector = ErrorDetector(backend)
+        detector = ErrorDetector(backend, detect_plan=detect_plan)
         detector.detect_for_tuples("customer", paper_cfds(), [0, 1])
         assert detector.last_sql
         assert any("_tid IN" in sql for sql in detector.last_sql)
         backend.close()
 
-    def test_unknown_tids_produce_empty_report(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_unknown_tids_produce_empty_report(self, detect_plan):
         relation = _dirty_customers(30, seed=141)
         backend, _database = _backend_for(relation)
-        detector = ErrorDetector(backend)
+        detector = ErrorDetector(backend, detect_plan=detect_plan)
         report = detector.detect_for_tuples("customer", paper_cfds(), [10_000, 10_001])
         assert report.total_violations() == 0
         assert report.tuple_count == len(relation)
         backend.close()
 
-    def test_null_rhs_tuple_does_not_drag_its_group_in(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_null_rhs_tuple_does_not_drag_its_group_in(self, detect_plan):
         # tid 6 shares LHS values with the violating-adjacent (z, 2) group
         # but carries a NULL RHS, so it is not a *member*: the old filter
         # semantics exclude any group it does not belong to
         relation = null_cell_relation()
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(backend)
+        detector = ErrorDetector(backend, detect_plan=detect_plan)
         for wanted in ([6], [2], [0], [8], [0, 6]):
             report = detector.detect_for_tuples("r", [NULL_CELL_CFD], wanted)
             assert _violation_keys(report) == _filtered_oracle(
@@ -160,7 +176,8 @@ class TestDetectForTuplesPushdown:
             )
         backend.close()
 
-    def test_overlapping_patterns_keep_lowest_pattern_index(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_overlapping_patterns_keep_lowest_pattern_index(self, detect_plan):
         schema = RelationSchema.of("r", ["A", "B", "C"])
         relation = Relation.from_rows(
             schema,
@@ -182,7 +199,8 @@ class TestDetectForTuplesPushdown:
             name="phi_overlap",
         )
         backend, database = _backend_for(relation)
-        report = ErrorDetector(backend).detect_for_tuples("r", [cfd], [0, 2])
+        detector = ErrorDetector(backend, detect_plan=detect_plan)
+        report = detector.detect_for_tuples("r", [cfd], [0, 2])
         assert _violation_keys(report) == _filtered_oracle(
             database, "r", [cfd], [0, 2]
         )
@@ -239,10 +257,11 @@ class TestDetectForTuplesPushdown:
 class TestPreparedPlanCache:
     """The per-detector plan cache and its stale-plan invalidation."""
 
-    def test_repeated_detect_hits_the_cache(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_repeated_detect_hits_the_cache(self, detect_plan):
         relation = _dirty_customers(60, seed=149)
         backend, _database = _backend_for(relation)
-        detector = ErrorDetector(backend)
+        detector = ErrorDetector(backend, detect_plan=detect_plan)
         first = detector.detect("customer", paper_cfds())
         generator = detector._generators["customer"]
         misses_after_first = generator.plan_cache_misses
@@ -253,7 +272,8 @@ class TestPreparedPlanCache:
         assert generator.plan_cache_misses == misses_after_first
         backend.close()
 
-    def test_reused_tableau_name_does_not_serve_stale_plans(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_reused_tableau_name_does_not_serve_stale_plans(self, detect_plan):
         # two different CFDs under the same registration slot get the same
         # positional tableau name; the first has no constant-RHS pattern
         # (its Q_C is a cached None), the second does — a stale cache hit
@@ -277,7 +297,7 @@ class TestPreparedPlanCache:
             name="phi_same_name",
         )
         backend, _database = _backend_for(relation)
-        detector = ErrorDetector(backend)
+        detector = ErrorDetector(backend, detect_plan=detect_plan)
         detector.detect("r", [wildcard_only])
         report = detector.detect("r", [constant_rhs])
         assert [v.kind for v in report.violations] == ["single"]

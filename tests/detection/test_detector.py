@@ -1,5 +1,7 @@
 """Tests for the batch error detector (SQL path on SQLite and native path)."""
 
+import threading
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -98,6 +100,56 @@ class TestDetectExample:
         report = detector.detect("customer", [cfd])
         attrs = {violation.rhs_attribute for violation in report.violations}
         assert "CNT" in attrs  # CC=44 group disagrees on CNT
+
+
+class TestNativeDetectForTuples:
+    """The native path keeps filter-after-detect as the oracle."""
+
+    def test_filters_the_full_native_report(
+        self, detector, native_detector, customer_cfds
+    ):
+        full = native_detector.detect("customer", customer_cfds)
+        report = native_detector.detect_for_tuples("customer", customer_cfds, [4])
+        assert report.violations == [v for v in full.violations if 4 in v.tids]
+        assert report.tuple_count == full.tuple_count
+        assert report.cfd_ids == full.cfd_ids
+        pushed = detector.detect_for_tuples("customer", customer_cfds, [4])
+        assert report.vio() == pushed.vio()
+        assert report.dirty_tids() == pushed.dirty_tids()
+
+    def test_empty_restriction_reports_nothing(self, native_detector, customer_cfds):
+        report = native_detector.detect_for_tuples("customer", customer_cfds, [])
+        assert report.total_violations() == 0
+        assert report.tuple_count > 0
+
+
+class TestPlanFlip:
+    def test_flipping_detect_plan_reuses_the_generator(
+        self, customer_backend, customer_cfds
+    ):
+        detector = ErrorDetector(customer_backend, detect_plan="legacy")
+        legacy = detector.detect("customer", customer_cfds)
+        generator = detector._generators["customer"]
+        # the legacy family joins the materialised tableaux
+        assert any("__semandaq_tableau" in sql for sql in detector.last_sql)
+        detector.detect_plan = "window"
+        window = detector.detect("customer", customer_cfds)
+        assert detector._generators["customer"] is generator
+        assert generator.detect_plan == "window"
+        # the window family binds pattern constants instead
+        assert not any("__semandaq_tableau" in sql for sql in detector.last_sql)
+        assert window.vio() == legacy.vio()
+        assert window.dirty_tids() == legacy.dirty_tids()
+
+    def test_sql_log_is_per_thread(self, detector, customer_cfds):
+        detector.detect("customer", customer_cfds)
+        assert detector.last_sql
+        seen = []
+        worker = threading.Thread(target=lambda: seen.append(list(detector.last_sql)))
+        worker.start()
+        worker.join()
+        assert seen == [[]]
+        assert detector.last_sql  # this thread's log is untouched
 
 
 class TestSqlVsNative:

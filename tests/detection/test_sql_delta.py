@@ -49,7 +49,7 @@ def _violation_keys(report):
     )
 
 
-def _make_detector(relation, cfds, mode):
+def _make_detector(relation, cfds, mode, detect_plan=None):
     """A detector over a private working copy; sql_delta gets a SQLite mirror."""
     database = Database()
     database.add_relation(relation.copy())
@@ -59,20 +59,28 @@ def _make_detector(relation, cfds, mode):
     else:
         mirror = None
     detector = IncrementalDetector(
-        database, relation.name, cfds, mirror=mirror, mode=mode
+        database,
+        relation.name,
+        cfds,
+        mirror=mirror,
+        mode=mode,
+        detect_plan=detect_plan,
     )
     return detector, mirror
 
 
-def _replay(script, relation, cfds):
+def _replay(script, relation, cfds, detect_plan=None):
     """Run ``script`` against a native and a sql_delta detector in lockstep.
 
     ``script(detector)`` applies the update sequence; reports must be
     identical after the whole sequence, and the sql_delta mirror copy must
-    match the working store row for row.
+    match the working store row for row.  ``detect_plan`` selects the
+    sql_delta detector's plan family.
     """
     native, _ = _make_detector(relation, cfds, NATIVE_MODE)
-    sql_delta, mirror = _make_detector(relation, cfds, SQL_DELTA_MODE)
+    sql_delta, mirror = _make_detector(
+        relation, cfds, SQL_DELTA_MODE, detect_plan
+    )
     script(native)
     script(sql_delta)
     assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
@@ -123,15 +131,21 @@ TWO_RHS_CFD = CFD(
 )
 
 
+#: both plan families drive the delta re-checks: legacy joins the resident
+#: tableau, window runs the per-pattern statements
+PLANS = ["legacy", "window"]
+
+
 class TestInitialState:
-    def test_initial_report_matches_native(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_initial_report_matches_native(self, detect_plan):
         dirty = generate_customers(80, seed=91)
         relation = Relation.from_rows(dirty.schema, dirty.to_list())
         relation.update(0, {"CNT": "Narnia"})
         relation.update(1, {"STR": "Wrong Street"})
         native, _ = _make_detector(relation, paper_cfds(), NATIVE_MODE)
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE
+            relation, paper_cfds(), SQL_DELTA_MODE, detect_plan
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         assert sql_delta.report().total_violations() > 0
@@ -149,7 +163,8 @@ class TestInitialState:
 
 
 class TestUpdateParity:
-    def test_customer_update_sequence(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_customer_update_sequence(self, detect_plan):
         relation = generate_customers(60, seed=47)
         template = dict(relation.get(0))
 
@@ -166,14 +181,15 @@ class TestUpdateParity:
         def relation_last_tid(detector):
             return detector.relation.tids()[-1]
 
-        native, sql_delta = _replay(script, relation, paper_cfds())
+        native, sql_delta = _replay(script, relation, paper_cfds(), detect_plan)
         # and both agree with a from-scratch batch detection oracle
         oracle = ErrorDetector(sql_delta.database, use_sql=False).detect(
             "customer", paper_cfds()
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(oracle)
 
-    def test_overlapping_pattern_tableau(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_overlapping_pattern_tableau(self, detect_plan):
         def script(detector):
             with detector.batch():
                 # flip group (x, 2) into violation, heal group (y, 1)
@@ -185,7 +201,7 @@ class TestUpdateParity:
             detector.insert({"A": "x", "B": "1", "C": "c7"})
 
         native, sql_delta = _replay(
-            script, OVERLAP_RELATION, [OVERLAP_CFD]
+            script, OVERLAP_RELATION, [OVERLAP_CFD], detect_plan
         )
         by_group = {
             violation.lhs_values: violation.pattern_index
@@ -194,7 +210,8 @@ class TestUpdateParity:
         # each group once, under the lowest pattern that covers it
         assert by_group == {("x", "1"): 0, ("x", "2"): 0}
 
-    def test_two_wildcard_rhs_tableau(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_two_wildcard_rhs_tableau(self, detect_plan):
         def script(detector):
             with detector.batch():
                 detector.update(1, {"C": "c1"})  # heal the C disagreement
@@ -202,13 +219,14 @@ class TestUpdateParity:
             detector.insert({"A": "y", "B": "b9", "C": "c9"})  # break both for A=y
 
         native, sql_delta = _replay(
-            script, TWO_RHS_RELATION, [TWO_RHS_CFD]
+            script, TWO_RHS_RELATION, [TWO_RHS_CFD], detect_plan
         )
         report = sql_delta.report()
         assert {v.rhs_attribute for v in report.violations} == {"B", "C"}
         assert all(v.lhs_values == ("y",) for v in report.violations)
 
-    def test_delete_then_reinsert_same_tid_in_one_batch(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_delete_then_reinsert_same_tid_in_one_batch(self, detect_plan):
         # nets out to a replace: one delete + one insert under the same tid
         relation = generate_customers(20, seed=53)
 
@@ -219,7 +237,7 @@ class TestUpdateParity:
                 new_tid = detector.insert(replacement)
                 detector.update(new_tid, {"CITY": "Nowhere"})
 
-        _replay(script, relation, paper_cfds())
+        _replay(script, relation, paper_cfds(), detect_plan)
 
     value = st.sampled_from(["a", "b", None])
     operation = st.sampled_from(["insert", "delete", "update"])
@@ -277,14 +295,15 @@ class TestNullParity:
 
     The native detector keeps NULL-LHS tuples out of every group and
     treats a NULL RHS under a constant pattern as a single-tuple violation;
-    the SQL plans must agree on both dialects, including through the delta
-    re-checks and the backend-resident member enumeration.
+    the SQL plans must agree under both plan families, including through
+    the delta re-checks and the backend-resident member enumeration.
     """
 
-    def test_static_null_tableau_parity(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_static_null_tableau_parity(self, detect_plan):
         native, _ = _make_detector(NULL_RELATION, [NULL_CFD], NATIVE_MODE)
         sql_delta, mirror = _make_detector(
-            NULL_RELATION, [NULL_CFD], SQL_DELTA_MODE
+            NULL_RELATION, [NULL_CFD], SQL_DELTA_MODE, detect_plan
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         report = sql_delta.report()
@@ -294,7 +313,8 @@ class TestNullParity:
         assert {v.lhs_values for v in report.violations} == {("w", "3"), ("x", "1")}
         mirror.close()
 
-    def test_null_updates_parity(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_null_updates_parity(self, detect_plan):
         def script(detector):
             with detector.batch():
                 detector.update(0, {"A": None})      # NULL an LHS cell
@@ -304,17 +324,22 @@ class TestNullParity:
                 detector.update(0, {"A": "x"})       # restore the LHS cell
                 detector.insert({"A": "q", "B": None, "C": "c1"})
                 detector.update(4, {"C": None})      # NULL an RHS cell
-        native, sql_delta = _replay(script, NULL_RELATION, [NULL_CFD])
+        native, sql_delta = _replay(
+            script, NULL_RELATION, [NULL_CFD], detect_plan
+        )
         # the re-created group and the un-NULLed RHS group both violate now
         assert {v.lhs_values for v in sql_delta.report().violations} == {
             ("x", "1"),
             ("z", "2"),
         }
 
-    def test_null_parity_against_batch_oracle(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_null_parity_against_batch_oracle(self, detect_plan):
         def script(detector):
             detector.update(2, {"A": "x"})  # pull a NULL-LHS tuple into a group
-        native, sql_delta = _replay(script, NULL_RELATION, [NULL_CFD])
+        native, sql_delta = _replay(
+            script, NULL_RELATION, [NULL_CFD], detect_plan
+        )
         oracle = ErrorDetector(sql_delta.database, use_sql=False).detect(
             "r", [NULL_CFD]
         )
@@ -401,11 +426,12 @@ class TestBackendResidentAssembly:
 
     _ForbiddenRelation = ForbiddenRelation
 
-    def test_report_reads_zero_working_store(self):
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_report_reads_zero_working_store(self, detect_plan):
         relation = generate_customers(60, seed=101)
         relation.update(0, {"CNT": "Narnia"})
         sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE
+            relation, paper_cfds(), SQL_DELTA_MODE, detect_plan
         )
         sql_delta.update(1, {"STR": "Elsewhere Road"})
         with sql_delta.batch():

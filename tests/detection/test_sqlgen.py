@@ -11,6 +11,7 @@ from repro.core.tableau import tableau_to_relation
 from repro.detection.sqlgen import DetectionSqlGenerator, tableau_relation_name
 from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.errors import DetectionError
+from repro.obs.telemetry import Telemetry
 
 SCHEMA = RelationSchema.of("customer", ["NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"])
 
@@ -226,3 +227,130 @@ class TestDialects:
         cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
         (query,) = generator.multi_tuple_queries(cfd, "tab")
         assert query.sql.count("?") == len(query.parameters) == 0
+
+
+#: a constant CFD with an empty LHS: it has a Q_C but no groups at all
+EMPTY_LHS_CFD = CFD(
+    relation="customer",
+    lhs=(),
+    rhs=("CNT",),
+    patterns=(PatternTuple.of({"CNT": "UK"}),),
+    name="phi_empty_lhs",
+)
+
+GROUPED_CFD = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
+
+
+class TestBuilderGuards:
+    """Builders refuse shapes that would render malformed SQL (``IN ()``,
+    a grouping over no attributes) instead of deferring the failure."""
+
+    @pytest.mark.parametrize(
+        "build, message",
+        [
+            (
+                lambda g: g.single_tuple_query_delta(GROUPED_CFD, "tab", 0),
+                "tid_count",
+            ),
+            (
+                lambda g: g.multi_tuple_query_delta(EMPTY_LHS_CFD, "tab", "CNT", 1),
+                "non-empty LHS",
+            ),
+            (
+                lambda g: g.multi_tuple_query_delta(GROUPED_CFD, "tab", "STR", 0),
+                "group_count",
+            ),
+            (
+                lambda g: g.covering_members_query(EMPTY_LHS_CFD, "tab", "CNT", 1),
+                "non-empty LHS",
+            ),
+            (
+                lambda g: g.covering_members_query(GROUPED_CFD, "tab", "STR", 0),
+                "group_count",
+            ),
+            (lambda g: g.tid_lhs_query(EMPTY_LHS_CFD, 1), "non-empty LHS"),
+            (lambda g: g.tid_lhs_query(GROUPED_CFD, 0), "tid_count"),
+            (lambda g: g.group_stats_query(EMPTY_LHS_CFD, "CNT", 1), "non-empty LHS"),
+            (lambda g: g.group_stats_query(GROUPED_CFD, "STR", 0), "group_count"),
+            (
+                lambda g: g.majority_value_query(EMPTY_LHS_CFD, "CNT", 1),
+                "non-empty LHS",
+            ),
+            (lambda g: g.majority_value_query(GROUPED_CFD, "STR", 0), "group_count"),
+            (lambda g: g.row_fetch_query(0), "tid_count"),
+            (lambda g: g.page_fetch_query(page_size=0), "page_size"),
+        ],
+        ids=[
+            "single_delta-no-tids",
+            "multi_delta-empty-lhs",
+            "multi_delta-no-groups",
+            "covering-empty-lhs",
+            "covering-no-groups",
+            "tid_lhs-empty-lhs",
+            "tid_lhs-no-tids",
+            "group_stats-empty-lhs",
+            "group_stats-no-groups",
+            "majority-empty-lhs",
+            "majority-no-groups",
+            "row_fetch-no-tids",
+            "page_fetch-empty-page",
+        ],
+    )
+    def test_malformed_shapes_raise(self, generator, build, message):
+        with pytest.raises(ValueError, match=message):
+            build(generator)
+
+    def test_unknown_value_freq_attribute_raises(self, generator):
+        with pytest.raises(DetectionError, match="unknown attribute"):
+            generator.value_freq_query("NOPE")
+
+    @pytest.mark.parametrize("detect_plan", ["legacy", "window"])
+    def test_empty_lhs_cfds_get_no_grouped_statements(self, detect_plan):
+        generator = DetectionSqlGenerator(SCHEMA, detect_plan=detect_plan)
+        assert generator.plan_multi_queries(EMPTY_LHS_CFD, "tab") == []
+        assert generator.plan_delta_multi(EMPTY_LHS_CFD, "tab", "CNT", [("x",)]) == []
+        assert generator.lhs_values_plans(EMPTY_LHS_CFD, [0, 1]) == []
+        # the constant RHS still has its Q_C
+        assert generator.plan_single_queries(EMPTY_LHS_CFD, "tab")
+
+    def test_empty_restrictions_build_no_plans(self, generator):
+        assert generator.covering_members_plans(GROUPED_CFD, "tab", "STR", []) == []
+        assert generator.group_stats_plans(GROUPED_CFD, "STR", []) == []
+        assert generator.majority_value_plans(GROUPED_CFD, "STR", []) == []
+        assert generator.row_fetch_plans([]) == []
+        assert generator.plan_delta_single(GROUPED_CFD, "tab", []) == []
+
+
+class TestPlanInvalidation:
+    def test_invalidating_everything_drops_every_plan_and_owner(self):
+        telemetry = Telemetry(enabled=True)
+        generator = DetectionSqlGenerator(SCHEMA, telemetry=telemetry)
+        cfd = parse_cfd("customer: [CC='44'] -> [CNT='UK']")
+        generator.claim_tableau("tab_a", cfd)
+        generator.single_tuple_query(cfd, "tab_a")
+        generator.single_tuple_query(cfd, "tab_b")
+        generator.value_freq_query("CNT")
+        assert generator.plan_cache_size() == 3
+        generator.invalidate_plans()
+        assert generator.plan_cache_size() == 0
+        counters = telemetry.snapshot()["counters"]
+        assert counters["plan_cache.invalidations"] == 3
+        # the owner map went too: a new CFD claims tab_a without a sweep
+        generator.claim_tableau("tab_a", GROUPED_CFD)
+        assert telemetry.snapshot()["counters"]["plan_cache.invalidations"] == 3
+
+    def test_invalidating_an_empty_cache_counts_nothing(self):
+        telemetry = Telemetry(enabled=True)
+        generator = DetectionSqlGenerator(SCHEMA, telemetry=telemetry)
+        generator.invalidate_plans()
+        generator.invalidate_plans("tab")
+        assert "plan_cache.invalidations" not in telemetry.snapshot()["counters"]
+
+
+class TestSqlQuery:
+    def test_str_and_containment_read_the_sql_text(self, generator):
+        cfd = parse_cfd("customer: [CC='44'] -> [CNT='UK']")
+        query = generator.single_tuple_query(cfd, "tab")
+        assert str(query) == query.sql
+        assert "tab.CNT" in query
+        assert "no such fragment" not in query

@@ -130,6 +130,26 @@ class TestQueriesAndIndexes:
         relation.delete(2)
         assert relation.lookup(["city"], ["EDI"]) == []
 
+    def test_insert_at_rejects_negative_and_live_tids(self, relation):
+        with pytest.raises(ConstraintViolationError, match="non-negative"):
+            relation.insert_at(-1, {"name": "neg"})
+        with pytest.raises(ConstraintViolationError, match="already live"):
+            relation.insert_at(1, {"name": "dup"})
+        assert len(relation) == 3
+
+    def test_insert_at_advances_the_tid_counter(self, relation):
+        relation.create_index(["city"])
+        assert relation.insert_at(10, {"name": "dan", "city": "GLA"}) == 10
+        assert relation.insert({"name": "eve"}) == 11
+        assert relation.lookup(["city"], ["GLA"]) == [10]
+
+    def test_copy_keeps_indexes(self, relation):
+        relation.create_index(["city"])
+        clone = relation.copy()
+        clone.update(1, {"city": "EDI"})
+        assert sorted(clone.lookup(["city"], ["EDI"])) == [0, 1, 2]
+        assert sorted(relation.lookup(["city"], ["EDI"])) == [0, 2]
+
     def test_copy_is_independent(self, relation):
         clone = relation.copy()
         clone.update(0, {"name": "changed"})

@@ -29,6 +29,10 @@ class TestDataType:
         assert str in DataType.STRING.python_types()
         assert int in DataType.INTEGER.python_types()
 
+    def test_float_accepts_ints_and_boolean_only_bools(self):
+        assert DataType.FLOAT.python_types() == (float, int)
+        assert DataType.BOOLEAN.python_types() == (bool,)
+
 
 class TestCoerceValue:
     def test_null_passes_through(self):
@@ -63,6 +67,38 @@ class TestCoerceValue:
         with pytest.raises(TypeMismatchError):
             coerce_value("maybe", DataType.BOOLEAN)
 
+    @pytest.mark.parametrize(
+        "value, dtype, expected",
+        [
+            (True, DataType.INTEGER, 1),
+            (7, DataType.INTEGER, 7),
+            (False, DataType.FLOAT, 0.0),
+            (3, DataType.FLOAT, 3.0),
+            (1, DataType.BOOLEAN, True),
+            (0, DataType.BOOLEAN, False),
+            (" No ", DataType.BOOLEAN, False),
+            (2.5, DataType.STRING, "2.5"),
+        ],
+    )
+    def test_cross_type_coercions(self, value, dtype, expected):
+        coerced = coerce_value(value, dtype)
+        assert coerced == expected
+        assert type(coerced) is type(expected)
+
+    @pytest.mark.parametrize(
+        "value, dtype",
+        [
+            (2.5, DataType.INTEGER),
+            ([1], DataType.INTEGER),
+            (object(), DataType.FLOAT),
+            (2, DataType.BOOLEAN),
+            (1.0, DataType.BOOLEAN),
+        ],
+    )
+    def test_uncoercible_values_raise(self, value, dtype):
+        with pytest.raises(TypeMismatchError):
+            coerce_value(value, dtype)
+
 
 class TestAttributeDef:
     def test_rejects_empty_name(self):
@@ -79,6 +115,20 @@ class TestAttributeDef:
 
 
 class TestRelationSchema:
+    def test_schema_needs_a_name(self):
+        with pytest.raises(SchemaError, match="non-empty"):
+            RelationSchema.of("", ["A"])
+
+    def test_of_rejects_uninterpretable_columns(self):
+        with pytest.raises(SchemaError, match="column description"):
+            RelationSchema.of("r", [("A", "int", "extra")])
+
+    def test_len_and_iteration_follow_declaration_order(self):
+        schema = RelationSchema.of("r", ["B", ("A", "int")])
+        assert len(schema) == 2
+        assert [attr.name for attr in schema] == ["B", "A"]
+        assert [attr.dtype for attr in schema] == [DataType.STRING, DataType.INTEGER]
+
     def test_of_mixed_column_specs(self):
         schema = RelationSchema.of("r", ["A", ("B", "int"), AttributeDef("C", DataType.FLOAT)])
         assert schema.attribute_names == ["A", "B", "C"]

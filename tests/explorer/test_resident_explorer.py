@@ -17,6 +17,7 @@ from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.errors import ExplorerError
 from tests.doubles import ForbiddenReadBackend, ForbiddenRelation
 
+
 def _make_system(**config):
     system = Semandaq(config=SemandaqConfig(**config))
     clean = generate_customers(60, seed=401)
@@ -60,10 +61,16 @@ def _walk(explorer):
     return state
 
 
+#: the explorer drills into the report of SQL detection under either plan
+#: family
+PLANS = ["legacy", "window"]
+
+
 class TestResidentExplorerParity:
-    def test_navigation_matches_native(self):
-        native_system = _make_system(audit_source="native")
-        resident_system = _make_system()
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_navigation_matches_native(self, detect_plan):
+        native_system = _make_system(audit_source="native", detect_plan=detect_plan)
+        resident_system = _make_system(detect_plan=detect_plan)
         try:
             native = native_system.explorer("customer")
             resident = resident_system.explorer("customer")
@@ -127,9 +134,10 @@ class TestResidentExplorerParity:
             system.close()
 
 
+@pytest.mark.parametrize("detect_plan", PLANS)
 class TestResidentExplorerPins:
-    def test_navigation_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    def test_navigation_ships_no_rows_out_of_the_backend(self, detect_plan):
+        system = _make_system(detect_plan=detect_plan)
         _pin_backend(system)
         try:
             explorer = system.explorer("customer")
@@ -141,8 +149,8 @@ class TestResidentExplorerPins:
         finally:
             system.close()
 
-    def test_session_paging_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    def test_session_paging_ships_no_rows_out_of_the_backend(self, detect_plan):
+        system = _make_system(detect_plan=detect_plan)
         _pin_backend(system)
         try:
             session = system.exploration_session("customer")

@@ -18,8 +18,13 @@ from repro import Semandaq, SemandaqConfig
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from tests.doubles import ForbiddenReadBackend, ForbiddenRelation
 
-def _make_system():
-    system = Semandaq(config=SemandaqConfig())
+#: clean() detects through SQL under either plan family; both must keep the
+#: walk backend-resident
+PLANS = ["legacy", "window"]
+
+
+def _make_system(detect_plan=None):
+    system = Semandaq(config=SemandaqConfig(detect_plan=detect_plan))
     clean = generate_customers(60, seed=401)
     dirty = inject_noise(
         clean, rate=0.08, seed=402, attributes=["CITY", "STR", "CNT"]
@@ -44,8 +49,9 @@ class TestResidentRepairPins:
             wrapped.to_relation("customer")
         system.close()
 
-    def test_clean_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_clean_ships_no_rows_out_of_the_backend(self, detect_plan):
+        system = _make_system(detect_plan)
         _pin_backend(system)
         summary = system.clean("customer")
         assert summary["cells_changed"] > 0
@@ -53,8 +59,9 @@ class TestResidentRepairPins:
         assert system._repairs["customer"].source == "backend"
         system.close()
 
-    def test_apply_repair_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    @pytest.mark.parametrize("detect_plan", PLANS)
+    def test_apply_repair_ships_no_rows_out_of_the_backend(self, detect_plan):
+        system = _make_system(detect_plan)
         _pin_backend(system)
         before = system.detect("customer").total_violations()
         repair = system.repair("customer")

@@ -223,10 +223,13 @@ class TestMonitoring:
         assert len(relation) == before  # one in, one out
         assert len(system.monitor("customer").log) == 2
 
-    def test_sql_delta_system_matches_native_system(self, customer_cfds):
+    @pytest.mark.parametrize("detect_plan", ["legacy", "window"])
+    def test_sql_delta_system_matches_native_system(self, customer_cfds, detect_plan):
         reports = {}
         for incremental_mode in ("native", "sql_delta"):
-            config = SemandaqConfig(incremental_mode=incremental_mode)
+            config = SemandaqConfig(
+                incremental_mode=incremental_mode, detect_plan=detect_plan
+            )
             with Semandaq(config=config) as semandaq:
                 semandaq.register_relation(generate_customers(50, seed=87).copy())
                 semandaq.add_cfds(customer_cfds)
