@@ -21,8 +21,6 @@ and booleans, stored as 0/1, are special-cased.
 
 from __future__ import annotations
 
-from typing import Optional
-
 from ..engine.types import DataType
 
 #: the portable floor of ``SQLITE_MAX_VARIABLE_NUMBER`` — builds compiled
@@ -35,10 +33,9 @@ class SqlDialect:
 
     #: dialect name, used in reprs and error messages
     name: str = "ansi"
-    #: bound-parameter budget per statement (``None`` = unbounded); the
-    #: query compiler sizes its chunks so one statement never binds more
-    #: than this many values
-    max_parameters: Optional[int] = None
+    #: bound-parameter budget per statement; the query compiler sizes its
+    #: chunks so one statement never binds more than this many values
+    max_parameters: int = SQLITE_PARAMETER_FLOOR
     #: cap on OR-chain disjuncts in one statement.  SQLite caps the
     #: expression-tree depth at 1000, so the applicability counts OR-ing
     #: one conjunction per sub-CFD are chunked at least this finely.

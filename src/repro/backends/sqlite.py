@@ -1,9 +1,9 @@
 """The SQLite backend: real-DBMS pushdown on the stdlib ``sqlite3`` module.
 
-This is the backend the paper's detection SQL runs on.  It needs SQLite
-3.25 or newer (window functions and derived-table joins); an older linked
-library raises :class:`~repro.errors.UnsupportedSqliteError` on
-construction.  Each relation becomes a SQLite table whose primary key is
+This is the backend the paper's detection SQL runs on.  It supports
+SQLite 3.25 or newer — a floor set by policy; the newest feature the
+detection SQL needs is row values (3.15) — and an older linked library
+raises :class:`~repro.errors.UnsupportedSqliteError` on construction.  Each relation becomes a SQLite table whose primary key is
 the stable tuple id (``_tid INTEGER PRIMARY KEY`` — a rowid alias, so tid
 lookups are B-tree point reads), loaded with ``executemany`` batches.  The
 connection is tuned the way embedded-SQLite services usually are:
@@ -76,8 +76,8 @@ _AFFINITY_TYPES = {
     "REAL": DataType.FLOAT,
 }
 
-#: oldest SQLite library the detection SQL runs on (window functions and
-#: derived-table joins shipped in 3.25)
+#: oldest supported SQLite library: a floor set by policy, above the
+#: newest feature the detection SQL needs (row-value semi-joins, 3.15)
 MIN_SQLITE_VERSION = (3, 25)
 
 #: name of the hidden tuple-id column

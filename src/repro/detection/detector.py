@@ -121,10 +121,12 @@ class ErrorDetector:
     batches — tuple count included, because the row count is read inside
     the snapshot too.
 
-    ``use_sql`` defaults to SQL detection over a backend and to native
-    detection over a :class:`~repro.engine.database.Database`; asking for
-    SQL over a Database raises
-    :class:`~repro.errors.SqlBackendRequiredError`.
+    The argument picks the path: over a backend the detector runs SQL,
+    over a :class:`~repro.engine.database.Database` it runs the native
+    oracle on the working relations.  ``use_sql`` only asserts that
+    choice: ``True`` over a Database raises
+    :class:`~repro.errors.SqlBackendRequiredError`, ``False`` over a
+    backend raises :class:`~repro.errors.DetectionError`.
     """
 
     def __init__(
@@ -142,6 +144,11 @@ class ErrorDetector:
         #: the working database the native path reads (None over a backend)
         self.database: Optional[Database] = None
         if isinstance(database, StorageBackend):
+            if use_sql is False:
+                raise DetectionError(
+                    "native detection reads the working Database; build "
+                    "the detector over the Database, not a backend"
+                )
             self.backend = database
             if self.telemetry.active and not isinstance(
                 self.backend, InstrumentedBackend
@@ -154,7 +161,6 @@ class ErrorDetector:
             )
         else:
             self.database = database
-        self.use_sql = self.backend is not None if use_sql is None else use_sql
         #: requested detection plan family (``None`` = environment/auto);
         #: each generator resolves it to the variant that runs
         self.detect_plan = detect_plan
@@ -193,15 +199,10 @@ class ErrorDetector:
 
     def _detect(self, relation_name: str, cfds: Sequence[CFD]) -> ViolationReport:
         self.last_sql = []
-        if not self.use_sql:
-            relation = (
-                self.database.relation(relation_name)
-                if self.database is not None
-                else self.backend.to_relation(relation_name)
-            )
-            schema = relation.schema
+        if self.database is not None:
+            relation = self.database.relation(relation_name)
             tuple_count = len(relation)
-            self._validate(relation_name, cfds, schema)
+            self._validate(relation_name, cfds, relation.schema)
             violations: List[Violation] = []
             for cfd in cfds:
                 for rhs_attribute in cfd.rhs:
@@ -247,7 +248,7 @@ class ErrorDetector:
         self, relation_name: str, cfds: Sequence[CFD], tids: Iterable[int]
     ) -> ViolationReport:
         wanted = set(tids)
-        if not self.use_sql:
+        if self.database is not None:
             report = self.detect(relation_name, cfds)
             filtered = [
                 violation

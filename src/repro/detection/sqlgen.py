@@ -1200,7 +1200,7 @@ class DetectionSqlGenerator:
             sub_params = sum(
                 1 for attr in sub.lhs if pattern.value(attr).is_constant
             )
-            over_params = budget is not None and current_params + sub_params > budget
+            over_params = current_params + sub_params > budget
             over_terms = len(current) >= self.dialect.max_or_terms
             if current and (over_params or over_terms):
                 chunks.append(tuple(current))
@@ -1267,17 +1267,15 @@ class DetectionSqlGenerator:
 
     # -- budget-chunked delta plans ------------------------------------------------
 
-    def _chunk_size(self, base_params: int, per_item: int) -> Optional[int]:
+    def _chunk_size(self, base_params: int, per_item: int) -> int:
         """Items one delta statement may carry under the parameter budget.
 
-        ``None`` means unbounded (no parameter cap).  The budget reserves
-        ``base_params`` slots for the generator-bound placeholders of the
-        query body; a budget too small to fit even one item raises
-        (emitting a statement that is known to blow the engine's variable
-        cap would only defer the failure to an opaque execution error).
+        The budget reserves ``base_params`` slots for the generator-bound
+        placeholders of the query body; a budget too small to fit even one
+        item raises (emitting a statement that is known to blow the
+        engine's variable cap would only defer the failure to an opaque
+        execution error).
         """
-        if self.dialect.max_parameters is None:
-            return None
         budget = self.dialect.max_parameters - base_params
         per_chunk = budget // max(1, per_item)
         if per_chunk < 1:
@@ -1289,14 +1287,14 @@ class DetectionSqlGenerator:
             )
         return per_chunk
 
-    def _chunked(self, items: Sequence[Any], size: Optional[int]) -> Iterable[Sequence[Any]]:
-        if size is None or size >= len(items):
+    def _chunked(self, items: Sequence[Any], size: int) -> Iterable[Sequence[Any]]:
+        if size >= len(items):
             yield items
             return
         for start in range(0, len(items), size):
             yield items[start : start + size]
 
-    def _padded(self, chunk: Sequence[Any], cap: Optional[int]) -> List[Any]:
+    def _padded(self, chunk: Sequence[Any], cap: int) -> List[Any]:
         """Pad a restriction chunk to a power-of-two length (up to ``cap``).
 
         Every restriction shape is a pure predicate (``IN`` lists, row-value
@@ -1309,8 +1307,7 @@ class DetectionSqlGenerator:
         target = 1
         while target < len(chunk):
             target <<= 1
-        if cap is not None:
-            target = min(target, cap)
+        target = min(target, cap)
         padded = list(chunk)
         if target > len(padded):
             padded.extend(padded[-1] for _ in range(target - len(padded)))

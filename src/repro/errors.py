@@ -64,10 +64,10 @@ class BackendError(EngineError):
 
 
 class UnsupportedSqliteError(BackendError):
-    """The linked SQLite library is older than the minimum version (3.25).
+    """The linked SQLite library is older than the supported minimum (3.25).
 
-    Detection SQL uses window functions and derived-table joins, which
-    SQLite gained in 3.25.
+    The floor is set by policy; the newest feature the detection SQL
+    needs is row values (SQLite 3.15).
     """
 
 

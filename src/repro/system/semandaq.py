@@ -97,7 +97,6 @@ class Semandaq:
         # oracle) reads the working database directly
         self.detector = ErrorDetector(
             self.backend if self.config.use_sql_detection else self.database,
-            use_sql=self.config.use_sql_detection,
             telemetry=self.telemetry,
             detect_plan=self.config.detect_plan,
         )

@@ -27,7 +27,7 @@ from repro.engine.csvio import dump_csv
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
-from repro.errors import SqlBackendRequiredError
+from repro.errors import DetectionError, SqlBackendRequiredError
 
 
 @pytest.fixture(scope="module")
@@ -75,6 +75,21 @@ class TestNativeSqlParity:
         report = native.detect("customer", cfds)
         assert report.total_violations() > 0
         assert native.last_sql == []
+
+    def test_backend_detector_is_sql_only(
+        self, dirty_customers, cfds, sqlite_backend_factory
+    ):
+        # native detection reads the working Database, never a backend copy
+        backend = sqlite_backend_factory()
+        backend.add_relation(dirty_customers.copy())
+        with pytest.raises(DetectionError) as raised:
+            ErrorDetector(backend, use_sql=False)
+        assert not isinstance(raised.value, SqlBackendRequiredError)
+        detector = ErrorDetector(backend)
+        assert detector.database is None
+        detector.detect("customer", cfds)
+        backend.close()
+        assert detector.last_sql
 
     def test_sqlite_detection_uses_its_dialect(
         self, dirty_customers, cfds, sqlite_backend_factory

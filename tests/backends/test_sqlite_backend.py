@@ -47,7 +47,7 @@ def backend():
 
 class TestVersionGate:
     def test_sqlite_older_than_3_25_raises(self, monkeypatch):
-        # window functions and derived-table joins shipped in SQLite 3.25
+        # 3.25 is the supported floor (the SQL itself needs row values, 3.15)
         monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 24, 0))
         monkeypatch.setattr(sqlite3, "sqlite_version", "3.24.0")
         with pytest.raises(UnsupportedSqliteError, match="3.24.0"):
