@@ -3,9 +3,10 @@
 This is the backend the paper's detection SQL runs on.  It supports
 SQLite 3.25 or newer — a floor set by policy; the newest feature the
 detection SQL needs is row values (3.15) — and an older linked library
-raises :class:`~repro.errors.UnsupportedSqliteError` on construction.  Each relation becomes a SQLite table whose primary key is
-the stable tuple id (``_tid INTEGER PRIMARY KEY`` — a rowid alias, so tid
-lookups are B-tree point reads), loaded with ``executemany`` batches.  The
+raises :class:`~repro.errors.UnsupportedSqliteError` on construction.
+Each relation becomes a SQLite table whose primary key is the stable
+tuple id (``_tid INTEGER PRIMARY KEY`` — a rowid alias, so tid lookups
+are B-tree point reads), loaded with ``executemany`` batches.  The
 connection is tuned the way embedded-SQLite services usually are:
 
 * ``journal_mode=WAL`` — write-ahead logging, so future concurrent readers
