@@ -18,11 +18,9 @@ Two series on SQLite at 600/2400/9600 rows:
 
 A second pair compares the restricted view: ``filter_after_detect`` (the
 old ``detect_for_tuples`` semantics — full detection, then filter the
-report) vs ``pushdown`` (delta ``Q_C``/``Q_V`` plans over the named tids
-and their LHS groups).  The pushdown series still grows with the relation
-— the restricted ``Q_V`` joins the tableau over the data — but roughly
-2× slower than the full-detect series it replaces; the parameter traffic
-is what tracks the restriction size.
+report) vs ``pushdown`` (restricted ``Q_C``/``Q_V`` plans over the named
+tids and their LHS groups).  The parameter traffic is what tracks the
+restriction size.
 
 ``test_modes_agree_at_every_size`` is the guard-rail: identical violation
 reports in both pairs at every size.  Set ``BENCH_SMOKE=1`` to run the

@@ -117,7 +117,7 @@ def _trial(tmp_path, label, pool_size, readers, oracles):
     backend.add_relation(_BASE.copy())
     backend.apply_delta_batch("customer", _toggle_batch("A"))
     detector = ErrorDetector(backend)
-    detector.detect("customer", _CFDS)  # warm plans, indexes, tableaux
+    detector.detect("customer", _CFDS)  # warm plans and indexes
 
     stop = threading.Event()
     applied = [0]

@@ -3,8 +3,8 @@
 The detection SQL generated by :mod:`repro.detection.sqlgen` renders a few
 backend-specific pieces through a :class:`SqlDialect`:
 
-* how to render a data column as the string encoding used by the pattern
-  tableau (:meth:`SqlDialect.string_expr`);
+* how to render a data column as the string encoding of the pattern
+  constants it is compared with (:meth:`SqlDialect.string_expr`);
 * the per-statement budgets the query compiler chunks by:
   :attr:`~SqlDialect.max_parameters` bounds how many values one statement
   binds, and :attr:`~SqlDialect.max_or_terms` bounds the OR chain of the
@@ -13,8 +13,8 @@ backend-specific pieces through a :class:`SqlDialect`:
   aggregates all chunk by this budget, so one statement never outgrows the
   engine's variable cap however wide the CFD's LHS is.
 
-The string renderings agree with the tableau encoding (``str(value)`` in
-Python): integers cast identically, floats go through a registered Python
+The string renderings agree with the constants' encoding (``str(value)``
+in Python): integers cast identically, floats go through a registered Python
 ``str`` function on SQLite (``CAST`` disagrees on exponent-form floats),
 and booleans, stored as 0/1, are special-cased.
 """
@@ -42,7 +42,7 @@ class SqlDialect:
     max_or_terms: int = 200
 
     def string_expr(self, column: str, dtype: DataType) -> str:
-        """Render ``column`` as the string encoding used by the tableau."""
+        """Render ``column`` as the string encoding of the pattern constants."""
         raise NotImplementedError
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -54,7 +54,7 @@ class SqliteDialect(SqlDialect):
 
     SQLite has no ``CONCAT`` before 3.44, so non-string columns are
     rendered with ``CAST(... AS TEXT)``.  Booleans are stored as 0/1 and
-    would cast to ``'1'``/``'0'``, while the tableau encodes them as the
+    would cast to ``'1'``/``'0'``, while the constants encode them as the
     Python strings ``'True'``/``'False'``; a ``CASE`` expression keeps the
     string encodings identical.
 

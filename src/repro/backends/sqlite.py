@@ -86,13 +86,13 @@ TID_COLUMN = "_tid"
 
 #: default size of the connection's prepared-statement cache.  The default
 #: of the stdlib module (128) is too small once the detection layer issues
-#: per-chunk delta Q_C/Q_V and covering-members statements for several CFDs
-#: per round; 512 keeps every recurring shape compiled.
+#: per-pattern, per-chunk Q_C/Q_V statements for several CFDs per round;
+#: 512 keeps every recurring shape compiled.
 STATEMENT_CACHE_SIZE = 512
 
-#: name prefix of the detection layer's internal relations (temporary
-#: detection tableaux and the incremental detector's resident tableaux);
-#: never part of the user's catalog
+#: name prefix of internal relations: the pattern tableaux the detectors
+#: materialised in stores written before detection stopped writing any.
+#: Never part of the user's catalog; dropped when such a store reopens
 INTERNAL_RELATION_PREFIX = "__semandaq_"
 
 #: default number of pooled read-only connections for file-backed stores
@@ -311,9 +311,9 @@ class SqliteBackend(StorageBackend):
         Every table with a ``_tid`` column reopens as a relation (schema
         reconstructed from column affinities, tid counter from the highest
         stored tid), so a file-backed store survives across sessions.
-        Internal detection tableaux orphaned by an unclean shutdown are
-        dropped instead of being adopted as user relations — they are
-        derived data their owner re-materialises on demand.
+        Internal ``__semandaq_*`` tableaux left by older versions of the
+        detectors are dropped instead of being adopted as user relations
+        — they are derived data nothing reads any more.
         """
         tables = self._conn.execute(
             "SELECT name FROM sqlite_master WHERE type = 'table'"

@@ -22,7 +22,8 @@ import itertools
 from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from ..errors import CfdError, CfdSchemaError
+from ..engine.types import RelationSchema, coerce_value
+from ..errors import CfdError, CfdSchemaError, TypeMismatchError
 from .pattern import PatternTuple, PatternValue
 
 
@@ -161,6 +162,41 @@ class CFD:
             raise CfdSchemaError(
                 f"CFD {self.identifier} refers to unknown attributes {unknown}"
             )
+
+    def coerced_to(self, schema: RelationSchema) -> "CFD":
+        """Validate against ``schema`` and type every constant by its attribute.
+
+        A CFD parsed from text keeps its constants as strings, so on a
+        non-string column the native detector would compare ``'5' == 5``
+        while the SQL paths compare string encodings.  Each constant is
+        coerced to its attribute's dtype with
+        :func:`~repro.engine.types.coerce_value`, so every path compares
+        the same value.  Returns ``self`` when no constant changes; raises
+        :class:`CfdSchemaError` for an unknown attribute or a constant that
+        does not coerce.
+        """
+        self.validate_against(schema.attribute_names)
+        changed = False
+        patterns = []
+        for pattern in self.patterns:
+            values = []
+            for attribute, value in pattern.values:
+                if value.is_constant:
+                    dtype = schema.attribute(attribute).dtype
+                    try:
+                        typed = coerce_value(value.constant, dtype)
+                    except TypeMismatchError as exc:
+                        raise CfdSchemaError(
+                            f"CFD {self.identifier}: constant {value.constant!r} "
+                            f"of {attribute} is not a {dtype.value}"
+                        ) from exc
+                    # 5 == 5.0, but the SQL paths compare str() encodings
+                    if type(typed) is not type(value.constant) or typed != value.constant:
+                        value = PatternValue.const(typed)
+                        changed = True
+                values.append((attribute, value))
+            patterns.append(PatternTuple(values=tuple(values)))
+        return self.with_patterns(patterns) if changed else self
 
     # -- normalisation -------------------------------------------------------------------
 

@@ -4,17 +4,18 @@ The paper stresses that "CFDs allow for a relational representation [3], the
 constraint engine maximally leverages the use of indices and other
 optimizations provided by DBMS in the storage and manipulation of CFDs".
 This module materialises the pattern tableau of a CFD as a relation whose
-columns are the CFD's attributes (wildcards encoded as SQL NULL), which is
-exactly what the SQL-based detection queries join against.
+columns are the CFD's attributes (wildcards encoded as SQL NULL); the
+constraint engine keeps one per registered CFD as metadata in the DBMS.
+The detection SQL does not join against it: each pattern row compiles to
+its own statement with the constants bound as parameters (see
+:mod:`repro.detection.sqlgen`).
 
 Wildcards used to be stored as the literal ``_`` token, which made a
 *constant* whose value is literally ``'_'`` (constructible through
 :meth:`~repro.core.pattern.PatternValue.const`) indistinguishable from a
-wildcard on the SQL detection paths while the native path treated it as the
-constant it is.  NULL cannot collide with any constant — ``const(None)``
-is rejected at construction — so the encoding is now NULL for wildcards
-and ``str(constant)`` for constants, and the generated predicates test
-``tab.X IS NULL`` instead of ``tab.X = '_'``.
+wildcard.  NULL cannot collide with any constant — ``const(None)`` is
+rejected at construction — so the encoding is NULL for wildcards and
+``str(constant)`` for constants.
 """
 
 from __future__ import annotations
@@ -76,8 +77,8 @@ def tableau_to_relation(cfd: CFD, relation_name: Optional[str] = None) -> Relati
 
     Every constant is stored as its string encoding; wildcards are stored
     as NULL (which no constant can collide with).  The extra ``pattern_id``
-    column numbers the pattern tuples so detection results can point back
-    to the exact pattern violated.
+    column numbers the pattern tuples, so :func:`relation_to_tableau` reads
+    them back in order.
     """
     schema = tableau_schema(cfd, relation_name)
     relation = Relation(schema)

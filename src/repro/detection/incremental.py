@@ -20,15 +20,14 @@ affected-group re-checks:
   :class:`~repro.errors.SqlBackendRequiredError`): the affected tuple ids
   and LHS-value groups travel as ``?`` parameters, so the DBMS re-evaluates
   exactly the affected sub-instance (the FDB-style restriction that buys
-  the incremental win).  The per-CFD pattern tableaux are materialised in
-  the backend once, at construction.  The mode is *fully backend-resident*:
-  the delta ``Q_C`` carries each violating tuple's LHS values, group
-  members are enumerated by the covering members plan
-  (:meth:`~repro.detection.sqlgen.DetectionSqlGenerator.covering_members_query`
-  — index-driven, no tableau join, shared with the batch detector),
-  and :meth:`IncrementalDetector.report` assembles the violation report
-  from backend rows alone — zero reads against the in-memory working
-  store.  Multi-attribute group restrictions are row-value semi-joins, and
+  the incremental win).  Nothing is written to the backend but the
+  CFD-LHS indexes, created at construction.  The mode is *fully
+  backend-resident*: the delta ``Q_C`` carries each violating tuple's LHS
+  values, the one-pass delta ``Q_V`` returns the members of every
+  violating group (the same statements the batch detector runs), and
+  :meth:`IncrementalDetector.report` assembles the violation report from
+  backend rows alone — zero reads against the in-memory working store.
+  Multi-attribute group restrictions are row-value semi-joins, and
   large re-checks are chunked by the dialect's per-statement parameter
   budget; see :mod:`repro.detection.sqlgen`.
 
@@ -48,13 +47,11 @@ from __future__ import annotations
 from collections import defaultdict
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from itertools import count
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..backends.base import StorageBackend
 from ..backends.delta import DeltaBatch
 from ..core.cfd import CFD
-from ..core.tableau import tableau_to_relation
 from ..engine.database import Database
 from ..engine.relation import Relation
 from ..errors import DetectionError, SqlBackendRequiredError
@@ -70,12 +67,6 @@ NATIVE_MODE = "native"
 SQL_DELTA_MODE = "sql_delta"
 #: every evaluation mode the detector accepts
 INCREMENTAL_MODES = (NATIVE_MODE, SQL_DELTA_MODE)
-
-#: process-wide sequence making each detector's resident tableau names
-#: unique, so two detectors over the same relation and backend (e.g. a
-#: retired monitor still held by user code and its replacement) never
-#: clobber or drop each other's tableaux
-_DETECTOR_SEQUENCE = count()
 
 
 @dataclass
@@ -97,8 +88,6 @@ class _WorkUnit:
     multi: Dict[Tuple[Any, ...], Tuple[int, Tuple[int, ...]]] = field(
         default_factory=dict
     )
-    #: sql_delta mode: name of the materialised tableau in the query backend
-    tableau_name: Optional[str] = None
 
     @property
     def rhs_attribute(self) -> str:
@@ -136,7 +125,6 @@ class IncrementalDetector:
         cfds: Sequence[CFD],
         mirror: Optional[StorageBackend] = None,
         mode: str = NATIVE_MODE,
-        detect_plan: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         if mode not in INCREMENTAL_MODES:
@@ -156,7 +144,13 @@ class IncrementalDetector:
         #: schema snapshot used for value decode, so report assembly never
         #: has to touch the (possibly replaced) working-store relation
         self._schema = self.relation.schema
-        self.cfds: List[CFD] = list(cfds)
+        for cfd in cfds:
+            if cfd.relation != relation_name:
+                raise DetectionError(
+                    f"CFD {cfd.identifier} targets {cfd.relation!r}, not {relation_name!r}"
+                )
+        #: the CFDs with their constants typed by the relation's schema
+        self.cfds: List[CFD] = [cfd.coerced_to(self._schema) for cfd in cfds]
         self.mode = mode
         #: storage backend every applied update batch is shipped to as one
         #: :class:`DeltaBatch`, so a backend-resident copy stays current
@@ -174,15 +168,11 @@ class IncrementalDetector:
         self.delta_queries = 0
         #: number of DeltaBatch round trips shipped to the mirror
         self.batches_shipped = 0
-        self._units: List[_WorkUnit] = []
-        for cfd in self.cfds:
-            if cfd.relation != relation_name:
-                raise DetectionError(
-                    f"CFD {cfd.identifier} targets {cfd.relation!r}, not {relation_name!r}"
-                )
-            cfd.validate_against(self.relation.attribute_names)
-            for rhs_attribute in cfd.rhs:
-                self._units.append(_WorkUnit(parent=cfd, cfd=_sub_cfd(cfd, rhs_attribute)))
+        self._units: List[_WorkUnit] = [
+            _WorkUnit(parent=cfd, cfd=_sub_cfd(cfd, rhs_attribute))
+            for cfd in self.cfds
+            for rhs_attribute in cfd.rhs
+        ]
         #: sql_delta mode: row count of the backend-resident copy, kept
         #: current by the update API so report assembly needs no round trip
         #: (and keeps working after the owner closed the backend)
@@ -207,13 +197,11 @@ class IncrementalDetector:
             self._generator: Optional[DetectionSqlGenerator] = DetectionSqlGenerator(
                 self.relation.schema,
                 dialect=self._query_backend.dialect,
-                detect_plan=detect_plan,
                 telemetry=self.telemetry,
             )
-            self.telemetry.inc(
-                f"detect.plan_variant.{self._generator.detect_plan}"
-            )
-            self._materialise_tableaux()
+            for unit in self._units:
+                if unit.cfd.lhs:
+                    self._query_backend.ensure_index(relation_name, unit.cfd.lhs)
             self._initialise_sql()
         else:
             self._query_backend = None
@@ -278,27 +266,6 @@ class IncrementalDetector:
 
     # -- sql_delta state construction ---------------------------------------------------
 
-    def _materialise_tableaux(self) -> None:
-        """Store each unit's pattern tableau in the query backend, once.
-
-        The batch detector materialises and drops a tableau per ``detect``
-        call; the incremental detector keeps them resident so every delta
-        re-check is a single parameterised query.
-        """
-        instance = next(_DETECTOR_SEQUENCE)
-        for index, unit in enumerate(self._units):
-            unit.tableau_name = (
-                f"__semandaq_incr_{instance}_{self.relation_name}"
-                f"_{index}_{unit.rhs_attribute}"
-            )
-            tableau = tableau_to_relation(unit.cfd, unit.tableau_name)
-            # a reused tableau name must never serve plans compiled for a
-            # previous occupant (stale-plan invalidation contract)
-            self._generator.claim_tableau(unit.tableau_name, unit.cfd)
-            self._query_backend.add_relation(tableau, replace=True)
-            if unit.cfd.lhs:
-                self._query_backend.ensure_index(self.relation_name, unit.cfd.lhs)
-
     def _initialise_sql(self) -> None:
         """Build the initial violation state from the full ``Q_C``/``Q_V``.
 
@@ -312,14 +279,12 @@ class IncrementalDetector:
             unit.singles.clear()
             unit.single_lhs.clear()
             unit.multi.clear()
-            for query in self._generator.plan_single_queries(
-                unit.cfd, unit.tableau_name, include_lhs=True
-            ):
+            for query in self._generator.plan_single_queries(unit.cfd):
                 self._absorb_single_rows(
                     unit, self._execute_delta(query), query.pattern_index
                 )
             self._absorb_multi_queries(
-                unit, self._generator.plan_multi_queries(unit.cfd, unit.tableau_name)
+                unit, self._generator.plan_multi_queries(unit.cfd)
             )
 
     def _execute_delta(self, query: SqlQuery) -> List[Dict[str, Any]]:
@@ -338,22 +303,16 @@ class IncrementalDetector:
         self,
         unit: _WorkUnit,
         rows: List[Dict[str, Any]],
-        pattern_override: Optional[int] = None,
+        pattern_index: int,
     ) -> None:
-        """Fold ``Q_C`` result rows into ``unit.singles`` (lowest pattern wins).
+        """Fold one pattern's ``Q_C`` rows into ``unit.singles`` (lowest pattern wins).
 
         The rows carry the tuple's LHS values (``lhs_*`` columns), which
         are decoded and kept so :meth:`report` assembles single-tuple
-        violations from backend rows alone.  ``pattern_override`` labels
-        rows from the specialized per-pattern statements, which carry no
-        ``pattern_id`` column.
+        violations from backend rows alone.
         """
         for row in rows:
             tid = row["tid"]
-            if pattern_override is not None:
-                pattern_index = pattern_override
-            else:
-                pattern_index = int(row.get("pattern_id", 0))
             if tid not in unit.singles or pattern_index < unit.singles[tid]:
                 unit.singles[tid] = pattern_index
                 unit.single_lhs[tid] = tuple(
@@ -364,49 +323,26 @@ class IncrementalDetector:
     def _absorb_multi_queries(
         self, unit: _WorkUnit, queries: Sequence[SqlQuery]
     ) -> None:
-        """Execute the ``Q_V`` statements and fold the results into ``unit.multi``.
+        """Execute the one-pass ``Q_V`` statements and fold them into ``unit.multi``.
 
-        An LHS group covered by several overlapping patterns comes back
-        once per matching pattern — from the legacy (LHS, pattern_id)
-        grouping or from the window family's per-pattern statements; each
-        group is kept once, under its lowest violating pattern index — the
-        rule every detection path follows.  One-pass window statements
-        deliver member rows directly; the legacy grouping enumerates
-        membership with one covering-members pass over the union of its
-        group keys, against the backend copy (the working store is never
-        consulted).  Keys stay in the *backend's* value representation
-        until the final decode, so the ``Q_V`` keys and the members keys
-        hash identically.
+        Each statement checks one pattern and returns the member rows of
+        its violating groups, read from the backend copy (the working
+        store is never consulted).  An LHS group covered by several
+        overlapping patterns comes back once per matching pattern; it is
+        kept once, under its lowest violating pattern index — the rule
+        every detection path follows.  Keys stay in the *backend's* value
+        representation until the final decode.
         """
         cfd = unit.cfd
         grouped: Dict[Tuple[Any, ...], int] = {}
         members: Dict[Tuple[Any, ...], Set[int]] = {}
-        if self._generator.one_pass_multi:
-            for query in queries:
-                pattern_index = query.pattern_index or 0
-                for row in self._execute_delta(query):
-                    key = tuple(row[LHS_COLUMN_PREFIX + attr] for attr in cfd.lhs)
-                    if key not in grouped or pattern_index < grouped[key]:
-                        grouped[key] = pattern_index
-                    members.setdefault(key, set()).add(row["tid"])
-        else:
-            for query in queries:
-                for row in self._execute_delta(query):
-                    lhs_values = tuple(row[attr] for attr in cfd.lhs)
-                    pattern_index = int(row["pattern_id"])
-                    if (
-                        lhs_values not in grouped
-                        or pattern_index < grouped[lhs_values]
-                    ):
-                        grouped[lhs_values] = pattern_index
-            if not grouped:
-                return
-            for plan in self._generator.covering_members_plans(
-                cfd, unit.tableau_name, unit.rhs_attribute, list(grouped)
-            ):
-                for row in self._execute_delta(plan):
-                    key = tuple(row[LHS_COLUMN_PREFIX + attr] for attr in cfd.lhs)
-                    members.setdefault(key, set()).add(row["tid"])
+        for query in queries:
+            pattern_index = query.pattern_index
+            for row in self._execute_delta(query):
+                key = tuple(row[LHS_COLUMN_PREFIX + attr] for attr in cfd.lhs)
+                if key not in grouped or pattern_index < grouped[key]:
+                    grouped[key] = pattern_index
+                members.setdefault(key, set()).add(row["tid"])
         for key, pattern_index in grouped.items():
             tids = members.get(key, set())
             if len(tids) < 2:
@@ -431,9 +367,7 @@ class IncrementalDetector:
             for tid in touched_tids:
                 unit.singles.pop(tid, None)
                 unit.single_lhs.pop(tid, None)
-            for plan in self._generator.plan_delta_single(
-                unit.cfd, unit.tableau_name, touched_tids
-            ):
+            for plan in self._generator.plan_delta_single(unit.cfd, touched_tids):
                 self._absorb_single_rows(
                     unit, self._execute_delta(plan), plan.pattern_index
                 )
@@ -446,9 +380,7 @@ class IncrementalDetector:
                 unit.multi.pop(key, None)
             self._absorb_multi_queries(
                 unit,
-                self._generator.plan_delta_multi(
-                    unit.cfd, unit.tableau_name, unit.rhs_attribute, keys
-                ),
+                self._generator.plan_delta_multi(unit.cfd, unit.rhs_attribute, keys),
             )
 
     def _affected_keys(
@@ -632,13 +564,12 @@ class IncrementalDetector:
         self.mirror_desynced = False
 
     def _fall_back_to_native(self) -> None:
-        """Drop the resident tableaux and switch to native evaluation.
+        """Stop querying the backend and switch to native evaluation.
 
         The Python state is rebuilt *lazily* (on the next update or
-        report), so retiring a detector costs nothing beyond the DROPs —
-        most fallen-back detectors are never used again.
+        report), so retiring a detector costs nothing — most fallen-back
+        detectors are never used again.
         """
-        self._drop_tableaux()
         self.mode = NATIVE_MODE
         self._query_backend = None
         self._generator = None
@@ -650,22 +581,8 @@ class IncrementalDetector:
             self._native_stale = False
             self._rebuild_native()
 
-    def _drop_tableaux(self) -> None:
-        """Best-effort removal of the resident tableaux from the query backend."""
-        for unit in self._units:
-            if unit.tableau_name is None:
-                continue
-            if self._generator is not None:
-                self._generator.invalidate_plans(unit.tableau_name)
-            try:
-                if self._query_backend.has_relation(unit.tableau_name):
-                    self._query_backend.drop_relation(unit.tableau_name)
-            except Exception:  # pragma: no cover - backend already unusable
-                pass
-            unit.tableau_name = None
-
     def close(self) -> None:
-        """Drop the resident tableaux and fall back to native evaluation.
+        """Stop querying the backend and fall back to native evaluation.
 
         A closed sql_delta detector stays usable — updates keep shipping to
         the mirror and detection continues against the (lazily rebuilt)
@@ -682,9 +599,9 @@ class IncrementalDetector:
 
         In ``sql_delta`` mode the report is assembled entirely from state
         computed off backend rows — the singles' LHS values were carried by
-        the delta ``Q_C``, group members came from the covering members
-        plan, and the tuple count is the backend's — so the in-memory
-        working store is never read.
+        the delta ``Q_C``, group members came from the one-pass ``Q_V``,
+        and the tuple count is the backend's — so the in-memory working
+        store is never read.
         """
         self._ensure_native_state()
         backend_resident = self.mode == SQL_DELTA_MODE

@@ -1,53 +1,45 @@
 """Generation of SQL detection queries from CFDs.
 
 Following the SQL-based technique of the paper's companion article (Fan et
-al., TODS 2008), each (merged) CFD ``phi = (R: X -> A, Tp)`` is compiled into
-two SQL queries that run against the data relation ``R`` joined with the
-relational encoding of the pattern tableau ``Tp``:
+al., TODS 2008), each CFD ``phi = (R: X -> A, Tp)`` is compiled into
+queries over the data relation ``R``, one per pattern row of ``Tp``:
 
-* ``Q_C`` (single-tuple violations): finds tuples that match the LHS pattern
-  of some pattern tuple whose RHS is a constant, but carry a different RHS
-  value;
-* ``Q_V`` (multi-tuple violations): groups the tuples matching the LHS
-  pattern of some pattern tuple whose RHS is the wildcard ``_`` by their LHS
-  values and keeps the groups with more than one distinct RHS value.
+* ``Q_C`` (single-tuple violations, statement kind ``q_c_sargable``): for a
+  pattern row whose RHS is a constant, the tuples that match the row's LHS
+  but carry a different (or NULL) RHS value;
+* ``Q_V`` (multi-tuple violations, statement kind ``q_window``): for a
+  pattern row whose RHS is the wildcard ``_``, the tuples matching the
+  row's LHS grouped by their LHS values, keeping the groups with more than
+  one distinct RHS value — and returning those groups' member rows in the
+  same statement, so no second round trip enumerates them.  SQLite
+  rejects DISTINCT in window functions, so the one pass is a JOIN on the
+  grouped ``HAVING`` subquery.
 
-Wildcards are encoded as SQL NULL inside the tableau relation (a constant
-whose value is literally ``'_'`` therefore cannot be misread as one), so
-the matching predicate for an LHS attribute ``X`` is
-``(tab.X IS NULL OR tab.X = t.X)``.  For non-string attributes the data
-side is rendered as a string through the backend's
+A constant LHS position renders as a parameter-bound equality
+(``t.A = ?``) that rides the auto-built CFD-LHS index; a wildcard
+position only requires a non-NULL value.  For non-string attributes the
+data side is rendered as a string through the backend's
 :class:`~repro.backends.dialect.SqlDialect` (``CAST(... AS TEXT)`` on
-SQLite), so the comparison happens on the string encoding used by the
-tableau.
+SQLite) and compared with the constant's string encoding.  Pattern
+constants travel out-of-band as ``?`` parameters — SQL strings never embed
+data values.  Pattern rows that render to an identical statement are
+emitted once, labelled with the lowest pattern index.
 
-Two *detection plan families* are compiled, selected by ``detect_plan``:
+The trade-off against the paper's shape: joining ``R`` with a relational
+encoding of ``Tp`` needs two statements per CFD however many pattern rows
+it has, while the per-row form emits one statement per distinct pattern
+row.  The per-row form was faster on every recorded size and shape, but
+no test or workload has more than five pattern rows, so choosing between
+the shapes again would first need a workload with a large tableau.
 
-* ``legacy`` — the paper's tableau-joined ``Q_C``/``Q_V`` above, with
-  group members enumerated by the covering members plan.
-* ``window`` — ``Q_C`` becomes one *sargable* statement per pattern row
-  whose constant LHS positions render as parameter-bound equalities
-  (``t.A = ?``), riding the auto-built CFD-LHS index (statement kind
-  ``q_c_sargable``); ``Q_V`` becomes a *one-pass* plan returning the
-  violating groups **and** their member rows in a single statement,
-  eliminating the detect→covering-members round trip.  SQLite rejects
-  DISTINCT in window functions, so the one pass is the JOIN-on-aggregate
-  rewrite (statement kind ``q_window``).  Per-pattern statements with
-  identical SQL are emitted once, labelled with the lowest pattern index.
-
-``detect_plan="auto"`` resolves to ``window``.  The resolved variant is
-part of every prepared-plan cache key, so flipping ``detect_plan``
-mid-session can never serve a stale shape.  Inline literal values
-(pattern constants in the specialized plans) travel out-of-band as ``?``
-parameters — SQL strings never embed data values.
-
-Delta variants of the queries (the ``delta_plans_*`` / ``plan_delta_*``
-family) restrict re-evaluation to the tuples / LHS-value groups an update
-batch touched.  Affected tids and single-attribute group keys travel as a
-flat ``IN (?, ?, ...)`` list; multi-attribute group keys use a row-value
-semi-join — ``(t.X1, t.X2) IN (VALUES (?, ?), ...)`` — which lets SQLite
-drive the probe through the CFD-LHS index.  Both shapes are one
-expression node however long, so chunking is driven by the dialect's
+Restricted variants (the ``plan_delta_*`` builders) re-check only the
+tuples / LHS-value groups an update batch or a ``detect_for_tuples`` call
+names.  Affected tids and single-attribute group keys travel as a flat
+``IN (?, ?, ...)`` list, which SQLite probes through the CFD-LHS index;
+multi-attribute group keys use a row-value semi-join — ``(t.X1, t.X2) IN
+(VALUES (?, ?), ...)`` — which SQLite (3.40) probes only when it holds a
+single key, and otherwise reads as a filter over a scan.  Both shapes are
+one expression node however long, so chunking is driven by the dialect's
 *parameter budget* alone
 (:attr:`~repro.backends.dialect.SqlDialect.max_parameters`): each emitted
 statement binds at most that many values, however wide the CFD's LHS is.
@@ -55,94 +47,39 @@ statement binds at most that many values, however wide the CFD's LHS is.
 Two plan-quality mechanisms sit on top of the query builders:
 
 * a *prepared-plan cache* — every built query is memoised per generator,
-  keyed by (CFD, tableau, RHS attribute, chunk shape), so the per-chunk
-  delta statements the batch and incremental detectors re-issue are
-  rendered once.  :meth:`DetectionSqlGenerator.invalidate_plans` drops the
-  plans tied to one materialised tableau; the detectors call it whenever
-  they drop or replace a ``__semandaq_*`` tableau so a re-registered CFD
-  can never reuse a stale plan;
+  keyed by (kind, CFD, RHS attribute or pattern, chunk shape), so the
+  per-chunk statements the batch and incremental detectors re-issue are
+  rendered once.  A statement depends only on the schema, the CFD and
+  the chunk shape, and a generator is bound to one schema, so cached
+  plans never need invalidating;
 * a *covering members plan* (:meth:`covering_members_query`) — member
-  enumeration for violating LHS groups without the tableau join: the
-  group restriction already fixes the LHS values, and pattern-LHS
-  applicability is a function of those values alone, so the query reduces
-  to the restriction plus the non-NULL RHS guard.  Its predicates are
-  plain equalities on the LHS attributes, which lets SQLite drive the
-  probe straight off the auto-built CFD-LHS index (``_tid`` rides along
-  in every index entry) instead of scanning through the non-sargable
-  wildcard-match predicate of the tableau-joined form.
+  enumeration for LHS groups: the group restriction already fixes the
+  LHS values, and pattern-LHS applicability is a function of those values
+  alone, so the query reduces to the restriction plus the non-NULL RHS
+  guard.  Its predicates are plain equalities on the LHS attributes,
+  which lets SQLite drive the probe straight off the auto-built CFD-LHS
+  index (``_tid`` rides along in every index entry).  The tuple sources
+  use it.
 """
 
 from __future__ import annotations
 
-import os
 import threading
 from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..backends.dialect import SQLITE_DIALECT, SqlDialect
 from ..core.cfd import CFD
-from ..core.tableau import PATTERN_ID_COLUMN
 from ..engine.types import RelationSchema
 from ..errors import DetectionError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 
 #: alias used for the data relation in generated queries
 DATA_ALIAS = "t"
-#: alias used for the tableau relation in generated queries
-TABLEAU_ALIAS = "tab"
 
-#: detection plan families: ``legacy`` keeps the tableau-joined queries,
-#: ``window`` specializes ``Q_C`` per pattern row with index-friendly
-#: constant equalities and adds the one-pass group+members ``Q_V``;
-#: ``auto`` resolves to ``window``
-DETECT_PLANS = ("auto", "legacy", "window")
-
-#: environment switch pre-selecting the detection plan family (used by CI
-#: to force the legacy shape on a modern library); an explicit
-#: ``detect_plan`` argument always wins over it
-DETECT_PLAN_ENV = "SEMANDAQ_DETECT_PLAN"
-
-#: column-alias prefix for the LHS values a delta ``Q_C`` carries so the
-#: caller can assemble violation reports without touching the data store
+#: column-alias prefix for the LHS values a ``Q_C`` carries so the caller
+#: can assemble violation reports without touching the data store
 LHS_COLUMN_PREFIX = "lhs_"
-
-
-def _unknown_detect_plan(requested: str, source: str) -> DetectionError:
-    return DetectionError(
-        f"unknown {source} {requested!r}; "
-        f"expected one of {', '.join(DETECT_PLANS)}"
-    )
-
-
-def default_detect_plan() -> str:
-    """The detection plan family used when the caller does not pick one.
-
-    ``SEMANDAQ_DETECT_PLAN`` overrides the ``auto`` default, so a CI leg
-    can pin every detector in a process to one plan shape without
-    threading configuration through each test.  An unknown value raises
-    :class:`~repro.errors.DetectionError`: a typo must not silently run
-    another family than the one the leg meant to pin.
-    """
-    value = os.environ.get(DETECT_PLAN_ENV, "").strip().lower()
-    if not value:
-        return "auto"
-    if value not in DETECT_PLANS:
-        raise _unknown_detect_plan(value, DETECT_PLAN_ENV)
-    return value
-
-
-def resolve_detect_plan(requested: str, dialect: SqlDialect) -> str:
-    """Resolve a requested plan family to the variant that runs.
-
-    ``legacy`` and ``window`` resolve to themselves and ``auto`` to
-    ``window``; an unknown family raises
-    :class:`~repro.errors.DetectionError`.  Every supported dialect runs
-    both families, so ``dialect`` does not change the outcome.
-    """
-    del dialect
-    if requested not in DETECT_PLANS:
-        raise _unknown_detect_plan(requested, "detect_plan")
-    return "window" if requested == "auto" else requested
 
 
 @dataclass(frozen=True)
@@ -153,14 +90,13 @@ class SqlQuery:
     binds at execution time (the ``*_query`` builders of the restricted
     statements; the ``*_plans`` helpers return them bound).
     ``rhs_attribute`` names the RHS attribute a ``Q_V`` query detects
-    disagreements on (``None`` for the other query kinds).  ``kind`` is the statement-kind tag the
-    telemetry layer buckets executions under (``q_c``, ``q_v``,
-    ``q_c_sargable``, ``q_window``, ``delta_single``, ``covering_members``,
+    disagreements on (``None`` for the other query kinds).  ``kind`` is the
+    statement-kind tag the telemetry layer buckets executions under
+    (``q_c_sargable``, ``q_window``, ``covering_members``, ``lhs_values``,
     ...); detectors announce it to the instrumented backend via
     :meth:`~repro.obs.telemetry.Telemetry.tag_statements`.
-    ``pattern_index`` is set on the per-pattern specialized plans of the
-    ``window`` family, whose statements carry no ``pattern_id`` column —
-    the pattern is implicit in the statement.
+    ``pattern_index`` is set on the per-pattern statements, which carry no
+    pattern column — the pattern is implicit in the statement.
     """
 
     sql: str
@@ -181,9 +117,6 @@ class DetectionSqlGenerator:
 
     ``dialect`` supplies the string rendering and the statement budgets; it
     defaults to the SQLite dialect with the portable 999-parameter floor.
-    ``detect_plan`` selects the detection plan family (see
-    :data:`DETECT_PLANS`); ``None`` means :func:`default_detect_plan`
-    (the ``SEMANDAQ_DETECT_PLAN`` environment switch or ``auto``).
     """
 
     def __init__(
@@ -191,115 +124,35 @@ class DetectionSqlGenerator:
         schema: RelationSchema,
         dialect: Optional[SqlDialect] = None,
         telemetry: Optional["Telemetry"] = None,
-        detect_plan: Optional[str] = None,
     ):
         self.schema = schema
         self.dialect = dialect or SQLITE_DIALECT
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        #: the requested plan family and its resolved variant;
-        #: :meth:`set_detect_plan` re-resolves both
-        self.requested_detect_plan = (
-            default_detect_plan() if detect_plan is None else detect_plan
-        )
-        self.detect_plan = resolve_detect_plan(
-            self.requested_detect_plan, self.dialect
-        )
-        #: prepared-plan cache: (kind, cfd, tableau, rhs, chunk shape) -> query.
-        #: SqlQuery is frozen, so cached plans are safe to share; entries
-        #: scoped to a tableau are dropped by :meth:`invalidate_plans`.
+        #: prepared-plan cache: (kind, cfd, ..., chunk shape) -> query.
+        #: SqlQuery is frozen, so cached plans are safe to share.
         self._plan_cache: Dict[Tuple[Any, ...], Optional[SqlQuery]] = {}
-        #: tableau name -> the CFD it was last materialised for (see
-        #: :meth:`claim_tableau`)
-        self._tableau_owners: Dict[str, CFD] = {}
-        #: guards the cache, owner map and hit/miss counters: serving-layer
+        #: guards the cache and its hit/miss counters: serving-layer
         #: worker threads share one generator per relation, and a lost
-        #: update on the dicts (or a build raced with an invalidation)
-        #: would serve a plan for a tableau another CFD now occupies.
-        #: Re-entrant because ``claim_tableau`` calls ``invalidate_plans``.
-        self._cache_lock = threading.RLock()
+        #: update on the dict would double-count or drop a plan
+        self._cache_lock = threading.Lock()
         #: cache telemetry (benchmarks and tests read these)
         self.plan_cache_hits = 0
         self.plan_cache_misses = 0
 
     # -- prepared-plan cache -----------------------------------------------------
 
-    def set_detect_plan(self, detect_plan: str) -> None:
-        """Switch the plan family mid-session.
-
-        The resolved variant is appended to every cache key, so plans
-        compiled under the previous family are simply never matched again —
-        a flip can serve a stale shape on no code path.
-        """
-        self.requested_detect_plan = detect_plan
-        self.detect_plan = resolve_detect_plan(detect_plan, self.dialect)
-
     def _cached_plan(self, key: Tuple[Any, ...], build) -> Optional[SqlQuery]:
-        """Memoise one built query under ``key`` (None results included).
-
-        ``key[2]`` is always the tableau name the plan is scoped to (or
-        ``None`` for tableau-independent plans), which is what
-        :meth:`invalidate_plans` sweeps on.  The resolved plan variant is
-        appended to every key, so two families can never share an entry
-        and the hit/miss counters account per variant
-        (``plan_cache.hits.<variant>``).
-        """
-        key = key + (self.detect_plan,)
+        """Memoise one built query under ``key`` (None results included)."""
         with self._cache_lock:
             if key in self._plan_cache:
                 self.plan_cache_hits += 1
                 self.telemetry.inc("plan_cache.hits")
-                self.telemetry.inc(f"plan_cache.hits.{self.detect_plan}")
                 return self._plan_cache[key]
             self.plan_cache_misses += 1
             self.telemetry.inc("plan_cache.misses")
-            self.telemetry.inc(f"plan_cache.misses.{self.detect_plan}")
             plan = build()
             self._plan_cache[key] = plan
             return plan
-
-    def invalidate_plans(self, tableau_name: Optional[str] = None) -> None:
-        """Drop cached plans scoped to ``tableau_name`` (or all of them).
-
-        The detectors call this whenever they drop or re-materialise
-        (``replace=True``) a ``__semandaq_*`` tableau: a tableau name can
-        be reused by a different CFD — e.g. the batch detector's
-        positional names, or a re-registered CFD under the same name — and
-        a plan compiled for the previous occupant (including a cached
-        "no ``Q_C`` exists" ``None``) must not survive the swap.
-        """
-        with self._cache_lock:
-            if tableau_name is None:
-                if self._plan_cache:
-                    self.telemetry.inc(
-                        "plan_cache.invalidations", len(self._plan_cache)
-                    )
-                self._plan_cache.clear()
-                self._tableau_owners.clear()
-                return
-            stale = [key for key in self._plan_cache if key[2] == tableau_name]
-            for key in stale:
-                del self._plan_cache[key]
-            if stale:
-                self.telemetry.inc("plan_cache.invalidations", len(stale))
-            self._tableau_owners.pop(tableau_name, None)
-
-    def claim_tableau(self, tableau_name: str, cfd: CFD) -> None:
-        """Record that ``tableau_name`` is being (re-)materialised for ``cfd``.
-
-        Call before ``add_relation(tableau, replace=True)``.  When the name
-        last hosted a *different* CFD — the batch detector's positional
-        names get reused across ``detect`` calls, and a re-registered CFD
-        can reclaim its old name — every plan scoped to the name is
-        invalidated.  Re-materialising the *same* CFD keeps its plans: the
-        tableau content is a pure function of the CFD, so the cached SQL
-        stays valid and repeated detections reuse it.
-        """
-        with self._cache_lock:
-            owner = self._tableau_owners.get(tableau_name)
-            if owner is not None and owner == cfd:
-                return
-            self.invalidate_plans(tableau_name)
-            self._tableau_owners[tableau_name] = cfd
 
     def plan_cache_size(self) -> int:
         """Number of cached prepared plans (for tests and benchmarks)."""
@@ -309,7 +162,7 @@ class DetectionSqlGenerator:
     # -- helpers ----------------------------------------------------------------
 
     def _data_column(self, attribute: str) -> str:
-        """Render the data-side column as the tableau's string encoding."""
+        """Render the data-side column as the pattern constants' string encoding."""
         dtype = self.schema.attribute(attribute).dtype
         return self.dialect.string_expr(f"{DATA_ALIAS}.{attribute}", dtype)
 
@@ -317,119 +170,6 @@ class DetectionSqlGenerator:
         """Render a string literal as a ``?`` parameter bound to ``value``."""
         params.append(value)
         return "?"
-
-    def _match_predicate(self, attribute: str) -> str:
-        """The per-attribute LHS matching predicate against the tableau.
-
-        NULL is the wildcard encoding, so a tableau cell matches when it is
-        NULL (wildcard) or equals the data value's string encoding; a
-        constant whose value is literally ``'_'`` compares like any other.
-        """
-        tab_column = f"{TABLEAU_ALIAS}.{attribute}"
-        data_column = self._data_column(attribute)
-        return f"({tab_column} IS NULL OR {tab_column} = {data_column})"
-
-    def _lhs_conditions(self, cfd: CFD) -> List[str]:
-        conditions: List[str] = []
-        for attribute in cfd.lhs:
-            conditions.append(f"{DATA_ALIAS}.{attribute} IS NOT NULL")
-            conditions.append(self._match_predicate(attribute))
-        return conditions
-
-    # -- query generation ---------------------------------------------------------
-
-    def single_tuple_query(
-        self, cfd: CFD, tableau_name: str, include_lhs: bool = False
-    ) -> Optional[SqlQuery]:
-        """``Q_C``: detect tuples violating a constant RHS pattern on their own.
-
-        Returns ``None`` when no pattern tuple of the CFD has a constant
-        RHS.  ``include_lhs`` additionally selects the tuple's LHS values
-        (``lhs_*`` columns), which lets both detectors assemble reports
-        from backend rows alone.
-        """
-        return self._cached_plan(
-            ("single", cfd, tableau_name, None, 0, include_lhs),
-            lambda: self._single_query(cfd, tableau_name, include_lhs=include_lhs),
-        )
-
-    def single_tuple_query_delta(
-        self, cfd: CFD, tableau_name: str, tid_count: int
-    ) -> Optional[SqlQuery]:
-        """Delta ``Q_C``: re-check only the ``tid_count`` affected tuples.
-
-        The incremental detector's backend-resident mode runs this after a
-        :class:`~repro.backends.delta.DeltaBatch` ships: only the tuples the
-        batch touched can have gained or lost a single-tuple violation, so
-        the query appends a tid restriction with one ``?`` placeholder per
-        affected tid.  The caller binds ``query.parameters`` followed by the
-        tids themselves (the delta placeholders come last).
-        """
-        if tid_count < 1:
-            raise ValueError("tid_count must be at least 1")
-        return self._cached_plan(
-            ("single_delta", cfd, tableau_name, None, tid_count, True),
-            lambda: self._single_query(cfd, tableau_name, delta_tid_count=tid_count),
-        )
-
-    def _single_query(
-        self,
-        cfd: CFD,
-        tableau_name: str,
-        delta_tid_count: Optional[int] = None,
-        include_lhs: bool = False,
-    ) -> Optional[SqlQuery]:
-        rhs_constant_exists = any(
-            cfd.rhs_pattern(pattern).value(attr).is_constant
-            for pattern in cfd.patterns
-            for attr in cfd.rhs
-        )
-        if not rhs_constant_exists:
-            return None
-        params: List[Any] = []
-        conditions = self._lhs_conditions(cfd)
-        rhs_parts: List[str] = []
-        for attribute in cfd.rhs:
-            tab_column = f"{TABLEAU_ALIAS}.{attribute}"
-            data_column = self._data_column(attribute)
-            # a non-NULL tableau cell is a constant RHS (NULL encodes the
-            # wildcard); the tuple violates it when its value differs or
-            # is NULL
-            rhs_parts.append(
-                f"({tab_column} IS NOT NULL AND "
-                f"({data_column} <> {tab_column} OR {DATA_ALIAS}.{attribute} IS NULL))"
-            )
-        conditions.append("(" + " OR ".join(rhs_parts) + ")")
-        if delta_tid_count is not None:
-            # The caller-bound tid placeholders come last, *after* every
-            # generator-bound wildcard placeholder, so binding order is
-            # always ``query.parameters`` followed by the affected tids.
-            # A flat IN list is one expression node, so tid chunks are
-            # bounded by the parameter budget alone.
-            placeholders = ", ".join("?" for _ in range(delta_tid_count))
-            conditions.append(f"{DATA_ALIAS}._tid IN ({placeholders})")
-        where = " AND ".join(conditions)
-        select_columns = [
-            f"{DATA_ALIAS}._tid AS tid",
-            f"{TABLEAU_ALIAS}.{PATTERN_ID_COLUMN} AS pattern_id",
-        ]
-        if delta_tid_count is not None or include_lhs:
-            # The delta form also carries the tuple's LHS values, so the
-            # incremental detector can assemble violation reports entirely
-            # from backend rows (no working-store reads).
-            for attribute in cfd.lhs:
-                select_columns.append(
-                    f"{DATA_ALIAS}.{attribute} AS {LHS_COLUMN_PREFIX}{attribute}"
-                )
-        for attribute in cfd.rhs:
-            select_columns.append(f"{TABLEAU_ALIAS}.{attribute} AS expected_{attribute}")
-        sql = (
-            f"SELECT {', '.join(select_columns)}\n"
-            f"FROM {cfd.relation} {DATA_ALIAS}, {tableau_name} {TABLEAU_ALIAS}\n"
-            f"WHERE {where}"
-        )
-        kind = "q_c" if delta_tid_count is None else "delta_single"
-        return SqlQuery(sql, tuple(params), kind=kind)
 
     def wildcard_rhs_attributes(self, cfd: CFD) -> List[str]:
         """RHS attributes carrying the wildcard in at least one pattern."""
@@ -441,54 +181,6 @@ class DetectionSqlGenerator:
                 for pattern in cfd.patterns
             )
         ]
-
-    def multi_tuple_queries(self, cfd: CFD, tableau_name: str) -> List[SqlQuery]:
-        """All ``Q_V`` queries of ``cfd``: one per wildcard RHS attribute.
-
-        A merged CFD whose tableau has wildcard patterns on several RHS
-        attributes needs one grouping query per such attribute — a single
-        query over the first one would silently miss disagreements on the
-        others.  Empty when the CFD has no wildcard RHS position or an
-        empty LHS.
-        """
-        if not cfd.lhs:
-            return []
-        return [
-            self._cached_plan(
-                ("multi", cfd, tableau_name, attr, 0),
-                lambda attr=attr: self._multi_tuple_query_for(cfd, tableau_name, attr),
-            )
-            for attr in self.wildcard_rhs_attributes(cfd)
-        ]
-
-    def multi_tuple_query_delta(
-        self,
-        cfd: CFD,
-        tableau_name: str,
-        rhs_attribute: str,
-        group_count: int,
-    ) -> SqlQuery:
-        """Delta ``Q_V``: re-check only the ``group_count`` affected LHS groups.
-
-        After a :class:`~repro.backends.delta.DeltaBatch` ships, only groups
-        whose LHS values match a touched tuple's old or new LHS values can
-        have changed violation status.  The query appends a group
-        restriction (see :meth:`_group_restriction`); the caller binds
-        ``query.parameters`` followed by the groups' LHS values flattened
-        with :meth:`flatten_group_keys` (the delta placeholders come
-        last).  Prefer :meth:`delta_plans_multi`, which also chunks by the
-        dialect's parameter budget and returns bound queries.
-        """
-        if not cfd.lhs:
-            raise ValueError("delta Q_V needs a non-empty LHS")
-        if group_count < 1:
-            raise ValueError("group_count must be at least 1")
-        return self._cached_plan(
-            ("multi_delta", cfd, tableau_name, rhs_attribute, group_count),
-            lambda: self._multi_tuple_query_for(
-                cfd, tableau_name, rhs_attribute, delta_group_count=group_count
-            ),
-        )
 
     def _group_restriction(self, cfd: CFD, group_count: int) -> str:
         """The affected-group restriction over ``group_count`` LHS-value groups.
@@ -509,53 +201,7 @@ class DetectionSqlGenerator:
         values = ", ".join(value_row for _ in range(group_count))
         return f"({row}) IN (VALUES {values})"
 
-    def _multi_tuple_query_for(
-        self,
-        cfd: CFD,
-        tableau_name: str,
-        rhs_attribute: str,
-        delta_group_count: Optional[int] = None,
-    ) -> SqlQuery:
-        params: List[Any] = []
-        conditions = self._lhs_conditions(cfd)
-        # a NULL tableau cell on the RHS attribute is the wildcard — the
-        # pattern rows Q_V groups under
-        conditions.append(f"{TABLEAU_ALIAS}.{rhs_attribute} IS NULL")
-        conditions.append(f"{DATA_ALIAS}.{rhs_attribute} IS NOT NULL")
-        if delta_group_count is not None:
-            conditions.append(self._group_restriction(cfd, delta_group_count))
-        group_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
-        group_columns.append(f"{TABLEAU_ALIAS}.{PATTERN_ID_COLUMN}")
-        select_columns = [
-            f"{DATA_ALIAS}.{attr} AS {attr}" for attr in cfd.lhs
-        ]
-        select_columns.append(f"{TABLEAU_ALIAS}.{PATTERN_ID_COLUMN} AS pattern_id")
-        select_columns.append(
-            f"COUNT(DISTINCT {self._data_column(rhs_attribute)}) AS distinct_rhs"
-        )
-        select_columns.append(f"COUNT(*) AS group_size")
-        sql = (
-            f"SELECT {', '.join(select_columns)}\n"
-            f"FROM {cfd.relation} {DATA_ALIAS}, {tableau_name} {TABLEAU_ALIAS}\n"
-            f"WHERE {' AND '.join(conditions)}\n"
-            f"GROUP BY {', '.join(group_columns)}\n"
-            f"HAVING COUNT(DISTINCT {self._data_column(rhs_attribute)}) > 1"
-        )
-        kind = "q_v" if delta_group_count is None else "delta_multi"
-        return SqlQuery(sql, tuple(params), rhs_attribute=rhs_attribute, kind=kind)
-
-    # -- the window plan family ----------------------------------------------------
-
-    @property
-    def one_pass_multi(self) -> bool:
-        """Whether the resolved family's ``Q_V`` returns member rows directly.
-
-        True for ``window`` (false for ``legacy``), whose one-pass
-        statements make the covering-members round trip unnecessary:
-        callers bucket the ``(tid, lhs_*)`` rows per group key instead of
-        enumerating members in a second query wave.
-        """
-        return self.detect_plan == "window"
+    # -- detection queries ---------------------------------------------------------
 
     def _constant_single_patterns(self, cfd: CFD) -> List[int]:
         """Pattern indices carrying at least one constant RHS position."""
@@ -582,7 +228,7 @@ class DetectionSqlGenerator:
         """Per-pattern LHS conditions with sargable constant equalities.
 
         A constant position renders as ``<string-encoding> = ?`` binding
-        the constant's tableau encoding — for string attributes that is a
+        the constant's string encoding — for string attributes that is a
         bare ``t.X = ?`` the auto-built CFD-LHS index answers directly
         (the trick the covering members plan proved).  Equality implies
         non-NULL, so the explicit guard is kept only for wildcard
@@ -607,7 +253,7 @@ class DetectionSqlGenerator:
         pattern_index: int,
         delta_tid_count: Optional[int] = None,
     ) -> SqlQuery:
-        """Per-pattern sargable ``Q_C``: no tableau join, constants bound.
+        """Per-pattern sargable ``Q_C``: constants bound, LHS values carried.
 
         The pattern is implicit in the statement (``pattern_index`` rides
         on the returned :class:`SqlQuery`), so the select list is just
@@ -654,7 +300,7 @@ class DetectionSqlGenerator:
         """Per-pattern one-pass ``Q_V``: violating groups *and* members.
 
         Rows come back as ``(tid, lhs_*)`` — one per member of a violating
-        group — so the detect→covering-members round trip disappears.
+        group — so no detect→covering-members round trip is needed.
         SQLite rejects DISTINCT in window functions, so the statement is
         the JOIN-on-aggregate rewrite: the grouped ``HAVING`` subquery
         finds the violating keys and the self-join pulls their members
@@ -694,27 +340,20 @@ class DetectionSqlGenerator:
             pattern_index=pattern_index,
         )
 
-    def plan_single_queries(
-        self, cfd: CFD, tableau_name: str, include_lhs: bool = True
-    ) -> List[SqlQuery]:
-        """The ``Q_C`` statements of the resolved plan family.
+    def plan_single_queries(self, cfd: CFD) -> List[SqlQuery]:
+        """The ``Q_C`` statements of ``cfd``: one per constant-RHS pattern row.
 
-        ``legacy``: the single tableau-joined query.  ``window``: one
-        sargable statement per constant-RHS pattern row; pattern
-        rows that render to an identical statement (wildcard-only LHS with
-        the same expected RHS, or patterns made identical by the sub-CFD
-        restriction) are emitted once, labelled with the lowest pattern
-        index — the rows they'd return are identical, and the lowest index
-        is what every detection path reports.
+        Pattern rows that render to an identical statement (wildcard-only
+        LHS with the same expected RHS, or patterns made identical by the
+        sub-CFD restriction) are emitted once, labelled with the lowest
+        pattern index — the rows they'd return are identical, and the
+        lowest index is what every detection path reports.
         """
-        if self.detect_plan == "legacy":
-            query = self.single_tuple_query(cfd, tableau_name, include_lhs=include_lhs)
-            return [query] if query is not None else []
         queries: List[SqlQuery] = []
         seen = set()
         for index in self._constant_single_patterns(cfd):
             query = self._cached_plan(
-                ("single_sarg", cfd, tableau_name, index, 0),
+                ("single_sarg", cfd, index),
                 lambda index=index: self._sargable_single_for(cfd, index),
             )
             signature = (query.sql, query.parameters)
@@ -724,17 +363,14 @@ class DetectionSqlGenerator:
             queries.append(query)
         return queries
 
-    def plan_multi_queries(self, cfd: CFD, tableau_name: str) -> List[SqlQuery]:
-        """The ``Q_V`` statements of the resolved plan family.
+    def plan_multi_queries(self, cfd: CFD) -> List[SqlQuery]:
+        """The one-pass ``Q_V`` statements of ``cfd``.
 
-        ``legacy``: one tableau-joined query per wildcard RHS attribute.
-        ``window``: one one-pass statement (see :attr:`one_pass_multi`) per
-        (wildcard RHS attribute × pattern row), deduplicated the same way
-        as :meth:`plan_single_queries`; wildcard-only patterns thereby keep
-        a single statement per RHS attribute.
+        One statement per (wildcard RHS attribute × pattern row),
+        deduplicated the same way as :meth:`plan_single_queries`, so
+        wildcard-only patterns keep a single statement per RHS attribute.
+        Empty when the CFD has no wildcard RHS position or an empty LHS.
         """
-        if self.detect_plan == "legacy":
-            return list(self.multi_tuple_queries(cfd, tableau_name))
         if not cfd.lhs:
             return []
         queries: List[SqlQuery] = []
@@ -742,7 +378,7 @@ class DetectionSqlGenerator:
             seen = set()
             for index in self._wildcard_multi_patterns(cfd, rhs_attribute):
                 query = self._cached_plan(
-                    ("multi_window", cfd, tableau_name, (rhs_attribute, index), 0),
+                    ("multi_window", cfd, rhs_attribute, index),
                     lambda index=index, rhs=rhs_attribute: self._window_multi_for(
                         cfd, rhs, index
                     ),
@@ -754,24 +390,20 @@ class DetectionSqlGenerator:
                 queries.append(query)
         return queries
 
-    def plan_delta_single(
-        self, cfd: CFD, tableau_name: str, tids: Sequence[int]
-    ) -> List[SqlQuery]:
-        """Fully-bound restricted ``Q_C`` statements of the resolved family.
+    def plan_delta_single(self, cfd: CFD, tids: Sequence[int]) -> List[SqlQuery]:
+        """Fully-bound ``Q_C`` statements restricted to the tuples ``tids``.
 
-        The legacy family delegates to :meth:`delta_plans_single`; the
-        window family chunks the tid restriction per pattern statement
-        under the same parameter budget.
+        Each pattern statement carries the tid restriction, chunked under
+        the parameter budget; empty when ``tids`` is empty or no pattern
+        has a constant RHS.
         """
-        if self.detect_plan == "legacy":
-            return self.delta_plans_single(cfd, tableau_name, tids)
         if not tids:
             return []
         plans: List[SqlQuery] = []
         seen = set()
         for index in self._constant_single_patterns(cfd):
             probe = self._cached_plan(
-                ("single_sarg_delta", cfd, tableau_name, index, 1),
+                ("single_sarg_delta", cfd, index, 1),
                 lambda index=index: self._sargable_single_for(
                     cfd, index, delta_tid_count=1
                 ),
@@ -784,7 +416,7 @@ class DetectionSqlGenerator:
             for chunk in self._chunked(list(tids), size):
                 chunk = self._padded(chunk, size)
                 query = self._cached_plan(
-                    ("single_sarg_delta", cfd, tableau_name, index, len(chunk)),
+                    ("single_sarg_delta", cfd, index, len(chunk)),
                     lambda index=index, count=len(chunk): self._sargable_single_for(
                         cfd, index, delta_tid_count=count
                     ),
@@ -802,27 +434,24 @@ class DetectionSqlGenerator:
     def plan_delta_multi(
         self,
         cfd: CFD,
-        tableau_name: str,
         rhs_attribute: str,
         keys: Sequence[Tuple[Any, ...]],
     ) -> List[SqlQuery]:
-        """Fully-bound restricted ``Q_V`` statements of the resolved family.
+        """Fully-bound one-pass ``Q_V`` statements restricted to the groups ``keys``.
 
-        The legacy family delegates to :meth:`delta_plans_multi`; the
-        window family chunks the group restriction per pattern statement
-        (restricting its grouped subquery, so the one-pass member rows
-        cover exactly the affected groups).
+        Each key is one group's LHS values in ``cfd.lhs`` order.  The group
+        restriction goes into each pattern statement's grouped subquery,
+        so the member rows cover exactly the affected groups; chunking
+        follows the parameter budget.
         """
         if not keys or not cfd.lhs:
             return []
-        if self.detect_plan == "legacy":
-            return self.delta_plans_multi(cfd, tableau_name, rhs_attribute, keys)
         cache_kind = "multi_window_delta"
         plans: List[SqlQuery] = []
         seen = set()
         for index in self._wildcard_multi_patterns(cfd, rhs_attribute):
             probe = self._cached_plan(
-                (cache_kind, cfd, tableau_name, (rhs_attribute, index), 1),
+                (cache_kind, cfd, rhs_attribute, index, 1),
                 lambda index=index: self._window_multi_for(
                     cfd, rhs_attribute, index, delta_group_count=1
                 ),
@@ -835,7 +464,7 @@ class DetectionSqlGenerator:
             for chunk in self._chunked(list(keys), size):
                 chunk = self._padded(chunk, size)
                 query = self._cached_plan(
-                    (cache_kind, cfd, tableau_name, (rhs_attribute, index), len(chunk)),
+                    (cache_kind, cfd, rhs_attribute, index, len(chunk)),
                     lambda index=index, count=len(chunk): self._window_multi_for(
                         cfd, rhs_attribute, index, delta_group_count=count
                     ),
@@ -855,30 +484,26 @@ class DetectionSqlGenerator:
     def covering_members_query(
         self,
         cfd: CFD,
-        tableau_name: str,
         rhs_attribute: str,
         group_count: int,
     ) -> SqlQuery:
-        """Index-only member enumeration for violating LHS groups.
+        """Index-only member enumeration for LHS groups.
 
-        A tableau join is redundant once the group restriction is in
-        place: a group key carries no NULLs (the grouping queries guard
-        every LHS attribute with ``IS NOT NULL``), and whether a pattern's
-        LHS constants match is a function of the LHS values alone — so
-        every tuple whose LHS equals a violating key is applicable by
-        construction.  Membership reduces
-        to the group restriction plus the non-NULL RHS guard, with plain
-        (typed, parameter-bound) equalities on the LHS attributes that
-        SQLite answers straight off the auto-built CFD-LHS index:
-        ``_tid`` travels in every index entry and the selected columns are
-        exactly ``_tid`` + LHS.  The pattern index is resolved by the
-        caller (it only labels the violation), so one enumeration covers
-        every pattern.
+        A group key carries no NULLs (the grouping queries guard every LHS
+        attribute with ``IS NOT NULL``), and whether a pattern's LHS
+        constants match is a function of the LHS values alone — so every
+        tuple whose LHS equals a violating key is applicable by
+        construction.  Membership reduces to the group restriction plus
+        the non-NULL RHS guard, with plain (typed, parameter-bound)
+        equalities on the LHS attributes that SQLite answers straight off
+        the auto-built CFD-LHS index (for a multi-attribute LHS only when
+        one key is requested, see :meth:`_group_restriction`): ``_tid``
+        travels in every index entry and the selected columns are exactly
+        ``_tid`` + LHS.  The pattern is irrelevant, so one enumeration
+        covers every pattern.
 
-        ``tableau_name`` does not appear in the SQL; it scopes the cached
-        plan to the CFD's materialised tableau for
-        :meth:`invalidate_plans`.  All placeholders are caller-bound (the
-        groups' LHS values flattened with :meth:`flatten_group_keys`).
+        All placeholders are caller-bound (the groups' LHS values
+        flattened with :meth:`flatten_group_keys`).
         """
         if not cfd.lhs:
             raise ValueError("the covering members query needs a non-empty LHS")
@@ -903,7 +528,7 @@ class DetectionSqlGenerator:
             )
 
         return self._cached_plan(
-            ("covering", cfd, tableau_name, rhs_attribute, group_count), build
+            ("covering", cfd, rhs_attribute, group_count), build
         )
 
     def tid_lhs_query(self, cfd: CFD, tid_count: int) -> SqlQuery:
@@ -914,8 +539,7 @@ class DetectionSqlGenerator:
         store: rows come back as ``(tid, lhs_*)``, and tuples carrying a
         NULL LHS cell are filtered by the engine (they belong to no group
         on any detection path).  All placeholders are caller-bound (the
-        tids); the plan is tableau-independent, so it survives tableau
-        re-materialisation.
+        tids).
         """
         if not cfd.lhs:
             raise ValueError("the tid-LHS query needs a non-empty LHS")
@@ -936,7 +560,7 @@ class DetectionSqlGenerator:
             )
             return SqlQuery(sql, kind="lhs_values")
 
-        return self._cached_plan(("tid_lhs", cfd, None, None, tid_count), build)
+        return self._cached_plan(("tid_lhs", cfd, tid_count), build)
 
     # -- repair-source aggregates ---------------------------------------------------
 
@@ -949,8 +573,7 @@ class DetectionSqlGenerator:
         ``first_tid`` (``MIN(_tid)``) lets the caller order ties exactly
         the way the native ``Counter`` does — first encounter over the
         sorted-tid row iteration — so candidate ranking stays
-        oracle-identical.  The plan is tableau-independent and binds
-        nothing.
+        oracle-identical.  The plan binds nothing.
         """
         if attribute not in self.schema.attribute_names:
             raise DetectionError(
@@ -968,7 +591,7 @@ class DetectionSqlGenerator:
             )
             return SqlQuery(sql, kind="value_freq")
 
-        return self._cached_plan(("value_freq", attribute, None, None, 0), build)
+        return self._cached_plan(("value_freq", attribute), build)
 
     def group_stats_query(
         self, cfd: CFD, rhs_attribute: str, group_count: int
@@ -983,9 +606,8 @@ class DetectionSqlGenerator:
         fresh-value keys no stored tuple carries) never pay a member
         enumeration, and keys whose members are all fetched already can be
         recognised by count alone.  Like :meth:`covering_members_query`
-        the predicate is sargable (plain LHS equalities + the RHS guard);
-        the plan is tableau-independent and all placeholders are
-        caller-bound (:meth:`flatten_group_keys`).
+        the predicate is sargable (plain LHS equalities + the RHS guard)
+        and all placeholders are caller-bound (:meth:`flatten_group_keys`).
         """
         if not cfd.lhs:
             raise ValueError("the group-stats query needs a non-empty LHS")
@@ -1014,7 +636,7 @@ class DetectionSqlGenerator:
             return SqlQuery(sql, (), rhs_attribute=rhs_attribute, kind="group_stats")
 
         return self._cached_plan(
-            ("group_stats", cfd, None, rhs_attribute, group_count), build
+            ("group_stats", cfd, rhs_attribute, group_count), build
         )
 
     def row_fetch_query(self, tid_count: int) -> SqlQuery:
@@ -1023,7 +645,7 @@ class DetectionSqlGenerator:
         The backend-resident repair source materialises its partial working
         relation through this plan: only the violating tuples (and later
         the members of groups a repair step touched) ever cross the backend
-        boundary.  A flat tid ``IN`` list, caller-bound; tableau-independent.
+        boundary.  A flat tid ``IN`` list, caller-bound.
         """
         if tid_count < 1:
             raise ValueError("tid_count must be at least 1")
@@ -1041,7 +663,7 @@ class DetectionSqlGenerator:
             )
             return SqlQuery(sql, kind="row_fetch")
 
-        return self._cached_plan(("row_fetch", None, None, None, tid_count), build)
+        return self._cached_plan(("row_fetch", tid_count), build)
 
     # -- tuple-source aggregates (majority_value / attr_freq / page_fetch) ----------
 
@@ -1057,8 +679,8 @@ class DetectionSqlGenerator:
         disagreement).  This is the aggregate that lets the repair closure
         and the auditor answer "which value does this group's backend
         majority agree on?" without enumerating members.  Sargable like
-        :meth:`group_stats_query`; tableau-independent; all placeholders
-        caller-bound (:meth:`flatten_group_keys`).
+        :meth:`group_stats_query`; all placeholders caller-bound
+        (:meth:`flatten_group_keys`).
         """
         if not cfd.lhs:
             raise ValueError("the majority-value query needs a non-empty LHS")
@@ -1085,7 +707,7 @@ class DetectionSqlGenerator:
             )
 
         return self._cached_plan(
-            ("majority_value", cfd, None, rhs_attribute, group_count), build
+            ("majority_value", cfd, rhs_attribute, group_count), build
         )
 
     def attr_freq_query(self, cfd: CFD, pattern_index: int) -> SqlQuery:
@@ -1120,7 +742,7 @@ class DetectionSqlGenerator:
             )
 
         return self._cached_plan(
-            ("attr_freq", cfd, None, None, pattern_index), build
+            ("attr_freq", cfd, pattern_index), build
         )
 
     def applicable_count_query(self, subs: Tuple[CFD, ...]) -> SqlQuery:
@@ -1144,7 +766,7 @@ class DetectionSqlGenerator:
             return self._applicable_query(subs, count_only=True)
 
         return self._cached_plan(
-            ("applicable_count", subs, None, None, 0), build
+            ("applicable_count", subs), build
         )
 
     def applicable_tids_query(self, subs: Tuple[CFD, ...]) -> SqlQuery:
@@ -1161,7 +783,7 @@ class DetectionSqlGenerator:
             return self._applicable_query(subs, count_only=False)
 
         return self._cached_plan(
-            ("applicable_tids", subs, None, None, 0), build
+            ("applicable_tids", subs), build
         )
 
     def _applicable_query(self, subs: Tuple[CFD, ...], count_only: bool) -> SqlQuery:
@@ -1262,7 +884,7 @@ class DetectionSqlGenerator:
             return SqlQuery(sql, kind="page_fetch")
 
         return self._cached_plan(
-            ("page_fetch", cfd, None, (rhs_attribute, rhs_filter), page_size), build
+            ("page_fetch", cfd, rhs_attribute, rhs_filter, page_size), build
         )
 
     # -- budget-chunked delta plans ------------------------------------------------
@@ -1313,64 +935,9 @@ class DetectionSqlGenerator:
             padded.extend(padded[-1] for _ in range(target - len(padded)))
         return padded
 
-    def delta_plans_single(
-        self, cfd: CFD, tableau_name: str, tids: Sequence[int]
-    ) -> List[SqlQuery]:
-        """Fully-bound delta ``Q_C`` statements covering every tid in ``tids``.
-
-        Chunked by the dialect's parameter budget; empty when ``tids`` is
-        empty or the CFD has no constant-RHS pattern (no ``Q_C`` exists).
-        """
-        if not tids:
-            return []
-        probe = self.single_tuple_query_delta(cfd, tableau_name, 1)
-        if probe is None:
-            return []
-        size = self._chunk_size(len(probe.parameters), 1)
-        plans: List[SqlQuery] = []
-        for chunk in self._chunked(list(tids), size):
-            chunk = self._padded(chunk, size)
-            query = self.single_tuple_query_delta(cfd, tableau_name, len(chunk))
-            plans.append(
-                SqlQuery(
-                    query.sql,
-                    tuple(query.parameters) + tuple(chunk),
-                    kind=query.kind,
-                )
-            )
-        return plans
-
-    def delta_plans_multi(
-        self,
-        cfd: CFD,
-        tableau_name: str,
-        rhs_attribute: str,
-        keys: Sequence[Tuple[Any, ...]],
-    ) -> List[SqlQuery]:
-        """Fully-bound delta ``Q_V`` statements covering every group in ``keys``.
-
-        Each key is one group's LHS values in ``cfd.lhs`` order; chunking
-        follows the parameter budget.
-        """
-        if not keys:
-            return []
-        probe = self.multi_tuple_query_delta(cfd, tableau_name, rhs_attribute, 1)
-        size = self._chunk_size(len(probe.parameters), len(cfd.lhs))
-        plans: List[SqlQuery] = []
-        for chunk in self._chunked(list(keys), size):
-            chunk = self._padded(chunk, size)
-            query = self.multi_tuple_query_delta(
-                cfd, tableau_name, rhs_attribute, len(chunk)
-            )
-            flattened = self.flatten_group_keys(chunk)
-            plans.append(SqlQuery(query.sql, tuple(query.parameters) + flattened,
-                                  rhs_attribute=rhs_attribute, kind=query.kind))
-        return plans
-
     def covering_members_plans(
         self,
         cfd: CFD,
-        tableau_name: str,
         rhs_attribute: str,
         keys: Sequence[Tuple[Any, ...]],
     ) -> List[SqlQuery]:
@@ -1387,9 +954,7 @@ class DetectionSqlGenerator:
         plans: List[SqlQuery] = []
         for chunk in self._chunked(list(keys), size):
             chunk = self._padded(chunk, size)
-            query = self.covering_members_query(
-                cfd, tableau_name, rhs_attribute, len(chunk)
-            )
+            query = self.covering_members_query(cfd, rhs_attribute, len(chunk))
             plans.append(
                 SqlQuery(
                     query.sql,
@@ -1500,7 +1065,3 @@ class DetectionSqlGenerator:
         """Bind-ready flattening of group keys (each in ``cfd.lhs`` order)."""
         return tuple(value for key in keys for value in key)
 
-
-def tableau_relation_name(cfd: CFD, index: int) -> str:
-    """A unique, SQL-safe name for the materialised tableau of ``cfd``."""
-    return f"__semandaq_tableau_{index}"

@@ -39,7 +39,6 @@ class DataMonitor:
         cleansed: bool = False,
         backend: Optional[StorageBackend] = None,
         mode: str = NATIVE_MODE,
-        detect_plan: Optional[str] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         self.database = database
@@ -61,7 +60,6 @@ class DataMonitor:
             self.cfds,
             mirror=backend,
             mode=mode,
-            detect_plan=detect_plan,
             telemetry=telemetry,
         )
         self._repairer = IncrementalRepairer(cost_model=self.cost_model)
@@ -122,10 +120,10 @@ class DataMonitor:
     def close(self) -> None:
         """Release the monitor's detection resources.
 
-        Drops the ``sql_delta`` detector's resident tableaux from the query
-        backend and falls back to ``native`` evaluation; a no-op in
-        ``native`` mode.  The monitor itself remains attached and usable —
-        call :meth:`detach_backend` to stop mirroring.
+        A ``sql_delta`` detector stops querying the backend and falls back
+        to ``native`` evaluation; a no-op in ``native`` mode.  The monitor
+        itself remains attached and usable — call :meth:`detach_backend` to
+        stop mirroring.
         """
         self._detector.close()
 

@@ -2,7 +2,7 @@
 
 A :class:`MetricsRegistry` is a flat namespace of named :class:`Counter`
 and :class:`Histogram` instruments, created on first use.  Names follow a
-``family.detail`` convention — ``statement_ms.q_c``,
+``family.detail`` convention — ``statement_ms.q_window``,
 ``plan_cache.hits``, ``delta.ops_shipped`` — so a snapshot groups
 naturally when sorted.  Everything is plain Python on purpose: the
 registry must import nowhere near the hot path's dependencies and cost

@@ -19,8 +19,8 @@ every component falls back to, so the un-instrumented path pays one
 attribute check (``telemetry.enabled`` / ``telemetry.active``) and nothing
 else — no spans, no registry lookups, no wrapper objects.
 
-Statement *kinds* (``q_c``, ``q_v``, ``covering_members``,
-``delta_single``, ...) are carried by the generated
+Statement *kinds* (``q_c_sargable``, ``q_window``, ``lhs_values``,
+``covering_members``, ...) are carried by the generated
 :class:`~repro.detection.sqlgen.SqlQuery` objects and announced to the
 instrumented backend through the :meth:`Telemetry.tag_statements` hint,
 because the backend's ``execute`` only ever sees SQL text.
@@ -134,7 +134,7 @@ class Telemetry:
 
         The detectors wrap each generated query's execution in this, so the
         instrumented backend can attribute the statement to its generator
-        kind (``q_c``, ``delta_multi``, ...).  A ``None`` kind keeps the
+        kind (``q_window``, ``lhs_values``, ...).  A ``None`` kind keeps the
         surrounding hint.
         """
         previous = self._kind_hint

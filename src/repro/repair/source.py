@@ -65,19 +65,12 @@ from ..sources.base import GroupKey
 from ..sources.native import native_column_frequencies
 
 __all__ = [
-    "REPAIR_PLAN_SCOPE",
     "GroupKey",
     "RepairDataSource",
     "NativeRepairSource",
     "BackendRepairSource",
     "native_column_frequencies",
 ]
-
-#: pseudo-tableau name scoping the repair source's covering-member plans in
-#: the generator's cache (the plans join no tableau; the name is never
-#: claimed by a CFD, so the cached plans survive for the generator's life)
-REPAIR_PLAN_SCOPE = "__semandaq_repair__"
-
 
 class RepairDataSource:
     """What the repair planner needs from storage, as a narrow protocol."""
@@ -166,12 +159,7 @@ class BackendRepairSource(RepairDataSource):
             backend, use_sql=True, telemetry=telemetry
         )
         #: shared read layer: every pushed-down read goes through here
-        self._source = BackendTupleSource(
-            backend,
-            relation_name,
-            telemetry=telemetry,
-            plan_scope=REPAIR_PLAN_SCOPE,
-        )
+        self._source = BackendTupleSource(backend, relation_name, telemetry=telemetry)
         self._schema: Optional[RelationSchema] = None
         self._generator: Optional[DetectionSqlGenerator] = None
         self._original: Optional[Relation] = None

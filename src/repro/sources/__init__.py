@@ -20,7 +20,7 @@ auditor (:mod:`repro.audit.report`) and the resident explorer
 
 from .base import NO_RHS_FILTER, GroupKey, TupleSource
 from .native import NativeTupleSource, native_column_frequencies
-from .backend import SOURCE_PLAN_SCOPE, BackendTupleSource
+from .backend import BackendTupleSource
 
 __all__ = [
     "GroupKey",
@@ -28,6 +28,5 @@ __all__ = [
     "TupleSource",
     "NativeTupleSource",
     "BackendTupleSource",
-    "SOURCE_PLAN_SCOPE",
     "native_column_frequencies",
 ]

@@ -44,19 +44,11 @@ from ..engine.types import RelationSchema
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import NO_RHS_FILTER, GroupKey, TupleSource
 
-#: pseudo-tableau name scoping the source's covering-member plans in the
-#: generator's cache (the plans join no tableau; the name is never claimed
-#: by a CFD, so the cached plans survive for the generator's life)
-SOURCE_PLAN_SCOPE = "__semandaq_source__"
-
-
 class BackendTupleSource(TupleSource):
     """Read-side pushdown over one backend-resident relation.
 
-    ``generator`` may be shared (the repair source passes the one scoped
-    to its plan cache); when omitted a private one is built lazily over
-    ``backend``'s dialect.  ``plan_scope`` names the pseudo-tableau the
-    covering-member plans are cached under.
+    ``generator`` may be shared; when omitted a private one is built
+    lazily over ``backend``'s dialect.
     """
 
     resident = True
@@ -67,12 +59,10 @@ class BackendTupleSource(TupleSource):
         relation_name: str,
         telemetry: Optional[Telemetry] = None,
         generator: Optional[DetectionSqlGenerator] = None,
-        plan_scope: str = SOURCE_PLAN_SCOPE,
     ):
         self.backend = backend
         self.relation_name = relation_name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
-        self.plan_scope = plan_scope
         self._schema: Optional[RelationSchema] = None
         self._generator = generator
         #: SQL issued by this source (tests and debugging read this)
@@ -161,7 +151,7 @@ class BackendTupleSource(TupleSource):
     ) -> List[int]:
         tids: List[int] = []
         for plan in self.generator().covering_members_plans(
-            cfd, self.plan_scope, rhs_attribute, list(keys)
+            cfd, rhs_attribute, list(keys)
         ):
             for row in self._execute(plan):
                 tids.append(row["tid"])

@@ -34,18 +34,6 @@ class SemandaqConfig:
         Python (the original path), ``"sql_delta"`` compiles the re-checks
         to parameterised delta ``Q_C``/``Q_V`` queries pushed down to the
         storage backend's resident copy.
-    detect_plan:
-        Detection plan family the batch detector and the ``sql_delta``
-        incremental detector compile ``Q_C``/``Q_V`` into.  ``"legacy"``
-        is the paper's tableau-joined shape; ``"window"`` splits ``Q_C``
-        into one statement per pattern row with constant LHS positions
-        bound as index-friendly equalities, and compiles ``Q_V`` to a
-        one-pass statement that returns violating groups and their member
-        rows in a single scan (eliminating the covering-members round
-        trip).  ``"auto"`` resolves to ``window``.  ``None`` defers to the
-        ``SEMANDAQ_DETECT_PLAN`` environment variable, defaulting to
-        ``"auto"``.  Both families produce bit-identical violation
-        reports.
     repair_source:
         Where the batch repairer reads its data from.  ``"auto"`` keeps the
         repair backend-resident whenever SQL detection is on: violations,
@@ -120,7 +108,6 @@ class SemandaqConfig:
     backend_options: Dict[str, Any] = field(default_factory=dict)
     use_sql_detection: bool = True
     incremental_mode: str = "native"
-    detect_plan: Optional[str] = None
     telemetry: bool = False
     explain_plans: bool = False
     log_sql: bool = False
@@ -150,13 +137,6 @@ class SemandaqConfig:
             raise ConfigurationError(
                 f"unknown incremental_mode {self.incremental_mode!r}; "
                 f"expected one of {', '.join(INCREMENTAL_MODES)}"
-            )
-        from ..detection.sqlgen import DETECT_PLANS
-
-        if self.detect_plan is not None and self.detect_plan not in DETECT_PLANS:
-            raise ConfigurationError(
-                f"unknown detect_plan {self.detect_plan!r}; "
-                f"expected one of {', '.join(DETECT_PLANS)}"
             )
         if self.repair_source not in ("auto", "native"):
             raise ConfigurationError(

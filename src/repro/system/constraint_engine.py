@@ -49,7 +49,11 @@ class ConstraintEngine:
     # -- registration ---------------------------------------------------------------
 
     def add_cfd(self, cfd: CFD, name: Optional[str] = None) -> CFD:
-        """Register a CFD; validates the schema and (optionally) consistency."""
+        """Register a CFD; validates the schema and (optionally) consistency.
+
+        The registered (and returned) CFD carries its constants typed by
+        the relation's schema (:meth:`CFD.coerced_to`).
+        """
         if name is not None or cfd.name is None:
             self._counter += 1
             cfd = CFD(
@@ -60,7 +64,7 @@ class ConstraintEngine:
                 name=name or f"cfd{self._counter}",
             )
         if self.database.has_relation(cfd.relation):
-            cfd.validate_against(self.database.relation(cfd.relation).attribute_names)
+            cfd = cfd.coerced_to(self.database.relation(cfd.relation).schema)
         else:
             raise CfdSchemaError(
                 f"CFD {cfd.identifier} targets unknown relation {cfd.relation!r}"

@@ -98,7 +98,6 @@ class Semandaq:
         self.detector = ErrorDetector(
             self.backend if self.config.use_sql_detection else self.database,
             telemetry=self.telemetry,
-            detect_plan=self.config.detect_plan,
         )
         self.auditor = DataAuditor(
             majority=self.config.audit_majority,
@@ -628,7 +627,6 @@ class Semandaq:
             cleansed=cleansed,
             backend=self.backend,
             mode=self.config.incremental_mode,
-            detect_plan=self.config.detect_plan,
             telemetry=self.telemetry,
         )
 
@@ -638,7 +636,7 @@ class Semandaq:
         """Snapshot of every metric collected so far, as plain dicts.
 
         Returns ``{"enabled", "counters", "histograms", "spans", "plans"}``:
-        per-statement-kind timing histograms (``statement_ms.q_v`` ...),
+        per-statement-kind timing histograms (``statement_ms.q_window`` ...),
         plan-cache and delta counters, the recorded span trees, and — in
         ``explain_plans`` mode — one captured query plan per distinct
         statement shape with its ``uses_index`` verdict.  Everything is
@@ -675,13 +673,13 @@ class Semandaq:
         """Release backend resources (e.g. the SQLite connection).
 
         File-backed stores close their connections so the database file
-        is unlocked.  Any ``sql_delta`` monitors drop their resident
-        tableaux first, and the detector drops its cached detection
-        tableaux, so a caller-supplied backend is left clean.
+        is unlocked.  Any ``sql_delta`` monitors stop querying the backend
+        first and fall back to native evaluation.  Detection adds no
+        relation to the backend, so a caller-supplied backend holds only
+        what the system loaded into it.
         """
         for monitor in self._monitors.values():
             monitor.close()
-        self.detector.release_cached_tableaux()
         self.backend.close()
 
     def __enter__(self) -> "Semandaq":

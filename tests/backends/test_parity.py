@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 from repro import Semandaq, SemandaqConfig
 from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
+from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.detection.detector import ErrorDetector
@@ -26,7 +27,7 @@ from repro.detection.incremental import IncrementalDetector
 from repro.engine.csvio import dump_csv
 from repro.engine.database import Database
 from repro.engine.relation import Relation
-from repro.engine.types import RelationSchema
+from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.errors import DetectionError, SqlBackendRequiredError
 
 
@@ -103,22 +104,24 @@ class TestNativeSqlParity:
         assert all("CONCAT" not in sql for sql in detector.last_sql)
 
     def test_float_encoding_parity_on_exponent_form(self):
-        # CAST(1e16 AS TEXT) would give '1.0e+16' on SQLite while the
-        # tableau encodes str() -> '1e+16'; the sqlite dialect routes FLOAT
+        # CAST(1e16 AS TEXT) would give '1.0e+16' on SQLite while the bound
+        # constant is str() -> '1e+16'; the sqlite dialect routes FLOAT
         # through a registered Python str() function for exact parity.
-        from repro.core.parser import parse_cfd
-        from repro.engine.types import AttributeDef, DataType
-
         schema = RelationSchema(
             "m", [AttributeDef("A", DataType.FLOAT), AttributeDef("B")]
         )
-        rows = [{"A": 1e16, "B": "wrong"}, {"A": 2.5, "B": "right"}]
+        relation = Relation.from_rows(
+            schema, [{"A": 1e16, "B": "wrong"}, {"A": 2.5, "B": "right"}]
+        )
         cfd = parse_cfd("m: [A='1e+16'] -> [B='right']")
+        database = Database()
+        database.add_relation(relation.copy())
+        native = ErrorDetector(database).detect("m", [cfd])
         backend = SqliteBackend()
-        backend.add_relation(Relation.from_rows(schema, rows))
+        backend.add_relation(relation.copy())
         report = ErrorDetector(backend).detect("m", [cfd])
         backend.close()
-        assert report.total_violations() == 1
+        assert _violation_keys(report) == _violation_keys(native)
         assert report.dirty_tids() == {0}
 
     def test_lhs_indexes_created_on_sqlite(
@@ -137,21 +140,17 @@ class TestNativeSqlParity:
         assert any(name.startswith("idx_customer_") for name in names)
 
 
-def _all_path_reports(relation, cfds, make_sqlite_backend, detect_plan=None):
+def _all_path_reports(relation, cfds, make_sqlite_backend):
     """Reports from every detection path: native, SQL on SQLite, and both
-    incremental evaluation modes.
-
-    ``detect_plan`` pins a plan family on every SQL path; ``None`` keeps
-    the auto selection.
-    """
+    incremental evaluation modes."""
     database = Database()
     database.add_relation(relation.copy())
     native = ErrorDetector(database, use_sql=False).detect(relation.name, cfds)
     sqlite_backend = make_sqlite_backend()
     sqlite_backend.add_relation(relation.copy())
-    sqlite_sql = ErrorDetector(
-        sqlite_backend, use_sql=True, detect_plan=detect_plan
-    ).detect(relation.name, cfds)
+    sqlite_sql = ErrorDetector(sqlite_backend, use_sql=True).detect(
+        relation.name, cfds
+    )
     incremental = IncrementalDetector(database, relation.name, cfds).report()
     sql_delta_detector = IncrementalDetector(
         database,
@@ -159,7 +158,6 @@ def _all_path_reports(relation, cfds, make_sqlite_backend, detect_plan=None):
         cfds,
         mirror=sqlite_backend,
         mode="sql_delta",
-        detect_plan=detect_plan,
     )
     sql_delta = sql_delta_detector.report()
     sql_delta_detector.close()
@@ -334,8 +332,7 @@ class TestFourPathProperty:
     """Randomised four-path equivalence: batch-native, batch-SQL on
     SQLite, incremental-native and ``sql_delta`` must produce identical
     reports on random relations (NULL cells included) against random
-    tableaux (overlapping patterns and multi-wildcard RHS included) —
-    under both detection plan families."""
+    tableaux (overlapping patterns and multi-wildcard RHS included)."""
 
     attrs = ("A", "B", "C", "D")
     cell = st.sampled_from(["a", "b", None])
@@ -382,12 +379,9 @@ class TestFourPathProperty:
             )
         return cfds
 
-    @pytest.mark.parametrize("detect_plan", ["legacy", "window"])
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
-    def test_random_relations_and_tableaux_agree_on_all_paths(
-        self, detect_plan, data
-    ):
+    def test_random_relations_and_tableaux_agree_on_all_paths(self, data):
         rows = data.draw(
             st.lists(
                 st.fixed_dictionaries({attr: self.cell for attr in self.attrs}),
@@ -401,9 +395,7 @@ class TestFourPathProperty:
         cfds = self._draw_cfds(data)
         # plain :memory: backends (no fixture: hypothesis re-runs the body
         # many times per test invocation)
-        reports = _all_path_reports(
-            relation, cfds, SqliteBackend, detect_plan=detect_plan
-        )
+        reports = _all_path_reports(relation, cfds, SqliteBackend)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert (
             keys["native"]
@@ -413,6 +405,35 @@ class TestFourPathProperty:
         )
         counts = {report.tuple_count for report in reports.values()}
         assert counts == {len(relation)}
+
+
+#: typed-column probes: (dtype, the CFD's LHS constant, the violating
+#: row's value, a non-matching row's value).  Constants parsed from text
+#: arrive as strings; ``CFD.build`` can carry an int on a FLOAT column.
+TYPED_PROBES = [
+    pytest.param(DataType.INTEGER, "5", 5, 6, id="int-from-text"),
+    pytest.param(DataType.FLOAT, "2.5", 2.5, 3.5, id="float-from-text"),
+    pytest.param(DataType.FLOAT, "1e+16", 1e16, 2.5, id="float-exponent-from-text"),
+    pytest.param(DataType.BOOLEAN, "True", True, False, id="bool-from-text"),
+    pytest.param(DataType.FLOAT, 5, 5.0, 6.0, id="int-built-on-float"),
+]
+
+
+class TestTypedConstants:
+    """A constant compares by its attribute's type on every path."""
+
+    @pytest.mark.parametrize("dtype, constant, value, other", TYPED_PROBES)
+    def test_typed_constant_parity(self, dtype, constant, value, other):
+        schema = RelationSchema("m", [AttributeDef("A", dtype), AttributeDef("B")])
+        relation = Relation.from_rows(
+            schema, [{"A": value, "B": "wrong"}, {"A": other, "B": "wrong"}]
+        )
+        cfd = CFD.build("m", {"A": constant}, {"B": "right"}, name="phi_typed")
+        reports = _all_path_reports(relation, [cfd], SqliteBackend)
+        keys = {name: _violation_keys(report) for name, report in reports.items()}
+        assert keys["native"] == [("phi_typed", "single", (0,), "B", 0, (value,))]
+        assert keys["sqlite_sql"] == keys["incremental"] == keys["sql_delta"]
+        assert keys["sqlite_sql"] == keys["native"]
 
 
 class TestSqliteEndToEnd:
@@ -484,8 +505,8 @@ class TestSqliteEndToEnd:
         original = system.backend.add_relation
         system.backend.add_relation = lambda *a, **k: (calls.append(a), original(*a, **k))
         system.detect("customer")
-        # only the per-CFD temp tableaux are written, never the data relation
-        assert all(rel.name.startswith("__semandaq_tableau") for rel, *_ in calls)
+        # detection writes no relation at all, the data relation included
+        assert calls == []
 
     def test_file_backed_sqlite_configuration(self, tmp_path, cfds):
         path = tmp_path / "semandaq.db"

@@ -13,6 +13,17 @@ from repro.datasets import (
 )
 
 
+@pytest.fixture(params=["window"])
+def plan_family(request):
+    """The detection plan family a SQL-path test runs, carried in its id.
+
+    Every CFD compiles to the ``window`` family of ``repro.detection.sqlgen``;
+    the SQL-path parity and pushdown tests marked with this fixture are named
+    for it, e.g. ``test_detect_zero_reads[window]``.
+    """
+    return request.param
+
+
 @pytest.fixture
 def customer_relation():
     """The small hand-written customer instance from the paper's examples."""

@@ -4,6 +4,7 @@ import pytest
 
 from repro.core.cfd import CFD, normalize_all
 from repro.core.pattern import PatternTuple
+from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.errors import CfdError, CfdSchemaError
 
 
@@ -167,3 +168,37 @@ class TestSerialisation:
         changed = phi2.with_patterns([new_pattern])
         assert changed.patterns == (new_pattern,)
         assert phi2.patterns != changed.patterns
+
+
+class TestSchemaCoercion:
+    SCHEMA = RelationSchema(
+        "m",
+        [
+            AttributeDef("N", DataType.INTEGER),
+            AttributeDef("F", DataType.FLOAT),
+            AttributeDef("S"),
+        ],
+    )
+
+    def test_constants_take_their_attribute_types(self):
+        cfd = CFD.build("m", {"N": "5", "F": 2}, {"S": "x"})
+        typed = cfd.coerced_to(self.SCHEMA)
+        pattern = typed.patterns[0]
+        assert pattern.value("N").constant == 5
+        assert type(pattern.value("F").constant) is float
+        assert pattern.value("S").constant == "x"
+        assert typed.identifier == cfd.identifier
+
+    def test_unchanged_cfd_is_returned_as_is(self):
+        cfd = CFD.build("m", {"N": 5, "F": "_"}, {"S": "x"})
+        assert cfd.coerced_to(self.SCHEMA) is cfd
+
+    def test_constant_that_does_not_coerce_raises(self):
+        cfd = CFD.build("m", {"N": "five"}, {"S": "x"})
+        with pytest.raises(CfdSchemaError, match="five"):
+            cfd.coerced_to(self.SCHEMA)
+
+    def test_unknown_attribute_raises(self):
+        cfd = CFD.build("m", {"Q": "1"}, {"S": "x"})
+        with pytest.raises(CfdSchemaError, match="unknown attributes"):
+            cfd.coerced_to(self.SCHEMA)

@@ -3,12 +3,12 @@ pushed-down ``detect_for_tuples``.
 
 The batch ``ErrorDetector``'s SQL path must behave like the paper's
 pushdown end to end: schema and row count come from catalog ops, the
-``Q_C``/``Q_V``/members queries run inside the backend, and the report is
+``Q_C``/``Q_V`` queries run inside the backend, and the report is
 assembled from backend rows alone — enforced here by the
-:class:`~tests.doubles.ForbiddenReadBackend` double over SQLite, under
-both plan families.  ``detect_for_tuples`` ships the tuple restriction
-down as delta plans and must reproduce the old filter-after-detect
-semantics exactly, including under an enforced 999-variable cap.
+:class:`~tests.doubles.ForbiddenReadBackend` double over SQLite.
+``detect_for_tuples`` ships the tuple restriction down as restricted
+plans and must reproduce the old filter-after-detect semantics exactly,
+including under an enforced 999-variable cap.
 """
 
 import sqlite3
@@ -69,21 +69,14 @@ def _filtered_oracle(database, relation_name, cfds, tids):
     )
 
 
-#: both detection plan families: the tableau-joined legacy Q_C/Q_V and the
-#: per-pattern window statements must keep every pushdown contract
-PLANS = ["legacy", "window"]
-
-
-@pytest.mark.parametrize("detect_plan", PLANS)
+@pytest.mark.usefixtures("plan_family")
 class TestZeroWorkingStoreReads:
     """detect() and detect_for_tuples() on the SQL path never ship rows back."""
 
-    def test_detect_zero_reads(self, detect_plan):
+    def test_detect_zero_reads(self):
         relation = _dirty_customers()
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(
-            ForbiddenReadBackend(backend), detect_plan=detect_plan
-        )
+        detector = ErrorDetector(ForbiddenReadBackend(backend))
         report = detector.detect("customer", paper_cfds())
         assert report.total_violations() > 0
         assert report.tuple_count == len(relation)
@@ -93,12 +86,10 @@ class TestZeroWorkingStoreReads:
         assert _violation_keys(report) == _violation_keys(oracle)
         backend.close()
 
-    def test_detect_for_tuples_zero_reads(self, detect_plan):
+    def test_detect_for_tuples_zero_reads(self):
         relation = _dirty_customers()
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(
-            ForbiddenReadBackend(backend), detect_plan=detect_plan
-        )
+        detector = ErrorDetector(ForbiddenReadBackend(backend))
         full = ErrorDetector(database, use_sql=False).detect("customer", paper_cfds())
         wanted = sorted(full.dirty_tids())[:5] + [0, 1]
         report = detector.detect_for_tuples("customer", paper_cfds(), wanted)
@@ -109,14 +100,12 @@ class TestZeroWorkingStoreReads:
         assert report.total_violations() > 0
         backend.close()
 
-    def test_repeated_detect_zero_reads(self, detect_plan):
+    def test_repeated_detect_zero_reads(self):
         # the per-relation generator and its plan cache persist across
         # calls; the second detect must stay backend-resident too
         relation = _dirty_customers(60, seed=137)
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(
-            ForbiddenReadBackend(backend), detect_plan=detect_plan
-        )
+        detector = ErrorDetector(ForbiddenReadBackend(backend))
         first = detector.detect("customer", paper_cfds())
         second = detector.detect("customer", paper_cfds())
         assert _violation_keys(first) == _violation_keys(second)
@@ -126,11 +115,10 @@ class TestZeroWorkingStoreReads:
 class TestDetectForTuplesPushdown:
     """Pushdown parity with the old filter-after-full-detect semantics."""
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_matches_filter_after_detect_on_customers(self, detect_plan):
+    def test_matches_filter_after_detect_on_customers(self):
         relation = _dirty_customers()
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(backend, detect_plan=detect_plan)
+        detector = ErrorDetector(backend)
         full = ErrorDetector(database, use_sql=False).detect("customer", paper_cfds())
         dirty = sorted(full.dirty_tids())
         for wanted in ([], dirty[:1], dirty[:4], [0, 1, 2], list(relation.tids())):
@@ -141,34 +129,31 @@ class TestDetectForTuplesPushdown:
             assert report.tuple_count == len(relation)
         backend.close()
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_restriction_travels_in_the_sql(self, detect_plan):
+    def test_restriction_travels_in_the_sql(self):
         relation = _dirty_customers(40, seed=139)
         backend, _database = _backend_for(relation)
-        detector = ErrorDetector(backend, detect_plan=detect_plan)
+        detector = ErrorDetector(backend)
         detector.detect_for_tuples("customer", paper_cfds(), [0, 1])
         assert detector.last_sql
         assert any("_tid IN" in sql for sql in detector.last_sql)
         backend.close()
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_unknown_tids_produce_empty_report(self, detect_plan):
+    def test_unknown_tids_produce_empty_report(self):
         relation = _dirty_customers(30, seed=141)
         backend, _database = _backend_for(relation)
-        detector = ErrorDetector(backend, detect_plan=detect_plan)
+        detector = ErrorDetector(backend)
         report = detector.detect_for_tuples("customer", paper_cfds(), [10_000, 10_001])
         assert report.total_violations() == 0
         assert report.tuple_count == len(relation)
         backend.close()
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_null_rhs_tuple_does_not_drag_its_group_in(self, detect_plan):
+    def test_null_rhs_tuple_does_not_drag_its_group_in(self):
         # tid 6 shares LHS values with the violating-adjacent (z, 2) group
         # but carries a NULL RHS, so it is not a *member*: the old filter
         # semantics exclude any group it does not belong to
         relation = null_cell_relation()
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(backend, detect_plan=detect_plan)
+        detector = ErrorDetector(backend)
         for wanted in ([6], [2], [0], [8], [0, 6]):
             report = detector.detect_for_tuples("r", [NULL_CELL_CFD], wanted)
             assert _violation_keys(report) == _filtered_oracle(
@@ -176,8 +161,7 @@ class TestDetectForTuplesPushdown:
             )
         backend.close()
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_overlapping_patterns_keep_lowest_pattern_index(self, detect_plan):
+    def test_overlapping_patterns_keep_lowest_pattern_index(self):
         schema = RelationSchema.of("r", ["A", "B", "C"])
         relation = Relation.from_rows(
             schema,
@@ -199,7 +183,7 @@ class TestDetectForTuplesPushdown:
             name="phi_overlap",
         )
         backend, database = _backend_for(relation)
-        detector = ErrorDetector(backend, detect_plan=detect_plan)
+        detector = ErrorDetector(backend)
         report = detector.detect_for_tuples("r", [cfd], [0, 2])
         assert _violation_keys(report) == _filtered_oracle(
             database, "r", [cfd], [0, 2]
@@ -255,13 +239,13 @@ class TestDetectForTuplesPushdown:
 
 
 class TestPreparedPlanCache:
-    """The per-detector plan cache and its stale-plan invalidation."""
+    """The per-detector plan cache, keyed by CFD value."""
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_repeated_detect_hits_the_cache(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_repeated_detect_hits_the_cache(self):
         relation = _dirty_customers(60, seed=149)
         backend, _database = _backend_for(relation)
-        detector = ErrorDetector(backend, detect_plan=detect_plan)
+        detector = ErrorDetector(backend)
         first = detector.detect("customer", paper_cfds())
         generator = detector._generators["customer"]
         misses_after_first = generator.plan_cache_misses
@@ -272,12 +256,11 @@ class TestPreparedPlanCache:
         assert generator.plan_cache_misses == misses_after_first
         backend.close()
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_reused_tableau_name_does_not_serve_stale_plans(self, detect_plan):
-        # two different CFDs under the same registration slot get the same
-        # positional tableau name; the first has no constant-RHS pattern
-        # (its Q_C is a cached None), the second does — a stale cache hit
-        # would silently drop its single-tuple violations
+    def test_same_named_cfds_do_not_share_plans(self):
+        # two different CFDs under the same name and registration slot;
+        # the first has no constant-RHS pattern (it compiles no Q_C), the
+        # second does — a plan cached under the name or the slot would
+        # silently drop its single-tuple violations
         schema = RelationSchema.of("r", ["A", "C"])
         relation = Relation.from_rows(
             schema, [{"A": "x", "C": "zz"}, {"A": "x", "C": "c1"}]
@@ -297,44 +280,9 @@ class TestPreparedPlanCache:
             name="phi_same_name",
         )
         backend, _database = _backend_for(relation)
-        detector = ErrorDetector(backend, detect_plan=detect_plan)
+        detector = ErrorDetector(backend)
         detector.detect("r", [wildcard_only])
         report = detector.detect("r", [constant_rhs])
         assert [v.kind for v in report.violations] == ["single"]
         assert report.violations[0].tids == (0,)
         backend.close()
-
-    def test_claim_and_invalidate_sweep_tableau_scoped_plans(self):
-        from repro.detection.sqlgen import DetectionSqlGenerator
-
-        schema = RelationSchema.of("r", ["A", "C"])
-        cfd = CFD(
-            relation="r",
-            lhs=("A",),
-            rhs=("C",),
-            patterns=(PatternTuple.of({"A": "x", "C": "c1"}),),
-            name="phi_cache",
-        )
-        other = CFD(
-            relation="r",
-            lhs=("A",),
-            rhs=("C",),
-            patterns=(PatternTuple.of({"A": "_", "C": "_"}),),
-            name="phi_cache",
-        )
-        generator = DetectionSqlGenerator(schema)
-        generator.claim_tableau("__semandaq_tableau_0_C", cfd)
-        first = generator.single_tuple_query(cfd, "__semandaq_tableau_0_C")
-        assert first is not None
-        assert generator.plan_cache_size() == 1
-        # same CFD re-claims: plans survive and hit
-        generator.claim_tableau("__semandaq_tableau_0_C", cfd)
-        assert generator.single_tuple_query(cfd, "__semandaq_tableau_0_C") is first
-        assert generator.plan_cache_hits == 1
-        # a different CFD (same name!) takes the tableau: plans swept
-        generator.claim_tableau("__semandaq_tableau_0_C", other)
-        assert generator.plan_cache_size() == 0
-        assert generator.single_tuple_query(other, "__semandaq_tableau_0_C") is None
-        # explicit invalidation clears the cached None as well
-        generator.invalidate_plans("__semandaq_tableau_0_C")
-        assert generator.plan_cache_size() == 0

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro import Semandaq, SemandaqConfig
 from repro.backends import SqliteBackend
 from repro.core.parser import parse_cfd
 from repro.datasets import generate_customers, inject_noise, paper_cfds
@@ -14,6 +15,7 @@ from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
 from repro.errors import DetectionError
+from repro.monitor.updates import Update
 
 
 def _sqlite(relation):
@@ -70,21 +72,6 @@ class TestDetectExample:
         assert detector.last_sql
         assert any("GROUP BY" in sql for sql in detector.last_sql)
 
-    def test_cached_tableaux_released_on_demand(
-        self, detector, customer_cfds, customer_backend
-    ):
-        # tableaux stay cached between detections (repeat detects are pure
-        # reads — the concurrent serving contract), live in the reserved
-        # __semandaq_ namespace, and drop on release_cached_tableaux()
-        before = set(customer_backend.relation_names())
-        detector.detect("customer", customer_cfds)
-        lingering = set(customer_backend.relation_names()) - before
-        assert lingering
-        assert all(name.startswith("__semandaq_tableau") for name in lingering)
-        detector.detect("customer", customer_cfds)  # reuses the cache
-        detector.release_cached_tableaux()
-        assert set(customer_backend.relation_names()) == before
-
     def test_wrong_relation_rejected(self, detector):
         with pytest.raises(DetectionError):
             detector.detect("customer", [parse_cfd("orders: [A=_] -> [B=_]")])
@@ -123,24 +110,7 @@ class TestNativeDetectForTuples:
         assert report.tuple_count > 0
 
 
-class TestPlanFlip:
-    def test_flipping_detect_plan_reuses_the_generator(
-        self, customer_backend, customer_cfds
-    ):
-        detector = ErrorDetector(customer_backend, detect_plan="legacy")
-        legacy = detector.detect("customer", customer_cfds)
-        generator = detector._generators["customer"]
-        # the legacy family joins the materialised tableaux
-        assert any("__semandaq_tableau" in sql for sql in detector.last_sql)
-        detector.detect_plan = "window"
-        window = detector.detect("customer", customer_cfds)
-        assert detector._generators["customer"] is generator
-        assert generator.detect_plan == "window"
-        # the window family binds pattern constants instead
-        assert not any("__semandaq_tableau" in sql for sql in detector.last_sql)
-        assert window.vio() == legacy.vio()
-        assert window.dirty_tids() == legacy.dirty_tids()
-
+class TestSqlLog:
     def test_sql_log_is_per_thread(self, detector, customer_cfds):
         detector.detect("customer", customer_cfds)
         assert detector.last_sql
@@ -198,3 +168,66 @@ class TestSqlVsNative:
         native_report = ErrorDetector(database, use_sql=False).detect("customer", cfds)
         assert sql_report.vio() == native_report.vio()
         assert sql_report.dirty_tids() == native_report.dirty_tids()
+
+
+def _report_keys(report):
+    return sorted(
+        (v.cfd_id, v.kind, v.tids, v.rhs_attribute, v.pattern_index, v.lhs_values)
+        for v in report.violations
+    )
+
+
+class TestBackendCatalog:
+    """Detection reads the backend and adds nothing to its catalog."""
+
+    def test_detection_writes_nothing_to_the_catalog(self):
+        clean = generate_customers(80, seed=21)
+        dirty = inject_noise(
+            clean, rate=0.08, seed=22, attributes=["CNT", "CITY", "STR", "CC"]
+        ).dirty
+        system = Semandaq(SemandaqConfig(incremental_mode="sql_delta"))
+        system.register_relation(dirty)
+        system.add_cfds(paper_cfds())
+        names = set(system.backend.relation_names())
+        report = system.detect("customer")
+        assert report.total_violations() > 0
+        assert set(system.backend.relation_names()) == names
+        system.detect_for_tuples("customer", sorted(report.dirty_tids())[:5])
+        assert set(system.backend.relation_names()) == names
+        system.clean("customer")
+        assert set(system.backend.relation_names()) == names
+        monitor = system.monitor("customer")
+        assert monitor.mode == "sql_delta"
+        system.apply_updates(
+            "customer",
+            [
+                Update.modify(0, {"CITY": "XXX"}),
+                Update.insert(dict(dirty.get(1))),
+                Update.delete(2),
+            ],
+        )
+        monitor.current_report()
+        assert set(system.backend.relation_names()) == names
+        system.close()
+
+    def test_two_detectors_share_one_backend(self):
+        # both detectors run every CFD list at position 0, so anything the
+        # SQL path kept per position in the backend would be shared
+        clean = generate_customers(80, seed=23)
+        dirty = inject_noise(
+            clean, rate=0.08, seed=24, attributes=["CNT", "CITY", "STR", "CC"]
+        ).dirty
+        database = Database()
+        database.add_relation(dirty.copy())
+        oracle = ErrorDetector(database, use_sql=False)
+        backend = _sqlite(dirty)
+        phi1, phi2, phi3, phi4 = paper_cfds()
+        lists = {"first": [phi3, phi1], "second": [phi4, phi2]}
+        detectors = {key: ErrorDetector(backend) for key in lists}
+        for _ in range(2):
+            for key, cfds in lists.items():
+                report = detectors[key].detect("customer", cfds)
+                expected = oracle.detect("customer", cfds)
+                assert _report_keys(report) == _report_keys(expected), key
+                assert report.total_violations() > 0
+        backend.close()

@@ -19,6 +19,7 @@ from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
+from repro.core.tableau import tableau_to_relation
 from repro.datasets import generate_customers, paper_cfds
 from repro.detection.detector import ErrorDetector
 from repro.detection.incremental import (
@@ -49,7 +50,7 @@ def _violation_keys(report):
     )
 
 
-def _make_detector(relation, cfds, mode, detect_plan=None):
+def _make_detector(relation, cfds, mode):
     """A detector over a private working copy; sql_delta gets a SQLite mirror."""
     database = Database()
     database.add_relation(relation.copy())
@@ -64,23 +65,19 @@ def _make_detector(relation, cfds, mode, detect_plan=None):
         cfds,
         mirror=mirror,
         mode=mode,
-        detect_plan=detect_plan,
     )
     return detector, mirror
 
 
-def _replay(script, relation, cfds, detect_plan=None):
+def _replay(script, relation, cfds):
     """Run ``script`` against a native and a sql_delta detector in lockstep.
 
     ``script(detector)`` applies the update sequence; reports must be
     identical after the whole sequence, and the sql_delta mirror copy must
-    match the working store row for row.  ``detect_plan`` selects the
-    sql_delta detector's plan family.
+    match the working store row for row.
     """
     native, _ = _make_detector(relation, cfds, NATIVE_MODE)
-    sql_delta, mirror = _make_detector(
-        relation, cfds, SQL_DELTA_MODE, detect_plan
-    )
+    sql_delta, mirror = _make_detector(relation, cfds, SQL_DELTA_MODE)
     script(native)
     script(sql_delta)
     assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
@@ -131,22 +128,15 @@ TWO_RHS_CFD = CFD(
 )
 
 
-#: both plan families drive the delta re-checks: legacy joins the resident
-#: tableau, window runs the per-pattern statements
-PLANS = ["legacy", "window"]
-
-
 class TestInitialState:
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_initial_report_matches_native(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_initial_report_matches_native(self):
         dirty = generate_customers(80, seed=91)
         relation = Relation.from_rows(dirty.schema, dirty.to_list())
         relation.update(0, {"CNT": "Narnia"})
         relation.update(1, {"STR": "Wrong Street"})
         native, _ = _make_detector(relation, paper_cfds(), NATIVE_MODE)
-        sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, detect_plan
-        )
+        sql_delta, mirror = _make_detector(relation, paper_cfds(), SQL_DELTA_MODE)
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         assert sql_delta.report().total_violations() > 0
         # the initial build is SQL all the way down: full Q_C/Q_V, no
@@ -163,8 +153,8 @@ class TestInitialState:
 
 
 class TestUpdateParity:
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_customer_update_sequence(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_customer_update_sequence(self):
         relation = generate_customers(60, seed=47)
         template = dict(relation.get(0))
 
@@ -181,15 +171,15 @@ class TestUpdateParity:
         def relation_last_tid(detector):
             return detector.relation.tids()[-1]
 
-        native, sql_delta = _replay(script, relation, paper_cfds(), detect_plan)
+        native, sql_delta = _replay(script, relation, paper_cfds())
         # and both agree with a from-scratch batch detection oracle
         oracle = ErrorDetector(sql_delta.database, use_sql=False).detect(
             "customer", paper_cfds()
         )
         assert _violation_keys(sql_delta.report()) == _violation_keys(oracle)
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_overlapping_pattern_tableau(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_overlapping_pattern_tableau(self):
         def script(detector):
             with detector.batch():
                 # flip group (x, 2) into violation, heal group (y, 1)
@@ -201,7 +191,7 @@ class TestUpdateParity:
             detector.insert({"A": "x", "B": "1", "C": "c7"})
 
         native, sql_delta = _replay(
-            script, OVERLAP_RELATION, [OVERLAP_CFD], detect_plan
+            script, OVERLAP_RELATION, [OVERLAP_CFD]
         )
         by_group = {
             violation.lhs_values: violation.pattern_index
@@ -210,8 +200,8 @@ class TestUpdateParity:
         # each group once, under the lowest pattern that covers it
         assert by_group == {("x", "1"): 0, ("x", "2"): 0}
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_two_wildcard_rhs_tableau(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_two_wildcard_rhs_tableau(self):
         def script(detector):
             with detector.batch():
                 detector.update(1, {"C": "c1"})  # heal the C disagreement
@@ -219,14 +209,14 @@ class TestUpdateParity:
             detector.insert({"A": "y", "B": "b9", "C": "c9"})  # break both for A=y
 
         native, sql_delta = _replay(
-            script, TWO_RHS_RELATION, [TWO_RHS_CFD], detect_plan
+            script, TWO_RHS_RELATION, [TWO_RHS_CFD]
         )
         report = sql_delta.report()
         assert {v.rhs_attribute for v in report.violations} == {"B", "C"}
         assert all(v.lhs_values == ("y",) for v in report.violations)
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_delete_then_reinsert_same_tid_in_one_batch(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_delete_then_reinsert_same_tid_in_one_batch(self):
         # nets out to a replace: one delete + one insert under the same tid
         relation = generate_customers(20, seed=53)
 
@@ -237,7 +227,7 @@ class TestUpdateParity:
                 new_tid = detector.insert(replacement)
                 detector.update(new_tid, {"CITY": "Nowhere"})
 
-        _replay(script, relation, paper_cfds(), detect_plan)
+        _replay(script, relation, paper_cfds())
 
     value = st.sampled_from(["a", "b", None])
     operation = st.sampled_from(["insert", "delete", "update"])
@@ -295,16 +285,14 @@ class TestNullParity:
 
     The native detector keeps NULL-LHS tuples out of every group and
     treats a NULL RHS under a constant pattern as a single-tuple violation;
-    the SQL plans must agree under both plan families, including through
-    the delta re-checks and the backend-resident member enumeration.
+    the SQL plans must agree, including through the delta re-checks and
+    the one-pass member enumeration.
     """
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_static_null_tableau_parity(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_static_null_tableau_parity(self):
         native, _ = _make_detector(NULL_RELATION, [NULL_CFD], NATIVE_MODE)
-        sql_delta, mirror = _make_detector(
-            NULL_RELATION, [NULL_CFD], SQL_DELTA_MODE, detect_plan
-        )
+        sql_delta, mirror = _make_detector(NULL_RELATION, [NULL_CFD], SQL_DELTA_MODE)
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         report = sql_delta.report()
         # the NULL-RHS constant-pattern tuple is a single violation; only
@@ -313,8 +301,8 @@ class TestNullParity:
         assert {v.lhs_values for v in report.violations} == {("w", "3"), ("x", "1")}
         mirror.close()
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_null_updates_parity(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_null_updates_parity(self):
         def script(detector):
             with detector.batch():
                 detector.update(0, {"A": None})      # NULL an LHS cell
@@ -325,7 +313,7 @@ class TestNullParity:
                 detector.insert({"A": "q", "B": None, "C": "c1"})
                 detector.update(4, {"C": None})      # NULL an RHS cell
         native, sql_delta = _replay(
-            script, NULL_RELATION, [NULL_CFD], detect_plan
+            script, NULL_RELATION, [NULL_CFD]
         )
         # the re-created group and the un-NULLed RHS group both violate now
         assert {v.lhs_values for v in sql_delta.report().violations} == {
@@ -333,12 +321,12 @@ class TestNullParity:
             ("z", "2"),
         }
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_null_parity_against_batch_oracle(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_null_parity_against_batch_oracle(self):
         def script(detector):
             detector.update(2, {"A": "x"})  # pull a NULL-LHS tuple into a group
         native, sql_delta = _replay(
-            script, NULL_RELATION, [NULL_CFD], detect_plan
+            script, NULL_RELATION, [NULL_CFD]
         )
         oracle = ErrorDetector(sql_delta.database, use_sql=False).detect(
             "r", [NULL_CFD]
@@ -426,13 +414,11 @@ class TestBackendResidentAssembly:
 
     _ForbiddenRelation = ForbiddenRelation
 
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_report_reads_zero_working_store(self, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_report_reads_zero_working_store(self):
         relation = generate_customers(60, seed=101)
         relation.update(0, {"CNT": "Narnia"})
-        sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE, detect_plan
-        )
+        sql_delta, mirror = _make_detector(relation, paper_cfds(), SQL_DELTA_MODE)
         sql_delta.update(1, {"STR": "Elsewhere Road"})
         with sql_delta.batch():
             sql_delta.insert(dict(relation.get(2), CC="99"))
@@ -504,21 +490,15 @@ class TestRowValuePlans:
 
 class TestLifecycle:
     def test_orphaned_tableaux_dropped_on_reopen(self, tmp_path):
-        # a crash leaves the resident tableaux behind in a file-backed
-        # store; reopening must not adopt them as user relations
+        # stores written before detection stopped materialising pattern
+        # tableaux still hold them; reopening must not adopt them as user
+        # relations
         path = tmp_path / "orphan.db"
         mirror = SqliteBackend(path=str(path))
         relation = generate_customers(10, seed=57)
         mirror.add_relation(relation.copy())
-        database = Database()
-        database.add_relation(relation.copy())
-        IncrementalDetector(
-            database, "customer", paper_cfds(), mirror=mirror, mode=SQL_DELTA_MODE
-        )
-        assert any(
-            name.startswith("__semandaq_incr_") for name in mirror.relation_names()
-        )
-        mirror.close()  # without detector.close(): the tableaux leak
+        mirror.add_relation(tableau_to_relation(paper_cfds()[0], "__semandaq_old_0"))
+        mirror.close()
         with SqliteBackend(path=str(path)) as reopened:
             assert reopened.relation_names() == ["customer"]
 
@@ -549,10 +529,8 @@ class TestLifecycle:
         sql_delta.detach_mirror()
         assert sql_delta.mode == NATIVE_MODE
         assert sql_delta.mirror is None
-        # the resident tableaux were dropped from the former query backend
-        assert not any(
-            name.startswith("__semandaq_incr_") for name in mirror.relation_names()
-        )
+        # the former query backend holds what it held before
+        assert mirror.relation_names() == ["customer"]
         # detached detectors keep working, against the working store only
         assert _violation_keys(sql_delta.report()) == before
         sql_delta.update(0, {"CNT": relation.get(0)["CNT"]})
@@ -584,22 +562,8 @@ class TestLifecycle:
         assert _violation_keys(sql_delta.report()) == _violation_keys(native.report())
         mirror.close()
 
-    def test_close_drops_resident_tableaux(self):
-        relation = generate_customers(10, seed=67)
-        sql_delta, mirror = _make_detector(
-            relation, paper_cfds(), SQL_DELTA_MODE
-        )
-        assert any(
-            name.startswith("__semandaq_incr_") for name in mirror.relation_names()
-        )
-        sql_delta.close()
-        assert not any(
-            name.startswith("__semandaq_incr_") for name in mirror.relation_names()
-        )
-        mirror.close()
-
     def test_detector_stays_usable_after_close(self):
-        # close() releases the tableaux but the detector keeps working:
+        # close() stops the backend queries but the detector keeps working:
         # updates still ship to the mirror and detection falls back to the
         # (lazily rebuilt) native state, with no spurious desync flag
         relation = generate_customers(20, seed=69)
@@ -682,8 +646,8 @@ class TestLifecycle:
 
     def test_two_detectors_on_one_backend_do_not_clobber(self):
         # a retired detector (still held by user code) and its replacement
-        # share the relation and the backend; each owns its own resident
-        # tableaux, so closing one must not break the other
+        # share the relation and the backend; neither writes anything to
+        # the backend, so closing one must not break the other
         relation = generate_customers(20, seed=97)
         database = Database()
         database.add_relation(relation.copy())
@@ -696,7 +660,6 @@ class TestLifecycle:
             database, "customer", paper_cfds(), mirror=mirror, mode=SQL_DELTA_MODE
         )
         old.close()
-        # the new detector's tableaux survived the old one's teardown
         new.update(0, {"CNT": "Narnia"})
         assert new.report().total_violations() > 0
         new.close()

@@ -9,20 +9,18 @@ Every statement :class:`DetectionSqlGenerator` builds must
   buckets ``statement_ms.*`` under;
 * run on SQLite exactly as built.
 
-One case per builder, and per plan family where the family changes the
-statement.  The pattern constants of the CFD below are sentinels: finding
-one in the SQL text means a value was rendered inline.
+One case per builder.  The pattern constants of the CFD below are
+sentinels: finding one in the SQL text means a value was rendered inline.
 """
 
 from dataclasses import dataclass
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import Callable, List, Sequence, Tuple
 
 import pytest
 
 from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternTuple
-from repro.core.tableau import tableau_to_relation
 from repro.detection.sqlgen import DetectionSqlGenerator, SqlQuery
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
@@ -44,8 +42,6 @@ CFD_R = CFD(
     name="phi_contract",
 )
 
-TABLEAU = "__semandaq_tableau_contract"
-
 ROWS = [
     {"A": "acme", "B": "1", "C": "cval", "D": "d0"},
     {"A": "acme", "B": "1", "C": "other", "D": "d1"},  # violates pattern 0
@@ -59,12 +55,8 @@ TIDS = [1, 3]
 
 #: the statement kinds documented in benchmarks/README.md
 STATEMENT_KINDS = {
-    "q_c",
-    "q_v",
     "q_c_sargable",
     "q_window",
-    "delta_single",
-    "delta_multi",
     "covering_members",
     "lhs_values",
     "value_freq",
@@ -95,157 +87,80 @@ def _caller_bound(query: SqlQuery, *values) -> List[Bound]:
 @dataclass(frozen=True)
 class Case:
     name: str
-    #: the plan family, for the builders whose statements depend on it
-    plan: Optional[str]
     build: Callable[[DetectionSqlGenerator], List[Bound]]
 
 
+#: the four detection-plan builders carry the plan family their statements
+#: belong to, ``window``, in their case names
 CASES = [
     Case(
-        "single_tuple_query",
-        None,
-        lambda g: _caller_bound(g.single_tuple_query(CFD_R, TABLEAU)),
+        "plan_single_queries-window",
+        lambda g: _plans(g.plan_single_queries(CFD_R)),
     ),
     Case(
-        "single_tuple_query_with_lhs",
-        None,
-        lambda g: _caller_bound(
-            g.single_tuple_query(CFD_R, TABLEAU, include_lhs=True)
-        ),
+        "plan_multi_queries-window",
+        lambda g: _plans(g.plan_multi_queries(CFD_R)),
     ),
     Case(
-        "single_tuple_query_delta",
-        None,
-        lambda g: _caller_bound(
-            g.single_tuple_query_delta(CFD_R, TABLEAU, len(TIDS)), *TIDS
-        ),
+        "plan_delta_single-window",
+        lambda g: _plans(g.plan_delta_single(CFD_R, TIDS)),
     ),
     Case(
-        "multi_tuple_queries",
-        None,
-        lambda g: _plans(g.multi_tuple_queries(CFD_R, TABLEAU)),
-    ),
-    Case(
-        "multi_tuple_query_delta",
-        None,
-        lambda g: _caller_bound(
-            g.multi_tuple_query_delta(CFD_R, TABLEAU, "C", len(KEYS)), *_flat(KEYS)
-        ),
-    ),
-    Case(
-        "plan_single_queries",
-        "legacy",
-        lambda g: _plans(g.plan_single_queries(CFD_R, TABLEAU)),
-    ),
-    Case(
-        "plan_single_queries",
-        "window",
-        lambda g: _plans(g.plan_single_queries(CFD_R, TABLEAU)),
-    ),
-    Case(
-        "plan_multi_queries",
-        "legacy",
-        lambda g: _plans(g.plan_multi_queries(CFD_R, TABLEAU)),
-    ),
-    Case(
-        "plan_multi_queries",
-        "window",
-        lambda g: _plans(g.plan_multi_queries(CFD_R, TABLEAU)),
-    ),
-    Case(
-        "plan_delta_single",
-        "legacy",
-        lambda g: _plans(g.plan_delta_single(CFD_R, TABLEAU, TIDS)),
-    ),
-    Case(
-        "plan_delta_single",
-        "window",
-        lambda g: _plans(g.plan_delta_single(CFD_R, TABLEAU, TIDS)),
-    ),
-    Case(
-        "plan_delta_multi",
-        "legacy",
-        lambda g: _plans(g.plan_delta_multi(CFD_R, TABLEAU, "C", KEYS)),
-    ),
-    Case(
-        "plan_delta_multi",
-        "window",
-        lambda g: _plans(g.plan_delta_multi(CFD_R, TABLEAU, "C", KEYS)),
-    ),
-    Case(
-        "delta_plans_single",
-        None,
-        lambda g: _plans(g.delta_plans_single(CFD_R, TABLEAU, TIDS)),
-    ),
-    Case(
-        "delta_plans_multi",
-        None,
-        lambda g: _plans(g.delta_plans_multi(CFD_R, TABLEAU, "C", KEYS)),
+        "plan_delta_multi-window",
+        lambda g: _plans(g.plan_delta_multi(CFD_R, "C", KEYS)),
     ),
     Case(
         "covering_members_query",
-        None,
         lambda g: _caller_bound(
-            g.covering_members_query(CFD_R, TABLEAU, "C", len(KEYS)), *_flat(KEYS)
+            g.covering_members_query(CFD_R, "C", len(KEYS)), *_flat(KEYS)
         ),
     ),
     Case(
         "covering_members_plans",
-        None,
-        lambda g: _plans(g.covering_members_plans(CFD_R, TABLEAU, "C", KEYS)),
+        lambda g: _plans(g.covering_members_plans(CFD_R, "C", KEYS)),
     ),
     Case(
         "tid_lhs_query",
-        None,
         lambda g: _caller_bound(g.tid_lhs_query(CFD_R, len(TIDS)), *TIDS),
     ),
     Case(
         "lhs_values_plans",
-        None,
         lambda g: _plans(g.lhs_values_plans(CFD_R, TIDS)),
     ),
     Case(
         "value_freq_query",
-        None,
         lambda g: _caller_bound(g.value_freq_query("C")),
     ),
     Case(
         "group_stats_query",
-        None,
         lambda g: _caller_bound(
             g.group_stats_query(CFD_R, "C", len(KEYS)), *_flat(KEYS)
         ),
     ),
     Case(
         "group_stats_plans",
-        None,
         lambda g: _plans(g.group_stats_plans(CFD_R, "C", KEYS)),
     ),
     Case(
         "row_fetch_query",
-        None,
         lambda g: _caller_bound(g.row_fetch_query(len(TIDS)), *TIDS),
     ),
     Case(
         "row_fetch_plans",
-        None,
         lambda g: _plans(g.row_fetch_plans(TIDS)),
     ),
     Case(
         "majority_value_query",
-        None,
         lambda g: _caller_bound(
             g.majority_value_query(CFD_R, "C", len(KEYS)), *_flat(KEYS)
         ),
     ),
     Case(
         "majority_value_plans",
-        None,
         lambda g: _plans(g.majority_value_plans(CFD_R, "C", KEYS)),
     ),
     Case(
         "attr_freq_query",
-        None,
         lambda g: [
             bound
             for index in range(len(CFD_R.patterns))
@@ -254,29 +169,24 @@ CASES = [
     ),
     Case(
         "applicable_count_query",
-        None,
         lambda g: _caller_bound(g.applicable_count_query(tuple(CFD_R.normalize()))),
     ),
     Case(
         "applicable_tids_query",
-        None,
         lambda g: _caller_bound(g.applicable_tids_query(tuple(CFD_R.normalize()))),
     ),
     Case(
         "page_fetch_query_unrestricted",
-        None,
         lambda g: _caller_bound(g.page_fetch_query(page_size=2), -1),
     ),
     Case(
         "page_fetch_query_group_eq",
-        None,
         lambda g: _caller_bound(
             g.page_fetch_query(CFD_R, "C", "eq", page_size=2), "zeta", "2", "x", -1
         ),
     ),
     Case(
         "page_fetch_query_group_null",
-        None,
         lambda g: _caller_bound(
             g.page_fetch_query(CFD_R, "C", "null", page_size=2), "free", "3", -1
         ),
@@ -284,30 +194,23 @@ CASES = [
 ]
 
 
-def _id(case: Case) -> str:
-    return case.name if case.plan is None else f"{case.name}-{case.plan}"
-
-
 @pytest.fixture
 def backend():
     backend = SqliteBackend()
     backend.add_relation(Relation.from_rows(SCHEMA, ROWS))
-    backend.add_relation(tableau_to_relation(CFD_R, TABLEAU))
     yield backend
     backend.close()
 
 
 def _statements(case: Case, backend=None) -> List[Bound]:
     dialect = backend.dialect if backend is not None else None
-    generator = DetectionSqlGenerator(
-        SCHEMA, dialect=dialect, detect_plan=case.plan or "auto"
-    )
+    generator = DetectionSqlGenerator(SCHEMA, dialect=dialect)
     statements = case.build(generator)
     assert statements, f"{case.name} built no statement"
     return statements
 
 
-@pytest.mark.parametrize("case", CASES, ids=_id)
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
 def test_every_value_is_bound(case):
     for query, values in _statements(case):
         assert query.sql.count("?") == len(values)
@@ -317,7 +220,7 @@ def test_every_value_is_bound(case):
         assert query.kind in STATEMENT_KINDS
 
 
-@pytest.mark.parametrize("case", CASES, ids=_id)
+@pytest.mark.parametrize("case", CASES, ids=lambda case: case.name)
 def test_statement_runs_on_sqlite(case, backend):
     returned = 0
     for query, values in _statements(case, backend):

@@ -7,8 +7,9 @@ satisfied the old SQL predicate ``(tab.X = '_' OR tab.X = t.X)`` for
 *every* data value — the SQL paths treated it as a wildcard while the
 native detector treated it as the constant it is, and the paths diverged.
 Wildcards are now encoded as SQL NULL (``const(None)`` is rejected, so no
-constant can collide); these tests pin the fix across every detection
-path and the tableau round-trip.
+constant can collide), and the detection SQL binds pattern constants as
+parameters; these tests pin the fix across every detection path and the
+tableau round-trip.
 """
 
 import pytest
@@ -90,8 +91,8 @@ class TestEncoding:
 
 
 class TestAllDetectionPaths:
-    """Native, SQL on SQLite (both plan families), incremental native and
-    sql_delta must agree: only the genuine ``'_'`` rows violate."""
+    """Native, SQL on SQLite, incremental native and sql_delta must
+    agree: only the genuine ``'_'`` rows violate."""
 
     def _expected(self):
         # tid 1 is the only violation: A='_' matches the constant, B != 'ok'
@@ -105,21 +106,19 @@ class TestAllDetectionPaths:
         )
         assert _keys(report) == self._expected()
 
-    @pytest.mark.parametrize("plan", ["legacy", "window"])
-    def test_sql_paths(self, plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_sql_paths(self):
         backend = SqliteBackend()
         backend.add_relation(_relation())
-        report = ErrorDetector(backend, detect_plan=plan).detect(
-            "r", [_underscore_cfd()]
-        )
+        report = ErrorDetector(backend).detect("r", [_underscore_cfd()])
         assert _keys(report) == self._expected()
         backend.close()
 
-    @pytest.mark.parametrize("plan", ["legacy", "window"])
-    def test_restricted_detection(self, plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_restricted_detection(self):
         backend = SqliteBackend()
         backend.add_relation(_relation())
-        detector = ErrorDetector(backend, detect_plan=plan)
+        detector = ErrorDetector(backend)
         restricted = detector.detect_for_tuples("r", [_underscore_cfd()], [1, 2])
         assert _keys(restricted) == self._expected()
         backend.close()
@@ -172,9 +171,7 @@ class TestAllDetectionPaths:
         database = Database()
         database.add_relation(relation.copy())
         assert _keys(ErrorDetector(database, use_sql=False).detect("r", [cfd])) == expected
-        for plan in ("legacy", "window"):
-            backend = SqliteBackend()
-            backend.add_relation(relation.copy())
-            report = ErrorDetector(backend, detect_plan=plan).detect("r", [cfd])
-            assert _keys(report) == expected, plan
-            backend.close()
+        backend = SqliteBackend()
+        backend.add_relation(relation.copy())
+        assert _keys(ErrorDetector(backend).detect("r", [cfd])) == expected
+        backend.close()

@@ -61,16 +61,11 @@ def _walk(explorer):
     return state
 
 
-#: the explorer drills into the report of SQL detection under either plan
-#: family
-PLANS = ["legacy", "window"]
-
-
 class TestResidentExplorerParity:
-    @pytest.mark.parametrize("detect_plan", PLANS)
-    def test_navigation_matches_native(self, detect_plan):
-        native_system = _make_system(audit_source="native", detect_plan=detect_plan)
-        resident_system = _make_system(detect_plan=detect_plan)
+    @pytest.mark.usefixtures("plan_family")
+    def test_navigation_matches_native(self):
+        native_system = _make_system(audit_source="native")
+        resident_system = _make_system()
         try:
             native = native_system.explorer("customer")
             resident = resident_system.explorer("customer")
@@ -134,10 +129,9 @@ class TestResidentExplorerParity:
             system.close()
 
 
-@pytest.mark.parametrize("detect_plan", PLANS)
 class TestResidentExplorerPins:
-    def test_navigation_ships_no_rows_out_of_the_backend(self, detect_plan):
-        system = _make_system(detect_plan=detect_plan)
+    def test_navigation_ships_no_rows_out_of_the_backend(self):
+        system = _make_system()
         _pin_backend(system)
         try:
             explorer = system.explorer("customer")
@@ -149,8 +143,8 @@ class TestResidentExplorerPins:
         finally:
             system.close()
 
-    def test_session_paging_ships_no_rows_out_of_the_backend(self, detect_plan):
-        system = _make_system(detect_plan=detect_plan)
+    def test_session_paging_ships_no_rows_out_of_the_backend(self):
+        system = _make_system()
         _pin_backend(system)
         try:
             session = system.exploration_session("customer")

@@ -33,11 +33,7 @@ class TestEnabledMetrics:
     def test_detect_records_per_kind_histograms_and_counters(
         self, customer_relation, customer_cfds
     ):
-        # pin the legacy plan family explicitly: this test is about the
-        # classic Q_C/Q_V/covering-members statement kinds
-        semandaq = _sqlite_system(
-            customer_relation, customer_cfds, telemetry=True, detect_plan="legacy"
-        )
+        semandaq = _sqlite_system(customer_relation, customer_cfds, telemetry=True)
         try:
             assert isinstance(semandaq.backend, InstrumentedBackend)
             report = semandaq.detect("customer")
@@ -45,43 +41,22 @@ class TestEnabledMetrics:
             snapshot = semandaq.metrics()
             assert snapshot["enabled"] is True
             # per-kind statement timings: the paper example exercises the
-            # constant (Q_C), variable (Q_V) and member-enumeration shapes
-            for kind in ("q_c", "q_v", "covering_members"):
+            # constant (Q_C) and the one-pass variable (Q_V) shapes, and
+            # the one-pass Q_V needs no member-enumeration round trip
+            for kind in ("q_c_sargable", "q_window"):
                 histogram = snapshot["histograms"][f"statement_ms.{kind}"]
                 assert histogram["count"] >= 1
                 assert histogram["total"] >= 0.0
                 assert snapshot["counters"][f"statement_params.{kind}"] >= 0
+            assert "statement_ms.covering_members" not in snapshot["histograms"]
             assert snapshot["counters"]["statements"] >= 3
-            assert snapshot["counters"]["statement_rows.covering_members"] >= 2
+            assert snapshot["counters"]["statement_rows.q_window"] >= 2
             # plan-cache accounting: a cold detect compiles every plan
             assert snapshot["counters"]["plan_cache.misses"] >= 1
-            assert snapshot["counters"]["detect.plan_variant.legacy"] >= 1
             # one bulk load shipped the relation into the backend
             assert snapshot["counters"]["sync.full"] >= 1
-            # backend write instrumentation saw the bulk load and the
-            # tableau materialisations
+            # backend write instrumentation saw the bulk load
             assert snapshot["histograms"]["backend_ms.add_relation"]["count"] >= 1
-        finally:
-            semandaq.close()
-
-    def test_detect_records_one_pass_kinds_under_auto(
-        self, customer_relation, customer_cfds
-    ):
-        # auto resolves to the window family: sargable
-        # Q_C plus the one-pass Q_V, no covering-members round trip
-        # (detect_plan pinned so the SEMANDAQ_DETECT_PLAN CI leg cannot
-        # flip the default under this test)
-        semandaq = _sqlite_system(
-            customer_relation, customer_cfds, telemetry=True, detect_plan="auto"
-        )
-        try:
-            report = semandaq.detect("customer")
-            assert report.total_violations() >= 3
-            snapshot = semandaq.metrics()
-            for kind in ("q_c_sargable", "q_window"):
-                assert snapshot["histograms"][f"statement_ms.{kind}"]["count"] >= 1
-            assert "statement_ms.covering_members" not in snapshot["histograms"]
-            assert snapshot["counters"]["detect.plan_variant.window"] >= 1
         finally:
             semandaq.close()
 
@@ -148,25 +123,21 @@ class TestEnabledMetrics:
 
 
 class TestExplainPlans:
-    def test_covering_members_plan_captured_with_index_usage(
+    def test_window_plan_captured_with_index_usage(
         self, customer_relation, customer_cfds
     ):
         semandaq = _sqlite_system(
-            customer_relation,
-            customer_cfds,
-            telemetry=True,
-            explain_plans=True,
-            detect_plan="legacy",
+            customer_relation, customer_cfds, telemetry=True, explain_plans=True
         )
         try:
             semandaq.detect("customer")
             plans = semandaq.metrics()["plans"]
             assert plans, "explain_plans mode captured nothing"
-            covering = [plan for plan in plans if plan["kind"] == "covering_members"]
-            assert covering, "no covering-members plan captured"
+            window = [plan for plan in plans if plan["kind"] == "q_window"]
+            assert window, "no one-pass Q_V plan captured"
             # the detector builds the CFD-LHS index before executing, so the
-            # member enumeration must be driven by an index
-            assert any(plan["uses_index"] for plan in covering)
+            # member join must be driven by an index
+            assert all(plan["uses_index"] for plan in window)
         finally:
             semandaq.close()
 

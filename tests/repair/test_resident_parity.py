@@ -7,8 +7,7 @@ included), *any* tableau set (overlapping patterns, multi-attribute and
 wildcard RHS, constant patterns) and *any* cost model (skewed attribute
 weights, protected cells), ``repair_with_source(BackendRepairSource(...))``
 must produce exactly the change list, cost and residual count of
-``repair(relation, ...)`` — on the SQLite backend, with the source's
-detector under either plan family.
+``repair(relation, ...)`` — on the SQLite backend.
 """
 
 import pytest
@@ -17,7 +16,6 @@ from hypothesis import strategies as st
 
 from repro.backends.sqlite import SqliteBackend
 from repro.core.parser import parse_cfd
-from repro.detection.detector import ErrorDetector
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
 from repro.repair.cost import CostModel
@@ -57,10 +55,10 @@ def _changes(repair):
     ]
 
 
-@pytest.mark.parametrize("detect_plan", ["legacy", "window"])
+@pytest.mark.usefixtures("plan_family")
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_resident_repair_matches_native_oracle(detect_plan, data):
+def test_resident_repair_matches_native_oracle(data):
     rows = data.draw(st.lists(row_strategy, min_size=2, max_size=12))
     cfds = [
         _draw_cfd(data, index)
@@ -85,9 +83,7 @@ def test_resident_repair_matches_native_oracle(detect_plan, data):
     backend = SqliteBackend()
     try:
         backend.add_relation(relation.copy())
-        source = BackendRepairSource(
-            backend, "r", detector=ErrorDetector(backend, detect_plan=detect_plan)
-        )
+        source = BackendRepairSource(backend, "r")
         resident = BatchRepairer(
             cost_model=cost_model, max_iterations=12
         ).repair_with_source(source, cfds)

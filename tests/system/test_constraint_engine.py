@@ -5,6 +5,8 @@ import pytest
 from repro.core.parser import parse_cfd
 from repro.datasets import generate_customers, paper_cfds
 from repro.engine.database import Database
+from repro.engine.relation import Relation
+from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.errors import CfdSchemaError, InconsistentCfdsError
 from repro.system.constraint_engine import ConstraintEngine
 
@@ -36,6 +38,22 @@ class TestRegistration:
     def test_unknown_attribute_rejected(self, engine):
         with pytest.raises(CfdSchemaError):
             engine.add_text("customer: [NOPE=_] -> [CNT=_]")
+
+    def test_constants_typed_by_the_schema(self):
+        database = Database()
+        database.add_relation(
+            Relation(
+                RelationSchema(
+                    "m", [AttributeDef("A", DataType.INTEGER), AttributeDef("B")]
+                )
+            )
+        )
+        engine = ConstraintEngine(database)
+        cfd = engine.add_text("m: [A='5'] -> [B='x']")
+        assert cfd.patterns[0].value("A").constant == 5
+        assert engine.get(cfd.identifier) is cfd
+        with pytest.raises(CfdSchemaError):
+            engine.add_text("m: [A='five'] -> [B='x']")
 
     def test_inconsistent_addition_rejected(self, engine):
         engine.add_text("customer: [CC=_] -> [CNT='UK']")

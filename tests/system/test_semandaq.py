@@ -223,13 +223,11 @@ class TestMonitoring:
         assert len(relation) == before  # one in, one out
         assert len(system.monitor("customer").log) == 2
 
-    @pytest.mark.parametrize("detect_plan", ["legacy", "window"])
-    def test_sql_delta_system_matches_native_system(self, customer_cfds, detect_plan):
+    @pytest.mark.usefixtures("plan_family")
+    def test_sql_delta_system_matches_native_system(self, customer_cfds):
         reports = {}
         for incremental_mode in ("native", "sql_delta"):
-            config = SemandaqConfig(
-                incremental_mode=incremental_mode, detect_plan=detect_plan
-            )
+            config = SemandaqConfig(incremental_mode=incremental_mode)
             with Semandaq(config=config) as semandaq:
                 semandaq.register_relation(generate_customers(50, seed=87).copy())
                 semandaq.add_cfds(customer_cfds)
