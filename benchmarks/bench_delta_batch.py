@@ -1,4 +1,4 @@
-"""DELTA-BATCH — batched-transaction delta shipping and SQL-delta detection.
+"""DELTA-BATCH — batched-transaction delta shipping and incremental detection.
 
 Two series, both on the unified DeltaBatch update path:
 
@@ -11,17 +11,17 @@ Two series, both on the unified DeltaBatch update path:
    update; the batch pays one for the whole changeset, so the gap grows
    with the batch, not the relation.
 
-2. **Incremental detection throughput** (``test_incremental_mode_round``):
-   a monitored update batch plus the resulting violation report, with the
-   incremental detector in ``native`` mode (Python group state) vs
-   ``sql_delta`` mode (delta ``Q_C``/``Q_V`` re-checks pushed down to the
-   backend copy).  This is the paper's "incremental SQL-based detection"
-   running where the deltas already live.
+2. **Incremental detection round** (``test_incremental_round``): a
+   monitored update batch plus the resulting violation report, the
+   incremental detector maintaining its Python group state while the
+   batch ships to the SQLite copy.  With timings on, the median round
+   joins the trajectory entry.
 
 ``test_batched_shipping_beats_per_statement`` is the guard-rail: at the
 largest configured size the batched transaction must beat per-statement
-shipping outright, and both protocols (and both incremental modes) must
-leave bit-identical backend copies and reports.
+shipping outright, and both protocols must leave bit-identical backend
+copies.  ``test_incremental_detector_agrees_with_oracle`` pins the
+monitored report to a fresh bulk-loaded SQL detection.
 
 Set ``BENCH_SMOKE=1`` to run the smallest size only (the CI smoke mode).
 """
@@ -56,9 +56,10 @@ _WORKLOADS = {
     size: make_dirty_customers(size, rate=0.04, seed=411 + size)[1].dirty
     for size in SIZES
 }
-#: guard-test timings, folded into the trajectory entry the parity test
-#: emits (pytest runs the file's tests in definition order)
+#: guard-test and round timings, folded into the trajectory entry the
+#: parity test emits (pytest runs the file's tests in definition order)
 _GUARD_ROWS = []
+_ROUND_ROWS = []
 
 
 def _update_batch(relation):
@@ -98,12 +99,9 @@ def test_delta_shipping_cost(benchmark, tmp_path, mode, size):
 
 
 @pytest.mark.parametrize("size", SIZES)
-@pytest.mark.parametrize("mode", ["native", "sql_delta"])
-def test_incremental_mode_round(benchmark, mode, size):
+def test_incremental_round(benchmark, size):
     """Wall time of one monitored update batch plus the refreshed report."""
-    system = Semandaq(
-        config=SemandaqConfig(backend="sqlite", incremental_mode=mode)
-    )
+    system = Semandaq(config=SemandaqConfig(backend="sqlite"))
     system.register_relation(_WORKLOADS[size].copy())
     system.add_cfds(_cfds())
     monitor = system.monitor("customer")
@@ -124,9 +122,16 @@ def test_incremental_mode_round(benchmark, mode, size):
         return monitor.current_report()
 
     benchmark(round_trip)
-    benchmark.extra_info["mode"] = mode
     benchmark.extra_info["rows"] = size
     benchmark.extra_info["updates"] = BATCH
+    if benchmark.stats is not None:  # None under --benchmark-disable
+        _ROUND_ROWS.append(
+            {
+                "rows": size,
+                "updates": BATCH,
+                "round_median_ms": round(benchmark.stats.stats.median * 1e3, 3),
+            }
+        )
     system.close()
 
 
@@ -177,49 +182,44 @@ def test_batched_shipping_beats_per_statement(tmp_path):
     )
 
 
-def test_incremental_modes_agree_with_oracle():
-    """Guard-rail: both incremental modes report exactly what a fresh
-    bulk-loaded SQL detector reports after the same monitored batch."""
+def test_incremental_detector_agrees_with_oracle():
+    """Guard-rail: the monitored report equals what a fresh bulk-loaded SQL
+    detector reports after the same monitored batch."""
     rows = []
     for size in SIZES:
-        reports = {}
-        for mode in ("native", "sql_delta"):
-            system = Semandaq(
-                config=SemandaqConfig(backend="sqlite", incremental_mode=mode)
-            )
-            system.register_relation(_WORKLOADS[size].copy())
-            system.add_cfds(_cfds())
-            relation = system.database.relation("customer")
-            template = relation.get(relation.tids()[0])
-            monitor = system.monitor("customer")
-            monitor.apply_batch(
-                [
-                    Update.insert(dict(template, STR="A Brand New Street")),
-                    Update.modify(relation.tids()[1], {"CNT": "Narnia"}),
-                    Update.delete(relation.tids()[2]),
-                ]
-            )
-            assert system.full_sync_count == 1  # registration only
-            reports[mode] = monitor.current_report()
+        system = Semandaq(config=SemandaqConfig(backend="sqlite"))
+        system.register_relation(_WORKLOADS[size].copy())
+        system.add_cfds(_cfds())
+        relation = system.database.relation("customer")
+        template = relation.get(relation.tids()[0])
+        monitor = system.monitor("customer")
+        monitor.apply_batch(
+            [
+                Update.insert(dict(template, STR="A Brand New Street")),
+                Update.modify(relation.tids()[1], {"CNT": "Narnia"}),
+                Update.delete(relation.tids()[2]),
+            ]
+        )
+        assert system.full_sync_count == 1  # registration only
+        report = monitor.current_report()
 
-            oracle_backend = SqliteBackend()
-            oracle_backend.add_relation(system.database.relation("customer"))
-            oracle = ErrorDetector(oracle_backend, use_sql=True).detect(
-                "customer", system.constraints.cfds("customer")
-            )
-            oracle_backend.close()
-            assert reports[mode].vio() == oracle.vio()
-            assert reports[mode].dirty_tids() == oracle.dirty_tids()
-            if mode == "sql_delta":
-                rows.append(
-                    {
-                        "rows": size,
-                        "violations": reports[mode].total_violations(),
-                        "delta_queries": monitor.summary()["delta_queries"],
-                        "batches_shipped": monitor.summary()["batches_shipped"],
-                    }
-                )
-            system.close()
-        assert reports["native"].vio() == reports["sql_delta"].vio()
+        oracle_backend = SqliteBackend()
+        oracle_backend.add_relation(system.database.relation("customer"))
+        oracle = ErrorDetector(oracle_backend, use_sql=True).detect(
+            "customer", system.constraints.cfds("customer")
+        )
+        oracle_backend.close()
+        assert report.vio() == oracle.vio()
+        assert report.dirty_tids() == oracle.dirty_tids()
+        summary = monitor.summary()
+        rows.append(
+            {
+                "rows": size,
+                "violations": report.total_violations(),
+                "batches_shipped": summary["batches_shipped"],
+                "tuples_examined": summary["tuples_examined"],
+            }
+        )
+        system.close()
     report_series("DELTA-BATCH parity", rows)
-    emit_bench_json("DELTA-BATCH", _GUARD_ROWS + rows)
+    emit_bench_json("DELTA-BATCH", _GUARD_ROWS + _ROUND_ROWS + rows)

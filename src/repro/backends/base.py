@@ -172,10 +172,10 @@ class StorageBackend(abc.ABC):
         in-memory :class:`Relation` may return the live object; callers
         must not rely on the result being a private copy.
 
-        The SQL detection paths no longer call this: batch and incremental
-        detection assemble their reports from backend rows alone (schema
-        and row count come from the catalog ops above), so a remote
-        backend never ships the relation back.  It remains the bulk-export
+        The SQL detection paths no longer call this: ``detect`` and
+        ``detect_for_tuples`` assemble their reports from backend rows
+        alone (schema and row count come from the catalog ops above), so a
+        remote backend never ships the relation back.  It remains the bulk-export
         path for the native detector, repair and the explorer.
         """
 

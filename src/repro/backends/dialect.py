@@ -8,10 +8,10 @@ backend-specific pieces through a :class:`SqlDialect`:
 * the per-statement budgets the query compiler chunks by:
   :attr:`~SqlDialect.max_parameters` bounds how many values one statement
   binds, and :attr:`~SqlDialect.max_or_terms` bounds the OR chain of the
-  applicability counts.  The incremental delta re-checks, the batch
-  detector's restricted ``detect_for_tuples`` plans and the tuple-source
-  aggregates all chunk by this budget, so one statement never outgrows the
-  engine's variable cap however wide the CFD's LHS is.
+  applicability counts.  The detector's restricted ``detect_for_tuples``
+  plans and the tuple-source aggregates all chunk by this budget, so one
+  statement never outgrows the engine's variable cap however wide the
+  CFD's LHS is.
 
 The string renderings agree with the constants' encoding (``str(value)``
 in Python): integers cast identically, floats go through a registered Python

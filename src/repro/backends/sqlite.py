@@ -253,6 +253,7 @@ class SqliteBackend(StorageBackend):
         serialised semantics, which is what makes this the explicit seam
         the concurrent paths are written against.
         """
+        self._check_open()
         if self._pool is None:
             with self._write_lock:
                 yield self._conn
@@ -352,6 +353,7 @@ class SqliteBackend(StorageBackend):
         rows: Optional[Iterable[Mapping[str, Any]]] = None,
         replace: bool = False,
     ) -> None:
+        self._check_open()
         with self._write_lock:
             if schema.name in self._schemas:
                 if not replace:
@@ -609,6 +611,7 @@ class SqliteBackend(StorageBackend):
     def execute(
         self, sql: str, parameters: Optional[Sequence[Any]] = None
     ) -> List[Dict[str, Any]]:
+        self._check_open()
         # Read statements (the detection SELECTs) route to a pooled
         # read-only connection so worker threads never serialise on the
         # writer; everything else (DDL, DML, pragmas) takes the writer
@@ -712,7 +715,18 @@ class SqliteBackend(StorageBackend):
                 return tid
         return tids[0]  # pragma: no cover - rowcount mismatch implies a miss
 
+    def _check_open(self) -> None:
+        """Refuse use after :meth:`close` with a typed error.
+
+        Called where calls enter (:meth:`_require`, :meth:`execute`,
+        :meth:`read_connection`, :meth:`create_relation`), so no raw
+        ``sqlite3.ProgrammingError`` from the closed connection escapes.
+        """
+        if self._closed:
+            raise BackendError(f"the sqlite backend at {self.path!r} is closed")
+
     def _require(self, name: str) -> RelationSchema:
+        self._check_open()
         if name not in self._schemas:
             raise UnknownRelationError(name)
         return self._schemas[name]

@@ -58,7 +58,7 @@ def decode_backend_value(schema: RelationSchema, attribute: str, value: Any) -> 
     SQLite hands back stored representations (0/1 for booleans); the
     working store holds engine values — hash-equal, but reports must show
     the latter.  Every other type round-trips unchanged.  Shared by the
-    batch detector and the incremental detector's ``sql_delta`` mode.
+    detector's report assembly and the backend tuple source.
     """
     if value is None:
         return None

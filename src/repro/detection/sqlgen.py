@@ -48,7 +48,7 @@ Two plan-quality mechanisms sit on top of the query builders:
 
 * a *prepared-plan cache* — every built query is memoised per generator,
   keyed by (kind, CFD, RHS attribute or pattern, chunk shape), so the
-  per-chunk statements the batch and incremental detectors re-issue are
+  per-chunk statements the detector and the tuple sources re-issue are
   rendered once.  A statement depends only on the schema, the CFD and
   the chunk shape, and a generator is bound to one schema, so cached
   plans never need invalidating;

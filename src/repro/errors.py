@@ -126,8 +126,7 @@ class SqlBackendRequiredError(DetectionError):
     """SQL detection was asked for without a storage backend to run it on.
 
     Raised by an :class:`~repro.detection.detector.ErrorDetector` built
-    over a :class:`~repro.engine.database.Database` with ``use_sql=True``,
-    and by a ``sql_delta`` incremental detector without a mirror backend.
+    over a :class:`~repro.engine.database.Database` with ``use_sql=True``.
     """
 
 

@@ -12,11 +12,11 @@ consistent without re-running the full pipeline.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence
 
 from ..backends.base import StorageBackend
 from ..core.cfd import CFD
-from ..detection.incremental import NATIVE_MODE, IncrementalDetector
+from ..detection.incremental import IncrementalDetector
 from ..detection.violations import ViolationReport
 from ..engine.database import Database
 from ..errors import MonitorError
@@ -28,7 +28,14 @@ from .updates import Update, UpdateKind, UpdateLog
 
 
 class DataMonitor:
-    """Monitors one relation against a fixed set of CFDs."""
+    """Monitors one relation against a fixed set of CFDs.
+
+    Its :class:`~repro.detection.incremental.IncrementalDetector` keeps the
+    violation state in Python group dictionaries over the working store
+    and ships each applied batch to the attached backend, so the report
+    stays current without re-detection and the backend copy without bulk
+    re-syncs.
+    """
 
     def __init__(
         self,
@@ -38,7 +45,6 @@ class DataMonitor:
         cost_model: Optional[CostModel] = None,
         cleansed: bool = False,
         backend: Optional[StorageBackend] = None,
-        mode: str = NATIVE_MODE,
         telemetry: Optional[Telemetry] = None,
     ):
         self.database = database
@@ -51,7 +57,7 @@ class DataMonitor:
         #: storage backend each applied update batch (and each
         #: incremental-repair changeset) is shipped to as one
         #: :class:`~repro.backends.delta.DeltaBatch`; None when the monitor
-        #: keeps no backend copy (native mode only)
+        #: keeps no backend copy
         self.backend = backend
         self.log = UpdateLog()
         self._detector = IncrementalDetector(
@@ -59,7 +65,6 @@ class DataMonitor:
             relation_name,
             self.cfds,
             mirror=backend,
-            mode=mode,
             telemetry=telemetry,
         )
         self._repairer = IncrementalRepairer(cost_model=self.cost_model)
@@ -69,12 +74,13 @@ class DataMonitor:
 
     @property
     def mode(self) -> str:
-        """The *live* incremental evaluation mode (``native`` or ``sql_delta``).
+        """The incremental evaluation mode: always ``"native"``.
 
-        Delegates to the detector, which may have fallen back to ``native``
-        after :meth:`detach_backend`.
+        The detector keeps its group state in Python; the property stays
+        read-only for callers that record it, such as the PIPELINE
+        benchmark's run fingerprint.
         """
-        return self._detector.mode
+        return "native"
 
     def mark_cleansed(self) -> None:
         """Switch to repair mode: future updates are incrementally repaired."""
@@ -98,34 +104,20 @@ class DataMonitor:
         return self._detector.mirror_desynced
 
     def mark_backend_resynced(self) -> None:
-        """Reset the detector after the owner bulk re-synced the backend.
-
-        Clears the desync flag; a ``sql_delta`` detector additionally
-        rebuilds its violation state against the fresh backend copy.
-        """
+        """Clear the desync flag after the owner bulk re-synced the backend."""
         self._detector.mark_resynced()
 
     def detach_backend(self) -> None:
         """Stop mirroring updates to the attached backend.
 
         The owner calls this when retiring a monitor (e.g. after its
-        relation was replaced): a stale monitor still held by user code
-        must not keep shipping deltas from the detached relation into the
-        backend copy of the new one.  A ``sql_delta`` detector falls back
-        to native evaluation against its own working store.
+        relation was replaced, or when the system closes): a stale monitor
+        still held by user code must not keep shipping deltas from the
+        detached relation into the backend copy of the new one.  The
+        monitor keeps working against its own working store.
         """
         self.backend = None
         self._detector.detach_mirror()
-
-    def close(self) -> None:
-        """Release the monitor's detection resources.
-
-        A ``sql_delta`` detector stops querying the backend and falls back
-        to ``native`` evaluation; a no-op in ``native`` mode.  The monitor
-        itself remains attached and usable — call :meth:`detach_backend` to
-        stop mirroring.
-        """
-        self._detector.close()
 
     # -- applying updates ----------------------------------------------------------------
 
@@ -151,8 +143,7 @@ class DataMonitor:
 
         The whole batch flows to the attached backend as one coalesced
         :class:`~repro.backends.delta.DeltaBatch` — a single transaction on
-        SQLite — instead of one statement-plus-commit per update, and the
-        ``sql_delta`` re-checks run once for the batch.
+        SQLite — instead of one statement-plus-commit per update.
         """
         with self._detector.batch():
             tids = [self.apply(update) for update in updates]
@@ -219,12 +210,10 @@ class DataMonitor:
         return {
             "relation": self.relation_name,
             "mode": "repair" if self.cleansed else "detect",
-            "incremental_mode": self._detector.mode,
             "updates_applied": len(self.log),
             "current_violations": report.total_violations(),
             "dirty_tuples": len(report.dirty_tids()),
             "incremental_repairs": len(self._repairs),
             "tuples_examined": self.detection_cost(),
-            "delta_queries": self._detector.delta_queries,
             "batches_shipped": self._detector.batches_shipped,
         }

@@ -25,41 +25,14 @@ class SemandaqConfig:
         ``path`` the SQLite store is a private ``:memory:`` database;
         ``{"path": "/tmp/semandaq.db"}`` makes it file-backed.
     use_sql_detection:
-        Run detection through generated SQL (the paper's technique).  When
-        false, the native Python detector reads the working database
-        instead (the oracle and ablation path).
-    incremental_mode:
-        How the data monitor's incremental detector re-checks affected
-        groups after an update batch: ``"native"`` maintains group state in
-        Python (the original path), ``"sql_delta"`` compiles the re-checks
-        to parameterised delta ``Q_C``/``Q_V`` queries pushed down to the
-        storage backend's resident copy.
-    repair_source:
-        Where the batch repairer reads its data from.  ``"auto"`` keeps the
-        repair backend-resident whenever SQL detection is on: violations,
+        Run detection through generated SQL (the paper's technique) and
+        keep repair, audit and exploration backend-resident: violations,
         group members and value frequencies are answered by the storage
-        backend (``GROUP BY``/``COUNT`` aggregates, sargable member
-        fetches) and only result-sized rows cross the boundary —
-        ``clean()``/``apply_repair`` never call ``to_relation``.
-        ``"native"`` forces the original walk over the working
-        :class:`~repro.engine.relation.Relation` (the parity oracle and
-        the only choice when ``use_sql_detection`` is off).
-    repair_fetch_threshold:
-        Adaptive ship-back guard of the backend-resident repair: the
-        fraction of the relation the closure may fetch row-by-row before
-        the source switches to one keyset-paged full scan (fixing the
-        blanket-group pathology where nearly every tuple is dirty, e.g.
-        uniform noise under ``[CC] -> [CNT]``).  ``None`` disables the
-        fallback (pure-resident, the PR 7 behaviour).
-    audit_source:
-        Where the auditor and the explorer read from.  ``"auto"`` keeps
-        them backend-resident whenever SQL detection is on: clean tuples
-        are classified by pushed-down applicability aggregates, drill-down
-        navigation runs on ``GROUP BY`` histograms and keyset-paged
-        fetches, and only the dirty rows are materialised —
-        ``audit()``/``explorer()`` never call ``to_relation``.
-        ``"native"`` forces the original full-relation walk (the parity
-        oracle and the only choice when ``use_sql_detection`` is off).
+        backend and only result-sized rows cross the boundary.  When
+        false, the native Python detector, repairer, auditor and explorer
+        walk the working database instead (the oracles every resident
+        path must match).  The data monitor's incremental detector keeps
+        its group state in Python either way.
     repair_max_iterations:
         Round limit of the heuristic repair algorithm.
     audit_majority:
@@ -107,13 +80,9 @@ class SemandaqConfig:
     backend: str = "sqlite"
     backend_options: Dict[str, Any] = field(default_factory=dict)
     use_sql_detection: bool = True
-    incremental_mode: str = "native"
     telemetry: bool = False
     explain_plans: bool = False
     log_sql: bool = False
-    repair_source: str = "auto"
-    repair_fetch_threshold: Optional[float] = 0.5
-    audit_source: str = "auto"
     repair_max_iterations: int = 25
     audit_majority: float = 0.5
     quality_levels: int = 5
@@ -130,29 +99,6 @@ class SemandaqConfig:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; "
                 f"available: {', '.join(available_backends())}"
-            )
-        from ..detection.incremental import INCREMENTAL_MODES
-
-        if self.incremental_mode not in INCREMENTAL_MODES:
-            raise ConfigurationError(
-                f"unknown incremental_mode {self.incremental_mode!r}; "
-                f"expected one of {', '.join(INCREMENTAL_MODES)}"
-            )
-        if self.repair_source not in ("auto", "native"):
-            raise ConfigurationError(
-                f"unknown repair_source {self.repair_source!r}; "
-                "expected 'auto' or 'native'"
-            )
-        if self.repair_fetch_threshold is not None and not (
-            0.0 < self.repair_fetch_threshold <= 1.0
-        ):
-            raise ConfigurationError(
-                "repair_fetch_threshold must be in (0, 1] or None"
-            )
-        if self.audit_source not in ("auto", "native"):
-            raise ConfigurationError(
-                f"unknown audit_source {self.audit_source!r}; "
-                "expected 'auto' or 'native'"
             )
         if self.repair_max_iterations < 1:
             raise ConfigurationError("repair_max_iterations must be at least 1")

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
 
 from ..audit.report import DataAuditor, DataQualityReport
 from ..backends.base import StorageBackend
@@ -48,6 +48,11 @@ from ..repair.review import RepairReview
 from ..sources.backend import BackendTupleSource
 from .config import SemandaqConfig
 from .constraint_engine import ConstraintEngine
+
+#: fraction of the relation the resident repair closure may fetch row by
+#: row before its source switches to one keyset-paged full scan (see
+#: :class:`~repro.repair.source.BackendRepairSource`)
+RESIDENT_FETCH_THRESHOLD = 0.5
 
 
 class Semandaq:
@@ -164,11 +169,29 @@ class Semandaq:
         next ``monitor()`` call, bound to the new data; the stale detection
         report is dropped and the new contents bulk-loaded.
         """
-        retired = self._monitors.pop(relation_name, None)
-        if retired is not None:
-            retired.detach_backend()
+        self._retire_monitor(relation_name)
         self._reports.pop(relation_name, None)
         self._sync_backend(relation_name)
+
+    def _retire_monitor(self, relation_name: str) -> bool:
+        """Drop and detach the monitor of ``relation_name``, if there is one.
+
+        The retired monitor is bound to a replaced :class:`Relation`;
+        detaching it keeps a reference still held by user code from
+        mirroring ghost deltas into the backend copy of the new data.
+        """
+        retired = self._monitors.pop(relation_name, None)
+        if retired is None:
+            return False
+        retired.detach_backend()
+        return True
+
+    def _restart_monitor(self, relation_name: str) -> None:
+        """Replace a live monitor of ``relation_name`` with a cleansed one."""
+        if self._retire_monitor(relation_name):
+            self._monitors[relation_name] = self._make_monitor(
+                relation_name, cleansed=True
+            )
 
     def _sync_backend(self, relation_name: str) -> None:
         """Mirror the working copy of ``relation_name`` into the backend.
@@ -188,25 +211,32 @@ class Semandaq:
             if monitor is not None:
                 monitor.mark_backend_resynced()
 
+    def _backend_lags(self, relation_name: str) -> bool:
+        """Whether the backend copy of ``relation_name`` may be out of date.
+
+        That is: the relation was never synced, it was explicitly marked
+        stale, or its monitor failed to ship a delta batch.
+        """
+        monitor = self._monitors.get(relation_name)
+        return (
+            relation_name not in self._synced
+            or relation_name in self._stale
+            or (monitor is not None and monitor.backend_desynced)
+        )
+
     def _sync_backend_if_stale(self, relation_name: str) -> None:
         """Re-sync only when the backend copy may be out of date.
 
-        That is: the relation was never synced, or it was explicitly marked
-        stale.  Monitored relations no longer force a whole-relation reload:
-        the monitor ships every applied update (and every incremental-repair
-        change) down to the backend as a per-tid delta, so the backend copy
-        tracks the working store continuously.  Facade-level mutations
+        See :meth:`_backend_lags`.  Monitored relations no longer force a
+        whole-relation reload: the monitor ships every applied update (and
+        every incremental-repair change) down to the backend as a per-tid
+        delta, so the backend copy tracks the working store continuously.  Facade-level mutations
         (``register_relation``/``load_csv``) sync eagerly and
         ``apply_repair`` ships per-tid deltas, so repeated ``detect`` calls
         never bulk-reload a relation that is already current.
         """
         with self._sync_lock:
-            monitor = self._monitors.get(relation_name)
-            if (
-                relation_name not in self._synced
-                or relation_name in self._stale
-                or (monitor is not None and monitor.backend_desynced)
-            ):
+            if self._backend_lags(relation_name):
                 self._sync_backend(relation_name)
 
     def mark_backend_stale(self, relation_name: str) -> None:
@@ -325,10 +355,6 @@ class Semandaq:
 
     # -- step 4: audit ----------------------------------------------------------------------------
 
-    def _read_resident(self) -> bool:
-        """Whether the auditor/explorer read from the storage backend."""
-        return self.config.audit_source == "auto" and self.config.use_sql_detection
-
     def _tuple_source(self, relation_name: str) -> BackendTupleSource:
         self._sync_backend_if_stale(relation_name)
         return BackendTupleSource(
@@ -338,16 +364,16 @@ class Semandaq:
     def audit(self, relation_name: str) -> DataQualityReport:
         """Summarise the quality of ``relation_name`` from the latest detection.
 
-        With ``audit_source="auto"`` (and SQL detection on) the audit runs
-        backend-resident: the dirty rows come from one ``row_fetch``, the
-        clean-tuple categories from pushed-down applicability aggregates,
-        and the quality map's tid universe from the catalog row count —
-        the working store is never read row-by-row.
-        ``audit_source="native"`` forces the full-relation walk.
+        With SQL detection on the audit runs backend-resident: the dirty
+        rows come from one ``row_fetch``, the clean-tuple categories from
+        pushed-down applicability aggregates, and the quality map's tid
+        universe from the catalog row count — the working store is never
+        read row-by-row.  With it off the auditor walks the working
+        relation (the oracle).
         """
         report = self.last_report(relation_name)
         cfds = self.constraints.cfds(relation_name)
-        if self._read_resident():
+        if self.config.use_sql_detection:
             self.telemetry.inc("audit.source_resident")
             return self.auditor.audit_source(
                 self._tuple_source(relation_name), cfds, report
@@ -359,14 +385,13 @@ class Semandaq:
     def explorer(self, relation_name: str) -> DataExplorer:
         """A drill-down explorer over the latest detection results.
 
-        On the resident path (``audit_source="auto"`` with SQL detection)
-        every navigation step is answered by pushed-down aggregates and
-        keyset-paged fetches; only the dirty rows and the visible page of
-        tuples are ever materialised.
+        With SQL detection on every navigation step is answered by
+        pushed-down aggregates and keyset-paged fetches; only the dirty rows
+        and the visible page of tuples are ever materialised.
         """
         report = self.last_report(relation_name)
         cfds = self.constraints.cfds(relation_name)
-        if self._read_resident():
+        if self.config.use_sql_detection:
             return DataExplorer(self._tuple_source(relation_name), cfds, report)
         return DataExplorer(self.database.relation(relation_name), cfds, report)
 
@@ -374,7 +399,7 @@ class Semandaq:
         """A stateful exploration session (the Fig. 2 walk-through)."""
         report = self.last_report(relation_name)
         cfds = self.constraints.cfds(relation_name)
-        if self._read_resident():
+        if self.config.use_sql_detection:
             return ExplorationSession(
                 self._tuple_source(relation_name), cfds, report
             )
@@ -384,20 +409,16 @@ class Semandaq:
 
     # -- step 6: repair and review -----------------------------------------------------------------
 
-    def _repair_resident(self) -> bool:
-        """Whether repairs read from the storage backend instead of the relation."""
-        return self.config.repair_source == "auto" and self.config.use_sql_detection
-
     def repair(self, relation_name: str, cost_model: Optional[CostModel] = None) -> Repair:
         """Compute a candidate repair of ``relation_name``.
 
-        With ``repair_source="auto"`` (and SQL detection on) the repair is
-        planned over a backend-resident data source: violations come from
-        the pushed-down ``detect()``, group members from the sargable
-        covering-members plans and value frequencies from ``GROUP BY``
-        aggregates — only result-sized rows cross the backend boundary and
-        the working relation is never walked.  ``repair_source="native"``
-        forces the original full-relation path (the parity oracle).
+        With SQL detection on the repair is planned over a
+        backend-resident data source: violations come from the pushed-down
+        ``detect()``, group members from the sargable covering-members
+        plans and value frequencies from ``GROUP BY`` aggregates — only
+        result-sized rows cross the backend boundary and the working
+        relation is never walked.  With it off the repairer walks the
+        working relation (the parity oracle).
         """
         cfds = self.constraints.cfds(relation_name)
         repairer = BatchRepairer(
@@ -405,14 +426,14 @@ class Semandaq:
             max_iterations=self.config.repair_max_iterations,
             telemetry=self.telemetry,
         )
-        if self._repair_resident():
+        if self.config.use_sql_detection:
             self._sync_backend_if_stale(relation_name)
             source = BackendRepairSource(
                 self.backend,
                 relation_name,
                 telemetry=self.telemetry,
                 detector=self.detector,
-                fetch_threshold=self.config.repair_fetch_threshold,
+                fetch_threshold=RESIDENT_FETCH_THRESHOLD,
             )
             repair = repairer.repair_with_source(source, cfds)
             self.telemetry.inc("repair.source_resident")
@@ -484,13 +505,7 @@ class Semandaq:
         self.database.add_relation(replacement, replace=True)
         self._ship_backend_delta(relation_name, old_relation, replacement)
         self._reports.pop(relation_name, None)
-        if relation_name in self._monitors:
-            # the retired monitor is bound to the replaced Relation object;
-            # detach it so a reference still held by user code cannot keep
-            # mirroring ghost deltas into the backend copy of the new data
-            retired = self._monitors.pop(relation_name)
-            retired.detach_backend()
-            self._monitors[relation_name] = self._make_monitor(relation_name, cleansed=True)
+        self._restart_monitor(relation_name)
         return replacement
 
     def _apply_repair_resident(self, relation_name: str, repair: Repair) -> Relation:
@@ -511,12 +526,7 @@ class Semandaq:
         for change in repair.changes:
             if change.tid in replacement:
                 batch.record_update(change.tid, {change.attribute: change.new_value})
-        monitor = self._monitors.get(relation_name)
-        if (
-            relation_name not in self._synced
-            or relation_name in self._stale
-            or (monitor is not None and monitor.backend_desynced)
-        ):
+        if self._backend_lags(relation_name):
             self._sync_backend(relation_name)
         elif not batch.is_empty():
             self.backend.apply_delta_batch(relation_name, batch)
@@ -530,10 +540,7 @@ class Semandaq:
             self.telemetry.inc(
                 "repair.post_check_violations", post.total_violations()
             )
-        if relation_name in self._monitors:
-            retired = self._monitors.pop(relation_name)
-            retired.detach_backend()
-            self._monitors[relation_name] = self._make_monitor(relation_name, cleansed=True)
+        self._restart_monitor(relation_name)
         return replacement
 
     def _ship_backend_delta(
@@ -558,13 +565,7 @@ class Semandaq:
         constant factor, not a new asymptotic cost; only the changed cells
         travel to the backend.
         """
-        monitor = self._monitors.get(relation_name)
-        if (
-            old_relation is None
-            or relation_name not in self._synced
-            or relation_name in self._stale
-            or (monitor is not None and monitor.backend_desynced)
-        ):
+        if old_relation is None or self._backend_lags(relation_name):
             self._sync_backend(relation_name)
             return
         old_rows = dict(old_relation.rows())
@@ -626,7 +627,6 @@ class Semandaq:
             cost_model=self.cost_model,
             cleansed=cleansed,
             backend=self.backend,
-            mode=self.config.incremental_mode,
             telemetry=self.telemetry,
         )
 
@@ -673,13 +673,15 @@ class Semandaq:
         """Release backend resources (e.g. the SQLite connection).
 
         File-backed stores close their connections so the database file
-        is unlocked.  Any ``sql_delta`` monitors stop querying the backend
-        first and fall back to native evaluation.  Detection adds no
-        relation to the backend, so a caller-supplied backend holds only
-        what the system loaded into it.
+        is unlocked.  Monitors are detached first, so one still held by
+        user code keeps working against the working store instead of
+        shipping deltas to a closed backend.  Every later call that needs
+        the backend raises :class:`~repro.errors.BackendError`.  Detection
+        adds no relation to the backend, so a caller-supplied backend
+        holds only what the system loaded into it.
         """
         for monitor in self._monitors.values():
-            monitor.close()
+            monitor.detach_backend()
         self.backend.close()
 
     def __enter__(self) -> "Semandaq":

@@ -1,10 +1,11 @@
 """The backend-resident audit: oracle parity and zero working-store reads.
 
-Property: with ``audit_source="auto"`` the audit runs entirely on the
+Property: with SQL detection on the audit runs entirely on the
 storage backend — dirty rows from one ``row_fetch``, clean categories from
 pushed-down applicability aggregates, the quality map's tid universe from
 the catalog row count — and the resulting report is *identical* to the
-native full-relation walk, for any relation (NULL cells included) and any
+native full-relation walk of a ``use_sql_detection=False`` system, for any
+relation (NULL cells included) and any
 multi-pattern tableau set.
 
 The pins extend the ``ForbiddenReadBackend`` contract of detection and
@@ -52,10 +53,10 @@ def _draw_cfd(data, index):
     return parse_cfd(f"r: {' ; '.join(patterns)}", name=f"cfd{index}")
 
 
-def _audit(audit_source, relation, cfds):
+def _audit(use_sql_detection, relation, cfds):
     system = Semandaq(
         config=SemandaqConfig(
-            audit_source=audit_source,
+            use_sql_detection=use_sql_detection,
             check_consistency_on_add=False,
         )
     )
@@ -79,8 +80,8 @@ def test_resident_audit_matches_native_oracle(data):
     schema = RelationSchema.of("r", ATTRIBUTES)
     relation = Relation.from_rows(schema, rows)
 
-    native = _audit("native", relation, cfds)
-    resident = _audit("auto", relation, cfds)
+    native = _audit(False, relation, cfds)
+    resident = _audit(True, relation, cfds)
 
     assert resident.to_dict() == native.to_dict()
     assert (
@@ -132,7 +133,7 @@ class TestResidentAuditPins:
         system.close()
 
     def test_native_override_still_walks_the_relation(self):
-        system = _make_system(audit_source="native")
+        system = _make_system(use_sql_detection=False)
         native = system.audit("customer")
         resident = _make_system()
         try:

@@ -331,7 +331,7 @@ class TestFileBackedRecoveryUnderMonitor:
     """Satellite: reopen a file-backed store, attach a monitor, apply
     deltas, and assert parity with a fresh load of the same data."""
 
-    @pytest.mark.parametrize("mode", ["native", "sql_delta"])
+    @pytest.mark.parametrize("mode", ["native"])
     def test_reopened_catalog_accepts_monitored_deltas(self, tmp_path, mode):
         path = tmp_path / "recover.db"
         original = generate_customers(50, seed=83)
@@ -344,9 +344,8 @@ class TestFileBackedRecoveryUnderMonitor:
             assert reopened.relation_names() == ["customer"]
             database = Database()
             database.add_relation(reopened.to_relation("customer").copy())
-            monitor = DataMonitor(
-                database, "customer", paper_cfds(), backend=reopened, mode=mode
-            )
+            monitor = DataMonitor(database, "customer", paper_cfds(), backend=reopened)
+            assert monitor.mode == mode
             relation = database.relation("customer")
             template = relation.get(relation.tids()[0])
             monitor.apply_batch(
@@ -362,7 +361,6 @@ class TestFileBackedRecoveryUnderMonitor:
             assert dict(reopened.iter_rows("customer")) == dict(relation.rows())
             monitored_report = monitor.current_report()
             expected_rows = dict(relation.rows())
-            monitor.close()
         # parity with a fresh bulk load of the same (updated) data
         with SqliteBackend() as fresh:
             fresh.add_relation(

@@ -1,11 +1,10 @@
 """Multi-path detection parity and the SQLite end-to-end workflow.
 
 The acceptance bar of the backend subsystem: the native detector (the
-oracle, reading the working database), the SQL-based detector on SQLite,
-and both incremental modes (``native`` Python state and the
-backend-resident ``sql_delta`` re-checks) must produce identical violation
-reports on the dirty-customer workload — the same ``vio()`` maps and the
-same dirty tids.
+oracle, reading the working database), the SQL-based detector on SQLite
+and the incremental detector's Python group state must produce identical
+violation reports on the dirty-customer workload — the same ``vio()`` maps
+and the same dirty tids.
 
 Run with ``SEMANDAQ_SQLITE_MODE=file`` to exercise every SQLite backend in
 this suite against a tmp-path database file instead of ``:memory:`` (see
@@ -28,7 +27,15 @@ from repro.engine.csvio import dump_csv
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.types import AttributeDef, DataType, RelationSchema
-from repro.errors import DetectionError, SqlBackendRequiredError
+from repro.errors import BackendError, DetectionError, SqlBackendRequiredError
+from tests.tableaux import (
+    NULL_CELL_CFD,
+    OVERLAP_CFD,
+    TWO_RHS_CFD,
+    null_cell_relation,
+    overlap_relation,
+    two_rhs_relation,
+)
 
 
 @pytest.fixture(scope="module")
@@ -141,8 +148,8 @@ class TestNativeSqlParity:
 
 
 def _all_path_reports(relation, cfds, make_sqlite_backend):
-    """Reports from every detection path: native, SQL on SQLite, and both
-    incremental evaluation modes."""
+    """Reports from every detection path: native, SQL on SQLite, and the
+    incremental detector."""
     database = Database()
     database.add_relation(relation.copy())
     native = ErrorDetector(database, use_sql=False).detect(relation.name, cfds)
@@ -152,21 +159,11 @@ def _all_path_reports(relation, cfds, make_sqlite_backend):
         relation.name, cfds
     )
     incremental = IncrementalDetector(database, relation.name, cfds).report()
-    sql_delta_detector = IncrementalDetector(
-        database,
-        relation.name,
-        cfds,
-        mirror=sqlite_backend,
-        mode="sql_delta",
-    )
-    sql_delta = sql_delta_detector.report()
-    sql_delta_detector.close()
     sqlite_backend.close()
     return {
         "native": native,
         "sqlite_sql": sqlite_sql,
         "incremental": incremental,
-        "sql_delta": sql_delta,
     }
 
 
@@ -190,36 +187,11 @@ class TestOverlappingPatternParity:
     violating LHS group exactly once, under its lowest violating pattern."""
 
     def test_overlapping_wildcard_rhs_patterns(self, sqlite_backend_factory):
-        schema = RelationSchema.of("r", ["A", "B", "C"])
-        relation = Relation.from_rows(
-            schema,
-            [
-                {"A": "x", "B": "1", "C": "c1"},
-                {"A": "x", "B": "1", "C": "c2"},  # violates patterns 0 and 1
-                {"A": "y", "B": "1", "C": "c1"},
-                {"A": "y", "B": "1", "C": "c3"},  # violates pattern 1 only
-                {"A": "x", "B": "2", "C": "c1"},
-                {"A": "x", "B": "2", "C": "c1"},  # agrees: no violation
-            ],
+        reports = _all_path_reports(
+            overlap_relation(), [OVERLAP_CFD], sqlite_backend_factory
         )
-        cfd = CFD(
-            relation="r",
-            lhs=("A", "B"),
-            rhs=("C",),
-            patterns=(
-                PatternTuple.of({"A": "x", "B": "_", "C": "_"}),
-                PatternTuple.of({"A": "_", "B": "_", "C": "_"}),
-            ),
-            name="phi_overlap",
-        )
-        reports = _all_path_reports(relation, [cfd], sqlite_backend_factory)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
-        assert (
-            keys["native"]
-            == keys["sqlite_sql"]
-            == keys["incremental"]
-            == keys["sql_delta"]
-        )
+        assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
         by_group = {
             violation.lhs_values: violation.pattern_index
             for violation in reports["sqlite_sql"].violations
@@ -249,12 +221,7 @@ class TestOverlappingPatternParity:
         )
         reports = _all_path_reports(relation, [cfd], sqlite_backend_factory)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
-        assert (
-            keys["native"]
-            == keys["sqlite_sql"]
-            == keys["incremental"]
-            == keys["sql_delta"]
-        )
+        assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
         by_tid = {
             violation.tids[0]: violation.pattern_index
             for violation in reports["sqlite_sql"].violations
@@ -264,31 +231,11 @@ class TestOverlappingPatternParity:
     def test_merged_cfd_with_two_wildcard_rhs_attributes(self, sqlite_backend_factory):
         # The disagreement lives on the SECOND wildcard RHS attribute; a Q_V
         # covering only the first would silently miss it.
-        schema = RelationSchema.of("r", ["A", "B", "C"])
-        relation = Relation.from_rows(
-            schema,
-            [
-                {"A": "x", "B": "b1", "C": "c1"},
-                {"A": "x", "B": "b1", "C": "c2"},  # B agrees, C disagrees
-                {"A": "y", "B": "b1", "C": "c1"},
-                {"A": "y", "B": "b2", "C": "c1"},  # B disagrees, C agrees
-            ],
+        reports = _all_path_reports(
+            two_rhs_relation(), [TWO_RHS_CFD], sqlite_backend_factory
         )
-        cfd = CFD(
-            relation="r",
-            lhs=("A",),
-            rhs=("B", "C"),
-            patterns=(PatternTuple.of({"A": "_", "B": "_", "C": "_"}),),
-            name="phi_two_rhs",
-        )
-        reports = _all_path_reports(relation, [cfd], sqlite_backend_factory)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
-        assert (
-            keys["native"]
-            == keys["sqlite_sql"]
-            == keys["incremental"]
-            == keys["sql_delta"]
-        )
+        assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
         by_rhs = {
             violation.rhs_attribute: violation.tids
             for violation in reports["sqlite_sql"].violations
@@ -303,22 +250,15 @@ class TestNullCellParity:
     comparisons see ``None`` directly; the plans guard every comparison
     (``IS NOT NULL`` applicability, NULL-free group keys), and this
     tableau pins that the guards add up to the native semantics on all
-    four detection paths.
+    three detection paths.
     """
 
     def test_null_lhs_and_rhs_cells(self, sqlite_backend_factory):
-        from tests.tableaux import NULL_CELL_CFD, null_cell_relation
-
         reports = _all_path_reports(
             null_cell_relation(), [NULL_CELL_CFD], sqlite_backend_factory
         )
         keys = {name: _violation_keys(report) for name, report in reports.items()}
-        assert (
-            keys["native"]
-            == keys["sqlite_sql"]
-            == keys["incremental"]
-            == keys["sql_delta"]
-        )
+        assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
         by_kind = {
             (violation.kind, violation.lhs_values)
             for violation in reports["sqlite_sql"].violations
@@ -328,11 +268,11 @@ class TestNullCellParity:
         assert by_kind == {("multi", ("x", "1")), ("single", ("w", "3"))}
 
 
-class TestFourPathProperty:
-    """Randomised four-path equivalence: batch-native, batch-SQL on
-    SQLite, incremental-native and ``sql_delta`` must produce identical
-    reports on random relations (NULL cells included) against random
-    tableaux (overlapping patterns and multi-wildcard RHS included)."""
+class TestThreePathProperty:
+    """Randomised three-path equivalence: batch-native, batch-SQL on
+    SQLite and incremental must produce identical reports on random
+    relations (NULL cells included) against random tableaux (overlapping
+    patterns and multi-wildcard RHS included)."""
 
     attrs = ("A", "B", "C", "D")
     cell = st.sampled_from(["a", "b", None])
@@ -397,12 +337,7 @@ class TestFourPathProperty:
         # many times per test invocation)
         reports = _all_path_reports(relation, cfds, SqliteBackend)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
-        assert (
-            keys["native"]
-            == keys["sqlite_sql"]
-            == keys["incremental"]
-            == keys["sql_delta"]
-        )
+        assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
         counts = {report.tuple_count for report in reports.values()}
         assert counts == {len(relation)}
 
@@ -432,7 +367,7 @@ class TestTypedConstants:
         reports = _all_path_reports(relation, [cfd], SqliteBackend)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert keys["native"] == [("phi_typed", "single", (0,), "B", 0, (value,))]
-        assert keys["sqlite_sql"] == keys["incremental"] == keys["sql_delta"]
+        assert keys["sqlite_sql"] == keys["incremental"]
         assert keys["sqlite_sql"] == keys["native"]
 
 
@@ -517,5 +452,5 @@ class TestSqliteEndToEnd:
             system.detect("customer")
         assert path.exists()
         # the context manager closed the connection; the backend rejects use
-        with pytest.raises(Exception):
+        with pytest.raises(BackendError, match="closed"):
             system.backend.execute("SELECT 1 AS one")

@@ -5,6 +5,8 @@ import sqlite3
 import pytest
 
 from repro.backends import SqliteBackend
+from repro.core.tableau import tableau_to_relation
+from repro.datasets import generate_customers, paper_cfds
 from repro.engine.csvio import load_csv_into
 from repro.engine.relation import Relation
 from repro.engine.types import AttributeDef, DataType, RelationSchema
@@ -270,6 +272,43 @@ class TestErrorMapping:
             backend.close()
 
 
+class TestClosedBackend:
+    """Every call after ``close()`` raises the typed ``BackendError``."""
+
+    @pytest.fixture
+    def closed(self):
+        instance = SqliteBackend()
+        instance.create_relation(SCHEMA, rows=ROWS)
+        instance.close()
+        return instance
+
+    def test_catalog_and_index_calls_raise(self, closed):
+        with pytest.raises(BackendError, match="closed"):
+            closed.row_count("mixed")
+        with pytest.raises(BackendError, match="closed"):
+            closed.ensure_index("mixed", ["S"])
+        with pytest.raises(BackendError, match="closed"):
+            closed.create_relation(KEYED)
+
+    def test_delta_batch_raises_before_touching_the_connection(self, closed):
+        batch = DeltaBatch("mixed")
+        batch.record_update(0, {"S": "changed"})
+        with pytest.raises(BackendError, match="closed"):
+            closed.apply_delta_batch("mixed", batch)
+
+    def test_execute_and_read_connection_raise(self, closed):
+        with pytest.raises(BackendError, match="closed"):
+            closed.execute("SELECT 1")
+        with pytest.raises(BackendError, match="closed"):
+            with closed.read_connection():
+                pass  # pragma: no cover
+
+    def test_close_is_idempotent(self, closed):
+        closed.close()
+        with pytest.raises(BackendError, match="closed"):
+            closed.get_row("mixed", 0)
+
+
 class TestReadConnection:
     def test_nested_blocks_reuse_the_pinned_reader(self, tmp_path):
         # with a single reader, a nested block that checked out a second
@@ -356,3 +395,15 @@ class TestReopen:
             assert second.row_count("mixed") == 1
         finally:
             second.close()
+
+    def test_orphaned_tableaux_dropped_on_reopen(self, tmp_path):
+        # stores written before detection stopped materialising pattern
+        # tableaux still hold them; reopening must not adopt them as user
+        # relations
+        path = str(tmp_path / "orphan.db")
+        first = SqliteBackend(path=path)
+        first.add_relation(generate_customers(10, seed=57))
+        first.add_relation(tableau_to_relation(paper_cfds()[0], "__semandaq_old_0"))
+        first.close()
+        with SqliteBackend(path=path) as reopened:
+            assert reopened.relation_names() == ["customer"]

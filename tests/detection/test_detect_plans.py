@@ -4,7 +4,7 @@ Each CFD compiles to one sargable ``Q_C`` statement per constant-RHS
 pattern row and one one-pass ``Q_V`` statement per wildcard-RHS pattern
 row.  These tests pin (a) the generated SQL shapes and (b) report identity
 with the native oracle, including the restricted ``detect_for_tuples``
-path and the ``sql_delta`` re-checks.
+path and the incremental detector's mirrored updates.
 """
 
 import pytest
@@ -114,7 +114,7 @@ class TestGeneratedShapes:
 
 
 class TestCrossVariantParity:
-    """Batch SQL, restricted SQL and ``sql_delta`` agree with native detection."""
+    """Batch SQL, restricted SQL and incremental detection agree with native detection."""
 
     def test_batch_report_matches_native(self):
         relation = _relation()
@@ -147,19 +147,16 @@ class TestCrossVariantParity:
         backend.close()
 
     @pytest.mark.usefixtures("plan_family")
-    def test_sql_delta_rechecks_agree_with_batch(self):
+    def test_mirrored_updates_agree_with_batch(self):
         database = Database()
         database.add_relation(_relation())
         cfds = _cfds()
         mirror = SqliteBackend()
         mirror.add_relation(database.relation("r").copy())
-        detector = IncrementalDetector(
-            database, "r", cfds, mirror=mirror, mode="sql_delta"
-        )
+        detector = IncrementalDetector(database, "r", cfds, mirror=mirror)
         detector.update(1, {"C": "c1"})  # heal group (x, 1)
         detector.update(3, {"D": "d9"})  # new single + D-group split
         incremental = _keys(detector.report())
         batch = ErrorDetector(mirror).detect("r", cfds)
         assert incremental == _keys(batch)
-        detector.close()
         mirror.close()

@@ -1,9 +1,17 @@
-"""Tests for incremental detection: equivalence with batch detection and cost locality."""
+"""Tests for incremental detection: equivalence with batch detection and cost locality.
+
+Update sequences run against a detector that mirrors every batch to a
+SQLite backend.  After each sequence its report must equal a fresh native
+detection of the working store and a SQL detection of the mirror — same
+violations, pattern indices and LHS values — and the mirror must hold the
+working store's rows.
+"""
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.backends import SqliteBackend
 from repro.core.parser import parse_cfd
 from repro.datasets import generate_customers, paper_cfds
 from repro.detection.detector import ErrorDetector
@@ -12,6 +20,14 @@ from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
 from repro.errors import DetectionError
+from tests.tableaux import (
+    NULL_CELL_CFD,
+    OVERLAP_CFD,
+    TWO_RHS_CFD,
+    null_cell_relation,
+    overlap_relation,
+    two_rhs_relation,
+)
 
 
 def reports_equal(left, right):
@@ -21,6 +37,43 @@ def reports_equal(left, right):
             (v.cfd_id, v.kind, v.tids, v.rhs_attribute) for v in report.violations
         }
     return canon(left) == canon(right) and left.vio() == right.vio()
+
+
+def _violation_keys(report):
+    """Full violation identity, including pattern index and LHS values."""
+    return sorted(
+        (v.cfd_id, v.kind, v.tids, v.rhs_attribute, v.pattern_index, v.lhs_values)
+        for v in report.violations
+    )
+
+
+def _mirrored(relation, cfds):
+    """A detector over a private working copy, mirrored to a SQLite backend."""
+    database = Database()
+    database.add_relation(relation.copy())
+    mirror = SqliteBackend()
+    mirror.add_relation(database.relation(relation.name))
+    return IncrementalDetector(database, relation.name, cfds, mirror=mirror), mirror
+
+
+def _assert_matches_oracles(detector, mirror, cfds):
+    """The report equals native and SQL detection; the mirror equals the store."""
+    name = detector.relation_name
+    keys = _violation_keys(detector.report())
+    assert keys == _violation_keys(ErrorDetector(detector.database).detect(name, cfds))
+    assert keys == _violation_keys(ErrorDetector(mirror).detect(name, cfds))
+    assert dict(mirror.iter_rows(name)) == dict(detector.relation.rows())
+
+
+def _replay(script, relation, cfds):
+    """Run ``script(detector)`` on a mirrored detector and check it against the oracles."""
+    detector, mirror = _mirrored(relation, cfds)
+    try:
+        script(detector)
+        _assert_matches_oracles(detector, mirror, cfds)
+    finally:
+        mirror.close()
+    return detector
 
 
 @pytest.fixture
@@ -110,44 +163,36 @@ class TestEquivalenceWithBatch:
     @settings(max_examples=25, deadline=None)
     def test_property_random_update_sequences(self, data):
         schema = RelationSchema.of("customer", ["CNT", "ZIP", "STR", "CC"])
-        initial = data.draw(
-            st.lists(
-                st.fixed_dictionaries(
-                    {"CNT": self.value, "ZIP": self.value, "STR": self.value, "CC": self.value}
-                ),
-                min_size=1,
-                max_size=8,
-            )
+        row_strategy = st.fixed_dictionaries(
+            {"CNT": self.value, "ZIP": self.value, "STR": self.value, "CC": self.value}
         )
-        relation = Relation.from_rows(schema, initial)
-        database = Database()
-        database.add_relation(relation)
+        initial = data.draw(st.lists(row_strategy, min_size=1, max_size=8))
         cfds = [
             parse_cfd("customer: [CNT='a', ZIP=_] -> [STR=_]"),
             parse_cfd("customer: [CC='a'] -> [CNT='b']"),
             parse_cfd("customer: [CC=_] -> [CNT=_]"),
         ]
-        incremental = IncrementalDetector(database, "customer", cfds)
-        for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
-            op = data.draw(self.operation)
-            tids = relation.tids()
-            if op == "insert" or not tids:
-                incremental.insert(
-                    data.draw(
-                        st.fixed_dictionaries(
-                            {"CNT": self.value, "ZIP": self.value,
-                             "STR": self.value, "CC": self.value}
-                        )
-                    )
-                )
-            elif op == "delete":
-                incremental.delete(data.draw(st.sampled_from(tids)))
-            else:
-                tid = data.draw(st.sampled_from(tids))
-                attribute = data.draw(st.sampled_from(["CNT", "ZIP", "STR", "CC"]))
-                incremental.update(tid, {attribute: data.draw(self.value)})
-        batch = ErrorDetector(database, use_sql=False).detect("customer", cfds)
-        assert reports_equal(incremental.report(), batch)
+        incremental, mirror = _mirrored(Relation.from_rows(schema, initial), cfds)
+        try:
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                # each round is one coalesced DeltaBatch shipped to the mirror
+                with incremental.batch():
+                    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                        op = data.draw(self.operation)
+                        tids = incremental.relation.tids()
+                        if op == "insert" or not tids:
+                            incremental.insert(data.draw(row_strategy))
+                        elif op == "delete":
+                            incremental.delete(data.draw(st.sampled_from(tids)))
+                        else:
+                            tid = data.draw(st.sampled_from(tids))
+                            attribute = data.draw(
+                                st.sampled_from(["CNT", "ZIP", "STR", "CC"])
+                            )
+                            incremental.update(tid, {attribute: data.draw(self.value)})
+                _assert_matches_oracles(incremental, mirror, cfds)
+        finally:
+            mirror.close()
 
 
 class TestCostLocality:
@@ -160,3 +205,105 @@ class TestCostLocality:
         incremental.reset_cost_counter()
         incremental.update(0, {"CITY": "WRONG"})
         assert incremental.tuples_examined < initial_cost / 10
+
+
+class TestMirroredUpdateSequences:
+    """Scripted batches, each checked against both oracles and the mirror rows."""
+
+    def test_customer_update_sequence(self):
+        relation = generate_customers(60, seed=47)
+        template = dict(relation.get(0))
+
+        def script(detector):
+            with detector.batch():
+                detector.insert(dict(template, STR="A Brand New Street"))
+                detector.update(1, {"CNT": "Narnia"})
+                detector.delete(2)
+            detector.update(3, {"CC": "99"})
+            with detector.batch():
+                detector.update(1, {"CNT": template["CNT"]})  # revert
+                detector.delete(detector.relation.tids()[-1])
+
+        detector = _replay(script, relation, paper_cfds())
+        assert detector.batches_shipped == 3
+
+    def test_overlapping_pattern_tableau(self):
+        def script(detector):
+            with detector.batch():
+                # flip group (x, 2) into violation, heal group (y, 1)
+                detector.update(5, {"C": "c9"})
+                detector.update(3, {"C": "c1"})
+            # touch the doubly-covered group: delete one of its members
+            detector.delete(1)
+            # and re-create the disagreement through an insert
+            detector.insert({"A": "x", "B": "1", "C": "c7"})
+
+        detector = _replay(script, overlap_relation(), [OVERLAP_CFD])
+        by_group = {
+            violation.lhs_values: violation.pattern_index
+            for violation in detector.report().violations
+        }
+        # each group once, under the lowest pattern that covers it
+        assert by_group == {("x", "1"): 0, ("x", "2"): 0}
+
+    def test_two_wildcard_rhs_tableau(self):
+        def script(detector):
+            with detector.batch():
+                detector.update(1, {"C": "c1"})  # heal the C disagreement
+                detector.update(2, {"B": "b2"})  # heal the B disagreement
+            detector.insert({"A": "y", "B": "b9", "C": "c9"})  # break both for A=y
+
+        report = _replay(script, two_rhs_relation(), [TWO_RHS_CFD]).report()
+        assert {v.rhs_attribute for v in report.violations} == {"B", "C"}
+        assert all(v.lhs_values == ("y",) for v in report.violations)
+
+    def test_delete_then_reinsert_same_tid_in_one_batch(self):
+        # nets out to a replace: one delete + one insert under the same tid
+        def script(detector):
+            replacement = dict(detector.relation.get(0), CNT="Narnia")
+            with detector.batch():
+                detector.delete(0)
+                new_tid = detector.insert(replacement)
+                detector.update(new_tid, {"CITY": "Nowhere"})
+
+        _replay(script, generate_customers(20, seed=53), paper_cfds())
+
+    def test_null_cell_tableau(self):
+        report = _replay(lambda detector: None, null_cell_relation(), [NULL_CELL_CFD]).report()
+        # the NULL-RHS constant-pattern tuple is a single violation; only
+        # the fully non-NULL group violates the FD part
+        assert {v.kind for v in report.violations} == {"single", "multi"}
+        assert {v.lhs_values for v in report.violations} == {("w", "3"), ("x", "1")}
+
+    def test_null_cell_updates(self):
+        def script(detector):
+            with detector.batch():
+                detector.update(0, {"A": None})      # NULL an LHS cell
+                detector.update(6, {"C": "c6"})      # un-NULL an RHS cell
+            detector.update(8, {"C": "c9"})          # heal the constant violation
+            with detector.batch():
+                detector.update(0, {"A": "x"})       # restore the LHS cell
+                detector.insert({"A": "q", "B": None, "C": "c1"})
+                detector.update(4, {"C": None})      # NULL an RHS cell
+
+        detector = _replay(script, null_cell_relation(), [NULL_CELL_CFD])
+        # the re-created group and the un-NULLed RHS group both violate now
+        assert {v.lhs_values for v in detector.report().violations} == {
+            ("x", "1"),
+            ("z", "2"),
+        }
+
+    def test_null_lhs_tuple_joins_a_group(self):
+        def script(detector):
+            detector.update(2, {"A": "x"})  # pull a NULL-LHS tuple into a group
+
+        detector = _replay(script, null_cell_relation(), [NULL_CELL_CFD])
+        assert len(detector.report().violations_for(2)) == 1
+
+    def test_nested_batch_rejected(self):
+        detector, mirror = _mirrored(generate_customers(5, seed=71), paper_cfds())
+        with detector.batch():
+            with pytest.raises(DetectionError):
+                with detector.batch():
+                    pass  # pragma: no cover
+        mirror.close()

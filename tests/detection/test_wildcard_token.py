@@ -91,8 +91,8 @@ class TestEncoding:
 
 
 class TestAllDetectionPaths:
-    """Native, SQL on SQLite, incremental native and sql_delta must
-    agree: only the genuine ``'_'`` rows violate."""
+    """Native, SQL on SQLite and incremental detection must agree: only
+    the genuine ``'_'`` rows violate."""
 
     def _expected(self):
         # tid 1 is the only violation: A='_' matches the constant, B != 'ok'
@@ -123,27 +123,25 @@ class TestAllDetectionPaths:
         assert _keys(restricted) == self._expected()
         backend.close()
 
-    def test_incremental_modes(self):
-        for mode in ("native", "sql_delta"):
-            database = Database()
-            database.add_relation(_relation())
-            mirror = None
-            if mode == "sql_delta":
-                mirror = SqliteBackend()
-                mirror.add_relation(database.relation("r").copy())
-            detector = IncrementalDetector(
-                database, "r", [_underscore_cfd()], mirror=mirror, mode=mode
-            )
-            assert _keys(detector.report()) == self._expected(), mode
-            # an update that makes a non-matching row match the constant
-            detector.update(2, {"A": "_"})
-            assert _keys(detector.report()) == [
-                ("phi_underscore", "single", (1,), "B", 0, ("_",)),
-                ("phi_underscore", "single", (2,), "B", 0, ("_",)),
-            ], mode
-            detector.close()
-            if mirror is not None:
-                mirror.close()
+    def test_incremental_path(self):
+        database = Database()
+        database.add_relation(_relation())
+        mirror = SqliteBackend()
+        mirror.add_relation(database.relation("r").copy())
+        detector = IncrementalDetector(
+            database, "r", [_underscore_cfd()], mirror=mirror
+        )
+        assert _keys(detector.report()) == self._expected()
+        # an update that makes a non-matching row match the constant
+        detector.update(2, {"A": "_"})
+        expected = [
+            ("phi_underscore", "single", (1,), "B", 0, ("_",)),
+            ("phi_underscore", "single", (2,), "B", 0, ("_",)),
+        ]
+        assert _keys(detector.report()) == expected
+        # the mirrored update reads back identically through the SQL path
+        assert _keys(ErrorDetector(mirror).detect("r", [_underscore_cfd()])) == expected
+        mirror.close()
 
     def test_wildcard_rhs_with_underscore_data_groups_correctly(self):
         # wildcard-RHS Q_V over data whose LHS value is literally '_'

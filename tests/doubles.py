@@ -4,10 +4,9 @@ Two stand-ins enforce "zero working-store reads" from opposite sides:
 
 * :class:`ForbiddenRelation` replaces an in-memory
   :class:`~repro.engine.relation.Relation` — any attribute access fails the
-  test.  Used against the incremental detector's ``report()`` and, since
-  PR 7, swapped into ``Database._relations`` to pin that the
-  backend-resident ``repair()`` plans without ever touching the working
-  relation;
+  test.  Swapped into ``Database._relations`` to pin that the
+  backend-resident ``repair()``, ``audit()`` and explorer run without ever
+  touching the working relation;
 * :class:`ForbiddenReadBackend` wraps a real
   :class:`~repro.backends.base.StorageBackend` and fails the test on any
   *row-shipping* read (``to_relation`` / ``get_row`` / ``iter_rows``) while

@@ -1,6 +1,6 @@
 """The backend-resident explorer: native parity, keyset paging, and pins.
 
-With ``audit_source="auto"`` the explorer answers every drill-down step
+With SQL detection on the explorer answers every drill-down step
 from pushed-down aggregates (``attr_freq`` group histograms,
 ``majority_value`` RHS histograms) plus one cached fetch of the dirty
 rows, and hydrates tuple listings one ``page_fetch`` page at a time.
@@ -64,7 +64,7 @@ def _walk(explorer):
 class TestResidentExplorerParity:
     @pytest.mark.usefixtures("plan_family")
     def test_navigation_matches_native(self):
-        native_system = _make_system(audit_source="native")
+        native_system = _make_system(use_sql_detection=False)
         resident_system = _make_system()
         try:
             native = native_system.explorer("customer")

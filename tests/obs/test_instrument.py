@@ -5,7 +5,7 @@ import pytest
 from repro.backends import SqliteBackend
 from repro.backends.base import StorageBackend
 from repro.engine.types import RelationSchema
-from repro.errors import SqlExecutionError
+from repro.errors import BackendError
 from repro.obs import InstrumentedBackend
 from repro.obs.telemetry import Telemetry
 
@@ -96,5 +96,5 @@ class TestInstrumentedBackend:
         inner = SqliteBackend()
         with InstrumentedBackend(inner, telemetry) as proxy:
             proxy.create_relation(SCHEMA)
-        with pytest.raises(SqlExecutionError):
+        with pytest.raises(BackendError, match="closed"):
             inner.execute("SELECT 1")

@@ -29,7 +29,6 @@ from repro.core.parser import parse_cfd
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
-from repro.errors import ConfigurationError
 from repro.obs.telemetry import Telemetry
 from repro.repair.repairer import BatchRepairer
 from repro.repair.source import BackendRepairSource
@@ -208,17 +207,3 @@ class TestSystemIntegration:
             assert counters["repair.rows_fetched"] > 0
         finally:
             system.close()
-
-    def test_threshold_validation(self):
-        for bad in (0.0, -0.5, 1.5):
-            with pytest.raises(
-                ConfigurationError, match=r"repair_fetch_threshold"
-            ):
-                SemandaqConfig(repair_fetch_threshold=bad).validate()
-        SemandaqConfig(repair_fetch_threshold=None).validate()
-        SemandaqConfig(repair_fetch_threshold=1.0).validate()
-
-    def test_audit_source_validation(self):
-        with pytest.raises(ConfigurationError, match="unknown audit_source"):
-            SemandaqConfig(audit_source="resident").validate()
-        SemandaqConfig(audit_source="native").validate()

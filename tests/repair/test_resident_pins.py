@@ -3,7 +3,7 @@
 The detection pushdown is pinned by wrapping the storage backend in
 :class:`~tests.doubles.ForbiddenReadBackend` (see
 ``tests/detection/test_batch_resident.py``).  These tests extend the same
-contract to the repair pipeline: with ``repair_source="auto"`` the whole
+contract to the repair pipeline: with SQL detection on the whole
 ``clean()`` walk — detect, repair planning, apply, post-detect — must never
 ship rows out of the backend (``to_relation`` / ``get_row`` / ``iter_rows``).
 

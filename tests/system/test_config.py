@@ -36,14 +36,6 @@ class TestSemandaqConfig:
         with pytest.raises(ConfigurationError):
             SemandaqConfig(backend="oracle").validate()
 
-    def test_invalid_incremental_mode(self):
-        with pytest.raises(ConfigurationError):
-            SemandaqConfig(incremental_mode="psychic").validate()
-
-    def test_incremental_modes_are_valid(self):
-        SemandaqConfig(incremental_mode="native").validate()
-        SemandaqConfig(incremental_mode="sql_delta").validate()
-
     def test_sqlite_is_the_default_backend(self):
         assert SemandaqConfig().backend == "sqlite"
         SemandaqConfig(backend="sqlite", backend_options={"path": ":memory:"}).validate()

@@ -1,10 +1,13 @@
-"""Facade behaviour of ``SemandaqConfig.repair_source``."""
+"""Facade behaviour of the repair data source.
 
-import pytest
+With SQL detection on the facade plans every repair over the
+backend-resident source; ``use_sql_detection=False`` walks the working
+relation instead, the oracle the resident plan must match change for
+change.
+"""
 
 from repro import Semandaq, SemandaqConfig
 from repro.datasets import generate_customers, inject_noise, paper_cfds
-from repro.errors import ConfigurationError
 
 
 def _system(**config_kwargs):
@@ -20,14 +23,9 @@ def _system(**config_kwargs):
     return system
 
 
-def test_unknown_repair_source_is_rejected():
-    with pytest.raises(ConfigurationError, match="repair_source"):
-        SemandaqConfig(repair_source="remote").validate()
-
-
 def test_auto_plans_resident_and_native_forces_the_oracle():
     resident = _system(telemetry=True)
-    oracle = _system(repair_source="native", telemetry=True)
+    oracle = _system(use_sql_detection=False, telemetry=True)
     try:
         first = resident.repair("customer")
         second = oracle.repair("customer")
@@ -73,7 +71,7 @@ def test_review_hydrates_a_resident_repair():
 
 def test_resident_clean_matches_native_clean():
     resident = _system(backend="sqlite")
-    native = _system(backend="sqlite", repair_source="native")
+    native = _system(backend="sqlite", use_sql_detection=False)
     try:
         left = resident.clean("customer")
         right = native.clean("customer")

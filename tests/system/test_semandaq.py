@@ -6,7 +6,7 @@ from repro import Semandaq, SemandaqConfig
 from repro.core.satisfaction import satisfies_all, violating_tids
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.csvio import dump_csv
-from repro.errors import ConfigurationError
+from repro.errors import BackendError, ConfigurationError
 from repro.monitor.updates import Update
 
 
@@ -223,32 +223,20 @@ class TestMonitoring:
         assert len(relation) == before  # one in, one out
         assert len(system.monitor("customer").log) == 2
 
-    @pytest.mark.usefixtures("plan_family")
-    def test_sql_delta_system_matches_native_system(self, customer_cfds):
-        reports = {}
-        for incremental_mode in ("native", "sql_delta"):
-            config = SemandaqConfig(incremental_mode=incremental_mode)
-            with Semandaq(config=config) as semandaq:
-                semandaq.register_relation(generate_customers(50, seed=87).copy())
-                semandaq.add_cfds(customer_cfds)
-                relation = semandaq.database.relation("customer")
-                template = dict(relation.get(relation.tids()[0]))
-                monitor = semandaq.monitor("customer")
-                assert monitor.summary()["incremental_mode"] == incremental_mode
-                semandaq.apply_updates(
-                    "customer",
-                    [
-                        Update.insert(dict(template, STR="A Brand New Street")),
-                        Update.modify(relation.tids()[1], {"CNT": "Narnia"}),
-                        Update.delete(relation.tids()[2]),
-                    ],
-                )
-                reports[incremental_mode] = monitor.current_report()
-                if incremental_mode == "sql_delta":
-                    assert monitor.summary()["delta_queries"] > 0
-        assert reports["native"].vio() == reports["sql_delta"].vio()
-        assert reports["native"].dirty_tids() == reports["sql_delta"].dirty_tids()
-        assert reports["sql_delta"].total_violations() > 0
+
+class TestClose:
+    def test_calls_after_close_raise_backend_error(self, system):
+        monitor = system.monitor("customer")
+        system.close()
+        system.close()  # idempotent
+        with pytest.raises(BackendError, match="closed"):
+            system.detect("customer")
+        # the retired monitor was detached: it keeps maintaining its report
+        # against the working store instead of shipping to the closed backend
+        assert monitor.backend is None
+        monitor.apply(Update.modify(0, {"CNT": "Narnia"}))
+        assert not monitor.backend_desynced
+        assert monitor.violations_involving(0)
 
 
 class TestEndToEndOnGeneratedData:
