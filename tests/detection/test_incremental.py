@@ -76,6 +76,38 @@ def _replay(script, relation, cfds):
     return detector
 
 
+_PROPERTY_ATTRIBUTES = ["CNT", "ZIP", "STR", "CC"]
+_PROPERTY_VALUE = st.sampled_from(["a", "b", None])
+_PROPERTY_ROW = st.fixed_dictionaries({a: _PROPERTY_VALUE for a in _PROPERTY_ATTRIBUTES})
+_PROPERTY_CFDS = [
+    parse_cfd("customer: [CNT='a', ZIP=_] -> [STR=_]"),
+    parse_cfd("customer: [CC='a'] -> [CNT='b']"),
+    parse_cfd("customer: [CC=_] -> [CNT=_]"),
+]
+
+
+def _draw_relation(data):
+    """A small random relation over the property tests' schema."""
+    schema = RelationSchema.of("customer", _PROPERTY_ATTRIBUTES)
+    return Relation.from_rows(
+        schema, data.draw(st.lists(_PROPERTY_ROW, min_size=1, max_size=8))
+    )
+
+
+def _apply_random_op(data, detector):
+    """Draw one insert, delete or single-cell update and apply it to ``detector``."""
+    op = data.draw(st.sampled_from(["insert", "delete", "update"]))
+    tids = detector.relation.tids()
+    if op == "insert" or not tids:
+        detector.insert(data.draw(_PROPERTY_ROW))
+    elif op == "delete":
+        detector.delete(data.draw(st.sampled_from(tids)))
+    else:
+        tid = data.draw(st.sampled_from(tids))
+        attribute = data.draw(st.sampled_from(_PROPERTY_ATTRIBUTES))
+        detector.update(tid, {attribute: data.draw(_PROPERTY_VALUE)})
+
+
 @pytest.fixture
 def incremental(customer_database, customer_cfds):
     return IncrementalDetector(customer_database, "customer", customer_cfds)
@@ -156,41 +188,15 @@ class TestEquivalenceWithBatch:
         batch = ErrorDetector(customer_database, use_sql=False).detect("customer", customer_cfds)
         assert reports_equal(incremental.report(), batch)
 
-    value = st.sampled_from(["a", "b", None])
-    operation = st.sampled_from(["insert", "delete", "update"])
-
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
     def test_property_random_update_sequences(self, data):
-        schema = RelationSchema.of("customer", ["CNT", "ZIP", "STR", "CC"])
-        row_strategy = st.fixed_dictionaries(
-            {"CNT": self.value, "ZIP": self.value, "STR": self.value, "CC": self.value}
-        )
-        initial = data.draw(st.lists(row_strategy, min_size=1, max_size=8))
-        cfds = [
-            parse_cfd("customer: [CNT='a', ZIP=_] -> [STR=_]"),
-            parse_cfd("customer: [CC='a'] -> [CNT='b']"),
-            parse_cfd("customer: [CC=_] -> [CNT=_]"),
-        ]
-        incremental, mirror = _mirrored(Relation.from_rows(schema, initial), cfds)
+        # unbatched: every statement ships its own DeltaBatch to the mirror
+        incremental, mirror = _mirrored(_draw_relation(data), _PROPERTY_CFDS)
         try:
-            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-                # each round is one coalesced DeltaBatch shipped to the mirror
-                with incremental.batch():
-                    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
-                        op = data.draw(self.operation)
-                        tids = incremental.relation.tids()
-                        if op == "insert" or not tids:
-                            incremental.insert(data.draw(row_strategy))
-                        elif op == "delete":
-                            incremental.delete(data.draw(st.sampled_from(tids)))
-                        else:
-                            tid = data.draw(st.sampled_from(tids))
-                            attribute = data.draw(
-                                st.sampled_from(["CNT", "ZIP", "STR", "CC"])
-                            )
-                            incremental.update(tid, {attribute: data.draw(self.value)})
-                _assert_matches_oracles(incremental, mirror, cfds)
+            for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
+                _apply_random_op(data, incremental)
+            _assert_matches_oracles(incremental, mirror, _PROPERTY_CFDS)
         finally:
             mirror.close()
 
@@ -307,3 +313,17 @@ class TestMirroredUpdateSequences:
                 with detector.batch():
                     pass  # pragma: no cover
         mirror.close()
+
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_property_random_batches(self, data):
+        incremental, mirror = _mirrored(_draw_relation(data), _PROPERTY_CFDS)
+        try:
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                # each round is one coalesced DeltaBatch shipped to the mirror
+                with incremental.batch():
+                    for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                        _apply_random_op(data, incremental)
+                _assert_matches_oracles(incremental, mirror, _PROPERTY_CFDS)
+        finally:
+            mirror.close()
