@@ -52,6 +52,12 @@ class HashIndex:
         self.remove(tid, old_row)
         self.add(tid, new_row)
 
+    def copy(self) -> "HashIndex":
+        """An independent copy holding the same entries."""
+        clone = HashIndex(self.attributes)
+        clone._buckets = {key: set(tids) for key, tids in self._buckets.items()}
+        return clone
+
     def clear(self) -> None:
         """Drop all entries."""
         self._buckets.clear()

@@ -83,11 +83,9 @@ class Relation:
         clone = Relation(self.schema)
         clone._rows = {tid: dict(row) for tid, row in self._rows.items()}
         clone._next_tid = self._next_tid
-        for attrs in self._indexes:
-            if attrs not in clone._indexes:
-                clone.create_index(attrs)
-        for index in clone._indexes.values():
-            index.rebuild(clone._rows.items())
+        clone._indexes = {
+            attrs: index.copy() for attrs, index in self._indexes.items()
+        }
         return clone
 
     # -- mutation ----------------------------------------------------------------

@@ -67,7 +67,9 @@ class DataMonitor:
             mirror=backend,
             telemetry=telemetry,
         )
-        self._repairer = IncrementalRepairer(cost_model=self.cost_model)
+        self._repairer = IncrementalRepairer(
+            cost_model=self.cost_model, telemetry=telemetry
+        )
         self._repairs: List[Repair] = []
 
     # -- mode ------------------------------------------------------------------------

@@ -141,6 +141,7 @@ class EquivalenceClasses:
         current_values: Dict[Cell, Any],
         cost_model: CostModel,
         candidates: Optional[Iterable[Any]] = None,
+        only: Optional[Iterable[Any]] = None,
     ) -> Tuple[Any, float, List[Tuple[Any, float]]]:
         """Pick the value for ``cell``'s class that minimises total change cost.
 
@@ -148,11 +149,16 @@ class EquivalenceClasses:
         alternatives are ``(value, cost)`` pairs sorted by increasing cost —
         exactly what the cleansing-review pop-up of the paper displays.
 
-        If the class is pinned, the pinned constant wins regardless of cost
-        (but alternatives are still ranked for display).
+        ``candidates`` adds values to the members' own; ``only`` replaces
+        them, so the class can take nothing else (incremental repair passes
+        the values its protected members carry).  If the class is pinned,
+        the pinned constant wins regardless of cost (but alternatives are
+        still ranked for display).
         """
         members = self.members(cell)
-        values = [current_values.get(member) for member in members]
+        values = list(only) if only is not None else [
+            current_values.get(member) for member in members
+        ]
         candidate_pool: List[Any] = []
         for value in values:
             if value is not None and value not in candidate_pool:

@@ -7,9 +7,20 @@ VLDB 2007) is that the pre-existing data is trusted — it already satisfies
 the CFDs — so only the *newly inserted or modified* tuples may be changed,
 and only violations involving them need to be considered.
 
-:class:`IncrementalRepairer` wraps :class:`~repro.repair.repairer.BatchRepairer`
-with exactly those restrictions, which makes its cost proportional to the
-size of the update batch rather than to the size of the database.
+:class:`IncrementalRepairer` runs :class:`~repro.repair.repairer.BatchRepairer`
+with exactly those restrictions (``restrict_to_tids``) over a
+:class:`~repro.repair.source.ScopedRepairSource`.  The planner sees only
+the updated tuples and the members of the LHS groups they can break,
+found through the relation's maintained hash indexes, so a repair's cost
+follows the update batch and its groups, not the relation.  Its
+decisions match a restricted repair over a full copy of the relation
+change for change.  When a group's trusted members carry a value, the
+updated members take one of those values; a group whose trusted members
+disagree stays a residual violation.
+
+The returned :class:`~repro.repair.repairer.Repair` has ``source ==
+"scoped"``: its ``original`` and ``repaired`` relations hold only the
+tuples the planner saw, and its change list is the whole repair.
 """
 
 from __future__ import annotations
@@ -20,8 +31,10 @@ from ..core.cfd import CFD
 from ..core.satisfaction import violating_tids
 from ..engine.relation import Relation
 from ..errors import RepairError
+from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .cost import CostModel
 from .repairer import BatchRepairer, CellChange, Repair
+from .source import ScopedRepairSource
 
 
 class IncrementalRepairer:
@@ -31,9 +44,13 @@ class IncrementalRepairer:
         self,
         cost_model: Optional[CostModel] = None,
         max_iterations: int = 25,
+        telemetry: Optional[Telemetry] = None,
     ):
         self.cost_model = cost_model or CostModel.uniform()
         self.max_iterations = max_iterations
+        #: receives ``repair.incremental_rows`` (tuples the planner saw) and
+        #: ``repair.incremental_residual`` (violations left in place)
+        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
 
     def repair_updates(
         self,
@@ -43,9 +60,10 @@ class IncrementalRepairer:
     ) -> Repair:
         """Repair violations involving ``updated_tids``, modifying only those tuples.
 
-        ``relation`` is the current (already updated) relation; the returned
-        :class:`~repro.repair.repairer.Repair` contains a repaired copy in
-        which only updated tuples may differ from the input.
+        ``relation`` is the current (already updated) relation and is not
+        modified.  The returned :class:`~repro.repair.repairer.Repair`
+        changes only updated tuples; its ``original`` and ``repaired`` hold
+        just the working set the planner saw (``source == "scoped"``).
         """
         updated = {tid for tid in updated_tids if tid in relation}
         repairer = BatchRepairer(
@@ -53,7 +71,12 @@ class IncrementalRepairer:
             max_iterations=self.max_iterations,
             restrict_to_tids=updated,
         )
-        return repairer.repair(relation, cfds)
+        repair = repairer.repair_with_source(
+            ScopedRepairSource(relation, updated), cfds
+        )
+        self.telemetry.inc("repair.incremental_rows", len(repair.original))
+        self.telemetry.inc("repair.incremental_residual", repair.residual_violations)
+        return repair
 
     def insert_and_repair(
         self,

@@ -41,7 +41,7 @@ from ..errors import RepairError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .cost import CostModel
 from .eqclass import Cell, EquivalenceClasses
-from .source import NativeRepairSource, RepairDataSource, native_column_frequencies
+from .source import NativeRepairSource, RepairDataSource
 
 #: Prefix of invented ("fresh") values used when no existing value can break a
 #: violation; mirrors the fresh-value device of the repair papers.
@@ -83,9 +83,11 @@ class Repair:
     iterations: int = 0
     residual_violations: int = 0
     #: which data source planned the repair: ``"native"`` (full in-memory
-    #: relation) or ``"backend"`` (resident source — ``original`` and
-    #: ``repaired`` then hold only the partial relation the planner saw,
-    #: and the changes list is the complete ground truth of the repair)
+    #: relation), ``"backend"`` (resident source) or ``"scoped"``
+    #: (incremental repair's batch-scoped source).  For the last two,
+    #: ``original`` and ``repaired`` hold only the partial relation the
+    #: planner saw, and the changes list is the complete ground truth of
+    #: the repair.
     source: str = "native"
 
     @property
@@ -143,6 +145,9 @@ class BatchRepairer:
         #: planner itself never touches storage — every relational answer
         #: comes through this object
         self._source: Optional[RepairDataSource] = None
+        #: the source's value frequencies, read on first use (see
+        #: :meth:`_column_frequencies`)
+        self._frequencies: Optional[Dict[str, Counter]] = None
 
     # -- public API -------------------------------------------------------------------
 
@@ -163,15 +168,18 @@ class BatchRepairer:
         oracle) or the storage backend's resident copy
         (:class:`~repro.repair.source.BackendRepairSource`, which
         materialises just the violating tuples plus the group closures of
-        the planner's own changes).
+        the planner's own changes), or an update batch's groups for
+        incremental repair (:class:`~repro.repair.source.ScopedRepairSource`).
+        Value frequencies are asked for only when a resolution first needs
+        them.
         """
         self._source = source
+        self._frequencies = None
         for cfd in cfds:
             cfd.validate_against(source.attribute_names())
         working = source.load(cfds)
         change_log: Dict[Cell, CellChange] = {}
         original_values: Dict[Cell, Any] = {}
-        column_frequencies = source.column_frequencies()
 
         iterations = 0
         residual = 0
@@ -197,12 +205,7 @@ class BatchRepairer:
             progressed = False
             for violation in violations:
                 if self._resolve(
-                    violation,
-                    working,
-                    classes,
-                    change_log,
-                    original_values,
-                    column_frequencies,
+                    violation, working, classes, change_log, original_values
                 ):
                     progressed = True
             if not progressed:
@@ -230,7 +233,7 @@ class BatchRepairer:
             changes=changes,
             iterations=iterations,
             residual_violations=residual,
-            source="backend" if source.resident else "native",
+            source=source.kind,
         )
 
     # -- violation collection ------------------------------------------------------------
@@ -261,17 +264,15 @@ class BatchRepairer:
         classes: EquivalenceClasses,
         change_log: Dict[Cell, CellChange],
         original_values: Dict[Cell, Any],
-        column_frequencies: Dict[str, Counter],
     ) -> bool:
+        """Resolve one violation; whether a cell changed (the round's progress)."""
         kind, cfd, pattern, payload = violation
         if kind == "single":
             return self._resolve_single(
-                cfd, pattern, payload, working, classes, change_log, original_values,
-                column_frequencies,
+                cfd, pattern, payload, working, classes, change_log, original_values
             )
         return self._resolve_multi(
-            cfd, pattern, payload, working, classes, change_log, original_values,
-            column_frequencies,
+            cfd, pattern, payload, working, classes, change_log, original_values
         )
 
     def _resolve_single(
@@ -283,7 +284,6 @@ class BatchRepairer:
         classes: EquivalenceClasses,
         change_log: Dict[Cell, CellChange],
         original_values: Dict[Cell, Any],
-        column_frequencies: Dict[str, Counter],
     ) -> bool:
         row = working.get(tid)
         if not cfd.single_tuple_violation(row, pattern):
@@ -297,9 +297,7 @@ class BatchRepairer:
             tid, rhs_attribute, row.get(rhs_attribute), required
         )
         # Option B: break the LHS match by changing the cheapest constant LHS cell.
-        lhs_option = self._cheapest_lhs_break(
-            cfd, pattern, tid, row, column_frequencies
-        )
+        lhs_option = self._cheapest_lhs_break(cfd, pattern, tid, row)
 
         may_pin = not (
             classes.is_pinned(rhs_cell)
@@ -308,9 +306,7 @@ class BatchRepairer:
         if may_pin and (lhs_option is None or rhs_cost <= lhs_option[2]):
             classes.add(rhs_cell)
             classes.pin(rhs_cell, required)
-            alternatives = self._ranked_alternatives(
-                working, classes, rhs_cell, column_frequencies
-            )
+            alternatives = self._ranked_alternatives(working, classes, rhs_cell)
             self._apply_class_value(
                 working,
                 classes,
@@ -354,7 +350,6 @@ class BatchRepairer:
         classes: EquivalenceClasses,
         change_log: Dict[Cell, CellChange],
         original_values: Dict[Cell, Any],
-        column_frequencies: Dict[str, Counter],
     ) -> bool:
         rhs_attribute = cfd.rhs[0]
         live_tids = [tid for tid in tids if tid in working]
@@ -403,9 +398,7 @@ class BatchRepairer:
             # Cells pinned to different constants: break the group instead by
             # changing an LHS cell of one conflicting tuple.
             row = rows[live_tids[-1]]
-            option = self._cheapest_lhs_break(
-                cfd, pattern, live_tids[-1], row, column_frequencies
-            )
+            option = self._cheapest_lhs_break(cfd, pattern, live_tids[-1], row)
             if option is None:
                 return False
             lhs_attribute, new_value, _cost, fresh = option
@@ -422,22 +415,21 @@ class BatchRepairer:
             return True
 
         current_values = {cell: working.get(cell[0]).get(cell[1]) for cell in cells}
+        protected_values = None
         if self.restrict_to_tids is not None:
-            # Incremental repair: only updated tuples may change, so the target
-            # value must be one carried by a protected (non-updatable) member
-            # if any exists.
-            frozen_values = [
+            # Incremental repair: only updated tuples may change, so when a
+            # protected member exists the class may take only a value a
+            # protected member carries.  Offering the updated values too
+            # lets a cost tie pick one the protected cell can never take.
+            protected_values = [
                 value
                 for cell, value in current_values.items()
                 if cell[0] not in self.restrict_to_tids and value is not None
-            ]
-            candidates = frozen_values or None
-        else:
-            candidates = None
+            ] or None
         best_value, _best_cost, ranked = group_classes.choose_value(
-            anchor, current_values, self.cost_model, candidates=candidates
+            anchor, current_values, self.cost_model, only=protected_values
         )
-        self._apply_class_value(
+        return self._apply_class_value(
             working,
             group_classes,
             anchor,
@@ -447,7 +439,6 @@ class BatchRepairer:
             original_values,
             tuple(ranked),
         )
-        return True
 
     # -- helpers -----------------------------------------------------------------------------
 
@@ -457,7 +448,6 @@ class BatchRepairer:
         pattern: PatternTuple,
         tid: int,
         row: Mapping[str, Any],
-        column_frequencies: Dict[str, Counter],
     ) -> Optional[Tuple[str, Any, float, bool]]:
         """Cheapest LHS modification that makes ``pattern`` no longer apply to ``row``.
 
@@ -473,7 +463,7 @@ class BatchRepairer:
             if not pattern_value.is_constant:
                 continue
             candidate, fresh = self._non_matching_value(
-                attribute, pattern_value.constant, column_frequencies
+                attribute, pattern_value.constant
             )
             cost = self.cost_model.change_cost(
                 tid, attribute, row.get(attribute), candidate, fresh=fresh
@@ -482,11 +472,10 @@ class BatchRepairer:
                 best = (attribute, candidate, cost, fresh)
         return best
 
-    def _non_matching_value(
-        self, attribute: str, avoid: Any, column_frequencies: Dict[str, Counter]
-    ) -> Tuple[Any, bool]:
+    def _non_matching_value(self, attribute: str, avoid: Any) -> Tuple[Any, bool]:
         """A plausible value for ``attribute`` different from ``avoid``."""
-        for value, _count in column_frequencies.get(attribute, Counter()).most_common():
+        frequencies = self._column_frequencies().get(attribute, Counter())
+        for value, _count in frequencies.most_common():
             if value != avoid and value is not None:
                 return value, False
         return self._fresh_value(), True
@@ -500,12 +489,12 @@ class BatchRepairer:
         working: Relation,
         classes: EquivalenceClasses,
         cell: Cell,
-        column_frequencies: Dict[str, Counter],
     ) -> Tuple[Tuple[Any, float], ...]:
         attribute = cell[1]
         members = classes.members(cell)
         current_values = {member: working.get(member[0]).get(member[1]) for member in members}
-        frequent = [value for value, _count in column_frequencies.get(attribute, Counter()).most_common(5)]
+        frequencies = self._column_frequencies().get(attribute, Counter())
+        frequent = [value for value, _count in frequencies.most_common(5)]
         _best, _cost, ranked = classes.choose_value(
             cell, current_values, self.cost_model, candidates=frequent
         )
@@ -521,7 +510,9 @@ class BatchRepairer:
         change_log: Dict[Cell, CellChange],
         original_values: Dict[Cell, Any],
         alternatives: Tuple[Tuple[Any, float], ...],
-    ) -> None:
+    ) -> bool:
+        """Write ``value`` to every changeable member; whether any cell changed."""
+        changed = False
         for member in classes.members(cell):
             member_tid, member_attribute = member
             if self.restrict_to_tids is not None and member_tid not in self.restrict_to_tids:
@@ -540,6 +531,8 @@ class BatchRepairer:
                 original_values,
                 alternatives,
             )
+            changed = True
+        return changed
 
     def _record_change(
         self,
@@ -573,8 +566,16 @@ class BatchRepairer:
             alternatives=alternatives,
         )
 
-    def _column_frequencies(self, relation: Relation) -> Dict[str, Counter]:
-        return native_column_frequencies(relation)
+    def _column_frequencies(self) -> Dict[str, Counter]:
+        """The source's per-attribute value frequencies, read on first use.
+
+        Only single-tuple resolutions and LHS breaks rank values by
+        frequency, so a repair that needs neither never pays for the scan
+        or the per-attribute aggregates.
+        """
+        if self._frequencies is None:
+            self._frequencies = self._source.column_frequencies()
+        return self._frequencies
 
 
 def repair_quality(

@@ -46,12 +46,24 @@ and a group can only turn violating through a fetched-and-changed member
 violation-equivalent to the full one at every round boundary, and the
 planner's decisions (which iterate fetched tuples in sorted-tid order,
 exactly like the native path iterates all tuples) come out identical.
+
+:class:`ScopedRepairSource` applies the same closure to incremental
+repair, where only an update batch's tuples may change and only
+violations involving them count.  Its working relation starts as the
+updated tuples; every round adds the members of each wildcard-RHS LHS
+group an updated tuple belongs to whose combined values are not
+unanimous, looked up in the monitored relation's maintained hash indexes.
+Every violating group with an updated member is then complete, so the
+planner decides exactly as over a full copy (``NativeRepairSource`` with
+``restrict_to_tids``, the oracle) while reading only the batch's groups.
+The key queueing and sub-CFD selection both partial sources share live in
+:class:`PartialRepairSource`.
 """
 
 from __future__ import annotations
 
 from collections import Counter
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..backends.base import StorageBackend
 from ..core.cfd import CFD
@@ -68,15 +80,18 @@ __all__ = [
     "GroupKey",
     "RepairDataSource",
     "NativeRepairSource",
+    "PartialRepairSource",
     "BackendRepairSource",
+    "ScopedRepairSource",
     "native_column_frequencies",
 ]
 
 class RepairDataSource:
     """What the repair planner needs from storage, as a narrow protocol."""
 
-    #: whether the source keeps the relation backend-resident
-    resident = False
+    #: what :attr:`~repro.repair.repairer.Repair.source` records for a
+    #: repair planned over this source
+    kind = "native"
 
     def attribute_names(self) -> List[str]:
         """Attribute names of the target relation (for CFD validation)."""
@@ -120,7 +135,94 @@ class NativeRepairSource(RepairDataSource):
         return native_column_frequencies(self.relation)
 
 
-class BackendRepairSource(RepairDataSource):
+class PartialRepairSource(RepairDataSource):
+    """A source whose working relation holds only part of the stored one.
+
+    A planner change can move a tuple into an LHS group whose other members
+    the working relation lacks.  :meth:`note_change` queues the group keys
+    a change touched, and subclasses close the working relation over them
+    in :meth:`begin_round`, before violations are re-collected.  Only the
+    normalised sub-CFDs with a wildcard RHS have groups a change can grow.
+    """
+
+    def _start_closure(self, cfds: Sequence[CFD]) -> None:
+        #: normalised sub-CFDs with a wildcard RHS
+        self._subs: List[CFD] = _closure_subs(cfds)
+        #: closure queue: sub-CFD index -> ordered set of LHS keys to re-check
+        self._pending: Dict[int, Dict[GroupKey, None]] = {}
+
+    def note_change(self, working: Relation, tid: int, attribute: str) -> None:
+        self._queue_keys(working.get(tid), attribute)
+
+    def _queue_keys(self, row: Dict[str, Any], attribute: Optional[str] = None) -> None:
+        """Queue ``row``'s key under each sub-CFD a change of ``attribute`` moves.
+
+        Without an ``attribute`` the key is queued under every sub-CFD.
+        """
+        for sub_index, sub in enumerate(self._subs):
+            moved = attribute is None or attribute in sub.lhs or attribute == sub.rhs[0]
+            if not moved:
+                continue
+            key = tuple(row.get(attr) for attr in sub.lhs)
+            if any(value is None for value in key):
+                continue  # NULL-LHS tuples belong to no group
+            if not _key_applicable(sub, key):
+                continue  # no wildcard-RHS pattern covers this key
+            self._pending.setdefault(sub_index, {})[key] = None
+
+    def _take_pending(self) -> Dict[int, Dict[GroupKey, None]]:
+        pending, self._pending = self._pending, {}
+        return pending
+
+    @staticmethod
+    def _working_values(
+        working: Relation, sub: CFD
+    ) -> Dict[GroupKey, Set[Any]]:
+        """Distinct non-NULL working RHS values per working LHS key."""
+        rhs_attribute = sub.rhs[0]
+        index: Dict[GroupKey, Set[Any]] = {}
+        for _tid, row in working.rows():
+            value = row.get(rhs_attribute)
+            if value is None:
+                continue
+            key = tuple(row.get(attr) for attr in sub.lhs)
+            if any(part is None for part in key):
+                continue
+            index.setdefault(key, set()).add(value)
+        return index
+
+
+def _closure_subs(cfds: Sequence[CFD]) -> List[CFD]:
+    """The distinct normalised sub-CFDs of ``cfds`` with a wildcard RHS."""
+    subs: List[CFD] = []
+    seen = set()
+    for cfd in cfds:
+        for sub in cfd.normalize():
+            signature = (sub.lhs, sub.rhs, sub.patterns)
+            if signature in seen:
+                continue
+            seen.add(signature)
+            if sub.lhs and any(
+                sub.rhs_pattern(pattern).value(sub.rhs[0]).is_wildcard
+                for pattern in sub.patterns
+            ):
+                subs.append(sub)
+    return subs
+
+
+def _key_applicable(sub: CFD, key: GroupKey) -> bool:
+    """Whether some wildcard-RHS pattern's LHS constants match ``key``."""
+    rhs_attribute = sub.rhs[0]
+    row_like = dict(zip(sub.lhs, key))
+    for pattern in sub.patterns:
+        if not pattern.value(rhs_attribute).is_wildcard:
+            continue
+        if sub.lhs_pattern(pattern).matches(row_like):
+            return True
+    return False
+
+
+class BackendRepairSource(PartialRepairSource):
     """Backend-resident source: the planner sees only the tuples it needs.
 
     ``detector`` may be shared (the facade passes its own, so the repair
@@ -138,7 +240,7 @@ class BackendRepairSource(RepairDataSource):
     multi-tuple violation) is exactly that regime.
     """
 
-    resident = True
+    kind = "backend"
 
     #: rows per ``page_fetch`` statement when the full-scan fallback engages
     FALLBACK_PAGE_SIZE = 512
@@ -180,11 +282,7 @@ class BackendRepairSource(RepairDataSource):
         #: among the fetched rows — subtracting these from a backend
         #: ``majority_value`` histogram leaves the unfetched remainder
         self._fetched_values: List[Dict[GroupKey, Counter]] = []
-        #: normalised sub-CFDs with a wildcard RHS (the only shapes whose
-        #: group membership a cell change can grow)
-        self._subs: List[CFD] = []
-        #: closure queue: sub-CFD index -> ordered set of LHS keys to re-check
-        self._pending: Dict[int, Dict[GroupKey, None]] = {}
+        self._start_closure(())
         #: SQL issued by this source (the detector keeps its own log);
         #: shared with the tuple source so both halves log to one place
         self.last_sql: List[str] = self._source.last_sql
@@ -208,7 +306,7 @@ class BackendRepairSource(RepairDataSource):
             schema, dialect=self.backend.dialect, telemetry=self.telemetry
         )
         self._source._generator = self._generator  # share the plan cache
-        self._subs = self._closure_subs(cfds)
+        self._start_closure(cfds)
         self._fetched_members = [Counter() for _ in self._subs]
         self._fetched_values = [{} for _ in self._subs]
         self._total_rows = self._source.row_count()
@@ -236,9 +334,8 @@ class BackendRepairSource(RepairDataSource):
     def begin_round(self, working: Relation) -> None:
         if self._complete or not self._pending:
             return
-        pending, self._pending = self._pending, {}
         self._require_generator()
-        for sub_index, keymap in pending.items():
+        for sub_index, keymap in self._take_pending().items():
             sub = self._subs[sub_index]
             keys = list(keymap)
             rhs_attribute = sub.rhs[0]
@@ -277,16 +374,7 @@ class BackendRepairSource(RepairDataSource):
     def note_change(self, working: Relation, tid: int, attribute: str) -> None:
         if self._complete:
             return  # the working relation already holds every stored tuple
-        row = working.get(tid)
-        for sub_index, sub in enumerate(self._subs):
-            if attribute not in sub.lhs and attribute != sub.rhs[0]:
-                continue
-            key = tuple(row.get(attr) for attr in sub.lhs)
-            if any(value is None for value in key):
-                continue  # NULL-LHS tuples belong to no group
-            if not self._key_applicable(sub, key):
-                continue  # no wildcard-RHS pattern covers this key
-            self._pending.setdefault(sub_index, {})[key] = None
+        super().note_change(working, tid, attribute)
 
     def fetch_fraction(self) -> float:
         """Fraction of the stored relation fetched row-by-row so far."""
@@ -305,33 +393,6 @@ class BackendRepairSource(RepairDataSource):
         if self._generator is None:
             raise RuntimeError("load() must run before queries are planned")
         return self._generator
-
-    def _closure_subs(self, cfds: Sequence[CFD]) -> List[CFD]:
-        subs: List[CFD] = []
-        seen = set()
-        for cfd in cfds:
-            for sub in cfd.normalize():
-                signature = (sub.lhs, sub.rhs, sub.patterns)
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                if sub.lhs and any(
-                    sub.rhs_pattern(pattern).value(sub.rhs[0]).is_wildcard
-                    for pattern in sub.patterns
-                ):
-                    subs.append(sub)
-        return subs
-
-    def _key_applicable(self, sub: CFD, key: GroupKey) -> bool:
-        """Whether some wildcard-RHS pattern's LHS constants match ``key``."""
-        rhs_attribute = sub.rhs[0]
-        row_like = dict(zip(sub.lhs, key))
-        for pattern in sub.patterns:
-            if not pattern.value(rhs_attribute).is_wildcard:
-                continue
-            if sub.lhs_pattern(pattern).matches(row_like):
-                return True
-        return False
 
     def _prune_decided(
         self,
@@ -370,22 +431,6 @@ class BackendRepairSource(RepairDataSource):
             expand.append(key)
         return expand
 
-    def _working_values(
-        self, working: Relation, sub: CFD
-    ) -> Dict[GroupKey, Set[Any]]:
-        """Distinct non-NULL working RHS values per working LHS key."""
-        rhs_attribute = sub.rhs[0]
-        index: Dict[GroupKey, Set[Any]] = {}
-        for _tid, row in working.rows():
-            value = row.get(rhs_attribute)
-            if value is None:
-                continue
-            key = tuple(row.get(attr) for attr in sub.lhs)
-            if any(part is None for part in key):
-                continue
-            index.setdefault(key, set()).add(value)
-        return index
-
     def _over_threshold(self, rows_needed: int) -> bool:
         if self.fetch_threshold is None or not self._total_rows:
             return False
@@ -405,7 +450,7 @@ class BackendRepairSource(RepairDataSource):
             if len(page) < self.FALLBACK_PAGE_SIZE:
                 break
         self._complete = True
-        self._pending = {}
+        self._take_pending()
         self.stats["fallback_shipback"] = 1
         self.telemetry.inc("repair.fallback_shipback")
 
@@ -444,3 +489,106 @@ class BackendRepairSource(RepairDataSource):
         for tid, values in sorted(self._source.fetch_rows(missing).items()):
             if tid not in working:
                 self._admit(working, tid, values)
+
+
+class ScopedRepairSource(PartialRepairSource):
+    """Incremental repair's source: an update batch and the groups it can break.
+
+    ``relation`` is the monitored relation with the batch applied, and
+    ``updated_tids`` are the batch's live tuples, the only ones the planner
+    may change (it runs with ``restrict_to_tids`` set to them).  The
+    working relation starts as those tuples.  Before each round the source
+    adds every member of each queued group — an updated tuple's group under
+    a wildcard-RHS sub-CFD — whose combined values are not unanimous: the
+    working values of members it holds plus the stored values of the rest.
+    A unanimous group cannot violate, and its unseen members never change,
+    so it is re-checked only when an updated member moves again.
+
+    Members come from ``relation``'s hash indexes
+    (:meth:`~repro.engine.relation.Relation.create_index`), which the
+    relation maintains across updates once built, so a repair reads the
+    batch's groups and never scans the relation.  Only
+    :meth:`column_frequencies` scans it, and the planner asks for that only
+    to resolve a single-tuple violation or break an LHS.  The working
+    relation is a fresh :class:`Relation` that carries none of those
+    indexes, so the planner's per-round copies of it stay cheap.
+    """
+
+    kind = "scoped"
+
+    def __init__(self, relation: Relation, updated_tids: Iterable[int]):
+        self.relation = relation
+        self.updated_tids = sorted(updated_tids)
+        self._original: Optional[Relation] = None
+
+    def attribute_names(self) -> List[str]:
+        return list(self.relation.attribute_names)
+
+    def load(self, cfds: Sequence[CFD]) -> Relation:
+        self._start_closure(cfds)
+        working = Relation(self.relation.schema)
+        self._original = Relation(self.relation.schema)
+        for tid in self.updated_tids:
+            self._admit(working, tid)
+            self._queue_keys(working.get(tid))
+        return working
+
+    def original(self) -> Relation:
+        if self._original is None:
+            raise RuntimeError("load() must run before original()")
+        return self._original
+
+    def column_frequencies(self) -> Dict[str, Counter]:
+        return native_column_frequencies(self.relation)
+
+    def begin_round(self, working: Relation) -> None:
+        for sub_index, keys in self._take_pending().items():
+            sub = self._subs[sub_index]
+            working_values = self._working_values(working, sub)
+            for key in keys:
+                unseen = self._members(sub.lhs, key)
+                unseen.difference_update(working.tids())
+                if not unseen:
+                    continue
+                values = working_values.get(key, set()) | self._stored_values(
+                    sub, key, unseen
+                )
+                if len(values) > 1:
+                    for tid in sorted(unseen):
+                        self._admit(working, tid)
+
+    def _stored_values(self, sub: CFD, key: GroupKey, unseen: Set[int]) -> Set[Any]:
+        """Distinct non-NULL stored RHS values of the ``unseen`` members.
+
+        Returns all of them when there is at most one, else two of them,
+        which is all :meth:`begin_round` needs to know.  The first value
+        found is looked up in the relation's index on the group's LHS plus
+        RHS: when every unseen member holds it or NULL, it is the only one,
+        and a large group (a whole country under ``[CC] -> [CNT]``) is
+        decided without reading its members one by one.
+        """
+        rhs_attribute = sub.rhs[0]
+        stored = (self.relation.get(tid).get(rhs_attribute) for tid in unseen)
+        first = next((value for value in stored if value is not None), None)
+        if first is None:
+            return set()
+        attributes = sub.lhs + (rhs_attribute,)
+        agreeing = self._members(attributes, key + (first,))
+        agreeing.update(self._members(attributes, key + (None,)))
+        other = next(iter(unseen - agreeing), None)
+        if other is None:
+            return {first}
+        return {first, self.relation.get(other).get(rhs_attribute)}
+
+    def _members(self, attributes: Tuple[str, ...], key: GroupKey) -> Set[int]:
+        """Tids whose ``attributes`` hold ``key``, off the relation's hash index.
+
+        The index is built on first use and maintained by the relation
+        across updates from then on.
+        """
+        return self.relation.create_index(attributes).lookup_key(key)
+
+    def _admit(self, working: Relation, tid: int) -> None:
+        row = self.relation.get(tid)
+        working.insert_at(tid, row)
+        self.original().insert_at(tid, row)

@@ -14,6 +14,9 @@ Two stand-ins enforce "zero working-store reads" from opposite sides:
   must run ``detect`` / ``detect_for_tuples`` through it untouched, and
   the backend-resident repair path
   (``clean()`` / ``apply_repair``) must do the same.
+
+:class:`CountingRelation` is the softer pin for incremental repair, which
+may read a relation's keyed rows but must not scan or copy it.
 """
 
 from __future__ import annotations
@@ -49,6 +52,37 @@ class ForbiddenRelation:
 
     def __iter__(self):
         self._forbidden(f"iter({self._name})")
+
+
+class CountingRelation:
+    """Delegates to a real :class:`Relation`, counting whole-relation reads.
+
+    ``calls`` counts :meth:`~repro.engine.relation.Relation.rows` (a full
+    scan) and :meth:`~repro.engine.relation.Relation.copy`; every other
+    access, keyed lookups included, passes straight through.  Pins that
+    incremental repair reads an update batch's groups, not the relation.
+    """
+
+    def __init__(self, relation):
+        self._relation = relation
+        self.calls = {"rows": 0, "copy": 0}
+
+    def rows(self):
+        self.calls["rows"] += 1
+        return self._relation.rows()
+
+    def copy(self):
+        self.calls["copy"] += 1
+        return self._relation.copy()
+
+    def __getattr__(self, attribute):
+        return getattr(self._relation, attribute)
+
+    def __len__(self):
+        return len(self._relation)
+
+    def __contains__(self, tid):
+        return tid in self._relation
 
 
 class ForbiddenReadBackend(StorageBackend):

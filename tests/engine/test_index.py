@@ -63,3 +63,12 @@ class TestHashIndex:
         idx = HashIndex(["a"])
         idx.add(0, {"a": None})
         assert idx.lookup(None) == {0}
+
+    def test_copy_is_independent(self, index):
+        clone = index.copy()
+        assert clone.attributes == index.attributes
+        assert dict(clone.groups()) == dict(index.groups())
+        clone.add(3, {"country": "UK", "city": "EDI"})
+        index.remove(2, {"country": "US", "city": "NYC"})
+        assert index.lookup("UK", "EDI") == {0, 1}
+        assert clone.lookup("US", "NYC") == {2}

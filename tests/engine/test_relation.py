@@ -149,6 +149,8 @@ class TestQueriesAndIndexes:
         clone.update(1, {"city": "EDI"})
         assert sorted(clone.lookup(["city"], ["EDI"])) == [0, 1, 2]
         assert sorted(relation.lookup(["city"], ["EDI"])) == [0, 2]
+        relation.update(0, {"city": "GLA"})
+        assert sorted(clone.lookup(["city"], ["EDI"])) == [0, 1, 2]
 
     def test_copy_is_independent(self, relation):
         clone = relation.copy()

@@ -108,6 +108,20 @@ class TestChooseValue:
         )
         assert {value for value, _ in ranked} == {"High St", "Other St"}
 
+    def test_only_replaces_the_members_values(self, classes):
+        # a 1:1 tie: without the restriction "Aberdeen" wins on value order
+        classes.union((0, "CITY"), (1, "CITY"))
+        values = {(0, "CITY"): "Leeds", (1, "CITY"): "Aberdeen"}
+        tied, _cost, _ranked = classes.choose_value(
+            (0, "CITY"), values, CostModel.uniform()
+        )
+        assert tied == "Aberdeen"
+        best, cost, ranked = classes.choose_value(
+            (0, "CITY"), values, CostModel.uniform(), only=["Leeds"]
+        )
+        assert best == "Leeds"
+        assert ranked == [("Leeds", cost)]
+
     def test_no_candidates_raises(self):
         eq = EquivalenceClasses()
         eq.add((0, "A"))
