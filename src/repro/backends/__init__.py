@@ -11,7 +11,7 @@ down to the underlying DBMS.  This package makes that layer pluggable:
 * :class:`~repro.backends.sqlite.SqliteBackend` — the backend detection
   SQL runs on: real-DBMS pushdown on the stdlib ``sqlite3`` module (WAL,
   ``synchronous=NORMAL``, tid primary keys, ``executemany`` bulk loads,
-  automatic CFD-LHS indexes; SQLite 3.25 or newer);
+  automatic LHS+RHS detection indexes; SQLite 3.25 or newer);
 * :mod:`~repro.backends.dialect` — the SQL dialect description the
   detection-SQL generator consults (string rendering, statement budgets);
 * :mod:`~repro.backends.registry` — name-based backend construction

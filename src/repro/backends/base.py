@@ -195,8 +195,9 @@ class StorageBackend(abc.ABC):
     def ensure_index(self, name: str, attributes: Sequence[str]) -> None:
         """Create an index on ``attributes`` of relation ``name`` if missing.
 
-        The detector calls this for every CFD LHS before running the
-        grouping queries, mirroring the paper's reliance on DBMS indexes.
+        The detector calls this for every CFD and RHS attribute, over the
+        LHS followed by that attribute, before running its queries,
+        mirroring the paper's reliance on DBMS indexes.
         """
 
     def explain_query_plan(
@@ -208,7 +209,7 @@ class StorageBackend(abc.ABC):
         behaviour); the telemetry layer's ``explain_plans`` mode records
         nothing for them.  SQLite returns its ``EXPLAIN QUERY PLAN`` rows,
         whose ``detail`` text names the indexes driving each step — which
-        is what turns "the covering-members query rides the CFD-LHS
+        is what turns "the covering-members query rides the detection
         index" from prose into a testable property.
         """
         return None

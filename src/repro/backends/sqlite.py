@@ -16,9 +16,12 @@ connection is tuned the way embedded-SQLite services usually are:
   durability/throughput trade-off for derived data;
 * ``temp_store=MEMORY`` — grouping/temp structures stay off disk.
 
-The detector asks for indexes on CFD LHS attributes through
-:meth:`ensure_index`, so the ``Q_V`` grouping queries hit covering B-trees
-exactly as the paper's "maximally leverage DBMS indices" line prescribes.
+The detector asks through :meth:`ensure_index` for one index per CFD and
+RHS attribute, over the LHS followed by that RHS attribute, so the
+``Q_V`` grouping queries and the restricted group checks read covering
+B-trees exactly as the paper's "maximally leverage DBMS indices" line
+prescribes.  The backend remembers which indexes it has built, so a warm
+detection never takes the writer lock.
 
 **Concurrent serving.**  A file-backed backend is split into one *writer*
 connection (all DDL/DML, guarded by a re-entrant lock so a multi-statement
@@ -42,7 +45,9 @@ import re
 import sqlite3
 import threading
 from contextlib import contextmanager
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import (
+    Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+)
 
 from ..errors import (
     BackendError,
@@ -194,6 +199,9 @@ class SqliteBackend(StorageBackend):
         self._conn.create_function("pystr", 1, _pystr, deterministic=True)
         self._schemas: Dict[str, RelationSchema] = {}
         self._next_tid: Dict[str, int] = {}
+        #: ``(relation, attributes)`` pairs :meth:`ensure_index` has built;
+        #: a relation's pairs are forgotten when it is dropped or replaced
+        self._indexed: Set[Tuple[str, Tuple[str, ...]]] = set()
         self._load_catalog()
 
     def _probe_parameter_limit(self) -> int:
@@ -396,6 +404,7 @@ class SqliteBackend(StorageBackend):
             self._conn.commit()
             del self._schemas[name]
             del self._next_tid[name]
+            self._indexed = {key for key in self._indexed if key[0] != name}
 
     def has_relation(self, name: str) -> bool:
         return name in self._schemas
@@ -672,6 +681,16 @@ class SqliteBackend(StorageBackend):
             return [dict(row) for row in cursor.fetchall()]
 
     def ensure_index(self, name: str, attributes: Sequence[str]) -> None:
+        """Create the index once; later calls return without the writer lock.
+
+        Detection calls this before every query phase, so a request that
+        waited for the lock would wait for whatever batch the writer is
+        shipping.
+        """
+        self._require(name)  # a closed backend or unknown relation raises
+        key = (name, tuple(attributes))
+        if key in self._indexed:
+            return
         with self._write_lock:
             schema = self._require(name)
             for attr in attributes:
@@ -686,6 +705,7 @@ class SqliteBackend(StorageBackend):
                 f"ON {_ident(name)} ({', '.join(_ident(a) for a in attributes)})"
             )
             self._conn.commit()
+            self._indexed.add(key)
 
     # -- lifecycle ----------------------------------------------------------------
 

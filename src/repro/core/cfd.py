@@ -36,6 +36,10 @@ class CFD:
     rhs: Tuple[str, ...]
     patterns: Tuple[PatternTuple, ...]
     name: Optional[str] = None
+    #: the hash, computed once: the detection plan caches key statements
+    #: by CFD, and hashing the whole tableau on every lookup made SQL
+    #: detection quadratic in the pattern rows
+    _hash: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if not self.lhs and not any(
@@ -59,6 +63,20 @@ class CFD:
                 raise CfdError(
                     f"pattern tuple {pattern} does not range over {sorted(expected)}"
                 )
+        object.__setattr__(
+            self,
+            "_hash",
+            hash((self.relation, self.lhs, self.rhs, self.patterns, self.name)),
+        )
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # string hashes differ between processes: rebuild, and so rehash,
+        # instead of restoring the stored hash
+        fields = (self.relation, self.lhs, self.rhs, self.patterns, self.name)
+        return (type(self), fields)
 
     # -- constructors --------------------------------------------------------------
 

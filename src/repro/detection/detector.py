@@ -13,15 +13,18 @@ members of every violating group, and schema and row count come from the
 backend's catalog ops — ``detect`` and ``detect_for_tuples`` perform
 **zero reads against the in-memory working store**, so batch detection
 runs against a remote server without shipping the relation back.  The
-only writes are the CFD-LHS indexes (``ensure_index``); nothing is added
-to the backend's catalog.  Backend values are decoded per schema dtype
-(:func:`decode_backend_value`) so reports stay identical to the native
-oracle's.
+only writes are the detection indexes (``ensure_index``), one per CFD
+and RHS attribute over the LHS followed by that RHS attribute; nothing
+is added to the backend's catalog.  Backend values are decoded per
+schema dtype (:func:`decode_backend_value`) so reports stay identical to
+the native oracle's.
 
 ``detect_for_tuples`` pushes the tuple restriction down as well: the
-restricted ``Q_C``/``Q_V`` plans re-check only the named tids (flat,
-dialect-chunked ``IN`` lists) and the LHS-value groups they belong to,
-instead of running a full detection and filtering the report afterwards.
+restricted ``Q_C``/``Q_V`` plans re-check only the named tids (rowid
+lookups from flat, dialect-chunked ``IN`` lists) and the LHS-value groups
+they belong to (index seeks from the distinct key list), instead of
+running a full detection and filtering the report afterwards, so a
+request costs the tuples and groups it names, not the relation.
 
 The detector accepts any :class:`~repro.backends.base.StorageBackend`;
 detection SQL is generated in the backend's dialect through one cached
@@ -89,7 +92,7 @@ class ErrorDetector:
     and several detectors may share one backend: the per-relation
     generator map and its prepared-plan caches are lock-guarded,
     ``last_sql`` is per-thread, and detection writes nothing to the
-    backend but the CFD-LHS indexes, created before any query runs.  The
+    backend but the detection indexes, created before any query runs.  The
     query phase of each detection runs inside
     ``backend.read_connection(snapshot=True)``, so a report reflects one
     consistent snapshot of the store even while a writer streams delta
@@ -141,6 +144,8 @@ class ErrorDetector:
         #: one generator (and prepared-plan cache) per detected relation
         self._generators: Dict[str, DetectionSqlGenerator] = {}
         self._generators_lock = threading.Lock()
+        #: memoised sub-CFDs (see :meth:`_sub_cfd`)
+        self._subs: Dict[Tuple[CFD, str], CFD] = {}
 
     @property
     def last_sql(self) -> List[str]:
@@ -172,7 +177,7 @@ class ErrorDetector:
             violations: List[Violation] = []
             for cfd in typed:
                 for rhs_attribute in cfd.rhs:
-                    sub = _sub_cfd(cfd, rhs_attribute)
+                    sub = self._sub_cfd(cfd, rhs_attribute)
                     violations.extend(self._detect_native(relation, cfd, sub))
             return self._report(relation_name, cfds, violations, tuple_count)
 
@@ -194,11 +199,11 @@ class ErrorDetector:
         Used by the explorer's "why is this tuple dirty" view and by the
         cleansing-review workflow.  On the SQL path the restriction is
         pushed down: the delta ``Q_C``/``Q_V`` plans re-check only the
-        named tids and the LHS-value groups they belong to (flat tid ``IN``
-        lists and row-value group restrictions, chunked by the parameter
-        budget), with the same report a full detection filtered
-        to ``tids`` would produce.  The native path keeps the
-        filter-after-detect evaluation as the oracle.
+        named tids and the LHS-value groups they belong to (tid ``IN``
+        lists and group key lists, chunked by the parameter budget), with
+        the same report a full detection filtered to ``tids`` would
+        produce.  The native path keeps the filter-after-detect evaluation
+        as the oracle.
         """
         with self.telemetry.span(
             "detect_for_tuples", relation=relation_name, cfds=len(cfds)
@@ -280,18 +285,34 @@ class ErrorDetector:
     ) -> List[Tuple[int, CFD, CFD]]:
         """One ``(index, parent, sub-CFD)`` per RHS attribute.
 
-        Also creates the CFD-LHS index each unit's statements ride.  That
-        is the only write the SQL path makes, so it happens here, *before*
-        the caller opens its read snapshot.
+        Also creates the index each unit's statements ride: the LHS
+        followed by the RHS attribute, so a group's minimum RHS and the
+        test for a greater one are index seeks, and group checks read the
+        index alone.  That is the only write the SQL path makes, so it
+        happens here, *before* the caller opens its read snapshot.
         """
         units: List[Tuple[int, CFD, CFD]] = []
         for index, cfd in enumerate(cfds):
             for rhs_attribute in cfd.rhs:
-                sub = _sub_cfd(cfd, rhs_attribute)
+                sub = self._sub_cfd(cfd, rhs_attribute)
                 if sub.lhs:
-                    self.backend.ensure_index(relation_name, sub.lhs)
+                    self.backend.ensure_index(relation_name, sub.lhs + sub.rhs)
                 units.append((index, cfd, sub))
         return units
+
+    def _sub_cfd(self, cfd: CFD, rhs_attribute: str) -> CFD:
+        """:func:`_sub_cfd`, the same object for equal arguments on every call.
+
+        The prepared-plan caches key statements by CFD.  A sub-CFD built
+        afresh on every detection would make each cache lookup compare
+        two tableaux pattern by pattern; the memoised object compares by
+        identity, so a warm detection stays linear in the pattern rows.
+        """
+        key = (cfd, rhs_attribute)
+        sub = self._subs.get(key)
+        if sub is None:
+            sub = self._subs.setdefault(key, _sub_cfd(cfd, rhs_attribute))
+        return sub
 
     def _report(
         self,

@@ -16,9 +16,10 @@ queries over the data relation ``R``, one per pattern row of ``Tp``:
   grouped ``HAVING`` subquery.
 
 A constant LHS position renders as a parameter-bound equality
-(``t.A = ?``) that rides the auto-built CFD-LHS index; a wildcard
-position only requires a non-NULL value.  For non-string attributes the
-data side is rendered as a string through the backend's
+(``t.A = ?``) that rides the auto-built detection index — the CFD's LHS
+followed by the RHS attribute, so group checks read the index alone; a
+wildcard position only requires a non-NULL value.  For non-string
+attributes the data side is rendered as a string through the backend's
 :class:`~repro.backends.dialect.SqlDialect` (``CAST(... AS TEXT)`` on
 SQLite) and compared with the constant's string encoding.  Pattern
 constants travel out-of-band as ``?`` parameters — SQL strings never embed
@@ -33,14 +34,29 @@ no test or workload has more than five pattern rows, so choosing between
 the shapes again would first need a workload with a large tableau.
 
 Restricted variants (the ``plan_delta_*`` builders) re-check only the
-tuples / LHS-value groups an update batch or a ``detect_for_tuples`` call
-names.  Affected tids and single-attribute group keys travel as a flat
-``IN (?, ?, ...)`` list, which SQLite probes through the CFD-LHS index;
-multi-attribute group keys use a row-value semi-join — ``(t.X1, t.X2) IN
-(VALUES (?, ?), ...)`` — which SQLite (3.40) probes only when it holds a
-single key, and otherwise reads as a filter over a scan.  Both shapes are
-one expression node however long, so chunking is driven by the dialect's
-*parameter budget* alone
+tuples and LHS-value groups a ``detect_for_tuples`` call names, and cost
+those keys and tuples, not the relation:
+
+* the restricted ``Q_C`` reads the named tids by rowid (the data table is
+  marked ``NOT INDEXED``, so a detection index on the constant LHS
+  cannot pull the plan into a range over every matching entry);
+* the restricted ``Q_V`` starts from the distinct key list.  A key
+  violates when some member's RHS is greater than the group's minimum —
+  ``EXISTS (... x.A > (SELECT MIN(m.A) ...))``, two seeks on the
+  LHS+RHS index however large the group — and only the members of
+  violating keys are read.  The pattern constants are tested on the key
+  columns.  Comparing stored values finds the same groups as ``COUNT
+  (DISTINCT)`` over their string encodings because every dtype's
+  encoding is injective (identity, an integer cast, Python ``str`` of a
+  float, a boolean ``CASE``).
+
+The group restriction of the tuple-source aggregates is a flat ``IN (?,
+?, ...)`` list for a single-attribute LHS and a row-value semi-join over
+a subquery — ``(t.X1, t.X2) IN (SELECT * FROM (VALUES (?, ?), ...))`` —
+otherwise; SQLite (3.40) searches the index once per key for both, where
+a bare ``IN (VALUES ...)`` of two or more keys is read as a filter over a
+scan.  Every shape is one expression node however long, so chunking is
+driven by the dialect's *parameter budget* alone
 (:attr:`~repro.backends.dialect.SqlDialect.max_parameters`): each emitted
 statement binds at most that many values, however wide the CFD's LHS is.
 
@@ -57,7 +73,7 @@ Two plan-quality mechanisms sit on top of the query builders:
   LHS values, and pattern-LHS applicability is a function of those values
   alone, so the query reduces to the restriction plus the non-NULL RHS
   guard.  Its predicates are plain equalities on the LHS attributes,
-  which lets SQLite drive the probe straight off the auto-built CFD-LHS
+  which lets SQLite drive the probe straight off the auto-built detection
   index (``_tid`` rides along in every index entry).  The tuple sources
   use it.
 """
@@ -76,6 +92,10 @@ from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 
 #: alias used for the data relation in generated queries
 DATA_ALIAS = "t"
+
+#: alias of the distinct key list the restricted ``Q_V`` starts from; its
+#: columns are SQLite's ``VALUES`` names, ``column1``, ``column2``, ...
+KEY_ALIAS = "k"
 
 #: column-alias prefix for the LHS values a ``Q_C`` carries so the caller
 #: can assemble violation reports without touching the data store
@@ -182,12 +202,21 @@ class DetectionSqlGenerator:
             )
         ]
 
+    @staticmethod
+    def _key_values(width: int, group_count: int) -> str:
+        """``VALUES (?, ?), ...``: ``group_count`` caller-bound keys."""
+        value_row = "(" + ", ".join("?" for _ in range(width)) + ")"
+        return "VALUES " + ", ".join(value_row for _ in range(group_count))
+
     def _group_restriction(self, cfd: CFD, group_count: int) -> str:
         """The affected-group restriction over ``group_count`` LHS-value groups.
 
         A flat ``IN`` list for a single-attribute LHS, a row-value
-        semi-join — ``(t.X1, t.X2) IN (VALUES (?, ?), ...)`` — otherwise.
-        All placeholders are caller-bound (the groups' LHS values flattened
+        semi-join over a subquery — ``(t.X1, t.X2) IN (SELECT * FROM
+        (VALUES (?, ?), ...))`` — otherwise.  SQLite (3.40) searches the
+        index once per key for both; a bare ``IN (VALUES ...)`` of two or
+        more keys would be read as a filter over a scan of the index.  All
+        placeholders are caller-bound (the groups' LHS values flattened
         in ``cfd.lhs`` order).  NULL never appears among the bound values:
         a tuple with a NULL LHS cell belongs to no group on any detection
         path.
@@ -197,9 +226,8 @@ class DetectionSqlGenerator:
             placeholders = ", ".join("?" for _ in range(group_count))
             return f"{DATA_ALIAS}.{lhs[0]} IN ({placeholders})"
         row = ", ".join(f"{DATA_ALIAS}.{attr}" for attr in lhs)
-        value_row = "(" + ", ".join("?" for _ in lhs) + ")"
-        values = ", ".join(value_row for _ in range(group_count))
-        return f"({row}) IN (VALUES {values})"
+        values = self._key_values(len(lhs), group_count)
+        return f"({row}) IN (SELECT * FROM ({values}))"
 
     # -- detection queries ---------------------------------------------------------
 
@@ -229,7 +257,7 @@ class DetectionSqlGenerator:
 
         A constant position renders as ``<string-encoding> = ?`` binding
         the constant's string encoding — for string attributes that is a
-        bare ``t.X = ?`` the auto-built CFD-LHS index answers directly
+        bare ``t.X = ?`` the auto-built detection index answers directly
         (the trick the covering members plan proved).  Equality implies
         non-NULL, so the explicit guard is kept only for wildcard
         positions, which any non-NULL value matches.
@@ -240,12 +268,23 @@ class DetectionSqlGenerator:
             value = pattern.value(attribute)
             if value.is_constant:
                 conditions.append(
-                    f"{self._data_column(attribute)} = "
-                    f"{self._bind_literal(str(value.constant), params)}"
+                    self._constant_test(
+                        f"{DATA_ALIAS}.{attribute}", attribute, value.constant, params
+                    )
                 )
             else:
                 conditions.append(f"{DATA_ALIAS}.{attribute} IS NOT NULL")
         return conditions
+
+    def _constant_test(
+        self, column: str, attribute: str, constant: Any, params: List[Any]
+    ) -> str:
+        """``<string-encoding of column> = ?``, binding the constant's encoding."""
+        dtype = self.schema.attribute(attribute).dtype
+        return (
+            f"{self.dialect.string_expr(column, dtype)} = "
+            f"{self._bind_literal(str(constant), params)}"
+        )
 
     def _sargable_single_for(
         self,
@@ -258,7 +297,10 @@ class DetectionSqlGenerator:
         The pattern is implicit in the statement (``pattern_index`` rides
         on the returned :class:`SqlQuery`), so the select list is just
         ``tid`` plus the ``lhs_*`` carry columns.  The delta form appends
-        the caller-bound tid restriction after the constant binds.
+        the caller-bound tid restriction after the constant binds and
+        marks the table ``NOT INDEXED``: each tid is then one rowid
+        lookup, where an index on a constant LHS position would make
+        SQLite read every entry matching the constant.
         """
         pattern = cfd.patterns[pattern_index]
         rhs = cfd.rhs_pattern(pattern)
@@ -275,15 +317,15 @@ class DetectionSqlGenerator:
                 f"OR {DATA_ALIAS}.{attribute} IS NULL)"
             )
         conditions.append("(" + " OR ".join(rhs_parts) + ")")
+        source = f"{cfd.relation} {DATA_ALIAS}"
         if delta_tid_count is not None:
             placeholders = ", ".join("?" for _ in range(delta_tid_count))
             conditions.append(f"{DATA_ALIAS}._tid IN ({placeholders})")
-        select_columns = [f"{DATA_ALIAS}._tid AS tid"] + [
-            f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
-        ]
+            source += " NOT INDEXED"
+        select_columns = self._member_columns(cfd)
         sql = (
             f"SELECT {', '.join(select_columns)}\n"
-            f"FROM {cfd.relation} {DATA_ALIAS}\n"
+            f"FROM {source}\n"
             f"WHERE {' AND '.join(conditions)}"
         )
         return SqlQuery(
@@ -291,11 +333,7 @@ class DetectionSqlGenerator:
         )
 
     def _window_multi_for(
-        self,
-        cfd: CFD,
-        rhs_attribute: str,
-        pattern_index: int,
-        delta_group_count: Optional[int] = None,
+        self, cfd: CFD, rhs_attribute: str, pattern_index: int
     ) -> SqlQuery:
         """Per-pattern one-pass ``Q_V``: violating groups *and* members.
 
@@ -310,12 +348,8 @@ class DetectionSqlGenerator:
         params: List[Any] = []
         inner_conditions = self._pattern_lhs_conditions(cfd, pattern_index, params)
         inner_conditions.append(f"{DATA_ALIAS}.{rhs_attribute} IS NOT NULL")
-        if delta_group_count is not None:
-            inner_conditions.append(self._group_restriction(cfd, delta_group_count))
         distinct = f"COUNT(DISTINCT {self._data_column(rhs_attribute)})"
-        member_columns = [f"{DATA_ALIAS}._tid AS tid"] + [
-            f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
-        ]
+        member_columns = self._member_columns(cfd)
         group_select = [f"{DATA_ALIAS}.{attr} AS {attr}" for attr in cfd.lhs]
         group_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
         join_on = " AND ".join(
@@ -339,6 +373,71 @@ class DetectionSqlGenerator:
             kind="q_window",
             pattern_index=pattern_index,
         )
+
+    def _window_multi_restricted(
+        self, cfd: CFD, rhs_attribute: str, pattern_index: int, group_count: int
+    ) -> SqlQuery:
+        """Per-pattern ``Q_V`` over ``group_count`` caller-bound group keys.
+
+        The statement starts from the distinct key list (padding repeats a
+        key; ``CROSS JOIN`` keeps the list SQLite's outer loop) and
+        reaches the data only through the LHS+RHS index: a key
+        whose values fail the pattern's constants is dropped before any
+        lookup; a key violates when some member's RHS is greater than the
+        group's minimum RHS (two seeks); and only a violating key's
+        members are read.  Rows are ``(tid, lhs_*)`` like the full form's.
+        A key is a group's LHS values as the backend stores them (the
+        constants are tested on the key columns through the same string
+        encoding the full form applies to the data).
+
+        Binding order: the keys flattened in ``cfd.lhs`` order, then the
+        pattern constants the returned query carries.
+        """
+        pattern = cfd.patterns[pattern_index]
+        params: List[Any] = []
+        keys = [f"{KEY_ALIAS}.column{number}" for number in range(1, len(cfd.lhs) + 1)]
+        conditions = []
+        for attribute, key in zip(cfd.lhs, keys):
+            value = pattern.value(attribute)
+            if value.is_constant:
+                conditions.append(
+                    self._constant_test(key, attribute, value.constant, params)
+                )
+
+        def on_key(alias: str) -> str:
+            return " AND ".join(
+                f"{alias}.{attribute} = {key}" for attribute, key in zip(cfd.lhs, keys)
+            )
+
+        minimum = (
+            f"SELECT MIN(m.{rhs_attribute}) FROM {cfd.relation} m WHERE {on_key('m')}"
+        )
+        conditions.append(
+            f"EXISTS (SELECT 1 FROM {cfd.relation} x WHERE {on_key('x')} "
+            f"AND x.{rhs_attribute} > ({minimum}))"
+        )
+        conditions.append(f"{DATA_ALIAS}.{rhs_attribute} IS NOT NULL")
+        key_list = self._key_values(len(keys), group_count)
+        sql = (
+            f"SELECT {', '.join(self._member_columns(cfd))}\n"
+            f"FROM (SELECT DISTINCT * FROM ({key_list})) {KEY_ALIAS}\n"
+            f"CROSS JOIN {cfd.relation} {DATA_ALIAS} ON {on_key(DATA_ALIAS)}\n"
+            f"WHERE {' AND '.join(conditions)}"
+        )
+        return SqlQuery(
+            sql,
+            tuple(params),
+            rhs_attribute=rhs_attribute,
+            kind="q_window",
+            pattern_index=pattern_index,
+        )
+
+    @staticmethod
+    def _member_columns(cfd: CFD) -> List[str]:
+        """``t._tid AS tid`` plus the ``lhs_*`` carry columns."""
+        return [f"{DATA_ALIAS}._tid AS tid"] + [
+            f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
+        ]
 
     def plan_single_queries(self, cfd: CFD) -> List[SqlQuery]:
         """The ``Q_C`` statements of ``cfd``: one per constant-RHS pattern row.
@@ -439,10 +538,11 @@ class DetectionSqlGenerator:
     ) -> List[SqlQuery]:
         """Fully-bound one-pass ``Q_V`` statements restricted to the groups ``keys``.
 
-        Each key is one group's LHS values in ``cfd.lhs`` order.  The group
-        restriction goes into each pattern statement's grouped subquery,
-        so the member rows cover exactly the affected groups; chunking
-        follows the parameter budget.
+        Each key is one group's LHS values in ``cfd.lhs`` order, as the
+        backend stores them.  Each pattern statement starts from the key
+        list (:meth:`_window_multi_restricted`), so the member rows cover
+        exactly the affected groups that violate; chunking follows the
+        parameter budget.
         """
         if not keys or not cfd.lhs:
             return []
@@ -452,8 +552,8 @@ class DetectionSqlGenerator:
         for index in self._wildcard_multi_patterns(cfd, rhs_attribute):
             probe = self._cached_plan(
                 (cache_kind, cfd, rhs_attribute, index, 1),
-                lambda index=index: self._window_multi_for(
-                    cfd, rhs_attribute, index, delta_group_count=1
+                lambda index=index: self._window_multi_restricted(
+                    cfd, rhs_attribute, index, 1
                 ),
             )
             signature = (probe.sql, probe.parameters)
@@ -465,15 +565,14 @@ class DetectionSqlGenerator:
                 chunk = self._padded(chunk, size)
                 query = self._cached_plan(
                     (cache_kind, cfd, rhs_attribute, index, len(chunk)),
-                    lambda index=index, count=len(chunk): self._window_multi_for(
-                        cfd, rhs_attribute, index, delta_group_count=count
+                    lambda index=index, count=len(chunk): self._window_multi_restricted(
+                        cfd, rhs_attribute, index, count
                     ),
                 )
-                flattened = self.flatten_group_keys(chunk)
                 plans.append(
                     SqlQuery(
                         query.sql,
-                        tuple(query.parameters) + flattened,
+                        self.flatten_group_keys(chunk) + tuple(query.parameters),
                         rhs_attribute=rhs_attribute,
                         kind=query.kind,
                         pattern_index=query.pattern_index,
@@ -496,11 +595,10 @@ class DetectionSqlGenerator:
         construction.  Membership reduces to the group restriction plus
         the non-NULL RHS guard, with plain (typed, parameter-bound)
         equalities on the LHS attributes that SQLite answers straight off
-        the auto-built CFD-LHS index (for a multi-attribute LHS only when
-        one key is requested, see :meth:`_group_restriction`): ``_tid``
-        travels in every index entry and the selected columns are exactly
-        ``_tid`` + LHS.  The pattern is irrelevant, so one enumeration
-        covers every pattern.
+        the auto-built detection index, one search per requested key (see
+        :meth:`_group_restriction`): ``_tid`` travels in every index entry
+        and the selected columns are exactly ``_tid`` + LHS.  The pattern
+        is irrelevant, so one enumeration covers every pattern.
 
         All placeholders are caller-bound (the groups' LHS values
         flattened with :meth:`flatten_group_keys`).
@@ -515,9 +613,7 @@ class DetectionSqlGenerator:
                 self._group_restriction(cfd, group_count),
                 f"{DATA_ALIAS}.{rhs_attribute} IS NOT NULL",
             ]
-            select_columns = [f"{DATA_ALIAS}._tid AS tid"] + [
-                f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
-            ]
+            select_columns = self._member_columns(cfd)
             sql = (
                 f"SELECT {', '.join(select_columns)}\n"
                 f"FROM {cfd.relation} {DATA_ALIAS}\n"
@@ -550,9 +646,7 @@ class DetectionSqlGenerator:
             conditions = [f"{DATA_ALIAS}.{attr} IS NOT NULL" for attr in cfd.lhs]
             placeholders = ", ".join("?" for _ in range(tid_count))
             conditions.append(f"{DATA_ALIAS}._tid IN ({placeholders})")
-            select_columns = [f"{DATA_ALIAS}._tid AS tid"] + [
-                f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
-            ]
+            select_columns = self._member_columns(cfd)
             sql = (
                 f"SELECT {', '.join(select_columns)}\n"
                 f"FROM {cfd.relation} {DATA_ALIAS}\n"
@@ -919,9 +1013,10 @@ class DetectionSqlGenerator:
     def _padded(self, chunk: Sequence[Any], cap: int) -> List[Any]:
         """Pad a restriction chunk to a power-of-two length (up to ``cap``).
 
-        Every restriction shape is a pure predicate (``IN`` lists, row-value
-        semi-joins), so repeating the last item changes nothing
-        semantically — but it quantises the per-statement item count, which
+        Every restriction shape is a set (``IN`` lists, row-value
+        semi-joins, the restricted ``Q_V``'s ``DISTINCT`` key list), so
+        repeating the last item changes nothing semantically, not even the
+        rows returned — but it quantises the per-statement item count, which
         bounds the prepared-plan cache to O(log budget) entries per (kind,
         CFD) instead of one entry per distinct restriction size, and lets
         the backend's own statement cache hit on the recurring shapes.

@@ -340,8 +340,8 @@ class BackendRepairSource(PartialRepairSource):
             keys = list(keymap)
             rhs_attribute = sub.rhs[0]
             self.stats["groups_checked"] += len(keys)
-            # Aggregate pre-filter: member counts straight off the CFD-LHS
-            # index.  A key nobody stores (fresh values) or whose members
+            # Aggregate pre-filter: member counts straight off the
+            # detection index.  A key nobody stores (fresh values) or whose members
             # are all fetched already needs no enumeration.
             counts = self._source.group_member_counts(sub, rhs_attribute, keys)
             fetched = self._fetched_members[sub_index]

@@ -351,6 +351,41 @@ class TestRaceRegressionPins:
         assert lookups == counters["plan_cache.hits"] + counters["plan_cache.misses"]
         assert generator.plan_cache_hits > 0
 
+    def test_warm_detection_does_not_wait_for_the_writer(self, tmp_path):
+        # detection asks for its indexes before every query phase; once
+        # they exist it must not queue behind a writer shipping a batch
+        backend = _file_backend(tmp_path)
+        detector = ErrorDetector(backend)
+        expected = detector.detect_for_tuples("items", _cfds(), TOGGLE_TIDS)
+        holding = threading.Event()
+        release = threading.Event()
+        outcome = {}
+
+        def writer():
+            with backend._write_lock:
+                holding.set()
+                release.wait(timeout=30)
+
+        def reader():
+            outcome["report"] = detector.detect_for_tuples(
+                "items", _cfds(), TOGGLE_TIDS
+            )
+
+        writing = threading.Thread(target=writer)
+        writing.start()
+        assert holding.wait(timeout=5)
+        reading = threading.Thread(target=reader)
+        reading.start()
+        reading.join(timeout=10)
+        returned_under_lock = not reading.is_alive()
+        release.set()
+        writing.join()
+        reading.join()
+        backend.close()
+        assert returned_under_lock
+        assert outcome["report"].vio() == expected.vio()
+        assert outcome["report"].violations == expected.violations
+
     def test_metrics_registry_totals_equal_single_thread_sum(self):
         registry = MetricsRegistry()
         threads = 8

@@ -199,6 +199,16 @@ class TestOverlappingPatternParity:
         # each group once, under the lowest pattern that covers it
         assert by_group == {("x", "1"): 0, ("y", "1"): 1}
 
+    def test_restricted_detection_tests_constants_per_key(self):
+        # the restricted Q_V of pattern 0 (A='x') must drop the y group's
+        # key, or that group would be reported under pattern 0
+        relation = overlap_relation()
+        for tid in relation.tids():
+            native, sql = _restricted_reports(relation, [OVERLAP_CFD], [tid])
+            assert _violation_keys(sql) == _violation_keys(native), tid
+        native, sql = _restricted_reports(relation, [OVERLAP_CFD], [2])
+        assert [v.pattern_index for v in sql.violations] == [1]
+
     def test_overlapping_constant_rhs_patterns(self, sqlite_backend_factory):
         schema = RelationSchema.of("r", ["A", "C"])
         relation = Relation.from_rows(
@@ -268,11 +278,25 @@ class TestNullCellParity:
         assert by_kind == {("multi", ("x", "1")), ("single", ("w", "3"))}
 
 
+def _restricted_reports(relation, cfds, tids):
+    """``detect_for_tuples`` from the native oracle and from SQL on SQLite."""
+    database = Database()
+    database.add_relation(relation.copy())
+    native = ErrorDetector(database).detect_for_tuples(relation.name, cfds, tids)
+    backend = SqliteBackend()
+    backend.add_relation(relation.copy())
+    sql = ErrorDetector(backend).detect_for_tuples(relation.name, cfds, tids)
+    backend.close()
+    return native, sql
+
+
 class TestThreePathProperty:
     """Randomised three-path equivalence: batch-native, batch-SQL on
     SQLite and incremental must produce identical reports on random
     relations (NULL cells included) against random tableaux (overlapping
-    patterns and multi-wildcard RHS included)."""
+    patterns and multi-wildcard RHS included).  Restricted detection
+    (``detect_for_tuples``) of a random tid subset, unknown tids and
+    tuples with NULL cells included, must match the native oracle too."""
 
     attrs = ("A", "B", "C", "D")
     cell = st.sampled_from(["a", "b", None])
@@ -320,7 +344,7 @@ class TestThreePathProperty:
         return cfds
 
     @given(data=st.data())
-    @settings(max_examples=20, deadline=None)
+    @settings(max_examples=60, deadline=None)
     def test_random_relations_and_tableaux_agree_on_all_paths(self, data):
         rows = data.draw(
             st.lists(
@@ -340,6 +364,16 @@ class TestThreePathProperty:
         assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
         counts = {report.tuple_count for report in reports.values()}
         assert counts == {len(relation)}
+        # a drawn subset (tids past the relation's end are unknown to every
+        # path) and every tid, which must give back the full report
+        drawn = data.draw(
+            st.lists(st.integers(min_value=0, max_value=len(rows) + 2), max_size=5)
+        )
+        for tids in (drawn, list(range(len(rows)))):
+            native, sql = _restricted_reports(relation, cfds, tids)
+            assert _violation_keys(sql) == _violation_keys(native)
+            assert sql.tuple_count == native.tuple_count == len(relation)
+        assert _violation_keys(sql) == keys["native"]
 
 
 #: typed-column probes: (dtype, the CFD's LHS constant, the violating
@@ -351,6 +385,21 @@ TYPED_PROBES = [
     pytest.param(DataType.FLOAT, "1e+16", 1e16, 2.5, id="float-exponent-from-text"),
     pytest.param(DataType.BOOLEAN, "True", True, False, id="bool-from-text"),
     pytest.param(DataType.FLOAT, 5, 5.0, 6.0, id="int-built-on-float"),
+]
+
+
+#: wildcard-RHS probes: (dtype, one group's RHS values).  The SQL paths
+#: compare stored values, native detection engine values; a violation
+#: needs two distinct non-NULL values in the group.
+TYPED_RHS_GROUPS = [
+    pytest.param(DataType.INTEGER, [5, 5, 5], id="int-equal"),
+    pytest.param(DataType.INTEGER, [5, 6, None], id="int-distinct-null"),
+    pytest.param(DataType.FLOAT, [1e16, 1e16], id="float-equal"),
+    pytest.param(DataType.FLOAT, [1e16, 2.5], id="float-distinct"),
+    pytest.param(DataType.FLOAT, [2.5, None, 2.5], id="float-equal-null"),
+    pytest.param(DataType.BOOLEAN, [True, True, None], id="bool-equal-null"),
+    pytest.param(DataType.BOOLEAN, [True, False], id="bool-distinct"),
+    pytest.param(DataType.BOOLEAN, [False, None, True], id="bool-distinct-null"),
 ]
 
 
@@ -369,6 +418,26 @@ class TestTypedConstants:
         assert keys["native"] == [("phi_typed", "single", (0,), "B", 0, (value,))]
         assert keys["sqlite_sql"] == keys["incremental"]
         assert keys["sqlite_sql"] == keys["native"]
+
+    @pytest.mark.parametrize("dtype, values", TYPED_RHS_GROUPS)
+    def test_wildcard_rhs_typed_parity(self, dtype, values):
+        # the full Q_V counts distinct string encodings, the restricted one
+        # compares stored values with the group's minimum: both must find
+        # the native detector's groups
+        schema = RelationSchema("m", [AttributeDef("A"), AttributeDef("B", dtype)])
+        # the probed group, plus a one-member group and a NULL-LHS tuple
+        rows = [{"A": "g", "B": value} for value in values]
+        rows += [{"A": "h", "B": values[0]}, {"A": None, "B": values[-1]}]
+        relation = Relation.from_rows(schema, rows)
+        cfd = parse_cfd("m: [A=_] -> [B=_]", name="phi_typed_rhs")
+        reports = _all_path_reports(relation, [cfd], SqliteBackend)
+        keys = {name: _violation_keys(report) for name, report in reports.items()}
+        assert keys["sqlite_sql"] == keys["incremental"] == keys["native"]
+        distinct = {value for value in values if value is not None}
+        assert bool(keys["native"]) == (len(distinct) > 1)
+        for tids in ([0], [len(values) - 1], [len(values)], list(range(len(rows)))):
+            native, sql = _restricted_reports(relation, [cfd], tids)
+            assert _violation_keys(sql) == _violation_keys(native)
 
 
 class TestSqliteEndToEnd:

@@ -158,6 +158,25 @@ class TestQueriesAndIndexes:
         with pytest.raises(Exception):
             backend.ensure_index("mixed", ["NOPE"])
 
+    def test_replaced_relation_gets_its_index_again(self, backend):
+        # the backend remembers the indexes it built; dropping or replacing
+        # the relation drops its indexes, so it must forget them too
+        backend.create_relation(SCHEMA, rows=ROWS)
+        backend.ensure_index("mixed", ["S", "I"])
+        backend.create_relation(SCHEMA, rows=ROWS, replace=True)
+        names = self._index_names(backend)
+        assert not any(name.startswith("idx_mixed_") for name in names)
+        backend.ensure_index("mixed", ["S", "I"])
+        assert sum(
+            name.startswith("idx_mixed_S_I") for name in self._index_names(backend)
+        ) == 1
+        backend.drop_relation("mixed")
+        backend.create_relation(SCHEMA, rows=ROWS)
+        backend.ensure_index("mixed", ["S", "I"])
+        assert sum(
+            name.startswith("idx_mixed_S_I") for name in self._index_names(backend)
+        ) == 1
+
     def test_distinct_attribute_lists_get_distinct_indexes(self, backend):
         schema = RelationSchema("tricky", [AttributeDef("a_b"), AttributeDef("a"), AttributeDef("b")])
         backend.create_relation(schema)

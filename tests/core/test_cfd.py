@@ -1,5 +1,10 @@
 """Tests for the CFD class: construction, classification, semantics, serialisation."""
 
+import os
+import pickle
+import subprocess
+import sys
+
 import pytest
 
 from repro.core.cfd import CFD, normalize_all
@@ -168,6 +173,29 @@ class TestSerialisation:
         changed = phi2.with_patterns([new_pattern])
         assert changed.patterns == (new_pattern,)
         assert phi2.patterns != changed.patterns
+        # the hash is cached at construction and follows the new tableau
+        assert hash(changed) == hash(CFD.from_dict(changed.to_dict()))
+
+    def test_unpickled_cfd_hashes_like_a_fresh_one(self, phi2):
+        # string hashes differ between processes, so a CFD unpickled in
+        # another process must hash its own fields, not the cached hash
+        script = (
+            "import pickle, sys\n"
+            "from repro.core.cfd import CFD\n"
+            "cfd = pickle.loads(sys.stdin.buffer.read())\n"
+            "fresh = CFD.from_dict(cfd.to_dict())\n"
+            "print(hash(cfd) == hash(fresh) and {fresh: 1}.get(cfd) == 1)\n"
+        )
+        env = dict(os.environ, PYTHONHASHSEED="12345")
+        env["PYTHONPATH"] = os.pathsep.join(sys.path)
+        result = subprocess.run(
+            [sys.executable, "-c", script],
+            input=pickle.dumps(phi2),
+            capture_output=True,
+            env=env,
+            timeout=60,
+        )
+        assert result.stdout.decode().strip() == "True", result.stderr.decode()
 
 
 class TestSchemaCoercion:

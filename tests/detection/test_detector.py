@@ -8,12 +8,14 @@ from hypothesis import strategies as st
 
 from repro import Semandaq, SemandaqConfig
 from repro.backends import SqliteBackend
+from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
+from repro.core.pattern import PatternTuple
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.detection.detector import ErrorDetector
 from repro.engine.database import Database
 from repro.engine.relation import Relation
-from repro.engine.types import RelationSchema
+from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.errors import DetectionError
 from repro.monitor.updates import Update
 
@@ -230,3 +232,73 @@ class TestBackendCatalog:
                 assert _report_keys(report) == _report_keys(expected), key
                 assert report.total_violations() > 0
         backend.close()
+
+
+class TestLargeTableau:
+    """A warm SQL detection is linear in the CFD's pattern rows.
+
+    The prepared-plan caches key one statement per pattern row by CFD.
+    Hashing the tableau on every lookup, or comparing a freshly built
+    sub-CFD with the cached one pattern by pattern, made each detection
+    quadratic in the rows.  Counted calls pin it, not timings.
+    """
+
+    PATTERNS = 1000
+
+    def _cfd(self, rhs, lhs_constant):
+        patterns = []
+        for index in range(self.PATTERNS):
+            # even rows check the FD part (Q_V), odd rows a constant (Q_C)
+            values = {"A": lhs_constant(index)}
+            values.update({attr: "_" if index % 2 == 0 else "c" for attr in rhs})
+            patterns.append(PatternTuple.of(values))
+        return CFD(
+            relation="r", lhs=("A",), rhs=rhs, patterns=tuple(patterns), name="phi_big"
+        )
+
+    @pytest.mark.parametrize(
+        "a_type, rhs, lhs_constant",
+        [
+            (DataType.STRING, ("C",), lambda index: f"a{index}"),
+            (DataType.STRING, ("C", "D"), lambda index: f"a{index}"),
+            # text constants on an INTEGER column: every detection types
+            # the CFD afresh (CFD.coerced_to)
+            (DataType.INTEGER, ("C",), str),
+        ],
+        ids=["single-rhs", "two-rhs", "typed-constants"],
+    )
+    def test_warm_detect_makes_linear_pattern_calls(
+        self, monkeypatch, a_type, rhs, lhs_constant
+    ):
+        schema = RelationSchema(
+            "r", [AttributeDef("A", a_type), AttributeDef("C"), AttributeDef("D")]
+        )
+        value = (lambda index: index) if a_type is DataType.INTEGER else "a{}".format
+        rows = [
+            {"A": value(index % 7), "C": f"c{index % 3}", "D": "c"}
+            for index in range(40)
+        ]
+        relation = Relation.from_rows(schema, rows)
+        backend = _sqlite(relation)
+        detector = ErrorDetector(backend)
+        cfds = [self._cfd(rhs, lhs_constant)]
+        warm = detector.detect("r", cfds)
+        calls = {"hash": 0, "eq": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        monkeypatch.setattr(
+            PatternTuple, "__hash__", counting("hash", PatternTuple.__hash__)
+        )
+        monkeypatch.setattr(PatternTuple, "__eq__", counting("eq", PatternTuple.__eq__))
+        report = detector.detect("r", cfds)
+        monkeypatch.undo()
+        backend.close()
+        assert _report_keys(report) == _report_keys(warm)
+        assert report.total_violations() > 0
+        assert calls["hash"] + calls["eq"] <= 4 * self.PATTERNS, calls

@@ -1,10 +1,12 @@
 """EXPLAIN QUERY PLAN regressions: the detection statements must stay sargable.
 
 Member enumeration (``covering_members_query``), the per-pattern ``Q_C``
-and the one-pass ``Q_V`` (``q_window``) all rely on the auto-built CFD-LHS
-index.  A harmless-looking rewrite of the SQL could silently fall back to
-a full scan and only show up as a benchmark regression, so these tests
-ask SQLite's planner directly.
+and the one-pass ``Q_V`` (``q_window``) all rely on the auto-built
+detection index (the CFD's LHS followed by one RHS attribute), and the
+restricted statements must cost the keys and tuples they name.  A
+harmless-looking rewrite of the SQL could silently fall back to a full
+scan and only show up as a benchmark regression, so these tests ask
+SQLite's planner directly.
 """
 
 import re
@@ -72,7 +74,7 @@ class TestCoveringMembersPlan:
 
 
 class TestSargableSinglePlan:
-    """The constant-bound ``Q_C`` specialization must ride the CFD-LHS index.
+    """The constant-bound ``Q_C`` specialization must ride the LHS index.
 
     The per-pattern statement turns a constant LHS position into a bare
     ``t.CC = ?`` equality — exactly the shape the auto-built index answers.
@@ -115,24 +117,27 @@ class TestSargableSinglePlan:
 
 
 class TestWindowPlan:
-    """The one-pass ``q_window`` statement must probe the CFD-LHS index.
+    """The ``q_window`` statements must probe the detection index.
 
-    Every ``detect`` runs its full form and every ``detect_for_tuples``
-    its form restricted to the requested group keys.  The member join of
-    both forms, and the grouped subquery of the restricted form, must
-    search the index with one equality per LHS attribute.
+    Every ``detect`` runs the full form and every ``detect_for_tuples``
+    the form restricted to the requested group keys.  The member join of
+    the full form searches the index with one equality per LHS attribute.
+    The restricted form starts from the key list: for 1, 2 or 4 keys,
+    every read of the relation is such a search, never a range over the
+    whole index (``(CNT>?)``) or a scan.
     """
 
     CFD_TEXT = "customer: [CNT=_, ZIP=_] -> [CITY=_]"
+    #: a search on both LHS columns by a read of the relation (t, or the
+    #: restricted form's x and m)
     PROBE = re.compile(
-        r"SEARCH (TABLE )?T USING (COVERING )?INDEX \S+ \(CNT=\? AND ZIP=\?\)"
+        r"SEARCH (TABLE )?[TXM] USING (COVERING )?INDEX \S+ \(CNT=\? AND ZIP=\?"
     )
+    KEYS = [("UK", "EH4 1DT"), ("US", "01202"), ("NL", "1012"), ("UK", "W1B 1JH")]
 
     def _steps(self, backend, query):
         """The (grouped subquery, member join) plan steps, upper-cased."""
-        detail = backend.explain_query_plan(query.sql, query.parameters)
-        if not detail:
-            pytest.skip("this SQLite build returns no EXPLAIN QUERY PLAN rows")
+        detail = _explain(backend, query)
         materialize = next(
             row["id"] for row in detail if "MATERIALIZE" in str(row["detail"])
         )
@@ -146,11 +151,11 @@ class TestWindowPlan:
         ]
         return inner, outer
 
-    def _queries(self, backend, schema):
+    def _queries(self, backend, schema, key_count=1):
         cfd = parse_cfd(self.CFD_TEXT)
         generator = DetectionSqlGenerator(schema, dialect=backend.dialect)
         (full,) = generator.plan_multi_queries(cfd)
-        (restricted,) = generator.plan_delta_multi(cfd, "CITY", [("UK", "EH4 1DT")])
+        (restricted,) = generator.plan_delta_multi(cfd, "CITY", self.KEYS[:key_count])
         assert full.kind == restricted.kind == "q_window"
         return full, restricted
 
@@ -160,21 +165,131 @@ class TestWindowPlan:
     def test_member_joins_and_restricted_subquery_probe_the_index(
         self, sqlite_customer, customer_relation
     ):
-        sqlite_customer.ensure_index("customer", parse_cfd(self.CFD_TEXT).lhs)
-        full, restricted = self._queries(sqlite_customer, customer_relation.schema)
-        _, full_join = self._steps(sqlite_customer, full)
-        subquery, restricted_join = self._steps(sqlite_customer, restricted)
-        assert self._probes(full_join), full_join
-        assert self._probes(subquery), subquery
-        assert self._probes(restricted_join), restricted_join
+        sqlite_customer.ensure_index("customer", ("CNT", "ZIP", "CITY"))
+        for key_count in (1, 2, 4):
+            full, restricted = self._queries(
+                sqlite_customer, customer_relation.schema, key_count
+            )
+            _, full_join = self._steps(sqlite_customer, full)
+            assert self._probes(full_join), full_join
+            reads = _relation_reads(_explain(sqlite_customer, restricted))
+            # the member read, the group's MIN and the EXISTS test
+            assert len(reads) == 3, reads
+            assert all(self.PROBE.search(read) for read in reads), reads
+            assert not any("(CNT>?)" in read for read in reads), reads
 
     def test_without_index_the_plans_scan(self, sqlite_customer, customer_relation):
         full, restricted = self._queries(sqlite_customer, customer_relation.schema)
-        for query in (full, restricted):
-            subquery, join = self._steps(sqlite_customer, query)
-            assert "SCAN T" in subquery or "SCAN TABLE T" in subquery, subquery
-            assert "SCAN T" in join or "SCAN TABLE T" in join, join
-            assert not self._probes(subquery + join)
+        subquery, join = self._steps(sqlite_customer, full)
+        assert "SCAN T" in subquery or "SCAN TABLE T" in subquery, subquery
+        assert "SCAN T" in join or "SCAN TABLE T" in join, join
+        assert not self._probes(subquery + join)
+        reads = _relation_reads(_explain(sqlite_customer, restricted))
+        assert reads, reads
+        assert not any(
+            marker in read for marker in INDEX_MARKERS for read in reads
+        ), reads
+
+    @pytest.mark.parametrize("key_count", [1, 2, 4])
+    def test_constant_lhs_probes_per_key(
+        self, sqlite_customer, customer_relation, key_count
+    ):
+        # the constant is tested on the key columns, so no read ranges
+        # over every UK entry
+        cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
+        sqlite_customer.ensure_index("customer", ("CNT", "ZIP", "STR"))
+        generator = DetectionSqlGenerator(
+            customer_relation.schema, dialect=sqlite_customer.dialect
+        )
+        (restricted,) = generator.plan_delta_multi(cfd, "STR", self.KEYS[:key_count])
+        reads = _relation_reads(_explain(sqlite_customer, restricted))
+        assert len(reads) == 3, reads
+        assert all(self.PROBE.search(read) for read in reads), reads
+        assert not any("(CNT=? AND ZIP>?)" in read for read in reads), reads
+
+    def test_single_attribute_group_check_is_two_seeks(
+        self, sqlite_customer, customer_relation
+    ):
+        # [CC] -> [CNT]: the group's MIN is a search on CC and the EXISTS a
+        # search for a greater CNT, whatever the size of the CC group
+        cfd = parse_cfd("customer: [CC=_] -> [CNT=_]")
+        sqlite_customer.ensure_index("customer", ("CC", "CNT"))
+        generator = DetectionSqlGenerator(
+            customer_relation.schema, dialect=sqlite_customer.dialect
+        )
+        (restricted,) = generator.plan_delta_multi(cfd, "CNT", [("44",), ("01",)])
+        reads = _relation_reads(_explain(sqlite_customer, restricted))
+        by_alias = {read.split()[1]: read for read in reads}
+        assert set(by_alias) == {"T", "X", "M"}, reads
+        assert all("USING COVERING INDEX" in read for read in reads), reads
+        assert "(CC=? AND CNT>?)" in by_alias["X"], reads
+        assert "(CC=?" in by_alias["M"], reads
+        assert "(CC=?" in by_alias["T"], reads
+
+
+class TestRestrictedSinglePlan:
+    """The restricted ``Q_C`` reads the named tids by rowid.
+
+    With a (CC, CNT) detection index, SQLite would otherwise read every
+    ``CC='44'`` entry and filter them by tid.
+    """
+
+    def test_restricted_qc_searches_the_primary_key(
+        self, sqlite_customer, customer_relation
+    ):
+        cfd = parse_cfd("customer: [CC='44'] -> [CNT='UK']")
+        sqlite_customer.ensure_index("customer", ("CC", "CNT"))
+        generator = DetectionSqlGenerator(
+            customer_relation.schema, dialect=sqlite_customer.dialect
+        )
+        (restricted,) = generator.plan_delta_single(cfd, [0, 1, 2, 3])
+        reads = _relation_reads(_explain(sqlite_customer, restricted))
+        assert len(reads) == 1, reads
+        assert "USING INTEGER PRIMARY KEY" in reads[0], reads
+        assert "INDEX" not in reads[0].replace("PRIMARY KEY", ""), reads
+
+
+class TestGroupRestrictionPlans:
+    """``covering_members`` and ``group_stats`` search the index per key.
+
+    A bare ``(CNT, ZIP) IN (VALUES ...)`` of two or more keys planned as a
+    full ``SCAN t``; the row-value semi-join over a subquery is searched
+    once per key.
+    """
+
+    KEYS = TestWindowPlan.KEYS
+
+    @pytest.mark.parametrize("key_count", [1, 2, 4])
+    @pytest.mark.parametrize("builder", ["covering_members_plans", "group_stats_plans"])
+    def test_multi_key_restriction_searches_the_index(
+        self, sqlite_customer, customer_relation, builder, key_count
+    ):
+        cfd = parse_cfd("customer: [CNT=_, ZIP=_] -> [CITY=_]")
+        sqlite_customer.ensure_index("customer", ("CNT", "ZIP", "CITY"))
+        generator = DetectionSqlGenerator(
+            customer_relation.schema, dialect=sqlite_customer.dialect
+        )
+        (plan,) = getattr(generator, builder)(cfd, "CITY", self.KEYS[:key_count])
+        reads = _relation_reads(_explain(sqlite_customer, plan))
+        assert len(reads) == 1, reads
+        assert TestWindowPlan.PROBE.search(reads[0]), reads
+
+
+def _explain(backend, query):
+    detail = backend.explain_query_plan(query.sql, query.parameters)
+    if not detail:
+        pytest.skip("this SQLite build returns no EXPLAIN QUERY PLAN rows")
+    return detail
+
+
+def _relation_reads(detail):
+    """The plan steps that read the relation (aliases t, x, m), upper-cased."""
+    steps = [str(row["detail"]).upper().replace(" TABLE ", " ") for row in detail]
+    return [
+        step
+        for step in steps
+        if step.startswith(("SCAN ", "SEARCH ")) and step.split()[1] in ("T", "X", "M")
+    ]
 
 
 class TestExplainHook:

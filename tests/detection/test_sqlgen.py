@@ -113,6 +113,19 @@ class TestGeneratedSqlRuns:
         }
 
 
+    def test_restricted_multi_query_returns_each_member_once(
+        self, customer_relation, customer_backend
+    ):
+        cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
+        generator = DetectionSqlGenerator(customer_relation.schema)
+        # three keys pad to four by repeating the last, violating one
+        keys = [("US", "01202"), ("NL", "1012"), ("UK", "EH4 1DT")]
+        (query,) = generator.plan_delta_multi(cfd, "STR", keys)
+        assert len(query.parameters) == 4 * 2 + 1
+        rows = customer_backend.execute(query.sql, query.parameters)
+        assert sorted(row["tid"] for row in rows) == [0, 1]
+
+
 def _two_lhs_cfd(relation="r"):
     return CFD(
         relation=relation,
@@ -134,24 +147,59 @@ class TestDeltaPlans:
         cfd = parse_cfd("r: [A='x', B=_] -> [C='c1']")
         (query,) = generator.plan_delta_single(cfd, [1, 2, 3, 4])
         assert "t._tid IN (?, ?, ?, ?)" in query.sql
+        # each tid is a rowid lookup: no index on the constant LHS is used
+        assert "FROM r t NOT INDEXED\n" in query.sql
         assert "t.A AS lhs_A" in query.sql and "t.B AS lhs_B" in query.sql
         # the pattern constants bind first, the tids last
         assert query.parameters == ("x", "c1", 1, 2, 3, 4)
+        # the full Q_C keeps the index
+        (full,) = generator.plan_single_queries(cfd)
+        assert "NOT INDEXED" not in full.sql
 
     def test_single_attribute_groups_use_flat_in_list(self):
         cfd = parse_cfd("r: [A=_] -> [C=_]")
         generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
         keys = [("a",), ("b",), ("c",), ("d",)]
+        (members,) = generator.covering_members_plans(cfd, "C", keys)
+        assert "t.A IN (?, ?, ?, ?)" in members.sql
+        assert "VALUES" not in members.sql
+        # the restricted Q_V starts from the distinct key list instead
         (query,) = generator.plan_delta_multi(cfd, "C", keys)
-        assert "t.A IN (?, ?, ?, ?)" in query.sql
-        assert "VALUES" not in query.sql
+        key_list = "FROM (SELECT DISTINCT * FROM (VALUES (?), (?), (?), (?))) k\n"
+        assert key_list in query.sql
+        assert "CROSS JOIN r t ON t.A = k.column1\n" in query.sql
+        assert query.parameters == ("a", "b", "c", "d")
 
     def test_multi_attribute_groups_use_row_values(self):
         generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
         cfd = _two_lhs_cfd()
-        (query,) = generator.plan_delta_multi(cfd, "C", [("x", "y"), ("u", "v")])
-        assert "(t.A, t.B) IN (VALUES (?, ?), (?, ?))" in query.sql
+        keys = [("x", "y"), ("u", "v")]
+        (members,) = generator.covering_members_plans(cfd, "C", keys)
+        assert "(t.A, t.B) IN (SELECT * FROM (VALUES (?, ?), (?, ?)))" in members.sql
+        (query,) = generator.plan_delta_multi(cfd, "C", keys)
+        assert "FROM (SELECT DISTINCT * FROM (VALUES (?, ?), (?, ?))) k\n" in query.sql
+        assert "CROSS JOIN r t ON t.A = k.column1 AND t.B = k.column2\n" in query.sql
+        # the group check: some member's RHS above the group's minimum
+        assert (
+            "EXISTS (SELECT 1 FROM r x WHERE x.A = k.column1 AND x.B = k.column2 "
+            "AND x.C > (SELECT MIN(m.C) FROM r m WHERE m.A = k.column1 "
+            "AND m.B = k.column2))"
+        ) in query.sql
+        assert "COUNT(DISTINCT" not in query.sql
         assert generator.flatten_group_keys([("x", "y")]) == ("x", "y")
+
+    def test_restricted_qv_tests_constants_on_the_keys(self):
+        # the key list binds first (it opens the statement), then the
+        # pattern constants, which compare with the key columns
+        schema = RelationSchema(
+            "r",
+            [AttributeDef("A"), AttributeDef("B", DataType.INTEGER), AttributeDef("C")],
+        )
+        generator = DetectionSqlGenerator(schema, dialect=SqliteDialect())
+        cfd = parse_cfd("r: [A='x', B='5'] -> [C=_]").coerced_to(schema)
+        (query,) = generator.plan_delta_multi(cfd, "C", [("x", 5), ("y", 6)])
+        assert "WHERE k.column1 = ? AND CAST(k.column2 AS TEXT) = ? AND EXISTS" in query
+        assert query.parameters == ("x", 5, "y", 6, "x", "5")
 
     def test_chunking_respects_parameter_budget(self):
         generator = DetectionSqlGenerator(

@@ -135,7 +135,7 @@ class TestExplainPlans:
             assert plans, "explain_plans mode captured nothing"
             window = [plan for plan in plans if plan["kind"] == "q_window"]
             assert window, "no one-pass Q_V plan captured"
-            # the detector builds the CFD-LHS index before executing, so the
+            # the detector builds its indexes before executing, so the
             # member join must be driven by an index
             assert all(plan["uses_index"] for plan in window)
         finally:
