@@ -49,14 +49,7 @@ import logging as _logging
 # child loggers; attach a handler to "repro" to see it.
 _logging.getLogger(__name__).addHandler(_logging.NullHandler())
 
-from .backends import (
-    DeltaBatch,
-    SqliteBackend,
-    StorageBackend,
-    available_backends,
-    create_backend,
-    register_backend,
-)
+from .backends import DeltaBatch, SqliteBackend, StorageBackend
 from .core.cfd import CFD
 from .core.parser import format_cfd, parse_cfd, parse_cfds
 from .core.pattern import PatternTuple, PatternValue
@@ -85,9 +78,6 @@ __all__ = [
     "StorageBackend",
     "DeltaBatch",
     "SqliteBackend",
-    "available_backends",
-    "create_backend",
-    "register_backend",
     "Relation",
     "RelationSchema",
     "AttributeDef",

@@ -1,4 +1,4 @@
-"""The storage-backend interface: the "Database Servers" layer made pluggable.
+"""The storage-backend interface: the "Database Servers" layer.
 
 Semandaq's defining architecture decision is that CFD violation detection is
 compiled to SQL and *pushed down* to the underlying DBMS.  A
@@ -7,10 +7,10 @@ database server:
 
 * **catalog operations** — create/drop/list relations, schema lookup;
 * **bulk loading** — :meth:`insert_many` for loading rows efficiently
-  (CSV import, tableau materialisation);
+  (CSV import, relation registration);
 * **tid-stable row access** — every stored row keeps the stable integer
   tuple id (``tid``) the detector, auditor and cleanser use to refer to it,
-  across backends and across round trips;
+  across round trips;
 * **delta operations** — :meth:`insert_row`, :meth:`delete_row` and
   :meth:`update_row` apply a single-tuple change without reloading the
   relation, and :meth:`apply_delta_batch` applies a whole
@@ -19,9 +19,10 @@ database server:
   update batch (and every incremental-repair cell change) down this way,
   which is what keeps a backend-resident copy current at a cost
   proportional to the update batch instead of the relation;
-* **query execution** — :meth:`execute` runs a detection query (in the
-  backend's own :class:`~repro.backends.dialect.SqlDialect`) and returns
-  plain row dicts;
+* **query execution** — :meth:`execute` runs a detection query and returns
+  plain row dicts; :attr:`~StorageBackend.max_parameters` is how many
+  ``?`` values one statement may bind, the budget the detection-SQL
+  generator chunks by;
 * **index management** — :meth:`ensure_index` lets the detector create
   indexes on CFD LHS attributes before running the grouping queries.
 
@@ -29,9 +30,7 @@ The library ships one implementation, the
 :class:`~repro.backends.sqlite.SqliteBackend` over the stdlib ``sqlite3``
 module; test doubles and the telemetry layer's
 :class:`~repro.obs.instrument.InstrumentedBackend` substitute through this
-interface.  New backends register themselves with
-:func:`repro.backends.registry.register_backend` and become selectable via
-``SemandaqConfig(backend=...)``.
+interface.
 """
 
 from __future__ import annotations
@@ -43,16 +42,16 @@ from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Seque
 from ..engine.relation import Relation
 from ..engine.types import RelationSchema
 from .delta import DeltaBatch
-from .dialect import SqlDialect
 
 
 class StorageBackend(abc.ABC):
     """Abstract interface every storage backend implements."""
 
-    #: short backend name (matches its registry key)
+    #: short backend name
     name: str = "abstract"
-    #: SQL dialect the backend's ``execute`` understands
-    dialect: SqlDialect
+    #: bound-parameter budget of one statement; the detection-SQL
+    #: generator sizes its chunks so no statement binds more
+    max_parameters: int
 
     # -- catalog ---------------------------------------------------------------
 
@@ -172,11 +171,11 @@ class StorageBackend(abc.ABC):
         in-memory :class:`Relation` may return the live object; callers
         must not rely on the result being a private copy.
 
-        The SQL detection paths no longer call this: ``detect`` and
-        ``detect_for_tuples`` assemble their reports from backend rows
-        alone (schema and row count come from the catalog ops above), so a
-        remote backend never ships the relation back.  It remains the bulk-export
-        path for the native detector, repair and the explorer.
+        No program path calls this: SQL detection, resident repair, audit
+        and the explorer read through pushed-down statements, and the
+        native oracles read the working store.  Tests use it to compare
+        the backend copy with the working store, and the benchmarks'
+        ship-the-relation-back baselines to reproduce the old protocol.
         """
 
     # -- queries and indexes -------------------------------------------------------
@@ -185,7 +184,7 @@ class StorageBackend(abc.ABC):
     def execute(
         self, sql: str, parameters: Optional[Sequence[Any]] = None
     ) -> List[Dict[str, Any]]:
-        """Run ``sql`` (in this backend's dialect) and return rows as dicts.
+        """Run ``sql`` and return rows as dicts.
 
         Statements that produce no rows (DDL, DML) return an empty list.
         ``parameters`` bind to the statement's ``?`` placeholders.

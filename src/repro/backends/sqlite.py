@@ -62,7 +62,6 @@ from ..engine.relation import Relation
 from ..engine.types import AttributeDef, DataType, RelationSchema
 from .base import StorageBackend
 from .delta import DeltaBatch
-from .dialect import SQLITE_DIALECT, SQLITE_PARAMETER_FLOOR, SqliteDialect
 from .pool import SqliteReaderPool
 
 #: SQLite column affinity per engine data type
@@ -88,6 +87,10 @@ MIN_SQLITE_VERSION = (3, 25)
 
 #: name of the hidden tuple-id column
 TID_COLUMN = "_tid"
+
+#: the portable floor of ``SQLITE_MAX_VARIABLE_NUMBER``: builds compiled
+#: before SQLite 3.32 default to 999 bound parameters per statement
+SQLITE_PARAMETER_FLOOR = 999
 
 #: default size of the connection's prepared-statement cache.  The default
 #: of the stdlib module (128) is too small once the detection layer issues
@@ -126,10 +129,6 @@ class SqliteBackend(StorageBackend):
     """Storage backend over a (file- or memory-backed) SQLite database."""
 
     name = "sqlite"
-    #: class-level default (the conservative 999-parameter floor); every
-    #: instance replaces it with a per-connection dialect carrying the
-    #: connection's real bound-parameter limit
-    dialect = SQLITE_DIALECT
 
     def __init__(
         self,
@@ -146,6 +145,8 @@ class SqliteBackend(StorageBackend):
                 f"SQLite {sqlite3.sqlite_version} is too old: the sqlite backend "
                 f"needs {'.'.join(map(str, MIN_SQLITE_VERSION))} or newer"
             )
+        if pool_size is not None and pool_size < 0:
+            raise BackendError(f"pool_size must be >= 0 or None, not {pool_size}")
         self.path = str(path)
         self._synchronous = synchronous
         self._cached_statements = cached_statements
@@ -164,11 +165,18 @@ class SqliteBackend(StorageBackend):
         # caching whose SQL-text half lives in DetectionSqlGenerator.
         # ``check_same_thread=False``: the writer connection is shared by
         # every thread that applies updates, serialised by ``_write_lock``.
-        self._conn = sqlite3.connect(
-            self.path, cached_statements=cached_statements, check_same_thread=False
-        )
+        # A path SQLite cannot open (a missing directory, a file that is
+        # not a database) raises the typed BackendError.
+        try:
+            self._conn = sqlite3.connect(
+                self.path, cached_statements=cached_statements, check_same_thread=False
+            )
+            self._conn.execute("PRAGMA journal_mode=WAL")
+        except sqlite3.Error as exc:
+            raise BackendError(
+                f"cannot open the sqlite store at {self.path!r}: {exc}"
+            ) from exc
         self._conn.row_factory = sqlite3.Row
-        self._conn.execute("PRAGMA journal_mode=WAL")
         self._conn.execute(f"PRAGMA synchronous={synchronous}")
         self._conn.execute("PRAGMA temp_store=MEMORY")
         self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
@@ -184,19 +192,14 @@ class SqliteBackend(StorageBackend):
             if pool_size > 0
             else None
         )
-        # The delta query compiler chunks its statements by this dialect's
+        # The detection-SQL generator chunks its statements by this
         # parameter budget, so read the connection's real limit where the
         # stdlib exposes it (Python 3.11+); older builds keep the portable
         # 999 floor.  ``max_parameters`` overrides the probe — e.g. to force
-        # fine chunking against a capped server.
+        # fine chunking in tests.
         if max_parameters is None:
             max_parameters = self._probe_parameter_limit()
-        self.dialect = SqliteDialect(max_parameters=max_parameters)
-        # The dialect renders FLOAT columns with pystr(...) so the string
-        # encoding matches Python's str() exactly (CAST AS TEXT disagrees on
-        # exponent-form floats: '1.0e+16' vs '1e+16'), keeping detection
-        # results identical to the native detector.
-        self._conn.create_function("pystr", 1, _pystr, deterministic=True)
+        self.max_parameters = max_parameters
         self._schemas: Dict[str, RelationSchema] = {}
         self._next_tid: Dict[str, int] = {}
         #: ``(relation, attributes)`` pairs :meth:`ensure_index` has built;
@@ -239,7 +242,6 @@ class SqliteBackend(StorageBackend):
         conn.row_factory = sqlite3.Row
         conn.execute("PRAGMA query_only=ON")
         conn.execute(f"PRAGMA busy_timeout={int(self._busy_timeout_ms)}")
-        conn.create_function("pystr", 1, _pystr, deterministic=True)
         return conn
 
     @contextmanager
@@ -752,11 +754,6 @@ class SqliteBackend(StorageBackend):
         return self._schemas[name]
 
 
-def _pystr(value: Any) -> Optional[str]:
-    """SQL function behind the dialect's FLOAT rendering: Python str()."""
-    return None if value is None else str(value)
-
-
 def _encode(value: Any) -> Any:
     """Encode an engine value for SQLite storage (booleans become 0/1)."""
     if isinstance(value, bool):
@@ -764,12 +761,23 @@ def _encode(value: Any) -> Any:
     return value
 
 
+def decode_backend_value(dtype: DataType, value: Any) -> Any:
+    """Decode one stored value of type ``dtype`` into its engine value.
+
+    The inverse of :func:`_encode`: SQLite hands back 0/1 for booleans,
+    which the working store holds as ``bool`` — hash-equal, but reports
+    must show the latter.  Every other type round-trips unchanged.  The
+    detector's report assembly and the backend tuple source decode
+    through here too.
+    """
+    if value is not None and dtype is DataType.BOOLEAN:
+        return bool(value)
+    return value
+
+
 def _decode_row(schema: RelationSchema, row: sqlite3.Row) -> Dict[str, Any]:
-    """Decode a SQLite row back into engine values (0/1 back to booleans)."""
-    out: Dict[str, Any] = {}
-    for attr in schema.attributes:
-        value = row[attr.name]
-        if value is not None and attr.dtype is DataType.BOOLEAN:
-            value = bool(value)
-        out[attr.name] = value
-    return out
+    """Decode a SQLite row back into engine values."""
+    return {
+        attr.name: decode_backend_value(attr.dtype, row[attr.name])
+        for attr in schema.attributes
+    }

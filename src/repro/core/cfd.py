@@ -185,13 +185,13 @@ class CFD:
         """Validate against ``schema`` and type every constant by its attribute.
 
         A CFD parsed from text keeps its constants as strings, so on a
-        non-string column the native detector would compare ``'5' == 5``
-        while the SQL paths compare string encodings.  Each constant is
-        coerced to its attribute's dtype with
-        :func:`~repro.engine.types.coerce_value`, so every path compares
-        the same value.  Returns ``self`` when no constant changes; raises
-        :class:`CfdSchemaError` for an unknown attribute or a constant that
-        does not coerce.
+        non-string column the native detector would compare ``'5' == 5``.
+        Each constant is coerced by :meth:`typed_constant`, so every path
+        compares the same value: the native and incremental detectors
+        compare it with the working store's values, and the SQL paths bind
+        it against the values SQLite stores.  Returns ``self`` when no
+        constant changes; raises :class:`CfdSchemaError` for an unknown
+        attribute or a constant that does not coerce.
         """
         self.validate_against(schema.attribute_names)
         changed = False
@@ -200,21 +200,30 @@ class CFD:
             values = []
             for attribute, value in pattern.values:
                 if value.is_constant:
-                    dtype = schema.attribute(attribute).dtype
-                    try:
-                        typed = coerce_value(value.constant, dtype)
-                    except TypeMismatchError as exc:
-                        raise CfdSchemaError(
-                            f"CFD {self.identifier}: constant {value.constant!r} "
-                            f"of {attribute} is not a {dtype.value}"
-                        ) from exc
-                    # 5 == 5.0, but the SQL paths compare str() encodings
+                    typed = self.typed_constant(schema, attribute, value.constant)
+                    # 5 == 5.0, but the typed copy carries the column's type
                     if type(typed) is not type(value.constant) or typed != value.constant:
                         value = PatternValue.const(typed)
                         changed = True
                 values.append((attribute, value))
             patterns.append(PatternTuple(values=tuple(values)))
         return self.with_patterns(patterns) if changed else self
+
+    def typed_constant(self, schema: RelationSchema, attribute: str, constant: Any) -> Any:
+        """``constant`` coerced to ``attribute``'s dtype in ``schema``.
+
+        The rule of :meth:`coerced_to` and of the detection SQL's bound
+        constants (:func:`~repro.engine.types.coerce_value`); raises
+        :class:`CfdSchemaError` when the constant does not coerce.
+        """
+        dtype = schema.attribute(attribute).dtype
+        try:
+            return coerce_value(constant, dtype)
+        except TypeMismatchError as exc:
+            raise CfdSchemaError(
+                f"CFD {self.identifier}: constant {constant!r} "
+                f"of {attribute} is not a {dtype.value}"
+            ) from exc
 
     # -- normalisation -------------------------------------------------------------------
 

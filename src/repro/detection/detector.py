@@ -16,20 +16,20 @@ runs against a remote server without shipping the relation back.  The
 only writes are the detection indexes (``ensure_index``), one per CFD
 and RHS attribute over the LHS followed by that RHS attribute; nothing
 is added to the backend's catalog.  Backend values are decoded per
-schema dtype (:func:`decode_backend_value`) so reports stay identical to
-the native oracle's.
+schema dtype (:func:`~repro.backends.sqlite.decode_backend_value`) so
+reports stay identical to the native oracle's.
 
 ``detect_for_tuples`` pushes the tuple restriction down as well: the
 restricted ``Q_C``/``Q_V`` plans re-check only the named tids (rowid
-lookups from flat, dialect-chunked ``IN`` lists) and the LHS-value groups
+lookups from flat, budget-chunked ``IN`` lists) and the LHS-value groups
 they belong to (index seeks from the distinct key list), instead of
 running a full detection and filtering the report afterwards, so a
 request costs the tuples and groups it names, not the relation.
 
 The detector accepts any :class:`~repro.backends.base.StorageBackend`;
-detection SQL is generated in the backend's dialect through one cached
-generator per relation, whose prepared-plan cache persists across
-``detect`` calls.  Over a :class:`~repro.engine.database.Database` it runs
+detection SQL is generated under the backend's parameter budget through
+one cached generator per relation, whose prepared-plan cache persists
+across ``detect`` calls.  Over a :class:`~repro.engine.database.Database` it runs
 the native path only, reading the working relations directly: asking it
 for SQL raises :class:`~repro.errors.SqlBackendRequiredError`.
 """
@@ -40,6 +40,7 @@ import threading
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..backends.base import StorageBackend
+from ..backends.sqlite import decode_backend_value
 from ..core.cfd import CFD
 from ..core.satisfaction import (
     multi_tuple_violation_groups,
@@ -47,27 +48,12 @@ from ..core.satisfaction import (
 )
 from ..engine.database import Database
 from ..engine.relation import Relation
-from ..engine.types import DataType, RelationSchema
+from ..engine.types import RelationSchema
 from ..errors import DetectionError, SqlBackendRequiredError
 from ..obs.instrument import InstrumentedBackend
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .sqlgen import LHS_COLUMN_PREFIX, DetectionSqlGenerator, SqlQuery
 from .violations import MULTI, SINGLE, Violation, ViolationReport
-
-
-def decode_backend_value(schema: RelationSchema, attribute: str, value: Any) -> Any:
-    """Decode one backend-stored value into its engine representation.
-
-    SQLite hands back stored representations (0/1 for booleans); the
-    working store holds engine values — hash-equal, but reports must show
-    the latter.  Every other type round-trips unchanged.  Shared by the
-    detector's report assembly and the backend tuple source.
-    """
-    if value is None:
-        return None
-    if schema.attribute(attribute).dtype is DataType.BOOLEAN:
-        return bool(value)
-    return value
 
 
 def _sub_cfd(cfd: CFD, rhs_attribute: str) -> CFD:
@@ -353,7 +339,9 @@ class ErrorDetector:
             generator = self._generators.get(relation_name)
             if generator is None or generator.schema != schema:
                 generator = DetectionSqlGenerator(
-                    schema, dialect=self.backend.dialect, telemetry=self.telemetry
+                    schema,
+                    max_parameters=self.backend.max_parameters,
+                    telemetry=self.telemetry,
                 )
                 self._generators[relation_name] = generator
             return generator
@@ -455,7 +443,7 @@ class ErrorDetector:
                     pattern_index=pattern_index,
                     lhs_attributes=cfd.lhs,
                     lhs_values=tuple(
-                        decode_backend_value(schema, attr, value)
+                        decode_backend_value(schema.attribute(attr).dtype, value)
                         for attr, value in zip(cfd.lhs, lhs_raw)
                     ),
                 )
@@ -516,7 +504,7 @@ class ErrorDetector:
                     pattern_index=pattern_index,
                     lhs_attributes=cfd.lhs,
                     lhs_values=tuple(
-                        decode_backend_value(schema, attr, value)
+                        decode_backend_value(schema.attribute(attr).dtype, value)
                         for attr, value in zip(cfd.lhs, lhs_values)
                     ),
                 )

@@ -18,13 +18,14 @@ queries over the data relation ``R``, one per pattern row of ``Tp``:
 A constant LHS position renders as a parameter-bound equality
 (``t.A = ?``) that rides the auto-built detection index — the CFD's LHS
 followed by the RHS attribute, so group checks read the index alone; a
-wildcard position only requires a non-NULL value.  For non-string
-attributes the data side is rendered as a string through the backend's
-:class:`~repro.backends.dialect.SqlDialect` (``CAST(... AS TEXT)`` on
-SQLite) and compared with the constant's string encoding.  Pattern
-constants travel out-of-band as ``?`` parameters — SQL strings never embed
-data values.  Pattern rows that render to an identical statement are
-emitted once, labelled with the lowest pattern index.
+wildcard position only requires a non-NULL value.  Pattern constants
+travel out-of-band as ``?`` parameters — SQL strings never embed data
+values — and bind typed by their column (:meth:`CFD.typed_constant`, the
+rule :meth:`CFD.coerced_to` applies), so every statement compares the
+values SQLite stores, whatever the column's type: an INTEGER or FLOAT
+constant seeks the index like a STRING one.  Pattern rows that render to
+an identical statement are emitted once, labelled with the lowest pattern
+index.
 
 The trade-off against the paper's shape: joining ``R`` with a relational
 encoding of ``Tp`` needs two statements per CFD however many pattern rows
@@ -45,10 +46,9 @@ those keys and tuples, not the relation:
   ``EXISTS (... x.A > (SELECT MIN(m.A) ...))``, two seeks on the
   LHS+RHS index however large the group — and only the members of
   violating keys are read.  The pattern constants are tested on the key
-  columns.  Comparing stored values finds the same groups as ``COUNT
-  (DISTINCT)`` over their string encodings because every dtype's
-  encoding is injective (identity, an integer cast, Python ``str`` of a
-  float, a boolean ``CASE``).
+  columns.  Both forms compare stored values, so "some member above the
+  minimum" finds exactly the groups the full form's ``COUNT(DISTINCT
+  t.A) > 1`` finds.
 
 The group restriction of the tuple-source aggregates is a flat ``IN (?,
 ?, ...)`` list for a single-attribute LHS and a row-value semi-join over
@@ -56,8 +56,8 @@ a subquery — ``(t.X1, t.X2) IN (SELECT * FROM (VALUES (?, ?), ...))`` —
 otherwise; SQLite (3.40) searches the index once per key for both, where
 a bare ``IN (VALUES ...)`` of two or more keys is read as a filter over a
 scan.  Every shape is one expression node however long, so chunking is
-driven by the dialect's *parameter budget* alone
-(:attr:`~repro.backends.dialect.SqlDialect.max_parameters`): each emitted
+driven by the *parameter budget* alone (``max_parameters``, the backend's
+:attr:`~repro.backends.base.StorageBackend.max_parameters`): each emitted
 statement binds at most that many values, however wide the CFD's LHS is.
 
 Two plan-quality mechanisms sit on top of the query builders:
@@ -82,9 +82,9 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..backends.dialect import SQLITE_DIALECT, SqlDialect
+from ..backends.sqlite import SQLITE_PARAMETER_FLOOR
 from ..core.cfd import CFD
 from ..engine.types import RelationSchema
 from ..errors import DetectionError
@@ -100,6 +100,11 @@ KEY_ALIAS = "k"
 #: column-alias prefix for the LHS values a ``Q_C`` carries so the caller
 #: can assemble violation reports without touching the data store
 LHS_COLUMN_PREFIX = "lhs_"
+
+#: cap on OR-chain disjuncts in one statement.  SQLite caps the
+#: expression-tree depth at 1000, so the applicability counts OR-ing one
+#: conjunction per sub-CFD are chunked at least this finely.
+MAX_OR_TERMS = 200
 
 
 @dataclass(frozen=True)
@@ -135,18 +140,18 @@ class SqlQuery:
 class DetectionSqlGenerator:
     """Compiles CFDs into detection SQL against a given data relation schema.
 
-    ``dialect`` supplies the string rendering and the statement budgets; it
-    defaults to the SQLite dialect with the portable 999-parameter floor.
+    ``max_parameters`` is the number of ``?`` values one statement may
+    bind (the backend's probed limit; the portable 999 floor by default).
     """
 
     def __init__(
         self,
         schema: RelationSchema,
-        dialect: Optional[SqlDialect] = None,
+        max_parameters: int = SQLITE_PARAMETER_FLOOR,
         telemetry: Optional["Telemetry"] = None,
     ):
         self.schema = schema
-        self.dialect = dialect or SQLITE_DIALECT
+        self.max_parameters = max_parameters
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         #: prepared-plan cache: (kind, cfd, ..., chunk shape) -> query.
         #: SqlQuery is frozen, so cached plans are safe to share.
@@ -180,16 +185,6 @@ class DetectionSqlGenerator:
             return len(self._plan_cache)
 
     # -- helpers ----------------------------------------------------------------
-
-    def _data_column(self, attribute: str) -> str:
-        """Render the data-side column as the pattern constants' string encoding."""
-        dtype = self.schema.attribute(attribute).dtype
-        return self.dialect.string_expr(f"{DATA_ALIAS}.{attribute}", dtype)
-
-    def _bind_literal(self, value: str, params: List[Any]) -> str:
-        """Render a string literal as a ``?`` parameter bound to ``value``."""
-        params.append(value)
-        return "?"
 
     def wildcard_rhs_attributes(self, cfd: CFD) -> List[str]:
         """RHS attributes carrying the wildcard in at least one pattern."""
@@ -255,11 +250,10 @@ class DetectionSqlGenerator:
     ) -> List[str]:
         """Per-pattern LHS conditions with sargable constant equalities.
 
-        A constant position renders as ``<string-encoding> = ?`` binding
-        the constant's string encoding — for string attributes that is a
-        bare ``t.X = ?`` the auto-built detection index answers directly
-        (the trick the covering members plan proved).  Equality implies
-        non-NULL, so the explicit guard is kept only for wildcard
+        A constant position renders as a bare ``t.X = ?`` binding the
+        typed constant, which the auto-built detection index answers
+        directly (the trick the covering members plan proved).  Equality
+        implies non-NULL, so the explicit guard is kept only for wildcard
         positions, which any non-NULL value matches.
         """
         pattern = cfd.patterns[pattern_index]
@@ -268,23 +262,19 @@ class DetectionSqlGenerator:
             value = pattern.value(attribute)
             if value.is_constant:
                 conditions.append(
-                    self._constant_test(
-                        f"{DATA_ALIAS}.{attribute}", attribute, value.constant, params
-                    )
+                    f"{DATA_ALIAS}.{attribute} = "
+                    f"{self._bind_constant(cfd, attribute, value.constant, params)}"
                 )
             else:
                 conditions.append(f"{DATA_ALIAS}.{attribute} IS NOT NULL")
         return conditions
 
-    def _constant_test(
-        self, column: str, attribute: str, constant: Any, params: List[Any]
+    def _bind_constant(
+        self, cfd: CFD, attribute: str, constant: Any, params: List[Any]
     ) -> str:
-        """``<string-encoding of column> = ?``, binding the constant's encoding."""
-        dtype = self.schema.attribute(attribute).dtype
-        return (
-            f"{self.dialect.string_expr(column, dtype)} = "
-            f"{self._bind_literal(str(constant), params)}"
-        )
+        """``?``, binding ``constant`` typed by its column (:meth:`CFD.typed_constant`)."""
+        params.append(cfd.typed_constant(self.schema, attribute, constant))
+        return "?"
 
     def _sargable_single_for(
         self,
@@ -311,11 +301,9 @@ class DetectionSqlGenerator:
             value = rhs.value(attribute)
             if not value.is_constant:
                 continue
-            expected = self._bind_literal(str(value.constant), params)
-            rhs_parts.append(
-                f"({self._data_column(attribute)} <> {expected} "
-                f"OR {DATA_ALIAS}.{attribute} IS NULL)"
-            )
+            column = f"{DATA_ALIAS}.{attribute}"
+            expected = self._bind_constant(cfd, attribute, value.constant, params)
+            rhs_parts.append(f"({column} <> {expected} OR {column} IS NULL)")
         conditions.append("(" + " OR ".join(rhs_parts) + ")")
         source = f"{cfd.relation} {DATA_ALIAS}"
         if delta_tid_count is not None:
@@ -348,7 +336,7 @@ class DetectionSqlGenerator:
         params: List[Any] = []
         inner_conditions = self._pattern_lhs_conditions(cfd, pattern_index, params)
         inner_conditions.append(f"{DATA_ALIAS}.{rhs_attribute} IS NOT NULL")
-        distinct = f"COUNT(DISTINCT {self._data_column(rhs_attribute)})"
+        distinct = f"COUNT(DISTINCT {DATA_ALIAS}.{rhs_attribute})"
         member_columns = self._member_columns(cfd)
         group_select = [f"{DATA_ALIAS}.{attr} AS {attr}" for attr in cfd.lhs]
         group_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
@@ -386,9 +374,9 @@ class DetectionSqlGenerator:
         lookup; a key violates when some member's RHS is greater than the
         group's minimum RHS (two seeks); and only a violating key's
         members are read.  Rows are ``(tid, lhs_*)`` like the full form's.
-        A key is a group's LHS values as the backend stores them (the
-        constants are tested on the key columns through the same string
-        encoding the full form applies to the data).
+        A key is a group's LHS values as the backend stores them, so the
+        typed constants compare with the key columns exactly as the full
+        form compares them with the data.
 
         Binding order: the keys flattened in ``cfd.lhs`` order, then the
         pattern constants the returned query carries.
@@ -401,7 +389,7 @@ class DetectionSqlGenerator:
             value = pattern.value(attribute)
             if value.is_constant:
                 conditions.append(
-                    self._constant_test(key, attribute, value.constant, params)
+                    f"{key} = {self._bind_constant(cfd, attribute, value.constant, params)}"
                 )
 
         def on_key(alias: str) -> str:
@@ -501,33 +489,26 @@ class DetectionSqlGenerator:
         plans: List[SqlQuery] = []
         seen = set()
         for index in self._constant_single_patterns(cfd):
-            probe = self._cached_plan(
-                ("single_sarg_delta", cfd, index, 1),
-                lambda index=index: self._sargable_single_for(
-                    cfd, index, delta_tid_count=1
-                ),
-            )
+
+            def query_for(count: int, index: int = index) -> SqlQuery:
+                return self._cached_plan(
+                    ("single_sarg_delta", cfd, index, count),
+                    lambda: self._sargable_single_for(cfd, index, delta_tid_count=count),
+                )
+
+            probe = query_for(1)
             signature = (probe.sql, probe.parameters)
             if signature in seen:
                 continue
             seen.add(signature)
-            size = self._chunk_size(len(probe.parameters), 1)
-            for chunk in self._chunked(list(tids), size):
-                chunk = self._padded(chunk, size)
-                query = self._cached_plan(
-                    ("single_sarg_delta", cfd, index, len(chunk)),
-                    lambda index=index, count=len(chunk): self._sargable_single_for(
-                        cfd, index, delta_tid_count=count
-                    ),
+            plans.extend(
+                self._bound_chunks(
+                    query_for,
+                    tids,
+                    base_params=len(probe.parameters),
+                    restriction_last=True,
                 )
-                plans.append(
-                    SqlQuery(
-                        query.sql,
-                        tuple(query.parameters) + tuple(chunk),
-                        kind=query.kind,
-                        pattern_index=query.pattern_index,
-                    )
-                )
+            )
         return plans
 
     def plan_delta_multi(
@@ -546,38 +527,31 @@ class DetectionSqlGenerator:
         """
         if not keys or not cfd.lhs:
             return []
-        cache_kind = "multi_window_delta"
         plans: List[SqlQuery] = []
         seen = set()
         for index in self._wildcard_multi_patterns(cfd, rhs_attribute):
-            probe = self._cached_plan(
-                (cache_kind, cfd, rhs_attribute, index, 1),
-                lambda index=index: self._window_multi_restricted(
-                    cfd, rhs_attribute, index, 1
-                ),
-            )
+
+            def query_for(count: int, index: int = index) -> SqlQuery:
+                return self._cached_plan(
+                    ("multi_window_delta", cfd, rhs_attribute, index, count),
+                    lambda: self._window_multi_restricted(
+                        cfd, rhs_attribute, index, count
+                    ),
+                )
+
+            probe = query_for(1)
             signature = (probe.sql, probe.parameters)
             if signature in seen:
                 continue
             seen.add(signature)
-            size = self._chunk_size(len(probe.parameters), len(cfd.lhs))
-            for chunk in self._chunked(list(keys), size):
-                chunk = self._padded(chunk, size)
-                query = self._cached_plan(
-                    (cache_kind, cfd, rhs_attribute, index, len(chunk)),
-                    lambda index=index, count=len(chunk): self._window_multi_restricted(
-                        cfd, rhs_attribute, index, count
-                    ),
+            plans.extend(
+                self._bound_chunks(
+                    query_for,
+                    keys,
+                    width=len(cfd.lhs),
+                    base_params=len(probe.parameters),
                 )
-                plans.append(
-                    SqlQuery(
-                        query.sql,
-                        self.flatten_group_keys(chunk) + tuple(query.parameters),
-                        rhs_attribute=rhs_attribute,
-                        kind=query.kind,
-                        pattern_index=query.pattern_index,
-                    )
-                )
+            )
         return plans
 
     def covering_members_query(
@@ -694,7 +668,8 @@ class DetectionSqlGenerator:
 
         One row per LHS group that has at least one member — LHS matching
         the restriction, RHS non-NULL — carrying ``member_count`` and the
-        ``distinct_rhs`` count on the string encoding ``Q_V`` groups by.
+        ``distinct_rhs`` count of stored RHS values, the count ``Q_V``
+        tests.
         The backend-resident repair source runs this as a cheap pre-filter
         before enumerating members: keys that come back empty (typically
         fresh-value keys no stored tuple carries) never pay a member
@@ -718,7 +693,7 @@ class DetectionSqlGenerator:
             ]
             select_columns.append("COUNT(*) AS member_count")
             select_columns.append(
-                f"COUNT(DISTINCT {self._data_column(rhs_attribute)}) AS distinct_rhs"
+                f"COUNT(DISTINCT {DATA_ALIAS}.{rhs_attribute}) AS distinct_rhs"
             )
             group_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
             sql = (
@@ -904,20 +879,20 @@ class DetectionSqlGenerator:
         """Greedy chunking of sub-CFDs under the OR/parameter budgets.
 
         Each chunk fits one applicable-count/tids statement: at most
-        :attr:`~repro.backends.dialect.SqlDialect.max_or_terms` disjuncts
-        and the parameter budget's worth of bound pattern constants.
+        :data:`MAX_OR_TERMS` disjuncts and the parameter budget's worth of
+        bound pattern constants.
         """
         chunks: List[Tuple[CFD, ...]] = []
         current: List[CFD] = []
         current_params = 0
-        budget = self.dialect.max_parameters
+        budget = self.max_parameters
         for sub in subs:
             pattern = sub.patterns[0]
             sub_params = sum(
                 1 for attr in sub.lhs if pattern.value(attr).is_constant
             )
             over_params = current_params + sub_params > budget
-            over_terms = len(current) >= self.dialect.max_or_terms
+            over_terms = len(current) >= MAX_OR_TERMS
             if current and (over_params or over_terms):
                 chunks.append(tuple(current))
                 current, current_params = [], 0
@@ -981,10 +956,10 @@ class DetectionSqlGenerator:
             ("page_fetch", cfd, rhs_attribute, rhs_filter, page_size), build
         )
 
-    # -- budget-chunked delta plans ------------------------------------------------
+    # -- budget-chunked plans ------------------------------------------------------
 
     def _chunk_size(self, base_params: int, per_item: int) -> int:
-        """Items one delta statement may carry under the parameter budget.
+        """Items one restricted statement may carry under the parameter budget.
 
         The budget reserves ``base_params`` slots for the generator-bound
         placeholders of the query body; a budget too small to fit even one
@@ -992,23 +967,15 @@ class DetectionSqlGenerator:
         engine's variable cap would only defer the failure to an opaque
         execution error).
         """
-        budget = self.dialect.max_parameters - base_params
+        budget = self.max_parameters - base_params
         per_chunk = budget // max(1, per_item)
         if per_chunk < 1:
             raise DetectionError(
-                f"the {self.dialect.name!r} dialect's parameter budget "
-                f"({self.dialect.max_parameters}) cannot fit one delta item: "
-                f"the query body binds {base_params} values and each item "
-                f"needs {per_item} more"
+                f"the parameter budget ({self.max_parameters}) cannot fit one "
+                f"delta item: the query body binds {base_params} values and "
+                f"each item needs {per_item} more"
             )
         return per_chunk
-
-    def _chunked(self, items: Sequence[Any], size: int) -> Iterable[Sequence[Any]]:
-        if size >= len(items):
-            yield items
-            return
-        for start in range(0, len(items), size):
-            yield items[start : start + size]
 
     def _padded(self, chunk: Sequence[Any], cap: int) -> List[Any]:
         """Pad a restriction chunk to a power-of-two length (up to ``cap``).
@@ -1030,6 +997,49 @@ class DetectionSqlGenerator:
             padded.extend(padded[-1] for _ in range(target - len(padded)))
         return padded
 
+    def _bound_chunks(
+        self,
+        query_for: Callable[[int], SqlQuery],
+        items: Sequence[Any],
+        width: Optional[int] = None,
+        base_params: int = 0,
+        restriction_last: bool = False,
+    ) -> List[SqlQuery]:
+        """Fully-bound statements whose restrictions cover every item.
+
+        ``items`` are tids (``width`` None) or group keys of ``width``
+        values each.  They are cut into chunks the parameter budget fits
+        next to the ``base_params`` values the statement binds itself,
+        each chunk is padded (:meth:`_padded`), and ``query_for(count)``
+        supplies the cached statement for the padded count.  The chunk's
+        values bind before the statement's own, or after them with
+        ``restriction_last`` (the restricted ``Q_C`` ends with its tid
+        list).
+        """
+        if not items:
+            return []
+        size = self._chunk_size(base_params, 1 if width is None else width)
+        items = list(items)
+        plans: List[SqlQuery] = []
+        for start in range(0, len(items), size):
+            chunk = self._padded(items[start : start + size], size)
+            query = query_for(len(chunk))
+            values = tuple(chunk) if width is None else self.flatten_group_keys(chunk)
+            if restriction_last:
+                parameters = query.parameters + values
+            else:
+                parameters = values + query.parameters
+            plans.append(
+                SqlQuery(
+                    query.sql,
+                    parameters,
+                    rhs_attribute=query.rhs_attribute,
+                    kind=query.kind,
+                    pattern_index=query.pattern_index,
+                )
+            )
+        return plans
+
     def covering_members_plans(
         self,
         cfd: CFD,
@@ -1042,42 +1052,24 @@ class DetectionSqlGenerator:
         budget-sized chunk of ``keys``; rows come back as ``(tid, lhs_*)``
         and the caller buckets them per group key.
         """
-        if not keys:
-            return []
-        # the covering query binds nothing besides the keys
-        size = self._chunk_size(0, len(cfd.lhs))
-        plans: List[SqlQuery] = []
-        for chunk in self._chunked(list(keys), size):
-            chunk = self._padded(chunk, size)
-            query = self.covering_members_query(cfd, rhs_attribute, len(chunk))
-            plans.append(
-                SqlQuery(
-                    query.sql,
-                    self.flatten_group_keys(chunk),
-                    rhs_attribute=rhs_attribute,
-                    kind=query.kind,
-                )
-            )
-        return plans
+        return self._bound_chunks(
+            lambda count: self.covering_members_query(cfd, rhs_attribute, count),
+            keys,
+            width=len(cfd.lhs),
+        )
 
     def lhs_values_plans(
         self, cfd: CFD, tids: Sequence[int]
     ) -> List[SqlQuery]:
         """Fully-bound tid-LHS lookups covering every tid in ``tids``.
 
-        Chunked by the dialect's parameter budget (a flat tid ``IN`` list
-        is one expression node); empty when ``tids`` is empty or the CFD
-        has no LHS.
+        Chunked by the parameter budget (a flat tid ``IN`` list is one
+        expression node); empty when ``tids`` is empty or the CFD has no
+        LHS.
         """
-        if not tids or not cfd.lhs:
+        if not cfd.lhs:
             return []
-        size = self._chunk_size(0, 1)
-        plans: List[SqlQuery] = []
-        for chunk in self._chunked(list(tids), size):
-            chunk = self._padded(chunk, size)
-            query = self.tid_lhs_query(cfd, len(chunk))
-            plans.append(SqlQuery(query.sql, tuple(chunk), kind=query.kind))
-        return plans
+        return self._bound_chunks(lambda count: self.tid_lhs_query(cfd, count), tids)
 
     def group_stats_plans(
         self,
@@ -1090,23 +1082,11 @@ class DetectionSqlGenerator:
         Chunked by the parameter budget like the other group
         restrictions; empty when ``keys`` is empty.
         """
-        if not keys:
-            return []
-        # the stats query binds nothing besides the keys
-        size = self._chunk_size(0, len(cfd.lhs))
-        plans: List[SqlQuery] = []
-        for chunk in self._chunked(list(keys), size):
-            chunk = self._padded(chunk, size)
-            query = self.group_stats_query(cfd, rhs_attribute, len(chunk))
-            plans.append(
-                SqlQuery(
-                    query.sql,
-                    self.flatten_group_keys(chunk),
-                    rhs_attribute=rhs_attribute,
-                    kind=query.kind,
-                )
-            )
-        return plans
+        return self._bound_chunks(
+            lambda count: self.group_stats_query(cfd, rhs_attribute, count),
+            keys,
+            width=len(cfd.lhs),
+        )
 
     def majority_value_plans(
         self,
@@ -1119,41 +1099,21 @@ class DetectionSqlGenerator:
         Chunked by the parameter budget like the other group
         restrictions; empty when ``keys`` is empty.
         """
-        if not keys:
-            return []
-        # the majority-value query binds nothing besides the keys
-        size = self._chunk_size(0, len(cfd.lhs))
-        plans: List[SqlQuery] = []
-        for chunk in self._chunked(list(keys), size):
-            chunk = self._padded(chunk, size)
-            query = self.majority_value_query(cfd, rhs_attribute, len(chunk))
-            plans.append(
-                SqlQuery(
-                    query.sql,
-                    self.flatten_group_keys(chunk),
-                    rhs_attribute=rhs_attribute,
-                    kind=query.kind,
-                )
-            )
-        return plans
+        return self._bound_chunks(
+            lambda count: self.majority_value_query(cfd, rhs_attribute, count),
+            keys,
+            width=len(cfd.lhs),
+        )
 
     def row_fetch_plans(self, tids: Sequence[int]) -> List[SqlQuery]:
         """Fully-bound row fetches covering every tid in ``tids``.
 
-        Chunked by the dialect's parameter budget (a flat tid ``IN`` list
-        is one expression node); empty when ``tids`` is empty.  Padding
-        repeats the last tid, so callers must de-duplicate returned rows
-        by ``tid``.
+        Chunked by the parameter budget (a flat tid ``IN`` list is one
+        expression node); empty when ``tids`` is empty.  Padding repeats
+        the last tid, so callers must de-duplicate returned rows by
+        ``tid``.
         """
-        if not tids:
-            return []
-        size = self._chunk_size(0, 1)
-        plans: List[SqlQuery] = []
-        for chunk in self._chunked(list(tids), size):
-            chunk = self._padded(chunk, size)
-            query = self.row_fetch_query(len(chunk))
-            plans.append(SqlQuery(query.sql, tuple(chunk), kind=query.kind))
-        return plans
+        return self._bound_chunks(self.row_fetch_query, tids)
 
     @staticmethod
     def flatten_group_keys(keys: Sequence[Tuple[Any, ...]]) -> Tuple[Any, ...]:

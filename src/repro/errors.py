@@ -58,8 +58,9 @@ class ConstraintViolationError(EngineError):
 class BackendError(EngineError):
     """A storage backend was mis-configured or misused.
 
-    Raised for unknown backend names in the registry, invalid identifiers,
-    and other backend-level contract violations.
+    Raised for a store path SQLite cannot open, a negative ``pool_size``,
+    invalid identifiers, use after ``close()`` and other backend-level
+    contract violations.
     """
 
 

@@ -18,8 +18,9 @@ The proxy is registered as a virtual subclass of :class:`StorageBackend`
 (it delegates rather than inherits — inheriting would re-trigger the
 abstract-method contract for methods it forwards via ``__getattr__``), so
 ``isinstance`` checks across the stack keep working.  Every attribute it
-does not instrument — ``dialect``, ``name``, ``schema``, ``row_count``,
-SQLite's ``path`` — passes straight through to the wrapped backend.
+does not instrument — ``max_parameters``, ``name``, ``schema``,
+``row_count``, SQLite's ``path`` — passes straight through to the wrapped
+backend.
 """
 
 from __future__ import annotations

@@ -38,9 +38,6 @@ from .trace import Tracer
 #: statement kind reported when no generator tagged the running statement
 UNTAGGED_KIND = "adhoc"
 
-#: plan-detail substrings that mean SQLite drove the probe through an index
-_INDEX_MARKERS = ("USING INDEX", "USING COVERING INDEX", "USING INTEGER PRIMARY KEY")
-
 
 class _NullSpan:
     """The shared no-op span context the disabled path hands out."""
@@ -162,23 +159,25 @@ class Telemetry:
 
         Backends without plan introspection return ``None`` from
         :meth:`~repro.backends.base.StorageBackend.explain_query_plan`;
-        nothing is recorded for them.  ``uses_index`` is derived from the
-        SQLite plan-detail text, so the sargability of a statement shape
-        becomes a testable property.
+        nothing is recorded for them.  ``uses_index`` is true when some
+        step of the plan is a ``SEARCH`` — an index or primary-key seek.
+        A ``SCAN ... USING COVERING INDEX`` reads the whole index, so it
+        does not count; the sargability of a statement shape becomes a
+        testable property.
         """
         if sql in self._plans:
             return
         detail = backend.explain_query_plan(sql, parameters)
         if detail is None:
             return
-        detail_text = " ".join(
-            str(value) for row in detail for value in row.values()
-        ).upper()
         entry = {
             "kind": kind,
             "sql": sql,
             "detail": detail,
-            "uses_index": any(marker in detail_text for marker in _INDEX_MARKERS),
+            "uses_index": any(
+                str(row.get("detail", "")).upper().startswith("SEARCH ")
+                for row in detail
+            ),
         }
         with self._plans_lock:
             self._plans.setdefault(sql, entry)

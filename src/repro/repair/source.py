@@ -269,11 +269,6 @@ class BackendRepairSource(PartialRepairSource):
         #: whether the working relation holds every stored tuple (set by
         #: the threshold fallback; closure rounds become no-ops)
         self._complete = False
-        #: pristine backend rows of every fetched tuple (decoded values);
-        #: the backend copy is frozen while a repair is planned, so these
-        #: answer "is every backend member of this key already fetched?"
-        #: exactly, without a round trip
-        self._backend_rows: Dict[int, Dict[str, Any]] = {}
         #: per closure sub-CFD: pristine member count per LHS key among the
         #: fetched rows (maintained at fetch time so the begin_round
         #: pre-filter is a dictionary lookup, not a scan)
@@ -303,7 +298,9 @@ class BackendRepairSource(PartialRepairSource):
     def load(self, cfds: Sequence[CFD]) -> Relation:
         schema = self._schema_of()
         self._generator = DetectionSqlGenerator(
-            schema, dialect=self.backend.dialect, telemetry=self.telemetry
+            schema,
+            max_parameters=self.backend.max_parameters,
+            telemetry=self.telemetry,
         )
         self._source._generator = self._generator  # share the plan cache
         self._start_closure(cfds)
@@ -477,7 +474,6 @@ class BackendRepairSource(PartialRepairSource):
     def _admit(self, working: Relation, tid: int, values: Dict[str, Any]) -> None:
         working.insert_at(tid, dict(values))
         self.original().insert_at(tid, dict(values))
-        self._backend_rows[tid] = values
         self._note_fetched(values)
         self.stats["rows_fetched"] += 1
         self.telemetry.inc("repair.rows_fetched")

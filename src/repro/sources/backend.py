@@ -22,7 +22,7 @@ question                  plan kind
 ========================  =====================================================
 
 Values decode on the way back through
-:func:`~repro.detection.detector.decode_backend_value`, so group keys,
+:func:`~repro.backends.sqlite.decode_backend_value`, so group keys,
 histograms and fetched rows compare equal to the native source's Python
 values.
 """
@@ -33,8 +33,8 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..backends.base import StorageBackend
+from ..backends.sqlite import decode_backend_value
 from ..core.cfd import CFD
-from ..detection.detector import decode_backend_value
 from ..detection.sqlgen import (
     LHS_COLUMN_PREFIX,
     DetectionSqlGenerator,
@@ -48,7 +48,10 @@ class BackendTupleSource(TupleSource):
     """Read-side pushdown over one backend-resident relation.
 
     ``generator`` may be shared; when omitted a private one is built
-    lazily over ``backend``'s dialect.
+    lazily under ``backend``'s parameter budget.  Pattern constants bind
+    typed by their column, so an untyped CFD (text constants on a
+    non-STRING column) reads the same rows the detector's typed copy
+    does.
     """
 
     resident = True
@@ -78,7 +81,9 @@ class BackendTupleSource(TupleSource):
     def generator(self) -> DetectionSqlGenerator:
         if self._generator is None:
             self._generator = DetectionSqlGenerator(
-                self.schema(), dialect=self.backend.dialect, telemetry=self.telemetry
+                self.schema(),
+                max_parameters=self.backend.max_parameters,
+                telemetry=self.telemetry,
             )
         return self._generator
 
@@ -90,7 +95,7 @@ class BackendTupleSource(TupleSource):
             return self.backend.execute(query.sql, query.parameters)
 
     def _decode(self, attribute: str, value: Any) -> Any:
-        return decode_backend_value(self.schema(), attribute, value)
+        return decode_backend_value(self.schema().attribute(attribute).dtype, value)
 
     def _decode_key(self, cfd: CFD, row: Dict[str, Any]) -> GroupKey:
         return tuple(

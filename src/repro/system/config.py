@@ -2,11 +2,20 @@
 
 from __future__ import annotations
 
+import inspect
 from dataclasses import dataclass, field
 from typing import Any, Dict, Optional
 
-from ..backends.registry import available_backends
+from ..backends.sqlite import SqliteBackend
 from ..errors import ConfigurationError
+
+#: the keyword options ``backend_options`` may carry: the parameters of
+#: :class:`~repro.backends.sqlite.SqliteBackend`
+_BACKEND_OPTIONS = tuple(
+    name
+    for name in inspect.signature(SqliteBackend.__init__).parameters
+    if name != "self"
+)
 
 
 @dataclass
@@ -16,13 +25,15 @@ class SemandaqConfig:
     Attributes
     ----------
     backend:
-        Name of the storage backend detection SQL is pushed down to:
-        ``"sqlite"`` (the default, the stdlib SQLite backend; it needs
-        SQLite 3.25 or newer) or any name registered with
-        :func:`repro.backends.register_backend`.
+        Name of the storage backend detection SQL is pushed down to.
+        ``"sqlite"`` (the stdlib SQLite backend; it needs SQLite 3.25 or
+        newer) is the only one; the field stays so a configuration can
+        name it.
     backend_options:
-        Keyword options forwarded to the backend factory.  Without a
-        ``path`` the SQLite store is a private ``:memory:`` database;
+        Keyword arguments of :class:`~repro.backends.sqlite.SqliteBackend`
+        (``path``, ``pool_size``, ``max_parameters``, ...); a key it does
+        not take is a :class:`ConfigurationError`.  Without a ``path`` the
+        SQLite store is a private ``:memory:`` database;
         ``{"path": "/tmp/semandaq.db"}`` makes it file-backed.
     use_sql_detection:
         Run detection through generated SQL (the paper's technique) and
@@ -95,10 +106,15 @@ class SemandaqConfig:
 
     def validate(self) -> None:
         """Raise :class:`ConfigurationError` on out-of-range settings."""
-        if self.backend not in available_backends():
+        if self.backend != "sqlite":
             raise ConfigurationError(
-                f"unknown backend {self.backend!r}; "
-                f"available: {', '.join(available_backends())}"
+                f"unknown backend {self.backend!r}; available: sqlite"
+            )
+        unknown = sorted(set(self.backend_options) - set(_BACKEND_OPTIONS))
+        if unknown:
+            raise ConfigurationError(
+                f"unknown backend_options {unknown} for the sqlite backend; "
+                f"it takes {', '.join(_BACKEND_OPTIONS)}"
             )
         if self.repair_max_iterations < 1:
             raise ConfigurationError("repair_max_iterations must be at least 1")

@@ -9,8 +9,7 @@ the demo walks through:
    configured storage backend, an in-memory SQLite database by default,
    see :mod:`repro.backends`);
 2. specify CFDs (textually, as objects, or discovered from reference data);
-3. detect violations (SQL-based, pushed down to the storage backend
-   selected by ``SemandaqConfig.backend``);
+3. detect violations (SQL-based, pushed down to the SQLite backend);
 4. audit the data quality (classification, quality map, report);
 5. explore (drill-down navigation, per-tuple explanations);
 6. repair, review the candidate repair, and apply it;
@@ -26,7 +25,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, 
 from ..audit.report import DataAuditor, DataQualityReport
 from ..backends.base import StorageBackend
 from ..backends.delta import DeltaBatch
-from ..backends.registry import create_backend
+from ..backends.sqlite import SqliteBackend
 from ..core.cfd import CFD
 from ..detection.detector import ErrorDetector
 from ..detection.violations import ViolationReport
@@ -72,16 +71,13 @@ class Semandaq:
         if backend is not None:
             self.backend = backend
         else:
+            # thread the serving-layer knobs through to the reader pool
+            # (explicit backend_options win over the config fields)
             backend_options = dict(self.config.backend_options)
-            if self.config.backend == "sqlite":
-                # thread the serving-layer knobs through to the reader pool
-                # (explicit backend_options win over the config fields)
-                if self.config.pool_size is not None:
-                    backend_options.setdefault("pool_size", self.config.pool_size)
-                backend_options.setdefault(
-                    "pool_timeout", self.config.pool_timeout
-                )
-            self.backend = create_backend(self.config.backend, **backend_options)
+            if self.config.pool_size is not None:
+                backend_options.setdefault("pool_size", self.config.pool_size)
+            backend_options.setdefault("pool_timeout", self.config.pool_timeout)
+            self.backend = SqliteBackend(**backend_options)
         #: the system-wide telemetry sink; shared by the detector, the
         #: monitors and the instrumented backend so ``metrics()`` is one
         #: coherent picture.  Disabled (a no-op) unless the config turns on

@@ -102,18 +102,23 @@ class TestNativeSqlParity:
     def test_sqlite_detection_uses_its_dialect(
         self, dirty_customers, cfds, sqlite_backend_factory
     ):
+        # detection SQL compares stored values: no string rendering of a
+        # column, every constant a bound parameter
         backend = sqlite_backend_factory()
         backend.add_relation(dirty_customers.copy())
         detector = ErrorDetector(backend)
         detector.detect("customer", cfds)
         backend.close()
         assert detector.last_sql
-        assert all("CONCAT" not in sql for sql in detector.last_sql)
+        for sql in detector.last_sql:
+            assert "CAST(" not in sql and "pystr(" not in sql
+            assert "CONCAT" not in sql and "'" not in sql
 
     def test_float_encoding_parity_on_exponent_form(self):
-        # CAST(1e16 AS TEXT) would give '1.0e+16' on SQLite while the bound
-        # constant is str() -> '1e+16'; the sqlite dialect routes FLOAT
-        # through a registered Python str() function for exact parity.
+        # The text constant '1e+16' is typed by its FLOAT column
+        # (CFD.coerced_to) and binds as the float 1e16, which equals the
+        # stored REAL; no string form of either side is compared, so
+        # exponent-form floats match exactly as the native detector does.
         schema = RelationSchema(
             "m", [AttributeDef("A", DataType.FLOAT), AttributeDef("B")]
         )

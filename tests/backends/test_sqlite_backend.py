@@ -328,6 +328,28 @@ class TestClosedBackend:
             closed.get_row("mixed", 0)
 
 
+class TestConstructionErrors:
+    """Bad construction arguments raise the typed ``BackendError``."""
+
+    def test_negative_pool_size_raises(self, tmp_path):
+        with pytest.raises(BackendError, match="pool_size"):
+            SqliteBackend(path=str(tmp_path / "store.db"), pool_size=-1)
+        with pytest.raises(BackendError, match="pool_size"):
+            SqliteBackend(pool_size=-1)  # :memory: too, though it has no pool
+
+    def test_path_in_a_missing_directory_raises(self, tmp_path):
+        path = str(tmp_path / "missing-dir" / "store.db")
+        with pytest.raises(BackendError, match="cannot open") as raised:
+            SqliteBackend(path=path)
+        assert isinstance(raised.value.__cause__, sqlite3.Error)
+
+    def test_file_that_is_not_a_database_raises(self, tmp_path):
+        path = tmp_path / "not-a-db.db"
+        path.write_bytes(b"this is not a sqlite database file" * 64)
+        with pytest.raises(BackendError, match="cannot open"):
+            SqliteBackend(path=str(path))
+
+
 class TestReadConnection:
     def test_nested_blocks_reuse_the_pinned_reader(self, tmp_path):
         # with a single reader, a nested block that checked out a second

@@ -10,7 +10,6 @@ path and the incremental detector's mirrored updates.
 import pytest
 
 from repro.backends import SqliteBackend
-from repro.backends.dialect import SqliteDialect
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternTuple
 from repro.detection.detector import ErrorDetector
@@ -73,7 +72,7 @@ def _keys(report):
 
 class TestGeneratedShapes:
     def test_window_splits_constant_patterns(self):
-        gen = DetectionSqlGenerator(SCHEMA, dialect=SqliteDialect())
+        gen = DetectionSqlGenerator(SCHEMA)
         cfd = _cfds()[1]  # one constant-RHS pattern, one wildcard-only
         queries = gen.plan_single_queries(cfd)
         assert [q.kind for q in queries] == ["q_c_sargable"]
@@ -84,7 +83,7 @@ class TestGeneratedShapes:
         assert queries[0].parameters == ("y", "2", "d2")
 
     def test_wildcard_only_patterns_collapse_to_one_statement(self):
-        gen = DetectionSqlGenerator(SCHEMA, dialect=SqliteDialect())
+        gen = DetectionSqlGenerator(SCHEMA)
         cfd = CFD(
             relation="r",
             lhs=("A",),
@@ -102,7 +101,7 @@ class TestGeneratedShapes:
         assert queries[0].kind == "q_window"
 
     def test_window_multi_is_one_pass(self):
-        gen = DetectionSqlGenerator(SCHEMA, dialect=SqliteDialect())
+        gen = DetectionSqlGenerator(SCHEMA)
         cfd = _cfds()[0]
         queries = gen.plan_multi_queries(cfd)
         assert {q.kind for q in queries} == {"q_window"}

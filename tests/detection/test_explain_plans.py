@@ -16,6 +16,8 @@ import pytest
 from repro.backends import SqliteBackend, StorageBackend
 from repro.core.parser import parse_cfd
 from repro.detection.sqlgen import DetectionSqlGenerator
+from repro.engine.relation import Relation
+from repro.engine.types import AttributeDef, DataType, RelationSchema
 
 #: plan-detail substrings that mean the probe went through an index
 INDEX_MARKERS = ("USING INDEX", "USING COVERING INDEX")
@@ -45,7 +47,7 @@ class TestCoveringMembersPlan:
         cfd = parse_cfd(cfd_text)
         sqlite_customer.ensure_index("customer", cfd.lhs)
         generator = DetectionSqlGenerator(
-            customer_relation.schema, dialect=sqlite_customer.dialect
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
         query = generator.covering_members_query(cfd, rhs, group_count=1)
         # one group's LHS values, caller-bound like the detector binds them
@@ -63,7 +65,7 @@ class TestCoveringMembersPlan:
         # what makes the probe sargable
         cfd = parse_cfd("customer: [CC=_, AC=_] -> [CITY=_]")
         generator = DetectionSqlGenerator(
-            customer_relation.schema, dialect=sqlite_customer.dialect
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
         query = generator.covering_members_query(cfd, "CITY", group_count=1)
         detail = sqlite_customer.explain_query_plan(query.sql, ("0", "0"))
@@ -88,7 +90,7 @@ class TestSargableSinglePlan:
         cfd = parse_cfd("customer: [CC='44', AC='131'] -> [CITY='EDI']")
         sqlite_customer.ensure_index("customer", cfd.lhs)
         generator = DetectionSqlGenerator(
-            customer_relation.schema, dialect=sqlite_customer.dialect
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
         queries = generator.plan_single_queries(cfd)
         assert len(queries) == 1
@@ -106,7 +108,7 @@ class TestSargableSinglePlan:
     def test_without_index_the_plan_scans(self, sqlite_customer, customer_relation):
         cfd = parse_cfd("customer: [CC='44', AC='131'] -> [CITY='EDI']")
         generator = DetectionSqlGenerator(
-            customer_relation.schema, dialect=sqlite_customer.dialect
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
         query = generator.plan_single_queries(cfd)[0]
         detail = sqlite_customer.explain_query_plan(query.sql, query.parameters)
@@ -153,7 +155,7 @@ class TestWindowPlan:
 
     def _queries(self, backend, schema, key_count=1):
         cfd = parse_cfd(self.CFD_TEXT)
-        generator = DetectionSqlGenerator(schema, dialect=backend.dialect)
+        generator = DetectionSqlGenerator(schema, max_parameters=backend.max_parameters)
         (full,) = generator.plan_multi_queries(cfd)
         (restricted,) = generator.plan_delta_multi(cfd, "CITY", self.KEYS[:key_count])
         assert full.kind == restricted.kind == "q_window"
@@ -199,7 +201,7 @@ class TestWindowPlan:
         cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
         sqlite_customer.ensure_index("customer", ("CNT", "ZIP", "STR"))
         generator = DetectionSqlGenerator(
-            customer_relation.schema, dialect=sqlite_customer.dialect
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
         (restricted,) = generator.plan_delta_multi(cfd, "STR", self.KEYS[:key_count])
         reads = _relation_reads(_explain(sqlite_customer, restricted))
@@ -215,7 +217,7 @@ class TestWindowPlan:
         cfd = parse_cfd("customer: [CC=_] -> [CNT=_]")
         sqlite_customer.ensure_index("customer", ("CC", "CNT"))
         generator = DetectionSqlGenerator(
-            customer_relation.schema, dialect=sqlite_customer.dialect
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
         (restricted,) = generator.plan_delta_multi(cfd, "CNT", [("44",), ("01",)])
         reads = _relation_reads(_explain(sqlite_customer, restricted))
@@ -240,7 +242,7 @@ class TestRestrictedSinglePlan:
         cfd = parse_cfd("customer: [CC='44'] -> [CNT='UK']")
         sqlite_customer.ensure_index("customer", ("CC", "CNT"))
         generator = DetectionSqlGenerator(
-            customer_relation.schema, dialect=sqlite_customer.dialect
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
         (restricted,) = generator.plan_delta_single(cfd, [0, 1, 2, 3])
         reads = _relation_reads(_explain(sqlite_customer, restricted))
@@ -267,12 +269,60 @@ class TestGroupRestrictionPlans:
         cfd = parse_cfd("customer: [CNT=_, ZIP=_] -> [CITY=_]")
         sqlite_customer.ensure_index("customer", ("CNT", "ZIP", "CITY"))
         generator = DetectionSqlGenerator(
-            customer_relation.schema, dialect=sqlite_customer.dialect
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
         (plan,) = getattr(generator, builder)(cfd, "CITY", self.KEYS[:key_count])
         reads = _relation_reads(_explain(sqlite_customer, plan))
         assert len(reads) == 1, reads
         assert TestWindowPlan.PROBE.search(reads[0]), reads
+
+
+class TestTypedConstantPlans:
+    """A constant on a non-STRING LHS column seeks the detection index.
+
+    Constants bind typed by their column, so ``t.A = ?`` compares stored
+    values and the planner searches the LHS+RHS index.  A column rendered
+    as text (``CAST(t.A AS TEXT) = ?``) is not sargable: SQLite would scan
+    the whole index.
+    """
+
+    SCHEMA = RelationSchema(
+        "r",
+        [
+            AttributeDef("A", DataType.INTEGER),
+            AttributeDef("B"),
+            AttributeDef("C", DataType.FLOAT),
+            AttributeDef("D"),
+        ],
+    )
+
+    @pytest.fixture
+    def typed_backend(self):
+        rows = [
+            {"A": index % 50, "B": f"b{index % 7}", "C": (index % 40) / 2, "D": "d1"}
+            for index in range(400)
+        ]
+        backend = SqliteBackend()
+        backend.add_relation(Relation.from_rows(self.SCHEMA, rows))
+        yield backend
+        backend.close()
+
+    @pytest.mark.parametrize(
+        "cfd_text, column",
+        [
+            ("r: [A='7', B=_] -> [D='d1']", "A"),
+            ("r: [C='2.5', B=_] -> [D='d1']", "C"),
+        ],
+        ids=["integer", "float"],
+    )
+    def test_constant_lhs_searches_the_index(self, typed_backend, cfd_text, column):
+        cfd = parse_cfd(cfd_text).coerced_to(self.SCHEMA)
+        typed_backend.ensure_index("r", cfd.lhs + cfd.rhs)
+        (query,) = DetectionSqlGenerator(self.SCHEMA).plan_single_queries(cfd)
+        reads = _relation_reads(_explain(typed_backend, query))
+        assert len(reads) == 1, reads
+        assert reads[0].startswith("SEARCH T USING COVERING INDEX"), reads
+        assert f"({column}=? AND B>?)" in reads[0], reads
 
 
 def _explain(backend, query):

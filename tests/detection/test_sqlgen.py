@@ -3,13 +3,12 @@
 import pytest
 
 from repro.backends import SqliteBackend
-from repro.backends.dialect import SQLITE_DIALECT, SqliteDialect
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
 from repro.detection.sqlgen import DetectionSqlGenerator
 from repro.engine.types import AttributeDef, DataType, RelationSchema
-from repro.errors import DetectionError
+from repro.errors import CfdSchemaError, DetectionError
 
 SCHEMA = RelationSchema.of("customer", ["NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"])
 
@@ -143,7 +142,7 @@ class TestDeltaPlans:
     """The budget-chunked restricted query plans."""
 
     def test_delta_qc_uses_in_list_and_carries_lhs(self):
-        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA)
         cfd = parse_cfd("r: [A='x', B=_] -> [C='c1']")
         (query,) = generator.plan_delta_single(cfd, [1, 2, 3, 4])
         assert "t._tid IN (?, ?, ?, ?)" in query.sql
@@ -158,7 +157,7 @@ class TestDeltaPlans:
 
     def test_single_attribute_groups_use_flat_in_list(self):
         cfd = parse_cfd("r: [A=_] -> [C=_]")
-        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA)
         keys = [("a",), ("b",), ("c",), ("d",)]
         (members,) = generator.covering_members_plans(cfd, "C", keys)
         assert "t.A IN (?, ?, ?, ?)" in members.sql
@@ -171,7 +170,7 @@ class TestDeltaPlans:
         assert query.parameters == ("a", "b", "c", "d")
 
     def test_multi_attribute_groups_use_row_values(self):
-        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA)
         cfd = _two_lhs_cfd()
         keys = [("x", "y"), ("u", "v")]
         (members,) = generator.covering_members_plans(cfd, "C", keys)
@@ -195,16 +194,14 @@ class TestDeltaPlans:
             "r",
             [AttributeDef("A"), AttributeDef("B", DataType.INTEGER), AttributeDef("C")],
         )
-        generator = DetectionSqlGenerator(schema, dialect=SqliteDialect())
+        generator = DetectionSqlGenerator(schema)
         cfd = parse_cfd("r: [A='x', B='5'] -> [C=_]").coerced_to(schema)
         (query,) = generator.plan_delta_multi(cfd, "C", [("x", 5), ("y", 6)])
-        assert "WHERE k.column1 = ? AND CAST(k.column2 AS TEXT) = ? AND EXISTS" in query
-        assert query.parameters == ("x", 5, "y", 6, "x", "5")
+        assert "WHERE k.column1 = ? AND k.column2 = ? AND EXISTS" in query
+        assert query.parameters == ("x", 5, "y", 6, "x", 5)
 
     def test_chunking_respects_parameter_budget(self):
-        generator = DetectionSqlGenerator(
-            TWO_LHS_SCHEMA, dialect=SqliteDialect(max_parameters=20)
-        )
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, max_parameters=20)
         cfd = _two_lhs_cfd()
         keys = [(f"a{i}", f"b{i}") for i in range(30)]
         plans = generator.plan_delta_multi(cfd, "C", keys)
@@ -217,9 +214,7 @@ class TestDeltaPlans:
             assert key[0] in bound and key[1] in bound
 
     def test_tid_chunking_respects_parameter_budget(self):
-        generator = DetectionSqlGenerator(
-            TWO_LHS_SCHEMA, dialect=SqliteDialect(max_parameters=10)
-        )
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, max_parameters=10)
         cfd = parse_cfd("r: [A=_, B=_] -> [C='c1']")
         plans = generator.plan_delta_single(cfd, list(range(25)))
         assert len(plans) > 1
@@ -227,7 +222,7 @@ class TestDeltaPlans:
             assert plan.sql.count("?") == len(plan.parameters) <= 10
 
     def test_empty_inputs_produce_no_plans(self):
-        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, dialect=SqliteDialect())
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA)
         cfd = _two_lhs_cfd()
         assert generator.plan_delta_single(cfd, []) == []
         assert generator.plan_delta_multi(cfd, "C", []) == []
@@ -237,30 +232,105 @@ class TestDeltaPlans:
     def test_budget_too_small_for_one_item_raises(self):
         # silently emitting an over-budget statement would only defer the
         # failure to an opaque "too many SQL variables" execution error
-        generator = DetectionSqlGenerator(
-            TWO_LHS_SCHEMA, dialect=SqliteDialect(max_parameters=1)
-        )
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, max_parameters=1)
         cfd = _two_lhs_cfd()  # each restricted group binds 2 values
         with pytest.raises(DetectionError, match="parameter budget"):
             generator.plan_delta_multi(cfd, "C", [("x", "y")])
 
 
-class TestDialects:
-    def test_sqlite_dialect_casts_and_parameterises(self):
-        schema = RelationSchema(
-            "orders",
-            [AttributeDef("QUANTITY", DataType.INTEGER), AttributeDef("PRODUCT")],
+TYPED_SCHEMA = RelationSchema(
+    "orders",
+    [
+        AttributeDef("QUANTITY", DataType.INTEGER),
+        AttributeDef("PRICE", DataType.FLOAT),
+        AttributeDef("PAID", DataType.BOOLEAN),
+        AttributeDef("PRODUCT"),
+    ],
+)
+
+
+class TestTypedBinding:
+    """Constants bind typed by their column; the data side is the bare column."""
+
+    def test_constants_bind_typed_and_parameterised(self):
+        generator = DetectionSqlGenerator(TYPED_SCHEMA)
+        # text constants, as parsed: the generator types them itself, so a
+        # hand-built caller binds what the detector's typed copy binds
+        cfd = parse_cfd(
+            "orders: [QUANTITY='5', PRICE='2.5', PAID='true'] -> [PRODUCT='gadget']"
         )
-        generator = DetectionSqlGenerator(schema, dialect=SQLITE_DIALECT)
-        cfd = parse_cfd("orders: [QUANTITY='5'] -> [PRODUCT='gadget']")
         (query,) = generator.plan_single_queries(cfd)
-        assert "CAST(t.QUANTITY AS TEXT) = ?" in query.sql
-        assert "CONCAT" not in query.sql
-        assert query.parameters == ("5", "gadget")
-        assert query.sql.count("?") == 2
+        assert "t.QUANTITY = ? AND t.PRICE = ? AND t.PAID = ?" in query.sql
+        assert "(t.PRODUCT <> ? OR t.PRODUCT IS NULL)" in query.sql
+        assert query.parameters == (5, 2.5, True, "gadget")
+        assert [type(value) for value in query.parameters] == [int, float, bool, str]
+        assert query.sql.count("?") == 4
+        typed = cfd.coerced_to(TYPED_SCHEMA)
+        (from_typed,) = generator.plan_single_queries(typed)
+        assert from_typed.parameters == query.parameters
+
+    def test_typed_rhs_constant_and_distinct_count_compare_stored_values(self):
+        generator = DetectionSqlGenerator(TYPED_SCHEMA)
+        single = parse_cfd("orders: [PRODUCT='gadget'] -> [PRICE='1e+16']")
+        (query,) = generator.plan_single_queries(single)
+        assert "(t.PRICE <> ? OR t.PRICE IS NULL)" in query.sql
+        assert query.parameters == ("gadget", 1e16)
+        multi = parse_cfd("orders: [PRODUCT=_] -> [PAID=_]")
+        (window,) = generator.plan_multi_queries(multi)
+        assert "HAVING COUNT(DISTINCT t.PAID) > 1" in window.sql
+        (stats,) = generator.group_stats_plans(multi, "PAID", [("gadget",)])
+        assert "COUNT(DISTINCT t.PAID) AS distinct_rhs" in stats.sql
+
+    def test_no_statement_renders_a_column_as_text(self):
+        generator = DetectionSqlGenerator(TYPED_SCHEMA)
+        constants = [
+            parse_cfd(text).coerced_to(TYPED_SCHEMA)
+            for text in (
+                "orders: [QUANTITY='5', PRICE='2.5'] -> [PAID='false']",
+                "orders: [PAID='true'] -> [QUANTITY='3', PRICE='1e+16']",
+            )
+        ]
+        grouped = [
+            parse_cfd(f"orders: [{lhs}=_] -> [{rhs}=_]")
+            for lhs in ("QUANTITY", "PRICE", "PAID")
+            for rhs in ("QUANTITY", "PRICE", "PAID")
+            if lhs != rhs
+        ]
+        keys = {"QUANTITY": (5,), "PRICE": (2.5,), "PAID": (True,)}
+        statements = []
+        for cfd in constants:
+            statements += generator.plan_single_queries(cfd)
+            statements += generator.plan_delta_single(cfd, [1, 2, 3])
+            statements.append(generator.attr_freq_query(cfd, 0))
+            subs = tuple(cfd.normalize())
+            statements.append(generator.applicable_count_query(subs))
+            statements.append(generator.applicable_tids_query(subs))
+        for cfd in grouped:
+            rhs, key = cfd.rhs[0], [keys[cfd.lhs[0]]]
+            statements += generator.plan_multi_queries(cfd)
+            statements += generator.plan_delta_multi(cfd, rhs, key)
+            statements += generator.covering_members_plans(cfd, rhs, key)
+            statements += generator.group_stats_plans(cfd, rhs, key)
+            statements += generator.majority_value_plans(cfd, rhs, key)
+            statements += generator.lhs_values_plans(cfd, [1])
+            statements.append(generator.page_fetch_query(cfd, rhs, "eq"))
+        statements += [generator.value_freq_query(name) for name in keys]
+        statements += generator.row_fetch_plans([1, 2])
+        assert len(statements) == 56
+        for query in statements:
+            assert "CAST(" not in query.sql.upper(), query.sql
+            assert "PYSTR(" not in query.sql.upper(), query.sql
+
+    def test_constant_that_does_not_coerce_raises_the_detector_error(self):
+        generator = DetectionSqlGenerator(TYPED_SCHEMA)
+        cfd = parse_cfd("orders: [QUANTITY='five'] -> [PRODUCT='gadget']")
+        with pytest.raises(CfdSchemaError, match="not a"):
+            generator.plan_single_queries(cfd)
+        with pytest.raises(CfdSchemaError):
+            cfd.coerced_to(TYPED_SCHEMA)
 
     def test_sqlite_multi_query_parameters_match_placeholders(self, customer_relation):
-        generator = DetectionSqlGenerator(customer_relation.schema, dialect=SQLITE_DIALECT)
+        generator = DetectionSqlGenerator(customer_relation.schema)
         cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
         (query,) = generator.plan_multi_queries(cfd)
         assert query.sql.count("?") == len(query.parameters) == 1

@@ -203,8 +203,10 @@ def backend():
 
 
 def _statements(case: Case, backend=None) -> List[Bound]:
-    dialect = backend.dialect if backend is not None else None
-    generator = DetectionSqlGenerator(SCHEMA, dialect=dialect)
+    if backend is None:
+        generator = DetectionSqlGenerator(SCHEMA)
+    else:
+        generator = DetectionSqlGenerator(SCHEMA, max_parameters=backend.max_parameters)
     statements = case.build(generator)
     assert statements, f"{case.name} built no statement"
     return statements

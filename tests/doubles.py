@@ -97,7 +97,7 @@ class ForbiddenReadBackend(StorageBackend):
     def __init__(self, inner: StorageBackend):
         self.inner = inner
         self.name = inner.name
-        self.dialect = inner.dialect
+        self.max_parameters = inner.max_parameters
 
     def _forbidden(self, what: str):
         raise AssertionError(f"detection read the working store: {what}")

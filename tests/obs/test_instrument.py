@@ -43,7 +43,7 @@ class TestInstrumentedBackend:
         inner.close()
 
     def test_uninstrumented_attributes_pass_through(self, proxy):
-        assert proxy.dialect is proxy.inner.dialect
+        assert proxy.max_parameters == proxy.inner.max_parameters
         assert proxy.schema("r") == SCHEMA
         assert proxy.row_count("r") == 1
 

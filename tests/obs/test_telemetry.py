@@ -135,6 +135,26 @@ class TestPlanCapture:
         telemetry.capture_plan(backend, "SELECT 1", None, "q_v")
         assert telemetry.plans[0]["uses_index"] is False
 
+    def test_covering_index_scan_is_not_an_index_probe(self):
+        # a SCAN reads the whole index; only a SEARCH step seeks it
+        telemetry = Telemetry(explain_plans=True)
+        backend = _PlanBackend(
+            [{"detail": "SCAN t USING COVERING INDEX idx_r_A_B_D_dda0734b"}]
+        )
+        telemetry.capture_plan(backend, "SELECT 1", (7,), "q_c_sargable")
+        assert telemetry.plans[0]["uses_index"] is False
+
+    def test_any_search_step_counts_as_an_index_probe(self):
+        telemetry = Telemetry(explain_plans=True)
+        backend = _PlanBackend(
+            [
+                {"detail": "SCAN k"},
+                {"detail": "SEARCH t USING INTEGER PRIMARY KEY (rowid=?)"},
+            ]
+        )
+        telemetry.capture_plan(backend, "SELECT 1", None, "q_window")
+        assert telemetry.plans[0]["uses_index"] is True
+
     def test_capture_dedupes_per_sql_text(self):
         telemetry = Telemetry(explain_plans=True)
         backend = _PlanBackend([{"detail": "SCAN t"}])

@@ -122,7 +122,7 @@ class TestPlanBuilders:
     def test_group_stats_plans_chunk_to_the_parameter_budget(self):
         backend = _sqlite_with([], max_parameters=8)
         generator = DetectionSqlGenerator(
-            backend.schema("r"), dialect=backend.dialect
+            backend.schema("r"), max_parameters=backend.max_parameters
         )
         cfd = parse_cfd("r: [A=_, B=_] -> [C=_]")
         keys = [(f"a{i}", f"b{i}") for i in range(9)]
@@ -137,7 +137,7 @@ class TestPlanBuilders:
             [{"A": str(i), "B": "x", "C": "y"} for i in range(5)], max_parameters=4
         )
         generator = DetectionSqlGenerator(
-            backend.schema("r"), dialect=backend.dialect
+            backend.schema("r"), max_parameters=backend.max_parameters
         )
         plans = generator.row_fetch_plans([0, 1, 2, 3, 4])
         assert len(plans) == 2

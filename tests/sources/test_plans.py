@@ -77,7 +77,7 @@ class TestMajorityValueQuery:
         backend = _sqlite_with(rows, max_parameters=8)
         try:
             generator = DetectionSqlGenerator(
-                backend.schema("r"), dialect=backend.dialect
+                backend.schema("r"), max_parameters=backend.max_parameters
             )
             cfd = parse_cfd("r: [A=_, B=_] -> [C=_]")
             keys = [(f"a{i}", f"b{i}") for i in range(9)]
@@ -163,7 +163,7 @@ class TestApplicableQueries:
         backend = _sqlite_with([], max_parameters=8)
         try:
             generator = DetectionSqlGenerator(
-                backend.schema("r"), dialect=backend.dialect
+                backend.schema("r"), max_parameters=backend.max_parameters
             )
             # each sub binds two pattern constants; 5 subs = 10 > 8
             subs = self._subs(

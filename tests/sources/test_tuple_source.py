@@ -8,7 +8,8 @@ relation (NULL cells included) and *any* CFD, every protocol answer of
 group aggregates, per-pattern applicability histograms, applicable-tuple
 counts and keyset pages under every RHS filter — equals the
 ``NativeTupleSource`` scan, on SQLite with its default parameter budget
-and with one small enough to force chunked plans.
+and with one small enough to force chunked plans, over STRING columns and
+over INTEGER, FLOAT, BOOLEAN and STRING ones.
 """
 
 import pytest
@@ -18,7 +19,7 @@ from hypothesis import strategies as st
 from repro.backends.sqlite import SqliteBackend
 from repro.core.parser import parse_cfd
 from repro.engine.relation import Relation
-from repro.engine.types import RelationSchema
+from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.sources import (
     NO_RHS_FILTER,
     BackendTupleSource,
@@ -27,9 +28,17 @@ from repro.sources import (
 
 ATTRIBUTES = ["A", "B", "C", "D"]
 
-cell_value = st.sampled_from(["a", "b", None])
-pattern_value = st.sampled_from(["_", "a", "b"])
-row_strategy = st.fixed_dictionaries({name: cell_value for name in ATTRIBUTES})
+#: per schema, each column's type and the two values its cells and
+#: pattern constants are drawn from
+SCHEMAS = {
+    "strings": {name: (DataType.STRING, ("a", "b")) for name in ATTRIBUTES},
+    "typed": {
+        "A": (DataType.INTEGER, (1, 2)),
+        "B": (DataType.FLOAT, (1.5, 1e16)),
+        "C": (DataType.BOOLEAN, (True, False)),
+        "D": (DataType.STRING, ("a", "b")),
+    },
+}
 
 BACKENDS = {
     "sqlite": SqliteBackend,
@@ -39,7 +48,8 @@ BACKENDS = {
 }
 
 
-def _draw_cfd(data, index):
+def _draw_cfd(data, columns, index):
+    """A wildcard-RHS CFD whose constants are text, as parsed."""
     lhs = data.draw(
         st.lists(st.sampled_from(ATTRIBUTES), min_size=1, max_size=2, unique=True)
     )
@@ -49,7 +59,7 @@ def _draw_cfd(data, index):
     for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
         rendered = []
         for name in lhs:
-            value = data.draw(pattern_value)
+            value = data.draw(st.sampled_from(("_",) + columns[name][1]))
             rendered.append(f"{name}={value}" if value == "_" else f"{name}='{value}'")
         patterns.append(f"[{', '.join(rendered)}] -> [{rhs}=_]")
     return parse_cfd(f"r: {' ; '.join(patterns)}", name=f"cfd{index}")
@@ -76,16 +86,33 @@ def _drain_pages(source, page_size, **filters):
         after_tid = page[-1][0]
 
 
-@pytest.mark.parametrize("backend_name", sorted(BACKENDS))
+@pytest.mark.parametrize(
+    "backend_name, schema_name",
+    [
+        pytest.param("sqlite", "strings", id="sqlite"),
+        pytest.param("sqlite-chunked", "strings", id="sqlite-chunked"),
+        pytest.param("sqlite", "typed", id="sqlite-typed"),
+        pytest.param("sqlite-chunked", "typed", id="sqlite-chunked-typed"),
+    ],
+)
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_backend_source_matches_native_oracle(backend_name, data):
+def test_backend_source_matches_native_oracle(backend_name, schema_name, data):
+    columns = SCHEMAS[schema_name]
+    row_strategy = st.fixed_dictionaries(
+        {name: st.sampled_from(values + (None,)) for name, (_, values) in columns.items()}
+    )
     rows = data.draw(st.lists(row_strategy, min_size=1, max_size=12))
-    cfd = _draw_cfd(data, 0)
+    schema = RelationSchema(
+        "r", [AttributeDef(name, dtype) for name, (dtype, _) in columns.items()]
+    )
+    text_cfd = _draw_cfd(data, columns, 0)
+    # typed the way the detector types it; the backend source binds the
+    # same values for the text constants (checked on the histograms below)
+    cfd = text_cfd.coerced_to(schema)
     rhs_attribute = cfd.rhs[0]
     page_size = data.draw(st.integers(min_value=1, max_value=5))
 
-    schema = RelationSchema.of("r", ATTRIBUTES)
     relation = Relation.from_rows(schema, rows)
     native = NativeTupleSource(relation)
 
@@ -116,9 +143,9 @@ def test_backend_source_matches_native_oracle(backend_name, data):
         ) == native.majority_values(cfd, rhs_attribute, keys)
 
         for index in range(len(cfd.patterns)):
-            assert source.pattern_group_freq(cfd, index) == native.pattern_group_freq(
-                cfd, index
-            )
+            expected = native.pattern_group_freq(cfd, index)
+            assert source.pattern_group_freq(cfd, index) == expected
+            assert source.pattern_group_freq(text_cfd, index) == expected
 
         subs = tuple(cfd.normalize())
         assert source.applicable_count(subs) == native.applicable_count(subs)
@@ -126,7 +153,7 @@ def test_backend_source_matches_native_oracle(backend_name, data):
 
         assert _drain_pages(source, page_size) == _drain_pages(native, page_size)
         for key in keys[:3]:
-            for rhs_value in (NO_RHS_FILTER, None, "a"):
+            for rhs_value in (NO_RHS_FILTER, None, columns[rhs_attribute][1][0]):
                 assert _drain_pages(
                     source, page_size, cfd=cfd, lhs_values=key, rhs_value=rhs_value
                 ) == _drain_pages(

@@ -1,8 +1,12 @@
 """Tests for system configuration validation."""
 
+import inspect
+
 import pytest
 
-from repro.errors import ConfigurationError
+from repro import Semandaq
+from repro.backends import SqliteBackend
+from repro.errors import BackendError, ConfigurationError
 from repro.system.config import SemandaqConfig
 
 
@@ -70,3 +74,37 @@ class TestSemandaqConfig:
             quality_strategy="quantile",
             attribute_weights={"CNT": 2.0},
         ).validate()
+
+
+class TestBackendOptions:
+    """``backend_options`` are SqliteBackend's keyword arguments."""
+
+    def test_unknown_option_is_rejected_by_name(self):
+        with pytest.raises(ConfigurationError, match="bogus"):
+            SemandaqConfig(backend_options={"bogus": 1}).validate()
+        with pytest.raises(ConfigurationError, match="bogus"):
+            Semandaq(SemandaqConfig(backend_options={"bogus": 1}))
+
+    def test_every_backend_parameter_is_accepted(self):
+        names = [
+            name
+            for name in inspect.signature(SqliteBackend.__init__).parameters
+            if name != "self"
+        ]
+        assert {"path", "pool_size", "max_parameters"} <= set(names)
+        SemandaqConfig(backend_options={name: None for name in names}).validate()
+        system = Semandaq(
+            SemandaqConfig(backend_options={"path": ":memory:", "max_parameters": 12})
+        )
+        assert system.backend.max_parameters == 12
+        system.close()
+
+    def test_unopenable_path_raises_backend_error(self, tmp_path):
+        path = str(tmp_path / "missing-dir" / "store.db")
+        with pytest.raises(BackendError, match="cannot open"):
+            Semandaq(SemandaqConfig(backend_options={"path": path}))
+
+    def test_negative_pool_size_option_raises_backend_error(self, tmp_path):
+        options = {"path": str(tmp_path / "store.db"), "pool_size": -1}
+        with pytest.raises(BackendError, match="pool_size"):
+            Semandaq(SemandaqConfig(backend_options=options))
