@@ -1,6 +1,8 @@
 """AUDIT-ABL — design ablations of the auditor.
 
-Two choices DESIGN.md calls out:
+Two design choices of the auditor, each against its alternative (the
+ROADMAP's architecture notes record the auditor's design;
+``benchmarks/README.md`` explains how to run the benchmarks):
 
 * reusing the detector's violation report vs re-detecting inside the auditor
   (the report-reuse design is what the Semandaq facade does);

@@ -1,7 +1,8 @@
 """Shared helpers for the benchmark harness.
 
-Every benchmark regenerates one experiment of DESIGN.md's experiment index
-(FIG2–FIG5 demo scenarios plus the performance/quality experiments).  The
+Every benchmark regenerates one experiment (FIG2–FIG5 demo scenarios plus
+the performance/quality experiments); ``benchmarks/README.md`` explains how
+to run and read them, and the ROADMAP records what each one showed.  The
 helpers here build the standard workloads: clean generated customer data,
 seeded noise, and a Semandaq system wired with the paper's CFDs.
 """

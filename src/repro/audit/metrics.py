@@ -18,12 +18,12 @@ bar chart of the paper's Fig. 4 displays per attribute.
 from __future__ import annotations
 
 import enum
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
 
-from ..core.cfd import CFD
-from ..detection.violations import Violation, ViolationReport
+from ..core.cfd import CFD, PatternMatcher
+from ..detection.violations import ViolationReport
 from ..engine.relation import Relation
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -137,10 +137,76 @@ def _applicable_constant_rhs(cfds: Sequence[CFD]) -> List[Tuple[CFD, CFD]]:
     pairs: List[Tuple[CFD, CFD]] = []
     for cfd in cfds:
         for sub in cfd.normalize():
-            rhs_attr = sub.rhs[0]
-            if sub.patterns[0].value(rhs_attr).is_constant:
+            if sub.matchers[0].rhs_constants:
                 pairs.append((cfd, sub))
     return pairs
+
+
+class MajorityTally:
+    """The RHS values of a report's multi-tuple violations, counted once each.
+
+    A member of a multi-tuple violation is arguably clean when more than
+    ``majority`` of the violation's other members present in ``relation``
+    hold its RHS value.  Re-reading every other member for each member
+    costs O(k²) per violation of k members; the tally counts a violation's
+    values once, on first use, and answers each member from the counts.
+    Violations are named by their position in ``report.violations``, and
+    one tally serves both the tuple and the cell classification of an
+    audit.
+    """
+
+    def __init__(self, relation: Relation, report: ViolationReport):
+        self.relation = relation
+        self.report = report
+        #: violation position -> (RHS value counts, members present)
+        self._counts: Dict[int, Tuple[Counter, int]] = {}
+
+    def agrees(self, tid: int, position: int, majority: float) -> bool:
+        """Whether the bulk of violation ``position``'s other members agree with ``tid``."""
+        violation = self.report.violations[position]
+        attribute = violation.rhs_attribute
+        counted = self._counts.get(position)
+        if counted is None:
+            present = [member for member in violation.tids if member in self.relation]
+            values = Counter(self.relation.value(member, attribute) for member in present)
+            counted = self._counts[position] = (values, len(present))
+        values, present = counted
+        own_value = self.relation.value(tid, attribute)
+        others = present - 1  # ``tid`` is a present member itself
+        if others <= 0:
+            return False
+        # the count includes ``tid``; a value unequal to itself (NaN)
+        # agrees with no one
+        agreeing = values[own_value] - 1 if own_value == own_value else 0
+        return agreeing / others > majority
+
+
+def _positions_by_tid(report: ViolationReport) -> Dict[int, List[int]]:
+    """Per tid, the positions in ``report.violations`` of the violations it is in."""
+    positions: Dict[int, List[int]] = defaultdict(list)
+    for position, violation in enumerate(report.violations):
+        for tid in violation.tids:
+            positions[tid].append(position)
+    return positions
+
+
+def _positions_by_cell(report: ViolationReport) -> Dict[Tuple[int, str], List[int]]:
+    """Per implicated cell ``(tid, RHS attribute)``, the positions of its violations."""
+    positions: Dict[Tuple[int, str], List[int]] = defaultdict(list)
+    for position, violation in enumerate(report.violations):
+        for tid in violation.tids:
+            positions[(tid, violation.rhs_attribute)].append(position)
+    return positions
+
+
+def _arguably_clean(
+    tally: MajorityTally, tid: int, positions: Sequence[int], majority: float
+) -> bool:
+    """Whether every violation at ``positions`` is multi-tuple and its bulk agrees with ``tid``."""
+    violations = tally.report.violations
+    return all(violations[position].is_multi for position in positions) and all(
+        tally.agrees(tid, position, majority) for position in positions
+    )
 
 
 def classify_tuples(
@@ -148,52 +214,32 @@ def classify_tuples(
     cfds: Sequence[CFD],
     report: ViolationReport,
     majority: float = 0.5,
+    tally: Optional[MajorityTally] = None,
 ) -> TupleClassification:
     """Classify every tuple of ``relation`` per the paper's three categories.
 
     ``majority`` is the fraction of jointly violating tuples that must agree
     with ``t`` for it to count as "arguably clean" (strictly greater than).
+    ``tally`` may be shared with :func:`classify_cells` over the same
+    relation and report.
     """
-    dirty_map: Dict[int, List[Violation]] = defaultdict(list)
-    for violation in report.violations:
-        for tid in violation.tids:
-            dirty_map[tid].append(violation)
-
-    constant_pairs = _applicable_constant_rhs(cfds)
+    tally = tally if tally is not None else MajorityTally(relation, report)
+    dirty_map = _positions_by_tid(report)
+    constant_matchers = [sub.matchers[0] for _parent, sub in _applicable_constant_rhs(cfds)]
     classification = TupleClassification()
-    for tid, row in relation.rows():
-        involved = dirty_map.get(tid, [])
+    for tid, row in relation.stored_rows():
+        involved = dirty_map.get(tid)
         if not involved:
-            verified = any(
-                sub.applies_to(row, sub.patterns[0]) for _parent, sub in constant_pairs
-            )
+            verified = any(matcher.applies_to(row) for matcher in constant_matchers)
             classification.categories[tid] = (
                 Cleanliness.VERIFIED if verified else Cleanliness.PROBABLY
             )
             continue
-        if all(violation.is_multi for violation in involved) and all(
-            _majority_agrees(relation, tid, violation, majority)
-            for violation in involved
-        ):
+        if _arguably_clean(tally, tid, involved, majority):
             classification.categories[tid] = Cleanliness.ARGUABLY
         else:
             classification.categories[tid] = Cleanliness.DIRTY
     return classification
-
-
-def _majority_agrees(
-    relation: Relation, tid: int, violation: Violation, majority: float
-) -> bool:
-    """Whether the bulk of the violation's tuples agree with ``tid`` on the RHS value."""
-    attribute = violation.rhs_attribute
-    own_value = relation.value(tid, attribute)
-    others = [other for other in violation.tids if other != tid and other in relation]
-    if not others:
-        return False
-    agreeing = sum(
-        1 for other in others if relation.value(other, attribute) == own_value
-    )
-    return agreeing / len(others) > majority
 
 
 def classify_cells(
@@ -201,6 +247,7 @@ def classify_cells(
     cfds: Sequence[CFD],
     report: ViolationReport,
     majority: float = 0.5,
+    tally: Optional[MajorityTally] = None,
 ) -> AttributeClassification:
     """Cell-level classification aggregated per attribute.
 
@@ -211,34 +258,28 @@ def classify_cells(
     clean when some constant-RHS CFD on ``A`` applies to ``t``, otherwise
     probably clean.
     """
-    implicated: Dict[Tuple[int, str], List[Violation]] = defaultdict(list)
-    for violation in report.violations:
-        for tid in violation.tids:
-            implicated[(tid, violation.rhs_attribute)].append(violation)
-
-    constant_pairs = _applicable_constant_rhs(cfds)
-    per_attribute_constant: Dict[str, List[CFD]] = defaultdict(list)
-    for _parent, sub in constant_pairs:
-        per_attribute_constant[sub.rhs[0]].append(sub)
+    tally = tally if tally is not None else MajorityTally(relation, report)
+    implicated = _positions_by_cell(report)
+    per_attribute_constant: Dict[str, List[PatternMatcher]] = defaultdict(list)
+    for _parent, sub in _applicable_constant_rhs(cfds):
+        per_attribute_constant[sub.rhs[0]].append(sub.matchers[0])
 
     counts: Dict[str, Dict[Cleanliness, int]] = {
         attribute: {category: 0 for category in Cleanliness}
         for attribute in relation.attribute_names
     }
-    for tid, row in relation.rows():
+    for tid, row in relation.stored_rows():
         for attribute in relation.attribute_names:
-            cell_violations = implicated.get((tid, attribute), [])
-            if cell_violations:
-                if all(v.is_multi for v in cell_violations) and all(
-                    _majority_agrees(relation, tid, v, majority) for v in cell_violations
-                ):
+            positions = implicated.get((tid, attribute))
+            if positions:
+                if _arguably_clean(tally, tid, positions, majority):
                     counts[attribute][Cleanliness.ARGUABLY] += 1
                 else:
                     counts[attribute][Cleanliness.DIRTY] += 1
                 continue
             verified = any(
-                sub.applies_to(row, sub.patterns[0])
-                for sub in per_attribute_constant.get(attribute, [])
+                matcher.applies_to(row)
+                for matcher in per_attribute_constant.get(attribute, [])
             )
             category = Cleanliness.VERIFIED if verified else Cleanliness.PROBABLY
             counts[attribute][category] += 1
@@ -251,6 +292,7 @@ def classify_tuples_source(
     cfds: Sequence[CFD],
     report: ViolationReport,
     majority: float = 0.5,
+    tally: Optional[MajorityTally] = None,
 ) -> TupleClassification:
     """Resident counterpart of :func:`classify_tuples` — zero full scans.
 
@@ -261,26 +303,20 @@ def classify_tuples_source(
     the dirty tuples that satisfy a constant-RHS sub — computed natively
     over the fetched rows — and the rest of the clean tuples are probably
     clean.  The result's ``counts``/``percentages`` match the native
-    classification exactly.
+    classification exactly.  ``tally`` may be shared with
+    :func:`classify_cells_source` over the same partial relation and report.
     """
-    dirty_map: Dict[int, List[Violation]] = defaultdict(list)
-    for violation in report.violations:
-        for tid in violation.tids:
-            dirty_map[tid].append(violation)
-
+    tally = tally if tally is not None else MajorityTally(partial, report)
+    dirty_map = _positions_by_tid(report)
     constant_subs = [sub for _parent, sub in _applicable_constant_rhs(cfds)]
+    constant_matchers = [sub.matchers[0] for sub in constant_subs]
     classification = TupleClassification()
     dirty_applicable = 0
-    for tid, row in partial.rows():
-        involved = dirty_map.get(tid, [])
-        if any(
-            sub.applies_to(row, sub.patterns[0]) for sub in constant_subs
-        ):
+    for tid, row in partial.stored_rows():
+        involved = dirty_map.get(tid)
+        if any(matcher.applies_to(row) for matcher in constant_matchers):
             dirty_applicable += 1
-        if involved and all(violation.is_multi for violation in involved) and all(
-            _majority_agrees(partial, tid, violation, majority)
-            for violation in involved
-        ):
+        if involved and _arguably_clean(tally, tid, involved, majority):
             classification.categories[tid] = Cleanliness.ARGUABLY
         else:
             classification.categories[tid] = Cleanliness.DIRTY
@@ -298,6 +334,7 @@ def classify_cells_source(
     cfds: Sequence[CFD],
     report: ViolationReport,
     majority: float = 0.5,
+    tally: Optional[MajorityTally] = None,
 ) -> AttributeClassification:
     """Resident counterpart of :func:`classify_cells`.
 
@@ -305,11 +342,8 @@ def classify_cells_source(
     non-implicated cells classify in bulk per attribute from one
     applicability aggregate over that attribute's constant-RHS subs.
     """
-    implicated: Dict[Tuple[int, str], List[Violation]] = defaultdict(list)
-    for violation in report.violations:
-        for tid in violation.tids:
-            implicated[(tid, violation.rhs_attribute)].append(violation)
-
+    tally = tally if tally is not None else MajorityTally(partial, report)
+    implicated = _positions_by_cell(report)
     per_attribute_constant: Dict[str, List[CFD]] = defaultdict(list)
     for _parent, sub in _applicable_constant_rhs(cfds):
         per_attribute_constant[sub.rhs[0]].append(sub)
@@ -326,17 +360,14 @@ def classify_cells_source(
     }
     for attribute in attributes:
         subs = per_attribute_constant.get(attribute, [])
+        matchers = [sub.matchers[0] for sub in subs]
         implicated_tids = sorted(implicated_by_attribute.get(attribute, []))
         dirty_applicable = 0
         for tid in implicated_tids:
             row = partial.get(tid)
-            cell_violations = implicated[(tid, attribute)]
-            if any(sub.applies_to(row, sub.patterns[0]) for sub in subs):
+            if any(matcher.applies_to(row) for matcher in matchers):
                 dirty_applicable += 1
-            if all(v.is_multi for v in cell_violations) and all(
-                _majority_agrees(partial, tid, v, majority)
-                for v in cell_violations
-            ):
+            if _arguably_clean(tally, tid, implicated[(tid, attribute)], majority):
                 counts[attribute][Cleanliness.ARGUABLY] += 1
             else:
                 counts[attribute][Cleanliness.DIRTY] += 1

@@ -123,7 +123,7 @@ def build_quality_map(
             )
         vio = {}
     else:
-        vio = {tid: 0 for tid, _row in relation.rows()}
+        vio = {tid: 0 for tid in relation.tids()}
         tuple_count = len(relation)
     vio.update(report.vio())
     values = list(vio.values())

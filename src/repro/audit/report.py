@@ -19,6 +19,7 @@ from ..engine.relation import Relation
 from .metrics import (
     AttributeClassification,
     Cleanliness,
+    MajorityTally,
     TupleClassification,
     classify_cells,
     classify_cells_source,
@@ -107,8 +108,13 @@ class DataAuditor:
         report: ViolationReport,
     ) -> DataQualityReport:
         """Summarise the inconsistencies detected by the error detector."""
-        tuple_classification = classify_tuples(relation, cfds, report, self.majority)
-        attribute_classification = classify_cells(relation, cfds, report, self.majority)
+        tally = MajorityTally(relation, report)
+        tuple_classification = classify_tuples(
+            relation, cfds, report, self.majority, tally
+        )
+        attribute_classification = classify_cells(
+            relation, cfds, report, self.majority, tally
+        )
         statistics = violation_statistics(report)
         statistics["clean_tuples"] = float(report.clean_tid_count())
         statistics["dirty_tuples"] = float(len(report.dirty_tids()))
@@ -147,11 +153,12 @@ class DataAuditor:
         partial = Relation(source.schema())
         for tid, values in sorted(source.fetch_rows(sorted(report.dirty_tids())).items()):
             partial.insert_at(tid, values)
+        tally = MajorityTally(partial, report)
         tuple_classification = classify_tuples_source(
-            source, partial, cfds, report, self.majority
+            source, partial, cfds, report, self.majority, tally
         )
         attribute_classification = classify_cells_source(
-            source, partial, cfds, report, self.majority
+            source, partial, cfds, report, self.majority, tally
         )
         statistics = violation_statistics(report)
         statistics["clean_tuples"] = float(report.clean_tid_count())

@@ -5,13 +5,15 @@ structures the constraint engine stores, the textual syntax users specify
 CFDs in, and the tuple-level semantics every other component builds on.
 """
 
-from .cfd import CFD, normalize_all
+from .cfd import CFD, PatternMatcher, normalize_all
 from .parser import format_cfd, parse_cfd, parse_cfds
 from .pattern import WILDCARD_TOKEN, PatternTuple, PatternValue
 from .satisfaction import (
     multi_tuple_violation_groups,
+    ViolationScan,
     satisfies,
     satisfies_all,
+    scan_violations,
     single_tuple_violations,
     violating_tids,
     violation_counts,
@@ -27,6 +29,7 @@ from .tableau import (
 
 __all__ = [
     "CFD",
+    "PatternMatcher",
     "PatternTuple",
     "PatternValue",
     "WILDCARD_TOKEN",
@@ -42,6 +45,8 @@ __all__ = [
     "split_constant_variable",
     "satisfies",
     "satisfies_all",
+    "scan_violations",
+    "ViolationScan",
     "single_tuple_violations",
     "multi_tuple_violation_groups",
     "violating_tids",

@@ -40,6 +40,12 @@ class CFD:
     #: by CFD, and hashing the whole tableau on every lookup made SQL
     #: detection quadratic in the pattern rows
     _hash: int = field(init=False, repr=False, compare=False)
+    #: one compiled matcher per pattern row, built on first use (see
+    #: :attr:`matchers`); like the hash it is rebuilt, not copied, by
+    #: ``replace`` and unpickling
+    _matchers: Optional[Tuple["PatternMatcher", ...]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.lhs and not any(
@@ -147,6 +153,38 @@ class CFD:
         lhs = ",".join(self.lhs)
         rhs = ",".join(self.rhs)
         return f"{self.relation}:[{lhs}]->[{rhs}]#{len(self.patterns)}"
+
+    @property
+    def matchers(self) -> Tuple["PatternMatcher", ...]:
+        """One :class:`PatternMatcher` per pattern row, in tableau order.
+
+        Compiled on first use and kept on the CFD, so every per-row test
+        (:meth:`applies_to`, :meth:`single_tuple_violation`, the one-pass
+        violation scan, the incremental detector) reads positions the
+        pattern was split into once, instead of projecting the pattern
+        tuple again for each row.
+        """
+        matchers = self._matchers
+        if matchers is None:
+            matchers = tuple(PatternMatcher(self, pattern) for pattern in self.patterns)
+            object.__setattr__(self, "_matchers", matchers)
+        return matchers
+
+    def matcher(self, pattern: PatternTuple) -> "PatternMatcher":
+        """The compiled matcher of ``pattern``.
+
+        A pattern row of this CFD gets its stored matcher; any other
+        pattern tuple over the CFD's attributes is compiled afresh.
+        """
+        for matcher in self.matchers:
+            if matcher.pattern is pattern:
+                return matcher
+        return PatternMatcher(self, pattern)
+
+    def _matchers_for(
+        self, pattern: Optional[PatternTuple]
+    ) -> Tuple["PatternMatcher", ...]:
+        return self.matchers if pattern is None else (self.matcher(pattern),)
 
     def lhs_pattern(self, pattern: PatternTuple) -> PatternTuple:
         """Project ``pattern`` onto the LHS attributes."""
@@ -267,16 +305,11 @@ class CFD:
 
         A CFD applies to a tuple when the tuple matches the constants of the
         LHS pattern and carries non-NULL values for all LHS attributes.
+        Without ``pattern``, whether some pattern row applies.
         """
-        patterns = [pattern] if pattern is not None else list(self.patterns)
-        for candidate in patterns:
-            lhs_pattern = self.lhs_pattern(candidate) if self.lhs else None
-            if self.lhs:
-                if any(row.get(attr) is None for attr in self.lhs):
-                    continue
-                if not lhs_pattern.matches(row):
-                    continue
-            return True
+        for matcher in self._matchers_for(pattern):
+            if matcher.applies_to(row):
+                return True
         return False
 
     def single_tuple_violation(
@@ -287,14 +320,9 @@ class CFD:
         This happens exactly when the row matches the LHS pattern but fails a
         *constant* RHS pattern position.
         """
-        patterns = [pattern] if pattern is not None else list(self.patterns)
-        for candidate in patterns:
-            if not self.applies_to(row, candidate):
-                continue
-            for rhs_attr in self.rhs:
-                rhs_value = candidate.value(rhs_attr)
-                if rhs_value.is_constant and not rhs_value.matches(row.get(rhs_attr)):
-                    return True
+        for matcher in self._matchers_for(pattern):
+            if matcher.applies_to(row) and matcher.violates_constant(row):
+                return True
         return False
 
     def pair_violation(
@@ -310,19 +338,15 @@ class CFD:
         (Disagreement against a constant RHS is already a single-tuple
         violation of at least one of the rows.)
         """
-        patterns = [pattern] if pattern is not None else list(self.patterns)
-        for candidate in patterns:
-            if not (self.applies_to(row_a, candidate) and self.applies_to(row_b, candidate)):
+        for matcher in self._matchers_for(pattern):
+            if not (matcher.applies_to(row_a) and matcher.applies_to(row_b)):
                 continue
             if any(
                 not _values_agree(row_a.get(attr), row_b.get(attr)) for attr in self.lhs
             ):
                 continue
-            for rhs_attr in self.rhs:
-                rhs_value = candidate.value(rhs_attr)
-                if rhs_value.is_wildcard and not _values_agree(
-                    row_a.get(rhs_attr), row_b.get(rhs_attr)
-                ):
+            for rhs_attr in matcher.wildcard_rhs:
+                if not _values_agree(row_a.get(rhs_attr), row_b.get(rhs_attr)):
                     return True
         return False
 
@@ -367,6 +391,62 @@ class CFD:
             parts.append(f"[{lhs_part}] -> [{rhs_part}]")
         rendered = " ; ".join(parts)
         return f"{self.relation}: {rendered}"
+
+
+class PatternMatcher:
+    """One pattern row of a CFD, split once into what a row is tested against.
+
+    ``key_constants`` are the constant LHS positions as ``(position in the
+    LHS, pattern value)``; ``rhs_constants`` the constant RHS positions as
+    ``(attribute, pattern value)``; ``wildcard_rhs`` the RHS attributes
+    whose position is ``_``.  Get one from :attr:`CFD.matchers` rather
+    than building it: the CFD keeps them.
+    """
+
+    __slots__ = ("pattern", "lhs", "key_constants", "rhs_constants", "wildcard_rhs")
+
+    def __init__(self, cfd: CFD, pattern: PatternTuple):
+        self.pattern = pattern
+        self.lhs = cfd.lhs
+        self.key_constants: Tuple[Tuple[int, PatternValue], ...] = tuple(
+            (position, value)
+            for position, value in enumerate(pattern.value(attr) for attr in cfd.lhs)
+            if value.is_constant
+        )
+        rhs_values = [(attr, pattern.value(attr)) for attr in cfd.rhs]
+        self.rhs_constants: Tuple[Tuple[str, PatternValue], ...] = tuple(
+            (attr, value) for attr, value in rhs_values if value.is_constant
+        )
+        self.wildcard_rhs: Tuple[str, ...] = tuple(
+            attr for attr, value in rhs_values if value.is_wildcard
+        )
+
+    def applies_to(self, row: Mapping[str, Any]) -> bool:
+        """Whether every LHS value of ``row`` is non-NULL and the LHS constants match."""
+        return self.applies_to_key(tuple(map(row.get, self.lhs)))
+
+    def applies_to_key(self, key: Sequence[Any]) -> bool:
+        """:meth:`applies_to` for the rows whose LHS values are ``key``.
+
+        Applicability reads only a row's LHS values, so the group key
+        alone decides it.
+        """
+        return len(key) == len(self.lhs) and None not in key and self.key_matches(key)
+
+    def key_matches(self, key: Sequence[Any]) -> bool:
+        """Whether the LHS constants match ``key``, a NULL-free tuple of LHS values."""
+        for position, value in self.key_constants:
+            if not value.matches(key[position]):
+                return False
+        return True
+
+    def violates_constant(self, row: Mapping[str, Any]) -> bool:
+        """Whether ``row`` fails some constant RHS position (NULL fails)."""
+        get = row.get
+        for attr, value in self.rhs_constants:
+            if not value.matches(get(attr)):
+                return True
+        return False
 
 
 def _values_agree(left: Any, right: Any) -> bool:

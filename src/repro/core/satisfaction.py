@@ -5,35 +5,139 @@ relation.  They serve two purposes in the reproduction:
 
 * an *oracle* against which the SQL-based detector is tested (property-based
   tests compare the two on random instances);
-* the native-Python side of the SQL-vs-native ablation benchmark (SQL-ABL in
-  DESIGN.md).
+* the native-Python side of the SQL-vs-native benchmark (SQL-NATIVE,
+  ``benchmarks/bench_sql_vs_native.py``; ``benchmarks/README.md`` says
+  how to read it).
+
+Every routine runs on one shared pass, :func:`scan_violations`: it walks
+the stored rows once in ascending tid order, tests each row against each
+pattern row through the CFD's compiled :attr:`~repro.core.cfd.CFD.matchers`,
+and collects the single-tuple violations and the LHS groups together.  The
+native detector, the repair planner, the repair review and sampling-based
+validation all read their violations off that scan.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..engine.relation import Relation
 from .cfd import CFD
 from .pattern import PatternTuple
 
+GroupKey = Tuple[Any, ...]
+
+
+@dataclass
+class ViolationScan:
+    """What one pass over a relation found for one CFD, per pattern row."""
+
+    #: per pattern index, the tids of its single-tuple violations, ascending
+    singles: List[List[int]]
+    #: per pattern index, its violating groups as ``(lhs_values, tids)`` in
+    #: the order of their first (lowest-tid) members; ``tids`` ascend
+    groups: List[List[Tuple[GroupKey, List[int]]]]
+
+    def single_tuple_violations(self) -> List[Tuple[int, int]]:
+        """``(tid, pattern_index)`` pairs, pattern by pattern, tids ascending."""
+        return [
+            (tid, pattern_index)
+            for pattern_index, tids in enumerate(self.singles)
+            for tid in tids
+        ]
+
+    def multi_tuple_violation_groups(
+        self,
+    ) -> List[Tuple[int, GroupKey, List[int]]]:
+        """``(pattern_index, lhs_values, tids)`` triples, pattern by pattern."""
+        return [
+            (pattern_index, key, tids)
+            for pattern_index, groups in enumerate(self.groups)
+            for key, tids in groups
+        ]
+
+
+def scan_violations(relation: Relation, cfd: CFD) -> ViolationScan:
+    """Find ``cfd``'s single-tuple violations and violating groups in one pass.
+
+    A row is tested against a pattern row once: when the pattern applies
+    (NULL-free LHS, LHS constants match), a failed constant RHS position
+    makes the row a single-tuple violation, and — for a pattern with a
+    wildcard RHS position and a non-empty LHS — the row joins the group of
+    its LHS values unless every wildcard RHS value is NULL (such a row can
+    neither support nor contradict the FD part).  A group of two or more
+    members violates when its non-NULL values of some wildcard RHS
+    attribute are not all equal (``1`` equals ``1.0``).
+    """
+    matchers = cfd.matchers
+    lhs = cfd.lhs
+    singles: List[List[int]] = [[] for _ in matchers]
+    # per pattern: LHS values -> the (tid, row) pairs of its members
+    members: List[Dict[GroupKey, List[Tuple[int, Dict[str, Any]]]]] = [
+        {} for _ in matchers
+    ]
+    grouping = [bool(lhs and matcher.wildcard_rhs) for matcher in matchers]
+    for entry in relation.stored_rows():
+        tid, row = entry
+        get = row.get
+        # every pattern row shares the LHS, so the key is built once per row
+        key = tuple(map(get, lhs))
+        if None in key:
+            continue  # no pattern applies to a row with a NULL LHS value
+        for pattern_index, matcher in enumerate(matchers):
+            if matcher.key_constants and not matcher.key_matches(key):
+                continue
+            if matcher.rhs_constants and matcher.violates_constant(row):
+                singles[pattern_index].append(tid)
+            if not grouping[pattern_index]:
+                continue
+            for value in map(get, matcher.wildcard_rhs):
+                if value is not None:
+                    break
+            else:
+                continue  # every wildcard RHS value is NULL
+            group = members[pattern_index].get(key)
+            if group is None:
+                members[pattern_index][key] = [entry]
+            else:
+                group.append(entry)
+    groups: List[List[Tuple[GroupKey, List[int]]]] = []
+    for matcher, by_key in zip(matchers, members):
+        violating = []
+        for key, group in by_key.items():
+            if len(group) > 1 and _disagree(group, matcher.wildcard_rhs):
+                violating.append((key, [tid for tid, _row in group]))
+        groups.append(violating)
+    return ViolationScan(singles=singles, groups=groups)
+
+
+def _disagree(
+    group: Sequence[Tuple[int, Dict[str, Any]]], attributes: Sequence[str]
+) -> bool:
+    """Whether the members hold two different non-NULL values of some attribute."""
+    for attr in attributes:
+        values = {
+            _normalise(value)
+            for value in (row.get(attr) for _tid, row in group)
+            if value is not None
+        }
+        if len(values) > 1:
+            return True
+    return False
+
 
 def matching_tids(relation: Relation, cfd: CFD, pattern: PatternTuple) -> List[int]:
     """Tuple ids whose rows the CFD (with ``pattern``) applies to."""
-    return [tid for tid, row in relation.rows() if cfd.applies_to(row, pattern)]
+    matcher = cfd.matcher(pattern)
+    return [tid for tid, row in relation.stored_rows() if matcher.applies_to(row)]
 
 
 def single_tuple_violations(
     relation: Relation, cfd: CFD
 ) -> List[Tuple[int, int]]:
     """Return ``(tid, pattern_index)`` pairs of single-tuple violations."""
-    violations: List[Tuple[int, int]] = []
-    for pattern_index, pattern in enumerate(cfd.patterns):
-        for tid, row in relation.rows():
-            if cfd.single_tuple_violation(row, pattern):
-                violations.append((tid, pattern_index))
-    return violations
+    return scan_violations(relation, cfd).single_tuple_violations()
 
 
 def multi_tuple_violation_groups(
@@ -46,47 +150,13 @@ def multi_tuple_violation_groups(
     some wildcard RHS attribute.  Only groups with at least two tuples and a
     genuine disagreement are reported.
     """
-    groups: List[Tuple[int, Tuple[Any, ...], List[int]]] = []
-    for pattern_index, pattern in enumerate(cfd.patterns):
-        rhs_pattern = cfd.rhs_pattern(pattern)
-        wildcard_rhs = [attr for attr, value in rhs_pattern.values if value.is_wildcard]
-        if not wildcard_rhs or not cfd.lhs:
-            continue
-        by_lhs: Dict[Tuple[Any, ...], List[int]] = defaultdict(list)
-        for tid, row in relation.rows():
-            if not cfd.applies_to(row, pattern):
-                continue
-            if all(row.get(attr) is None for attr in wildcard_rhs):
-                # A tuple with NULL in every wildcard RHS attribute can neither
-                # support nor contradict the FD part of the CFD.
-                continue
-            key = tuple(row.get(attr) for attr in cfd.lhs)
-            by_lhs[key].append(tid)
-        for key, tids in by_lhs.items():
-            if len(tids) < 2:
-                continue
-            disagreement = False
-            for attr in wildcard_rhs:
-                values = {
-                    _normalise(relation.value(tid, attr))
-                    for tid in tids
-                    if relation.value(tid, attr) is not None
-                }
-                if len(values) > 1:
-                    disagreement = True
-                    break
-            if disagreement:
-                groups.append((pattern_index, key, sorted(tids)))
-    return groups
+    return scan_violations(relation, cfd).multi_tuple_violation_groups()
 
 
 def satisfies(relation: Relation, cfd: CFD) -> bool:
     """Whether ``relation`` satisfies ``cfd`` (no violations of either kind)."""
-    if single_tuple_violations(relation, cfd):
-        return False
-    if multi_tuple_violation_groups(relation, cfd):
-        return False
-    return True
+    scan = scan_violations(relation, cfd)
+    return not any(scan.singles) and not any(scan.groups)
 
 
 def satisfies_all(relation: Relation, cfds: Iterable[CFD]) -> bool:
@@ -98,9 +168,10 @@ def violating_tids(relation: Relation, cfds: Iterable[CFD]) -> Set[int]:
     """The set of tuple ids involved in any violation of any CFD."""
     dirty: Set[int] = set()
     for cfd in cfds:
-        for tid, _pattern_index in single_tuple_violations(relation, cfd):
-            dirty.add(tid)
-        for _pattern_index, _key, tids in multi_tuple_violation_groups(relation, cfd):
+        scan = scan_violations(relation, cfd)
+        for tids in scan.singles:
+            dirty.update(tids)
+        for _pattern_index, _key, tids in scan.multi_tuple_violation_groups():
             dirty.update(tids)
     return dirty
 
@@ -112,14 +183,14 @@ def violation_counts(relation: Relation, cfds: Iterable[CFD]) -> Dict[int, int]:
     is a single-tuple violation, and is incremented by the cardinality of the
     set of tuples that jointly (with ``t``) violate a CFD, for each such CFD.
     """
-    vio: Dict[int, int] = {tid: 0 for tid, _row in relation.rows()}
+    vio: Dict[int, int] = {tid: 0 for tid in relation.tids()}
     for cfd in cfds:
-        single = single_tuple_violations(relation, cfd)
-        single_tids = {tid for tid, _pattern in single}
+        scan = scan_violations(relation, cfd)
+        single_tids = {tid for tids in scan.singles for tid in tids}
         for tid in single_tids:
             vio[tid] += 1
         counted: Set[int] = set()
-        for _pattern_index, _key, tids in multi_tuple_violation_groups(relation, cfd):
+        for _pattern_index, _key, tids in scan.multi_tuple_violation_groups():
             for tid in tids:
                 if tid in counted:
                     continue

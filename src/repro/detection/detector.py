@@ -42,10 +42,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Un
 from ..backends.base import StorageBackend
 from ..backends.sqlite import decode_backend_value
 from ..core.cfd import CFD
-from ..core.satisfaction import (
-    multi_tuple_violation_groups,
-    single_tuple_violations,
-)
+from ..core.satisfaction import scan_violations
 from ..engine.database import Database
 from ..engine.relation import Relation
 from ..engine.types import RelationSchema
@@ -518,8 +515,9 @@ class ErrorDetector:
     ) -> List[Violation]:
         rhs_attribute = cfd.rhs[0]
         violations: List[Violation] = []
+        scan = scan_violations(relation, cfd)
         seen_single: Set[int] = set()
-        for tid, pattern_index in single_tuple_violations(relation, cfd):
+        for tid, pattern_index in scan.single_tuple_violations():
             if tid in seen_single:
                 continue
             seen_single.add(tid)
@@ -536,7 +534,7 @@ class ErrorDetector:
                 )
             )
         seen_groups: Set[Tuple[Any, ...]] = set()
-        for pattern_index, lhs_values, tids in multi_tuple_violation_groups(relation, cfd):
+        for pattern_index, lhs_values, tids in scan.multi_tuple_violation_groups():
             if lhs_values in seen_groups:
                 continue
             seen_groups.add(lhs_values)

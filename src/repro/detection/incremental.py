@@ -103,7 +103,7 @@ class IncrementalDetector:
         ]
         #: open explicit batch (None outside a ``batch()`` block)
         self._pending: Optional[DeltaBatch] = None
-        for tid, row in self.relation.rows():
+        for tid, row in self.relation.stored_rows():
             self._add_tuple(tid, row)
 
     # -- state maintenance -------------------------------------------------------------
@@ -119,18 +119,19 @@ class IncrementalDetector:
     def _add_to_unit(self, unit: _WorkUnit, tid: int, row: Mapping[str, Any]) -> None:
         cfd = unit.cfd
         rhs_attribute = unit.rhs_attribute
-        for pattern_index, pattern in enumerate(cfd.patterns):
+        # every pattern row shares the LHS, so the key is built once per tuple
+        key = tuple(map(row.get, cfd.lhs))
+        applicable = None not in key
+        for pattern_index, matcher in enumerate(cfd.matchers):
             self.tuples_examined += 1
-            if not cfd.applies_to(row, pattern):
+            if not (applicable and matcher.key_matches(key)):
                 continue
-            rhs_value = pattern.value(rhs_attribute)
-            if rhs_value.is_constant:
-                if not rhs_value.matches(row.get(rhs_attribute)):
+            if matcher.rhs_constants:
+                if matcher.violates_constant(row):
                     unit.singles.setdefault(tid, pattern_index)
             else:
                 if row.get(rhs_attribute) is None or not cfd.lhs:
                     continue
-                key = tuple(row.get(attr) for attr in cfd.lhs)
                 unit.groups[pattern_index].setdefault(key, {})[tid] = row.get(
                     rhs_attribute
                 )

@@ -13,7 +13,7 @@ import random
 from typing import Dict, List, Sequence, Tuple
 
 from ..core.cfd import CFD
-from ..core.satisfaction import multi_tuple_violation_groups, single_tuple_violations
+from ..core.satisfaction import scan_violations
 from ..engine.relation import Relation
 
 
@@ -61,8 +61,9 @@ def validate_cfds(relation: Relation, cfds: Sequence[CFD]) -> Dict[str, Dict[str
     total = len(relation) or 1
     results: Dict[str, Dict[str, float]] = {}
     for cfd in cfds:
-        singles = single_tuple_violations(relation, cfd)
-        groups = multi_tuple_violation_groups(relation, cfd)
+        scan = scan_violations(relation, cfd)
+        singles = scan.single_tuple_violations()
+        groups = scan.multi_tuple_violation_groups()
         involved = {tid for tid, _pattern in singles}
         for _pattern, _key, tids in groups:
             involved.update(tids)

@@ -118,7 +118,28 @@ class Relation:
             raise ConstraintViolationError(
                 f"tuple id {tid} is already live in relation {self.name!r}"
             )
-        coerced = self.schema.coerce_row(row)
+        return self._insert_coerced(tid, self.schema.coerce_row(row))
+
+    def insert_copy(self, other: "Relation", tid: int) -> int:
+        """Insert a copy of ``other``'s tuple ``tid`` under the same tuple id.
+
+        ``other`` must share this relation's schema object, so its rows
+        are already coerced against it and are copied as they are; the tid
+        and key checks of :meth:`insert_at` still apply.  A partial working
+        relation and its pristine twin take each fetched row this way,
+        coercing it once.
+        """
+        if other.schema is not self.schema:
+            raise SchemaError(
+                f"relation {other.name!r} does not share the schema of {self.name!r}"
+            )
+        if tid in self._rows:
+            raise ConstraintViolationError(
+                f"tuple id {tid} is already live in relation {self.name!r}"
+            )
+        return self._insert_coerced(tid, dict(other._require(tid)))
+
+    def _insert_coerced(self, tid: int, coerced: Dict[str, Any]) -> int:
         self._check_key(coerced, exclude_tid=None)
         self._rows[tid] = coerced
         self._next_tid = max(self._next_tid, tid + 1)
@@ -163,14 +184,37 @@ class Relation:
         return dict(self._require(tid))
 
     def value(self, tid: int, attribute: str) -> Any:
-        """Return a single attribute value of tuple ``tid``."""
-        self.schema.attribute(attribute)
-        return self._require(tid).get(attribute)
+        """Return a single attribute value of tuple ``tid``.
+
+        Raises :class:`~repro.errors.UnknownTupleError` for a tid that is
+        not live and :class:`~repro.errors.UnknownAttributeError` for an
+        attribute the schema lacks.
+        """
+        row = self._require(tid)
+        try:
+            return row[attribute]
+        except KeyError:
+            self.schema.attribute(attribute)  # raises for an unknown attribute
+            return None
 
     def rows(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
-        """Iterate over ``(tid, row)`` pairs; rows are copies."""
+        """Iterate over ``(tid, row)`` pairs in ascending tid order; rows are copies.
+
+        The caller may keep or mutate the copies.  A scan that only reads
+        should use :meth:`stored_rows`, which copies nothing.
+        """
         for tid in sorted(self._rows):
             yield tid, dict(self._rows[tid])
+
+    def stored_rows(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
+        """Iterate over ``(tid, row)`` pairs in ascending tid order, without copying.
+
+        The rows are the relation's own dicts: read them, never mutate
+        them, and do not hold on to one across a change to the relation
+        (:meth:`update` replaces a tuple's dict).  The order is fixed when
+        the iteration starts.
+        """
+        return iter(sorted(self._rows.items()))
 
     def to_list(self) -> List[Dict[str, Any]]:
         """Return all rows (copies) in tid order, without tids."""
@@ -186,7 +230,7 @@ class Relation:
         """Return the distinct values of ``attribute`` (NULLs excluded)."""
         self.schema.attribute(attribute)
         seen: Dict[Any, None] = {}
-        for _tid, row in self.rows():
+        for _tid, row in self.stored_rows():
             value = row.get(attribute)
             if value is not None and value not in seen:
                 seen[value] = None

@@ -239,8 +239,8 @@ class RelationSchema:
         out: Dict[str, Any] = {}
         for attr in self.attributes:
             out[attr.name] = attr.coerce(row.get(attr.name))
-        unknown = set(row) - set(self.attribute_names)
-        if unknown:
+        if not row.keys() <= out.keys():
+            unknown = [name for name in row if name not in out]
             raise UnknownAttributeError(self.name, sorted(unknown)[0])
         return out
 

@@ -15,8 +15,7 @@ from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
-from ..core.cfd import CFD
-from ..core.pattern import PatternTuple
+from ..core.cfd import CFD, PatternMatcher
 from ..detection.violations import Violation, ViolationReport
 from ..engine.relation import Relation
 from ..errors import ExplorerError
@@ -128,17 +127,19 @@ class DataExplorer:
         dirty = self._dirty_by_cfd.get(cfd_id, set())
         rows = self._dirty_rows()
         summaries = []
-        for index, pattern in enumerate(cfd.patterns):
+        for index, matcher in enumerate(cfd.matchers):
             matching_dirty = {
                 tid
                 for tid in dirty
-                if tid in rows and cfd.applies_to(rows[tid], pattern)
+                if tid in rows and matcher.applies_to(rows[tid])
             }
             summaries.append(
                 PatternSummary(
                     cfd_id=cfd_id,
                     pattern_index=index,
-                    rendered={attr: str(pattern.value(attr)) for attr in cfd.attributes},
+                    rendered={
+                        attr: str(matcher.pattern.value(attr)) for attr in cfd.attributes
+                    },
                     violating_tuples=len(matching_dirty),
                 )
             )
@@ -147,7 +148,7 @@ class DataExplorer:
     def lhs_matches(self, cfd_id: str, pattern_index: int) -> List[LhsMatch]:
         """Distinct LHS value combinations of tuples matching the selected pattern."""
         cfd = self._cfd(cfd_id)
-        pattern = self._pattern(cfd, pattern_index)
+        matcher = self._matcher(cfd, pattern_index)
         dirty = self._dirty_by_cfd.get(cfd_id, set())
         # Group sizes come from one pushed-down histogram; the violating
         # counts need only the (already fetched) dirty rows, because a
@@ -157,7 +158,7 @@ class DataExplorer:
         violating: Dict[Tuple[Any, ...], int] = defaultdict(int)
         for tid in dirty:
             row = rows.get(tid)
-            if row is None or not cfd.applies_to(row, pattern):
+            if row is None or not matcher.applies_to(row):
                 continue
             violating[tuple(row.get(attr) for attr in cfd.lhs)] += 1
         matches = [
@@ -176,9 +177,8 @@ class DataExplorer:
     ) -> List[RhsValue]:
         """Distinct RHS values among the tuples with the selected LHS values."""
         cfd = self._cfd(cfd_id)
-        pattern = self._pattern(cfd, pattern_index)
         key = tuple(lhs_values)
-        if not self._key_applies(cfd, pattern, key):
+        if not self._matcher(cfd, pattern_index).applies_to_key(key):
             return []
         dirty = self._dirty_by_cfd.get(cfd_id, set())
         rhs_attribute = cfd.rhs[0]
@@ -249,9 +249,8 @@ class DataExplorer:
         visible page is ever hydrated.
         """
         cfd = self._cfd(cfd_id)
-        pattern = self._pattern(cfd, pattern_index)
         key = tuple(lhs_values)
-        if not self._key_applies(cfd, pattern, key):
+        if not self._matcher(cfd, pattern_index).applies_to_key(key):
             return []
         return self.source.page(
             after_tid=after_tid,
@@ -280,8 +279,8 @@ class DataExplorer:
         for cfd in self.cfds:
             applicable_patterns = [
                 index
-                for index, pattern in enumerate(cfd.patterns)
-                if cfd.applies_to(row, pattern)
+                for index, matcher in enumerate(cfd.matchers)
+                if matcher.applies_to(row)
             ]
             if applicable_patterns:
                 relevant.append(
@@ -307,26 +306,14 @@ class DataExplorer:
 
     # -- internal -----------------------------------------------------------------------------
 
-    @staticmethod
-    def _key_applies(cfd: CFD, pattern: PatternTuple, key: Tuple[Any, ...]) -> bool:
-        """Whether the pattern applies to (every) tuple carrying ``key``.
-
-        :meth:`CFD.applies_to` looks only at a row's LHS values, so this
-        is decidable from the key alone: no NULL components and the
-        pattern's LHS constants match.
-        """
-        if len(key) != len(cfd.lhs) or any(value is None for value in key):
-            return False
-        return cfd.lhs_pattern(pattern).matches(dict(zip(cfd.lhs, key)))
-
     def _cfd(self, cfd_id: str) -> CFD:
         if cfd_id not in self._by_id:
             raise ExplorerError(f"unknown CFD {cfd_id!r}")
         return self._by_id[cfd_id]
 
-    def _pattern(self, cfd: CFD, pattern_index: int) -> PatternTuple:
+    def _matcher(self, cfd: CFD, pattern_index: int) -> PatternMatcher:
         if not 0 <= pattern_index < len(cfd.patterns):
             raise ExplorerError(
                 f"CFD {cfd.identifier} has no pattern #{pattern_index}"
             )
-        return cfd.patterns[pattern_index]
+        return cfd.matchers[pattern_index]

@@ -13,7 +13,6 @@ the total modification cost.
 
 from __future__ import annotations
 
-from collections import defaultdict
 from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional, Set, Tuple
 
@@ -29,6 +28,9 @@ class EquivalenceClasses:
     def __init__(self) -> None:
         self._parent: Dict[Cell, Cell] = {}
         self._rank: Dict[Cell, int] = {}
+        #: class root -> the cells of its class, merged by :meth:`union`,
+        #: so listing a class costs its size, not the number of cells
+        self._members: Dict[Cell, List[Cell]] = {}
         #: class root -> pinned constant (set by constant-RHS resolutions)
         self._target: Dict[Cell, Any] = {}
 
@@ -39,6 +41,7 @@ class EquivalenceClasses:
         if cell not in self._parent:
             self._parent[cell] = cell
             self._rank[cell] = 0
+            self._members[cell] = [cell]
         return self.find(cell)
 
     def find(self, cell: Cell) -> Cell:
@@ -76,6 +79,7 @@ class EquivalenceClasses:
         if self._rank[root_left] < self._rank[root_right]:
             root_left, root_right = root_right, root_left
         self._parent[root_right] = root_left
+        self._members[root_left].extend(self._members.pop(root_right))
         if self._rank[root_left] == self._rank[root_right]:
             self._rank[root_left] += 1
         merged_target = target_left if target_left is not None else target_right
@@ -117,18 +121,14 @@ class EquivalenceClasses:
 
     def classes(self) -> List[List[Cell]]:
         """All classes as lists of cells (singletons included)."""
-        grouped: Dict[Cell, List[Cell]] = defaultdict(list)
-        for cell in self._parent:
-            grouped[self.find(cell)].append(cell)
-        return [sorted(members) for _root, members in sorted(grouped.items())]
+        return [sorted(members) for _root, members in sorted(self._members.items())]
 
     def members(self, cell: Cell) -> List[Cell]:
-        """All cells in the same class as ``cell``."""
-        root = self.find(cell)
-        return sorted(c for c in self._parent if self.find(c) == root)
+        """All cells in the same class as ``cell``, sorted."""
+        return sorted(self._members[self.find(cell)])
 
     def __len__(self) -> int:
-        return len({self.find(cell) for cell in self._parent})
+        return len(self._members)
 
     def __contains__(self, cell: Cell) -> bool:
         return cell in self._parent

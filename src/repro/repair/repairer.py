@@ -32,10 +32,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, 
 
 from ..core.cfd import CFD
 from ..core.pattern import PatternTuple
-from ..core.satisfaction import (
-    multi_tuple_violation_groups,
-    single_tuple_violations,
-)
+from ..core.satisfaction import scan_violations
 from ..engine.relation import Relation
 from ..errors import RepairError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -243,11 +240,15 @@ class BatchRepairer:
         items: List[Tuple[str, CFD, PatternTuple, Any]] = []
         for cfd in cfds:
             for sub in cfd.normalize():
-                for tid, pattern_index in single_tuple_violations(relation, sub):
+                # one pass per sub-CFD; the items keep the order the planner's
+                # greedy decisions depend on: singles by tid, then groups by
+                # first member
+                scan = scan_violations(relation, sub)
+                for tid, pattern_index in scan.single_tuple_violations():
                     if self.restrict_to_tids is not None and tid not in self.restrict_to_tids:
                         continue
                     items.append(("single", sub, sub.patterns[pattern_index], tid))
-                for pattern_index, _key, tids in multi_tuple_violation_groups(relation, sub):
+                for pattern_index, _key, tids in scan.multi_tuple_violation_groups():
                     if self.restrict_to_tids is not None and not (
                         self.restrict_to_tids & set(tids)
                     ):

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.cfd import CFD
-from ..core.satisfaction import multi_tuple_violation_groups, single_tuple_violations
+from ..core.satisfaction import scan_violations
 from ..engine.relation import Relation
 from ..errors import RepairError
 from .repairer import CellChange, Repair
@@ -132,7 +132,8 @@ class RepairReview:
         notes: List[ConflictNote] = []
         for cfd in self.cfds:
             for sub in cfd.normalize():
-                for violating_tid, _pattern in single_tuple_violations(self.working, sub):
+                scan = scan_violations(self.working, sub)
+                for violating_tid, _pattern in scan.single_tuple_violations():
                     if violating_tid == tid:
                         notes.append(
                             ConflictNote(
@@ -142,7 +143,7 @@ class RepairReview:
                                 attribute=sub.rhs[0],
                             )
                         )
-                for _pattern, _key, tids in multi_tuple_violation_groups(self.working, sub):
+                for _pattern, _key, tids in scan.multi_tuple_violation_groups():
                     if tid in tids:
                         notes.append(
                             ConflictNote(

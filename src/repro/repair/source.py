@@ -164,10 +164,11 @@ class PartialRepairSource(RepairDataSource):
             if not moved:
                 continue
             key = tuple(row.get(attr) for attr in sub.lhs)
-            if any(value is None for value in key):
-                continue  # NULL-LHS tuples belong to no group
-            if not _key_applicable(sub, key):
-                continue  # no wildcard-RHS pattern covers this key
+            if not any(
+                matcher.wildcard_rhs and matcher.applies_to_key(key)
+                for matcher in sub.matchers
+            ):
+                continue  # a NULL-LHS key, or no wildcard-RHS pattern covers it
             self._pending.setdefault(sub_index, {})[key] = None
 
     def _take_pending(self) -> Dict[int, Dict[GroupKey, None]]:
@@ -181,7 +182,7 @@ class PartialRepairSource(RepairDataSource):
         """Distinct non-NULL working RHS values per working LHS key."""
         rhs_attribute = sub.rhs[0]
         index: Dict[GroupKey, Set[Any]] = {}
-        for _tid, row in working.rows():
+        for _tid, row in working.stored_rows():
             value = row.get(rhs_attribute)
             if value is None:
                 continue
@@ -202,24 +203,9 @@ def _closure_subs(cfds: Sequence[CFD]) -> List[CFD]:
             if signature in seen:
                 continue
             seen.add(signature)
-            if sub.lhs and any(
-                sub.rhs_pattern(pattern).value(sub.rhs[0]).is_wildcard
-                for pattern in sub.patterns
-            ):
+            if sub.lhs and any(matcher.wildcard_rhs for matcher in sub.matchers):
                 subs.append(sub)
     return subs
-
-
-def _key_applicable(sub: CFD, key: GroupKey) -> bool:
-    """Whether some wildcard-RHS pattern's LHS constants match ``key``."""
-    rhs_attribute = sub.rhs[0]
-    row_like = dict(zip(sub.lhs, key))
-    for pattern in sub.patterns:
-        if not pattern.value(rhs_attribute).is_wildcard:
-            continue
-        if sub.lhs_pattern(pattern).matches(row_like):
-            return True
-    return False
 
 
 class BackendRepairSource(PartialRepairSource):
@@ -465,15 +451,16 @@ class BackendRepairSource(PartialRepairSource):
             value = values.get(sub.rhs[0])
             if value is None:
                 continue
-            key = tuple(values.get(attr) for attr in sub.lhs)
-            if any(part is None for part in key):
+            key = tuple(map(values.get, sub.lhs))
+            if None in key:
                 continue
             self._fetched_members[index][key] += 1
             self._fetched_values[index].setdefault(key, Counter())[value] += 1
 
     def _admit(self, working: Relation, tid: int, values: Dict[str, Any]) -> None:
-        working.insert_at(tid, dict(values))
-        self.original().insert_at(tid, dict(values))
+        working.insert_at(tid, values)
+        # the pristine twin copies the coerced row: one coercion per row
+        self.original().insert_copy(working, tid)
         self._note_fetched(values)
         self.stats["rows_fetched"] += 1
         self.telemetry.inc("repair.rows_fetched")
@@ -585,6 +572,5 @@ class ScopedRepairSource(PartialRepairSource):
         return self.relation.create_index(attributes).lookup_key(key)
 
     def _admit(self, working: Relation, tid: int) -> None:
-        row = self.relation.get(tid)
-        working.insert_at(tid, row)
-        self.original().insert_at(tid, row)
+        working.insert_copy(self.relation, tid)
+        self.original().insert_copy(self.relation, tid)

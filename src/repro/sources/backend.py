@@ -40,7 +40,7 @@ from ..detection.sqlgen import (
     DetectionSqlGenerator,
     SqlQuery,
 )
-from ..engine.types import RelationSchema
+from ..engine.types import DataType, RelationSchema
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .base import NO_RHS_FILTER, GroupKey, TupleSource
 
@@ -67,6 +67,8 @@ class BackendTupleSource(TupleSource):
         self.relation_name = relation_name
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self._schema: Optional[RelationSchema] = None
+        #: each column's dtype by name, read off the schema once
+        self._dtypes: Optional[Dict[str, DataType]] = None
         self._generator = generator
         #: SQL issued by this source (tests and debugging read this)
         self.last_sql: List[str] = []
@@ -94,18 +96,25 @@ class BackendTupleSource(TupleSource):
         with self.telemetry.tag_statements(query.kind):
             return self.backend.execute(query.sql, query.parameters)
 
+    def _column_dtypes(self) -> Dict[str, DataType]:
+        if self._dtypes is None:
+            self._dtypes = {attr.name: attr.dtype for attr in self.schema().attributes}
+        return self._dtypes
+
     def _decode(self, attribute: str, value: Any) -> Any:
-        return decode_backend_value(self.schema().attribute(attribute).dtype, value)
+        return decode_backend_value(self._column_dtypes()[attribute], value)
 
     def _decode_key(self, cfd: CFD, row: Dict[str, Any]) -> GroupKey:
+        dtypes = self._column_dtypes()
         return tuple(
-            self._decode(attr, row[LHS_COLUMN_PREFIX + attr]) for attr in cfd.lhs
+            decode_backend_value(dtypes[attr], row[LHS_COLUMN_PREFIX + attr])
+            for attr in cfd.lhs
         )
 
     def _decode_row(self, row: Dict[str, Any]) -> Dict[str, Any]:
         return {
-            attr: self._decode(attr, row.get(attr))
-            for attr in self.schema().attribute_names
+            attr: decode_backend_value(dtype, row.get(attr))
+            for attr, dtype in self._column_dtypes().items()
         }
 
     # -- protocol ---------------------------------------------------------------

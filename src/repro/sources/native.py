@@ -24,7 +24,7 @@ def native_column_frequencies(relation: Relation) -> Dict[str, Counter]:
     frequencies: Dict[str, Counter] = {
         name: Counter() for name in relation.attribute_names
     }
-    for _tid, row in relation.rows():
+    for _tid, row in relation.stored_rows():
         for attribute, value in row.items():
             if value is not None:
                 frequencies[attribute][value] += 1
@@ -58,7 +58,7 @@ class NativeTupleSource(TupleSource):
     ) -> Dict[GroupKey, int]:
         wanted = set(keys)
         counts: Dict[GroupKey, int] = {}
-        for _tid, row in self.relation.rows():
+        for _tid, row in self.relation.stored_rows():
             if row.get(rhs_attribute) is None:
                 continue
             key = tuple(row.get(attr) for attr in cfd.lhs)
@@ -71,7 +71,7 @@ class NativeTupleSource(TupleSource):
     ) -> List[int]:
         wanted = set(keys)
         tids: List[int] = []
-        for tid, row in self.relation.rows():
+        for tid, row in self.relation.stored_rows():
             if row.get(rhs_attribute) is None:
                 continue
             if tuple(row.get(attr) for attr in cfd.lhs) in wanted:
@@ -83,7 +83,7 @@ class NativeTupleSource(TupleSource):
     ) -> Dict[GroupKey, Counter]:
         wanted = set(keys)
         histograms: Dict[GroupKey, Counter] = {}
-        for _tid, row in self.relation.rows():
+        for _tid, row in self.relation.stored_rows():
             key = tuple(row.get(attr) for attr in cfd.lhs)
             if key not in wanted:
                 continue
@@ -93,19 +93,20 @@ class NativeTupleSource(TupleSource):
     def pattern_group_freq(
         self, cfd: CFD, pattern_index: int
     ) -> Dict[GroupKey, int]:
-        pattern = cfd.patterns[pattern_index]
+        matcher = cfd.matchers[pattern_index]
         freq: Dict[GroupKey, int] = {}
-        for _tid, row in self.relation.rows():
-            if not cfd.applies_to(row, pattern):
+        for _tid, row in self.relation.stored_rows():
+            if not matcher.applies_to(row):
                 continue
             key = tuple(row.get(attr) for attr in cfd.lhs)
             freq[key] = freq.get(key, 0) + 1
         return freq
 
     def applicable_count(self, subs: Sequence[CFD]) -> int:
+        matchers = [sub.matchers[0] for sub in subs]
         count = 0
-        for _tid, row in self.relation.rows():
-            if any(sub.applies_to(row, sub.patterns[0]) for sub in subs):
+        for _tid, row in self.relation.stored_rows():
+            if any(matcher.applies_to(row) for matcher in matchers):
                 count += 1
         return count
 
@@ -118,7 +119,7 @@ class NativeTupleSource(TupleSource):
         rhs_value: Any = NO_RHS_FILTER,
     ) -> List[Tuple[int, Dict[str, Any]]]:
         rows: List[Tuple[int, Dict[str, Any]]] = []
-        for tid, row in self.relation.rows():
+        for tid, row in self.relation.stored_rows():
             if tid <= after_tid:
                 continue
             if cfd is not None and lhs_values is not None:

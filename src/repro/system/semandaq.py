@@ -564,8 +564,8 @@ class Semandaq:
         if old_relation is None or self._backend_lags(relation_name):
             self._sync_backend(relation_name)
             return
-        old_rows = dict(old_relation.rows())
-        new_rows = dict(new_relation.rows())
+        old_rows = dict(old_relation.stored_rows())
+        new_rows = dict(new_relation.stored_rows())
         if old_rows.keys() != new_rows.keys():
             self._sync_backend(relation_name)
             return
@@ -608,9 +608,13 @@ class Semandaq:
         :class:`~repro.backends.delta.DeltaBatch` (a single transaction on
         SQLite).  Returns the affected tid per update (new tids for
         inserts).  The monitor is created on first use, so this is also the
-        one-call way to start monitoring a relation.
+        one-call way to start monitoring a relation.  The cached detection
+        report describes the data before the batch, so it is dropped:
+        :meth:`last_report`, :meth:`audit` and the explorers detect afresh.
         """
-        return self.monitor(relation_name).apply_batch(updates)
+        monitor = self.monitor(relation_name)
+        self._reports.pop(relation_name, None)
+        return monitor.apply_batch(updates)
 
     def _make_monitor(self, relation_name: str, cleansed: bool) -> DataMonitor:
         # a fresh monitor only mirrors updates applied from now on, so the

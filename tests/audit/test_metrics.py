@@ -4,6 +4,7 @@ import pytest
 
 from repro.audit.metrics import (
     Cleanliness,
+    MajorityTally,
     classify_cells,
     classify_tuples,
     violation_statistics,
@@ -69,6 +70,44 @@ class TestTupleClassification:
     def test_majority_threshold_influences_arguably(self, customer_relation, customer_cfds, report):
         strict = classify_tuples(customer_relation, customer_cfds, report, majority=0.99)
         assert strict.of(5) is Cleanliness.DIRTY
+
+
+class TestMajorityChecks:
+    """The arguably-clean test counts a violation's RHS values once.
+
+    Each member of a k-member violation asks what share of the others
+    agree with it; re-reading every other member made that k² value reads
+    per violation.  Counted reads pin it, not timings.
+    """
+
+    def test_value_reads_are_linear_in_the_group(self, monkeypatch):
+        schema = RelationSchema.of("r", ["A", "B"])
+        members = 120
+        rows = [{"A": "k", "B": "v" if index % 4 else "w"} for index in range(members)]
+        relation = Relation.from_rows(schema, rows)
+        cfd = parse_cfd("r: [A=_] -> [B=_]")
+        database = Database()
+        database.add_relation(relation)
+        report = ErrorDetector(database).detect("r", [cfd])
+        assert [len(violation.tids) for violation in report.violations] == [members]
+        reads = {"value": 0}
+        value = Relation.value
+
+        def counting(self, tid, attribute):
+            reads["value"] += 1
+            return value(self, tid, attribute)
+
+        monkeypatch.setattr(Relation, "value", counting)
+        tally = MajorityTally(relation, report)
+        tuples = classify_tuples(relation, [cfd], report, tally=tally)
+        cells = classify_cells(relation, [cfd], report, tally=tally)
+        monkeypatch.undo()
+        assert reads["value"] <= 4 * members, reads
+        # three quarters hold "v": they are arguably clean, the "w" holders dirty
+        assert tuples.counts()[Cleanliness.ARGUABLY] == 90
+        assert tuples.counts()[Cleanliness.DIRTY] == 30
+        assert cells.counts["B"][Cleanliness.ARGUABLY] == 90
+        assert cells.counts["B"][Cleanliness.DIRTY] == 30
 
 
 class TestCellClassification:

@@ -6,11 +6,13 @@ from hypothesis import strategies as st
 
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
+from repro.core.pattern import PatternTuple
 from repro.core.satisfaction import (
     matching_tids,
     multi_tuple_violation_groups,
     satisfies,
     satisfies_all,
+    scan_violations,
     single_tuple_violations,
     violating_tids,
     violation_counts,
@@ -180,3 +182,214 @@ class TestProperties:
             relation.insert(rows[0])
             after = {tid for tid, _p in single_tuple_violations(relation, cfd)}
             assert baseline <= after
+
+
+# ---------------------------------------------------------------------------
+# The one-pass scan against a reference written from the definition
+# ---------------------------------------------------------------------------
+
+TYPED_SCHEMA = RelationSchema.of(
+    "typed", [("A", "string"), ("B", "integer"), ("C", "float"), ("D", "string")]
+)
+#: per attribute: the cell values rows draw from, and the pattern constants
+#: CFDs draw from (untyped on purpose: the integer 1 meets the float 1.0)
+TYPED_VALUES = {
+    "A": ["a", "b", None],
+    "B": [0, 1, None],
+    "C": [0.0, 1.0, 1.5, None],
+    "D": ["a", "b", None],
+}
+TYPED_CONSTANTS = {"A": ["a", "b"], "B": [0, 1, 1.0], "C": [1, 1.0, 1.5], "D": ["a", "b"]}
+
+
+@st.composite
+def typed_instance(draw):
+    """Rows stored under shuffled tids (so dict order is not tid order), and a CFD."""
+    rows = draw(
+        st.lists(
+            st.fixed_dictionaries(
+                {attr: st.sampled_from(values) for attr, values in TYPED_VALUES.items()}
+            ),
+            max_size=14,
+        )
+    )
+    tids = draw(st.permutations([3 * index for index in range(len(rows))]))
+    relation = Relation(TYPED_SCHEMA)
+    for tid, row in zip(tids, rows):
+        relation.insert_at(tid, row)
+    lhs = draw(st.lists(st.sampled_from(["A", "B", "C"]), min_size=1, max_size=2, unique=True))
+    rhs = draw(
+        st.lists(
+            st.sampled_from([attr for attr in TYPED_VALUES if attr not in lhs]),
+            min_size=1,
+            max_size=2,
+            unique=True,
+        )
+    )
+    patterns = []
+    for _ in range(draw(st.integers(min_value=1, max_value=3))):
+        mapping = {
+            attr: draw(st.sampled_from(["_"] + TYPED_CONSTANTS[attr])) for attr in lhs + rhs
+        }
+        patterns.append(PatternTuple.of(mapping))
+    cfd = CFD(relation="typed", lhs=tuple(lhs), rhs=tuple(rhs), patterns=tuple(patterns))
+    return relation, cfd
+
+
+def _equal(left, right):
+    """Equality of the definition: numbers compare by value, so 1 equals 1.0."""
+    if isinstance(left, (int, float)) and isinstance(right, (int, float)):
+        return float(left) == float(right)
+    return left == right
+
+
+def _position_matches(pattern_value, value):
+    """A wildcard matches any non-NULL value, a constant an equal one; NULL matches nothing."""
+    if value is None:
+        return False
+    return pattern_value.is_wildcard or _equal(pattern_value.constant, value)
+
+
+def _reference(relation, cfd):
+    """Single-tuple violations and violating groups, per pattern, from the definition."""
+    rows = sorted(relation.rows())
+    singles, groups = [], []
+    for index, pattern in enumerate(cfd.patterns):
+        # the pattern applies: every LHS position matches (so no LHS NULL)
+        applicable = [
+            (tid, row)
+            for tid, row in rows
+            if all(_position_matches(pattern.value(attr), row[attr]) for attr in cfd.lhs)
+        ]
+        for tid, row in applicable:
+            if any(
+                pattern.value(attr).is_constant
+                and not _position_matches(pattern.value(attr), row[attr])
+                for attr in cfd.rhs
+            ):
+                singles.append((tid, index))
+        wildcard = [attr for attr in cfd.rhs if pattern.value(attr).is_wildcard]
+        if not wildcard:
+            continue
+        partition = []  # [first member's LHS values, member rows], first-member order
+        for tid, row in applicable:
+            if all(row[attr] is None for attr in wildcard):
+                continue
+            key = tuple(row[attr] for attr in cfd.lhs)
+            for first, members in partition:
+                if all(_equal(left, right) for left, right in zip(first, key)):
+                    members.append((tid, row))
+                    break
+            else:
+                partition.append((key, [(tid, row)]))
+        for key, members in partition:
+            disagree = any(
+                left[attr] is not None
+                and right[attr] is not None
+                and not _equal(left[attr], right[attr])
+                for attr in wildcard
+                for _tid, left in members
+                for _other, right in members
+            )
+            if len(members) > 1 and disagree:
+                groups.append((index, key, [tid for tid, _row in members]))
+    return singles, groups
+
+
+class TestOnePassScan:
+    @given(instance=typed_instance())
+    @settings(max_examples=150, deadline=None)
+    def test_scan_matches_the_definition_item_for_item(self, instance):
+        relation, cfd = instance
+        singles, groups = _reference(relation, cfd)
+        scan = scan_violations(relation, cfd)
+        assert scan.single_tuple_violations() == singles
+        assert scan.multi_tuple_violation_groups() == groups
+        assert single_tuple_violations(relation, cfd) == singles
+        assert multi_tuple_violation_groups(relation, cfd) == groups
+        for index, pattern in enumerate(cfd.patterns):
+            applicable = [
+                tid
+                for tid, row in sorted(relation.rows())
+                if all(_position_matches(pattern.value(attr), row[attr]) for attr in cfd.lhs)
+            ]
+            assert matching_tids(relation, cfd, pattern) == applicable
+
+    def test_integer_constant_meets_float_cells(self):
+        relation = Relation.from_rows(
+            TYPED_SCHEMA,
+            [{"A": "a", "C": 1.0, "D": "x"}, {"A": "a", "C": 1.0, "D": "y"},
+             {"A": "a", "C": 1.5, "D": "z"}],
+        )
+        cfd = CFD(
+            relation="typed",
+            lhs=("C",),
+            rhs=("D",),
+            patterns=(PatternTuple.of({"C": 1, "D": "_"}),),
+        )
+        scan = scan_violations(relation, cfd)
+        assert scan.multi_tuple_violation_groups() == [(0, (1.0,), [0, 1])]
+
+
+class TestCompiledMatching:
+    """Each pattern row is compiled once per CFD; no per-row path re-derives it.
+
+    ``CFD.applies_to`` projected the LHS pattern through
+    ``PatternTuple.restrict`` for every row it tested.  Counted calls pin
+    that a scan over N rows makes as many pattern-tuple calls as one over
+    a few rows, not timings.
+    """
+
+    @staticmethod
+    def _cfd():
+        return parse_cfd(
+            "customer: [CNT='UK', ZIP=_] -> [STR=_] ; [CNT='US', ZIP=_] -> [STR='x']"
+        )
+
+    @staticmethod
+    def _relation(size):
+        rows = [
+            {"CNT": ("UK", "US", "NL")[index % 3], "ZIP": f"z{index % 2}",
+             "STR": f"s{index % 4}", "CC": None}
+            for index in range(size)
+        ]
+        rows.append({"CNT": "UK", "ZIP": None, "STR": "s0"})
+        return mini_relation(rows)
+
+    def _pattern_calls(self, monkeypatch, size):
+        relation, cfd = self._relation(size), self._cfd()
+        calls = {"restrict": 0, "value": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                PatternTuple, name, counting(name, getattr(PatternTuple, name))
+            )
+        scan = scan_violations(relation, cfd)
+        monkeypatch.undo()
+        assert scan.multi_tuple_violation_groups() and scan.single_tuple_violations()
+        return calls
+
+    def test_scan_pattern_calls_do_not_grow_with_rows(self, monkeypatch):
+        small = self._pattern_calls(monkeypatch, 12)
+        large = self._pattern_calls(monkeypatch, 600)
+        assert large == small, (small, large)
+        assert large["restrict"] == 0
+
+    def test_matchers_are_kept_on_the_cfd_and_left_out_of_equality(self):
+        cfd = self._cfd()
+        assert cfd.matchers is cfd.matchers
+        assert [matcher.pattern for matcher in cfd.matchers] == list(cfd.patterns)
+        fresh = self._cfd()
+        assert fresh == cfd and hash(fresh) == hash(cfd)
+        assert "matchers" not in repr(cfd)
+        assert cfd.matcher(cfd.patterns[1]) is cfd.matchers[1]
+        # a pattern tuple that is not one of the CFD's rows is compiled afresh
+        other = PatternTuple.of({"CNT": "NL", "ZIP": "_", "STR": "_"})
+        assert cfd.matcher(other).applies_to({"CNT": "NL", "ZIP": "z"})

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from repro.backends import SqliteBackend
 from repro.core.parser import parse_cfd
+from repro.core.pattern import PatternTuple
 from repro.datasets import generate_customers, paper_cfds
 from repro.detection.detector import ErrorDetector
 from repro.detection.incremental import IncrementalDetector
@@ -211,6 +212,44 @@ class TestCostLocality:
         incremental.reset_cost_counter()
         incremental.update(0, {"CITY": "WRONG"})
         assert incremental.tuples_examined < initial_cost / 10
+
+
+class TestStartStateCost:
+    def test_start_state_pattern_calls_do_not_grow_with_rows(self, monkeypatch):
+        """Building the start state tests rows through the compiled matchers.
+
+        The detector examines every (tuple, pattern) pair once and counts
+        each in ``tuples_examined``; the pattern-tuple calls it makes are a
+        function of the CFDs, not of the rows.  Counted calls pin it.
+        """
+        calls = {"restrict": 0, "value": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        examined = []
+        counts = []
+        for size in (20, 400):
+            database = Database()
+            database.add_relation(generate_customers(size, seed=9))
+            for name in calls:
+                calls[name] = 0
+                monkeypatch.setattr(
+                    PatternTuple, name, counting(name, getattr(PatternTuple, name))
+                )
+            # fresh CFDs: each build compiles its matchers once
+            detector = IncrementalDetector(database, "customer", paper_cfds())
+            monkeypatch.undo()
+            counts.append(dict(calls))
+            examined.append(detector.tuples_examined)
+        assert counts[0] == counts[1], counts
+        # one examination per (tuple, pattern row) of each RHS attribute's unit
+        units = sum(len(cfd.patterns) * len(cfd.rhs) for cfd in paper_cfds())
+        assert examined == [20 * units, 400 * units]
 
 
 class TestMirroredUpdateSequences:

@@ -57,10 +57,13 @@ class ForbiddenRelation:
 class CountingRelation:
     """Delegates to a real :class:`Relation`, counting whole-relation reads.
 
-    ``calls`` counts :meth:`~repro.engine.relation.Relation.rows` (a full
-    scan) and :meth:`~repro.engine.relation.Relation.copy`; every other
-    access, keyed lookups included, passes straight through.  Pins that
-    incremental repair reads an update batch's groups, not the relation.
+    ``calls["rows"]`` counts the full scans,
+    :meth:`~repro.engine.relation.Relation.rows` and
+    :meth:`~repro.engine.relation.Relation.stored_rows`, and
+    ``calls["copy"]`` counts :meth:`~repro.engine.relation.Relation.copy`;
+    every other access, keyed lookups included, passes straight through.
+    Pins that incremental repair reads an update batch's groups, not the
+    relation.
     """
 
     def __init__(self, relation):
@@ -70,6 +73,10 @@ class CountingRelation:
     def rows(self):
         self.calls["rows"] += 1
         return self._relation.rows()
+
+    def stored_rows(self):
+        self.calls["rows"] += 1
+        return self._relation.stored_rows()
 
     def copy(self):
         self.calls["copy"] += 1

@@ -4,7 +4,12 @@ import pytest
 
 from repro.engine.relation import Relation
 from repro.engine.types import DataType, RelationSchema
-from repro.errors import ConstraintViolationError, UnknownTupleError
+from repro.errors import (
+    ConstraintViolationError,
+    SchemaError,
+    UnknownAttributeError,
+    UnknownTupleError,
+)
 
 
 @pytest.fixture
@@ -161,3 +166,47 @@ class TestQueriesAndIndexes:
     def test_to_list_in_tid_order(self, relation):
         rows = relation.to_list()
         assert [row["name"] for row in rows] == ["ann", "bob", "cat"]
+
+
+class TestStoredRowsAndCopies:
+    def test_stored_rows_ascend_by_tid_and_do_not_copy(self, relation):
+        relation.insert_at(9, {"name": "zed"})
+        relation.insert_at(5, {"name": "kim"})
+        stored = list(relation.stored_rows())
+        assert [tid for tid, _row in stored] == [0, 1, 2, 5, 9]
+        assert stored == list(relation.rows())
+        # the stored dicts themselves, not copies (read-only by contract)
+        assert stored[0][1] is next(relation.stored_rows())[1]
+        assert stored[0][1] is not next(relation.rows())[1]
+
+    def test_value_reads_the_row_and_rejects_unknown_names(self, relation):
+        assert relation.value(1, "city") == "LDN"
+        with pytest.raises(UnknownAttributeError):
+            relation.value(1, "nope")
+        with pytest.raises(UnknownTupleError):
+            relation.value(42, "city")
+
+    def test_insert_copy_takes_a_coerced_row_once(self, relation, schema, monkeypatch):
+        twin = Relation(schema)
+        twin.create_index(["city"])
+        coerced = []
+        coerce_row = RelationSchema.coerce_row
+
+        def counting(self, row):
+            coerced.append(row)
+            return coerce_row(self, row)
+
+        monkeypatch.setattr(RelationSchema, "coerce_row", counting)
+        assert twin.insert_copy(relation, 1) == 1
+        assert coerced == []
+        assert twin.get(1) == relation.get(1)
+        assert twin.lookup(["city"], ["LDN"]) == [1]
+        twin.update(1, {"city": "GLA"})
+        assert relation.value(1, "city") == "LDN"  # a copy, not the same dict
+        with pytest.raises(ConstraintViolationError, match="already live"):
+            twin.insert_copy(relation, 1)
+
+    def test_insert_copy_requires_the_same_schema(self, relation):
+        other = Relation(RelationSchema.of("people", ["name", ("age", "int"), "city"]))
+        with pytest.raises(SchemaError):
+            other.insert_copy(relation, 0)

@@ -166,6 +166,12 @@ class TestRelationSchema:
         with pytest.raises(UnknownAttributeError):
             schema.coerce_row({"A": "x", "Z": 1})
 
+    def test_coerce_row_names_the_first_unknown_attribute(self):
+        schema = RelationSchema.of("r", ["A", "B"])
+        # fewer keys than attributes, one of them unknown
+        with pytest.raises(UnknownAttributeError, match="'Y'"):
+            schema.coerce_row({"Z": 1, "Y": 2})
+
     def test_dict_roundtrip(self):
         schema = RelationSchema.of("r", ["A", ("B", "int")], key=["A"])
         rebuilt = RelationSchema.from_dict(schema.to_dict())

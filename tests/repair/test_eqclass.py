@@ -44,6 +44,47 @@ class TestUnionFind:
         assert sorted(len(group) for group in groups) == [1, 2]
 
 
+class TestMembersCost:
+    """Listing a class costs its size, not the number of registered cells.
+
+    ``_resolve_single`` lists the members of a cell's class two to three
+    times per single-tuple violation, so a scan over every cell made a
+    repair quadratic in its single-tuple violations.  Counted calls pin
+    it, not timings.
+    """
+
+    def test_members_does_not_visit_unrelated_cells(self, monkeypatch):
+        eq = EquivalenceClasses()
+        for tid in range(500):
+            eq.add((tid, "CNT"))
+        eq.union((3, "CNT"), (7, "CNT"))
+        eq.union((7, "CNT"), (1, "CNT"))
+        calls = {"find": 0}
+        find = EquivalenceClasses.find
+
+        def counting(self, cell):
+            calls["find"] += 1
+            return find(self, cell)
+
+        monkeypatch.setattr(EquivalenceClasses, "find", counting)
+        assert eq.members((7, "CNT")) == [(1, "CNT"), (3, "CNT"), (7, "CNT")]
+        assert eq.members((250, "CNT")) == [(250, "CNT")]
+        assert calls["find"] <= 4, calls
+
+    def test_members_and_classes_follow_unions(self):
+        eq = EquivalenceClasses()
+        cells = [(tid, "A") for tid in range(8)]
+        for left, right in [(0, 4), (5, 1), (4, 1), (6, 7)]:
+            eq.union(cells[left], cells[right])
+        eq.add(cells[2])
+        expected = [[cells[0], cells[1], cells[4], cells[5]], [cells[2]], [cells[6], cells[7]]]
+        assert eq.classes() == expected
+        assert len(eq) == 3
+        for group in expected:
+            for cell in group:
+                assert eq.members(cell) == group
+
+
 class TestPinning:
     def test_pin_and_read(self, classes):
         classes.pin((0, "STR"), "High St")

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.parser import parse_cfd
+from repro.core.pattern import PatternTuple
 from repro.core.satisfaction import satisfies_all, violating_tids
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.relation import Relation
@@ -132,6 +133,58 @@ class TestRestrictedRepair:
         repairer = BatchRepairer(restrict_to_tids=[2])  # Joe is clean
         repair = repairer.repair(customer_relation, customer_cfds)
         assert repair.is_noop()
+
+
+class TestRoundCost:
+    """A repair round over N rows makes as many pattern-tuple calls as over a few.
+
+    Violation collection tested each row against each pattern row through
+    ``CFD.applies_to``, which projected the LHS pattern with
+    ``PatternTuple.restrict`` per row.  The compiled matchers make the
+    pattern-tuple calls a function of the CFDs and the violations alone.
+    Counted calls pin it, not timings.
+    """
+
+    @staticmethod
+    def _relation(customer_relation, filler):
+        relation = customer_relation.copy()
+        for index in range(filler):
+            # clean tuples every CFD of the paper either skips or accepts
+            relation.insert(
+                {"NAME": f"n{index}", "CNT": "NL", "CITY": "AMS", "ZIP": f"z{index}",
+                 "STR": f"s{index}", "CC": "31", "AC": "020"}
+            )
+        return relation
+
+    def _pattern_calls(self, monkeypatch, relation, cfds):
+        calls = {"restrict": 0, "value": 0}
+
+        def counting(name, original):
+            def wrapper(*args):
+                calls[name] += 1
+                return original(*args)
+
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(
+                PatternTuple, name, counting(name, getattr(PatternTuple, name))
+            )
+        repair = BatchRepairer(max_iterations=1).repair(relation, cfds)
+        monkeypatch.undo()
+        assert repair.changes
+        return calls
+
+    def test_round_pattern_calls_do_not_grow_with_rows(
+        self, monkeypatch, customer_relation
+    ):
+        small = self._pattern_calls(
+            monkeypatch, self._relation(customer_relation, 10), paper_cfds()
+        )
+        large = self._pattern_calls(
+            monkeypatch, self._relation(customer_relation, 500), paper_cfds()
+        )
+        assert large == small, (small, large)
 
 
 class TestTermination:

@@ -6,6 +6,7 @@ from repro import Semandaq, SemandaqConfig
 from repro.core.satisfaction import satisfies_all, violating_tids
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.csvio import dump_csv
+from repro.engine.types import RelationSchema
 from repro.errors import BackendError, ConfigurationError
 from repro.monitor.updates import Update
 
@@ -222,6 +223,39 @@ class TestMonitoring:
         assert len(tids) == 2 and tids[0] is not None
         assert len(relation) == before  # one in, one out
         assert len(system.monitor("customer").log) == 2
+
+
+class TestApplyUpdatesRefreshesReport:
+    """``apply_updates`` drops the cached report: it describes the old data."""
+
+    ROWS = [
+        {"NAME": "Mike", "CNT": "UK", "CITY": "EDI", "ZIP": "EH4 1DT"},
+        {"NAME": "Rick", "CNT": "UK", "CITY": "LDN", "ZIP": "EH4 1DT"},
+        {"NAME": "Joe", "CNT": "US", "CITY": "NYC", "ZIP": "01202"},
+        {"NAME": "Mary", "CNT": "US", "CITY": "NYC", "ZIP": "02299"},
+    ]
+
+    @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
+    def test_report_audit_and_explorer_see_the_updates(self, use_sql):
+        system = Semandaq(SemandaqConfig(use_sql_detection=use_sql))
+        schema = RelationSchema.of(
+            "customer", ["NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"]
+        )
+        system.register_relation(schema, self.ROWS)
+        system.add_cfd("customer: [CNT=_, ZIP=_] -> [CITY=_]")
+        assert system.detect("customer").total_violations() == 1
+        assert system.audit("customer").statistics["dirty_tuples"] == 2.0
+
+        system.apply_updates("customer", [Update.modify(1, {"CITY": "EDI"})])
+
+        assert system.last_report("customer").total_violations() == 0
+        statistics = system.audit("customer").statistics
+        assert statistics["total_violations"] == 0.0
+        assert statistics["dirty_tuples"] == 0.0
+        summaries = system.explorer("customer").list_cfds()
+        assert [summary.violating_tuples for summary in summaries] == [0]
+        assert system.monitor("customer").current_report().total_violations() == 0
+        system.close()
 
 
 class TestClose:
