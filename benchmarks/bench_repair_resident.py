@@ -46,6 +46,7 @@ import pytest
 from bench_utils import emit_bench_json, report_series, timed
 from repro.backends import SqliteBackend
 from repro.datasets import generate_customers, inject_noise, paper_cfds
+from repro.detection.detector import ErrorDetector
 from repro.repair.repairer import BatchRepairer
 from repro.repair.source import BackendRepairSource
 
@@ -86,9 +87,13 @@ def _ship_back_repair(backend):
 
 
 def _resident_repair(backend, fetch_threshold=None):
-    """The resident protocol: plan over the backend, fetch only what's needed."""
+    """The resident protocol: plan over the backend, fetch only what's needed.
+
+    The pushed-down detection the source starts from is timed with it.
+    """
+    report = ErrorDetector(backend).detect("customer", _CFDS)
     source = BackendRepairSource(
-        backend, "customer", fetch_threshold=fetch_threshold
+        backend, "customer", report, fetch_threshold=fetch_threshold
     )
     repair = BatchRepairer().repair_with_source(source, _CFDS)
     return repair, source

@@ -394,7 +394,8 @@ class SqliteBackend(StorageBackend):
         with self._write_lock:
             self.create_relation(relation.schema, rows=None, replace=replace)
             name = relation.name
-            self._bulk_insert(name, list(relation.rows()))
+            # the stored rows are only read, so none is copied
+            self._bulk_insert(name, list(relation.stored_rows()))
             tids = relation.tids()
             self._next_tid[name] = (tids[-1] + 1) if tids else 0
             self._conn.commit()

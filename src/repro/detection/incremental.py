@@ -96,6 +96,10 @@ class IncrementalDetector:
         self.tuples_examined = 0
         #: number of DeltaBatch round trips shipped to the mirror
         self.batches_shipped = 0
+        #: number of inserts, deletes and updates applied to the relation;
+        #: an owner that caches results derived from the relation compares
+        #: it to tell whether they still hold
+        self.changes_applied = 0
         self._units: List[_WorkUnit] = [
             _WorkUnit(parent=cfd, cfd=_sub_cfd(cfd, rhs_attribute))
             for cfd in self.cfds
@@ -155,6 +159,7 @@ class IncrementalDetector:
     def insert(self, row: Mapping[str, Any]) -> int:
         """Insert ``row`` into the relation and update detection state."""
         tid = self.relation.insert(dict(row))
+        self.changes_applied += 1
         stored = self.relation.get(tid)
         self._add_tuple(tid, stored)
         # Record the coerced row under the same tid, keeping tuple ids
@@ -168,6 +173,7 @@ class IncrementalDetector:
         """Delete tuple ``tid`` and update detection state."""
         old_row = dict(self.relation.get(tid))
         self.relation.delete(tid)
+        self.changes_applied += 1
         self._remove_tuple(tid, old_row)
         self._record(lambda batch: batch.record_delete(tid))
 
@@ -175,6 +181,7 @@ class IncrementalDetector:
         """Modify attribute values of tuple ``tid`` and update detection state."""
         old_row = dict(self.relation.get(tid))
         self.relation.update(tid, dict(changes))
+        self.changes_applied += 1
         new_row = self.relation.get(tid)
         self._remove_tuple(tid, old_row)
         self._add_tuple(tid, new_row)

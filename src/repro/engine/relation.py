@@ -79,9 +79,19 @@ class Relation:
         return relation
 
     def copy(self) -> "Relation":
-        """Return a deep copy preserving tuple ids and indexes."""
+        """Return an independent copy preserving tuple ids and indexes.
+
+        The copy shares the row dicts and copies the tid map and the
+        indexes.  That is safe because a relation never changes a stored
+        row in place: :meth:`update` stores a new dict, and every method
+        that hands a row out (:meth:`get`, :meth:`rows`, :meth:`update`,
+        :meth:`delete`) hands out a copy, except :meth:`stored_rows`,
+        whose rows are read-only.  A change to either relation therefore
+        never shows in the other, and a copy costs one dict entry per
+        tuple, not one dict.
+        """
         clone = Relation(self.schema)
-        clone._rows = {tid: dict(row) for tid, row in self._rows.items()}
+        clone._rows = dict(self._rows)
         clone._next_tid = self._next_tid
         clone._indexes = {
             attrs: index.copy() for attrs, index in self._indexes.items()
@@ -148,17 +158,19 @@ class Relation:
         return tid
 
     def delete(self, tid: int) -> Dict[str, Any]:
-        """Delete tuple ``tid`` and return its former row."""
+        """Delete tuple ``tid`` and return a copy of its former row."""
         row = self._require(tid)
         del self._rows[tid]
         for index in self._indexes.values():
             index.remove(tid, row)
-        return row
+        return dict(row)
 
     def update(self, tid: int, changes: Dict[str, Any]) -> Dict[str, Any]:
         """Apply ``changes`` (attribute -> new value) to tuple ``tid``.
 
-        Returns the previous row contents.
+        The tuple gets a new dict; the old one is never changed, since a
+        copy of this relation may share it.  Returns a copy of the
+        previous row contents.
         """
         old_row = self._require(tid)
         new_row = dict(old_row)
@@ -169,7 +181,7 @@ class Relation:
         self._rows[tid] = new_row
         for index in self._indexes.values():
             index.update(tid, old_row, new_row)
-        return old_row
+        return dict(old_row)
 
     def clear(self) -> None:
         """Remove every tuple (tuple ids are not reused)."""
@@ -209,10 +221,10 @@ class Relation:
     def stored_rows(self) -> Iterator[Tuple[int, Dict[str, Any]]]:
         """Iterate over ``(tid, row)`` pairs in ascending tid order, without copying.
 
-        The rows are the relation's own dicts: read them, never mutate
-        them, and do not hold on to one across a change to the relation
-        (:meth:`update` replaces a tuple's dict).  The order is fixed when
-        the iteration starts.
+        The rows are the relation's own dicts, which its copies (see
+        :meth:`copy`) share: read them, never mutate them, and do not hold
+        on to one across a change to the relation (:meth:`update` replaces
+        a tuple's dict).  The order is fixed when the iteration starts.
         """
         return iter(sorted(self._rows.items()))
 

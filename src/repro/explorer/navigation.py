@@ -68,8 +68,12 @@ class DataExplorer:
     Accepts either an in-memory :class:`Relation` (wrapped in a
     :class:`NativeTupleSource`) or any :class:`TupleSource` — in
     particular a backend-resident one, in which case every navigation step
-    is answered by pushed-down aggregates plus one cached fetch of the
-    dirty rows, and tuple listings hydrate keyset-sized pages only.
+    is answered by pushed-down aggregates plus the dirty rows, and tuple
+    listings hydrate keyset-sized pages only.  The dirty rows are
+    ``region``, the report's dirty region when the caller already holds
+    it (the explorer only reads it), else one cached fetch.  Rows the
+    explorer hands out (:meth:`explain_tuple`, the tuple pages) are
+    fetched for the caller and never alias the region.
     """
 
     #: page size used when :meth:`tuples_for` drains a group to a full list
@@ -80,6 +84,7 @@ class DataExplorer:
         relation: Union[Relation, TupleSource],
         cfds: Sequence[CFD],
         report: ViolationReport,
+        region: Optional[Relation] = None,
     ):
         if isinstance(relation, TupleSource):
             self.source = relation
@@ -94,14 +99,19 @@ class DataExplorer:
         self._dirty_by_cfd: Dict[str, Set[int]] = defaultdict(set)
         for violation in report.violations:
             self._dirty_by_cfd[violation.cfd_id].update(violation.tids)
-        #: lazily fetched rows of every dirty tid (one row_fetch, cached)
+        self._region = region
+        #: rows of every dirty tid, read-only (the region's, or one
+        #: row_fetch on first use)
         self._dirty_rows_cache: Optional[Dict[int, Dict[str, Any]]] = None
 
     def _dirty_rows(self) -> Dict[int, Dict[str, Any]]:
         if self._dirty_rows_cache is None:
-            self._dirty_rows_cache = self.source.fetch_rows(
-                sorted(self.report.dirty_tids())
-            )
+            if self._region is not None:
+                self._dirty_rows_cache = dict(self._region.stored_rows())
+            else:
+                self._dirty_rows_cache = self.source.fetch_rows(
+                    sorted(self.report.dirty_tids())
+                )
         return self._dirty_rows_cache
 
     # -- exploring data by means of CFDs -------------------------------------------------

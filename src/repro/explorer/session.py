@@ -29,7 +29,10 @@ class Breadcrumb:
 
 
 class ExplorationSession:
-    """A cursor over the CFD → pattern → LHS → RHS → tuples drill-down."""
+    """A cursor over the CFD → pattern → LHS → RHS → tuples drill-down.
+
+    The arguments are those of :class:`DataExplorer`, ``region`` included.
+    """
 
     LEVELS = ("cfd", "pattern", "lhs", "rhs")
 
@@ -38,8 +41,9 @@ class ExplorationSession:
         relation: "Relation | TupleSource",
         cfds: Sequence[CFD],
         report: ViolationReport,
+        region: Optional[Relation] = None,
     ):
-        self.explorer = DataExplorer(relation, cfds, report)
+        self.explorer = DataExplorer(relation, cfds, report, region)
         self._cfd_id: Optional[str] = None
         self._pattern_index: Optional[int] = None
         self._lhs_values: Optional[Tuple[Any, ...]] = None

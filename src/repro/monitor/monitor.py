@@ -168,6 +168,16 @@ class DataMonitor:
         """Tuple examinations performed by incremental detection so far."""
         return self._detector.tuples_examined
 
+    @property
+    def changes_applied(self) -> int:
+        """Inserts, deletes and updates this monitor applied to its relation.
+
+        Incremental repairs count too.  The Semandaq facade compares it
+        to tell whether a cached detection report still describes the
+        relation, without reading the relation.
+        """
+        return self._detector.changes_applied
+
     # -- repair ------------------------------------------------------------------------------
 
     def repair_affected(self, tids: Sequence[int]) -> Optional[Repair]:

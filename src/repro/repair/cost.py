@@ -54,13 +54,21 @@ def damerau_levenshtein(left: str, right: str) -> int:
     return previous[len_right]
 
 
-def normalized_distance(old: Any, new: Any) -> float:
+def normalized_distance(
+    old: Any, new: Any, distances: Optional[Dict[Tuple[str, str], int]] = None
+) -> float:
     """Distance between two cell values, normalised to ``[0, 1]``.
 
     Equal values have distance 0.  A change involving NULL costs 1 (there is
     no evidence the values are related).  Numeric values use the relative
     difference capped at 1; everything else uses normalised string edit
     distance.
+
+    ``distances`` memoises the edit distance per pair of texts: a caller
+    that prices the same pair many times passes one dict to every call and
+    computes each pair once.  The memo is keyed by the texts, not the
+    values, because ``True``, ``1`` and ``1.0`` hash alike but print
+    differently.
     """
     if old is None and new is None:
         return 0.0
@@ -83,7 +91,14 @@ def normalized_distance(old: Any, new: Any) -> float:
     longest = max(len(old_text), len(new_text))
     if longest == 0:
         return 0.0
-    return min(damerau_levenshtein(old_text, new_text) / longest, 1.0)
+    if distances is None:
+        edits = damerau_levenshtein(old_text, new_text)
+    else:
+        pair = (old_text, new_text)
+        edits = distances.get(pair)
+        if edits is None:
+            edits = distances[pair] = damerau_levenshtein(old_text, new_text)
+    return min(edits / longest, 1.0)
 
 
 def similarity(old: Any, new: Any) -> float:
@@ -129,9 +144,13 @@ class CostModel:
         old: Any,
         new: Any,
         fresh: bool = False,
+        distances: Optional[Dict[Tuple[str, str], int]] = None,
     ) -> float:
-        """Cost of changing cell ``(tid, attribute)`` from ``old`` to ``new``."""
-        base = self.weight(tid, attribute) * normalized_distance(old, new)
+        """Cost of changing cell ``(tid, attribute)`` from ``old`` to ``new``.
+
+        ``distances`` is the edit-distance memo of :func:`normalized_distance`.
+        """
+        base = self.weight(tid, attribute) * normalized_distance(old, new, distances)
         if fresh:
             base *= self.fresh_value_penalty
         return base

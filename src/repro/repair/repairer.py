@@ -145,6 +145,10 @@ class BatchRepairer:
         #: the source's value frequencies, read on first use (see
         #: :meth:`_column_frequencies`)
         self._frequencies: Optional[Dict[str, Counter]] = None
+        #: the repair in progress's edit-distance memo: every price goes
+        #: through it, so each pair of values is priced once per repair
+        #: (set per call, dropped when the call returns)
+        self._distances: Optional[Dict[Tuple[str, str], int]] = None
 
     # -- public API -------------------------------------------------------------------
 
@@ -168,10 +172,19 @@ class BatchRepairer:
         the planner's own changes), or an update batch's groups for
         incremental repair (:class:`~repro.repair.source.ScopedRepairSource`).
         Value frequencies are asked for only when a resolution first needs
-        them.
+        them.  Each distinct pair of values is priced once per call: the
+        edit-distance memo lives as long as the call and no longer.
         """
         self._source = source
         self._frequencies = None
+        self._distances = {}
+        try:
+            return self._plan(source, cfds)
+        finally:
+            self._distances = None
+
+    def _plan(self, source: RepairDataSource, cfds: Sequence[CFD]) -> Repair:
+        """The greedy rounds of :meth:`repair_with_source` over ``source``."""
         for cfd in cfds:
             cfd.validate_against(source.attribute_names())
         working = source.load(cfds)
@@ -295,7 +308,8 @@ class BatchRepairer:
 
         # Option A: set the RHS cell to the required constant.
         rhs_cost = self.cost_model.change_cost(
-            tid, rhs_attribute, row.get(rhs_attribute), required
+            tid, rhs_attribute, row.get(rhs_attribute), required,
+            distances=self._distances,
         )
         # Option B: break the LHS match by changing the cheapest constant LHS cell.
         lhs_option = self._cheapest_lhs_break(cfd, pattern, tid, row)
@@ -428,7 +442,8 @@ class BatchRepairer:
                 if cell[0] not in self.restrict_to_tids and value is not None
             ] or None
         best_value, _best_cost, ranked = group_classes.choose_value(
-            anchor, current_values, self.cost_model, only=protected_values
+            anchor, current_values, self.cost_model, only=protected_values,
+            distances=self._distances,
         )
         return self._apply_class_value(
             working,
@@ -467,7 +482,8 @@ class BatchRepairer:
                 attribute, pattern_value.constant
             )
             cost = self.cost_model.change_cost(
-                tid, attribute, row.get(attribute), candidate, fresh=fresh
+                tid, attribute, row.get(attribute), candidate, fresh=fresh,
+                distances=self._distances,
             )
             if best is None or cost < best[2]:
                 best = (attribute, candidate, cost, fresh)
@@ -497,7 +513,8 @@ class BatchRepairer:
         frequencies = self._column_frequencies().get(attribute, Counter())
         frequent = [value for value, _count in frequencies.most_common(5)]
         _best, _cost, ranked = classes.choose_value(
-            cell, current_values, self.cost_model, candidates=frequent
+            cell, current_values, self.cost_model, candidates=frequent,
+            distances=self._distances,
         )
         return tuple(ranked)
 
@@ -556,7 +573,10 @@ class BatchRepairer:
         # this change moved the tuple into (a no-op for the native source)
         if self._source is not None:
             self._source.note_change(working, tid, attribute)
-        cost = self.cost_model.change_cost(tid, attribute, original, new_value, fresh=fresh)
+        cost = self.cost_model.change_cost(
+            tid, attribute, original, new_value, fresh=fresh,
+            distances=self._distances,
+        )
         change_log[cell] = CellChange(
             tid=tid,
             attribute=attribute,

@@ -19,8 +19,10 @@ seed behaviour, bit-for-bit.
 :class:`BackendRepairSource` keeps the relation in the backend and
 materialises only a *partial* working relation:
 
-* the initial tuple set is the violating tuples of a backend-resident
-  ``detect()`` (reusing the PR 5 pushdown end to end);
+* the initial tuple set is the dirty region of the detection report the
+  source is given (:meth:`~repro.sources.base.TupleSource.dirty_region`:
+  the violating tuples, one ``row_fetch`` pass), so a repair runs no
+  detection of its own;
 * ``_column_frequencies`` becomes one ``GROUP BY``/``COUNT`` aggregate
   per attribute (:meth:`DetectionSqlGenerator.value_freq_query`), ordered
   client-side by ``(freq DESC, MIN(_tid) ASC)`` so candidate ranking ties
@@ -67,8 +69,8 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..backends.base import StorageBackend
 from ..core.cfd import CFD
-from ..detection.detector import ErrorDetector
 from ..detection.sqlgen import DetectionSqlGenerator
+from ..detection.violations import ViolationReport
 from ..engine.relation import Relation
 from ..engine.types import RelationSchema
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -211,9 +213,14 @@ def _closure_subs(cfds: Sequence[CFD]) -> List[CFD]:
 class BackendRepairSource(PartialRepairSource):
     """Backend-resident source: the planner sees only the tuples it needs.
 
-    ``detector`` may be shared (the facade passes its own, so the repair
-    reuses its per-relation generator and prepared-plan caches); when
-    omitted a private one is built over ``backend``.
+    ``report`` is the detection report of the stored relation the repair
+    starts from; it must describe the relation as it is now.  The working
+    relation and its pristine twin start as copies of the report's dirty
+    region: ``region`` when the caller already holds it (the facade keeps
+    one per cached report), else one fetched on :meth:`load`.  Neither
+    copy aliases a row the caller can change, because a
+    :class:`~repro.engine.relation.Relation` never edits a stored row in
+    place.
 
     ``fetch_threshold`` (0 < t <= 1, ``None`` = disabled) caps the fraction
     of the relation the closure may fetch row-by-row.  When the dirty
@@ -235,17 +242,17 @@ class BackendRepairSource(PartialRepairSource):
         self,
         backend: StorageBackend,
         relation_name: str,
+        report: ViolationReport,
         telemetry: Optional[Telemetry] = None,
-        detector: Optional[ErrorDetector] = None,
         fetch_threshold: Optional[float] = None,
+        region: Optional[Relation] = None,
     ):
         self.backend = backend
         self.relation_name = relation_name
+        self.report = report
         self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
         self.fetch_threshold = fetch_threshold
-        self._detector = detector or ErrorDetector(
-            backend, use_sql=True, telemetry=telemetry
-        )
+        self._region = region
         #: shared read layer: every pushed-down read goes through here
         self._source = BackendTupleSource(backend, relation_name, telemetry=telemetry)
         self._schema: Optional[RelationSchema] = None
@@ -293,16 +300,21 @@ class BackendRepairSource(PartialRepairSource):
         self._fetched_members = [Counter() for _ in self._subs]
         self._fetched_values = [{} for _ in self._subs]
         self._total_rows = self._source.row_count()
-        working = Relation(schema)
-        self._original = Relation(schema)
-        # The initial working set: exactly the violating tuples, found by
-        # the backend-resident detect (zero working-store reads, PR 5).
-        report = self._detector.detect(self.relation_name, cfds)
-        dirty = sorted(report.dirty_tids())
-        if self._over_threshold(len(dirty)):
+        if self._over_threshold(len(self.report.dirty_tids())):
+            working = Relation(schema)
+            self._original = Relation(schema)
             self._ship_all(working)
-        else:
-            self._fetch_rows(working, dirty)
+            return working
+        # The initial working set: exactly the report's violating tuples.
+        region = self._region
+        if region is None:
+            region = self._source.dirty_region(self.report)
+        working = region.copy()
+        self._original = region.copy()
+        for _tid, values in region.stored_rows():
+            self._note_fetched(values)
+        self.stats["rows_fetched"] += len(region)
+        self.telemetry.inc("repair.rows_fetched", len(region))
         return working
 
     def original(self) -> Relation:

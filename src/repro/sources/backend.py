@@ -11,6 +11,7 @@ budget-chunked plan kinds:
 question                  plan kind
 ========================  =====================================================
 ``fetch_rows``            ``row_fetch`` (flat tid ``IN`` list, padded chunks)
+``dirty_region``          ``row_fetch`` of a report's dirty tids, one pass
 ``value_frequencies``     ``value_freq`` (one ``GROUP BY`` per attribute)
 ``group_member_counts``   ``group_stats`` (sargable restriction + count)
 ``covering_member_tids``  ``covering_members`` (index-only enumeration)

@@ -22,6 +22,8 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cfd import CFD
+from ..detection.violations import ViolationReport
+from ..engine.relation import Relation
 from ..engine.types import RelationSchema
 
 GroupKey = Tuple[Any, ...]
@@ -52,6 +54,19 @@ class TupleSource:
     def fetch_rows(self, tids: Sequence[int]) -> Dict[int, Dict[str, Any]]:
         """Full rows of ``tids`` (decoded values); missing tids are absent."""
         raise NotImplementedError
+
+    def dirty_region(self, report: ViolationReport) -> Relation:
+        """The tuples ``report`` finds violating, as a relation keeping their tids.
+
+        One :meth:`fetch_rows` pass over ``report.dirty_tids()``; the
+        relation coerces each row once.  The resident auditor, explorer
+        and repair source all start from it, and the facade keeps one per
+        cached report, so a clean pass fetches its dirty rows once.
+        """
+        region = Relation(self.schema())
+        for tid, values in self.fetch_rows(sorted(report.dirty_tids())).items():
+            region.insert_at(tid, values)
+        return region
 
     def value_frequencies(self) -> Dict[str, Counter]:
         """Per-attribute frequency of non-NULL values, native tie-break order."""

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import threading
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
 
 from ..audit.report import DataAuditor, DataQualityReport
@@ -52,6 +53,20 @@ from .constraint_engine import ConstraintEngine
 #: row before its source switches to one keyset-paged full scan (see
 #: :class:`~repro.repair.source.BackendRepairSource`)
 RESIDENT_FETCH_THRESHOLD = 0.5
+
+
+@dataclass
+class _Detected:
+    """A cached detection report of one relation and the rows derived from it."""
+
+    report: ViolationReport
+    #: the relation's monitor's ``changes_applied`` when the report was
+    #: computed (0 without a monitor): the report is current while the
+    #: count holds
+    changes: int
+    #: the report's dirty region (resident path only), fetched on first
+    #: use and dropped with the report
+    region: Optional[Relation] = None
 
 
 class Semandaq:
@@ -106,7 +121,8 @@ class Semandaq:
             quality_strategy=self.config.quality_strategy,
         )
         self.cost_model = CostModel(attribute_weights=dict(self.config.attribute_weights))
-        self._reports: Dict[str, ViolationReport] = {}
+        #: the latest detection per relation; guarded by ``_sync_lock``
+        self._reports: Dict[str, _Detected] = {}
         self._repairs: Dict[str, Repair] = {}
         self._monitors: Dict[str, DataMonitor] = {}
         #: relations that have been bulk-loaded into the backend at least once
@@ -136,10 +152,9 @@ class Semandaq:
         if isinstance(schema_or_relation, Relation):
             relation = self.database.add_relation(schema_or_relation, replace=replace)
         else:
+            # the relation coerces each row into a dict of its own
             relation = self.database.create_relation(
-                schema_or_relation,
-                rows=[dict(row) for row in rows or []],
-                replace=replace,
+                schema_or_relation, rows=rows, replace=replace
             )
         self._on_relation_replaced(relation.name)
         return relation
@@ -166,7 +181,7 @@ class Semandaq:
         report is dropped and the new contents bulk-loaded.
         """
         self._retire_monitor(relation_name)
-        self._reports.pop(relation_name, None)
+        self._drop_report(relation_name)
         self._sync_backend(relation_name)
 
     def _retire_monitor(self, relation_name: str) -> bool:
@@ -240,10 +255,12 @@ class Semandaq:
 
         Call this after mutating the working database directly (outside the
         monitor and repair paths, which keep the backend current on their
-        own).
+        own).  The cached detection report no longer describes the data,
+        so it is dropped with its dirty region.
         """
         with self._sync_lock:
             self._stale.add(relation_name)
+            self._reports.pop(relation_name, None)
 
     def schema_summary(self) -> Dict[str, List[str]]:
         """The automatically discovered schema shown after connecting."""
@@ -281,13 +298,62 @@ class Semandaq:
         delta, and ``apply_repair`` ships repaired cells as per-tid UPDATEs.
         A full re-sync therefore only happens when the relation was never
         loaded or was explicitly marked stale
-        (:meth:`mark_backend_stale`).
+        (:meth:`mark_backend_stale`).  The report replaces the cached one,
+        and with it that report's dirty region.
         """
+        return self._detect(relation_name).report
+
+    def _detect(self, relation_name: str) -> _Detected:
         self._sync_backend_if_stale(relation_name)
         cfds = self.constraints.cfds(relation_name)
-        report = self.detector.detect(relation_name, cfds)
-        self._reports[relation_name] = report
-        return report
+        # counted before the detection runs: a change made meanwhile makes
+        # the report look stale, never current
+        changes = self._changes_applied(relation_name)
+        detected = _Detected(self.detector.detect(relation_name, cfds), changes)
+        with self._sync_lock:
+            self._reports[relation_name] = detected
+        return detected
+
+    def _changes_applied(self, relation_name: str) -> int:
+        monitor = self._monitors.get(relation_name)
+        return monitor.changes_applied if monitor is not None else 0
+
+    def _current(self, relation_name: str) -> _Detected:
+        """The cached detection of ``relation_name`` if still current, else a fresh one.
+
+        A cached report stays current while nothing changed the relation
+        since it was computed.  The facade's own mutating paths
+        (``apply_updates``, ``apply_repair``, ``register_relation``,
+        ``load_csv``) and :meth:`mark_backend_stale` drop it; updates
+        applied through the monitor the facade built, directly or not,
+        move the monitor's :attr:`~repro.monitor.monitor.DataMonitor.changes_applied`.
+        The decision reads neither the working store nor the backend.
+        """
+        with self._sync_lock:
+            detected = self._reports.get(relation_name)
+            if detected is not None and detected.changes == self._changes_applied(
+                relation_name
+            ):
+                return detected
+        return self._detect(relation_name)
+
+    def _drop_report(self, relation_name: str) -> None:
+        """Forget the cached report of ``relation_name`` and its dirty region."""
+        with self._sync_lock:
+            self._reports.pop(relation_name, None)
+
+    def _dirty_region(
+        self, detected: _Detected, source: BackendTupleSource
+    ) -> Relation:
+        """The report's violating tuples, fetched by one ``row_fetch`` pass on first use.
+
+        The resident audit, explorer and repair all read this one relation
+        and never change it; none of them hands one of its rows to a
+        caller.
+        """
+        if detected.region is None:
+            detected.region = source.dirty_region(detected.report)
+        return detected.region
 
     def detect_for_tuples(
         self, relation_name: str, tids: Iterable[int]
@@ -344,10 +410,15 @@ class Semandaq:
             return [future.result() for future in futures]
 
     def last_report(self, relation_name: str) -> ViolationReport:
-        """The most recent detection report for ``relation_name`` (detects if missing)."""
-        if relation_name not in self._reports:
-            return self.detect(relation_name)
-        return self._reports[relation_name]
+        """The most recent detection report for ``relation_name``, if it is current.
+
+        The cached report is reused only while nothing has changed the
+        relation since it was computed: no update through the facade or
+        the monitor it built, no applied repair, no re-registration and no
+        :meth:`mark_backend_stale`.  Otherwise, or when none is cached,
+        the relation is detected afresh.
+        """
+        return self._current(relation_name).report
 
     # -- step 4: audit ----------------------------------------------------------------------------
 
@@ -360,47 +431,64 @@ class Semandaq:
     def audit(self, relation_name: str) -> DataQualityReport:
         """Summarise the quality of ``relation_name`` from the latest detection.
 
-        With SQL detection on the audit runs backend-resident: the dirty
-        rows come from one ``row_fetch``, the clean-tuple categories from
+        The audit reads the current report (see :meth:`last_report`).
+        With SQL detection on it runs backend-resident: the dirty rows are
+        the report's dirty region, fetched once per report and shared with
+        the explorers and the repair; the clean-tuple categories come from
         pushed-down applicability aggregates, and the quality map's tid
         universe from the catalog row count — the working store is never
         read row-by-row.  With it off the auditor walks the working
         relation (the oracle).
         """
-        report = self.last_report(relation_name)
+        detected = self._current(relation_name)
         cfds = self.constraints.cfds(relation_name)
         if self.config.use_sql_detection:
             self.telemetry.inc("audit.source_resident")
+            source = self._tuple_source(relation_name)
             return self.auditor.audit_source(
-                self._tuple_source(relation_name), cfds, report
+                source, cfds, detected.report, self._dirty_region(detected, source)
             )
-        return self.auditor.audit(self.database.relation(relation_name), cfds, report)
+        return self.auditor.audit(
+            self.database.relation(relation_name), cfds, detected.report
+        )
 
     # -- step 5: explore --------------------------------------------------------------------------
 
     def explorer(self, relation_name: str) -> DataExplorer:
-        """A drill-down explorer over the latest detection results.
+        """A drill-down explorer over the current detection report.
 
         With SQL detection on every navigation step is answered by
         pushed-down aggregates and keyset-paged fetches; only the dirty rows
-        and the visible page of tuples are ever materialised.
+        and the visible page of tuples are ever materialised.  The dirty
+        rows are the report's dirty region, shared with :meth:`audit` and
+        :meth:`repair`; the rows the explorer hands out are fetched for
+        the caller.
         """
-        report = self.last_report(relation_name)
+        detected = self._current(relation_name)
         cfds = self.constraints.cfds(relation_name)
         if self.config.use_sql_detection:
-            return DataExplorer(self._tuple_source(relation_name), cfds, report)
-        return DataExplorer(self.database.relation(relation_name), cfds, report)
+            source = self._tuple_source(relation_name)
+            return DataExplorer(
+                source, cfds, detected.report, self._dirty_region(detected, source)
+            )
+        return DataExplorer(
+            self.database.relation(relation_name), cfds, detected.report
+        )
 
     def exploration_session(self, relation_name: str) -> ExplorationSession:
-        """A stateful exploration session (the Fig. 2 walk-through)."""
-        report = self.last_report(relation_name)
+        """A stateful exploration session (the Fig. 2 walk-through).
+
+        It reads what :meth:`explorer` reads.
+        """
+        detected = self._current(relation_name)
         cfds = self.constraints.cfds(relation_name)
         if self.config.use_sql_detection:
+            source = self._tuple_source(relation_name)
             return ExplorationSession(
-                self._tuple_source(relation_name), cfds, report
+                source, cfds, detected.report, self._dirty_region(detected, source)
             )
         return ExplorationSession(
-            self.database.relation(relation_name), cfds, report
+            self.database.relation(relation_name), cfds, detected.report
         )
 
     # -- step 6: repair and review -----------------------------------------------------------------
@@ -409,12 +497,16 @@ class Semandaq:
         """Compute a candidate repair of ``relation_name``.
 
         With SQL detection on the repair is planned over a
-        backend-resident data source: violations come from the pushed-down
-        ``detect()``, group members from the sargable covering-members
+        backend-resident data source: it starts from the current report
+        (see :meth:`last_report`) and that report's dirty region, which
+        :meth:`audit` and the explorers share, so it runs no detection of
+        its own; group members come from the sargable covering-members
         plans and value frequencies from ``GROUP BY`` aggregates — only
         result-sized rows cross the backend boundary and the working
-        relation is never walked.  With it off the repairer walks the
-        working relation (the parity oracle).
+        relation is never walked.  The repair's ``original`` and
+        ``repaired`` relations hand out copies of their rows, never the
+        region's.  With it off the repairer walks the working relation
+        (the parity oracle).
         """
         cfds = self.constraints.cfds(relation_name)
         repairer = BatchRepairer(
@@ -423,13 +515,15 @@ class Semandaq:
             telemetry=self.telemetry,
         )
         if self.config.use_sql_detection:
-            self._sync_backend_if_stale(relation_name)
+            detected = self._current(relation_name)
+            tuples = self._tuple_source(relation_name)
             source = BackendRepairSource(
                 self.backend,
                 relation_name,
+                detected.report,
                 telemetry=self.telemetry,
-                detector=self.detector,
                 fetch_threshold=RESIDENT_FETCH_THRESHOLD,
+                region=self._dirty_region(detected, tuples),
             )
             repair = repairer.repair_with_source(source, cfds)
             self.telemetry.inc("repair.source_resident")
@@ -448,7 +542,8 @@ class Semandaq:
         A resident repair's ``original``/``repaired`` hold only the partial
         relation the planner fetched; review and the replace-style apply
         path need whole relations, so the change list (the complete ground
-        truth) is replayed over a copy of the working store.
+        truth) is replayed over a copy of the working store, which shares
+        every row the repair leaves unchanged.
         """
         original = self.database.relation(relation_name)
         repaired = original.copy()
@@ -480,13 +575,15 @@ class Semandaq:
         repaired tuple (the repair's cell changes) instead of bulk-reloading
         the whole relation; a full re-sync only happens when the tuple-id
         sets diverge (something other than cell repairs changed the data) or
-        the relation was never loaded.  Also invalidates cached detection
-        reports and switches any monitor of the relation to "cleansed" mode.
+        the relation was never loaded.  Also drops the cached detection
+        report with its dirty region, before anything is copied or shipped,
+        and switches any monitor of the relation to "cleansed" mode.
         """
         if relation_name not in self._repairs and reviewed is None:
             raise ConfigurationError(
                 f"no candidate repair for {relation_name!r}; call repair() first"
             )
+        self._drop_report(relation_name)
         if reviewed is None and self._repairs[relation_name].source == "backend":
             return self._apply_repair_resident(
                 relation_name, self._repairs[relation_name]
@@ -500,7 +597,6 @@ class Semandaq:
         )
         self.database.add_relation(replacement, replace=True)
         self._ship_backend_delta(relation_name, old_relation, replacement)
-        self._reports.pop(relation_name, None)
         self._restart_monitor(relation_name)
         return replacement
 
@@ -509,9 +605,9 @@ class Semandaq:
 
         The repair's change list is the complete ground truth, so the
         replacement relation is rebuilt from the working copy plus the
-        changes (a Python-side copy — the backend is never asked to ship
-        rows back) and the same changes travel to the backend as one
-        :class:`DeltaBatch`.  A pushed-down ``detect_for_tuples`` over the
+        changes (a Python-side copy sharing the unchanged rows — the
+        backend is never asked to ship rows back) and the same changes
+        travel to the backend as one :class:`DeltaBatch`.  A pushed-down ``detect_for_tuples`` over the
         changed tids is the safety net that replaces the native
         ``verify_untouched`` walk (any violations it still finds are
         surfaced as the ``repair.post_check_violations`` counter).
@@ -527,7 +623,6 @@ class Semandaq:
         elif not batch.is_empty():
             self.backend.apply_delta_batch(relation_name, batch)
             self.telemetry.inc("sync.delta_batches")
-        self._reports.pop(relation_name, None)
         changed = sorted(repair.changed_tids())
         if changed:
             post = self.detector.detect_for_tuples(
@@ -556,10 +651,10 @@ class Semandaq:
         each, no backend round trips), so it is robust against the working
         store having drifted since ``repair()`` — e.g. monitor updates in
         between — where replaying the repair's recorded cell changes would
-        silently miss the reverted cells.  ``apply_repair`` already
-        materialises a full copy of the relation, so the diff adds a
-        constant factor, not a new asymptotic cost; only the changed cells
-        travel to the backend.
+        silently miss the reverted cells.  A copy shares the rows it did
+        not change (:meth:`Relation.copy`), so a shared row is skipped
+        without comparing its cells; only the changed cells travel to the
+        backend.
         """
         if old_relation is None or self._backend_lags(relation_name):
             self._sync_backend(relation_name)
@@ -573,6 +668,8 @@ class Semandaq:
         batch = DeltaBatch(relation=relation_name)
         for tid, old_row in old_rows.items():
             new_row = new_rows[tid]
+            if new_row is old_row:
+                continue
             changes = {
                 attr: new_row.get(attr)
                 for attr in attributes
@@ -609,11 +706,12 @@ class Semandaq:
         SQLite).  Returns the affected tid per update (new tids for
         inserts).  The monitor is created on first use, so this is also the
         one-call way to start monitoring a relation.  The cached detection
-        report describes the data before the batch, so it is dropped:
-        :meth:`last_report`, :meth:`audit` and the explorers detect afresh.
+        report describes the data before the batch, so it is dropped with
+        its dirty region: :meth:`last_report`, :meth:`audit`, the explorers
+        and :meth:`repair` detect afresh.
         """
         monitor = self.monitor(relation_name)
-        self._reports.pop(relation_name, None)
+        self._drop_report(relation_name)
         return monitor.apply_batch(updates)
 
     def _make_monitor(self, relation_name: str, cleansed: bool) -> DataMonitor:

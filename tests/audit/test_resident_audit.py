@@ -18,7 +18,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Semandaq, SemandaqConfig
+from repro import Semandaq
 from repro.core.parser import parse_cfd
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.relation import Relation
@@ -53,9 +53,9 @@ def _draw_cfd(data, index):
     return parse_cfd(f"r: {' ; '.join(patterns)}", name=f"cfd{index}")
 
 
-def _audit(use_sql_detection, relation, cfds):
+def _audit(sqlite_config, use_sql_detection, relation, cfds):
     system = Semandaq(
-        config=SemandaqConfig(
+        config=sqlite_config(
             use_sql_detection=use_sql_detection,
             check_consistency_on_add=False,
         )
@@ -71,7 +71,7 @@ def _audit(use_sql_detection, relation, cfds):
 @pytest.mark.usefixtures("plan_family")
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_resident_audit_matches_native_oracle(data):
+def test_resident_audit_matches_native_oracle(sqlite_config, data):
     rows = data.draw(st.lists(row_strategy, min_size=1, max_size=12))
     cfds = [
         _draw_cfd(data, index)
@@ -80,8 +80,8 @@ def test_resident_audit_matches_native_oracle(data):
     schema = RelationSchema.of("r", ATTRIBUTES)
     relation = Relation.from_rows(schema, rows)
 
-    native = _audit(False, relation, cfds)
-    resident = _audit(True, relation, cfds)
+    native = _audit(sqlite_config, False, relation, cfds)
+    resident = _audit(sqlite_config, True, relation, cfds)
 
     assert resident.to_dict() == native.to_dict()
     assert (
@@ -96,8 +96,8 @@ def test_resident_audit_matches_native_oracle(data):
     assert resident.worst_attributes() == native.worst_attributes()
 
 
-def _make_system(**config):
-    system = Semandaq(config=SemandaqConfig(**config))
+def _make_system(sqlite_config, **config):
+    system = Semandaq(config=sqlite_config(**config))
     clean = generate_customers(60, seed=401)
     dirty = inject_noise(
         clean, rate=0.08, seed=402, attributes=["CITY", "STR", "CNT"]
@@ -116,8 +116,8 @@ def _pin_backend(system):
 
 class TestResidentAuditPins:
     @pytest.mark.usefixtures("plan_family")
-    def test_audit_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    def test_audit_ships_no_rows_out_of_the_backend(self, sqlite_config):
+        system = _make_system(sqlite_config)
         _pin_backend(system)
         report = system.audit("customer")
         assert report.tuple_count == 60
@@ -126,16 +126,16 @@ class TestResidentAuditPins:
         assert report.dirty_tuple_count() > 0
         system.close()
 
-    def test_resident_audit_counts_the_source_counter(self):
-        system = _make_system(telemetry=True)
+    def test_resident_audit_counts_the_source_counter(self, sqlite_config):
+        system = _make_system(sqlite_config, telemetry=True)
         system.audit("customer")
         assert system.metrics()["counters"]["audit.source_resident"] == 1
         system.close()
 
-    def test_native_override_still_walks_the_relation(self):
-        system = _make_system(use_sql_detection=False)
+    def test_native_override_still_walks_the_relation(self, sqlite_config):
+        system = _make_system(sqlite_config, use_sql_detection=False)
         native = system.audit("customer")
-        resident = _make_system()
+        resident = _make_system(sqlite_config)
         try:
             assert resident.audit("customer").to_dict() == native.to_dict()
         finally:
@@ -144,8 +144,8 @@ class TestResidentAuditPins:
 
 
 class TestAuditorNeverTouchesTheWorkingRelation:
-    def test_audit_reads_the_backend_alone(self):
-        system = _make_system()
+    def test_audit_reads_the_backend_alone(self, sqlite_config):
+        system = _make_system(sqlite_config)
         _pin_backend(system)
         system.detect("customer")  # sync + cache the report first
         real = system.database.relation("customer")

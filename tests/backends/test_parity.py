@@ -6,9 +6,9 @@ and the incremental detector's Python group state must produce identical
 violation reports on the dirty-customer workload — the same ``vio()`` maps
 and the same dirty tids.
 
-Run with ``SEMANDAQ_SQLITE_MODE=file`` to exercise every SQLite backend in
-this suite against a tmp-path database file instead of ``:memory:`` (see
-``conftest.py``); CI does both.
+Run with ``SEMANDAQ_SQLITE_MODE=file`` to exercise every SQLite backend the
+``sqlite_backend_factory`` fixture builds against a tmp-path database file
+instead of ``:memory:`` (see ``tests/conftest.py``); CI does both.
 """
 
 import pytest

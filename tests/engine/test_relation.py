@@ -163,6 +163,29 @@ class TestQueriesAndIndexes:
         assert relation.value(0, "name") == "ann"
         assert clone.tids() == relation.tids()
 
+    def test_copy_shares_rows_until_either_side_changes_them(self, relation):
+        clone = relation.copy()
+        # one dict per tuple, shared: a copy costs one map entry per tuple
+        assert all(
+            mine is theirs
+            for (_tid, mine), (_tid2, theirs) in zip(
+                relation.stored_rows(), clone.stored_rows()
+            )
+        )
+        clone.update(0, {"name": "changed"})
+        relation.update(1, {"name": "other"})
+        assert relation.value(0, "name") == "ann"
+        assert clone.value(1, "name") == "bob"
+        # the rows either side hands out are copies, never the shared dicts
+        clone.get(2)["name"] = "x"
+        next(relation.rows())[1]["name"] = "x"
+        relation.update(2, {"name": "cal"})["name"] = "x"
+        clone.delete(2)["name"] = "x"
+        assert relation.value(0, "name") == "ann"
+        assert [row["name"] for row in relation.to_list()] == ["ann", "other", "cal"]
+        assert clone.tids() == [0, 1]
+        assert clone.value(1, "name") == "bob"
+
     def test_to_list_in_tid_order(self, relation):
         rows = relation.to_list()
         assert [row["name"] for row in rows] == ["ann", "bob", "cat"]

@@ -12,14 +12,14 @@ while the user navigates.
 
 import pytest
 
-from repro import Semandaq, SemandaqConfig
+from repro import Semandaq
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.errors import ExplorerError
 from tests.doubles import ForbiddenReadBackend, ForbiddenRelation
 
 
-def _make_system(**config):
-    system = Semandaq(config=SemandaqConfig(**config))
+def _make_system(sqlite_config, **config):
+    system = Semandaq(config=sqlite_config(**config))
     clean = generate_customers(60, seed=401)
     dirty = inject_noise(
         clean, rate=0.08, seed=402, attributes=["CITY", "STR", "CNT"]
@@ -63,9 +63,9 @@ def _walk(explorer):
 
 class TestResidentExplorerParity:
     @pytest.mark.usefixtures("plan_family")
-    def test_navigation_matches_native(self):
-        native_system = _make_system(use_sql_detection=False)
-        resident_system = _make_system()
+    def test_navigation_matches_native(self, sqlite_config):
+        native_system = _make_system(sqlite_config, use_sql_detection=False)
+        resident_system = _make_system(sqlite_config)
         try:
             native = native_system.explorer("customer")
             resident = resident_system.explorer("customer")
@@ -78,8 +78,8 @@ class TestResidentExplorerParity:
             native_system.close()
             resident_system.close()
 
-    def test_tuples_page_walks_the_group_in_keyset_pages(self):
-        system = _make_system()
+    def test_tuples_page_walks_the_group_in_keyset_pages(self, sqlite_config):
+        system = _make_system(sqlite_config)
         try:
             explorer = system.explorer("customer")
             cfd_id = explorer.list_cfds()[0].cfd_id
@@ -100,8 +100,8 @@ class TestResidentExplorerParity:
         finally:
             system.close()
 
-    def test_session_next_page(self):
-        system = _make_system()
+    def test_session_next_page(self, sqlite_config):
+        system = _make_system(sqlite_config)
         try:
             session = system.exploration_session("customer")
             with pytest.raises(ExplorerError, match="select an LHS combination"):
@@ -130,8 +130,8 @@ class TestResidentExplorerParity:
 
 
 class TestResidentExplorerPins:
-    def test_navigation_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    def test_navigation_ships_no_rows_out_of_the_backend(self, sqlite_config):
+        system = _make_system(sqlite_config)
         _pin_backend(system)
         try:
             explorer = system.explorer("customer")
@@ -143,8 +143,8 @@ class TestResidentExplorerPins:
         finally:
             system.close()
 
-    def test_session_paging_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    def test_session_paging_ships_no_rows_out_of_the_backend(self, sqlite_config):
+        system = _make_system(sqlite_config)
         _pin_backend(system)
         try:
             session = system.exploration_session("customer")
@@ -159,8 +159,8 @@ class TestResidentExplorerPins:
 
 
 class TestExplorerNeverTouchesTheWorkingRelation:
-    def test_navigation_reads_the_backend_alone(self):
-        system = _make_system()
+    def test_navigation_reads_the_backend_alone(self, sqlite_config):
+        system = _make_system(sqlite_config)
         _pin_backend(system)
         system.detect("customer")  # sync + cache the report first
         real = system.database.relation("customer")

@@ -23,10 +23,10 @@ from collections import Counter
 
 import pytest
 
-from repro import Semandaq, SemandaqConfig
-from repro.backends.sqlite import SqliteBackend
+from repro import Semandaq
 from repro.core.parser import parse_cfd
 from repro.datasets import generate_customers, inject_noise, paper_cfds
+from repro.detection.detector import ErrorDetector
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
 from repro.obs.telemetry import Telemetry
@@ -42,13 +42,26 @@ def _relation(rows):
     return Relation.from_rows(_schema(), rows)
 
 
-def _sqlite_with(rows, **options):
-    backend = SqliteBackend(**options)
-    backend.add_relation(_relation(rows))
-    return backend
+@pytest.fixture
+def sqlite_with(sqlite_backend_factory):
+    """Load ``rows`` into a fresh SQLite store (a file in file mode)."""
+
+    def factory(rows, **options):
+        backend = sqlite_backend_factory(**options)
+        backend.add_relation(_relation(rows))
+        return backend
+
+    return factory
 
 
 CFD_AB = "r: [A=_] -> [B=_]"
+
+
+def _source(backend, cfds, **options):
+    """A resident source starting from a report detected over ``backend``."""
+    report = ErrorDetector(backend).detect("r", cfds)
+    return BackendRepairSource(backend, "r", report, **options)
+
 
 #: one violating pair in group g1, one unanimous unfetched group g2
 PRUNABLE_ROWS = [
@@ -64,12 +77,12 @@ BLANKET_ROWS = [{"A": "g", "B": "x" if i % 2 else "y"} for i in range(10)]
 
 
 class TestMajorityPruning:
-    def test_unanimous_group_is_pruned_without_fetching(self):
-        backend = _sqlite_with(PRUNABLE_ROWS)
+    def test_unanimous_group_is_pruned_without_fetching(self, sqlite_with):
+        backend = sqlite_with(PRUNABLE_ROWS)
         try:
             telemetry = Telemetry(enabled=True)
-            source = BackendRepairSource(backend, "r", telemetry=telemetry)
             cfds = [parse_cfd(CFD_AB)]
+            source = _source(backend, cfds, telemetry=telemetry)
             working = source.load(cfds)
             assert sorted(tid for tid, _row in working.rows()) == [0, 1]
             # the planner moves tid 1 into g2, agreeing with its majority
@@ -85,11 +98,12 @@ class TestMajorityPruning:
         finally:
             backend.close()
 
-    def test_disagreeing_group_is_still_expanded(self):
-        backend = _sqlite_with(PRUNABLE_ROWS)
+    def test_disagreeing_group_is_still_expanded(self, sqlite_with):
+        backend = sqlite_with(PRUNABLE_ROWS)
         try:
-            source = BackendRepairSource(backend, "r")
-            working = source.load([parse_cfd(CFD_AB)])
+            cfds = [parse_cfd(CFD_AB)]
+            source = _source(backend, cfds)
+            working = source.load(cfds)
             # the moved tuple disagrees with g2's stored majority
             working.update(1, {"A": "g2", "B": "w"})
             source.note_change(working, 1, "A")
@@ -102,14 +116,13 @@ class TestMajorityPruning:
 
 
 class TestThresholdFallback:
-    def test_blanket_dirty_region_ships_back_in_pages(self):
-        backend = _sqlite_with(BLANKET_ROWS)
+    def test_blanket_dirty_region_ships_back_in_pages(self, sqlite_with):
+        backend = sqlite_with(BLANKET_ROWS)
         try:
             telemetry = Telemetry(enabled=True)
-            source = BackendRepairSource(
-                backend, "r", telemetry=telemetry, fetch_threshold=0.5
-            )
-            working = source.load([parse_cfd(CFD_AB)])
+            cfds = [parse_cfd(CFD_AB)]
+            source = _source(backend, cfds, telemetry=telemetry, fetch_threshold=0.5)
+            working = source.load(cfds)
             assert source.stats["fallback_shipback"] == 1
             assert len(working) == len(BLANKET_ROWS)
             assert source.fetch_fraction() == 1.0
@@ -125,36 +138,38 @@ class TestThresholdFallback:
         finally:
             backend.close()
 
-    def test_none_threshold_keeps_the_pure_resident_path(self):
-        backend = _sqlite_with(BLANKET_ROWS)
+    def test_none_threshold_keeps_the_pure_resident_path(self, sqlite_with):
+        backend = sqlite_with(BLANKET_ROWS)
         try:
-            source = BackendRepairSource(backend, "r", fetch_threshold=None)
-            working = source.load([parse_cfd(CFD_AB)])
+            cfds = [parse_cfd(CFD_AB)]
+            source = _source(backend, cfds, fetch_threshold=None)
+            working = source.load(cfds)
             assert source.stats["fallback_shipback"] == 0
             # every row is dirty, so the dirty fetch materialises them all
             assert len(working) == len(BLANKET_ROWS)
         finally:
             backend.close()
 
-    def test_sparse_dirty_region_never_falls_back(self):
-        backend = _sqlite_with(PRUNABLE_ROWS)
+    def test_sparse_dirty_region_never_falls_back(self, sqlite_with):
+        backend = sqlite_with(PRUNABLE_ROWS)
         try:
-            source = BackendRepairSource(backend, "r", fetch_threshold=0.5)
-            working = source.load([parse_cfd(CFD_AB)])
+            cfds = [parse_cfd(CFD_AB)]
+            source = _source(backend, cfds, fetch_threshold=0.5)
+            working = source.load(cfds)
             assert source.stats["fallback_shipback"] == 0
             assert len(working) == 2
             assert source.fetch_fraction() == pytest.approx(2 / 5)
         finally:
             backend.close()
 
-    def test_fallback_repair_matches_the_native_oracle(self):
+    def test_fallback_repair_matches_the_native_oracle(self, sqlite_backend_factory):
         relation = _relation(BLANKET_ROWS)
         cfds = [parse_cfd(CFD_AB)]
         native = BatchRepairer(max_iterations=12).repair(relation, cfds)
-        backend = SqliteBackend()
+        backend = sqlite_backend_factory()
         try:
             backend.add_relation(relation.copy())
-            source = BackendRepairSource(backend, "r", fetch_threshold=0.5)
+            source = _source(backend, cfds, fetch_threshold=0.5)
             resident = BatchRepairer(max_iterations=12).repair_with_source(
                 source, cfds
             )
@@ -171,26 +186,26 @@ class TestThresholdFallback:
         finally:
             backend.close()
 
-    def test_fetch_fraction_is_zero_before_load(self):
-        backend = _sqlite_with(PRUNABLE_ROWS)
+    def test_fetch_fraction_is_zero_before_load(self, sqlite_with):
+        backend = sqlite_with(PRUNABLE_ROWS)
         try:
-            source = BackendRepairSource(backend, "r")
+            source = _source(backend, [parse_cfd(CFD_AB)])
             assert source.fetch_fraction() == 0.0
         finally:
             backend.close()
 
 
 class TestSystemIntegration:
-    def _blanket_system(self, **config):
-        system = Semandaq(config=SemandaqConfig(backend="sqlite", **config))
+    def _blanket_system(self, sqlite_config, **config):
+        system = Semandaq(config=sqlite_config(**config))
         clean = generate_customers(60, seed=77)
         dirty = inject_noise(clean, rate=0.1, seed=78, attributes=["CNT"]).dirty
         system.register_relation(dirty)
         system.add_cfds(paper_cfds())
         return system
 
-    def test_blanket_noise_engages_the_fallback_through_the_facade(self):
-        system = self._blanket_system(telemetry=True)
+    def test_blanket_noise_engages_the_fallback_through_the_facade(self, sqlite_config):
+        system = self._blanket_system(sqlite_config, telemetry=True)
         try:
             before = system.detect("customer").total_violations()
             system.clean("customer")

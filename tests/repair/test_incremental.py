@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Semandaq, SemandaqConfig
+from repro import Semandaq
 from repro.core.parser import parse_cfd
 from repro.core.satisfaction import satisfies_all, violating_tids
 from repro.datasets import generate_customers, paper_cfds
@@ -157,8 +157,8 @@ class TestTrustedValueTie:
 
     @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
     @pytest.mark.parametrize("city", ["Aberdeen", "York"])
-    def test_monitored_update_is_repaired(self, city, use_sql):
-        system = Semandaq(SemandaqConfig(use_sql_detection=use_sql))
+    def test_monitored_update_is_repaired(self, sqlite_config, city, use_sql):
+        system = Semandaq(sqlite_config(use_sql_detection=use_sql))
         try:
             system.register_relation(_tie_relation("Leeds", "Leeds"))
             system.add_cfd(PHI1)
@@ -232,15 +232,15 @@ def test_non_lhs_modifies_are_always_repaired(data):
 
 
 class TestIncrementalTelemetry:
-    def _system(self, *cities):
-        system = Semandaq(SemandaqConfig(telemetry=True))
+    def _system(self, sqlite_config, *cities):
+        system = Semandaq(sqlite_config(telemetry=True))
         system.register_relation(_tie_relation(*cities))
         system.add_cfd(PHI1)
         system.monitor("customer", cleansed=True)
         return system
 
-    def test_working_rows_and_residual_are_counted(self):
-        system = self._system("Leeds", "Leeds")
+    def test_working_rows_and_residual_are_counted(self, sqlite_config):
+        system = self._system(sqlite_config, "Leeds", "Leeds")
         try:
             system.apply_updates("customer", [Update.modify(1, {"CITY": "Aberdeen"})])
             counters = system.metrics()["counters"]
@@ -249,8 +249,8 @@ class TestIncrementalTelemetry:
         finally:
             system.close()
 
-    def test_a_residual_violation_is_counted(self):
-        system = self._system("Leeds", "York")
+    def test_a_residual_violation_is_counted(self, sqlite_config):
+        system = self._system(sqlite_config, "Leeds", "York")
         try:
             row = {"NAME": "u", "CNT": "UK", "ZIP": "LS1", "CITY": "Leeds"}
             system.apply_updates("customer", [Update.insert(row)])

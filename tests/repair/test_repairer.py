@@ -10,6 +10,7 @@ from repro.core.satisfaction import satisfies_all, violating_tids
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
+from repro.repair import cost as cost_module
 from repro.repair.cost import CostModel
 from repro.repair.repairer import BatchRepairer, repair_quality
 
@@ -185,6 +186,40 @@ class TestRoundCost:
             monkeypatch, self._relation(customer_relation, 500), paper_cfds()
         )
         assert large == small, (small, large)
+
+
+class TestOnePricePerValuePair:
+    """A repair prices each distinct pair of values once.
+
+    The planner prices the same (old, new) pair for many cells and
+    candidates; the edit distance behind it is memoised for the length of
+    one repair call, never across calls.  Counted calls pin it.
+    """
+
+    def test_a_repair_prices_each_pair_once_and_the_next_starts_afresh(
+        self, monkeypatch
+    ):
+        relation = inject_noise(
+            generate_customers(120, seed=907), rate=0.08, seed=908,
+            attributes=["CITY", "STR", "CNT"],
+        ).dirty
+        cfds = paper_cfds()
+        calls = {}
+        distance = cost_module.damerau_levenshtein
+
+        def counting(left, right):
+            calls[(left, right)] = calls.get((left, right), 0) + 1
+            return distance(left, right)
+
+        monkeypatch.setattr(cost_module, "damerau_levenshtein", counting)
+        repairer = BatchRepairer()
+        first = repairer.repair(relation, cfds)
+        assert first.changes and calls
+        assert set(calls.values()) == {1}
+        priced = dict(calls)
+        second = repairer.repair(relation, cfds)
+        assert second.changes == first.changes
+        assert calls == {pair: 2 for pair in priced}
 
 
 class TestTermination:

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from repro.backends.sqlite import SqliteBackend
 from repro.core.parser import parse_cfd
+from repro.detection.detector import ErrorDetector
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
 from repro.repair.cost import CostModel
@@ -58,7 +59,7 @@ def _changes(repair):
 @pytest.mark.usefixtures("plan_family")
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_resident_repair_matches_native_oracle(data):
+def test_resident_repair_matches_native_oracle(sqlite_options, data):
     rows = data.draw(st.lists(row_strategy, min_size=2, max_size=12))
     cfds = [
         _draw_cfd(data, index)
@@ -80,10 +81,12 @@ def test_resident_repair_matches_native_oracle(data):
         relation, cfds
     )
 
-    backend = SqliteBackend()
+    backend = SqliteBackend(**sqlite_options())
     try:
         backend.add_relation(relation.copy())
-        source = BackendRepairSource(backend, "r")
+        source = BackendRepairSource(
+            backend, "r", ErrorDetector(backend).detect("r", cfds)
+        )
         resident = BatchRepairer(
             cost_model=cost_model, max_iterations=12
         ).repair_with_source(source, cfds)

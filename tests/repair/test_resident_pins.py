@@ -14,12 +14,12 @@ proving the planner reads *only* the backend.
 
 import pytest
 
-from repro import Semandaq, SemandaqConfig
+from repro import Semandaq
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from tests.doubles import ForbiddenReadBackend, ForbiddenRelation
 
-def _make_system():
-    system = Semandaq(config=SemandaqConfig())
+def _make_system(sqlite_config):
+    system = Semandaq(config=sqlite_config())
     clean = generate_customers(60, seed=401)
     dirty = inject_noise(
         clean, rate=0.08, seed=402, attributes=["CITY", "STR", "CNT"]
@@ -37,16 +37,16 @@ def _pin_backend(system):
 
 
 class TestResidentRepairPins:
-    def test_pin_is_live(self):
-        system = _make_system()
+    def test_pin_is_live(self, sqlite_config):
+        system = _make_system(sqlite_config)
         wrapped = _pin_backend(system)
         with pytest.raises(AssertionError, match="read the working store"):
             wrapped.to_relation("customer")
         system.close()
 
     @pytest.mark.usefixtures("plan_family")
-    def test_clean_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    def test_clean_ships_no_rows_out_of_the_backend(self, sqlite_config):
+        system = _make_system(sqlite_config)
         _pin_backend(system)
         summary = system.clean("customer")
         assert summary["cells_changed"] > 0
@@ -54,8 +54,8 @@ class TestResidentRepairPins:
         assert system._repairs["customer"].source == "backend"
         system.close()
 
-    def test_apply_repair_ships_no_rows_out_of_the_backend(self):
-        system = _make_system()
+    def test_apply_repair_ships_no_rows_out_of_the_backend(self, sqlite_config):
+        system = _make_system(sqlite_config)
         _pin_backend(system)
         before = system.detect("customer").total_violations()
         repair = system.repair("customer")
@@ -69,8 +69,8 @@ class TestResidentRepairPins:
 
 
 class TestPlannerNeverTouchesTheWorkingRelation:
-    def test_repair_plans_from_the_backend_alone(self):
-        system = _make_system()
+    def test_repair_plans_from_the_backend_alone(self, sqlite_config):
+        system = _make_system(sqlite_config)
         _pin_backend(system)
         real = system.database.relation("customer")
         system.database._relations["customer"] = ForbiddenRelation("customer")

@@ -11,10 +11,10 @@ from collections import Counter
 
 import pytest
 
-from repro.backends.sqlite import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
+from repro.detection.detector import ErrorDetector
 from repro.detection.sqlgen import DetectionSqlGenerator
 from repro.engine.relation import Relation
 from repro.engine.types import AttributeDef, DataType, RelationSchema
@@ -36,10 +36,22 @@ def _relation(rows):
     return Relation.from_rows(_schema(), rows)
 
 
-def _sqlite_with(rows, **options):
-    backend = SqliteBackend(**options)
-    backend.add_relation(_relation(rows))
-    return backend
+@pytest.fixture
+def sqlite_with(sqlite_backend_factory):
+    """Load ``rows`` into a fresh SQLite store (a file in file mode)."""
+
+    def factory(rows, **options):
+        backend = sqlite_backend_factory(**options)
+        backend.add_relation(_relation(rows))
+        return backend
+
+    return factory
+
+
+def _backend_source(backend, name, cfds, **options):
+    """A resident source starting from a report detected over ``backend``."""
+    report = ErrorDetector(backend).detect(name, cfds)
+    return BackendRepairSource(backend, name, report, **options)
 
 
 class TestProtocol:
@@ -119,8 +131,8 @@ class TestPlanBuilders:
         with pytest.raises(ValueError, match="at least 1"):
             generator.row_fetch_query(0)
 
-    def test_group_stats_plans_chunk_to_the_parameter_budget(self):
-        backend = _sqlite_with([], max_parameters=8)
+    def test_group_stats_plans_chunk_to_the_parameter_budget(self, sqlite_with):
+        backend = sqlite_with([], max_parameters=8)
         generator = DetectionSqlGenerator(
             backend.schema("r"), max_parameters=backend.max_parameters
         )
@@ -132,8 +144,8 @@ class TestPlanBuilders:
             assert len(plan.parameters) <= 8
         backend.close()
 
-    def test_row_fetch_plans_pad_with_the_last_tid(self):
-        backend = _sqlite_with(
+    def test_row_fetch_plans_pad_with_the_last_tid(self, sqlite_with):
+        backend = sqlite_with(
             [{"A": str(i), "B": "x", "C": "y"} for i in range(5)], max_parameters=4
         )
         generator = DetectionSqlGenerator(
@@ -150,8 +162,8 @@ class TestPlanBuilders:
 class TestBackendSource:
     CFD = "r: [A=_] -> [B=_]"
 
-    def test_load_fetches_only_the_dirty_region(self):
-        backend = _sqlite_with(
+    def test_load_fetches_only_the_dirty_region(self, sqlite_with):
+        backend = sqlite_with(
             [
                 {"A": "a", "B": "x", "C": "1"},  # violates with t1
                 {"A": "a", "B": "y", "C": "1"},
@@ -159,32 +171,34 @@ class TestBackendSource:
                 {"A": "b", "B": "z", "C": "1"},
             ]
         )
-        source = BackendRepairSource(backend, "r")
-        working = source.load([parse_cfd(self.CFD)])
+        cfds = [parse_cfd(self.CFD)]
+        source = _backend_source(backend, "r", cfds)
+        working = source.load(cfds)
         assert sorted(tid for tid, _ in working.rows()) == [0, 1]
         assert source.stats["rows_fetched"] == 2
         assert source.last_sql  # SQL really ran
         backend.close()
 
-    def test_original_requires_load(self):
-        backend = _sqlite_with([])
-        source = BackendRepairSource(backend, "r")
+    def test_original_requires_load(self, sqlite_with):
+        backend = sqlite_with([])
+        source = _backend_source(backend, "r", [])
         with pytest.raises(RuntimeError, match="load"):
             source.original()
         with pytest.raises(RuntimeError, match="load"):
             source.column_frequencies()
         backend.close()
 
-    def test_column_frequencies_break_ties_like_the_native_counter(self):
+    def test_column_frequencies_break_ties_like_the_native_counter(self, sqlite_with):
         rows = [
             {"A": "tie2", "B": "x", "C": None},
             {"A": "tie1", "B": "x", "C": None},
             {"A": "tie2", "B": None, "C": None},
             {"A": "tie1", "B": "y", "C": None},
         ]
-        backend = _sqlite_with(rows)
-        source = BackendRepairSource(backend, "r")
-        source.load([parse_cfd(self.CFD)])
+        backend = sqlite_with(rows)
+        cfds = [parse_cfd(self.CFD)]
+        source = _backend_source(backend, "r", cfds)
+        source.load(cfds)
         resident = source.column_frequencies()
         native = native_column_frequencies(_relation(rows))
         for attribute in ("A", "B", "C"):
@@ -193,12 +207,13 @@ class TestBackendSource:
             assert resident[attribute].most_common() == native[attribute].most_common()
         backend.close()
 
-    def test_note_change_skips_null_and_inapplicable_keys(self):
-        backend = _sqlite_with(
+    def test_note_change_skips_null_and_inapplicable_keys(self, sqlite_with):
+        backend = sqlite_with(
             [{"A": "a", "B": "x", "C": "1"}, {"A": "a", "B": "y", "C": "1"}]
         )
-        source = BackendRepairSource(backend, "r")
-        working = source.load([parse_cfd("r: [A='a'] -> [B=_]")])
+        cfds = [parse_cfd("r: [A='a'] -> [B=_]")]
+        source = _backend_source(backend, "r", cfds)
+        working = source.load(cfds)
         working.update(0, {"A": None})
         source.note_change(working, 0, "A")
         assert not source._pending  # NULL LHS belongs to no group
@@ -212,8 +227,8 @@ class TestBackendSource:
         assert len(source._pending) == 1
         backend.close()
 
-    def test_begin_round_expands_only_underfetched_groups(self):
-        backend = _sqlite_with(
+    def test_begin_round_expands_only_underfetched_groups(self, sqlite_with):
+        backend = sqlite_with(
             [
                 {"A": "a", "B": "x", "C": "1"},  # dirty pair, fetched by load
                 {"A": "a", "B": "y", "C": "1"},
@@ -221,8 +236,9 @@ class TestBackendSource:
                 {"A": "b", "B": "z", "C": "1"},
             ]
         )
-        source = BackendRepairSource(backend, "r")
-        working = source.load([parse_cfd(self.CFD)])
+        cfds = [parse_cfd(self.CFD)]
+        source = _backend_source(backend, "r", cfds)
+        working = source.load(cfds)
         # the planner moves t0 into the unfetched group 'b'
         working.update(0, {"A": "b"})
         source.note_change(working, 0, "A")
@@ -239,7 +255,7 @@ class TestBackendSource:
         assert source.last_sql == before
         backend.close()
 
-    def test_boolean_columns_decode_on_the_way_back(self):
+    def test_boolean_columns_decode_on_the_way_back(self, sqlite_backend_factory):
         schema = RelationSchema(
             "flags",
             [
@@ -253,11 +269,11 @@ class TestBackendSource:
             {"A": "g2", "OK": True},
         ]
         relation = Relation.from_rows(schema, rows)
-        backend = SqliteBackend()
+        backend = sqlite_backend_factory()
         backend.add_relation(relation)
         cfds = [parse_cfd("flags: [A=_] -> [OK=_]")]
         native = BatchRepairer().repair(relation, cfds)
-        source = BackendRepairSource(backend, "flags")
+        source = _backend_source(backend, "flags", cfds)
         resident = BatchRepairer().repair_with_source(source, cfds)
         assert [
             (c.tid, c.attribute, c.old_value, c.new_value) for c in resident.changes

@@ -12,7 +12,6 @@ pinned — shapes, plan caching, validation and budget chunking.
 
 import pytest
 
-from repro.backends.sqlite import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
@@ -29,10 +28,16 @@ def _relation(rows):
     return Relation.from_rows(_schema(), rows)
 
 
-def _sqlite_with(rows, **options):
-    backend = SqliteBackend(**options)
-    backend.add_relation(_relation(rows))
-    return backend
+@pytest.fixture
+def sqlite_with(sqlite_backend_factory):
+    """Load ``rows`` into a fresh SQLite store (a file in file mode)."""
+
+    def factory(rows, **options):
+        backend = sqlite_backend_factory(**options)
+        backend.add_relation(_relation(rows))
+        return backend
+
+    return factory
 
 
 def _constant_only():
@@ -69,12 +74,12 @@ class TestMajorityValueQuery:
         with pytest.raises(ValueError, match="non-empty LHS"):
             generator.majority_value_query(_constant_only(), "B", 1)
 
-    def test_plans_chunk_to_the_parameter_budget(self):
+    def test_plans_chunk_to_the_parameter_budget(self, sqlite_with):
         rows = [
             {"A": f"a{i}", "B": f"b{i}", "C": "x" if i % 2 else None}
             for i in range(9)
         ]
-        backend = _sqlite_with(rows, max_parameters=8)
+        backend = sqlite_with(rows, max_parameters=8)
         try:
             generator = DetectionSqlGenerator(
                 backend.schema("r"), max_parameters=backend.max_parameters
@@ -159,8 +164,8 @@ class TestApplicableQueries:
         with pytest.raises(ValueError, match="at least one sub-CFD"):
             generator.applicable_tids_query(())
 
-    def test_chunks_follow_the_parameter_budget(self):
-        backend = _sqlite_with([], max_parameters=8)
+    def test_chunks_follow_the_parameter_budget(self, sqlite_with):
+        backend = sqlite_with([], max_parameters=8)
         try:
             generator = DetectionSqlGenerator(
                 backend.schema("r"), max_parameters=backend.max_parameters

@@ -4,8 +4,8 @@ native oracle on every protocol method.
 The audit/explorer/repair refactors all sit on :class:`TupleSource`, so
 the read layer's correctness reduces to this one statement: for *any*
 relation (NULL cells included) and *any* CFD, every protocol answer of
-``BackendTupleSource`` — row counts, fetched rows, value frequencies,
-group aggregates, per-pattern applicability histograms, applicable-tuple
+``BackendTupleSource`` — row counts, fetched rows, a report's dirty
+region, value frequencies, group aggregates, per-pattern applicability histograms, applicable-tuple
 counts and keyset pages under every RHS filter — equals the
 ``NativeTupleSource`` scan, on SQLite with its default parameter budget
 and with one small enough to force chunked plans, over STRING columns and
@@ -18,6 +18,7 @@ from hypothesis import strategies as st
 
 from repro.backends.sqlite import SqliteBackend
 from repro.core.parser import parse_cfd
+from repro.detection.detector import ErrorDetector
 from repro.engine.relation import Relation
 from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.sources import (
@@ -40,11 +41,11 @@ SCHEMAS = {
     },
 }
 
-BACKENDS = {
-    "sqlite": SqliteBackend,
+BACKEND_OPTIONS = {
+    "sqlite": {},
     # a parameter budget this small forces every key/tid restriction
     # through the chunked multi-statement paths
-    "sqlite-chunked": lambda: SqliteBackend(max_parameters=4),
+    "sqlite-chunked": {"max_parameters": 4},
 }
 
 
@@ -97,7 +98,9 @@ def _drain_pages(source, page_size, **filters):
 )
 @given(data=st.data())
 @settings(max_examples=20, deadline=None)
-def test_backend_source_matches_native_oracle(backend_name, schema_name, data):
+def test_backend_source_matches_native_oracle(
+    sqlite_options, backend_name, schema_name, data
+):
     columns = SCHEMAS[schema_name]
     row_strategy = st.fixed_dictionaries(
         {name: st.sampled_from(values + (None,)) for name, (_, values) in columns.items()}
@@ -116,7 +119,7 @@ def test_backend_source_matches_native_oracle(backend_name, schema_name, data):
     relation = Relation.from_rows(schema, rows)
     native = NativeTupleSource(relation)
 
-    backend = BACKENDS[backend_name]()
+    backend = SqliteBackend(**sqlite_options(**BACKEND_OPTIONS[backend_name]))
     try:
         backend.add_relation(relation.copy())
         source = BackendTupleSource(backend, "r")
@@ -128,6 +131,11 @@ def test_backend_source_matches_native_oracle(backend_name, schema_name, data):
         tids = list(range(len(rows))) + [len(rows) + 7]  # one missing tid
         assert source.fetch_rows(tids) == native.fetch_rows(tids)
         assert source.fetch_rows([]) == {}
+
+        report = ErrorDetector(backend).detect("r", [cfd])
+        region = source.dirty_region(report)
+        assert dict(region.rows()) == dict(native.dirty_region(report).rows())
+        assert region.tids() == sorted(report.dirty_tids())
 
         assert source.value_frequencies() == native.value_frequencies()
 

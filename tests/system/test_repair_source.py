@@ -6,12 +6,12 @@ relation instead, the oracle the resident plan must match change for
 change.
 """
 
-from repro import Semandaq, SemandaqConfig
+from repro import Semandaq
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 
 
-def _system(**config_kwargs):
-    system = Semandaq(config=SemandaqConfig(**config_kwargs))
+def _system(sqlite_config, **config_kwargs):
+    system = Semandaq(config=sqlite_config(**config_kwargs))
     dirty = inject_noise(
         generate_customers(50, seed=421),
         rate=0.08,
@@ -23,9 +23,9 @@ def _system(**config_kwargs):
     return system
 
 
-def test_auto_plans_resident_and_native_forces_the_oracle():
-    resident = _system(telemetry=True)
-    oracle = _system(use_sql_detection=False, telemetry=True)
+def test_auto_plans_resident_and_native_forces_the_oracle(sqlite_config):
+    resident = _system(sqlite_config, telemetry=True)
+    oracle = _system(sqlite_config, use_sql_detection=False, telemetry=True)
     try:
         first = resident.repair("customer")
         second = oracle.repair("customer")
@@ -45,16 +45,16 @@ def test_auto_plans_resident_and_native_forces_the_oracle():
         oracle.close()
 
 
-def test_native_detection_disables_the_resident_source():
-    system = _system(use_sql_detection=False)
+def test_native_detection_disables_the_resident_source(sqlite_config):
+    system = _system(sqlite_config, use_sql_detection=False)
     try:
         assert system.repair("customer").source == "native"
     finally:
         system.close()
 
 
-def test_review_hydrates_a_resident_repair():
-    system = _system(backend="sqlite")
+def test_review_hydrates_a_resident_repair(sqlite_config):
+    system = _system(sqlite_config, backend="sqlite")
     try:
         system.repair("customer")
         assert system._repairs["customer"].source == "backend"
@@ -69,9 +69,9 @@ def test_review_hydrates_a_resident_repair():
         system.close()
 
 
-def test_resident_clean_matches_native_clean():
-    resident = _system(backend="sqlite")
-    native = _system(backend="sqlite", use_sql_detection=False)
+def test_resident_clean_matches_native_clean(sqlite_config):
+    resident = _system(sqlite_config, backend="sqlite")
+    native = _system(sqlite_config, backend="sqlite", use_sql_detection=False)
     try:
         left = resident.clean("customer")
         right = native.clean("customer")

@@ -17,20 +17,20 @@ class TestConnectAndSpecify:
             "customer": ["NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"]
         }
 
-    def test_load_csv(self, customer_relation):
-        semandaq = Semandaq()
+    def test_load_csv(self, sqlite_config, customer_relation):
+        semandaq = Semandaq(sqlite_config())
         semandaq.load_csv(dump_csv(customer_relation), "customer")
         assert "customer" in semandaq.schema_summary()
 
-    def test_add_cfd_from_text(self, customer_relation):
-        semandaq = Semandaq()
+    def test_add_cfd_from_text(self, sqlite_config, customer_relation):
+        semandaq = Semandaq(sqlite_config())
         semandaq.register_relation(customer_relation)
         cfd = semandaq.add_cfd("customer: [CC='44'] -> [CNT='UK']")
         assert cfd.relation == "customer"
         assert semandaq.check_constraints("customer").consistent
 
-    def test_discover_cfds(self):
-        semandaq = Semandaq()
+    def test_discover_cfds(self, sqlite_config):
+        semandaq = Semandaq(sqlite_config())
         reference = generate_customers(100, seed=61)
         semandaq.register_relation(reference)
         discovered = semandaq.discover_cfds(
@@ -67,8 +67,10 @@ class TestDetectAuditExplore:
         # the partial report must not displace the cached full report
         assert system.last_report("customer") is full
 
-    def test_detect_for_tuples_facade_on_sqlite(self, customer_relation, customer_cfds):
-        semandaq = Semandaq(SemandaqConfig(backend="sqlite"))
+    def test_detect_for_tuples_facade_on_sqlite(
+        self, sqlite_config, customer_relation, customer_cfds
+    ):
+        semandaq = Semandaq(sqlite_config())
         semandaq.register_relation(customer_relation)
         semandaq.add_cfds(customer_cfds)
         restricted = semandaq.detect_for_tuples("customer", [4])
@@ -76,8 +78,10 @@ class TestDetectAuditExplore:
         assert all(4 in violation.tids for violation in restricted.violations)
         semandaq.close()
 
-    def test_native_detection_configuration(self, customer_relation, customer_cfds):
-        semandaq = Semandaq(SemandaqConfig(use_sql_detection=False))
+    def test_native_detection_configuration(
+        self, sqlite_config, customer_relation, customer_cfds
+    ):
+        semandaq = Semandaq(sqlite_config(use_sql_detection=False))
         semandaq.register_relation(customer_relation)
         semandaq.add_cfds(customer_cfds)
         assert semandaq.detect("customer").total_violations() >= 3
@@ -177,8 +181,10 @@ class TestRepairReviewApply:
         applied = system.apply_repair("customer", reviewed)
         assert applied.to_list() == reviewed.to_list()
 
-    def test_clean_pipeline_summary(self, customer_relation, customer_cfds):
-        semandaq = Semandaq()
+    def test_clean_pipeline_summary(
+        self, sqlite_config, customer_relation, customer_cfds
+    ):
+        semandaq = Semandaq(sqlite_config())
         semandaq.register_relation(customer_relation.copy())
         semandaq.add_cfds(customer_cfds)
         summary = semandaq.clean("customer")
@@ -236,8 +242,8 @@ class TestApplyUpdatesRefreshesReport:
     ]
 
     @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
-    def test_report_audit_and_explorer_see_the_updates(self, use_sql):
-        system = Semandaq(SemandaqConfig(use_sql_detection=use_sql))
+    def test_report_audit_and_explorer_see_the_updates(self, sqlite_config, use_sql):
+        system = Semandaq(sqlite_config(use_sql_detection=use_sql))
         schema = RelationSchema.of(
             "customer", ["NAME", "CNT", "CITY", "ZIP", "STR", "CC", "AC"]
         )
@@ -274,10 +280,10 @@ class TestClose:
 
 
 class TestEndToEndOnGeneratedData:
-    def test_full_workflow_reduces_dirtiness(self):
+    def test_full_workflow_reduces_dirtiness(self, sqlite_config):
         clean = generate_customers(150, seed=71)
         noise = inject_noise(clean, rate=0.04, seed=72, attributes=["CNT", "CITY", "CC"])
-        semandaq = Semandaq()
+        semandaq = Semandaq(sqlite_config())
         semandaq.register_relation(noise.dirty)
         semandaq.add_cfds(paper_cfds())
         before = semandaq.audit("customer").dirty_percentage()
