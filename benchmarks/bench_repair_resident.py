@@ -49,6 +49,7 @@ from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.detection.detector import ErrorDetector
 from repro.repair.repairer import BatchRepairer
 from repro.repair.source import BackendRepairSource
+from repro.sources.backend import BackendTupleSource
 
 SIZES = [600] if os.environ.get("BENCH_SMOKE") else [600, 2400, 9600]
 
@@ -93,7 +94,9 @@ def _resident_repair(backend, fetch_threshold=None):
     """
     report = ErrorDetector(backend).detect("customer", _CFDS)
     source = BackendRepairSource(
-        backend, "customer", report, fetch_threshold=fetch_threshold
+        BackendTupleSource(backend, "customer"),
+        report,
+        fetch_threshold=fetch_threshold,
     )
     repair = BatchRepairer().repair_with_source(source, _CFDS)
     return repair, source

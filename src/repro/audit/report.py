@@ -139,21 +139,20 @@ class DataAuditor:
         source: "TupleSource",
         cfds: Sequence[CFD],
         report: ViolationReport,
-        region: Optional[Relation] = None,
     ) -> DataQualityReport:
         """Resident audit: classify from the report plus backend aggregates.
 
-        Only the dirty tuples are materialised: ``region``, the report's
-        dirty region when the caller already holds it, else one
-        ``row_fetch`` of the report's dirty tids.  Every member of every
-        violation is dirty, so the majority checks run natively over that
-        partial relation with the same outcome as a full copy; the audit
-        only reads it.  Clean tuples are counted by pushed-down
-        applicability aggregates, and the quality map derives its tid
-        universe from the catalog row count — the working store is never
-        read row-by-row.
+        Only the dirty tuples are materialised: the report's dirty region
+        (:meth:`~repro.sources.base.TupleSource.dirty_region`, one
+        ``row_fetch`` of its dirty tids, or none when ``source`` already
+        holds it).  Every member of every violation is dirty, so the
+        majority checks run natively over that partial relation with the
+        same outcome as a full copy; the audit only reads it.  Clean
+        tuples are counted by pushed-down applicability aggregates, and
+        the quality map derives its tid universe from the catalog row
+        count — the working store is never read row-by-row.
         """
-        partial = region if region is not None else source.dirty_region(report)
+        partial = source.dirty_region(report)
         tally = MajorityTally(partial, report)
         tuple_classification = classify_tuples_source(
             source, partial, cfds, report, self.majority, tally

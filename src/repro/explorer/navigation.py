@@ -69,11 +69,12 @@ class DataExplorer:
     :class:`NativeTupleSource`) or any :class:`TupleSource` — in
     particular a backend-resident one, in which case every navigation step
     is answered by pushed-down aggregates plus the dirty rows, and tuple
-    listings hydrate keyset-sized pages only.  The dirty rows are
-    ``region``, the report's dirty region when the caller already holds
-    it (the explorer only reads it), else one cached fetch.  Rows the
-    explorer hands out (:meth:`explain_tuple`, the tuple pages) are
-    fetched for the caller and never alias the region.
+    listings hydrate keyset-sized pages only.  The dirty rows are the
+    report's dirty region (:meth:`TupleSource.dirty_region`), read on the
+    first step that needs them and shared with whoever else reads the
+    same source; the explorer only reads it.  Rows the explorer hands out
+    (:meth:`explain_tuple`, the tuple pages) are fetched for the caller
+    and never alias the region.
     """
 
     #: page size used when :meth:`tuples_for` drains a group to a full list
@@ -84,7 +85,6 @@ class DataExplorer:
         relation: Union[Relation, TupleSource],
         cfds: Sequence[CFD],
         report: ViolationReport,
-        region: Optional[Relation] = None,
     ):
         if isinstance(relation, TupleSource):
             self.source = relation
@@ -99,19 +99,13 @@ class DataExplorer:
         self._dirty_by_cfd: Dict[str, Set[int]] = defaultdict(set)
         for violation in report.violations:
             self._dirty_by_cfd[violation.cfd_id].update(violation.tids)
-        self._region = region
-        #: rows of every dirty tid, read-only (the region's, or one
-        #: row_fetch on first use)
+        #: the dirty region's rows by tid, read-only (built on first use)
         self._dirty_rows_cache: Optional[Dict[int, Dict[str, Any]]] = None
 
     def _dirty_rows(self) -> Dict[int, Dict[str, Any]]:
         if self._dirty_rows_cache is None:
-            if self._region is not None:
-                self._dirty_rows_cache = dict(self._region.stored_rows())
-            else:
-                self._dirty_rows_cache = self.source.fetch_rows(
-                    sorted(self.report.dirty_tids())
-                )
+            region = self.source.dirty_region(self.report)
+            self._dirty_rows_cache = dict(region.stored_rows())
         return self._dirty_rows_cache
 
     # -- exploring data by means of CFDs -------------------------------------------------

@@ -29,10 +29,7 @@ class Breadcrumb:
 
 
 class ExplorationSession:
-    """A cursor over the CFD → pattern → LHS → RHS → tuples drill-down.
-
-    The arguments are those of :class:`DataExplorer`, ``region`` included.
-    """
+    """A cursor over the CFD → pattern → LHS → RHS → tuples drill-down."""
 
     LEVELS = ("cfd", "pattern", "lhs", "rhs")
 
@@ -41,9 +38,8 @@ class ExplorationSession:
         relation: "Relation | TupleSource",
         cfds: Sequence[CFD],
         report: ViolationReport,
-        region: Optional[Relation] = None,
     ):
-        self.explorer = DataExplorer(relation, cfds, report, region)
+        self.explorer = DataExplorer(relation, cfds, report)
         self._cfd_id: Optional[str] = None
         self._pattern_index: Optional[int] = None
         self._lhs_values: Optional[Tuple[Any, ...]] = None

@@ -19,7 +19,7 @@ original data under this measure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Any, Dict, Mapping, Optional, Tuple
 
 
@@ -64,9 +64,8 @@ def normalized_distance(
     difference capped at 1; everything else uses normalised string edit
     distance.
 
-    ``distances`` memoises the edit distance per pair of texts: a caller
-    that prices the same pair many times passes one dict to every call and
-    computes each pair once.  The memo is keyed by the texts, not the
+    ``distances`` memoises the edit distance per pair of texts (see
+    :meth:`CostModel.memoised`).  It is keyed by the texts, not the
     values, because ``True``, ``1`` and ``1.0`` hash alike but print
     differently.
     """
@@ -122,6 +121,23 @@ class CostModel:
     #: extra penalty multiplier applied when a repair invents a value that does
     #: not occur anywhere in the column (the "fresh value" of the papers).
     fresh_value_penalty: float = 1.5
+    #: edit distance per pair of texts, kept only by a :meth:`memoised` copy
+    _distances: Optional[Dict[Tuple[str, str], int]] = field(
+        default=None, init=False, repr=False, compare=False
+    )
+
+    def memoised(self) -> "CostModel":
+        """A copy of this model that computes each pair's edit distance once.
+
+        The copy shares this model's weights and prices every change
+        exactly as it does; it only remembers each edit distance it
+        computed, for as long as the copy lives.  A repair prices the same
+        pairs of values for many cells and candidates, so it prices
+        through one copy per repair call and drops it with the call.
+        """
+        model = replace(self)
+        model._distances = {}
+        return model
 
     def weight(self, tid: int, attribute: str) -> float:
         """Weight of cell ``(tid, attribute)``."""
@@ -144,13 +160,11 @@ class CostModel:
         old: Any,
         new: Any,
         fresh: bool = False,
-        distances: Optional[Dict[Tuple[str, str], int]] = None,
     ) -> float:
-        """Cost of changing cell ``(tid, attribute)`` from ``old`` to ``new``.
-
-        ``distances`` is the edit-distance memo of :func:`normalized_distance`.
-        """
-        base = self.weight(tid, attribute) * normalized_distance(old, new, distances)
+        """Cost of changing cell ``(tid, attribute)`` from ``old`` to ``new``."""
+        base = self.weight(tid, attribute) * normalized_distance(
+            old, new, self._distances
+        )
         if fresh:
             base *= self.fresh_value_penalty
         return base

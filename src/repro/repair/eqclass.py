@@ -142,7 +142,6 @@ class EquivalenceClasses:
         cost_model: CostModel,
         candidates: Optional[Iterable[Any]] = None,
         only: Optional[Iterable[Any]] = None,
-        distances: Optional[Dict[Tuple[str, str], int]] = None,
     ) -> Tuple[Any, float, List[Tuple[Any, float]]]:
         """Pick the value for ``cell``'s class that minimises total change cost.
 
@@ -154,8 +153,7 @@ class EquivalenceClasses:
         them, so the class can take nothing else (incremental repair passes
         the values its protected members carry).  If the class is pinned,
         the pinned constant wins regardless of cost (but alternatives are
-        still ranked for display).  ``distances`` is the edit-distance memo
-        every price goes through (see :meth:`CostModel.change_cost`).
+        still ranked for display).
         """
         members = self.members(cell)
         values = list(only) if only is not None else [
@@ -177,10 +175,7 @@ class EquivalenceClasses:
         ranked: List[Tuple[Any, float]] = []
         for candidate in candidate_pool:
             total = sum(
-                cost_model.change_cost(
-                    member[0], member[1], current_values.get(member), candidate,
-                    distances=distances,
-                )
+                cost_model.change_cost(member[0], member[1], current_values.get(member), candidate)
                 for member in members
             )
             ranked.append((candidate, total))

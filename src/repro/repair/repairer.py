@@ -145,10 +145,6 @@ class BatchRepairer:
         #: the source's value frequencies, read on first use (see
         #: :meth:`_column_frequencies`)
         self._frequencies: Optional[Dict[str, Counter]] = None
-        #: the repair in progress's edit-distance memo: every price goes
-        #: through it, so each pair of values is priced once per repair
-        #: (set per call, dropped when the call returns)
-        self._distances: Optional[Dict[Tuple[str, str], int]] = None
 
     # -- public API -------------------------------------------------------------------
 
@@ -172,16 +168,18 @@ class BatchRepairer:
         the planner's own changes), or an update batch's groups for
         incremental repair (:class:`~repro.repair.source.ScopedRepairSource`).
         Value frequencies are asked for only when a resolution first needs
-        them.  Each distinct pair of values is priced once per call: the
-        edit-distance memo lives as long as the call and no longer.
+        them.  Every price goes through a :meth:`CostModel.memoised` copy
+        of :attr:`cost_model` that lives as long as the call, so each
+        distinct pair of values costs one edit distance per call.
         """
         self._source = source
         self._frequencies = None
-        self._distances = {}
+        cost_model = self.cost_model
+        self.cost_model = cost_model.memoised()
         try:
             return self._plan(source, cfds)
         finally:
-            self._distances = None
+            self.cost_model = cost_model
 
     def _plan(self, source: RepairDataSource, cfds: Sequence[CFD]) -> Repair:
         """The greedy rounds of :meth:`repair_with_source` over ``source``."""
@@ -308,8 +306,7 @@ class BatchRepairer:
 
         # Option A: set the RHS cell to the required constant.
         rhs_cost = self.cost_model.change_cost(
-            tid, rhs_attribute, row.get(rhs_attribute), required,
-            distances=self._distances,
+            tid, rhs_attribute, row.get(rhs_attribute), required
         )
         # Option B: break the LHS match by changing the cheapest constant LHS cell.
         lhs_option = self._cheapest_lhs_break(cfd, pattern, tid, row)
@@ -442,8 +439,7 @@ class BatchRepairer:
                 if cell[0] not in self.restrict_to_tids and value is not None
             ] or None
         best_value, _best_cost, ranked = group_classes.choose_value(
-            anchor, current_values, self.cost_model, only=protected_values,
-            distances=self._distances,
+            anchor, current_values, self.cost_model, only=protected_values
         )
         return self._apply_class_value(
             working,
@@ -482,8 +478,7 @@ class BatchRepairer:
                 attribute, pattern_value.constant
             )
             cost = self.cost_model.change_cost(
-                tid, attribute, row.get(attribute), candidate, fresh=fresh,
-                distances=self._distances,
+                tid, attribute, row.get(attribute), candidate, fresh=fresh
             )
             if best is None or cost < best[2]:
                 best = (attribute, candidate, cost, fresh)
@@ -513,8 +508,7 @@ class BatchRepairer:
         frequencies = self._column_frequencies().get(attribute, Counter())
         frequent = [value for value, _count in frequencies.most_common(5)]
         _best, _cost, ranked = classes.choose_value(
-            cell, current_values, self.cost_model, candidates=frequent,
-            distances=self._distances,
+            cell, current_values, self.cost_model, candidates=frequent
         )
         return tuple(ranked)
 
@@ -573,10 +567,7 @@ class BatchRepairer:
         # this change moved the tuple into (a no-op for the native source)
         if self._source is not None:
             self._source.note_change(working, tid, attribute)
-        cost = self.cost_model.change_cost(
-            tid, attribute, original, new_value, fresh=fresh,
-            distances=self._distances,
-        )
+        cost = self.cost_model.change_cost(tid, attribute, original, new_value, fresh=fresh)
         change_log[cell] = CellChange(
             tid=tid,
             attribute=attribute,

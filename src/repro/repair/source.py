@@ -67,13 +67,10 @@ from __future__ import annotations
 from collections import Counter
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from ..backends.base import StorageBackend
 from ..core.cfd import CFD
 from ..detection.sqlgen import DetectionSqlGenerator
 from ..detection.violations import ViolationReport
 from ..engine.relation import Relation
-from ..engine.types import RelationSchema
-from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from ..sources.backend import BackendTupleSource
 from ..sources.base import GroupKey
 from ..sources.native import native_column_frequencies
@@ -213,12 +210,16 @@ def _closure_subs(cfds: Sequence[CFD]) -> List[CFD]:
 class BackendRepairSource(PartialRepairSource):
     """Backend-resident source: the planner sees only the tuples it needs.
 
-    ``report`` is the detection report of the stored relation the repair
-    starts from; it must describe the relation as it is now.  The working
-    relation and its pristine twin start as copies of the report's dirty
-    region: ``region`` when the caller already holds it (the facade keeps
-    one per cached report), else one fetched on :meth:`load`.  Neither
-    copy aliases a row the caller can change, because a
+    ``tuples`` is the read layer over the stored relation every
+    pushed-down read goes through, and ``report`` the detection report
+    the repair starts from; it must describe the relation as it is now.
+    The working relation and its pristine twin start as copies of the
+    report's dirty region (:meth:`BackendTupleSource.dirty_region`), which
+    :meth:`load` reads only when the threshold fallback below does not
+    engage.  A caller that shares ``tuples`` with other readers of the
+    report fetches the region once for all of them (the facade shares one
+    per cached report with the audit and the explorers).  Neither copy
+    aliases a row the caller can change, because a
     :class:`~repro.engine.relation.Relation` never edits a stored row in
     place.
 
@@ -240,22 +241,15 @@ class BackendRepairSource(PartialRepairSource):
 
     def __init__(
         self,
-        backend: StorageBackend,
-        relation_name: str,
+        tuples: BackendTupleSource,
         report: ViolationReport,
-        telemetry: Optional[Telemetry] = None,
         fetch_threshold: Optional[float] = None,
-        region: Optional[Relation] = None,
     ):
-        self.backend = backend
-        self.relation_name = relation_name
         self.report = report
-        self.telemetry = telemetry if telemetry is not None else NULL_TELEMETRY
+        self.telemetry = tuples.telemetry
         self.fetch_threshold = fetch_threshold
-        self._region = region
         #: shared read layer: every pushed-down read goes through here
-        self._source = BackendTupleSource(backend, relation_name, telemetry=telemetry)
-        self._schema: Optional[RelationSchema] = None
+        self._source = tuples
         self._generator: Optional[DetectionSqlGenerator] = None
         self._original: Optional[Relation] = None
         self._total_rows = 0
@@ -286,29 +280,22 @@ class BackendRepairSource(PartialRepairSource):
     # -- protocol ----------------------------------------------------------------
 
     def attribute_names(self) -> List[str]:
-        return list(self._schema_of().attribute_names)
+        return list(self._source.schema().attribute_names)
 
     def load(self, cfds: Sequence[CFD]) -> Relation:
-        schema = self._schema_of()
-        self._generator = DetectionSqlGenerator(
-            schema,
-            max_parameters=self.backend.max_parameters,
-            telemetry=self.telemetry,
-        )
-        self._source._generator = self._generator  # share the plan cache
+        self._generator = self._source.generator()
         self._start_closure(cfds)
         self._fetched_members = [Counter() for _ in self._subs]
         self._fetched_values = [{} for _ in self._subs]
         self._total_rows = self._source.row_count()
         if self._over_threshold(len(self.report.dirty_tids())):
+            schema = self._source.schema()
             working = Relation(schema)
             self._original = Relation(schema)
             self._ship_all(working)
             return working
         # The initial working set: exactly the report's violating tuples.
-        region = self._region
-        if region is None:
-            region = self._source.dirty_region(self.report)
+        region = self._source.dirty_region(self.report)
         working = region.copy()
         self._original = region.copy()
         for _tid, values in region.stored_rows():
@@ -378,11 +365,6 @@ class BackendRepairSource(PartialRepairSource):
         return self.stats["rows_fetched"] / self._total_rows
 
     # -- internals ---------------------------------------------------------------
-
-    def _schema_of(self) -> RelationSchema:
-        if self._schema is None:
-            self._schema = self.backend.schema(self.relation_name)
-        return self._schema
 
     def _require_generator(self) -> DetectionSqlGenerator:
         if self._generator is None:

@@ -39,6 +39,9 @@ class TupleSource:
     #: whether the source answers from a backend-resident copy
     resident = False
 
+    #: the last report :meth:`dirty_region` was asked about, with its region
+    _dirty: Optional[Tuple[ViolationReport, Relation]] = None
+
     def schema(self) -> RelationSchema:
         """The relation's schema."""
         raise NotImplementedError
@@ -58,15 +61,21 @@ class TupleSource:
     def dirty_region(self, report: ViolationReport) -> Relation:
         """The tuples ``report`` finds violating, as a relation keeping their tids.
 
-        One :meth:`fetch_rows` pass over ``report.dirty_tids()``; the
-        relation coerces each row once.  The resident auditor, explorer
-        and repair source all start from it, and the facade keeps one per
-        cached report, so a clean pass fetches its dirty rows once.
+        One :meth:`fetch_rows` pass over ``report.dirty_tids()`` on the
+        first call; the relation coerces each row once.  The source keeps
+        the region of the last report it was asked about, so the auditor,
+        the explorer and the repair source that share one source over one
+        report fetch its dirty rows once (the facade builds one source per
+        cached report).  Callers only read the region: a copy of it
+        (:meth:`Relation.copy`) is theirs to change.
         """
-        region = Relation(self.schema())
-        for tid, values in self.fetch_rows(sorted(report.dirty_tids())).items():
-            region.insert_at(tid, values)
-        return region
+        dirty = self._dirty
+        if dirty is None or dirty[0] is not report:
+            region = Relation(self.schema())
+            for tid, values in self.fetch_rows(sorted(report.dirty_tids())).items():
+                region.insert_at(tid, values)
+            dirty = self._dirty = (report, region)
+        return dirty[1]
 
     def value_frequencies(self) -> Dict[str, Counter]:
         """Per-attribute frequency of non-NULL values, native tie-break order."""

@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Union
+from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple, Union
 
 from ..audit.report import DataAuditor, DataQualityReport
 from ..backends.base import StorageBackend
@@ -57,16 +57,32 @@ RESIDENT_FETCH_THRESHOLD = 0.5
 
 @dataclass
 class _Detected:
-    """A cached detection report of one relation and the rows derived from it."""
+    """A cached detection report of one relation and the reads derived from it."""
 
     report: ViolationReport
+    #: the CFDs the report was computed with
+    cfds: Tuple[CFD, ...]
     #: the relation's monitor's ``changes_applied`` when the report was
-    #: computed (0 without a monitor): the report is current while the
-    #: count holds
+    #: computed (0 without a monitor)
     changes: int
-    #: the report's dirty region (resident path only), fetched on first
-    #: use and dropped with the report
-    region: Optional[Relation] = None
+    #: the resident read layer over the report (SQL path only), built on
+    #: first use and dropped with the report; it keeps the report's dirty
+    #: region (:meth:`~repro.sources.base.TupleSource.dirty_region`), so
+    #: the audit, the explorers and the repair fetch it once between them
+    tuples: Optional[BackendTupleSource] = None
+
+    def holds(self, cfds: Sequence[CFD], changes: int) -> bool:
+        """Whether the report describes a relation under ``cfds`` after ``changes``.
+
+        It does while the registered CFDs are the ones it was computed
+        with (the same objects in the same order) and the change count
+        has not moved.
+        """
+        return (
+            changes == self.changes
+            and len(cfds) == len(self.cfds)
+            and all(mine is theirs for mine, theirs in zip(self.cfds, cfds))
+        )
 
 
 class Semandaq:
@@ -305,11 +321,13 @@ class Semandaq:
 
     def _detect(self, relation_name: str) -> _Detected:
         self._sync_backend_if_stale(relation_name)
-        cfds = self.constraints.cfds(relation_name)
+        cfds = tuple(self.constraints.cfds(relation_name))
         # counted before the detection runs: a change made meanwhile makes
         # the report look stale, never current
         changes = self._changes_applied(relation_name)
-        detected = _Detected(self.detector.detect(relation_name, cfds), changes)
+        detected = _Detected(
+            self.detector.detect(relation_name, cfds), cfds, changes
+        )
         with self._sync_lock:
             self._reports[relation_name] = detected
         return detected
@@ -322,17 +340,20 @@ class Semandaq:
         """The cached detection of ``relation_name`` if still current, else a fresh one.
 
         A cached report stays current while nothing changed the relation
-        since it was computed.  The facade's own mutating paths
-        (``apply_updates``, ``apply_repair``, ``register_relation``,
+        or its CFDs since it was computed.  The facade's own mutating
+        paths (``apply_updates``, ``apply_repair``, ``register_relation``,
         ``load_csv``) and :meth:`mark_backend_stale` drop it; updates
         applied through the monitor the facade built, directly or not,
-        move the monitor's :attr:`~repro.monitor.monitor.DataMonitor.changes_applied`.
-        The decision reads neither the working store nor the backend.
+        move the monitor's :attr:`~repro.monitor.monitor.DataMonitor.changes_applied`;
+        and a CFD added, replaced or removed changes the relation's CFD
+        list (see :meth:`_Detected.holds`).  The decision reads neither
+        the working store nor the backend.
         """
+        cfds = self.constraints.cfds(relation_name)
         with self._sync_lock:
             detected = self._reports.get(relation_name)
-            if detected is not None and detected.changes == self._changes_applied(
-                relation_name
+            if detected is not None and detected.holds(
+                cfds, self._changes_applied(relation_name)
             ):
                 return detected
         return self._detect(relation_name)
@@ -342,18 +363,21 @@ class Semandaq:
         with self._sync_lock:
             self._reports.pop(relation_name, None)
 
-    def _dirty_region(
-        self, detected: _Detected, source: BackendTupleSource
-    ) -> Relation:
-        """The report's violating tuples, fetched by one ``row_fetch`` pass on first use.
+    def _tuple_source(self, relation_name: str, detected: _Detected) -> BackendTupleSource:
+        """The resident read layer over ``detected``'s report, built on first use.
 
-        The resident audit, explorer and repair all read this one relation
-        and never change it; none of them hands one of its rows to a
-        caller.
+        The audit, the explorers and the repair all read through this one
+        source, so the dirty region it keeps is fetched once per report,
+        by whichever of them first needs it, and dropped with the report.
+        None of them changes a row of the region or hands one to a caller.
         """
-        if detected.region is None:
-            detected.region = source.dirty_region(detected.report)
-        return detected.region
+        with self._sync_lock:
+            self._sync_backend_if_stale(relation_name)
+            if detected.tuples is None:
+                detected.tuples = BackendTupleSource(
+                    self.backend, relation_name, telemetry=self.telemetry
+                )
+            return detected.tuples
 
     def detect_for_tuples(
         self, relation_name: str, tids: Iterable[int]
@@ -413,20 +437,15 @@ class Semandaq:
         """The most recent detection report for ``relation_name``, if it is current.
 
         The cached report is reused only while nothing has changed the
-        relation since it was computed: no update through the facade or
-        the monitor it built, no applied repair, no re-registration and no
-        :meth:`mark_backend_stale`.  Otherwise, or when none is cached,
-        the relation is detected afresh.
+        relation or its CFDs since it was computed: no update through the
+        facade or the monitor it built, no applied repair, no
+        re-registration, no :meth:`mark_backend_stale` and no CFD added,
+        replaced or removed.  Otherwise, or when none is cached, the
+        relation is detected afresh.
         """
         return self._current(relation_name).report
 
     # -- step 4: audit ----------------------------------------------------------------------------
-
-    def _tuple_source(self, relation_name: str) -> BackendTupleSource:
-        self._sync_backend_if_stale(relation_name)
-        return BackendTupleSource(
-            self.backend, relation_name, telemetry=self.telemetry
-        )
 
     def audit(self, relation_name: str) -> DataQualityReport:
         """Summarise the quality of ``relation_name`` from the latest detection.
@@ -441,15 +460,15 @@ class Semandaq:
         relation (the oracle).
         """
         detected = self._current(relation_name)
-        cfds = self.constraints.cfds(relation_name)
         if self.config.use_sql_detection:
             self.telemetry.inc("audit.source_resident")
-            source = self._tuple_source(relation_name)
             return self.auditor.audit_source(
-                source, cfds, detected.report, self._dirty_region(detected, source)
+                self._tuple_source(relation_name, detected),
+                detected.cfds,
+                detected.report,
             )
         return self.auditor.audit(
-            self.database.relation(relation_name), cfds, detected.report
+            self.database.relation(relation_name), detected.cfds, detected.report
         )
 
     # -- step 5: explore --------------------------------------------------------------------------
@@ -460,36 +479,31 @@ class Semandaq:
         With SQL detection on every navigation step is answered by
         pushed-down aggregates and keyset-paged fetches; only the dirty rows
         and the visible page of tuples are ever materialised.  The dirty
-        rows are the report's dirty region, shared with :meth:`audit` and
-        :meth:`repair`; the rows the explorer hands out are fetched for
-        the caller.
+        rows are the report's dirty region, read on the first step that
+        needs them and shared with :meth:`audit` and :meth:`repair`; the
+        rows the explorer hands out are fetched for the caller.
         """
-        detected = self._current(relation_name)
-        cfds = self.constraints.cfds(relation_name)
-        if self.config.use_sql_detection:
-            source = self._tuple_source(relation_name)
-            return DataExplorer(
-                source, cfds, detected.report, self._dirty_region(detected, source)
-            )
-        return DataExplorer(
-            self.database.relation(relation_name), cfds, detected.report
-        )
+        return DataExplorer(*self._exploration(relation_name))
 
     def exploration_session(self, relation_name: str) -> ExplorationSession:
         """A stateful exploration session (the Fig. 2 walk-through).
 
         It reads what :meth:`explorer` reads.
         """
+        return ExplorationSession(*self._exploration(relation_name))
+
+    def _exploration(
+        self, relation_name: str
+    ) -> Tuple[Union[Relation, BackendTupleSource], Sequence[CFD], ViolationReport]:
+        """What an explorer of ``relation_name`` reads: data, CFDs and report."""
         detected = self._current(relation_name)
-        cfds = self.constraints.cfds(relation_name)
         if self.config.use_sql_detection:
-            source = self._tuple_source(relation_name)
-            return ExplorationSession(
-                source, cfds, detected.report, self._dirty_region(detected, source)
+            data: Union[Relation, BackendTupleSource] = self._tuple_source(
+                relation_name, detected
             )
-        return ExplorationSession(
-            self.database.relation(relation_name), cfds, detected.report
-        )
+        else:
+            data = self.database.relation(relation_name)
+        return data, detected.cfds, detected.report
 
     # -- step 6: repair and review -----------------------------------------------------------------
 
@@ -498,9 +512,10 @@ class Semandaq:
 
         With SQL detection on the repair is planned over a
         backend-resident data source: it starts from the current report
-        (see :meth:`last_report`) and that report's dirty region, which
-        :meth:`audit` and the explorers share, so it runs no detection of
-        its own; group members come from the sargable covering-members
+        (see :meth:`last_report`) and, unless more than
+        :data:`RESIDENT_FETCH_THRESHOLD` of the relation is dirty, that
+        report's dirty region, which :meth:`audit` and the explorers
+        share, so it runs no detection of its own; group members come from the sargable covering-members
         plans and value frequencies from ``GROUP BY`` aggregates — only
         result-sized rows cross the backend boundary and the working
         relation is never walked.  The repair's ``original`` and
@@ -508,7 +523,6 @@ class Semandaq:
         region's.  With it off the repairer walks the working relation
         (the parity oracle).
         """
-        cfds = self.constraints.cfds(relation_name)
         repairer = BatchRepairer(
             cost_model=cost_model or self.cost_model,
             max_iterations=self.config.repair_max_iterations,
@@ -516,22 +530,21 @@ class Semandaq:
         )
         if self.config.use_sql_detection:
             detected = self._current(relation_name)
-            tuples = self._tuple_source(relation_name)
             source = BackendRepairSource(
-                self.backend,
-                relation_name,
+                self._tuple_source(relation_name, detected),
                 detected.report,
-                telemetry=self.telemetry,
                 fetch_threshold=RESIDENT_FETCH_THRESHOLD,
-                region=self._dirty_region(detected, tuples),
             )
-            repair = repairer.repair_with_source(source, cfds)
+            repair = repairer.repair_with_source(source, detected.cfds)
             self.telemetry.inc("repair.source_resident")
             self.telemetry.inc(
                 "repair.fetch_fraction", int(round(100 * source.fetch_fraction()))
             )
         else:
-            repair = repairer.repair(self.database.relation(relation_name), cfds)
+            repair = repairer.repair(
+                self.database.relation(relation_name),
+                self.constraints.cfds(relation_name),
+            )
         self.telemetry.inc("repair.cells_changed", len(repair.changes))
         self._repairs[relation_name] = repair
         return repair

@@ -32,6 +32,7 @@ from repro.engine.types import RelationSchema
 from repro.obs.telemetry import Telemetry
 from repro.repair.repairer import BatchRepairer
 from repro.repair.source import BackendRepairSource
+from repro.sources.backend import BackendTupleSource
 
 
 def _schema():
@@ -57,10 +58,14 @@ def sqlite_with(sqlite_backend_factory):
 CFD_AB = "r: [A=_] -> [B=_]"
 
 
-def _source(backend, cfds, **options):
+def _source(backend, cfds, telemetry=None, fetch_threshold=None):
     """A resident source starting from a report detected over ``backend``."""
     report = ErrorDetector(backend).detect("r", cfds)
-    return BackendRepairSource(backend, "r", report, **options)
+    return BackendRepairSource(
+        BackendTupleSource(backend, "r", telemetry=telemetry),
+        report,
+        fetch_threshold=fetch_threshold,
+    )
 
 
 #: one violating pair in group g1, one unanimous unfetched group g2

@@ -22,6 +22,7 @@ from repro.engine.types import RelationSchema
 from repro.repair.cost import CostModel
 from repro.repair.repairer import BatchRepairer
 from repro.repair.source import BackendRepairSource
+from repro.sources.backend import BackendTupleSource
 
 ATTRIBUTES = ["A", "B", "C", "D"]
 
@@ -85,7 +86,7 @@ def test_resident_repair_matches_native_oracle(sqlite_options, data):
     try:
         backend.add_relation(relation.copy())
         source = BackendRepairSource(
-            backend, "r", ErrorDetector(backend).detect("r", cfds)
+            BackendTupleSource(backend, "r"), ErrorDetector(backend).detect("r", cfds)
         )
         resident = BatchRepairer(
             cost_model=cost_model, max_iterations=12

@@ -26,6 +26,7 @@ from repro.repair.source import (
     RepairDataSource,
     native_column_frequencies,
 )
+from repro.sources.backend import BackendTupleSource
 
 
 def _schema():
@@ -51,7 +52,7 @@ def sqlite_with(sqlite_backend_factory):
 def _backend_source(backend, name, cfds, **options):
     """A resident source starting from a report detected over ``backend``."""
     report = ErrorDetector(backend).detect(name, cfds)
-    return BackendRepairSource(backend, name, report, **options)
+    return BackendRepairSource(BackendTupleSource(backend, name), report, **options)
 
 
 class TestProtocol:

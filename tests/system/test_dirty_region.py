@@ -1,12 +1,14 @@
 """The facade's cached report and the dirty region shared by its consumers.
 
 A cached detection report is reused only while nothing has changed the
-relation since it was computed, whichever path made the change: the
-facade's own, the monitor it built, or ``mark_backend_stale``.  On the
-resident path the report carries its dirty region, the violating tuples
-fetched by one ``row_fetch`` pass; the audit, the explorers and the repair
-all read it, so a clean pass detects once and fetches its dirty rows once.
-No row a caller receives aliases the region.
+relation or its CFDs since it was computed, whichever path made the
+change: the facade's own, the monitor it built, ``mark_backend_stale`` or
+the constraint engine.  On the resident path the report carries its dirty
+region, the violating tuples fetched by one ``row_fetch`` pass on first
+use; the audit, the explorers and the repair all read it, so a clean pass
+detects once and fetches its dirty rows once, and a repair whose fallback
+ships the whole relation fetches none.  No row a caller receives aliases
+the region.
 """
 
 import pytest
@@ -82,6 +84,59 @@ class TestCachedReportStaysCurrent:
         finally:
             system.close()
 
+    @MODES
+    def test_a_cfd_added_after_detection_refreshes_the_report(
+        self, sqlite_config, use_sql
+    ):
+        system = Semandaq(sqlite_config(use_sql_detection=use_sql))
+        oracle = Semandaq(sqlite_config(use_sql_detection=False))
+        dirty = inject_noise(
+            generate_customers(80, seed=909), rate=0.1, seed=910,
+            attributes=["CITY", "STR", "CNT"],
+        ).dirty
+        first, *rest = paper_cfds()
+        try:
+            for target in (system, oracle):
+                target.register_relation(dirty.copy())
+            system.add_cfd(first)
+            before = system.detect("customer")
+            system.audit("customer")
+            system.add_cfds(rest)
+            oracle.add_cfds([first, *rest])
+            expected = oracle.detect("customer")
+            assert expected.total_violations() > before.total_violations()
+
+            report = system.last_report("customer")
+            assert report.total_violations() == expected.total_violations()
+            assert report.dirty_tids() == expected.dirty_tids()
+            assert system.audit("customer").to_dict() == oracle.audit("customer").to_dict()
+            assert [s.violating_tuples for s in system.explorer("customer").list_cfds()] == [
+                s.violating_tuples for s in oracle.explorer("customer").list_cfds()
+            ]
+            assert _changes(system.repair("customer")) == _changes(
+                oracle.repair("customer")
+            )
+        finally:
+            system.close()
+            oracle.close()
+
+    @MODES
+    def test_a_cfd_removed_after_detection_refreshes_the_report(
+        self, sqlite_config, use_sql
+    ):
+        system = _pair_system(sqlite_config, use_sql)
+        try:
+            system.add_cfd("r: [B=_] -> [A=_]")
+            system.monitor("r").apply_batch([Update.modify(1, {"B": "2"})])
+            assert system.detect("r").total_violations() == 1
+            for cfd in system.constraints.cfds("r"):
+                if cfd.lhs == ("A",):
+                    system.constraints.remove(cfd.identifier)
+            assert _answers(system) == (0, 0.0, [0])
+            assert system.repair("r").changes == []
+        finally:
+            system.close()
+
     def test_an_unchanged_relation_keeps_its_report(self, sqlite_config):
         system = _pair_system(sqlite_config, True)
         try:
@@ -90,6 +145,13 @@ class TestCachedReportStaysCurrent:
             assert system.last_report("r") is report
         finally:
             system.close()
+
+
+def _changes(repair):
+    return [
+        (c.tid, c.attribute, c.old_value, c.new_value, c.cost)
+        for c in repair.changes
+    ]
 
 
 def _customer_system(path):
@@ -189,6 +251,36 @@ class TestOneDirtyRegionPerReport:
             report = system.last_report("customer")
             fetched = counted.fetches[before:]
             assert fetched == [sorted(report.dirty_tids())]
+        finally:
+            system.close()
+
+    def test_the_fallback_and_the_cfd_list_fetch_no_dirty_rows(
+        self, tmp_path, monkeypatch
+    ):
+        """A repair that ships the whole relation never fetches the region.
+
+        Every tuple is dirty, so the repair's threshold fallback pages the
+        relation in; fetching the dirty tids first would ship them twice.
+        An explorer reads the region only on a step that needs dirty rows,
+        and the CFD list needs none.
+        """
+        system = Semandaq(
+            SemandaqConfig(telemetry=True, backend_options={"path": str(tmp_path / "b.db")})
+        )
+        system.register_relation(
+            RelationSchema.of("r", ["A", "B"]),
+            [{"A": "g", "B": "x" if i % 2 else "y"} for i in range(10)],
+        )
+        system.add_cfd("r: [A=_] -> [B=_]")
+        counted = _Counted(monkeypatch)
+        try:
+            assert len(system.detect("r").dirty_tids()) == 10
+            assert system.explorer("r").list_cfds()[0].violating_tuples == 10
+            assert system.exploration_session("r").options()
+            summary = system.clean("r")
+            assert summary["violations_after"] == 0
+            assert system.metrics()["counters"]["repair.fallback_shipback"] == 1
+            assert counted.fetches == []
         finally:
             system.close()
 
