@@ -276,7 +276,7 @@ class Semandaq:
         """
         with self._sync_lock:
             self._stale.add(relation_name)
-            self._reports.pop(relation_name, None)
+            self._drop_report(relation_name)
 
     def schema_summary(self) -> Dict[str, List[str]]:
         """The automatically discovered schema shown after connecting."""
