@@ -20,7 +20,7 @@ from __future__ import annotations
 import enum
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from ..core.cfd import CFD, PatternMatcher
 from ..detection.violations import ViolationReport
@@ -190,23 +190,25 @@ def _positions_by_tid(report: ViolationReport) -> Dict[int, List[int]]:
     return positions
 
 
-def _positions_by_cell(report: ViolationReport) -> Dict[Tuple[int, str], List[int]]:
-    """Per implicated cell ``(tid, RHS attribute)``, the positions of its violations."""
-    positions: Dict[Tuple[int, str], List[int]] = defaultdict(list)
-    for position, violation in enumerate(report.violations):
-        for tid in violation.tids:
-            positions[(tid, violation.rhs_attribute)].append(position)
-    return positions
-
-
-def _arguably_clean(
+def _verdicts(
     tally: MajorityTally, tid: int, positions: Sequence[int], majority: float
-) -> bool:
-    """Whether every violation at ``positions`` is multi-tuple and its bulk agrees with ``tid``."""
+) -> Tuple[bool, Dict[str, bool]]:
+    """Decide each of ``tid``'s violations once, for the tuple and its cells.
+
+    A violation's verdict holds when it is multi-tuple and its bulk agrees
+    with ``tid``.  The cell ``(tid, A)`` is arguably clean when the
+    verdicts of all of ``tid``'s violations on the RHS attribute ``A``
+    hold, and the tuple when all of its verdicts hold.  Returns the
+    tuple's verdict and one verdict per implicated attribute.
+    """
     violations = tally.report.violations
-    return all(violations[position].is_multi for position in positions) and all(
-        tally.agrees(tid, position, majority) for position in positions
-    )
+    cells: Dict[str, bool] = {}
+    for position in positions:
+        violation = violations[position]
+        holds = violation.is_multi and tally.agrees(tid, position, majority)
+        attribute = violation.rhs_attribute
+        cells[attribute] = cells.get(attribute, True) and holds
+    return bool(cells) and all(cells.values()), cells
 
 
 def classify_tuples(
@@ -235,10 +237,10 @@ def classify_tuples(
                 Cleanliness.VERIFIED if verified else Cleanliness.PROBABLY
             )
             continue
-        if _arguably_clean(tally, tid, involved, majority):
-            classification.categories[tid] = Cleanliness.ARGUABLY
-        else:
-            classification.categories[tid] = Cleanliness.DIRTY
+        arguably, _cells = _verdicts(tally, tid, involved, majority)
+        classification.categories[tid] = (
+            Cleanliness.ARGUABLY if arguably else Cleanliness.DIRTY
+        )
     return classification
 
 
@@ -259,7 +261,7 @@ def classify_cells(
     probably clean.
     """
     tally = tally if tally is not None else MajorityTally(relation, report)
-    implicated = _positions_by_cell(report)
+    dirty_map = _positions_by_tid(report)
     per_attribute_constant: Dict[str, List[PatternMatcher]] = defaultdict(list)
     for _parent, sub in _applicable_constant_rhs(cfds):
         per_attribute_constant[sub.rhs[0]].append(sub.matchers[0])
@@ -269,13 +271,13 @@ def classify_cells(
         for attribute in relation.attribute_names
     }
     for tid, row in relation.stored_rows():
+        involved = dirty_map.get(tid)
+        verdicts = _verdicts(tally, tid, involved, majority)[1] if involved else {}
         for attribute in relation.attribute_names:
-            positions = implicated.get((tid, attribute))
-            if positions:
-                if _arguably_clean(tally, tid, positions, majority):
-                    counts[attribute][Cleanliness.ARGUABLY] += 1
-                else:
-                    counts[attribute][Cleanliness.DIRTY] += 1
+            holds = verdicts.get(attribute)
+            if holds is not None:
+                category = Cleanliness.ARGUABLY if holds else Cleanliness.DIRTY
+                counts[attribute][category] += 1
                 continue
             verified = any(
                 matcher.applies_to(row)
@@ -286,98 +288,68 @@ def classify_cells(
     return AttributeClassification(counts=counts)
 
 
-def classify_tuples_source(
+def classify_source(
     source: "TupleSource",
-    partial: Relation,
+    region: Relation,
     cfds: Sequence[CFD],
     report: ViolationReport,
     majority: float = 0.5,
-    tally: Optional[MajorityTally] = None,
-) -> TupleClassification:
-    """Resident counterpart of :func:`classify_tuples` — zero full scans.
+) -> Tuple[TupleClassification, AttributeClassification]:
+    """Resident counterpart of :func:`classify_tuples` and :func:`classify_cells`.
 
-    ``partial`` holds exactly the dirty tuples (every member of every
-    violation is dirty, so the majority checks see the same rows the
-    native path would).  Clean tuples are classified in bulk: the
-    verified-clean count is one pushed-down applicability aggregate minus
-    the dirty tuples that satisfy a constant-RHS sub — computed natively
-    over the fetched rows — and the rest of the clean tuples are probably
-    clean.  The result's ``counts``/``percentages`` match the native
-    classification exactly.  ``tally`` may be shared with
-    :func:`classify_cells_source` over the same partial relation and report.
+    One pass over ``region``, which holds exactly the dirty tuples (every
+    member of every violation is dirty, so the majority checks see the
+    same rows the native path would).  The pass decides each (tuple,
+    violation) verdict once (:func:`_verdicts`) and feeds both
+    classifications: a dirty tuple, or an implicated cell, is arguably
+    clean when its verdicts hold and dirty otherwise.  The same pass
+    counts the dirty tuples, and the implicated cells per attribute, that
+    a constant-RHS sub applies to.  The clean side is classified in bulk,
+    with no scan: verified clean is a pushed-down applicability count
+    minus that dirty count, and the rest of the clean tuples (or cells)
+    are probably clean.  The counts and percentages match the native
+    classifications exactly.
     """
-    tally = tally if tally is not None else MajorityTally(partial, report)
+    tally = MajorityTally(region, report)
     dirty_map = _positions_by_tid(report)
     constant_subs = [sub for _parent, sub in _applicable_constant_rhs(cfds)]
-    constant_matchers = [sub.matchers[0] for sub in constant_subs]
-    classification = TupleClassification()
-    dirty_applicable = 0
-    for tid, row in partial.stored_rows():
-        involved = dirty_map.get(tid)
-        if any(matcher.applies_to(row) for matcher in constant_matchers):
-            dirty_applicable += 1
-        if involved and _arguably_clean(tally, tid, involved, majority):
-            classification.categories[tid] = Cleanliness.ARGUABLY
-        else:
-            classification.categories[tid] = Cleanliness.DIRTY
-    applicable = source.applicable_count(constant_subs) if constant_subs else 0
-    verified = applicable - dirty_applicable
-    clean = source.row_count() - len(dirty_map)
-    classification.aggregate[Cleanliness.VERIFIED] = verified
-    classification.aggregate[Cleanliness.PROBABLY] = clean - verified
-    return classification
-
-
-def classify_cells_source(
-    source: "TupleSource",
-    partial: Relation,
-    cfds: Sequence[CFD],
-    report: ViolationReport,
-    majority: float = 0.5,
-    tally: Optional[MajorityTally] = None,
-) -> AttributeClassification:
-    """Resident counterpart of :func:`classify_cells`.
-
-    Implicated cells (all on dirty, fetched tuples) classify natively;
-    non-implicated cells classify in bulk per attribute from one
-    applicability aggregate over that attribute's constant-RHS subs.
-    """
-    tally = tally if tally is not None else MajorityTally(partial, report)
-    implicated = _positions_by_cell(report)
-    per_attribute_constant: Dict[str, List[CFD]] = defaultdict(list)
-    for _parent, sub in _applicable_constant_rhs(cfds):
-        per_attribute_constant[sub.rhs[0]].append(sub)
-
-    implicated_by_attribute: Dict[str, List[int]] = defaultdict(list)
-    for tid, attribute in implicated:
-        implicated_by_attribute[attribute].append(tid)
-
-    total = source.row_count()
     attributes = source.attribute_names()
-    counts: Dict[str, Dict[Cleanliness, int]] = {
+    tuples = TupleClassification()
+    cells: Dict[str, Dict[Cleanliness, int]] = {
         attribute: {category: 0 for category in Cleanliness}
         for attribute in attributes
     }
-    for attribute in attributes:
-        subs = per_attribute_constant.get(attribute, [])
-        matchers = [sub.matchers[0] for sub in subs]
-        implicated_tids = sorted(implicated_by_attribute.get(attribute, []))
-        dirty_applicable = 0
-        for tid in implicated_tids:
-            row = partial.get(tid)
-            if any(matcher.applies_to(row) for matcher in matchers):
-                dirty_applicable += 1
-            if _arguably_clean(tally, tid, implicated[(tid, attribute)], majority):
-                counts[attribute][Cleanliness.ARGUABLY] += 1
-            else:
-                counts[attribute][Cleanliness.DIRTY] += 1
-        applicable = source.applicable_count(subs) if subs else 0
-        verified = applicable - dirty_applicable
-        counts[attribute][Cleanliness.VERIFIED] = verified
-        counts[attribute][Cleanliness.PROBABLY] = (
-            total - len(implicated_tids) - verified
-        )
-    return AttributeClassification(counts=counts)
+    #: dirty tuples, and implicated cells per attribute, a constant-RHS sub applies to
+    dirty_applicable = 0
+    cells_applicable: Dict[str, int] = defaultdict(int)
+    for tid, row in region.stored_rows():
+        arguably, verdicts = _verdicts(tally, tid, dirty_map.get(tid, ()), majority)
+        tuples.categories[tid] = Cleanliness.ARGUABLY if arguably else Cleanliness.DIRTY
+        applying = {
+            sub.rhs[0] for sub in constant_subs if sub.matchers[0].applies_to(row)
+        }
+        if applying:
+            dirty_applicable += 1
+        for attribute, holds in verdicts.items():
+            cells[attribute][Cleanliness.ARGUABLY if holds else Cleanliness.DIRTY] += 1
+            if attribute in applying:
+                cells_applicable[attribute] += 1
+
+    total = source.row_count()
+    verified = (
+        source.applicable_count(constant_subs) if constant_subs else 0
+    ) - dirty_applicable
+    tuples.aggregate[Cleanliness.VERIFIED] = verified
+    tuples.aggregate[Cleanliness.PROBABLY] = total - len(dirty_map) - verified
+    for attribute, counts in cells.items():
+        subs = [sub for sub in constant_subs if sub.rhs[0] == attribute]
+        implicated = counts[Cleanliness.ARGUABLY] + counts[Cleanliness.DIRTY]
+        verified = (
+            source.applicable_count(subs) if subs else 0
+        ) - cells_applicable[attribute]
+        counts[Cleanliness.VERIFIED] = verified
+        counts[Cleanliness.PROBABLY] = total - implicated - verified
+    return tuples, AttributeClassification(counts=cells)
 
 
 def violation_statistics(report: ViolationReport) -> Dict[str, float]:

@@ -22,9 +22,8 @@ from .metrics import (
     MajorityTally,
     TupleClassification,
     classify_cells,
-    classify_cells_source,
+    classify_source,
     classify_tuples,
-    classify_tuples_source,
     violation_statistics,
 )
 from .quality_map import DEFAULT_SHADES, QualityMap, build_quality_map
@@ -147,32 +146,30 @@ class DataAuditor:
         ``row_fetch`` of its dirty tids, or none when ``source`` already
         holds it).  Every member of every violation is dirty, so the
         majority checks run natively over that partial relation with the
-        same outcome as a full copy; the audit only reads it.  Clean
-        tuples are counted by pushed-down applicability aggregates, and
-        the quality map derives its tid universe from the catalog row
-        count — the working store is never read row-by-row.
+        same outcome as a full copy; the audit only reads it, in one pass
+        that classifies its tuples and cells together
+        (:func:`~repro.audit.metrics.classify_source`).  Clean tuples are
+        counted by pushed-down applicability aggregates, and the quality
+        map derives its tid universe from the catalog row count — the
+        working store is never read row-by-row.
         """
-        partial = source.dirty_region(report)
-        tally = MajorityTally(partial, report)
-        tuple_classification = classify_tuples_source(
-            source, partial, cfds, report, self.majority, tally
-        )
-        attribute_classification = classify_cells_source(
-            source, partial, cfds, report, self.majority, tally
+        tuple_classification, attribute_classification = classify_source(
+            source, source.dirty_region(report), cfds, report, self.majority
         )
         statistics = violation_statistics(report)
         statistics["clean_tuples"] = float(report.clean_tid_count())
         statistics["dirty_tuples"] = float(len(report.dirty_tids()))
+        tuple_count = source.row_count()
         quality_map = build_quality_map(
             None,
             report,
             levels=self.quality_levels,
             strategy=self.quality_strategy,
-            tuple_count=source.row_count(),
+            tuple_count=tuple_count,
         )
         return DataQualityReport(
             relation=report.relation,
-            tuple_count=source.row_count(),
+            tuple_count=tuple_count,
             tuple_classification=tuple_classification,
             attribute_classification=attribute_classification,
             statistics=statistics,

@@ -135,12 +135,6 @@ class SqliteReaderPool:
                 self._opened -= 1
             self._lock.notify_all()
 
-    @property
-    def open_count(self) -> int:
-        """Number of connections currently open (idle + checked out)."""
-        with self._lock:
-            return self._opened
-
     def stats(self) -> Dict[str, Any]:
         """Acquisition statistics, for the ``pool.*`` telemetry counters."""
         with self._lock:

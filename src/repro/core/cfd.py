@@ -141,11 +141,6 @@ class CFD:
         return self.lhs + self.rhs
 
     @property
-    def embedded_fd(self) -> Tuple[Tuple[str, ...], Tuple[str, ...]]:
-        """The embedded functional dependency ``(X, Y)``."""
-        return (self.lhs, self.rhs)
-
-    @property
     def identifier(self) -> str:
         """A stable human-readable identifier (explicit name or derived)."""
         if self.name:
@@ -185,10 +180,6 @@ class CFD:
         self, pattern: Optional[PatternTuple]
     ) -> Tuple["PatternMatcher", ...]:
         return self.matchers if pattern is None else (self.matcher(pattern),)
-
-    def lhs_pattern(self, pattern: PatternTuple) -> PatternTuple:
-        """Project ``pattern`` onto the LHS attributes."""
-        return pattern.restrict(self.lhs)
 
     def rhs_pattern(self, pattern: PatternTuple) -> PatternTuple:
         """Project ``pattern`` onto the RHS attributes."""

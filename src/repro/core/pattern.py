@@ -119,10 +119,6 @@ class PatternTuple:
     def __contains__(self, attribute: str) -> bool:
         return any(name == attribute for name, _value in self.values)
 
-    def as_dict(self) -> Dict[str, PatternValue]:
-        """Return the pattern tuple as a plain dict."""
-        return dict(self.values)
-
     def restrict(self, attributes: Iterable[str]) -> "PatternTuple":
         """Project the pattern tuple onto ``attributes`` (kept in that order)."""
         return PatternTuple(

@@ -46,10 +46,6 @@ class NoiseResult:
             return 0.0
         return len(self.corrupted) / total_cells
 
-    def corrupted_tids(self) -> List[int]:
-        """Tuples with at least one corrupted cell."""
-        return sorted({tid for tid, _attribute in self.corrupted})
-
 
 def _typo(value: str, rng: random.Random) -> str:
     """Introduce a single-character edit into ``value``."""

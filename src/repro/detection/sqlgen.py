@@ -179,11 +179,6 @@ class DetectionSqlGenerator:
             self._plan_cache[key] = plan
             return plan
 
-    def plan_cache_size(self) -> int:
-        """Number of cached prepared plans (for tests and benchmarks)."""
-        with self._cache_lock:
-            return len(self._plan_cache)
-
     # -- helpers ----------------------------------------------------------------
 
     def wildcard_rhs_attributes(self, cfd: CFD) -> List[str]:
@@ -779,15 +774,25 @@ class DetectionSqlGenerator:
             ("majority_value", cfd, rhs_attribute, group_count), build
         )
 
-    def attr_freq_query(self, cfd: CFD, pattern_index: int) -> SqlQuery:
+    def attr_freq_query(
+        self, cfd: CFD, pattern_index: int, paged: bool = False, after: bool = False
+    ) -> SqlQuery:
         """LHS-value histogram over one pattern's applicable tuples.
 
         One row per LHS-value group with at least one applicable member —
         ``(lhs_*, freq)`` — where applicability is the pattern's sargable
         LHS conditions (constants bound, wildcards guarded non-NULL).  The
-        resident explorer's drill-down derives its group listing from this
-        instead of scanning the relation; the resident auditor's
-        applicability counts share the statement kind.
+        resident explorer lists its clean groups from this instead of
+        scanning the relation; the resident auditor's applicability counts
+        share the statement kind.
+
+        ``paged`` is the keyset form: groups in key order (``ORDER BY`` the
+        LHS) and a caller-bound ``LIMIT ?``; with ``after``, only the groups
+        whose key sorts after a caller-bound key — ``(t.A, t.B) > (?, ?)``,
+        or bare ``t.A > ?`` for a one-attribute LHS.  Group keys hold no
+        NULL, so the comparison is total, and the LHS index answers the
+        page without sorting.  Binding order: the pattern's constants
+        (``parameters``), the after key in ``cfd.lhs`` order, the limit.
         """
         if not cfd.lhs:
             raise ValueError("the attr-freq query needs a non-empty LHS")
@@ -795,23 +800,33 @@ class DetectionSqlGenerator:
         def build() -> SqlQuery:
             params: List[Any] = []
             conditions = self._pattern_lhs_conditions(cfd, pattern_index, params)
+            key_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
+            if after:
+                if len(key_columns) == 1:
+                    conditions.append(f"{key_columns[0]} > ?")
+                else:
+                    conditions.append(
+                        f"({', '.join(key_columns)}) > "
+                        f"({', '.join('?' for _ in key_columns)})"
+                    )
             select_columns = [
                 f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
             ]
             select_columns.append("COUNT(*) AS freq")
-            group_columns = [f"{DATA_ALIAS}.{attr}" for attr in cfd.lhs]
             sql = (
                 f"SELECT {', '.join(select_columns)}\n"
                 f"FROM {cfd.relation} {DATA_ALIAS}\n"
                 f"WHERE {' AND '.join(conditions)}\n"
-                f"GROUP BY {', '.join(group_columns)}"
+                f"GROUP BY {', '.join(key_columns)}"
             )
+            if paged:
+                sql += f"\nORDER BY {', '.join(key_columns)}\nLIMIT ?"
             return SqlQuery(
                 sql, tuple(params), kind="attr_freq", pattern_index=pattern_index
             )
 
         return self._cached_plan(
-            ("attr_freq", cfd, pattern_index), build
+            ("attr_freq", cfd, pattern_index, paged, after), build
         )
 
     def applicable_count_query(self, subs: Tuple[CFD, ...]) -> SqlQuery:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from typing import Any, Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Tuple
 
 from ..engine.relation import Relation
 
@@ -44,11 +44,6 @@ def partition(relation: Relation, attributes: Sequence[str]) -> Dict[Tuple[Any, 
         else:
             blocks[values].append(tid)
     return dict(blocks)
-
-
-def block_count(partition_blocks: Dict[Tuple[Any, ...], List[int]]) -> int:
-    """Number of blocks in a partition."""
-    return len(partition_blocks)
 
 
 def fd_holds(relation: Relation, lhs: Sequence[str], rhs: str) -> bool:
@@ -116,9 +111,3 @@ def value_frequencies(relation: Relation, attribute: str) -> Dict[Any, int]:
         if value is not None:
             counts[value] += 1
     return dict(counts)
-
-
-def is_superset_of_any(candidate: AttributeSet, minimal_sets: Set[FrozenSet[str]]) -> bool:
-    """Whether ``candidate`` contains some already-minimal attribute set."""
-    as_set = frozenset(candidate)
-    return any(minimal <= as_set for minimal in minimal_sets)

@@ -11,15 +11,16 @@ number of violating tuples is reported to guide the navigation.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter, defaultdict
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple, Union
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Sequence, Set, Tuple, Union
 
 from ..core.cfd import CFD, PatternMatcher
-from ..detection.violations import Violation, ViolationReport
+from ..detection.violations import ViolationReport
 from ..engine.relation import Relation
 from ..errors import ExplorerError
-from ..sources.base import NO_RHS_FILTER, TupleSource
+from ..sources.base import NO_RHS_FILTER, GroupKey, TupleSource
 from ..sources.native import NativeTupleSource
 
 
@@ -68,13 +69,15 @@ class DataExplorer:
     Accepts either an in-memory :class:`Relation` (wrapped in a
     :class:`NativeTupleSource`) or any :class:`TupleSource` — in
     particular a backend-resident one, in which case every navigation step
-    is answered by pushed-down aggregates plus the dirty rows, and tuple
-    listings hydrate keyset-sized pages only.  The dirty rows are the
-    report's dirty region (:meth:`TupleSource.dirty_region`), read on the
-    first step that needs them and shared with whoever else reads the
-    same source; the explorer only reads it.  Rows the explorer hands out
-    (:meth:`explain_tuple`, the tuple pages) are fetched for the caller
-    and never alias the region.
+    is answered by pushed-down aggregates plus the dirty rows, and the two
+    long listings come a page at a time: the LHS groups of a pattern
+    (:meth:`lhs_matches`) and the tuples of a group (:meth:`tuples_page`).
+    The dirty rows are the report's dirty region
+    (:meth:`TupleSource.dirty_region`), read on the first step that needs
+    them and shared with whoever else reads the same source; the explorer
+    only reads it, and groups each CFD's dirty rows by LHS key once.  Rows
+    the explorer hands out (:meth:`explain_tuple`, the tuple pages) are
+    fetched for the caller and never alias the region.
     """
 
     #: page size used when :meth:`tuples_for` drains a group to a full list
@@ -101,12 +104,27 @@ class DataExplorer:
             self._dirty_by_cfd[violation.cfd_id].update(violation.tids)
         #: the dirty region's rows by tid, read-only (built on first use)
         self._dirty_rows_cache: Optional[Dict[int, Dict[str, Any]]] = None
+        #: per CFD id, its dirty tids grouped by LHS key (built on first use)
+        self._dirty_groups: Dict[str, Dict[GroupKey, List[int]]] = {}
 
     def _dirty_rows(self) -> Dict[int, Dict[str, Any]]:
         if self._dirty_rows_cache is None:
             region = self.source.dirty_region(self.report)
             self._dirty_rows_cache = dict(region.stored_rows())
         return self._dirty_rows_cache
+
+    def _groups(self, cfd: CFD) -> Dict[GroupKey, List[int]]:
+        """The CFD's dirty tids (those present in the dirty rows) by LHS key."""
+        groups = self._dirty_groups.get(cfd.identifier)
+        if groups is None:
+            rows = self._dirty_rows()
+            groups = self._dirty_groups[cfd.identifier] = {}
+            for tid in self._dirty_by_cfd.get(cfd.identifier, ()):
+                row = rows.get(tid)
+                if row is not None:
+                    key = tuple(row.get(attr) for attr in cfd.lhs)
+                    groups.setdefault(key, []).append(tid)
+        return groups
 
     # -- exploring data by means of CFDs -------------------------------------------------
 
@@ -128,15 +146,9 @@ class DataExplorer:
     def patterns_for(self, cfd_id: str) -> List[PatternSummary]:
         """The pattern tuples of one CFD, each with its violating-tuple count."""
         cfd = self._cfd(cfd_id)
-        dirty = self._dirty_by_cfd.get(cfd_id, set())
-        rows = self._dirty_rows()
+        groups = self._groups(cfd)
         summaries = []
         for index, matcher in enumerate(cfd.matchers):
-            matching_dirty = {
-                tid
-                for tid in dirty
-                if tid in rows and matcher.applies_to(rows[tid])
-            }
             summaries.append(
                 PatternSummary(
                     cfd_id=cfd_id,
@@ -144,37 +156,82 @@ class DataExplorer:
                     rendered={
                         attr: str(matcher.pattern.value(attr)) for attr in cfd.attributes
                     },
-                    violating_tuples=len(matching_dirty),
+                    violating_tuples=sum(
+                        len(tids)
+                        for key, tids in groups.items()
+                        if matcher.applies_to_key(key)
+                    ),
                 )
             )
         return summaries
 
-    def lhs_matches(self, cfd_id: str, pattern_index: int) -> List[LhsMatch]:
-        """Distinct LHS value combinations of tuples matching the selected pattern."""
+    def lhs_matches(
+        self,
+        cfd_id: str,
+        pattern_index: int,
+        after: Optional[LhsMatch] = None,
+        page_size: int = 50,
+    ) -> List[LhsMatch]:
+        """One page of the LHS value combinations of tuples matching the pattern.
+
+        The listing ranks the violating groups first, by
+        (−``violating_tuples``, ``lhs_values``); the clean groups follow
+        by ``lhs_values``.  ``after`` is the last entry of the previous
+        page (``None`` starts the listing), the way ``after_tid`` works in
+        :meth:`tuples_page`; a short page means the listing is exhausted.
+
+        The violating groups and their counts come from the dirty rows
+        (a violating tuple is dirty by definition), and one
+        ``majority_values`` histogram over the page's keys sizes them:
+        applicability is a function of the key, so a group's histogram,
+        NULL bucket included, counts exactly its applicable tuples.  The
+        clean groups come as keyset pages of the source's group histogram
+        (:meth:`TupleSource.pattern_group_freq`), skipping the violating
+        keys, so a page costs its own groups, not the relation's.
+        """
+        if page_size < 1:
+            raise ExplorerError("page_size must be at least 1")
         cfd = self._cfd(cfd_id)
         matcher = self._matcher(cfd, pattern_index)
-        dirty = self._dirty_by_cfd.get(cfd_id, set())
-        # Group sizes come from one pushed-down histogram; the violating
-        # counts need only the (already fetched) dirty rows, because a
-        # violating tuple is by definition dirty.
-        freq = self.source.pattern_group_freq(cfd, pattern_index)
-        rows = self._dirty_rows()
-        violating: Dict[Tuple[Any, ...], int] = defaultdict(int)
-        for tid in dirty:
-            row = rows.get(tid)
-            if row is None or not matcher.applies_to(row):
-                continue
-            violating[tuple(row.get(attr) for attr in cfd.lhs)] += 1
-        matches = [
-            LhsMatch(
-                lhs_values=key,
-                tuple_count=count,
-                violating_tuples=violating.get(key, 0),
+        groups = self._groups(cfd)
+        ranked = sorted(
+            (-len(tids), key)
+            for key, tids in groups.items()
+            if matcher.applies_to_key(key)
+        )
+        page: List[LhsMatch] = []
+        cursor: Optional[GroupKey] = None
+        if after is None or after.violating_tuples:
+            start = 0
+            if after is not None:
+                start = bisect_right(
+                    ranked, (-after.violating_tuples, tuple(after.lhs_values))
+                )
+            chosen = [key for _rank, key in ranked[start : start + page_size]]
+            if chosen:
+                histograms = self.source.majority_values(cfd, cfd.rhs[0], chosen)
+                page = [
+                    LhsMatch(
+                        lhs_values=key,
+                        tuple_count=sum(histograms.get(key, Counter()).values()),
+                        violating_tuples=len(groups[key]),
+                    )
+                    for key in chosen
+                ]
+        else:
+            cursor = tuple(after.lhs_values)
+        while len(page) < page_size:
+            wanted = page_size - len(page)
+            freq = self.source.pattern_group_freq(
+                cfd, pattern_index, after=cursor, limit=wanted
             )
-            for key, count in freq.items()
-        ]
-        matches.sort(key=lambda match: (-match.violating_tuples, str(match.lhs_values)))
-        return matches
+            for key, count in freq.items():
+                if key not in groups:
+                    page.append(LhsMatch(key, tuple_count=count, violating_tuples=0))
+                cursor = key
+            if len(freq) < wanted:
+                break
+        return page
 
     def rhs_values(
         self, cfd_id: str, pattern_index: int, lhs_values: Sequence[Any]
@@ -184,7 +241,6 @@ class DataExplorer:
         key = tuple(lhs_values)
         if not self._matcher(cfd, pattern_index).applies_to_key(key):
             return []
-        dirty = self._dirty_by_cfd.get(cfd_id, set())
         rhs_attribute = cfd.rhs[0]
         # Applicability is a function of the LHS key alone, so once the key
         # passes, the per-value counts are exactly the group's RHS
@@ -194,13 +250,8 @@ class DataExplorer:
         )
         rows = self._dirty_rows()
         violating: Dict[Any, int] = defaultdict(int)
-        for tid in dirty:
-            row = rows.get(tid)
-            if row is None:
-                continue
-            if tuple(row.get(attr) for attr in cfd.lhs) != key:
-                continue
-            violating[row.get(rhs_attribute)] += 1
+        for tid in self._groups(cfd).get(key, ()):
+            violating[rows[tid].get(rhs_attribute)] += 1
         values = [
             RhsValue(
                 value=value,

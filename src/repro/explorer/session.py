@@ -46,17 +46,26 @@ class ExplorationSession:
         self._rhs_value: Optional[Any] = None
         #: keyset cursor of :meth:`next_page` (last tid served, -1 = start)
         self._page_cursor: int = -1
+        #: keyset cursor of :meth:`more_options` (last group served, None = start)
+        self._lhs_cursor: Optional[LhsMatch] = None
 
     # -- navigation --------------------------------------------------------------------
 
     def options(self) -> List[Any]:
-        """The choices available at the current level."""
+        """The choices available at the current level.
+
+        At the LHS level this is the first page of the group listing
+        (:meth:`DataExplorer.lhs_matches`: violating groups first, then
+        the clean ones in key order), and :meth:`more_options` continues
+        it.  The other levels' lists are short and come whole.
+        """
         if self._cfd_id is None:
             return self.explorer.list_cfds()
         if self._pattern_index is None:
             return self.explorer.patterns_for(self._cfd_id)
         if self._lhs_values is None:
-            return self.explorer.lhs_matches(self._cfd_id, self._pattern_index)
+            self._lhs_cursor = None
+            return self.more_options()
         if self._rhs_value is None:
             return self.explorer.rhs_values(
                 self._cfd_id, self._pattern_index, self._lhs_values
@@ -85,7 +94,7 @@ class ExplorationSession:
             self._rhs_value = choice.value if isinstance(choice, RhsValue) else choice
         else:
             raise ExplorerError("already at the tuple level; call back() to go up")
-        self._page_cursor = -1
+        self._rewind()
         return self.options()
 
     def back(self) -> List[Any]:
@@ -100,7 +109,7 @@ class ExplorationSession:
             self._cfd_id = None
         else:
             raise ExplorerError("already at the top level")
-        self._page_cursor = -1
+        self._rewind()
         return self.options()
 
     def reset(self) -> None:
@@ -109,7 +118,31 @@ class ExplorationSession:
         self._pattern_index = None
         self._lhs_values = None
         self._rhs_value = None
+        self._rewind()
+
+    def _rewind(self) -> None:
         self._page_cursor = -1
+        self._lhs_cursor = None
+
+    def more_options(self, page_size: int = 50) -> List[LhsMatch]:
+        """The next page of the LHS group listing, after the last group served.
+
+        Available at the LHS level, where :meth:`options` serves the first
+        page.  Each call advances the cursor; an empty or short page means
+        the listing is exhausted.  Navigation (:meth:`select` /
+        :meth:`back` / :meth:`reset`) rewinds the cursor.
+        """
+        if self.level != "lhs":
+            raise ExplorerError("more_options pages the LHS level only")
+        page = self.explorer.lhs_matches(
+            self._cfd_id,
+            self._pattern_index,
+            after=self._lhs_cursor,
+            page_size=page_size,
+        )
+        if page:
+            self._lhs_cursor = page[-1]
+        return page
 
     def next_page(self, page_size: int = 50) -> List[Tuple[int, Dict[str, Any]]]:
         """The next keyset page of tuples at the current drill-down position.

@@ -106,9 +106,20 @@ class TupleSource:
         raise NotImplementedError
 
     def pattern_group_freq(
-        self, cfd: CFD, pattern_index: int
+        self,
+        cfd: CFD,
+        pattern_index: int,
+        after: Optional[GroupKey] = None,
+        limit: Optional[int] = None,
     ) -> Dict[GroupKey, int]:
-        """Applicable-tuple count per LHS group under one pattern row."""
+        """Applicable-tuple count per LHS group under one pattern row.
+
+        With ``after`` and ``limit`` left as ``None`` this is the whole
+        histogram, in no particular order.  Either one set makes it a
+        keyset page: the (at most ``limit``) groups whose key sorts after
+        ``after``, in key order.  Keys hold no NULL and each column one
+        type, so Python's tuple order is the backend's ``ORDER BY`` order.
+        """
         raise NotImplementedError
 
     def applicable_count(self, subs: Sequence[CFD]) -> int:

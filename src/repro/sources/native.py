@@ -10,6 +10,7 @@ observationally identical on every method; the hypothesis properties in
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
@@ -91,7 +92,11 @@ class NativeTupleSource(TupleSource):
         return histograms
 
     def pattern_group_freq(
-        self, cfd: CFD, pattern_index: int
+        self,
+        cfd: CFD,
+        pattern_index: int,
+        after: Optional[GroupKey] = None,
+        limit: Optional[int] = None,
     ) -> Dict[GroupKey, int]:
         matcher = cfd.matchers[pattern_index]
         freq: Dict[GroupKey, int] = {}
@@ -100,7 +105,12 @@ class NativeTupleSource(TupleSource):
                 continue
             key = tuple(row.get(attr) for attr in cfd.lhs)
             freq[key] = freq.get(key, 0) + 1
-        return freq
+        if after is None and limit is None:
+            return freq
+        keys = sorted(freq)
+        start = 0 if after is None else bisect_right(keys, tuple(after))
+        stop = len(keys) if limit is None else start + limit
+        return {key: freq[key] for key in keys[start:stop]}
 
     def applicable_count(self, subs: Sequence[CFD]) -> int:
         matchers = [sub.matchers[0] for sub in subs]

@@ -75,14 +75,16 @@ class _Detected:
         """Whether the report describes a relation under ``cfds`` after ``changes``.
 
         It does while the registered CFDs are the ones it was computed
-        with (the same objects in the same order) and the change count
-        has not moved.
+        with and the change count has not moved.
         """
-        return (
-            changes == self.changes
-            and len(cfds) == len(self.cfds)
-            and all(mine is theirs for mine, theirs in zip(self.cfds, cfds))
-        )
+        return changes == self.changes and _same_cfds(self.cfds, cfds)
+
+
+def _same_cfds(mine: Sequence[CFD], theirs: Sequence[CFD]) -> bool:
+    """Whether two CFD lists hold the same objects in the same order."""
+    return len(mine) == len(theirs) and all(
+        one is other for one, other in zip(mine, theirs)
+    )
 
 
 class Semandaq:
@@ -697,18 +699,35 @@ class Semandaq:
     # -- step 7: monitor -----------------------------------------------------------------------------
 
     def monitor(self, relation_name: str, cleansed: Optional[bool] = None) -> DataMonitor:
-        """The data monitor of ``relation_name`` (created on first use)."""
-        if relation_name not in self._monitors:
-            self._monitors[relation_name] = self._make_monitor(
+        """The data monitor of ``relation_name`` (created on first use).
+
+        A monitor checks the CFDs registered when it was built.  When the
+        relation's CFDs changed since (one added, replaced or removed), it
+        is retired and a new one, in the same mode, takes its place: its
+        report and its incremental repairs follow the current set.
+        """
+        monitor = self._monitors.get(relation_name)
+        if monitor is not None and not _same_cfds(
+            monitor.cfds, self.constraints.cfds(relation_name)
+        ):
+            self._retire_monitor(relation_name)
+            # the new monitor counts its changes from zero, so a report
+            # cached against the old one's count must not look current
+            self._drop_report(relation_name)
+            monitor = self._monitors[relation_name] = self._make_monitor(
+                relation_name, cleansed=monitor.cleansed
+            )
+        if monitor is None:
+            monitor = self._monitors[relation_name] = self._make_monitor(
                 relation_name,
                 cleansed=bool(cleansed) if cleansed is not None else relation_name in self._repairs,
             )
         elif cleansed is not None:
             if cleansed:
-                self._monitors[relation_name].mark_cleansed()
+                monitor.mark_cleansed()
             else:
-                self._monitors[relation_name].mark_dirty()
-        return self._monitors[relation_name]
+                monitor.mark_dirty()
+        return monitor
 
     def apply_updates(self, relation_name: str, updates: Iterable[Update]) -> List[Optional[int]]:
         """Apply a batch of updates to a monitored relation.

@@ -19,38 +19,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro import Semandaq
-from repro.core.parser import parse_cfd
+from repro.audit.metrics import MajorityTally
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
 from tests.doubles import ForbiddenReadBackend, ForbiddenRelation
+from tests.tableaux import draw_cfd
 
 ATTRIBUTES = ["A", "B", "C", "D"]
 
 cell_value = st.sampled_from(["a", "b", None])
-pattern_value = st.sampled_from(["_", "a", "b"])
 row_strategy = st.fixed_dictionaries({name: cell_value for name in ATTRIBUTES})
-
-
-def _draw_cfd(data, index):
-    lhs = data.draw(
-        st.lists(st.sampled_from(ATTRIBUTES), min_size=1, max_size=2, unique=True)
-    )
-    remaining = [name for name in ATTRIBUTES if name not in lhs]
-    rhs = data.draw(
-        st.lists(st.sampled_from(remaining), min_size=1, max_size=2, unique=True)
-    )
-    patterns = []
-    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
-        cells = []
-        for side in (lhs, rhs):
-            rendered = []
-            for name in side:
-                value = data.draw(pattern_value)
-                rendered.append(f"{name}={value}" if value == "_" else f"{name}='{value}'")
-            cells.append(", ".join(rendered))
-        patterns.append(f"[{cells[0]}] -> [{cells[1]}]")
-    return parse_cfd(f"r: {' ; '.join(patterns)}", name=f"cfd{index}")
 
 
 def _audit(sqlite_config, use_sql_detection, relation, cfds):
@@ -74,7 +53,7 @@ def _audit(sqlite_config, use_sql_detection, relation, cfds):
 def test_resident_audit_matches_native_oracle(sqlite_config, data):
     rows = data.draw(st.lists(row_strategy, min_size=1, max_size=12))
     cfds = [
-        _draw_cfd(data, index)
+        draw_cfd(data, index, ATTRIBUTES)
         for index in range(data.draw(st.integers(min_value=1, max_value=3)))
     ]
     schema = RelationSchema.of("r", ATTRIBUTES)
@@ -130,6 +109,30 @@ class TestResidentAuditPins:
         system = _make_system(sqlite_config, telemetry=True)
         system.audit("customer")
         assert system.metrics()["counters"]["audit.source_resident"] == 1
+        system.close()
+
+    def test_each_verdict_is_decided_once(self, sqlite_config, monkeypatch):
+        """One resident audit asks the majority tally once per (tuple, violation)."""
+        system = _make_system(sqlite_config)
+        report = system.detect("customer")
+        asked = []
+        agrees = MajorityTally.agrees
+
+        def counting(tally, tid, position, majority):
+            asked.append((tid, position))
+            return agrees(tally, tid, position, majority)
+
+        monkeypatch.setattr(MajorityTally, "agrees", counting)
+        system.audit("customer")
+        monkeypatch.undo()
+        pairs = {
+            (tid, position)
+            for position, violation in enumerate(report.violations)
+            if violation.is_multi
+            for tid in violation.tids
+        }
+        assert pairs
+        assert sorted(asked) == sorted(pairs)
         system.close()
 
     def test_native_override_still_walks_the_relation(self, sqlite_config):

@@ -538,7 +538,7 @@ class TestCloseDrainsPool:
 
 class TestPoolModeSelection:
     def test_memory_database_disables_pool(self):
-        backend = SqliteBackend()
+        backend = SqliteBackend(path=":memory:")
         assert backend.pool_stats() == {}
         backend.add_relation(Relation.from_rows(SCHEMA, _rows("A")))
         report = ErrorDetector(backend).detect("items", _cfds())

@@ -44,8 +44,8 @@ def _loaded(backend):
 
 
 @pytest.fixture
-def backend():
-    instance = _loaded(SqliteBackend())
+def backend(sqlite_backend_factory):
+    instance = _loaded(sqlite_backend_factory())
     yield instance
     instance.close()
 
@@ -145,10 +145,10 @@ class TestApplyDeltaBatch:
         oracle.insert_at(2, {"NAME": "new washer", "QTY": 1, "OK": False})
         assert list(backend.iter_rows("items")) == list(oracle.rows())
 
-    def test_grouped_path_matches_base_loop(self, backend):
+    def test_grouped_path_matches_base_loop(self, backend, sqlite_backend_factory):
         # SQLite's one-transaction override against the interface's
         # per-statement loop
-        looped = _loaded(SqliteBackend())
+        looped = _loaded(sqlite_backend_factory())
         backend.apply_delta_batch("items", _mixed_batch())
         StorageBackend.apply_delta_batch(looped, "items", _mixed_batch())
         assert list(backend.iter_rows("items")) == list(looped.iter_rows("items"))
@@ -159,11 +159,11 @@ class TestApplyDeltaBatch:
         backend.apply_delta_batch("items", DeltaBatch("items"))
         assert list(backend.iter_rows("items")) == before
 
-    def test_empty_coalesced_batch_opens_no_transaction(self):
+    def test_empty_coalesced_batch_opens_no_transaction(self, sqlite_backend_factory):
         # a batch that nets out to nothing (insert + delete of the same
         # tid) must not touch the connection: no statements, no write
         # transaction, no commit
-        backend = _loaded(SqliteBackend())
+        backend = _loaded(sqlite_backend_factory())
         batch = DeltaBatch("items")
         batch.record_insert(3, {"NAME": "ghost", "QTY": 1, "OK": True})
         batch.record_update(3, {"QTY": 2})
@@ -204,8 +204,8 @@ class TestApplyDeltaBatch:
         backend.apply_delta_batch("items", batch)
         assert backend.insert_row("items", {"NAME": "pin", "QTY": 2, "OK": True}) == 11
 
-    def test_sqlite_batch_is_atomic_on_unknown_tid(self):
-        backend = _loaded(SqliteBackend())
+    def test_sqlite_batch_is_atomic_on_unknown_tid(self, sqlite_backend_factory):
+        backend = _loaded(sqlite_backend_factory())
         batch = DeltaBatch("items")
         batch.record_update(0, {"QTY": 99})
         batch.record_update(42, {"QTY": 1})  # no such tuple
@@ -218,8 +218,8 @@ class TestApplyDeltaBatch:
         assert list(backend.iter_rows("items")) == before
         backend.close()
 
-    def test_sqlite_batch_reports_missing_delete_tid(self):
-        backend = _loaded(SqliteBackend())
+    def test_sqlite_batch_reports_missing_delete_tid(self, sqlite_backend_factory):
+        backend = _loaded(sqlite_backend_factory())
         batch = DeltaBatch("items")
         batch.record_delete(0)
         batch.record_delete(42)  # no such tuple
@@ -229,8 +229,8 @@ class TestApplyDeltaBatch:
         assert backend.row_count("items") == 3  # rolled back
         backend.close()
 
-    def test_sqlite_batch_is_atomic_on_duplicate_insert(self):
-        backend = _loaded(SqliteBackend())
+    def test_sqlite_batch_is_atomic_on_duplicate_insert(self, sqlite_backend_factory):
+        backend = _loaded(sqlite_backend_factory())
         batch = DeltaBatch("items")
         batch.record_delete(1)
         batch.record_insert(0, {"NAME": "dup", "QTY": 1, "OK": True})  # tid 0 live
@@ -240,8 +240,8 @@ class TestApplyDeltaBatch:
         assert list(backend.iter_rows("items")) == before
         backend.close()
 
-    def test_sqlite_batch_commits_exactly_once(self):
-        backend = _loaded(SqliteBackend())
+    def test_sqlite_batch_commits_exactly_once(self, sqlite_backend_factory):
+        backend = _loaded(sqlite_backend_factory())
         commits = []
 
         class CountingConnection:
@@ -309,10 +309,18 @@ class TestBatchReplayProperty:
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_coalesced_batch_equals_raw_replay(self, data):
+    def test_coalesced_batch_equals_raw_replay(self, data, sqlite_options):
         ops, live = self._draw_ops(data)
-        batch_backend = _loaded(SqliteBackend())
-        replay_backend = _loaded(SqliteBackend())
+        # the session-scoped options, not the factory: hypothesis re-runs
+        # the body within one test, so each example closes its own stores
+        with SqliteBackend(**sqlite_options()) as batch_backend:
+            with SqliteBackend(**sqlite_options()) as replay_backend:
+                self._check_replay(
+                    ops, live, _loaded(batch_backend), _loaded(replay_backend)
+                )
+
+    @staticmethod
+    def _check_replay(ops, live, batch_backend, replay_backend):
         relation_replay = Relation.from_rows(SCHEMA, ROWS)
         batch = DeltaBatch("items")
         for op, tid, payload in ops:
@@ -346,7 +354,9 @@ class TestBatchReplayProperty:
         for backend in (batch_backend, replay_backend):
             backend.close()
 
-    def test_failed_mirror_batch_sets_desync_and_rolls_back(self):
+    def test_failed_mirror_batch_sets_desync_and_rolls_back(
+        self, sqlite_backend_factory
+    ):
         # the detector-level rollback contract: a batch that fails on the
         # mirror marks the desync and the mirror keeps its pre-batch rows
         # (the transaction rolled the valid half of the batch back)
@@ -355,7 +365,7 @@ class TestBatchReplayProperty:
 
         database = Database()
         database.add_relation(Relation.from_rows(SCHEMA, ROWS))
-        mirror = _loaded(SqliteBackend())
+        mirror = _loaded(sqlite_backend_factory())
         detector = IncrementalDetector(database, "items", [], mirror=mirror)
         # desync the mirror behind the detector's back: tid 2 disappears
         mirror._conn.execute('DELETE FROM "items" WHERE _tid = 2')
@@ -371,8 +381,8 @@ class TestBatchReplayProperty:
 
 
 class TestBackendContextManager:
-    def test_sqlite_backend_closes_on_exit(self):
-        with SqliteBackend() as backend:
+    def test_sqlite_backend_closes_on_exit(self, sqlite_backend_factory):
+        with sqlite_backend_factory() as backend:
             _loaded(backend)
             assert backend.row_count("items") == 3
         with pytest.raises(sqlite3.ProgrammingError):
@@ -380,8 +390,8 @@ class TestBackendContextManager:
 
 
 class TestExecuteCommitDiscipline:
-    def test_select_does_not_commit(self):
-        backend = _loaded(SqliteBackend())
+    def test_select_does_not_commit(self, sqlite_backend_factory):
+        backend = _loaded(sqlite_backend_factory())
         commits = []
 
         class CountingConnection:

@@ -47,8 +47,8 @@ def _loaded(backend):
 
 
 @pytest.fixture
-def backend():
-    instance = _loaded(SqliteBackend())
+def backend(sqlite_backend_factory):
+    instance = _loaded(sqlite_backend_factory())
     yield instance
     instance.close()
 
@@ -121,10 +121,10 @@ def _monitored_batch(system):
 
 
 class TestMonitoredDeltaSync:
-    def test_sql_and_native_reports_agree_without_full_resync(self):
+    def test_sql_and_native_reports_agree_without_full_resync(self, sqlite_config):
         reports, syncs = {}, {}
         for use_sql in (False, True):
-            system = Semandaq(config=SemandaqConfig(use_sql_detection=use_sql))
+            system = Semandaq(config=sqlite_config(use_sql_detection=use_sql))
             system.register_relation(generate_customers(60, seed=47).copy())
             system.add_cfds(paper_cfds())
             reports[use_sql] = _monitored_batch(system)
@@ -136,8 +136,8 @@ class TestMonitoredDeltaSync:
         # one bulk load at registration, never again afterwards
         assert syncs[True] == 1
 
-    def test_monitored_updates_ship_as_deltas_not_bulk_loads(self):
-        system = Semandaq(config=SemandaqConfig(backend="sqlite"))
+    def test_monitored_updates_ship_as_deltas_not_bulk_loads(self, sqlite_config):
+        system = Semandaq(config=sqlite_config())
         system.register_relation(generate_customers(40, seed=53).copy())
         system.add_cfds(paper_cfds())
         calls = []
@@ -155,10 +155,10 @@ class TestMonitoredDeltaSync:
         assert dict(system.backend.iter_rows("customer")) == working
         system.close()
 
-    def test_apply_batch_ships_one_delta_batch_round_trip(self):
+    def test_apply_batch_ships_one_delta_batch_round_trip(self, sqlite_config):
         # three updates, one apply_delta_batch call (one transaction), not
         # three single-statement round trips
-        system = Semandaq(config=SemandaqConfig(backend="sqlite"))
+        system = Semandaq(config=sqlite_config())
         system.register_relation(generate_customers(40, seed=57).copy())
         system.add_cfds(paper_cfds())
         shipped = []
@@ -172,8 +172,8 @@ class TestMonitoredDeltaSync:
         assert system.monitor("customer")._detector.batches_shipped == 1
         system.close()
 
-    def test_facade_apply_updates_routes_through_one_batch(self):
-        system = Semandaq(config=SemandaqConfig(backend="sqlite"))
+    def test_facade_apply_updates_routes_through_one_batch(self, sqlite_config):
+        system = Semandaq(config=sqlite_config())
         system.register_relation(generate_customers(40, seed=58).copy())
         system.add_cfds(paper_cfds())
         relation = system.database.relation("customer")
@@ -198,8 +198,8 @@ class TestMonitoredDeltaSync:
         assert system.detect("customer").total_violations() > 0
         system.close()
 
-    def test_repair_mode_changes_reach_backend_as_updates(self):
-        system = Semandaq(config=SemandaqConfig(backend="sqlite"))
+    def test_repair_mode_changes_reach_backend_as_updates(self, sqlite_config):
+        system = Semandaq(config=sqlite_config())
         system.register_relation(generate_customers(50, seed=59).copy())
         system.add_cfds(paper_cfds())
         relation = system.database.relation("customer")
@@ -216,13 +216,13 @@ class TestMonitoredDeltaSync:
         assert system.full_sync_count == 1
         system.close()
 
-    def test_apply_repair_detaches_the_retired_monitor(self):
+    def test_apply_repair_detaches_the_retired_monitor(self, sqlite_config):
         # apply_repair swaps the relation and its monitor; a user-held
         # reference to the old monitor must not keep mirroring deltas from
         # the replaced (ghost) relation into the backend copy
         from repro.datasets import inject_noise
 
-        system = Semandaq(config=SemandaqConfig(backend="sqlite"))
+        system = Semandaq(config=sqlite_config())
         dirty = inject_noise(
             generate_customers(40, seed=79), rate=0.05, seed=80,
             attributes=["CNT", "CITY", "STR", "CC"],
@@ -240,11 +240,11 @@ class TestMonitoredDeltaSync:
         assert dict(system.backend.iter_rows("customer")) == dict(live.rows())
         system.close()
 
-    def test_reregistering_a_relation_drops_the_stale_monitor(self):
+    def test_reregistering_a_relation_drops_the_stale_monitor(self, sqlite_config):
         # a cached monitor is bound to the replaced Relation object; if it
         # survived re-registration it would mirror deltas from that ghost
         # into the freshly synced backend copy
-        system = Semandaq(config=SemandaqConfig(backend="sqlite"))
+        system = Semandaq(config=sqlite_config())
         system.register_relation(generate_customers(30, seed=71).copy())
         system.add_cfds(paper_cfds())
         old_monitor = system.monitor("customer")
@@ -266,11 +266,13 @@ class TestMonitoredDeltaSync:
         assert dict(system.backend.iter_rows("customer")) == dict(relation.rows())
         system.close()
 
-    def test_failed_mirror_delta_triggers_full_resync_on_next_detect(self):
+    def test_failed_mirror_delta_triggers_full_resync_on_next_detect(
+        self, sqlite_config
+    ):
         # if a delta ships after the working store mutated and the backend
         # errors out, the backend copy lags; the facade must notice and
         # bulk re-sync instead of silently detecting against stale data
-        system = Semandaq(config=SemandaqConfig(backend="sqlite"))
+        system = Semandaq(config=sqlite_config())
         system.register_relation(generate_customers(30, seed=73).copy())
         system.add_cfds(paper_cfds())
         monitor = system.monitor("customer")
@@ -295,8 +297,8 @@ class TestMonitoredDeltaSync:
         assert dict(system.backend.iter_rows("customer")) == dict(relation.rows())
         system.close()
 
-    def test_verify_untouched_guards_protected_tuples(self):
-        database_system = Semandaq()
+    def test_verify_untouched_guards_protected_tuples(self, sqlite_config):
+        database_system = Semandaq(sqlite_config())
         database_system.register_relation(generate_customers(30, seed=61).copy())
         database_system.add_cfds(paper_cfds())
         monitor = database_system.monitor("customer", cleansed=True)
@@ -332,7 +334,9 @@ class TestFileBackedRecoveryUnderMonitor:
     deltas, and assert parity with a fresh load of the same data."""
 
     @pytest.mark.parametrize("mode", ["native"])
-    def test_reopened_catalog_accepts_monitored_deltas(self, tmp_path, mode):
+    def test_reopened_catalog_accepts_monitored_deltas(
+        self, tmp_path, mode, sqlite_backend_factory
+    ):
         path = tmp_path / "recover.db"
         original = generate_customers(50, seed=83)
         # session 1: load the store, then disconnect
@@ -362,7 +366,7 @@ class TestFileBackedRecoveryUnderMonitor:
             monitored_report = monitor.current_report()
             expected_rows = dict(relation.rows())
         # parity with a fresh bulk load of the same (updated) data
-        with SqliteBackend() as fresh:
+        with sqlite_backend_factory() as fresh:
             fresh.add_relation(
                 Relation.from_tid_rows(relation.schema, expected_rows.items())
             )

@@ -7,8 +7,9 @@ violation reports on the dirty-customer workload — the same ``vio()`` maps
 and the same dirty tids.
 
 Run with ``SEMANDAQ_SQLITE_MODE=file`` to exercise every SQLite backend the
-``sqlite_backend_factory`` fixture builds against a tmp-path database file
-instead of ``:memory:`` (see ``tests/conftest.py``); CI does both.
+``sqlite_backend_factory`` and ``sqlite_options`` fixtures build against a
+tmp-path database file instead of ``:memory:`` (see ``tests/conftest.py``);
+CI does both.
 """
 
 import pytest
@@ -114,7 +115,7 @@ class TestNativeSqlParity:
             assert "CAST(" not in sql and "pystr(" not in sql
             assert "CONCAT" not in sql and "'" not in sql
 
-    def test_float_encoding_parity_on_exponent_form(self):
+    def test_float_encoding_parity_on_exponent_form(self, sqlite_backend_factory):
         # The text constant '1e+16' is typed by its FLOAT column
         # (CFD.coerced_to) and binds as the float 1e16, which equals the
         # stored REAL; no string form of either side is compared, so
@@ -129,7 +130,7 @@ class TestNativeSqlParity:
         database = Database()
         database.add_relation(relation.copy())
         native = ErrorDetector(database).detect("m", [cfd])
-        backend = SqliteBackend()
+        backend = sqlite_backend_factory()
         backend.add_relation(relation.copy())
         report = ErrorDetector(backend).detect("m", [cfd])
         backend.close()
@@ -152,13 +153,18 @@ class TestNativeSqlParity:
         assert any(name.startswith("idx_customer_") for name in names)
 
 
-def _all_path_reports(relation, cfds, make_sqlite_backend):
+def _all_path_reports(relation, cfds, sqlite_options):
     """Reports from every detection path: native, SQL on SQLite, and the
-    incremental detector."""
+    incremental detector.
+
+    ``sqlite_options`` is the session-scoped conftest fixture, so that
+    hypothesis properties may call this once per example; the SQLite
+    store is closed before returning.
+    """
     database = Database()
     database.add_relation(relation.copy())
     native = ErrorDetector(database, use_sql=False).detect(relation.name, cfds)
-    sqlite_backend = make_sqlite_backend()
+    sqlite_backend = SqliteBackend(**sqlite_options())
     sqlite_backend.add_relation(relation.copy())
     sqlite_sql = ErrorDetector(sqlite_backend, use_sql=True).detect(
         relation.name, cfds
@@ -191,9 +197,9 @@ class TestOverlappingPatternParity:
     """Tableaux whose pattern tuples overlap: every path must report each
     violating LHS group exactly once, under its lowest violating pattern."""
 
-    def test_overlapping_wildcard_rhs_patterns(self, sqlite_backend_factory):
+    def test_overlapping_wildcard_rhs_patterns(self, sqlite_options):
         reports = _all_path_reports(
-            overlap_relation(), [OVERLAP_CFD], sqlite_backend_factory
+            overlap_relation(), [OVERLAP_CFD], sqlite_options
         )
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
@@ -204,17 +210,19 @@ class TestOverlappingPatternParity:
         # each group once, under the lowest pattern that covers it
         assert by_group == {("x", "1"): 0, ("y", "1"): 1}
 
-    def test_restricted_detection_tests_constants_per_key(self):
+    def test_restricted_detection_tests_constants_per_key(self, sqlite_options):
         # the restricted Q_V of pattern 0 (A='x') must drop the y group's
         # key, or that group would be reported under pattern 0
         relation = overlap_relation()
         for tid in relation.tids():
-            native, sql = _restricted_reports(relation, [OVERLAP_CFD], [tid])
+            native, sql = _restricted_reports(
+                relation, [OVERLAP_CFD], [tid], sqlite_options
+            )
             assert _violation_keys(sql) == _violation_keys(native), tid
-        native, sql = _restricted_reports(relation, [OVERLAP_CFD], [2])
+        native, sql = _restricted_reports(relation, [OVERLAP_CFD], [2], sqlite_options)
         assert [v.pattern_index for v in sql.violations] == [1]
 
-    def test_overlapping_constant_rhs_patterns(self, sqlite_backend_factory):
+    def test_overlapping_constant_rhs_patterns(self, sqlite_options):
         schema = RelationSchema.of("r", ["A", "C"])
         relation = Relation.from_rows(
             schema,
@@ -234,7 +242,7 @@ class TestOverlappingPatternParity:
             ),
             name="phi_const_overlap",
         )
-        reports = _all_path_reports(relation, [cfd], sqlite_backend_factory)
+        reports = _all_path_reports(relation, [cfd], sqlite_options)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
         by_tid = {
@@ -243,11 +251,11 @@ class TestOverlappingPatternParity:
         }
         assert by_tid == {0: 0, 1: 0}
 
-    def test_merged_cfd_with_two_wildcard_rhs_attributes(self, sqlite_backend_factory):
+    def test_merged_cfd_with_two_wildcard_rhs_attributes(self, sqlite_options):
         # The disagreement lives on the SECOND wildcard RHS attribute; a Q_V
         # covering only the first would silently miss it.
         reports = _all_path_reports(
-            two_rhs_relation(), [TWO_RHS_CFD], sqlite_backend_factory
+            two_rhs_relation(), [TWO_RHS_CFD], sqlite_options
         )
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
@@ -268,9 +276,9 @@ class TestNullCellParity:
     three detection paths.
     """
 
-    def test_null_lhs_and_rhs_cells(self, sqlite_backend_factory):
+    def test_null_lhs_and_rhs_cells(self, sqlite_options):
         reports = _all_path_reports(
-            null_cell_relation(), [NULL_CELL_CFD], sqlite_backend_factory
+            null_cell_relation(), [NULL_CELL_CFD], sqlite_options
         )
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
@@ -283,12 +291,12 @@ class TestNullCellParity:
         assert by_kind == {("multi", ("x", "1")), ("single", ("w", "3"))}
 
 
-def _restricted_reports(relation, cfds, tids):
+def _restricted_reports(relation, cfds, tids, sqlite_options):
     """``detect_for_tuples`` from the native oracle and from SQL on SQLite."""
     database = Database()
     database.add_relation(relation.copy())
     native = ErrorDetector(database).detect_for_tuples(relation.name, cfds, tids)
-    backend = SqliteBackend()
+    backend = SqliteBackend(**sqlite_options())
     backend.add_relation(relation.copy())
     sql = ErrorDetector(backend).detect_for_tuples(relation.name, cfds, tids)
     backend.close()
@@ -350,7 +358,9 @@ class TestThreePathProperty:
 
     @given(data=st.data())
     @settings(max_examples=60, deadline=None)
-    def test_random_relations_and_tableaux_agree_on_all_paths(self, data):
+    def test_random_relations_and_tableaux_agree_on_all_paths(
+        self, data, sqlite_options
+    ):
         rows = data.draw(
             st.lists(
                 st.fixed_dictionaries({attr: self.cell for attr in self.attrs}),
@@ -362,9 +372,7 @@ class TestThreePathProperty:
             RelationSchema.of("r", list(self.attrs)), rows
         )
         cfds = self._draw_cfds(data)
-        # plain :memory: backends (no fixture: hypothesis re-runs the body
-        # many times per test invocation)
-        reports = _all_path_reports(relation, cfds, SqliteBackend)
+        reports = _all_path_reports(relation, cfds, sqlite_options)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert keys["native"] == keys["sqlite_sql"] == keys["incremental"]
         counts = {report.tuple_count for report in reports.values()}
@@ -375,7 +383,7 @@ class TestThreePathProperty:
             st.lists(st.integers(min_value=0, max_value=len(rows) + 2), max_size=5)
         )
         for tids in (drawn, list(range(len(rows)))):
-            native, sql = _restricted_reports(relation, cfds, tids)
+            native, sql = _restricted_reports(relation, cfds, tids, sqlite_options)
             assert _violation_keys(sql) == _violation_keys(native)
             assert sql.tuple_count == native.tuple_count == len(relation)
         assert _violation_keys(sql) == keys["native"]
@@ -412,20 +420,22 @@ class TestTypedConstants:
     """A constant compares by its attribute's type on every path."""
 
     @pytest.mark.parametrize("dtype, constant, value, other", TYPED_PROBES)
-    def test_typed_constant_parity(self, dtype, constant, value, other):
+    def test_typed_constant_parity(
+        self, dtype, constant, value, other, sqlite_options
+    ):
         schema = RelationSchema("m", [AttributeDef("A", dtype), AttributeDef("B")])
         relation = Relation.from_rows(
             schema, [{"A": value, "B": "wrong"}, {"A": other, "B": "wrong"}]
         )
         cfd = CFD.build("m", {"A": constant}, {"B": "right"}, name="phi_typed")
-        reports = _all_path_reports(relation, [cfd], SqliteBackend)
+        reports = _all_path_reports(relation, [cfd], sqlite_options)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert keys["native"] == [("phi_typed", "single", (0,), "B", 0, (value,))]
         assert keys["sqlite_sql"] == keys["incremental"]
         assert keys["sqlite_sql"] == keys["native"]
 
     @pytest.mark.parametrize("dtype, values", TYPED_RHS_GROUPS)
-    def test_wildcard_rhs_typed_parity(self, dtype, values):
+    def test_wildcard_rhs_typed_parity(self, dtype, values, sqlite_options):
         # the full Q_V counts distinct string encodings, the restricted one
         # compares stored values with the group's minimum: both must find
         # the native detector's groups
@@ -435,13 +445,13 @@ class TestTypedConstants:
         rows += [{"A": "h", "B": values[0]}, {"A": None, "B": values[-1]}]
         relation = Relation.from_rows(schema, rows)
         cfd = parse_cfd("m: [A=_] -> [B=_]", name="phi_typed_rhs")
-        reports = _all_path_reports(relation, [cfd], SqliteBackend)
+        reports = _all_path_reports(relation, [cfd], sqlite_options)
         keys = {name: _violation_keys(report) for name, report in reports.items()}
         assert keys["sqlite_sql"] == keys["incremental"] == keys["native"]
         distinct = {value for value in values if value is not None}
         assert bool(keys["native"]) == (len(distinct) > 1)
         for tids in ([0], [len(values) - 1], [len(values)], list(range(len(rows)))):
-            native, sql = _restricted_reports(relation, [cfd], tids)
+            native, sql = _restricted_reports(relation, [cfd], tids, sqlite_options)
             assert _violation_keys(sql) == _violation_keys(native)
 
 

@@ -41,23 +41,21 @@ ROWS = [
 
 
 @pytest.fixture
-def backend():
-    instance = SqliteBackend()
-    yield instance
-    instance.close()
+def backend(sqlite_backend_factory):
+    return sqlite_backend_factory()
 
 
 class TestVersionGate:
-    def test_sqlite_older_than_3_25_raises(self, monkeypatch):
+    def test_sqlite_older_than_3_25_raises(self, monkeypatch, sqlite_options):
         # 3.25 is the supported floor (the SQL itself needs row values, 3.15)
         monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 24, 0))
         monkeypatch.setattr(sqlite3, "sqlite_version", "3.24.0")
         with pytest.raises(UnsupportedSqliteError, match="3.24.0"):
-            SqliteBackend()
+            SqliteBackend(**sqlite_options())
 
-    def test_sqlite_3_25_is_accepted(self, monkeypatch):
+    def test_sqlite_3_25_is_accepted(self, monkeypatch, sqlite_backend_factory):
         monkeypatch.setattr(sqlite3, "sqlite_version_info", (3, 25, 0))
-        SqliteBackend().close()
+        sqlite_backend_factory().close()
 
 
 class TestCatalog:
@@ -295,8 +293,8 @@ class TestClosedBackend:
     """Every call after ``close()`` raises the typed ``BackendError``."""
 
     @pytest.fixture
-    def closed(self):
-        instance = SqliteBackend()
+    def closed(self, sqlite_backend_factory):
+        instance = sqlite_backend_factory()
         instance.create_relation(SCHEMA, rows=ROWS)
         instance.close()
         return instance
@@ -335,7 +333,7 @@ class TestConstructionErrors:
         with pytest.raises(BackendError, match="pool_size"):
             SqliteBackend(path=str(tmp_path / "store.db"), pool_size=-1)
         with pytest.raises(BackendError, match="pool_size"):
-            SqliteBackend(pool_size=-1)  # :memory: too, though it has no pool
+            SqliteBackend(path=":memory:", pool_size=-1)  # though it has no pool
 
     def test_path_in_a_missing_directory_raises(self, tmp_path):
         path = str(tmp_path / "missing-dir" / "store.db")

@@ -277,6 +277,44 @@ class TestGroupRestrictionPlans:
         assert TestWindowPlan.PROBE.search(reads[0]), reads
 
 
+class TestKeysetGroupPagePlans:
+    """The explorer's keyset page of LHS groups reads only its page.
+
+    The paged ``attr_freq`` form (``ORDER BY`` the LHS, ``LIMIT ?``, and
+    ``(t.CNT, t.ZIP) > (?, ?)`` after the first page) must search the
+    detection index, which covers it and holds the groups in key order:
+    no scan of the table and no temp B-tree to sort the groups.
+    """
+
+    @pytest.mark.parametrize(
+        "cfd_text, rhs",
+        [
+            ("customer: [CNT=_, ZIP=_] -> [CITY=_]", "CITY"),
+            ("customer: [CNT='UK', ZIP=_] -> [STR=_]", "STR"),
+        ],
+        ids=["phi1", "phi2"],
+    )
+    @pytest.mark.parametrize("after", [False, True], ids=["first", "next"])
+    def test_group_page_searches_a_covering_index(
+        self, sqlite_customer, customer_relation, cfd_text, rhs, after
+    ):
+        cfd = parse_cfd(cfd_text)
+        sqlite_customer.ensure_index("customer", cfd.lhs + (rhs,))
+        generator = DetectionSqlGenerator(
+            customer_relation.schema, max_parameters=sqlite_customer.max_parameters
+        )
+        query = generator.attr_freq_query(cfd, 0, paged=True, after=after)
+        parameters = query.parameters + (("UK", "EH4 1DT") if after else ()) + (50,)
+        detail = sqlite_customer.explain_query_plan(query.sql, parameters)
+        if not detail:
+            pytest.skip("this SQLite build returns no EXPLAIN QUERY PLAN rows")
+        steps = [str(row["detail"]).upper() for row in detail]
+        reads = _relation_reads(detail)
+        assert len(reads) == 1, steps
+        assert reads[0].startswith("SEARCH T USING COVERING INDEX"), steps
+        assert not any("TEMP B-TREE" in step for step in steps), steps
+
+
 class TestTypedConstantPlans:
     """A constant on a non-STRING LHS column seeks the detection index.
 

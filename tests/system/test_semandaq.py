@@ -231,6 +231,57 @@ class TestMonitoring:
         assert len(system.monitor("customer").log) == 2
 
 
+class TestMonitorFollowsTheCfds:
+    """A monitor built before a CFD change is replaced under the new set.
+
+    ``r(A, B, C)`` holds ``(x, 1, p)`` and ``(x, 2, p)``: ``[C] -> [A]``
+    holds on it and ``[A] -> [B]`` has one violation.
+    """
+
+    ROWS = [{"A": "x", "B": "1", "C": "p"}, {"A": "x", "B": "2", "C": "p"}]
+
+    def _system(self, sqlite_config, use_sql):
+        system = Semandaq(
+            sqlite_config(use_sql_detection=use_sql, check_consistency_on_add=False)
+        )
+        system.register_relation(RelationSchema.of("r", ["A", "B", "C"]), self.ROWS)
+        system.add_cfd("r: [C=_] -> [A=_]")
+        return system
+
+    @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
+    def test_an_added_cfd_reaches_the_monitor(self, sqlite_config, use_sql):
+        system = self._system(sqlite_config, use_sql)
+        system.monitor("r", cleansed=True)
+        system.add_cfd("r: [A=_] -> [B=_]")
+        monitor = system.monitor("r")
+        assert monitor.current_report().total_violations() == 1
+        assert system.detect("r").total_violations() == 1
+        assert monitor.cleansed  # the replacement keeps the mode
+        system.close()
+
+    @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
+    def test_a_removed_cfd_leaves_the_monitor(self, sqlite_config, use_sql):
+        system = self._system(sqlite_config, use_sql)
+        added = system.add_cfd("r: [A=_] -> [B=_]")
+        assert system.monitor("r").current_report().total_violations() == 1
+        system.constraints.remove(added.identifier)
+        assert system.monitor("r").current_report().total_violations() == 0
+        assert system.detect("r").total_violations() == 0
+        system.close()
+
+    @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
+    def test_a_batch_after_a_cfd_change_is_detected_under_the_new_set(
+        self, sqlite_config, use_sql
+    ):
+        system = self._system(sqlite_config, use_sql)
+        system.monitor("r")
+        system.add_cfd("r: [A=_] -> [B=_]")
+        system.apply_updates("r", [Update.insert({"A": "y", "B": "1", "C": "q"})])
+        assert system.monitor("r").current_report().total_violations() == 1
+        assert system.last_report("r").total_violations() == 1
+        system.close()
+
+
 class TestApplyUpdatesRefreshesReport:
     """``apply_updates`` drops the cached report: it describes the old data."""
 

@@ -10,7 +10,10 @@ pinning stale expectations.
 
 from __future__ import annotations
 
+from hypothesis import strategies as st
+
 from repro.core.cfd import CFD
+from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
@@ -99,3 +102,31 @@ TWO_RHS_CFD = CFD(
     patterns=(PatternTuple.of({"A": "_", "B": "_", "C": "_"}),),
     name="phi_two_rhs",
 )
+
+
+def draw_cfd(data, index, attributes):
+    """A random CFD over ``attributes``: 1-2 LHS, 1-2 RHS, 1-2 pattern rows.
+
+    Each pattern cell is the wildcard or one of the constants ``a``/``b``;
+    ``data`` is hypothesis's ``st.data()`` object.
+    """
+    lhs = data.draw(
+        st.lists(st.sampled_from(attributes), min_size=1, max_size=2, unique=True)
+    )
+    remaining = [name for name in attributes if name not in lhs]
+    rhs = data.draw(
+        st.lists(st.sampled_from(remaining), min_size=1, max_size=2, unique=True)
+    )
+    patterns = []
+    for _ in range(data.draw(st.integers(min_value=1, max_value=2))):
+        cells = []
+        for side in (lhs, rhs):
+            rendered = []
+            for name in side:
+                value = data.draw(st.sampled_from(["_", "a", "b"]))
+                rendered.append(
+                    f"{name}={value}" if value == "_" else f"{name}='{value}'"
+                )
+            cells.append(", ".join(rendered))
+        patterns.append(f"[{cells[0]}] -> [{cells[1]}]")
+    return parse_cfd(f"r: {' ; '.join(patterns)}", name=f"cfd{index}")
