@@ -75,13 +75,6 @@ class IncrementalDetector:
         self.database = database
         self.relation_name = relation_name
         self.relation: Relation = database.relation(relation_name)
-        for cfd in cfds:
-            if cfd.relation != relation_name:
-                raise DetectionError(
-                    f"CFD {cfd.identifier} targets {cfd.relation!r}, not {relation_name!r}"
-                )
-        #: the CFDs with their constants typed by the relation's schema
-        self.cfds: List[CFD] = [cfd.coerced_to(self.relation.schema) for cfd in cfds]
         #: storage backend every applied update batch is shipped to as one
         #: :class:`DeltaBatch`, so a backend-resident copy stays current
         #: without full re-syncs.  None for a detector that keeps no
@@ -100,13 +93,33 @@ class IncrementalDetector:
         #: an owner that caches results derived from the relation compares
         #: it to tell whether they still hold
         self.changes_applied = 0
-        self._units: List[_WorkUnit] = [
+        #: open explicit batch (None outside a ``batch()`` block)
+        self._pending: Optional[DeltaBatch] = None
+        #: the CFDs with their constants typed by the relation's schema
+        self.cfds: List[CFD] = []
+        self._units: List[_WorkUnit] = []
+        self.use_cfds(cfds)
+
+    def use_cfds(self, cfds: Sequence[CFD]) -> None:
+        """Check ``cfds`` from now on: rebuild the group state over the relation.
+
+        The relation, the mirror and the counters stay, so updates keep
+        shipping to the same backend and ``changes_applied`` keeps
+        growing.
+        """
+        if self._pending is not None:
+            raise DetectionError("cannot change the CFDs inside an update batch")
+        for cfd in cfds:
+            if cfd.relation != self.relation_name:
+                raise DetectionError(
+                    f"CFD {cfd.identifier} targets {cfd.relation!r}, not {self.relation_name!r}"
+                )
+        self.cfds = [cfd.coerced_to(self.relation.schema) for cfd in cfds]
+        self._units = [
             _WorkUnit(parent=cfd, cfd=_sub_cfd(cfd, rhs_attribute))
             for cfd in self.cfds
             for rhs_attribute in cfd.rhs
         ]
-        #: open explicit batch (None outside a ``batch()`` block)
-        self._pending: Optional[DeltaBatch] = None
         for tid, row in self.relation.stored_rows():
             self._add_tuple(tid, row)
 

@@ -775,9 +775,9 @@ class DetectionSqlGenerator:
         )
 
     def attr_freq_query(
-        self, cfd: CFD, pattern_index: int, paged: bool = False, after: bool = False
+        self, cfd: CFD, pattern_index: int, after: bool = False
     ) -> SqlQuery:
-        """LHS-value histogram over one pattern's applicable tuples.
+        """A keyset page of the LHS-value histogram over one pattern's applicable tuples.
 
         One row per LHS-value group with at least one applicable member —
         ``(lhs_*, freq)`` — where applicability is the pattern's sargable
@@ -786,13 +786,14 @@ class DetectionSqlGenerator:
         scanning the relation; the resident auditor's applicability counts
         share the statement kind.
 
-        ``paged`` is the keyset form: groups in key order (``ORDER BY`` the
-        LHS) and a caller-bound ``LIMIT ?``; with ``after``, only the groups
-        whose key sorts after a caller-bound key — ``(t.A, t.B) > (?, ?)``,
-        or bare ``t.A > ?`` for a one-attribute LHS.  Group keys hold no
-        NULL, so the comparison is total, and the LHS index answers the
-        page without sorting.  Binding order: the pattern's constants
-        (``parameters``), the after key in ``cfd.lhs`` order, the limit.
+        Groups come in key order (``ORDER BY`` the LHS) under a
+        caller-bound ``LIMIT ?`` (``-1`` is no limit); with ``after``,
+        only the groups whose key sorts after a caller-bound key —
+        ``(t.A, t.B) > (?, ?)``, or bare ``t.A > ?`` for a one-attribute
+        LHS.  Group keys hold no NULL, so the comparison is total, and the
+        LHS index answers the page without sorting.  Binding order: the
+        pattern's constants (``parameters``), the after key in
+        ``cfd.lhs`` order, the limit.
         """
         if not cfd.lhs:
             raise ValueError("the attr-freq query needs a non-empty LHS")
@@ -817,17 +818,15 @@ class DetectionSqlGenerator:
                 f"SELECT {', '.join(select_columns)}\n"
                 f"FROM {cfd.relation} {DATA_ALIAS}\n"
                 f"WHERE {' AND '.join(conditions)}\n"
-                f"GROUP BY {', '.join(key_columns)}"
+                f"GROUP BY {', '.join(key_columns)}\n"
+                f"ORDER BY {', '.join(key_columns)}\n"
+                f"LIMIT ?"
             )
-            if paged:
-                sql += f"\nORDER BY {', '.join(key_columns)}\nLIMIT ?"
             return SqlQuery(
                 sql, tuple(params), kind="attr_freq", pattern_index=pattern_index
             )
 
-        return self._cached_plan(
-            ("attr_freq", cfd, pattern_index, paged, after), build
-        )
+        return self._cached_plan(("attr_freq", cfd, pattern_index, after), build)
 
     def applicable_count_query(self, subs: Tuple[CFD, ...]) -> SqlQuery:
         """Count of tuples some normalised sub-CFD's pattern applies to.

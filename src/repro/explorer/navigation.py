@@ -187,7 +187,10 @@ class DataExplorer:
         NULL bucket included, counts exactly its applicable tuples.  The
         clean groups come as keyset pages of the source's group histogram
         (:meth:`TupleSource.pattern_group_freq`), skipping the violating
-        keys, so a page costs its own groups, not the relation's.
+        keys, so a page costs its own groups, not the relation's: each
+        statement asks for the page's remaining room plus the violating
+        keys still ahead, at most a page of them, so a run of ``k``
+        violating keys costs at most ``k / page_size`` more statements.
         """
         if page_size < 1:
             raise ExplorerError("page_size must be at least 1")
@@ -220,16 +223,28 @@ class DataExplorer:
                 ]
         else:
             cursor = tuple(after.lhs_values)
+        if len(page) == page_size:
+            return page
+        # the violating keys in key order: the clean phase skips them
+        skipped = sorted(key for _rank, key in ranked)
         while len(page) < page_size:
-            wanted = page_size - len(page)
+            ahead = len(skipped)
+            if cursor is not None:
+                ahead -= bisect_right(skipped, cursor)
+            # room for the violating keys still ahead, up to a page of
+            # them: a statement that leaves the page short skipped more
+            # than a page of violating keys
+            limit = page_size - len(page) + min(ahead, page_size)
             freq = self.source.pattern_group_freq(
-                cfd, pattern_index, after=cursor, limit=wanted
+                cfd, pattern_index, after=cursor, limit=limit
             )
             for key, count in freq.items():
+                cursor = key
                 if key not in groups:
                     page.append(LhsMatch(key, tuple_count=count, violating_tuples=0))
-                cursor = key
-            if len(freq) < wanted:
+                    if len(page) == page_size:
+                        break
+            if len(freq) < limit:
                 break
         return page
 

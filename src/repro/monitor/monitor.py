@@ -28,7 +28,7 @@ from .updates import Update, UpdateKind, UpdateLog
 
 
 class DataMonitor:
-    """Monitors one relation against a fixed set of CFDs.
+    """Monitors one relation against a set of CFDs.
 
     Its :class:`~repro.detection.incremental.IncrementalDetector` keeps the
     violation state in Python group dictionaries over the working store
@@ -91,6 +91,17 @@ class DataMonitor:
     def mark_dirty(self) -> None:
         """Switch back to detection-only mode."""
         self.cleansed = False
+
+    def use_cfds(self, cfds: Sequence[CFD]) -> None:
+        """Check ``cfds`` from now on, over the same relation and backend.
+
+        The incremental detection state is rebuilt under the new set; the
+        mode, the update log, the repair history and the change count
+        stay, so a reference to this monitor held by user code stays
+        valid.
+        """
+        self._detector.use_cfds(cfds)
+        self.cfds = list(cfds)
 
     # -- backend mirroring ------------------------------------------------------------
 

@@ -16,8 +16,8 @@ question                  plan kind
 ``group_member_counts``   ``group_stats`` (sargable restriction + count)
 ``covering_member_tids``  ``covering_members`` (index-only enumeration)
 ``majority_values``       ``majority_value`` (per-group RHS histogram)
-``pattern_group_freq``    ``attr_freq`` (per-pattern LHS histogram, or a keyset
-                          page of it in key order)
+``pattern_group_freq``    ``attr_freq`` (keyset page of the per-pattern LHS
+                          histogram, in key order)
 ``applicable_count``      ``attr_freq`` (OR-of-applicability count)
 ``page``                  ``page_fetch`` (keyset ``_tid > ?`` + ``LIMIT``)
 ``row_count``             — (catalog operation, no rows shipped)
@@ -193,21 +193,16 @@ class BackendTupleSource(TupleSource):
         after: Optional[GroupKey] = None,
         limit: Optional[int] = None,
     ) -> Dict[GroupKey, int]:
-        generator = self.generator()
-        if after is None and limit is None:
-            query = generator.attr_freq_query(cfd, pattern_index)
-        else:
-            keyset = generator.attr_freq_query(
-                cfd, pattern_index, paged=True, after=after is not None
-            )
-            # a negative LIMIT is no limit
-            params = keyset.parameters + tuple(after or ()) + (
-                -1 if limit is None else limit,
-            )
-            query = SqlQuery(
-                keyset.sql, params, kind=keyset.kind,
-                pattern_index=keyset.pattern_index,
-            )
+        keyset = self.generator().attr_freq_query(
+            cfd, pattern_index, after=after is not None
+        )
+        # a negative LIMIT is no limit
+        params = keyset.parameters + tuple(after or ()) + (
+            -1 if limit is None else limit,
+        )
+        query = SqlQuery(
+            keyset.sql, params, kind=keyset.kind, pattern_index=keyset.pattern_index
+        )
         freq: Dict[GroupKey, int] = {}
         for row in self._execute(query):
             freq[self._decode_key(cfd, row)] = int(row["freq"])

@@ -112,13 +112,12 @@ class TupleSource:
         after: Optional[GroupKey] = None,
         limit: Optional[int] = None,
     ) -> Dict[GroupKey, int]:
-        """Applicable-tuple count per LHS group under one pattern row.
+        """Applicable-tuple count per LHS group under one pattern row, in key order.
 
-        With ``after`` and ``limit`` left as ``None`` this is the whole
-        histogram, in no particular order.  Either one set makes it a
-        keyset page: the (at most ``limit``) groups whose key sorts after
-        ``after``, in key order.  Keys hold no NULL and each column one
-        type, so Python's tuple order is the backend's ``ORDER BY`` order.
+        A keyset page: the groups whose key sorts after ``after`` (from the
+        first when ``None``), at most ``limit`` of them (all when
+        ``None``).  Keys hold no NULL and each column one type, so
+        Python's tuple order is the backend's ``ORDER BY`` order.
         """
         raise NotImplementedError
 

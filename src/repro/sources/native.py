@@ -105,8 +105,6 @@ class NativeTupleSource(TupleSource):
                 continue
             key = tuple(row.get(attr) for attr in cfd.lhs)
             freq[key] = freq.get(key, 0) + 1
-        if after is None and limit is None:
-            return freq
         keys = sorted(freq)
         start = 0 if after is None else bisect_right(keys, tuple(after))
         stop = len(keys) if limit is None else start + limit

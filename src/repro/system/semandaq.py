@@ -701,28 +701,23 @@ class Semandaq:
     def monitor(self, relation_name: str, cleansed: Optional[bool] = None) -> DataMonitor:
         """The data monitor of ``relation_name`` (created on first use).
 
-        A monitor checks the CFDs registered when it was built.  When the
-        relation's CFDs changed since (one added, replaced or removed), it
-        is retired and a new one, in the same mode, takes its place: its
-        report and its incremental repairs follow the current set.
+        When the relation's CFDs changed since the monitor last checked
+        them (one added, replaced or removed), the monitor switches to the
+        current set in place (:meth:`DataMonitor.use_cfds`): its report
+        and its incremental repairs follow the new set, and a reference
+        to it held by user code keeps working on the same relation.
         """
         monitor = self._monitors.get(relation_name)
-        if monitor is not None and not _same_cfds(
-            monitor.cfds, self.constraints.cfds(relation_name)
-        ):
-            self._retire_monitor(relation_name)
-            # the new monitor counts its changes from zero, so a report
-            # cached against the old one's count must not look current
-            self._drop_report(relation_name)
-            monitor = self._monitors[relation_name] = self._make_monitor(
-                relation_name, cleansed=monitor.cleansed
-            )
         if monitor is None:
             monitor = self._monitors[relation_name] = self._make_monitor(
                 relation_name,
                 cleansed=bool(cleansed) if cleansed is not None else relation_name in self._repairs,
             )
-        elif cleansed is not None:
+            return monitor
+        cfds = self.constraints.cfds(relation_name)
+        if not _same_cfds(monitor.cfds, cfds):
+            monitor.use_cfds(cfds)
+        if cleansed is not None:
             if cleansed:
                 monitor.mark_cleansed()
             else:

@@ -280,8 +280,8 @@ class TestGroupRestrictionPlans:
 class TestKeysetGroupPagePlans:
     """The explorer's keyset page of LHS groups reads only its page.
 
-    The paged ``attr_freq`` form (``ORDER BY`` the LHS, ``LIMIT ?``, and
-    ``(t.CNT, t.ZIP) > (?, ?)`` after the first page) must search the
+    The keyset ``attr_freq`` statement (``ORDER BY`` the LHS, ``LIMIT ?``,
+    and ``(t.CNT, t.ZIP) > (?, ?)`` after the first page) must search the
     detection index, which covers it and holds the groups in key order:
     no scan of the table and no temp B-tree to sort the groups.
     """
@@ -303,7 +303,7 @@ class TestKeysetGroupPagePlans:
         generator = DetectionSqlGenerator(
             customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
-        query = generator.attr_freq_query(cfd, 0, paged=True, after=after)
+        query = generator.attr_freq_query(cfd, 0, after=after)
         parameters = query.parameters + (("UK", "EH4 1DT") if after else ()) + (50,)
         detail = sqlite_customer.explain_query_plan(query.sql, parameters)
         if not detail:

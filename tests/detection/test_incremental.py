@@ -202,6 +202,34 @@ class TestEquivalenceWithBatch:
             mirror.close()
 
 
+class TestUseCfds:
+    """Switching the CFDs keeps the relation, the mirror and the counters."""
+
+    @given(data=st.data())
+    @settings(max_examples=25, deadline=None)
+    def test_property_a_switch_mid_sequence_matches_the_oracles(self, data):
+        before = data.draw(st.lists(st.sampled_from(_PROPERTY_CFDS), unique=True))
+        after = data.draw(st.lists(st.sampled_from(_PROPERTY_CFDS), unique=True))
+        incremental, mirror = _mirrored(_draw_relation(data), before)
+        try:
+            for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
+                _apply_random_op(data, incremental)
+            changes = incremental.changes_applied
+            incremental.use_cfds(after)
+            assert incremental.changes_applied == changes
+            for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
+                _apply_random_op(data, incremental)
+            assert incremental.changes_applied > changes
+            _assert_matches_oracles(incremental, mirror, after)
+        finally:
+            mirror.close()
+
+    def test_no_switch_inside_an_update_batch(self, incremental, customer_cfds):
+        with incremental.batch():
+            with pytest.raises(DetectionError, match="inside an update batch"):
+                incremental.use_cfds(customer_cfds[:1])
+
+
 class TestCostLocality:
     def test_incremental_examines_fewer_tuples_than_batch(self, customer_cfds):
         relation = generate_customers(300, seed=9)

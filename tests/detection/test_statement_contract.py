@@ -164,7 +164,17 @@ CASES = [
         lambda g: [
             bound
             for index in range(len(CFD_R.patterns))
-            for bound in _caller_bound(g.attr_freq_query(CFD_R, index))
+            for bound in _caller_bound(g.attr_freq_query(CFD_R, index), -1)
+        ],
+    ),
+    Case(
+        "attr_freq_query_after",
+        lambda g: [
+            bound
+            for index in range(len(CFD_R.patterns))
+            for bound in _caller_bound(
+                g.attr_freq_query(CFD_R, index, after=True), "acme", "0", 2
+            )
         ],
     ),
     Case(

@@ -323,6 +323,49 @@ class TestLhsPages:
         finally:
             system.close()
 
+    def test_a_run_of_violating_keys_costs_a_statement_per_page_of_them(
+        self, sqlite_config, monkeypatch
+    ):
+        # 200 groups of [A] -> [B]; k025..k124 disagree on B.  With pages
+        # of 7 the 100 violating groups fill 14 pages and 2 entries of the
+        # 15th; the clean groups k000..k024 then leave the 18th page one
+        # entry short of full right before the run.
+        page_size, run = 7, range(25, 125)
+        rows = []
+        for index in range(200):
+            key = f"k{index:03d}"
+            rows.append({"A": key, "B": "x"})
+            rows.append({"A": key, "B": "y" if index in run else "x"})
+        system = Semandaq(config=sqlite_config())
+        system.register_relation(RelationSchema.of("r", ["A", "B"]), rows)
+        cfd = system.add_cfd("r: [A=_] -> [B=_]")
+        try:
+            explorer = system.explorer("r")
+            explorer.patterns_for(cfd.identifier)  # fetches the dirty region
+            statements = []
+            execute = BackendTupleSource._execute
+
+            def counting(source, query):
+                statements[-1] += query.kind == "attr_freq"
+                return execute(source, query)
+
+            monkeypatch.setattr(BackendTupleSource, "_execute", counting)
+            pages, after = [], None
+            while not pages or len(pages[-1]) == page_size:
+                statements.append(0)
+                pages.append(explorer.lhs_matches(cfd.identifier, 0, after, page_size))
+                after = pages[-1][-1] if pages[-1] else None
+            monkeypatch.undo()
+            report = system.last_report("r")
+            stored = list(system.database.relation("r").stored_rows())
+            assert [m for page in pages for m in page] == _listing(
+                stored, cfd, 0, report
+            )
+            assert max(statements) > 1  # some page crossed the run
+            assert max(statements) <= 1 + len(run) / page_size, statements
+        finally:
+            system.close()
+
     @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
     def test_a_null_rhs_member_counts_in_the_group_size(self, sqlite_config, use_sql):
         system = self._system(sqlite_config, use_sql)

@@ -116,6 +116,8 @@ class TestAttrFreqQuery:
         assert "GROUP BY" in query.sql
         assert "lhs_A" in query.sql and "COUNT(*) AS freq" in query.sql
         assert "IS NOT NULL" in query.sql  # wildcard positions guard non-NULL
+        # a keyset page: groups in key order, the limit caller-bound
+        assert query.sql.endswith("ORDER BY t.A, t.B\nLIMIT ?")
         assert generator.attr_freq_query(cfd, 0) is query
 
     def test_pattern_constants_restrict_the_scan(self):

@@ -5,6 +5,7 @@ import pytest
 from repro import Semandaq, SemandaqConfig
 from repro.core.satisfaction import satisfies_all, violating_tids
 from repro.datasets import generate_customers, inject_noise, paper_cfds
+from repro.detection.detector import ErrorDetector
 from repro.engine.csvio import dump_csv
 from repro.engine.types import RelationSchema
 from repro.errors import BackendError, ConfigurationError
@@ -232,7 +233,7 @@ class TestMonitoring:
 
 
 class TestMonitorFollowsTheCfds:
-    """A monitor built before a CFD change is replaced under the new set.
+    """A monitor built before a CFD change switches to the new set in place.
 
     ``r(A, B, C)`` holds ``(x, 1, p)`` and ``(x, 2, p)``: ``[C] -> [A]``
     holds on it and ``[A] -> [B]`` has one violation.
@@ -256,7 +257,7 @@ class TestMonitorFollowsTheCfds:
         monitor = system.monitor("r")
         assert monitor.current_report().total_violations() == 1
         assert system.detect("r").total_violations() == 1
-        assert monitor.cleansed  # the replacement keeps the mode
+        assert monitor.cleansed  # the switch keeps the mode
         system.close()
 
     @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
@@ -280,6 +281,32 @@ class TestMonitorFollowsTheCfds:
         assert system.monitor("r").current_report().total_violations() == 1
         assert system.last_report("r").total_violations() == 1
         system.close()
+
+    @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
+    def test_a_held_monitor_keeps_shipping_after_a_cfd_change(
+        self, sqlite_config, use_sql
+    ):
+        system = self._system(sqlite_config, use_sql)
+        held = system.monitor("r")
+        held.apply_batch([Update.insert({"A": "y", "B": "1", "C": "q"})])
+        system.add_cfd("r: [A=_] -> [B=_]")
+        assert system.monitor("r") is held
+        held.apply_batch([Update.insert({"A": "y", "B": "2", "C": "q"})])
+        assert len(held.log) == 2 and held.changes_applied == 2
+        cfds = system.constraints.cfds("r")
+        native = ErrorDetector(system.database).detect("r", cfds)
+        # on the SQL system detect() reads the backend copy, which only
+        # the held monitor's deltas bring up to date
+        assert _violations(system.detect("r")) == _violations(native)
+        assert _violations(held.current_report()) == _violations(native)
+        assert native.total_violations() == 2
+        system.close()
+
+
+def _violations(report):
+    return sorted(
+        (v.cfd_id, v.kind, v.rhs_attribute, v.tids) for v in report.violations
+    )
 
 
 class TestApplyUpdatesRefreshesReport:
