@@ -107,8 +107,6 @@ class IncrementalDetector:
         shipping to the same backend and ``changes_applied`` keeps
         growing.
         """
-        if self._pending is not None:
-            raise DetectionError("cannot change the CFDs inside an update batch")
         for cfd in cfds:
             if cfd.relation != self.relation_name:
                 raise DetectionError(

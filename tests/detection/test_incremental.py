@@ -224,11 +224,6 @@ class TestUseCfds:
         finally:
             mirror.close()
 
-    def test_no_switch_inside_an_update_batch(self, incremental, customer_cfds):
-        with incremental.batch():
-            with pytest.raises(DetectionError, match="inside an update batch"):
-                incremental.use_cfds(customer_cfds[:1])
-
 
 class TestCostLocality:
     def test_incremental_examines_fewer_tuples_than_batch(self, customer_cfds):
