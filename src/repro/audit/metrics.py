@@ -20,7 +20,18 @@ from __future__ import annotations
 import enum
 from collections import Counter, defaultdict
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING,
+    Any,
+    Callable,
+    Dict,
+    FrozenSet,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from ..core.cfd import CFD, PatternMatcher
 from ..detection.violations import ViolationReport
@@ -130,6 +141,36 @@ class AttributeClassification:
             key=lambda pair: (-pair[1], pair[0]),
         )
         return ranked[:top]
+
+
+def _applying_by_key(subs: Sequence[CFD]) -> Callable[[Mapping[str, Any]], FrozenSet[str]]:
+    """The RHS attributes of the constant-RHS ``subs`` whose pattern applies to a row.
+
+    Applicability reads only a row's LHS values
+    (:meth:`~repro.core.cfd.PatternMatcher.applies_to_key`), so it is
+    decided once per distinct key of each LHS and looked up for every
+    other row carrying that key.
+    """
+    by_lhs: Dict[Tuple[str, ...], List[CFD]] = defaultdict(list)
+    for sub in subs:
+        by_lhs[sub.lhs].append(sub)
+    decided: Dict[Tuple[str, ...], Dict[Tuple[Any, ...], FrozenSet[str]]] = {
+        lhs: {} for lhs in by_lhs
+    }
+
+    def applying(row: Mapping[str, Any]) -> FrozenSet[str]:
+        found: FrozenSet[str] = frozenset()
+        for lhs, members in by_lhs.items():
+            key = tuple(map(row.get, lhs))
+            attributes = decided[lhs].get(key)
+            if attributes is None:
+                attributes = decided[lhs][key] = frozenset(
+                    sub.rhs[0] for sub in members if sub.matchers[0].applies_to_key(key)
+                )
+            found = found | attributes if found else attributes
+        return found
+
+    return applying
 
 
 def _applicable_constant_rhs(cfds: Sequence[CFD]) -> List[Tuple[CFD, CFD]]:
@@ -304,15 +345,17 @@ def classify_source(
     classifications: a dirty tuple, or an implicated cell, is arguably
     clean when its verdicts hold and dirty otherwise.  The same pass
     counts the dirty tuples, and the implicated cells per attribute, that
-    a constant-RHS sub applies to.  The clean side is classified in bulk,
-    with no scan: verified clean is a pushed-down applicability count
-    minus that dirty count, and the rest of the clean tuples (or cells)
-    are probably clean.  The counts and percentages match the native
+    a constant-RHS sub applies to, deciding each sub's applicability once
+    per distinct LHS key (:func:`_applying_by_key`).  The clean side is
+    classified in bulk, with no scan: verified clean is a pushed-down
+    applicability count minus that dirty count, and the rest of the clean
+    tuples (or cells) are probably clean.  The counts and percentages match the native
     classifications exactly.
     """
     tally = MajorityTally(region, report)
     dirty_map = _positions_by_tid(report)
     constant_subs = [sub for _parent, sub in _applicable_constant_rhs(cfds)]
+    applying_to = _applying_by_key(constant_subs)
     attributes = source.attribute_names()
     tuples = TupleClassification()
     cells: Dict[str, Dict[Cleanliness, int]] = {
@@ -325,9 +368,7 @@ def classify_source(
     for tid, row in region.stored_rows():
         arguably, verdicts = _verdicts(tally, tid, dirty_map.get(tid, ()), majority)
         tuples.categories[tid] = Cleanliness.ARGUABLY if arguably else Cleanliness.DIRTY
-        applying = {
-            sub.rhs[0] for sub in constant_subs if sub.matchers[0].applies_to(row)
-        }
+        applying = applying_to(row)
         if applying:
             dirty_applicable += 1
         for attribute, holds in verdicts.items():

@@ -22,14 +22,18 @@ reports stay identical to the native oracle's.
 ``detect_for_tuples`` pushes the tuple restriction down as well: the
 restricted ``Q_C``/``Q_V`` plans re-check only the named tids (rowid
 lookups from flat, budget-chunked ``IN`` lists) and the LHS-value groups
-they belong to (index seeks from the distinct key list), instead of
-running a full detection and filtering the report afterwards, so a
-request costs the tuples and groups it names, not the relation.
+they belong to (the restricted ``Q_V`` reads the tids' keys itself and
+seeks each group on the index), instead of running a full detection and
+filtering the report afterwards, so a request costs the tuples and
+groups it names, not the relation.
 
 The detector accepts any :class:`~repro.backends.base.StorageBackend`;
 detection SQL is generated under the backend's parameter budget through
 one cached generator per relation, whose prepared-plan cache persists
-across ``detect`` calls.  Over a :class:`~repro.engine.database.Database` it runs
+across ``detect`` calls.  The CFDs a relation is detected with are
+prepared once (typed by the backend's schema, split into detection
+units, pattern rows deduplicated) and kept until the CFD list or the
+relation's schema changes.  Over a :class:`~repro.engine.database.Database` it runs
 the native path only, reading the working relations directly: asking it
 for SQL raises :class:`~repro.errors.SqlBackendRequiredError`.
 """
@@ -37,6 +41,7 @@ for SQL raises :class:`~repro.errors.SqlBackendRequiredError`.
 from __future__ import annotations
 
 import threading
+from dataclasses import dataclass
 from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Union
 
 from ..backends.base import StorageBackend
@@ -68,13 +73,46 @@ def _sub_cfd(cfd: CFD, rhs_attribute: str) -> CFD:
     )
 
 
+@dataclass(frozen=True)
+class _Unit:
+    """One detection unit: a typed CFD restricted to one RHS attribute."""
+
+    parent: CFD
+    sub: CFD
+    #: constant-RHS pattern rows, one per distinct ``Q_C``
+    singles: Tuple[int, ...]
+    #: wildcard-RHS pattern rows, one per distinct ``Q_V``
+    multis: Tuple[int, ...]
+
+
+@dataclass(frozen=True)
+class _Prepared:
+    """A relation's CFDs compiled for SQL detection against one schema.
+
+    Valid while the backend returns the same schema object (a replaced
+    relation gets a new one) and the caller passes an equal CFD list.
+    """
+
+    schema: RelationSchema
+    cfds: Tuple[CFD, ...]
+    cfd_ids: Tuple[str, ...]
+    generator: DetectionSqlGenerator
+    units: Tuple[_Unit, ...]
+    #: the detection indexes the units ride, each once
+    indexes: Tuple[Tuple[str, ...], ...]
+
+    def holds(self, schema: RelationSchema, cfds: Sequence[CFD]) -> bool:
+        return self.schema is schema and self.cfds == tuple(cfds)
+
+
 class ErrorDetector:
     """Detects single-tuple and multi-tuple CFD violations in a relation.
 
     The detector is safe to share across serving-layer worker threads,
     and several detectors may share one backend: the per-relation
-    generator map and its prepared-plan caches are lock-guarded,
-    ``last_sql`` is per-thread, and detection writes nothing to the
+    generator and prepared-CFD maps are lock-guarded, each generator's
+    prepared-plan cache too, ``last_sql`` is per-thread, and detection
+    writes nothing to the
     backend but the detection indexes, created before any query runs.  The
     query phase of each detection runs inside
     ``backend.read_connection(snapshot=True)``, so a report reflects one
@@ -126,7 +164,10 @@ class ErrorDetector:
         self._local = threading.local()
         #: one generator (and prepared-plan cache) per detected relation
         self._generators: Dict[str, DetectionSqlGenerator] = {}
-        self._generators_lock = threading.Lock()
+        #: the CFDs each relation was last detected with, prepared
+        self._prepared: Dict[str, _Prepared] = {}
+        #: guards both maps: ``serve()`` workers race a cold detector
+        self._lock = threading.Lock()
         #: memoised sub-CFDs (see :meth:`_sub_cfd`)
         self._subs: Dict[Tuple[CFD, str], CFD] = {}
 
@@ -162,17 +203,16 @@ class ErrorDetector:
                 for rhs_attribute in cfd.rhs:
                     sub = self._sub_cfd(cfd, rhs_attribute)
                     violations.extend(self._detect_native(relation, cfd, sub))
-            return self._report(relation_name, cfds, violations, tuple_count)
+            cfd_ids = tuple(cfd.identifier for cfd in cfds)
+            return self._report(relation_name, cfd_ids, violations, tuple_count)
 
-        schema, typed = self._sql_preamble(relation_name, cfds)
-        generator = self._generator_for(relation_name, schema)
-        units = self._detection_units(relation_name, typed)
+        prepared = self._prepare(relation_name, cfds)
         violations = []
         with self.backend.read_connection(snapshot=True):
             tuple_count = self.backend.row_count(relation_name)
-            for _, cfd, sub in units:
-                violations.extend(self._detect_sql(generator, schema, cfd, sub))
-        return self._report(relation_name, cfds, violations, tuple_count)
+            for unit in prepared.units:
+                violations.extend(self._detect_sql(prepared, unit))
+        return self._report(relation_name, prepared.cfd_ids, violations, tuple_count)
 
     def detect_for_tuples(
         self, relation_name: str, cfds: Sequence[CFD], tids: Iterable[int]
@@ -183,10 +223,10 @@ class ErrorDetector:
         cleansing-review workflow.  On the SQL path the restriction is
         pushed down: the delta ``Q_C``/``Q_V`` plans re-check only the
         named tids and the LHS-value groups they belong to (tid ``IN``
-        lists and group key lists, chunked by the parameter budget), with
-        the same report a full detection filtered to ``tids`` would
-        produce.  The native path keeps the filter-after-detect evaluation
-        as the oracle.
+        lists chunked by the parameter budget; the restricted ``Q_V``
+        reads the tids' group keys itself), with the same report a full
+        detection filtered to ``tids`` would produce.  The native path
+        keeps the filter-after-detect evaluation as the oracle.
         """
         with self.telemetry.span(
             "detect_for_tuples", relation=relation_name, cfds=len(cfds)
@@ -210,78 +250,93 @@ class ErrorDetector:
                 tuple_count=report.tuple_count,
                 cfd_ids=report.cfd_ids,
             )
-        schema, typed = self._sql_preamble(relation_name, cfds)
+        prepared = self._prepare(relation_name, cfds)
         violations: List[Violation] = []
         restrict = sorted(wanted)
         if not restrict:
             return self._report(
-                relation_name, cfds, violations,
+                relation_name, prepared.cfd_ids, violations,
                 self.backend.row_count(relation_name),
             )
-        generator = self._generator_for(relation_name, schema)
-        units = self._detection_units(relation_name, typed)
         with self.backend.read_connection(snapshot=True):
             tuple_count = self.backend.row_count(relation_name)
-            # the affected LHS-value groups depend on the (parent) LHS
-            # alone, so one backend lookup serves every RHS attribute of a
-            # merged CFD
-            group_keys: Dict[int, List[Tuple[Any, ...]]] = {}
-            for index, cfd, sub in units:
-                needs_keys = bool(sub.lhs) and generator.wildcard_rhs_attributes(sub)
-                if needs_keys and index not in group_keys:
-                    group_keys[index] = self._restricted_group_keys(
-                        generator, cfd, restrict
-                    )
-                violations.extend(
-                    self._detect_sql(
-                        generator,
-                        schema,
-                        cfd,
-                        sub,
-                        restrict_tids=restrict,
-                        restrict_keys=group_keys[index] if needs_keys else [],
-                    )
-                )
-        return self._report(relation_name, cfds, violations, tuple_count)
+            for unit in prepared.units:
+                violations.extend(self._detect_sql(prepared, unit, restrict))
+        return self._report(relation_name, prepared.cfd_ids, violations, tuple_count)
 
     # -- SQL-based path ------------------------------------------------------------
 
-    def _sql_preamble(
-        self, relation_name: str, cfds: Sequence[CFD]
-    ) -> Tuple[RelationSchema, List[CFD]]:
-        """Shared entry of the backend-resident paths.
+    def _prepare(self, relation_name: str, cfds: Sequence[CFD]) -> _Prepared:
+        """Shared entry of the backend-resident paths: the prepared CFDs.
 
         Resets the SQL log and reads the schema through catalog ops — the
         queries run where the data lives and report assembly reads backend
-        rows only, so the working store is never touched.  Returns the
-        schema and the CFDs typed against it.  The row count is *not* read
-        here: callers read it inside their read snapshot so the reported
-        ``tuple_count`` is consistent with the violations even under a
-        concurrent writer.
+        rows only, so the working store is never touched.  The CFDs are
+        prepared (:meth:`_prepared_for`) only when the relation's schema
+        object or the CFD list differs from the last call's.  Then it
+        creates the indexes the units' statements ride: the only write
+        the SQL path makes, so it happens here, *before* the caller opens
+        its read snapshot, and on every call, because dropping a relation
+        drops its indexes (a warm call is a set lookup per index).  The
+        row count is *not* read here: callers read it inside their read
+        snapshot so the reported ``tuple_count`` is consistent with the
+        violations even under a concurrent writer.
         """
         self.last_sql = []
         schema = self.backend.schema(relation_name)
-        return schema, self._validate(relation_name, cfds, schema)
+        with self._lock:
+            prepared = self._prepared.get(relation_name)
+            if prepared is None or not prepared.holds(schema, cfds):
+                prepared = self._prepared_for(relation_name, schema, cfds)
+                self._prepared[relation_name] = prepared
+        for columns in prepared.indexes:
+            self.backend.ensure_index(relation_name, columns)
+        return prepared
 
-    def _detection_units(
-        self, relation_name: str, cfds: Sequence[CFD]
-    ) -> List[Tuple[int, CFD, CFD]]:
-        """One ``(index, parent, sub-CFD)`` per RHS attribute.
+    def _prepared_for(
+        self, relation_name: str, schema: RelationSchema, cfds: Sequence[CFD]
+    ) -> _Prepared:
+        """Type ``cfds`` by ``schema`` and split them into detection units.
 
-        Also creates the index each unit's statements ride: the LHS
-        followed by the RHS attribute, so a group's minimum RHS and the
-        test for a greater one are index seeks, and group checks read the
-        index alone.  That is the only write the SQL path makes, so it
-        happens here, *before* the caller opens its read snapshot.
+        One unit per RHS attribute, with the pattern rows its ``Q_C`` and
+        ``Q_V`` statements check, and the index each unit's statements
+        ride: the LHS followed by the RHS attribute, so a group's minimum
+        RHS and the test for a greater one are index seeks, and group
+        checks read the index alone.  Called under ``_lock``.
         """
-        units: List[Tuple[int, CFD, CFD]] = []
-        for index, cfd in enumerate(cfds):
+        generator = self._generators.get(relation_name)
+        if generator is None or generator.schema != schema:
+            # keeping the generator across calls is what makes its
+            # prepared-plan cache effective
+            generator = DetectionSqlGenerator(
+                schema,
+                max_parameters=self.backend.max_parameters,
+                telemetry=self.telemetry,
+            )
+            self._generators[relation_name] = generator
+        units: List[_Unit] = []
+        indexes: Dict[Tuple[str, ...], None] = {}
+        for cfd in self._validate(relation_name, cfds, schema):
             for rhs_attribute in cfd.rhs:
                 sub = self._sub_cfd(cfd, rhs_attribute)
                 if sub.lhs:
-                    self.backend.ensure_index(relation_name, sub.lhs + sub.rhs)
-                units.append((index, cfd, sub))
-        return units
+                    indexes[sub.lhs + sub.rhs] = None
+                units.append(
+                    _Unit(
+                        parent=cfd,
+                        sub=sub,
+                        singles=generator.single_patterns(sub),
+                        multis=generator.multi_patterns(sub, rhs_attribute),
+                    )
+                )
+        return _Prepared(
+            schema=schema,
+            cfds=tuple(cfds),
+            cfd_ids=tuple(cfd.identifier for cfd in cfds),
+            generator=generator,
+            units=tuple(units),
+            indexes=tuple(indexes),
+        )
 
     def _sub_cfd(self, cfd: CFD, rhs_attribute: str) -> CFD:
         """:func:`_sub_cfd`, the same object for equal arguments on every call.
@@ -297,10 +352,10 @@ class ErrorDetector:
             sub = self._subs.setdefault(key, _sub_cfd(cfd, rhs_attribute))
         return sub
 
+    @staticmethod
     def _report(
-        self,
         relation_name: str,
-        cfds: Sequence[CFD],
+        cfd_ids: Tuple[str, ...],
         violations: List[Violation],
         tuple_count: int,
     ) -> ViolationReport:
@@ -308,7 +363,7 @@ class ErrorDetector:
             relation=relation_name,
             violations=violations,
             tuple_count=tuple_count,
-            cfd_ids=tuple(cfd.identifier for cfd in cfds),
+            cfd_ids=cfd_ids,
         )
 
     def _validate(
@@ -323,56 +378,38 @@ class ErrorDetector:
                 )
         return [cfd.coerced_to(schema) for cfd in cfds]
 
-    def _generator_for(
-        self, relation_name: str, schema: RelationSchema
-    ) -> DetectionSqlGenerator:
-        """The cached per-relation generator (rebuilt on schema change).
-
-        Keeping the generator across ``detect`` calls is what makes its
-        prepared-plan cache effective: repeated detections over the same
-        CFDs reuse the rendered ``Q_C``/``Q_V``/members statements.
-        """
-        with self._generators_lock:
-            generator = self._generators.get(relation_name)
-            if generator is None or generator.schema != schema:
-                generator = DetectionSqlGenerator(
-                    schema,
-                    max_parameters=self.backend.max_parameters,
-                    telemetry=self.telemetry,
-                )
-                self._generators[relation_name] = generator
-            return generator
-
     def _detect_sql(
         self,
-        generator: DetectionSqlGenerator,
-        schema: RelationSchema,
-        parent: CFD,
-        cfd: CFD,
+        prepared: _Prepared,
+        unit: _Unit,
         restrict_tids: Optional[Sequence[int]] = None,
-        restrict_keys: Optional[Sequence[Tuple[Any, ...]]] = None,
     ) -> List[Violation]:
         """Run one detection unit's queries and assemble its violations.
 
         Query-only: the caller typically holds a read snapshot, and nothing
         here writes to the backend.
         """
+        generator, sub = prepared.generator, unit.sub
         if restrict_tids is None:
-            single_queries = generator.plan_single_queries(cfd)
-            multi_queries = generator.plan_multi_queries(cfd)
+            single_queries = generator.plan_single_queries(sub, unit.singles)
+            multi_queries = generator.plan_multi_queries(sub, unit.multis)
             wanted: Optional[Set[int]] = None
         else:
-            single_queries = generator.plan_delta_single(cfd, restrict_tids)
+            single_queries = generator.plan_delta_single(
+                sub, restrict_tids, unit.singles
+            )
             multi_queries = generator.plan_delta_multi(
-                cfd, cfd.rhs[0], list(restrict_keys or [])
+                sub, sub.rhs[0], restrict_tids, unit.multis
             )
             wanted = set(restrict_tids)
         violations: List[Violation] = []
         violations.extend(
-            self._assemble_singles(parent, cfd, schema, single_queries)
+            self._assemble_singles(unit.parent, sub, prepared.schema, single_queries)
         )
         violations.extend(
-            self._assemble_multis(parent, cfd, schema, multi_queries, wanted)
+            self._assemble_multis(
+                unit.parent, sub, prepared.schema, multi_queries, wanted
+            )
         )
         return violations
 
@@ -381,28 +418,9 @@ class ErrorDetector:
         if not self.telemetry.active:
             return self.backend.execute(query.sql, query.parameters)
         # announce the generator's statement kind so the instrumented
-        # backend buckets the execution under it (q_window, lhs_values, ...)
+        # backend buckets the execution under it (q_window, q_c_sargable)
         with self.telemetry.tag_statements(query.kind):
             return self.backend.execute(query.sql, query.parameters)
-
-    def _restricted_group_keys(
-        self,
-        generator: DetectionSqlGenerator,
-        cfd: CFD,
-        tids: Sequence[int],
-    ) -> List[Tuple[Any, ...]]:
-        """The LHS-value groups the restricted tuples belong to.
-
-        Fetched from the backend (NULL-LHS tuples excluded by the engine),
-        so the restricted ``Q_V`` re-checks exactly the groups a full
-        detection would have reported these tuples under.
-        """
-        keys: Dict[Tuple[Any, ...], None] = {}
-        for plan in generator.lhs_values_plans(cfd, tids):
-            for row in self._execute(plan):
-                key = tuple(row[LHS_COLUMN_PREFIX + attr] for attr in cfd.lhs)
-                keys[key] = None
-        return list(keys)
 
     def _assemble_singles(
         self,

@@ -25,7 +25,10 @@ rule :meth:`CFD.coerced_to` applies), so every statement compares the
 values SQLite stores, whatever the column's type: an INTEGER or FLOAT
 constant seeks the index like a STRING one.  Pattern rows that render to
 an identical statement are emitted once, labelled with the lowest pattern
-index.
+index: :meth:`DetectionSqlGenerator.single_patterns` and
+:meth:`~DetectionSqlGenerator.multi_patterns` pick those rows, and a
+caller that detects the same CFD again keeps them and passes them to the
+``plan_*`` builders.
 
 The trade-off against the paper's shape: joining ``R`` with a relational
 encoding of ``Tp`` needs two statements per CFD however many pattern rows
@@ -35,14 +38,16 @@ no test or workload has more than five pattern rows, so choosing between
 the shapes again would first need a workload with a large tableau.
 
 Restricted variants (the ``plan_delta_*`` builders) re-check only the
-tuples and LHS-value groups a ``detect_for_tuples`` call names, and cost
-those keys and tuples, not the relation:
+tuples a ``detect_for_tuples`` call names and the LHS-value groups they
+belong to, and cost those tuples and groups, not the relation:
 
 * the restricted ``Q_C`` reads the named tids by rowid (the data table is
   marked ``NOT INDEXED``, so a detection index on the constant LHS
   cannot pull the plan into a range over every matching entry);
-* the restricted ``Q_V`` starts from the distinct key list.  A key
-  violates when some member's RHS is greater than the group's minimum —
+* the restricted ``Q_V`` starts from the named tids too: a ``DISTINCT``
+  subquery reads their LHS values by rowid (NULL-LHS tuples belong to no
+  group), so the group keys never leave the backend.  A key violates
+  when some member's RHS is greater than the group's minimum —
   ``EXISTS (... x.A > (SELECT MIN(m.A) ...))``, two seeks on the
   LHS+RHS index however large the group — and only the members of
   violating keys are read.  The pattern constants are tested on the key
@@ -82,7 +87,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from ..backends.sqlite import SQLITE_PARAMETER_FLOOR
 from ..core.cfd import CFD
@@ -94,8 +99,11 @@ from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 DATA_ALIAS = "t"
 
 #: alias of the distinct key list the restricted ``Q_V`` starts from; its
-#: columns are SQLite's ``VALUES`` names, ``column1``, ``column2``, ...
+#: columns are named ``column1``, ``column2``, ... in ``cfd.lhs`` order
 KEY_ALIAS = "k"
+
+#: alias of the named tuples the restricted ``Q_V`` reads its keys from
+SOURCE_ALIAS = "s"
 
 #: column-alias prefix for the LHS values a ``Q_C`` carries so the caller
 #: can assemble violation reports without touching the data store
@@ -117,7 +125,7 @@ class SqlQuery:
     ``rhs_attribute`` names the RHS attribute a ``Q_V`` query detects
     disagreements on (``None`` for the other query kinds).  ``kind`` is the
     statement-kind tag the telemetry layer buckets executions under
-    (``q_c_sargable``, ``q_window``, ``covering_members``, ``lhs_values``,
+    (``q_c_sargable``, ``q_window``, ``covering_members``, ``row_fetch``,
     ...); detectors announce it to the instrumented backend via
     :meth:`~repro.obs.telemetry.Telemetry.tag_statements`.
     ``pattern_index`` is set on the per-pattern statements, which carry no
@@ -186,10 +194,7 @@ class DetectionSqlGenerator:
         return [
             attr
             for attr in cfd.rhs
-            if any(
-                cfd.rhs_pattern(pattern).value(attr).is_wildcard
-                for pattern in cfd.patterns
-            )
+            if any(attr in matcher.wildcard_rhs for matcher in cfd.matchers)
         ]
 
     @staticmethod
@@ -221,24 +226,58 @@ class DetectionSqlGenerator:
 
     # -- detection queries ---------------------------------------------------------
 
-    def _constant_single_patterns(self, cfd: CFD) -> List[int]:
-        """Pattern indices carrying at least one constant RHS position."""
-        return [
-            index
-            for index, pattern in enumerate(cfd.patterns)
-            if any(
-                cfd.rhs_pattern(pattern).value(attr).is_constant
-                for attr in cfd.rhs
-            )
-        ]
+    def single_patterns(self, cfd: CFD) -> Tuple[int, ...]:
+        """The constant-RHS pattern rows of ``cfd``, one per distinct ``Q_C``.
 
-    def _wildcard_multi_patterns(self, cfd: CFD, rhs_attribute: str) -> List[int]:
-        """Pattern indices whose value on ``rhs_attribute`` is the wildcard."""
-        return [
-            index
-            for index, pattern in enumerate(cfd.patterns)
-            if cfd.rhs_pattern(pattern).value(rhs_attribute).is_wildcard
-        ]
+        Rows whose statements render identically (a wildcard-only LHS with
+        the same expected RHS, or rows made identical by the sub-CFD
+        restriction) would return identical rows, so only the lowest
+        index is kept — the one every detection path reports.  The full
+        statement decides; the restricted ``Q_C`` adds the same tid
+        restriction to every row's.
+        """
+        return self._distinct_patterns(
+            (
+                index
+                for index, matcher in enumerate(cfd.matchers)
+                if matcher.rhs_constants
+            ),
+            lambda index: self._single_query(cfd, index),
+        )
+
+    def multi_patterns(self, cfd: CFD, rhs_attribute: str) -> Tuple[int, ...]:
+        """The rows with the wildcard on ``rhs_attribute``, one per distinct ``Q_V``.
+
+        Deduplicated like :meth:`single_patterns` by the full statement:
+        the full and the restricted ``Q_V`` both depend on a row only
+        through its constant LHS positions.  Empty for an empty LHS,
+        which forms no groups.
+        """
+        if not cfd.lhs:
+            return ()
+        return self._distinct_patterns(
+            (
+                index
+                for index, matcher in enumerate(cfd.matchers)
+                if rhs_attribute in matcher.wildcard_rhs
+            ),
+            lambda index: self._multi_query(cfd, rhs_attribute, index),
+        )
+
+    @staticmethod
+    def _distinct_patterns(
+        indices: Iterable[int], statement: Callable[[int], SqlQuery]
+    ) -> Tuple[int, ...]:
+        """The first of ``indices`` per distinct ``statement(index)``."""
+        kept: List[int] = []
+        seen = set()
+        for index in indices:
+            query = statement(index)
+            signature = (query.sql, query.parameters)
+            if signature not in seen:
+                seen.add(signature)
+                kept.append(index)
+        return tuple(kept)
 
     def _pattern_lhs_conditions(
         self, cfd: CFD, pattern_index: int, params: List[Any]
@@ -358,23 +397,25 @@ class DetectionSqlGenerator:
         )
 
     def _window_multi_restricted(
-        self, cfd: CFD, rhs_attribute: str, pattern_index: int, group_count: int
+        self, cfd: CFD, rhs_attribute: str, pattern_index: int, tid_count: int
     ) -> SqlQuery:
-        """Per-pattern ``Q_V`` over ``group_count`` caller-bound group keys.
+        """Per-pattern ``Q_V`` over the groups of ``tid_count`` caller-bound tids.
 
-        The statement starts from the distinct key list (padding repeats a
-        key; ``CROSS JOIN`` keeps the list SQLite's outer loop) and
-        reaches the data only through the LHS+RHS index: a key
+        The statement starts from the distinct LHS values of the named
+        tuples, read by rowid (the data table is marked ``NOT INDEXED``;
+        padding repeats a tid, and a tuple with a NULL LHS cell belongs to
+        no group), and ``CROSS JOIN`` keeps that key list SQLite's outer
+        loop.  It reaches the data only through the LHS+RHS index: a key
         whose values fail the pattern's constants is dropped before any
         lookup; a key violates when some member's RHS is greater than the
         group's minimum RHS (two seeks); and only a violating key's
         members are read.  Rows are ``(tid, lhs_*)`` like the full form's.
-        A key is a group's LHS values as the backend stores them, so the
+        A key holds the LHS values as the backend stores them, so the
         typed constants compare with the key columns exactly as the full
         form compares them with the data.
 
-        Binding order: the keys flattened in ``cfd.lhs`` order, then the
-        pattern constants the returned query carries.
+        Binding order: the tids, then the pattern constants the returned
+        query carries.
         """
         pattern = cfd.patterns[pattern_index]
         params: List[Any] = []
@@ -400,10 +441,19 @@ class DetectionSqlGenerator:
             f"AND x.{rhs_attribute} > ({minimum}))"
         )
         conditions.append(f"{DATA_ALIAS}.{rhs_attribute} IS NOT NULL")
-        key_list = self._key_values(len(keys), group_count)
+        key_columns = ", ".join(
+            f"{SOURCE_ALIAS}.{attribute} AS column{number}"
+            for number, attribute in enumerate(cfd.lhs, start=1)
+        )
+        placeholders = ", ".join("?" for _ in range(tid_count))
+        key_conditions = [f"{SOURCE_ALIAS}._tid IN ({placeholders})"] + [
+            f"{SOURCE_ALIAS}.{attribute} IS NOT NULL" for attribute in cfd.lhs
+        ]
         sql = (
             f"SELECT {', '.join(self._member_columns(cfd))}\n"
-            f"FROM (SELECT DISTINCT * FROM ({key_list})) {KEY_ALIAS}\n"
+            f"FROM (SELECT DISTINCT {key_columns}\n"
+            f"FROM {cfd.relation} {SOURCE_ALIAS} NOT INDEXED\n"
+            f"WHERE {' AND '.join(key_conditions)}) {KEY_ALIAS}\n"
             f"CROSS JOIN {cfd.relation} {DATA_ALIAS} ON {on_key(DATA_ALIAS)}\n"
             f"WHERE {' AND '.join(conditions)}"
         )
@@ -422,85 +472,100 @@ class DetectionSqlGenerator:
             f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
         ]
 
-    def plan_single_queries(self, cfd: CFD) -> List[SqlQuery]:
-        """The ``Q_C`` statements of ``cfd``: one per constant-RHS pattern row.
+    def plan_single_queries(
+        self, cfd: CFD, patterns: Optional[Sequence[int]] = None
+    ) -> List[SqlQuery]:
+        """The ``Q_C`` statements of ``cfd``: one per :meth:`single_patterns` row.
 
-        Pattern rows that render to an identical statement (wildcard-only
-        LHS with the same expected RHS, or patterns made identical by the
-        sub-CFD restriction) are emitted once, labelled with the lowest
-        pattern index — the rows they'd return are identical, and the
-        lowest index is what every detection path reports.
+        A caller that keeps the rows of ``cfd`` passes them as
+        ``patterns``.
         """
-        queries: List[SqlQuery] = []
-        seen = set()
-        for index in self._constant_single_patterns(cfd):
-            query = self._cached_plan(
-                ("single_sarg", cfd, index),
-                lambda index=index: self._sargable_single_for(cfd, index),
-            )
-            signature = (query.sql, query.parameters)
-            if signature in seen:
-                continue
-            seen.add(signature)
-            queries.append(query)
-        return queries
+        if patterns is None:
+            patterns = self.single_patterns(cfd)
+        return [self._single_query(cfd, index) for index in patterns]
 
-    def plan_multi_queries(self, cfd: CFD) -> List[SqlQuery]:
+    def plan_multi_queries(
+        self, cfd: CFD, patterns: Optional[Sequence[int]] = None
+    ) -> List[SqlQuery]:
         """The one-pass ``Q_V`` statements of ``cfd``.
 
-        One statement per (wildcard RHS attribute × pattern row),
-        deduplicated the same way as :meth:`plan_single_queries`, so
-        wildcard-only patterns keep a single statement per RHS attribute.
-        Empty when the CFD has no wildcard RHS position or an empty LHS.
+        One statement per (wildcard RHS attribute × :meth:`multi_patterns`
+        row), so wildcard-only patterns keep a single statement per RHS
+        attribute.  Empty when the CFD has no wildcard RHS position or an
+        empty LHS.  A caller that keeps the rows of a CFD with one RHS
+        attribute passes them as ``patterns``.
         """
-        if not cfd.lhs:
-            return []
+        if patterns is not None and len(cfd.rhs) != 1:
+            raise ValueError("patterns are the rows of one RHS attribute")
         queries: List[SqlQuery] = []
         for rhs_attribute in self.wildcard_rhs_attributes(cfd):
-            seen = set()
-            for index in self._wildcard_multi_patterns(cfd, rhs_attribute):
-                query = self._cached_plan(
-                    ("multi_window", cfd, rhs_attribute, index),
-                    lambda index=index, rhs=rhs_attribute: self._window_multi_for(
-                        cfd, rhs, index
-                    ),
-                )
-                signature = (query.sql, query.parameters)
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                queries.append(query)
+            rows = self.multi_patterns(cfd, rhs_attribute) if patterns is None else patterns
+            queries.extend(self._multi_query(cfd, rhs_attribute, index) for index in rows)
         return queries
 
-    def plan_delta_single(self, cfd: CFD, tids: Sequence[int]) -> List[SqlQuery]:
+    def _single_query(self, cfd: CFD, pattern_index: int) -> SqlQuery:
+        """The cached ``Q_C`` of one pattern row."""
+        return self._cached_plan(
+            ("single_sarg", cfd, pattern_index),
+            lambda: self._sargable_single_for(cfd, pattern_index),
+        )
+
+    def _multi_query(self, cfd: CFD, rhs_attribute: str, pattern_index: int) -> SqlQuery:
+        """The cached one-pass ``Q_V`` of one pattern row."""
+        return self._cached_plan(
+            ("multi_window", cfd, rhs_attribute, pattern_index),
+            lambda: self._window_multi_for(cfd, rhs_attribute, pattern_index),
+        )
+
+    def _delta_single_query(self, cfd: CFD, pattern_index: int, tid_count: int) -> SqlQuery:
+        """The cached restricted ``Q_C`` of one pattern row over ``tid_count`` tids."""
+        return self._cached_plan(
+            ("single_sarg_delta", cfd, pattern_index, tid_count),
+            lambda: self._sargable_single_for(
+                cfd, pattern_index, delta_tid_count=tid_count
+            ),
+        )
+
+    def _delta_multi_query(
+        self, cfd: CFD, rhs_attribute: str, pattern_index: int, tid_count: int
+    ) -> SqlQuery:
+        """The cached restricted ``Q_V`` of one pattern row over ``tid_count`` tids."""
+        return self._cached_plan(
+            ("multi_window_delta", cfd, rhs_attribute, pattern_index, tid_count),
+            lambda: self._window_multi_restricted(
+                cfd, rhs_attribute, pattern_index, tid_count
+            ),
+        )
+
+    def plan_delta_single(
+        self,
+        cfd: CFD,
+        tids: Sequence[int],
+        patterns: Optional[Sequence[int]] = None,
+    ) -> List[SqlQuery]:
         """Fully-bound ``Q_C`` statements restricted to the tuples ``tids``.
 
-        Each pattern statement carries the tid restriction, chunked under
-        the parameter budget; empty when ``tids`` is empty or no pattern
-        has a constant RHS.
+        Each :meth:`single_patterns` row (or each of ``patterns``) gets
+        the tid restriction, chunked under the parameter budget; empty
+        when ``tids`` is empty or no pattern has a constant RHS.
         """
         if not tids:
             return []
+        if patterns is None:
+            patterns = self.single_patterns(cfd)
         plans: List[SqlQuery] = []
-        seen = set()
-        for index in self._constant_single_patterns(cfd):
+        # a row's statement binds the same constants whatever its tid
+        # count, so the one-tid statement tells the chunking how many
+        for index in patterns:
 
             def query_for(count: int, index: int = index) -> SqlQuery:
-                return self._cached_plan(
-                    ("single_sarg_delta", cfd, index, count),
-                    lambda: self._sargable_single_for(cfd, index, delta_tid_count=count),
-                )
+                return self._delta_single_query(cfd, index, count)
 
-            probe = query_for(1)
-            signature = (probe.sql, probe.parameters)
-            if signature in seen:
-                continue
-            seen.add(signature)
             plans.extend(
                 self._bound_chunks(
                     query_for,
                     tids,
-                    base_params=len(probe.parameters),
+                    base_params=len(query_for(1).parameters),
                     restriction_last=True,
                 )
             )
@@ -510,41 +575,32 @@ class DetectionSqlGenerator:
         self,
         cfd: CFD,
         rhs_attribute: str,
-        keys: Sequence[Tuple[Any, ...]],
+        tids: Sequence[int],
+        patterns: Optional[Sequence[int]] = None,
     ) -> List[SqlQuery]:
-        """Fully-bound one-pass ``Q_V`` statements restricted to the groups ``keys``.
+        """Fully-bound one-pass ``Q_V`` statements over the groups of ``tids``.
 
-        Each key is one group's LHS values in ``cfd.lhs`` order, as the
-        backend stores them.  Each pattern statement starts from the key
-        list (:meth:`_window_multi_restricted`), so the member rows cover
-        exactly the affected groups that violate; chunking follows the
-        parameter budget.
+        Each :meth:`multi_patterns` row (or each of ``patterns``) starts
+        from the named tuples' LHS values (:meth:`_window_multi_restricted`),
+        so the member rows cover exactly the violating groups those tuples
+        belong to.  Chunking follows the parameter budget, so a group
+        whose tuples fall in two chunks comes back from both statements;
+        callers merge groups by key.  Empty when ``tids`` is empty or the
+        CFD has no LHS.
         """
-        if not keys or not cfd.lhs:
+        if not tids or not cfd.lhs:
             return []
+        if patterns is None:
+            patterns = self.multi_patterns(cfd, rhs_attribute)
         plans: List[SqlQuery] = []
-        seen = set()
-        for index in self._wildcard_multi_patterns(cfd, rhs_attribute):
+        for index in patterns:
 
             def query_for(count: int, index: int = index) -> SqlQuery:
-                return self._cached_plan(
-                    ("multi_window_delta", cfd, rhs_attribute, index, count),
-                    lambda: self._window_multi_restricted(
-                        cfd, rhs_attribute, index, count
-                    ),
-                )
+                return self._delta_multi_query(cfd, rhs_attribute, index, count)
 
-            probe = query_for(1)
-            signature = (probe.sql, probe.parameters)
-            if signature in seen:
-                continue
-            seen.add(signature)
             plans.extend(
                 self._bound_chunks(
-                    query_for,
-                    keys,
-                    width=len(cfd.lhs),
-                    base_params=len(probe.parameters),
+                    query_for, tids, base_params=len(query_for(1).parameters)
                 )
             )
         return plans
@@ -595,35 +651,6 @@ class DetectionSqlGenerator:
         return self._cached_plan(
             ("covering", cfd, rhs_attribute, group_count), build
         )
-
-    def tid_lhs_query(self, cfd: CFD, tid_count: int) -> SqlQuery:
-        """The LHS values of ``tid_count`` tuples, NULL-LHS tuples excluded.
-
-        ``detect_for_tuples`` uses this to derive the affected LHS-value
-        groups of a restricted detection without reading the working
-        store: rows come back as ``(tid, lhs_*)``, and tuples carrying a
-        NULL LHS cell are filtered by the engine (they belong to no group
-        on any detection path).  All placeholders are caller-bound (the
-        tids).
-        """
-        if not cfd.lhs:
-            raise ValueError("the tid-LHS query needs a non-empty LHS")
-        if tid_count < 1:
-            raise ValueError("tid_count must be at least 1")
-
-        def build() -> SqlQuery:
-            conditions = [f"{DATA_ALIAS}.{attr} IS NOT NULL" for attr in cfd.lhs]
-            placeholders = ", ".join("?" for _ in range(tid_count))
-            conditions.append(f"{DATA_ALIAS}._tid IN ({placeholders})")
-            select_columns = self._member_columns(cfd)
-            sql = (
-                f"SELECT {', '.join(select_columns)}\n"
-                f"FROM {cfd.relation} {DATA_ALIAS}\n"
-                f"WHERE {' AND '.join(conditions)}"
-            )
-            return SqlQuery(sql, kind="lhs_values")
-
-        return self._cached_plan(("tid_lhs", cfd, tid_count), build)
 
     # -- repair-source aggregates ---------------------------------------------------
 
@@ -995,9 +1022,8 @@ class DetectionSqlGenerator:
         """Pad a restriction chunk to a power-of-two length (up to ``cap``).
 
         Every restriction shape is a set (``IN`` lists, row-value
-        semi-joins, the restricted ``Q_V``'s ``DISTINCT`` key list), so
-        repeating the last item changes nothing semantically, not even the
-        rows returned — but it quantises the per-statement item count, which
+        semi-joins), so repeating the last item changes nothing
+        semantically, not even the rows returned — but it quantises the per-statement item count, which
         bounds the prepared-plan cache to O(log budget) entries per (kind,
         CFD) instead of one entry per distinct restriction size, and lets
         the backend's own statement cache hit on the recurring shapes.
@@ -1026,9 +1052,9 @@ class DetectionSqlGenerator:
         next to the ``base_params`` values the statement binds itself,
         each chunk is padded (:meth:`_padded`), and ``query_for(count)``
         supplies the cached statement for the padded count.  The chunk's
-        values bind before the statement's own, or after them with
-        ``restriction_last`` (the restricted ``Q_C`` ends with its tid
-        list).
+        values bind before the statement's own (the restricted ``Q_V``
+        opens with its tid list), or after them with ``restriction_last``
+        (the restricted ``Q_C`` ends with its tid list).
         """
         if not items:
             return []
@@ -1071,19 +1097,6 @@ class DetectionSqlGenerator:
             keys,
             width=len(cfd.lhs),
         )
-
-    def lhs_values_plans(
-        self, cfd: CFD, tids: Sequence[int]
-    ) -> List[SqlQuery]:
-        """Fully-bound tid-LHS lookups covering every tid in ``tids``.
-
-        Chunked by the parameter budget (a flat tid ``IN`` list is one
-        expression node); empty when ``tids`` is empty or the CFD has no
-        LHS.
-        """
-        if not cfd.lhs:
-            return []
-        return self._bound_chunks(lambda count: self.tid_lhs_query(cfd, count), tids)
 
     def group_stats_plans(
         self,

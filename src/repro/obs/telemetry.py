@@ -19,7 +19,7 @@ every component falls back to, so the un-instrumented path pays one
 attribute check (``telemetry.enabled`` / ``telemetry.active``) and nothing
 else — no spans, no registry lookups, no wrapper objects.
 
-Statement *kinds* (``q_c_sargable``, ``q_window``, ``lhs_values``,
+Statement *kinds* (``q_c_sargable``, ``q_window``, ``row_fetch``,
 ``covering_members``, ...) are carried by the generated
 :class:`~repro.detection.sqlgen.SqlQuery` objects and announced to the
 instrumented backend through the :meth:`Telemetry.tag_statements` hint,
@@ -131,7 +131,7 @@ class Telemetry:
 
         The detectors wrap each generated query's execution in this, so the
         instrumented backend can attribute the statement to its generator
-        kind (``q_window``, ``lhs_values``, ...).  A ``None`` kind keeps the
+        kind (``q_window``, ``q_c_sargable``, ...).  A ``None`` kind keeps the
         surrounding hint.
         """
         previous = self._kind_hint

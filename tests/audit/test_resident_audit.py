@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 
 from repro import Semandaq
 from repro.audit.metrics import MajorityTally
+from repro.core.cfd import PatternMatcher
 from repro.datasets import generate_customers, inject_noise, paper_cfds
 from repro.engine.relation import Relation
 from repro.engine.types import RelationSchema
@@ -133,6 +134,33 @@ class TestResidentAuditPins:
         }
         assert pairs
         assert sorted(asked) == sorted(pairs)
+        system.close()
+
+    def test_applicability_is_decided_once_per_key(self, sqlite_config, monkeypatch):
+        """The verified-clean arithmetic tests each constant-RHS sub once per LHS key."""
+        system = _make_system(sqlite_config)
+        report = system.detect("customer")
+        decided = []
+        applies_to_key = PatternMatcher.applies_to_key
+
+        def counting(matcher, key):
+            decided.append((matcher.pattern, tuple(key)))
+            return applies_to_key(matcher, key)
+
+        def forbidden(matcher, row):
+            raise AssertionError("a row was tested against a matcher")
+
+        monkeypatch.setattr(PatternMatcher, "applies_to_key", counting)
+        monkeypatch.setattr(PatternMatcher, "applies_to", forbidden)
+        system.audit("customer")
+        monkeypatch.undo()
+        # phi4's two constant-RHS subs share the LHS (CC): each distinct CC
+        # value of a dirty tuple is decided once per sub
+        dirty_keys = {
+            (system.database.relation("customer").get(tid)["CC"],)
+            for tid in report.dirty_tids()
+        }
+        assert len(decided) == len(set(decided)) == 2 * len(dirty_keys)
         system.close()
 
     def test_native_override_still_walks_the_relation(self, sqlite_config):

@@ -186,6 +186,39 @@ class TestSnapshotParityUnderWrites:
         assert failures == []
         assert all(report == expected for report in results)
 
+    def test_cold_detector_race_matches_serial_oracle(self, tmp_path):
+        """Threads racing a cold detector's first requests prepare its CFDs once."""
+        expected = _oracle_reports(tmp_path)["B"]["for_tuples"]
+        backend = SqliteBackend(path=str(tmp_path / "cold.db"))
+        backend.add_relation(Relation.from_rows(SCHEMA, _rows("B")))
+        detector = ErrorDetector(backend)
+        cfds = _cfds()
+        readers = 8
+        barrier = threading.Barrier(readers)
+        results = [None] * readers
+        failures = []
+
+        def reader(slot: int):
+            try:
+                barrier.wait(timeout=30)
+                results[slot] = detector.detect_for_tuples("items", cfds, TOGGLE_TIDS)
+            except Exception as exc:  # pragma: no cover - failure detail
+                failures.append(exc)
+
+        threads = [
+            threading.Thread(target=reader, args=(slot,))
+            for slot in range(readers)
+        ]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+        backend.close()
+        assert failures == []
+        assert all(report == expected for report in results)
+        assert expected.total_violations() > 0
+        assert list(detector._prepared) == ["items"]
+
     def test_tuple_count_is_snapshot_consistent_under_inserts(self, tmp_path):
         """``tuple_count`` is read inside the same snapshot as the queries."""
         backend = _file_backend(tmp_path)

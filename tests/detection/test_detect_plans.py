@@ -9,7 +9,6 @@ path and the incremental detector's mirrored updates.
 
 import pytest
 
-from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternTuple
 from repro.detection.detector import ErrorDetector
@@ -115,10 +114,10 @@ class TestGeneratedShapes:
 class TestCrossVariantParity:
     """Batch SQL, restricted SQL and incremental detection agree with native detection."""
 
-    def test_batch_report_matches_native(self):
+    def test_batch_report_matches_native(self, sqlite_backend_factory):
         relation = _relation()
         cfds = _cfds()
-        backend = SqliteBackend()
+        backend = sqlite_backend_factory()
         backend.add_relation(relation.copy())
         report = _keys(ErrorDetector(backend).detect("r", cfds))
         backend.close()
@@ -129,8 +128,8 @@ class TestCrossVariantParity:
         assert report  # the workload does violate
 
     @pytest.mark.usefixtures("plan_family")
-    def test_detect_for_tuples_matches_filtered_full_detect(self):
-        backend = SqliteBackend()
+    def test_detect_for_tuples_matches_filtered_full_detect(self, sqlite_backend_factory):
+        backend = sqlite_backend_factory()
         backend.add_relation(_relation())
         cfds = _cfds()
         detector = ErrorDetector(backend)
@@ -146,11 +145,11 @@ class TestCrossVariantParity:
         backend.close()
 
     @pytest.mark.usefixtures("plan_family")
-    def test_mirrored_updates_agree_with_batch(self):
+    def test_mirrored_updates_agree_with_batch(self, sqlite_backend_factory):
         database = Database()
         database.add_relation(_relation())
         cfds = _cfds()
-        mirror = SqliteBackend()
+        mirror = sqlite_backend_factory()
         mirror.add_relation(database.relation("r").copy())
         detector = IncrementalDetector(database, "r", cfds, mirror=mirror)
         detector.update(1, {"C": "c1"})  # heal group (x, 1)

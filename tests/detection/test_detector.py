@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro import Semandaq, SemandaqConfig
+from repro import Semandaq
 from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
@@ -20,15 +20,15 @@ from repro.errors import DetectionError
 from repro.monitor.updates import Update
 
 
-def _sqlite(relation):
-    backend = SqliteBackend()
+def _sqlite(relation, sqlite_options):
+    backend = SqliteBackend(**sqlite_options())
     backend.add_relation(relation.copy())
     return backend
 
 
 @pytest.fixture
-def customer_backend(customer_relation):
-    backend = _sqlite(customer_relation)
+def customer_backend(customer_relation, sqlite_options):
+    backend = _sqlite(customer_relation, sqlite_options)
     yield backend
     backend.close()
 
@@ -62,8 +62,8 @@ class TestDetectExample:
         # Joe and Mary (US, agree everywhere) are clean
         assert report.vio_of(2) == 0 and report.vio_of(3) == 0
 
-    def test_clean_relation_produces_empty_report(self, customer_cfds):
-        backend = _sqlite(generate_customers(50, seed=3))
+    def test_clean_relation_produces_empty_report(self, customer_cfds, sqlite_options):
+        backend = _sqlite(generate_customers(50, seed=3), sqlite_options)
         detector = ErrorDetector(backend)
         report = detector.detect("customer", customer_cfds)
         assert report.is_clean()
@@ -131,12 +131,12 @@ class TestSqlVsNative:
         assert sql_report.vio() == native_report.vio()
         assert sql_report.dirty_tids() == native_report.dirty_tids()
 
-    def test_same_result_on_noisy_generated_data(self, customer_cfds):
+    def test_same_result_on_noisy_generated_data(self, customer_cfds, sqlite_options):
         clean = generate_customers(150, seed=5)
         dirty = inject_noise(clean, rate=0.05, seed=6, attributes=["CNT", "CITY", "STR", "CC"]).dirty
         database = Database()
         database.add_relation(dirty)
-        backend = _sqlite(dirty)
+        backend = _sqlite(dirty, sqlite_options)
         sql_report = ErrorDetector(backend, use_sql=True).detect("customer", customer_cfds)
         native_report = ErrorDetector(database, use_sql=False).detect("customer", customer_cfds)
         assert sql_report.vio() == native_report.vio()
@@ -154,7 +154,7 @@ class TestSqlVsNative:
         )
     )
     @settings(max_examples=30, deadline=None)
-    def test_property_sql_equals_native(self, rows):
+    def test_property_sql_equals_native(self, sqlite_options, rows):
         schema = RelationSchema.of("customer", ["CNT", "ZIP", "STR", "CC"])
         relation = Relation.from_rows(schema, rows)
         database = Database()
@@ -164,7 +164,7 @@ class TestSqlVsNative:
             parse_cfd("customer: [CC='a'] -> [CNT='b']"),
             parse_cfd("customer: [CC=_] -> [CNT=_]"),
         ]
-        backend = _sqlite(relation)
+        backend = _sqlite(relation, sqlite_options)
         sql_report = ErrorDetector(backend, use_sql=True).detect("customer", cfds)
         backend.close()
         native_report = ErrorDetector(database, use_sql=False).detect("customer", cfds)
@@ -182,12 +182,12 @@ def _report_keys(report):
 class TestBackendCatalog:
     """Detection reads the backend and adds nothing to its catalog."""
 
-    def test_detection_writes_nothing_to_the_catalog(self):
+    def test_detection_writes_nothing_to_the_catalog(self, sqlite_config):
         clean = generate_customers(80, seed=21)
         dirty = inject_noise(
             clean, rate=0.08, seed=22, attributes=["CNT", "CITY", "STR", "CC"]
         ).dirty
-        system = Semandaq(SemandaqConfig())
+        system = Semandaq(sqlite_config())
         system.register_relation(dirty)
         system.add_cfds(paper_cfds())
         names = set(system.backend.relation_names())
@@ -211,7 +211,7 @@ class TestBackendCatalog:
         assert set(system.backend.relation_names()) == names
         system.close()
 
-    def test_two_detectors_share_one_backend(self):
+    def test_two_detectors_share_one_backend(self, sqlite_options):
         # both detectors run every CFD list at position 0, so anything the
         # SQL path kept per position in the backend would be shared
         clean = generate_customers(80, seed=23)
@@ -221,7 +221,7 @@ class TestBackendCatalog:
         database = Database()
         database.add_relation(dirty.copy())
         oracle = ErrorDetector(database, use_sql=False)
-        backend = _sqlite(dirty)
+        backend = _sqlite(dirty, sqlite_options)
         phi1, phi2, phi3, phi4 = paper_cfds()
         lists = {"first": [phi3, phi1], "second": [phi4, phi2]}
         detectors = {key: ErrorDetector(backend) for key in lists}
@@ -268,7 +268,7 @@ class TestLargeTableau:
         ids=["single-rhs", "two-rhs", "typed-constants"],
     )
     def test_warm_detect_makes_linear_pattern_calls(
-        self, monkeypatch, a_type, rhs, lhs_constant
+        self, monkeypatch, sqlite_options, a_type, rhs, lhs_constant
     ):
         schema = RelationSchema(
             "r", [AttributeDef("A", a_type), AttributeDef("C"), AttributeDef("D")]
@@ -279,7 +279,7 @@ class TestLargeTableau:
             for index in range(40)
         ]
         relation = Relation.from_rows(schema, rows)
-        backend = _sqlite(relation)
+        backend = _sqlite(relation, sqlite_options)
         detector = ErrorDetector(backend)
         cfds = [self._cfd(rhs, lhs_constant)]
         warm = detector.detect("r", cfds)

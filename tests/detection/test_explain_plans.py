@@ -13,7 +13,7 @@ import re
 
 import pytest
 
-from repro.backends import SqliteBackend, StorageBackend
+from repro.backends import StorageBackend
 from repro.core.parser import parse_cfd
 from repro.detection.sqlgen import DetectionSqlGenerator
 from repro.engine.relation import Relation
@@ -28,11 +28,10 @@ def _plan_text(detail):
 
 
 @pytest.fixture
-def sqlite_customer(customer_relation):
-    backend = SqliteBackend()
+def sqlite_customer(customer_relation, sqlite_backend_factory):
+    backend = sqlite_backend_factory()
     backend.add_relation(customer_relation)
-    yield backend
-    backend.close()
+    return backend
 
 
 class TestCoveringMembersPlan:
@@ -122,11 +121,12 @@ class TestWindowPlan:
     """The ``q_window`` statements must probe the detection index.
 
     Every ``detect`` runs the full form and every ``detect_for_tuples``
-    the form restricted to the requested group keys.  The member join of
-    the full form searches the index with one equality per LHS attribute.
-    The restricted form starts from the key list: for 1, 2 or 4 keys,
-    every read of the relation is such a search, never a range over the
-    whole index (``(CNT>?)``) or a scan.
+    the form restricted to the requested tids.  The member join of the
+    full form searches the index with one equality per LHS attribute.
+    The restricted form reads the tids' group keys by rowid (``s``) and
+    then reaches the relation only through such searches (``t``, ``x``
+    and ``m``): for 1, 4 or 300 tids, never a range over the whole index
+    (``(CNT>?)``) or a scan.
     """
 
     CFD_TEXT = "customer: [CNT=_, ZIP=_] -> [CITY=_]"
@@ -135,7 +135,8 @@ class TestWindowPlan:
     PROBE = re.compile(
         r"SEARCH (TABLE )?[TXM] USING (COVERING )?INDEX \S+ \(CNT=\? AND ZIP=\?"
     )
-    KEYS = [("UK", "EH4 1DT"), ("US", "01202"), ("NL", "1012"), ("UK", "W1B 1JH")]
+    #: the restricted form's read of the named tuples
+    ROWID = "SEARCH S USING INTEGER PRIMARY KEY (ROWID=?)"
 
     def _steps(self, backend, query):
         """The (grouped subquery, member join) plan steps, upper-cased."""
@@ -153,13 +154,23 @@ class TestWindowPlan:
         ]
         return inner, outer
 
-    def _queries(self, backend, schema, key_count=1):
+    def _queries(self, backend, schema, tid_count=1):
         cfd = parse_cfd(self.CFD_TEXT)
         generator = DetectionSqlGenerator(schema, max_parameters=backend.max_parameters)
         (full,) = generator.plan_multi_queries(cfd)
-        (restricted,) = generator.plan_delta_multi(cfd, "CITY", self.KEYS[:key_count])
+        (restricted,) = generator.plan_delta_multi(cfd, "CITY", list(range(tid_count)))
         assert full.kind == restricted.kind == "q_window"
         return full, restricted
+
+    def _restricted_reads(self, backend, query):
+        """The restricted form's reads of the relation by alias: s, t, x, m."""
+        reads = _relation_reads(_explain(backend, query))
+        by_alias = {read.split()[1]: read for read in reads}
+        assert len(by_alias) == len(reads), reads
+        assert set(by_alias) == {"S", "T", "X", "M"}, reads
+        assert by_alias.pop("S") == self.ROWID, reads
+        assert not any("SCAN" in read for read in reads), reads
+        return by_alias
 
     def _probes(self, steps):
         return any(self.PROBE.search(step) for step in steps)
@@ -168,15 +179,14 @@ class TestWindowPlan:
         self, sqlite_customer, customer_relation
     ):
         sqlite_customer.ensure_index("customer", ("CNT", "ZIP", "CITY"))
-        for key_count in (1, 2, 4):
+        for tid_count in (1, 4, 300):
             full, restricted = self._queries(
-                sqlite_customer, customer_relation.schema, key_count
+                sqlite_customer, customer_relation.schema, tid_count
             )
             _, full_join = self._steps(sqlite_customer, full)
             assert self._probes(full_join), full_join
-            reads = _relation_reads(_explain(sqlite_customer, restricted))
             # the member read, the group's MIN and the EXISTS test
-            assert len(reads) == 3, reads
+            reads = self._restricted_reads(sqlite_customer, restricted).values()
             assert all(self.PROBE.search(read) for read in reads), reads
             assert not any("(CNT>?)" in read for read in reads), reads
 
@@ -191,10 +201,12 @@ class TestWindowPlan:
         assert not any(
             marker in read for marker in INDEX_MARKERS for read in reads
         ), reads
+        # the named tuples are still read by rowid
+        assert self.ROWID in reads, reads
 
-    @pytest.mark.parametrize("key_count", [1, 2, 4])
+    @pytest.mark.parametrize("tid_count", [1, 2, 4, 300])
     def test_constant_lhs_probes_per_key(
-        self, sqlite_customer, customer_relation, key_count
+        self, sqlite_customer, customer_relation, tid_count
     ):
         # the constant is tested on the key columns, so no read ranges
         # over every UK entry
@@ -203,9 +215,8 @@ class TestWindowPlan:
         generator = DetectionSqlGenerator(
             customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
-        (restricted,) = generator.plan_delta_multi(cfd, "STR", self.KEYS[:key_count])
-        reads = _relation_reads(_explain(sqlite_customer, restricted))
-        assert len(reads) == 3, reads
+        (restricted,) = generator.plan_delta_multi(cfd, "STR", list(range(tid_count)))
+        reads = self._restricted_reads(sqlite_customer, restricted).values()
         assert all(self.PROBE.search(read) for read in reads), reads
         assert not any("(CNT=? AND ZIP>?)" in read for read in reads), reads
 
@@ -219,10 +230,9 @@ class TestWindowPlan:
         generator = DetectionSqlGenerator(
             customer_relation.schema, max_parameters=sqlite_customer.max_parameters
         )
-        (restricted,) = generator.plan_delta_multi(cfd, "CNT", [("44",), ("01",)])
-        reads = _relation_reads(_explain(sqlite_customer, restricted))
-        by_alias = {read.split()[1]: read for read in reads}
-        assert set(by_alias) == {"T", "X", "M"}, reads
+        (restricted,) = generator.plan_delta_multi(cfd, "CNT", [0, 4])
+        by_alias = self._restricted_reads(sqlite_customer, restricted)
+        reads = list(by_alias.values())
         assert all("USING COVERING INDEX" in read for read in reads), reads
         assert "(CC=? AND CNT>?)" in by_alias["X"], reads
         assert "(CC=?" in by_alias["M"], reads
@@ -259,7 +269,7 @@ class TestGroupRestrictionPlans:
     once per key.
     """
 
-    KEYS = TestWindowPlan.KEYS
+    KEYS = [("UK", "EH4 1DT"), ("US", "01202"), ("NL", "1012"), ("UK", "W1B 1JH")]
 
     @pytest.mark.parametrize("key_count", [1, 2, 4])
     @pytest.mark.parametrize("builder", ["covering_members_plans", "group_stats_plans"])
@@ -335,15 +345,14 @@ class TestTypedConstantPlans:
     )
 
     @pytest.fixture
-    def typed_backend(self):
+    def typed_backend(self, sqlite_backend_factory):
         rows = [
             {"A": index % 50, "B": f"b{index % 7}", "C": (index % 40) / 2, "D": "d1"}
             for index in range(400)
         ]
-        backend = SqliteBackend()
+        backend = sqlite_backend_factory()
         backend.add_relation(Relation.from_rows(self.SCHEMA, rows))
-        yield backend
-        backend.close()
+        return backend
 
     @pytest.mark.parametrize(
         "cfd_text, column",
@@ -371,12 +380,13 @@ def _explain(backend, query):
 
 
 def _relation_reads(detail):
-    """The plan steps that read the relation (aliases t, x, m), upper-cased."""
+    """The plan steps that read the relation (aliases t, x, m, s), upper-cased."""
     steps = [str(row["detail"]).upper().replace(" TABLE ", " ") for row in detail]
     return [
         step
         for step in steps
-        if step.startswith(("SCAN ", "SEARCH ")) and step.split()[1] in ("T", "X", "M")
+        if step.startswith(("SCAN ", "SEARCH "))
+        and step.split()[1] in ("T", "X", "M", "S")
     ]
 
 

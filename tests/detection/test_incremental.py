@@ -48,11 +48,11 @@ def _violation_keys(report):
     )
 
 
-def _mirrored(relation, cfds):
+def _mirrored(relation, cfds, sqlite_options):
     """A detector over a private working copy, mirrored to a SQLite backend."""
     database = Database()
     database.add_relation(relation.copy())
-    mirror = SqliteBackend()
+    mirror = SqliteBackend(**sqlite_options())
     mirror.add_relation(database.relation(relation.name))
     return IncrementalDetector(database, relation.name, cfds, mirror=mirror), mirror
 
@@ -66,9 +66,9 @@ def _assert_matches_oracles(detector, mirror, cfds):
     assert dict(mirror.iter_rows(name)) == dict(detector.relation.rows())
 
 
-def _replay(script, relation, cfds):
+def _replay(script, relation, cfds, sqlite_options):
     """Run ``script(detector)`` on a mirrored detector and check it against the oracles."""
-    detector, mirror = _mirrored(relation, cfds)
+    detector, mirror = _mirrored(relation, cfds, sqlite_options)
     try:
         script(detector)
         _assert_matches_oracles(detector, mirror, cfds)
@@ -191,9 +191,11 @@ class TestEquivalenceWithBatch:
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_property_random_update_sequences(self, data):
+    def test_property_random_update_sequences(self, sqlite_options, data):
         # unbatched: every statement ships its own DeltaBatch to the mirror
-        incremental, mirror = _mirrored(_draw_relation(data), _PROPERTY_CFDS)
+        incremental, mirror = _mirrored(
+            _draw_relation(data), _PROPERTY_CFDS, sqlite_options
+        )
         try:
             for _ in range(data.draw(st.integers(min_value=1, max_value=5))):
                 _apply_random_op(data, incremental)
@@ -207,10 +209,12 @@ class TestUseCfds:
 
     @given(data=st.data())
     @settings(max_examples=25, deadline=None)
-    def test_property_a_switch_mid_sequence_matches_the_oracles(self, data):
+    def test_property_a_switch_mid_sequence_matches_the_oracles(
+        self, sqlite_options, data
+    ):
         before = data.draw(st.lists(st.sampled_from(_PROPERTY_CFDS), unique=True))
         after = data.draw(st.lists(st.sampled_from(_PROPERTY_CFDS), unique=True))
-        incremental, mirror = _mirrored(_draw_relation(data), before)
+        incremental, mirror = _mirrored(_draw_relation(data), before, sqlite_options)
         try:
             for _ in range(data.draw(st.integers(min_value=0, max_value=3))):
                 _apply_random_op(data, incremental)
@@ -278,7 +282,7 @@ class TestStartStateCost:
 class TestMirroredUpdateSequences:
     """Scripted batches, each checked against both oracles and the mirror rows."""
 
-    def test_customer_update_sequence(self):
+    def test_customer_update_sequence(self, sqlite_options):
         relation = generate_customers(60, seed=47)
         template = dict(relation.get(0))
 
@@ -292,10 +296,10 @@ class TestMirroredUpdateSequences:
                 detector.update(1, {"CNT": template["CNT"]})  # revert
                 detector.delete(detector.relation.tids()[-1])
 
-        detector = _replay(script, relation, paper_cfds())
+        detector = _replay(script, relation, paper_cfds(), sqlite_options)
         assert detector.batches_shipped == 3
 
-    def test_overlapping_pattern_tableau(self):
+    def test_overlapping_pattern_tableau(self, sqlite_options):
         def script(detector):
             with detector.batch():
                 # flip group (x, 2) into violation, heal group (y, 1)
@@ -306,7 +310,7 @@ class TestMirroredUpdateSequences:
             # and re-create the disagreement through an insert
             detector.insert({"A": "x", "B": "1", "C": "c7"})
 
-        detector = _replay(script, overlap_relation(), [OVERLAP_CFD])
+        detector = _replay(script, overlap_relation(), [OVERLAP_CFD], sqlite_options)
         by_group = {
             violation.lhs_values: violation.pattern_index
             for violation in detector.report().violations
@@ -314,18 +318,18 @@ class TestMirroredUpdateSequences:
         # each group once, under the lowest pattern that covers it
         assert by_group == {("x", "1"): 0, ("x", "2"): 0}
 
-    def test_two_wildcard_rhs_tableau(self):
+    def test_two_wildcard_rhs_tableau(self, sqlite_options):
         def script(detector):
             with detector.batch():
                 detector.update(1, {"C": "c1"})  # heal the C disagreement
                 detector.update(2, {"B": "b2"})  # heal the B disagreement
             detector.insert({"A": "y", "B": "b9", "C": "c9"})  # break both for A=y
 
-        report = _replay(script, two_rhs_relation(), [TWO_RHS_CFD]).report()
+        report = _replay(script, two_rhs_relation(), [TWO_RHS_CFD], sqlite_options).report()
         assert {v.rhs_attribute for v in report.violations} == {"B", "C"}
         assert all(v.lhs_values == ("y",) for v in report.violations)
 
-    def test_delete_then_reinsert_same_tid_in_one_batch(self):
+    def test_delete_then_reinsert_same_tid_in_one_batch(self, sqlite_options):
         # nets out to a replace: one delete + one insert under the same tid
         def script(detector):
             replacement = dict(detector.relation.get(0), CNT="Narnia")
@@ -334,16 +338,18 @@ class TestMirroredUpdateSequences:
                 new_tid = detector.insert(replacement)
                 detector.update(new_tid, {"CITY": "Nowhere"})
 
-        _replay(script, generate_customers(20, seed=53), paper_cfds())
+        _replay(script, generate_customers(20, seed=53), paper_cfds(), sqlite_options)
 
-    def test_null_cell_tableau(self):
-        report = _replay(lambda detector: None, null_cell_relation(), [NULL_CELL_CFD]).report()
+    def test_null_cell_tableau(self, sqlite_options):
+        report = _replay(
+            lambda detector: None, null_cell_relation(), [NULL_CELL_CFD], sqlite_options
+        ).report()
         # the NULL-RHS constant-pattern tuple is a single violation; only
         # the fully non-NULL group violates the FD part
         assert {v.kind for v in report.violations} == {"single", "multi"}
         assert {v.lhs_values for v in report.violations} == {("w", "3"), ("x", "1")}
 
-    def test_null_cell_updates(self):
+    def test_null_cell_updates(self, sqlite_options):
         def script(detector):
             with detector.batch():
                 detector.update(0, {"A": None})      # NULL an LHS cell
@@ -354,22 +360,24 @@ class TestMirroredUpdateSequences:
                 detector.insert({"A": "q", "B": None, "C": "c1"})
                 detector.update(4, {"C": None})      # NULL an RHS cell
 
-        detector = _replay(script, null_cell_relation(), [NULL_CELL_CFD])
+        detector = _replay(script, null_cell_relation(), [NULL_CELL_CFD], sqlite_options)
         # the re-created group and the un-NULLed RHS group both violate now
         assert {v.lhs_values for v in detector.report().violations} == {
             ("x", "1"),
             ("z", "2"),
         }
 
-    def test_null_lhs_tuple_joins_a_group(self):
+    def test_null_lhs_tuple_joins_a_group(self, sqlite_options):
         def script(detector):
             detector.update(2, {"A": "x"})  # pull a NULL-LHS tuple into a group
 
-        detector = _replay(script, null_cell_relation(), [NULL_CELL_CFD])
+        detector = _replay(script, null_cell_relation(), [NULL_CELL_CFD], sqlite_options)
         assert len(detector.report().violations_for(2)) == 1
 
-    def test_nested_batch_rejected(self):
-        detector, mirror = _mirrored(generate_customers(5, seed=71), paper_cfds())
+    def test_nested_batch_rejected(self, sqlite_options):
+        detector, mirror = _mirrored(
+            generate_customers(5, seed=71), paper_cfds(), sqlite_options
+        )
         with detector.batch():
             with pytest.raises(DetectionError):
                 with detector.batch():
@@ -378,8 +386,10 @@ class TestMirroredUpdateSequences:
 
     @given(data=st.data())
     @settings(max_examples=20, deadline=None)
-    def test_property_random_batches(self, data):
-        incremental, mirror = _mirrored(_draw_relation(data), _PROPERTY_CFDS)
+    def test_property_random_batches(self, sqlite_options, data):
+        incremental, mirror = _mirrored(
+            _draw_relation(data), _PROPERTY_CFDS, sqlite_options
+        )
         try:
             for _ in range(data.draw(st.integers(min_value=1, max_value=3))):
                 # each round is one coalesced DeltaBatch shipped to the mirror

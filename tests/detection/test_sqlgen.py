@@ -2,7 +2,6 @@
 
 import pytest
 
-from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.parser import parse_cfd
 from repro.core.pattern import PatternTuple
@@ -85,11 +84,10 @@ class TestMultiTupleQuery:
 
 
 @pytest.fixture
-def customer_backend(customer_relation):
-    backend = SqliteBackend()
+def customer_backend(customer_relation, sqlite_backend_factory):
+    backend = sqlite_backend_factory()
     backend.add_relation(customer_relation)
-    yield backend
-    backend.close()
+    return backend
 
 
 class TestGeneratedSqlRuns:
@@ -117,10 +115,10 @@ class TestGeneratedSqlRuns:
     ):
         cfd = parse_cfd("customer: [CNT='UK', ZIP=_] -> [STR=_]")
         generator = DetectionSqlGenerator(customer_relation.schema)
-        # three keys pad to four by repeating the last, violating one
-        keys = [("US", "01202"), ("NL", "1012"), ("UK", "EH4 1DT")]
-        (query,) = generator.plan_delta_multi(cfd, "STR", keys)
-        assert len(query.parameters) == 4 * 2 + 1
+        # tids 0 and 1 share the violating (UK, EH4 1DT) group; three tids
+        # pad to four by repeating the last
+        (query,) = generator.plan_delta_multi(cfd, "STR", [2, 0, 1])
+        assert query.parameters == (2, 0, 1, 1, "UK")
         rows = customer_backend.execute(query.sql, query.parameters)
         assert sorted(row["tid"] for row in rows) == [0, 1]
 
@@ -162,12 +160,16 @@ class TestDeltaPlans:
         (members,) = generator.covering_members_plans(cfd, "C", keys)
         assert "t.A IN (?, ?, ?, ?)" in members.sql
         assert "VALUES" not in members.sql
-        # the restricted Q_V starts from the distinct key list instead
-        (query,) = generator.plan_delta_multi(cfd, "C", keys)
-        key_list = "FROM (SELECT DISTINCT * FROM (VALUES (?), (?), (?), (?))) k\n"
+        # the restricted Q_V reads the group keys of the named tids instead
+        (query,) = generator.plan_delta_multi(cfd, "C", [1, 2, 3, 4])
+        key_list = (
+            "FROM (SELECT DISTINCT s.A AS column1\n"
+            "FROM r s NOT INDEXED\n"
+            "WHERE s._tid IN (?, ?, ?, ?) AND s.A IS NOT NULL) k\n"
+        )
         assert key_list in query.sql
         assert "CROSS JOIN r t ON t.A = k.column1\n" in query.sql
-        assert query.parameters == ("a", "b", "c", "d")
+        assert query.parameters == (1, 2, 3, 4)
 
     def test_multi_attribute_groups_use_row_values(self):
         generator = DetectionSqlGenerator(TWO_LHS_SCHEMA)
@@ -175,8 +177,12 @@ class TestDeltaPlans:
         keys = [("x", "y"), ("u", "v")]
         (members,) = generator.covering_members_plans(cfd, "C", keys)
         assert "(t.A, t.B) IN (SELECT * FROM (VALUES (?, ?), (?, ?)))" in members.sql
-        (query,) = generator.plan_delta_multi(cfd, "C", keys)
-        assert "FROM (SELECT DISTINCT * FROM (VALUES (?, ?), (?, ?))) k\n" in query.sql
+        (query,) = generator.plan_delta_multi(cfd, "C", [1, 2])
+        assert (
+            "FROM (SELECT DISTINCT s.A AS column1, s.B AS column2\n"
+            "FROM r s NOT INDEXED\n"
+            "WHERE s._tid IN (?, ?) AND s.A IS NOT NULL AND s.B IS NOT NULL) k\n"
+        ) in query.sql
         assert "CROSS JOIN r t ON t.A = k.column1 AND t.B = k.column2\n" in query.sql
         # the group check: some member's RHS above the group's minimum
         assert (
@@ -188,30 +194,31 @@ class TestDeltaPlans:
         assert generator.flatten_group_keys([("x", "y")]) == ("x", "y")
 
     def test_restricted_qv_tests_constants_on_the_keys(self):
-        # the key list binds first (it opens the statement), then the
-        # pattern constants, which compare with the key columns
+        # the tids bind first (their key list opens the statement), then
+        # the pattern constants, which compare with the key columns
         schema = RelationSchema(
             "r",
             [AttributeDef("A"), AttributeDef("B", DataType.INTEGER), AttributeDef("C")],
         )
         generator = DetectionSqlGenerator(schema)
         cfd = parse_cfd("r: [A='x', B='5'] -> [C=_]").coerced_to(schema)
-        (query,) = generator.plan_delta_multi(cfd, "C", [("x", 5), ("y", 6)])
+        (query,) = generator.plan_delta_multi(cfd, "C", [7, 9])
         assert "WHERE k.column1 = ? AND k.column2 = ? AND EXISTS" in query
-        assert query.parameters == ("x", 5, "y", 6, "x", 5)
+        assert query.parameters == (7, 9, "x", 5)
 
     def test_chunking_respects_parameter_budget(self):
         generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, max_parameters=20)
-        cfd = _two_lhs_cfd()
-        keys = [(f"a{i}", f"b{i}") for i in range(30)]
-        plans = generator.plan_delta_multi(cfd, "C", keys)
+        cfd = parse_cfd("r: [A='x', B=_] -> [C=_]")
+        tids = list(range(100, 130))
+        plans = generator.plan_delta_multi(cfd, "C", tids)
         assert len(plans) > 1
         for plan in plans:
             assert plan.sql.count("?") == len(plan.parameters) <= 20
-        # every group appears in exactly one plan
-        bound = [value for plan in plans for value in plan.parameters]
-        for key in keys:
-            assert key[0] in bound and key[1] in bound
+            # the chunk's tids, then the pattern constant
+            assert plan.parameters[-1] == "x"
+        # every tid is bound by some plan
+        bound = {value for plan in plans for value in plan.parameters[:-1]}
+        assert bound == set(tids)
 
     def test_tid_chunking_respects_parameter_budget(self):
         generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, max_parameters=10)
@@ -232,10 +239,10 @@ class TestDeltaPlans:
     def test_budget_too_small_for_one_item_raises(self):
         # silently emitting an over-budget statement would only defer the
         # failure to an opaque "too many SQL variables" execution error
-        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, max_parameters=1)
-        cfd = _two_lhs_cfd()  # each restricted group binds 2 values
+        generator = DetectionSqlGenerator(TWO_LHS_SCHEMA, max_parameters=2)
+        cfd = parse_cfd("r: [A='x', B='y'] -> [C=_]")  # two constants and a tid
         with pytest.raises(DetectionError, match="parameter budget"):
-            generator.plan_delta_multi(cfd, "C", [("x", "y")])
+            generator.plan_delta_multi(cfd, "C", [1])
 
 
 TYPED_SCHEMA = RelationSchema(
@@ -308,15 +315,14 @@ class TestTypedBinding:
         for cfd in grouped:
             rhs, key = cfd.rhs[0], [keys[cfd.lhs[0]]]
             statements += generator.plan_multi_queries(cfd)
-            statements += generator.plan_delta_multi(cfd, rhs, key)
+            statements += generator.plan_delta_multi(cfd, rhs, [1])
             statements += generator.covering_members_plans(cfd, rhs, key)
             statements += generator.group_stats_plans(cfd, rhs, key)
             statements += generator.majority_value_plans(cfd, rhs, key)
-            statements += generator.lhs_values_plans(cfd, [1])
             statements.append(generator.page_fetch_query(cfd, rhs, "eq"))
         statements += [generator.value_freq_query(name) for name in keys]
         statements += generator.row_fetch_plans([1, 2])
-        assert len(statements) == 56
+        assert len(statements) == 50
         for query in statements:
             assert "CAST(" not in query.sql.upper(), query.sql
             assert "PYSTR(" not in query.sql.upper(), query.sql
@@ -363,8 +369,6 @@ class TestBuilderGuards:
                 lambda g: g.covering_members_query(GROUPED_CFD, "STR", 0),
                 "group_count",
             ),
-            (lambda g: g.tid_lhs_query(EMPTY_LHS_CFD, 1), "non-empty LHS"),
-            (lambda g: g.tid_lhs_query(GROUPED_CFD, 0), "tid_count"),
             (lambda g: g.group_stats_query(EMPTY_LHS_CFD, "CNT", 1), "non-empty LHS"),
             (lambda g: g.group_stats_query(GROUPED_CFD, "STR", 0), "group_count"),
             (
@@ -378,8 +382,6 @@ class TestBuilderGuards:
         ids=[
             "covering-empty-lhs",
             "covering-no-groups",
-            "tid_lhs-empty-lhs",
-            "tid_lhs-no-tids",
             "group_stats-empty-lhs",
             "group_stats-no-groups",
             "majority-empty-lhs",
@@ -399,8 +401,7 @@ class TestBuilderGuards:
     @pytest.mark.usefixtures("plan_family")
     def test_empty_lhs_cfds_get_no_grouped_statements(self, generator):
         assert generator.plan_multi_queries(EMPTY_LHS_CFD) == []
-        assert generator.plan_delta_multi(EMPTY_LHS_CFD, "CNT", [("x",)]) == []
-        assert generator.lhs_values_plans(EMPTY_LHS_CFD, [0, 1]) == []
+        assert generator.plan_delta_multi(EMPTY_LHS_CFD, "CNT", [0, 1]) == []
         # the constant RHS still has its Q_C
         assert generator.plan_single_queries(EMPTY_LHS_CFD)
 

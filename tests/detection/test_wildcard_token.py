@@ -14,7 +14,6 @@ tableau round-trip.
 
 import pytest
 
-from repro.backends import SqliteBackend
 from repro.core.cfd import CFD
 from repro.core.pattern import PatternTuple, PatternValue
 from repro.core.tableau import relation_to_tableau, tableau_to_relation
@@ -107,26 +106,26 @@ class TestAllDetectionPaths:
         assert _keys(report) == self._expected()
 
     @pytest.mark.usefixtures("plan_family")
-    def test_sql_paths(self):
-        backend = SqliteBackend()
+    def test_sql_paths(self, sqlite_backend_factory):
+        backend = sqlite_backend_factory()
         backend.add_relation(_relation())
         report = ErrorDetector(backend).detect("r", [_underscore_cfd()])
         assert _keys(report) == self._expected()
         backend.close()
 
     @pytest.mark.usefixtures("plan_family")
-    def test_restricted_detection(self):
-        backend = SqliteBackend()
+    def test_restricted_detection(self, sqlite_backend_factory):
+        backend = sqlite_backend_factory()
         backend.add_relation(_relation())
         detector = ErrorDetector(backend)
         restricted = detector.detect_for_tuples("r", [_underscore_cfd()], [1, 2])
         assert _keys(restricted) == self._expected()
         backend.close()
 
-    def test_incremental_path(self):
+    def test_incremental_path(self, sqlite_backend_factory):
         database = Database()
         database.add_relation(_relation())
-        mirror = SqliteBackend()
+        mirror = sqlite_backend_factory()
         mirror.add_relation(database.relation("r").copy())
         detector = IncrementalDetector(
             database, "r", [_underscore_cfd()], mirror=mirror
@@ -143,7 +142,9 @@ class TestAllDetectionPaths:
         assert _keys(ErrorDetector(mirror).detect("r", [_underscore_cfd()])) == expected
         mirror.close()
 
-    def test_wildcard_rhs_with_underscore_data_groups_correctly(self):
+    def test_wildcard_rhs_with_underscore_data_groups_correctly(
+        self, sqlite_backend_factory
+    ):
         # wildcard-RHS Q_V over data whose LHS value is literally '_'
         relation = Relation.from_rows(
             SCHEMA,
@@ -169,7 +170,7 @@ class TestAllDetectionPaths:
         database = Database()
         database.add_relation(relation.copy())
         assert _keys(ErrorDetector(database, use_sql=False).detect("r", [cfd])) == expected
-        backend = SqliteBackend()
+        backend = sqlite_backend_factory()
         backend.add_relation(relation.copy())
         assert _keys(ErrorDetector(backend).detect("r", [cfd])) == expected
         backend.close()
