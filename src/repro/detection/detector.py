@@ -31,9 +31,9 @@ The detector accepts any :class:`~repro.backends.base.StorageBackend`;
 detection SQL is generated under the backend's parameter budget through
 one cached generator per relation, whose prepared-plan cache persists
 across ``detect`` calls.  The CFDs a relation is detected with are
-prepared once (typed by the backend's schema, split into detection
-units, pattern rows deduplicated) and kept until the CFD list or the
-relation's schema changes.  Over a :class:`~repro.engine.database.Database` it runs
+prepared once (typed by the backend's schema and split into detection
+units) and kept until the CFD list or the relation's schema changes.
+Over a :class:`~repro.engine.database.Database` it runs
 the native path only, reading the working relations directly: asking it
 for SQL raises :class:`~repro.errors.SqlBackendRequiredError`.
 """
@@ -79,10 +79,6 @@ class _Unit:
 
     parent: CFD
     sub: CFD
-    #: constant-RHS pattern rows, one per distinct ``Q_C``
-    singles: Tuple[int, ...]
-    #: wildcard-RHS pattern rows, one per distinct ``Q_V``
-    multis: Tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -96,6 +92,8 @@ class _Prepared:
     schema: RelationSchema
     cfds: Tuple[CFD, ...]
     cfd_ids: Tuple[str, ...]
+    #: kept across entries while the schema is equal, so its
+    #: prepared-plan cache stays warm
     generator: DetectionSqlGenerator
     units: Tuple[_Unit, ...]
     #: the detection indexes the units ride, each once
@@ -110,11 +108,10 @@ class ErrorDetector:
 
     The detector is safe to share across serving-layer worker threads,
     and several detectors may share one backend: the per-relation
-    generator and prepared-CFD maps are lock-guarded, each generator's
-    prepared-plan cache too, ``last_sql`` is per-thread, and detection
-    writes nothing to the
-    backend but the detection indexes, created before any query runs.  The
-    query phase of each detection runs inside
+    prepared-CFD map is lock-guarded, each generator's prepared-plan
+    cache too, ``last_sql`` is per-thread, and detection writes nothing
+    to the backend but the detection indexes, created before any query
+    runs.  The query phase of each detection runs inside
     ``backend.read_connection(snapshot=True)``, so a report reflects one
     consistent snapshot of the store even while a writer streams delta
     batches — tuple count included, because the row count is read inside
@@ -162,11 +159,10 @@ class ErrorDetector:
         #: per-thread state (``last_sql``): a worker's statement log must
         #: not interleave with another thread's concurrent detection
         self._local = threading.local()
-        #: one generator (and prepared-plan cache) per detected relation
-        self._generators: Dict[str, DetectionSqlGenerator] = {}
-        #: the CFDs each relation was last detected with, prepared
+        #: the CFDs each relation was last detected with, prepared, and
+        #: the relation's generator (and prepared-plan cache)
         self._prepared: Dict[str, _Prepared] = {}
-        #: guards both maps: ``serve()`` workers race a cold detector
+        #: guards the map: ``serve()`` workers race a cold detector
         self._lock = threading.Lock()
         #: memoised sub-CFDs (see :meth:`_sub_cfd`)
         self._subs: Dict[Tuple[CFD, str], CFD] = {}
@@ -206,13 +202,7 @@ class ErrorDetector:
             cfd_ids = tuple(cfd.identifier for cfd in cfds)
             return self._report(relation_name, cfd_ids, violations, tuple_count)
 
-        prepared = self._prepare(relation_name, cfds)
-        violations = []
-        with self.backend.read_connection(snapshot=True):
-            tuple_count = self.backend.row_count(relation_name)
-            for unit in prepared.units:
-                violations.extend(self._detect_sql(prepared, unit))
-        return self._report(relation_name, prepared.cfd_ids, violations, tuple_count)
+        return self._run(relation_name, self._prepare(relation_name, cfds))
 
     def detect_for_tuples(
         self, relation_name: str, cfds: Sequence[CFD], tids: Iterable[int]
@@ -251,18 +241,14 @@ class ErrorDetector:
                 cfd_ids=report.cfd_ids,
             )
         prepared = self._prepare(relation_name, cfds)
-        violations: List[Violation] = []
         restrict = sorted(wanted)
         if not restrict:
+            # no statement runs, so no index is needed either
             return self._report(
-                relation_name, prepared.cfd_ids, violations,
+                relation_name, prepared.cfd_ids, [],
                 self.backend.row_count(relation_name),
             )
-        with self.backend.read_connection(snapshot=True):
-            tuple_count = self.backend.row_count(relation_name)
-            for unit in prepared.units:
-                violations.extend(self._detect_sql(prepared, unit, restrict))
-        return self._report(relation_name, prepared.cfd_ids, violations, tuple_count)
+        return self._run(relation_name, prepared, restrict)
 
     # -- SQL-based path ------------------------------------------------------------
 
@@ -273,47 +259,40 @@ class ErrorDetector:
         queries run where the data lives and report assembly reads backend
         rows only, so the working store is never touched.  The CFDs are
         prepared (:meth:`_prepared_for`) only when the relation's schema
-        object or the CFD list differs from the last call's.  Then it
-        creates the indexes the units' statements ride: the only write
-        the SQL path makes, so it happens here, *before* the caller opens
-        its read snapshot, and on every call, because dropping a relation
-        drops its indexes (a warm call is a set lookup per index).  The
-        row count is *not* read here: callers read it inside their read
-        snapshot so the reported ``tuple_count`` is consistent with the
-        violations even under a concurrent writer.
+        object or the CFD list differs from the last call's.
         """
         self.last_sql = []
         schema = self.backend.schema(relation_name)
         with self._lock:
             prepared = self._prepared.get(relation_name)
             if prepared is None or not prepared.holds(schema, cfds):
-                prepared = self._prepared_for(relation_name, schema, cfds)
+                prepared = self._prepared_for(relation_name, schema, cfds, prepared)
                 self._prepared[relation_name] = prepared
-        for columns in prepared.indexes:
-            self.backend.ensure_index(relation_name, columns)
         return prepared
 
     def _prepared_for(
-        self, relation_name: str, schema: RelationSchema, cfds: Sequence[CFD]
+        self,
+        relation_name: str,
+        schema: RelationSchema,
+        cfds: Sequence[CFD],
+        old: Optional[_Prepared],
     ) -> _Prepared:
         """Type ``cfds`` by ``schema`` and split them into detection units.
 
-        One unit per RHS attribute, with the pattern rows its ``Q_C`` and
-        ``Q_V`` statements check, and the index each unit's statements
+        One unit per RHS attribute, and the index each unit's statements
         ride: the LHS followed by the RHS attribute, so a group's minimum
         RHS and the test for a greater one are index seeks, and group
-        checks read the index alone.  Called under ``_lock``.
+        checks read the index alone.  The ``old`` entry's generator is
+        kept while the schema is equal.  Called under ``_lock``.
         """
-        generator = self._generators.get(relation_name)
-        if generator is None or generator.schema != schema:
-            # keeping the generator across calls is what makes its
-            # prepared-plan cache effective
+        if old is not None and old.generator.schema == schema:
+            generator = old.generator
+        else:
             generator = DetectionSqlGenerator(
                 schema,
                 max_parameters=self.backend.max_parameters,
                 telemetry=self.telemetry,
             )
-            self._generators[relation_name] = generator
         units: List[_Unit] = []
         indexes: Dict[Tuple[str, ...], None] = {}
         for cfd in self._validate(relation_name, cfds, schema):
@@ -321,14 +300,7 @@ class ErrorDetector:
                 sub = self._sub_cfd(cfd, rhs_attribute)
                 if sub.lhs:
                     indexes[sub.lhs + sub.rhs] = None
-                units.append(
-                    _Unit(
-                        parent=cfd,
-                        sub=sub,
-                        singles=generator.single_patterns(sub),
-                        multis=generator.multi_patterns(sub, rhs_attribute),
-                    )
-                )
+                units.append(_Unit(parent=cfd, sub=sub))
         return _Prepared(
             schema=schema,
             cfds=tuple(cfds),
@@ -337,6 +309,30 @@ class ErrorDetector:
             units=tuple(units),
             indexes=tuple(indexes),
         )
+
+    def _run(
+        self,
+        relation_name: str,
+        prepared: _Prepared,
+        restrict_tids: Optional[Sequence[int]] = None,
+    ) -> ViolationReport:
+        """Run every unit's statements inside one read snapshot.
+
+        First it creates the indexes the statements ride: the only write
+        the SQL path makes, so it happens *before* the snapshot opens, and
+        on every call, because dropping a relation drops its indexes (a
+        warm call is a set lookup per index).  The row count is read
+        inside the snapshot, so the reported ``tuple_count`` is consistent
+        with the violations even under a concurrent writer.
+        """
+        for columns in prepared.indexes:
+            self.backend.ensure_index(relation_name, columns)
+        violations: List[Violation] = []
+        with self.backend.read_connection(snapshot=True):
+            tuple_count = self.backend.row_count(relation_name)
+            for unit in prepared.units:
+                violations.extend(self._detect_sql(prepared, unit, restrict_tids))
+        return self._report(relation_name, prepared.cfd_ids, violations, tuple_count)
 
     def _sub_cfd(self, cfd: CFD, rhs_attribute: str) -> CFD:
         """:func:`_sub_cfd`, the same object for equal arguments on every call.
@@ -391,16 +387,12 @@ class ErrorDetector:
         """
         generator, sub = prepared.generator, unit.sub
         if restrict_tids is None:
-            single_queries = generator.plan_single_queries(sub, unit.singles)
-            multi_queries = generator.plan_multi_queries(sub, unit.multis)
+            single_queries = generator.plan_single_queries(sub)
+            multi_queries = generator.plan_multi_queries(sub)
             wanted: Optional[Set[int]] = None
         else:
-            single_queries = generator.plan_delta_single(
-                sub, restrict_tids, unit.singles
-            )
-            multi_queries = generator.plan_delta_multi(
-                sub, sub.rhs[0], restrict_tids, unit.multis
-            )
+            single_queries = generator.plan_delta_single(sub, restrict_tids)
+            multi_queries = generator.plan_delta_multi(sub, sub.rhs[0], restrict_tids)
             wanted = set(restrict_tids)
         violations: List[Violation] = []
         violations.extend(

@@ -25,10 +25,9 @@ rule :meth:`CFD.coerced_to` applies), so every statement compares the
 values SQLite stores, whatever the column's type: an INTEGER or FLOAT
 constant seeks the index like a STRING one.  Pattern rows that render to
 an identical statement are emitted once, labelled with the lowest pattern
-index: :meth:`DetectionSqlGenerator.single_patterns` and
-:meth:`~DetectionSqlGenerator.multi_patterns` pick those rows, and a
-caller that detects the same CFD again keeps them and passes them to the
-``plan_*`` builders.
+index (:meth:`DetectionSqlGenerator.single_patterns` and
+:meth:`~DetectionSqlGenerator.multi_patterns` pick those rows for every
+``plan_*`` builder).
 
 The trade-off against the paper's shape: joining ``R`` with a relational
 encoding of ``Tp`` needs two statements per CFD however many pattern rows
@@ -472,35 +471,24 @@ class DetectionSqlGenerator:
             f"{DATA_ALIAS}.{attr} AS {LHS_COLUMN_PREFIX}{attr}" for attr in cfd.lhs
         ]
 
-    def plan_single_queries(
-        self, cfd: CFD, patterns: Optional[Sequence[int]] = None
-    ) -> List[SqlQuery]:
-        """The ``Q_C`` statements of ``cfd``: one per :meth:`single_patterns` row.
+    def plan_single_queries(self, cfd: CFD) -> List[SqlQuery]:
+        """The ``Q_C`` statements of ``cfd``: one per :meth:`single_patterns` row."""
+        return [self._single_query(cfd, index) for index in self.single_patterns(cfd)]
 
-        A caller that keeps the rows of ``cfd`` passes them as
-        ``patterns``.
-        """
-        if patterns is None:
-            patterns = self.single_patterns(cfd)
-        return [self._single_query(cfd, index) for index in patterns]
-
-    def plan_multi_queries(
-        self, cfd: CFD, patterns: Optional[Sequence[int]] = None
-    ) -> List[SqlQuery]:
+    def plan_multi_queries(self, cfd: CFD) -> List[SqlQuery]:
         """The one-pass ``Q_V`` statements of ``cfd``.
 
         One statement per (wildcard RHS attribute × :meth:`multi_patterns`
         row), so wildcard-only patterns keep a single statement per RHS
         attribute.  Empty when the CFD has no wildcard RHS position or an
-        empty LHS.  A caller that keeps the rows of a CFD with one RHS
-        attribute passes them as ``patterns``.
+        empty LHS.
         """
-        if patterns is not None and len(cfd.rhs) != 1:
-            raise ValueError("patterns are the rows of one RHS attribute")
         queries: List[SqlQuery] = []
         for rhs_attribute in self.wildcard_rhs_attributes(cfd):
-            rows = self.multi_patterns(cfd, rhs_attribute) if patterns is None else patterns
-            queries.extend(self._multi_query(cfd, rhs_attribute, index) for index in rows)
+            queries.extend(
+                self._multi_query(cfd, rhs_attribute, index)
+                for index in self.multi_patterns(cfd, rhs_attribute)
+            )
         return queries
 
     def _single_query(self, cfd: CFD, pattern_index: int) -> SqlQuery:
@@ -517,49 +505,25 @@ class DetectionSqlGenerator:
             lambda: self._window_multi_for(cfd, rhs_attribute, pattern_index),
         )
 
-    def _delta_single_query(self, cfd: CFD, pattern_index: int, tid_count: int) -> SqlQuery:
-        """The cached restricted ``Q_C`` of one pattern row over ``tid_count`` tids."""
-        return self._cached_plan(
-            ("single_sarg_delta", cfd, pattern_index, tid_count),
-            lambda: self._sargable_single_for(
-                cfd, pattern_index, delta_tid_count=tid_count
-            ),
-        )
-
-    def _delta_multi_query(
-        self, cfd: CFD, rhs_attribute: str, pattern_index: int, tid_count: int
-    ) -> SqlQuery:
-        """The cached restricted ``Q_V`` of one pattern row over ``tid_count`` tids."""
-        return self._cached_plan(
-            ("multi_window_delta", cfd, rhs_attribute, pattern_index, tid_count),
-            lambda: self._window_multi_restricted(
-                cfd, rhs_attribute, pattern_index, tid_count
-            ),
-        )
-
-    def plan_delta_single(
-        self,
-        cfd: CFD,
-        tids: Sequence[int],
-        patterns: Optional[Sequence[int]] = None,
-    ) -> List[SqlQuery]:
+    def plan_delta_single(self, cfd: CFD, tids: Sequence[int]) -> List[SqlQuery]:
         """Fully-bound ``Q_C`` statements restricted to the tuples ``tids``.
 
-        Each :meth:`single_patterns` row (or each of ``patterns``) gets
-        the tid restriction, chunked under the parameter budget; empty
-        when ``tids`` is empty or no pattern has a constant RHS.
+        Each :meth:`single_patterns` row gets the tid restriction, chunked
+        under the parameter budget; empty when ``tids`` is empty or no
+        pattern has a constant RHS.
         """
         if not tids:
             return []
-        if patterns is None:
-            patterns = self.single_patterns(cfd)
         plans: List[SqlQuery] = []
         # a row's statement binds the same constants whatever its tid
         # count, so the one-tid statement tells the chunking how many
-        for index in patterns:
+        for index in self.single_patterns(cfd):
 
             def query_for(count: int, index: int = index) -> SqlQuery:
-                return self._delta_single_query(cfd, index, count)
+                return self._cached_plan(
+                    ("single_sarg_delta", cfd, index, count),
+                    lambda: self._sargable_single_for(cfd, index, delta_tid_count=count),
+                )
 
             plans.extend(
                 self._bound_chunks(
@@ -576,27 +540,29 @@ class DetectionSqlGenerator:
         cfd: CFD,
         rhs_attribute: str,
         tids: Sequence[int],
-        patterns: Optional[Sequence[int]] = None,
     ) -> List[SqlQuery]:
         """Fully-bound one-pass ``Q_V`` statements over the groups of ``tids``.
 
-        Each :meth:`multi_patterns` row (or each of ``patterns``) starts
-        from the named tuples' LHS values (:meth:`_window_multi_restricted`),
-        so the member rows cover exactly the violating groups those tuples
-        belong to.  Chunking follows the parameter budget, so a group
-        whose tuples fall in two chunks comes back from both statements;
-        callers merge groups by key.  Empty when ``tids`` is empty or the
-        CFD has no LHS.
+        Each :meth:`multi_patterns` row starts from the named tuples' LHS
+        values (:meth:`_window_multi_restricted`), so the member rows
+        cover exactly the violating groups those tuples belong to.
+        Chunking follows the parameter budget, so a group whose tuples
+        fall in two chunks comes back from both statements; callers merge
+        groups by key.  Empty when ``tids`` is empty or the CFD has no
+        LHS.
         """
-        if not tids or not cfd.lhs:
+        if not tids:
             return []
-        if patterns is None:
-            patterns = self.multi_patterns(cfd, rhs_attribute)
         plans: List[SqlQuery] = []
-        for index in patterns:
+        for index in self.multi_patterns(cfd, rhs_attribute):
 
             def query_for(count: int, index: int = index) -> SqlQuery:
-                return self._delta_multi_query(cfd, rhs_attribute, index, count)
+                return self._cached_plan(
+                    ("multi_window_delta", cfd, rhs_attribute, index, count),
+                    lambda: self._window_multi_restricted(
+                        cfd, rhs_attribute, index, count
+                    ),
+                )
 
             plans.extend(
                 self._bound_chunks(

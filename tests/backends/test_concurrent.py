@@ -376,7 +376,7 @@ class TestRaceRegressionPins:
             thread.join()
         backend.close()
         assert failures == []
-        generator = detector._generators["items"]
+        generator = detector._prepared["items"].generator
         lookups = generator.plan_cache_hits + generator.plan_cache_misses
         counters = telemetry.metrics.snapshot()["counters"]
         # no lookup lost under contention: the instance counters agree

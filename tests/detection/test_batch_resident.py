@@ -282,7 +282,7 @@ class TestDetectForTuplesPushdown:
         cfds = paper_cfds()
         wanted = [3, 17, 42, 99]
         first = detector.detect_for_tuples("customer", cfds, wanted)
-        generator = detector._generators["customer"]
+        generator = detector._prepared["customer"].generator
         misses = generator.plan_cache_misses
         kinds = []
         execute = detector._execute
@@ -384,6 +384,21 @@ class TestPreparedCfds:
         names = [row["name"] for row in backend.execute(indexes)]
         assert len([name for name in names if name.startswith("idx_customer_")]) == 3
 
+    def test_an_empty_request_creates_no_index(self, sqlite_backend_factory):
+        # a request naming no tid runs no statement, so it must not take
+        # the writer lock to index the relation
+        relation = _dirty_customers(40, seed=151)
+        backend = sqlite_backend_factory()
+        backend.add_relation(relation.copy())
+        detector = ErrorDetector(backend)
+        report = detector.detect_for_tuples("customer", paper_cfds(), [])
+        assert report.violations == []
+        assert report.tuple_count == len(relation)
+        indexes = "SELECT name FROM sqlite_master WHERE type = 'index'"
+        assert not [
+            row for row in backend.execute(indexes) if row["name"].startswith("idx_")
+        ]
+
 
 class TestPreparedPlanCache:
     """The per-detector plan cache, keyed by CFD value."""
@@ -394,7 +409,7 @@ class TestPreparedPlanCache:
         backend, _database = _backend_for(relation, sqlite_options)
         detector = ErrorDetector(backend)
         first = detector.detect("customer", paper_cfds())
-        generator = detector._generators["customer"]
+        generator = detector._prepared["customer"].generator
         misses_after_first = generator.plan_cache_misses
         second = detector.detect("customer", paper_cfds())
         assert _violation_keys(first) == _violation_keys(second)
