@@ -9,24 +9,31 @@ relation.  They serve two purposes in the reproduction:
   ``benchmarks/bench_sql_vs_native.py``; ``benchmarks/README.md`` says
   how to read it).
 
-Every routine runs on one shared pass, :func:`scan_violations`: it walks
-the stored rows once in ascending tid order, tests each row against each
-pattern row through the CFD's compiled :attr:`~repro.core.cfd.CFD.matchers`,
-and collects the single-tuple violations and the LHS groups together.  The
-native detector, the repair planner, the repair review and sampling-based
-validation all read their violations off that scan.
+Every routine files rows through one routine, :class:`ViolationState`: it
+tests each row against each pattern row through the CFD's compiled
+:attr:`~repro.core.cfd.CFD.matchers` and keeps, per pattern row, the
+single-tuple violations, the members of each LHS group and the set of
+violating group keys.  :func:`scan_violations` builds a state over a
+relation once and reads it out; the native detector and sampling-based
+validation read their violations off that scan.  The repair planner and
+the repair review keep one state across their edits instead: a cell
+change re-files only the changed tuple, under only the CFDs that mention
+the changed attribute, and a read re-decides only the group keys that
+changed.  One routine therefore decides, for a scan and for an edit
+alike, which single-tuple violation and which LHS group a row joins.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 from ..engine.relation import Relation
-from .cfd import CFD
+from .cfd import CFD, PatternMatcher
 from .pattern import PatternTuple
 
 GroupKey = Tuple[Any, ...]
+Row = Dict[str, Any]
 
 
 @dataclass
@@ -58,71 +65,227 @@ class ViolationScan:
         ]
 
 
-def scan_violations(relation: Relation, cfd: CFD) -> ViolationScan:
-    """Find ``cfd``'s single-tuple violations and violating groups in one pass.
+class _PatternState:
+    """One pattern row's violations, kept up to date as rows are filed.
 
-    A row is tested against a pattern row once: when the pattern applies
-    (NULL-free LHS, LHS constants match), a failed constant RHS position
-    makes the row a single-tuple violation, and — for a pattern with a
-    wildcard RHS position and a non-empty LHS — the row joins the group of
-    its LHS values unless every wildcard RHS value is NULL (such a row can
-    neither support nor contradict the FD part).  A group of two or more
-    members violates when its non-NULL values of some wildcard RHS
-    attribute are not all equal (``1`` equals ``1.0``).
+    ``groups`` maps each LHS key to its members' rows by tid.  A member's
+    row is the one it was filed with; a change to an attribute the CFD
+    does not mention leaves the row stale but its key and RHS values
+    right, so the state re-files a tuple only under the CFDs a change
+    moves.  ``touched`` holds the keys whose verdict may have changed
+    since :meth:`settle` last ran.  Rows are filed by :func:`_file`.
     """
-    matchers = cfd.matchers
-    lhs = cfd.lhs
-    singles: List[List[int]] = [[] for _ in matchers]
-    # per pattern: LHS values -> the (tid, row) pairs of its members
-    members: List[Dict[GroupKey, List[Tuple[int, Dict[str, Any]]]]] = [
-        {} for _ in matchers
-    ]
-    grouping = [bool(lhs and matcher.wildcard_rhs) for matcher in matchers]
-    for entry in relation.stored_rows():
-        tid, row = entry
+
+    __slots__ = ("matcher", "grouping", "singles", "groups", "violating", "touched")
+
+    def __init__(self, matcher: PatternMatcher, grouping: bool):
+        self.matcher = matcher
+        #: whether rows join LHS groups (a wildcard RHS and a non-empty LHS)
+        self.grouping = grouping
+        self.singles: Set[int] = set()
+        self.groups: Dict[GroupKey, Dict[int, Row]] = {}
+        self.violating: Set[GroupKey] = set()
+        self.touched: Set[GroupKey] = set()
+
+    def unfile(self, tid: int, key: GroupKey) -> None:
+        """Take tuple ``tid``, filed under ``key``, out again."""
+        self.singles.discard(tid)
+        group = self.groups.get(key)
+        if group is not None and group.pop(tid, None) is not None:
+            if not group:
+                del self.groups[key]
+            self.touched.add(key)
+
+    def settle(self) -> None:
+        """Re-decide the touched keys.
+
+        A group of two or more members violates when its non-NULL values
+        of some wildcard RHS attribute are not all equal (``1`` equals
+        ``1.0``).
+        """
+        groups, violating = self.groups, self.violating
+        attributes = self.matcher.wildcard_rhs
+        for key in self.touched:
+            group = groups.get(key)
+            if group is not None and len(group) > 1 and _disagree(group.values(), attributes):
+                violating.add(key)
+            else:
+                violating.discard(key)
+        self.touched.clear()
+
+    def violating_groups(self) -> List[Tuple[GroupKey, List[int]]]:
+        """Violating groups by lowest member tid, each as ``(key, tids ascending)``."""
+        self.settle()
+        groups = self.groups
+        ordered = [(key, sorted(groups[key])) for key in self.violating]
+        # a tuple sits in one group per pattern row, so first members differ
+        ordered.sort(key=lambda group: group[1][0])
+        return ordered
+
+
+def _file(
+    lhs: Tuple[str, ...],
+    states: Sequence[_PatternState],
+    entries: Iterable[Tuple[int, Row]],
+) -> None:
+    """File each ``(tid, row)`` of ``entries`` under ``states``, the patterns over ``lhs``.
+
+    The one routine that decides where a row goes.  A row's key is built
+    once for every pattern over its LHS, and a row with a NULL LHS value
+    goes nowhere.  When a pattern applies (LHS constants match), a failed
+    constant RHS position makes the row a single-tuple violation, and —
+    for a pattern with a wildcard RHS position and a non-empty LHS — the
+    row joins the group of its LHS values unless every wildcard RHS value
+    is NULL (such a row can neither support nor contradict the FD part).
+    """
+    for tid, row in entries:
         get = row.get
-        # every pattern row shares the LHS, so the key is built once per row
         key = tuple(map(get, lhs))
         if None in key:
-            continue  # no pattern applies to a row with a NULL LHS value
-        for pattern_index, matcher in enumerate(matchers):
+            continue
+        for state in states:
+            matcher = state.matcher
             if matcher.key_constants and not matcher.key_matches(key):
                 continue
             if matcher.rhs_constants and matcher.violates_constant(row):
-                singles[pattern_index].append(tid)
-            if not grouping[pattern_index]:
+                state.singles.add(tid)
+            if not state.grouping:
                 continue
             for value in map(get, matcher.wildcard_rhs):
                 if value is not None:
                     break
             else:
                 continue  # every wildcard RHS value is NULL
-            group = members[pattern_index].get(key)
+            group = state.groups.get(key)
             if group is None:
-                members[pattern_index][key] = [entry]
+                # a key without members is not violating, or still touched
+                # from the unfile that emptied it
+                state.groups[key] = {tid: row}
             else:
-                group.append(entry)
-    groups: List[List[Tuple[GroupKey, List[int]]]] = []
-    for matcher, by_key in zip(matchers, members):
-        violating = []
-        for key, group in by_key.items():
-            if len(group) > 1 and _disagree(group, matcher.wildcard_rhs):
-                violating.append((key, [tid for tid, _row in group]))
-        groups.append(violating)
-    return ViolationScan(singles=singles, groups=groups)
+                group[tid] = row
+                state.touched.add(key)
 
 
-def _disagree(
-    group: Sequence[Tuple[int, Dict[str, Any]]], attributes: Sequence[str]
-) -> bool:
-    """Whether the members hold two different non-NULL values of some attribute."""
-    for attr in attributes:
-        values = {
-            _normalise(value)
-            for value in (row.get(attr) for _tid, row in group)
-            if value is not None
+class ViolationState:
+    """The violations of several CFDs over one relation, kept row by row.
+
+    Built over ``relation`` (when given) by filing each stored row, then
+    kept current by the caller: :meth:`file_new` files tuples the relation
+    gained, and :meth:`refile` re-files a tuple after one of its cells
+    changed.  A row's LHS key is built once per distinct LHS and shared by
+    every CFD over that LHS.  :meth:`scan` reads one CFD's violations out
+    in :func:`scan_violations`' order, re-deciding only the group keys
+    touched since the last read.
+
+    The state holds references to the rows it filed and never changes
+    them; like :meth:`~repro.engine.relation.Relation.stored_rows`, it
+    relies on a relation replacing, not editing, a changed tuple's row.
+    """
+
+    def __init__(self, cfds: Sequence[CFD], relation: Optional[Relation] = None):
+        self.cfds: List[CFD] = list(cfds)
+        #: per CFD, one state per pattern row
+        self._patterns: List[List[_PatternState]] = []
+        by_lhs: Dict[Tuple[str, ...], List[_PatternState]] = {}
+        moved_by: Dict[str, Dict[Tuple[str, ...], List[_PatternState]]] = {}
+        for cfd in self.cfds:
+            states = [
+                _PatternState(matcher, bool(cfd.lhs and matcher.wildcard_rhs))
+                for matcher in cfd.matchers
+            ]
+            self._patterns.append(states)
+            by_lhs.setdefault(cfd.lhs, []).extend(states)
+            for attribute in cfd.lhs + cfd.rhs:
+                moved_by.setdefault(attribute, {}).setdefault(cfd.lhs, []).extend(states)
+        #: ``(lhs, pattern states over it)`` per distinct LHS
+        self._by_lhs = list(by_lhs.items())
+        #: attribute -> ``(lhs, states)`` of the CFDs that mention it
+        self._moved_by = {
+            attribute: list(states.items()) for attribute, states in moved_by.items()
         }
-        if len(values) > 1:
+        #: tids filed so far
+        self._tids: Set[int] = set()
+        if relation is not None:
+            self.file_new(relation)
+
+    def file_new(self, relation: Relation) -> None:
+        """File the tuples of ``relation`` the state has not filed yet, under every CFD.
+
+        A relation that only grew since the last call holds new tuples
+        exactly when it is larger than the state.
+        """
+        filed = self._tids
+        if len(relation) == len(filed):
+            return
+        entries = [entry for entry in relation.stored_rows() if entry[0] not in filed]
+        filed.update(tid for tid, _row in entries)
+        for lhs, states in self._by_lhs:
+            _file(lhs, states, entries)
+
+    def refile(self, tid: int, old_row: Row, new_row: Row, attribute: str) -> None:
+        """Re-file tuple ``tid`` after its ``attribute`` changed from ``old_row``.
+
+        Only the CFDs that mention ``attribute`` can see the change; the
+        old key comes from ``old_row``.
+        """
+        for lhs, states in self._moved_by.get(attribute, ()):
+            old_key = tuple(map(old_row.get, lhs))
+            if None not in old_key:
+                for state in states:
+                    state.unfile(tid, old_key)
+            _file(lhs, states, ((tid, new_row),))
+
+    def scan(self, index: int) -> ViolationScan:
+        """The violations of ``self.cfds[index]``, as one scan would find them."""
+        singles: List[List[int]] = []
+        groups: List[List[Tuple[GroupKey, List[int]]]] = []
+        for state in self._patterns[index]:
+            singles.append(sorted(state.singles))
+            groups.append(state.violating_groups())
+        return ViolationScan(singles=singles, groups=groups)
+
+    def tuple_scan(self, index: int, tid: int, row: Row) -> ViolationScan:
+        """:meth:`scan` narrowed to the violations tuple ``tid`` takes part in.
+
+        ``row`` is the tuple's current row.  Its singles and the violating
+        group of its key, per pattern row, without reading any other
+        group.
+        """
+        key = tuple(map(row.get, self.cfds[index].lhs))
+        singles: List[List[int]] = []
+        groups: List[List[Tuple[GroupKey, List[int]]]] = []
+        for state in self._patterns[index]:
+            state.settle()
+            singles.append([tid] if tid in state.singles else [])
+            group = state.groups.get(key) if key in state.violating else None
+            groups.append([(key, sorted(group))] if group and tid in group else [])
+        return ViolationScan(singles=singles, groups=groups)
+
+
+def scan_violations(relation: Relation, cfd: CFD) -> ViolationScan:
+    """Find ``cfd``'s single-tuple violations and violating groups in one pass.
+
+    Files every row of ``relation`` in a :class:`ViolationState` and reads
+    it out.  A row is tested against a pattern row once: when the pattern
+    applies (NULL-free LHS, LHS constants match), a failed constant RHS
+    position makes the row a single-tuple violation, and — for a pattern
+    with a wildcard RHS position and a non-empty LHS — the row joins the
+    group of its LHS values unless every wildcard RHS value is NULL.  A
+    group of two or more members violates when its non-NULL values of some
+    wildcard RHS attribute are not all equal (``1`` equals ``1.0``).
+    """
+    return ViolationState([cfd], relation).scan(0)
+
+
+def _disagree(rows: Iterable[Row], attributes: Sequence[str]) -> bool:
+    """Whether the rows hold two different non-NULL values of some attribute.
+
+    Values normalise only when they are not already all equal.
+    """
+    for attr in attributes:
+        values = {row.get(attr) for row in rows}
+        values.discard(None)
+        if len(values) > 1 and len(set(map(_normalise, values))) > 1:
             return True
     return False
 

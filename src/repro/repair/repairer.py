@@ -22,6 +22,13 @@ The repairer never runs forever: each round either removes violations or the
 round limit is hit, in which case the remaining violations are reported as
 ``residual_violations`` (this mirrors the heuristic nature acknowledged by
 the papers).
+
+A repair keeps its violations between rounds: one
+:class:`~repro.core.satisfaction.ViolationState` per call is built over the
+loaded working relation, every cell change re-files the changed tuple, and
+tuples the source admits are filed before the next round reads its work
+items off the state.  A round therefore costs its changes, not the
+working relation.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from typing import Any, Dict, Iterable, List, Mapping, Optional, Sequence, Set, 
 
 from ..core.cfd import CFD
 from ..core.pattern import PatternTuple
-from ..core.satisfaction import scan_violations
+from ..core.satisfaction import ViolationState
 from ..engine.relation import Relation
 from ..errors import RepairError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
@@ -145,6 +152,9 @@ class BatchRepairer:
         #: the source's value frequencies, read on first use (see
         #: :meth:`_column_frequencies`)
         self._frequencies: Optional[Dict[str, Counter]] = None
+        #: the violations of the working relation, kept across the rounds
+        #: of the repair in progress (set per call)
+        self._violations: Optional[ViolationState] = None
 
     # -- public API -------------------------------------------------------------------
 
@@ -170,7 +180,10 @@ class BatchRepairer:
         Value frequencies are asked for only when a resolution first needs
         them.  Every price goes through a :meth:`CostModel.memoised` copy
         of :attr:`cost_model` that lives as long as the call, so each
-        distinct pair of values costs one edit distance per call.
+        distinct pair of values costs one edit distance per call.  The
+        violations are kept between rounds in one
+        :class:`~repro.core.satisfaction.ViolationState` that lives as long
+        as the call too.
         """
         self._source = source
         self._frequencies = None
@@ -180,12 +193,16 @@ class BatchRepairer:
             return self._plan(source, cfds)
         finally:
             self.cost_model = cost_model
+            self._violations = None
 
     def _plan(self, source: RepairDataSource, cfds: Sequence[CFD]) -> Repair:
         """The greedy rounds of :meth:`repair_with_source` over ``source``."""
         for cfd in cfds:
             cfd.validate_against(source.attribute_names())
         working = source.load(cfds)
+        self._violations = ViolationState(
+            [sub for cfd in cfds for sub in cfd.normalize()], working
+        )
         change_log: Dict[Cell, CellChange] = {}
         original_values: Dict[Cell, Any] = {}
 
@@ -198,7 +215,7 @@ class BatchRepairer:
         while iterations < self.max_iterations:
             iterations += 1
             source.begin_round(working)
-            violations = self._collect_violations(working, cfds)
+            violations = self._collect_violations(working)
             if best_state is None or len(violations) < best_state[0]:
                 best_state = (len(violations), working.copy(), dict(change_log))
             if not violations:
@@ -221,7 +238,7 @@ class BatchRepairer:
                 break
         else:
             source.begin_round(working)
-            residual = len(self._collect_violations(working, cfds))
+            residual = len(self._collect_violations(working))
 
         if best_state is not None and residual > best_state[0]:
             # The heuristic diverged; fall back to the best intermediate state.
@@ -246,25 +263,29 @@ class BatchRepairer:
 
     # -- violation collection ------------------------------------------------------------
 
-    def _collect_violations(self, relation: Relation, cfds: Sequence[CFD]):
-        """Collect violations as resolution work items, cheapest-to-fix first."""
+    def _collect_violations(self, working: Relation):
+        """Collect violations as resolution work items, cheapest-to-fix first.
+
+        Tuples the source admitted since the last read are filed first
+        (the working relation only grows between reads), then each sub-CFD
+        is read off the kept state.
+        """
+        state = self._violations
+        state.file_new(working)
+        restrict = self.restrict_to_tids
         items: List[Tuple[str, CFD, PatternTuple, Any]] = []
-        for cfd in cfds:
-            for sub in cfd.normalize():
-                # one pass per sub-CFD; the items keep the order the planner's
-                # greedy decisions depend on: singles by tid, then groups by
-                # first member
-                scan = scan_violations(relation, sub)
-                for tid, pattern_index in scan.single_tuple_violations():
-                    if self.restrict_to_tids is not None and tid not in self.restrict_to_tids:
-                        continue
-                    items.append(("single", sub, sub.patterns[pattern_index], tid))
-                for pattern_index, _key, tids in scan.multi_tuple_violation_groups():
-                    if self.restrict_to_tids is not None and not (
-                        self.restrict_to_tids & set(tids)
-                    ):
-                        continue
-                    items.append(("multi", sub, sub.patterns[pattern_index], tuple(tids)))
+        for index, sub in enumerate(state.cfds):
+            # the items keep the order the planner's greedy decisions depend
+            # on: sub by sub, singles by tid, then groups by first member
+            scan = state.scan(index)
+            for tid, pattern_index in scan.single_tuple_violations():
+                if restrict is not None and tid not in restrict:
+                    continue
+                items.append(("single", sub, sub.patterns[pattern_index], tid))
+            for pattern_index, _key, tids in scan.multi_tuple_violation_groups():
+                if restrict is not None and restrict.isdisjoint(tids):
+                    continue
+                items.append(("multi", sub, sub.patterns[pattern_index], tuple(tids)))
         return items
 
     # -- resolution -----------------------------------------------------------------------
@@ -558,11 +579,9 @@ class BatchRepairer:
         fresh: bool = False,
     ) -> None:
         tid, attribute = cell
-        current = working.get(tid).get(attribute)
-        if cell not in original_values:
-            original_values[cell] = current
-        original = original_values[cell]
-        working.update(tid, {attribute: new_value})
+        old_row = working.update(tid, {attribute: new_value})
+        original = original_values.setdefault(cell, old_row.get(attribute))
+        self._violations.refile(tid, old_row, working.get(tid), attribute)
         # the source may need to grow the working relation over the groups
         # this change moved the tuple into (a no-op for the native source)
         if self._source is not None:

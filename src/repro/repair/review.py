@@ -4,7 +4,10 @@ This is the programmatic counterpart of the paper's "Data cleansing review"
 demo (Fig. 5): modified values are highlighted, each carries a ranked list
 of alternative modifications, the user can accept or override a change, and
 overrides trigger a background incremental detection so the effect on other
-tuples is visible immediately.
+tuples is visible immediately.  That detection is incremental here too: a
+review keeps one :class:`~repro.core.satisfaction.ViolationState` over its
+working copy, built on the first conflict check, and each edit re-files the
+one tuple it changed.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, List, Mapping, Optional, Sequence, Set, Tuple
 
 from ..core.cfd import CFD
-from ..core.satisfaction import scan_violations
+from ..core.satisfaction import ViolationState
 from ..engine.relation import Relation
 from ..errors import RepairError
 from .repairer import CellChange, Repair
@@ -49,6 +52,13 @@ class RepairReview:
         #: working copy the reviewer edits; starts as the candidate repair
         self.working: Relation = repair.repaired.copy()
         self.decisions: Dict[Cell, ReviewDecision] = {}
+        #: (parent CFD, sub-CFD) pairs in the order conflicts are reported
+        self._subs: List[Tuple[CFD, CFD]] = [
+            (cfd, sub) for cfd in self.cfds for sub in cfd.normalize()
+        ]
+        #: the working copy's violations, built on the first conflict check
+        #: and re-filed by every edit after it
+        self._violations: Optional[ViolationState] = None
 
     # -- inspection -------------------------------------------------------------------
 
@@ -109,7 +119,7 @@ class RepairReview:
         the "background incremental detection" of the demo.
         """
         self._require_modified(tid, attribute)
-        self.working.update(tid, {attribute: value})
+        self._edit(tid, attribute, value)
         self.decisions[(tid, attribute)] = ReviewDecision(
             (tid, attribute), "override", value
         )
@@ -119,7 +129,7 @@ class RepairReview:
         """Put the original (pre-repair) value back into a cell."""
         self._require_modified(tid, attribute)
         original = self.repair.original.get(tid).get(attribute)
-        self.working.update(tid, {attribute: original})
+        self._edit(tid, attribute, original)
         self.decisions[(tid, attribute)] = ReviewDecision(
             (tid, attribute), "revert", original
         )
@@ -128,31 +138,39 @@ class RepairReview:
     # -- conflict checking -------------------------------------------------------------------
 
     def conflicts_for(self, tid: int) -> List[ConflictNote]:
-        """Violations involving ``tid`` in the current working data."""
+        """Violations involving ``tid`` in the current working data.
+
+        Read off the review's violation state: the tuple's single-tuple
+        violations and its own LHS group under each sub-CFD, in CFD order.
+        """
         notes: List[ConflictNote] = []
-        for cfd in self.cfds:
-            for sub in cfd.normalize():
-                scan = scan_violations(self.working, sub)
-                for violating_tid, _pattern in scan.single_tuple_violations():
-                    if violating_tid == tid:
-                        notes.append(
-                            ConflictNote(
-                                cfd_id=cfd.identifier,
-                                kind="single",
-                                tids=(tid,),
-                                attribute=sub.rhs[0],
-                            )
-                        )
-                for _pattern, _key, tids in scan.multi_tuple_violation_groups():
-                    if tid in tids:
-                        notes.append(
-                            ConflictNote(
-                                cfd_id=cfd.identifier,
-                                kind="multi",
-                                tids=tuple(tids),
-                                attribute=sub.rhs[0],
-                            )
-                        )
+        if tid not in self.working:
+            return notes
+        if self._violations is None:
+            self._violations = ViolationState(
+                [sub for _cfd, sub in self._subs], self.working
+            )
+        row = self.working.get(tid)
+        for index, (cfd, sub) in enumerate(self._subs):
+            scan = self._violations.tuple_scan(index, tid, row)
+            for _tid, _pattern in scan.single_tuple_violations():
+                notes.append(
+                    ConflictNote(
+                        cfd_id=cfd.identifier,
+                        kind="single",
+                        tids=(tid,),
+                        attribute=sub.rhs[0],
+                    )
+                )
+            for _pattern, _key, tids in scan.multi_tuple_violation_groups():
+                notes.append(
+                    ConflictNote(
+                        cfd_id=cfd.identifier,
+                        kind="multi",
+                        tids=tuple(tids),
+                        attribute=sub.rhs[0],
+                    )
+                )
         return notes
 
     def pending_cells(self) -> List[Cell]:
@@ -168,6 +186,12 @@ class RepairReview:
         return self.working.copy()
 
     # -- internal ---------------------------------------------------------------------------
+
+    def _edit(self, tid: int, attribute: str, value: Any) -> None:
+        """Write ``value`` into the working copy and re-file the tuple."""
+        old_row = self.working.update(tid, {attribute: value})
+        if self._violations is not None:
+            self._violations.refile(tid, old_row, self.working.get(tid), attribute)
 
     def _require_modified(self, tid: int, attribute: str) -> None:
         if (tid, attribute) not in self.repair.changed_cells:

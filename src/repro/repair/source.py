@@ -33,10 +33,11 @@ materialises only a *partial* working relation:
   :meth:`~DetectionSqlGenerator.group_stats_query` aggregate answers how
   many members the backend holds per key (keys nobody stores — the
   common fresh-value case — and keys whose members are all fetched
-  already are dismissed by count alone), and only the remainder pay a
-  sargable :meth:`~DetectionSqlGenerator.covering_members_query`
-  enumeration plus a :meth:`~DetectionSqlGenerator.row_fetch_query` for
-  the missing rows.
+  already are dismissed by count alone; the fetched side is the sum of
+  the per-key value counts the source keeps for every fetched row), and
+  only the remainder pay a sargable
+  :meth:`~DetectionSqlGenerator.covering_members_query` enumeration plus
+  a :meth:`~DetectionSqlGenerator.row_fetch_query` for the missing rows.
 
 The closure maintains the invariant the oracle proof rests on: every
 backend member of every LHS group that could *become* violating through a
@@ -60,6 +61,13 @@ planner decides exactly as over a full copy (``NativeRepairSource`` with
 ``restrict_to_tids``, the oracle) while reading only the batch's groups.
 The key queueing and sub-CFD selection both partial sources share live in
 :class:`PartialRepairSource`.
+
+The planner keeps its violations between rounds
+(:class:`~repro.core.satisfaction.ViolationState`) and files the rows a
+source admitted before it reads the next round's violations.  A source
+therefore only ever adds rows to the working relation: it never changes or
+drops one, and the planner tells that rows arrived from the relation's
+size.
 """
 
 from __future__ import annotations
@@ -109,7 +117,10 @@ class RepairDataSource:
         raise NotImplementedError
 
     def begin_round(self, working: Relation) -> None:
-        """Hook before each violation-collection round (closure maintenance)."""
+        """Hook before each violation-collection round (closure maintenance).
+
+        It may add tuples to ``working``, never change or remove one.
+        """
 
     def note_change(self, working: Relation, tid: int, attribute: str) -> None:
         """Hook after the planner changed ``working[tid][attribute]``."""
@@ -256,14 +267,12 @@ class BackendRepairSource(PartialRepairSource):
         #: whether the working relation holds every stored tuple (set by
         #: the threshold fallback; closure rounds become no-ops)
         self._complete = False
-        #: per closure sub-CFD: pristine member count per LHS key among the
-        #: fetched rows (maintained at fetch time so the begin_round
-        #: pre-filter is a dictionary lookup, not a scan)
-        self._fetched_members: List[Counter] = []
         #: per closure sub-CFD: pristine non-NULL RHS values per LHS key
-        #: among the fetched rows — subtracting these from a backend
+        #: among the fetched rows, counted at fetch time.  Their sum is the
+        #: key's fetched member count, which the begin_round pre-filter
+        #: compares with the backend's; subtracting them from a backend
         #: ``majority_value`` histogram leaves the unfetched remainder
-        self._fetched_values: List[Dict[GroupKey, Counter]] = []
+        self._fetched_values: List[Dict[GroupKey, Dict[Any, int]]] = []
         self._start_closure(())
         #: SQL issued by this source (the detector keeps its own log);
         #: shared with the tuple source so both halves log to one place
@@ -285,7 +294,6 @@ class BackendRepairSource(PartialRepairSource):
     def load(self, cfds: Sequence[CFD]) -> Relation:
         self._generator = self._source.generator()
         self._start_closure(cfds)
-        self._fetched_members = [Counter() for _ in self._subs]
         self._fetched_values = [{} for _ in self._subs]
         self._total_rows = self._source.row_count()
         if self._over_threshold(len(self.report.dirty_tids())):
@@ -298,8 +306,7 @@ class BackendRepairSource(PartialRepairSource):
         region = self._source.dirty_region(self.report)
         working = region.copy()
         self._original = region.copy()
-        for _tid, values in region.stored_rows():
-            self._note_fetched(values)
+        self._note_fetched([values for _tid, values in region.stored_rows()])
         self.stats["rows_fetched"] += len(region)
         self.telemetry.inc("repair.rows_fetched", len(region))
         return working
@@ -326,9 +333,11 @@ class BackendRepairSource(PartialRepairSource):
             # detection index.  A key nobody stores (fresh values) or whose members
             # are all fetched already needs no enumeration.
             counts = self._source.group_member_counts(sub, rhs_attribute, keys)
-            fetched = self._fetched_members[sub_index]
+            fetched = self._fetched_values[sub_index]
             candidates = [
-                key for key in keys if counts.get(key, 0) > fetched[key]
+                key
+                for key in keys
+                if counts.get(key, 0) > sum(fetched.get(key, {}).values())
             ]
             if not candidates:
                 continue
@@ -398,7 +407,7 @@ class BackendRepairSource(PartialRepairSource):
             stored = histograms.get(key, Counter())
             unfetched = Counter(
                 {v: c for v, c in stored.items() if v is not None}
-            ) - fetched_values.get(key, Counter())
+            ) - Counter(fetched_values.get(key, {}))
             distinct = set(working_values.get(key, ()))
             distinct.update(value for value, count in unfetched.items() if count > 0)
             if len(distinct) <= 1:
@@ -431,31 +440,37 @@ class BackendRepairSource(PartialRepairSource):
         self.stats["fallback_shipback"] = 1
         self.telemetry.inc("repair.fallback_shipback")
 
-    def _note_fetched(self, values: Dict[str, Any]) -> None:
-        """Account one pristine fetched row in the per-sub member counters.
+    def _note_fetched(self, rows: Sequence[Dict[str, Any]]) -> None:
+        """Count pristine fetched rows' RHS values under each closure sub-CFD.
 
         The counting criterion mirrors :meth:`group_stats_query` exactly —
-        LHS equals the key, RHS non-NULL, no pattern filter — so a
-        counter hitting the backend's ``member_count`` proves every
-        backend member of that key is already materialised, and the value
-        counter subtracted from a ``majority_value`` histogram leaves
-        exactly the unfetched members' values.
+        LHS equals the key, RHS non-NULL, no pattern filter — so a key's
+        counts summing to the backend's ``member_count`` prove every
+        backend member of that key is already materialised, and the
+        counts subtracted from a ``majority_value`` histogram leave
+        exactly the unfetched members' values.  A key's value counter is
+        created when the key is first seen.
         """
-        for index, sub in enumerate(self._subs):
-            value = values.get(sub.rhs[0])
-            if value is None:
-                continue
-            key = tuple(map(values.get, sub.lhs))
-            if None in key:
-                continue
-            self._fetched_members[index][key] += 1
-            self._fetched_values[index].setdefault(key, Counter())[value] += 1
+        for sub, fetched in zip(self._subs, self._fetched_values):
+            rhs_attribute, lhs = sub.rhs[0], sub.lhs
+            for values in rows:
+                value = values.get(rhs_attribute)
+                if value is None:
+                    continue
+                key = tuple(map(values.get, lhs))
+                if None in key:
+                    continue
+                counts = fetched.get(key)
+                if counts is None:
+                    fetched[key] = {value: 1}
+                else:
+                    counts[value] = counts.get(value, 0) + 1
 
     def _admit(self, working: Relation, tid: int, values: Dict[str, Any]) -> None:
         working.insert_at(tid, values)
         # the pristine twin copies the coerced row: one coercion per row
         self.original().insert_copy(working, tid)
-        self._note_fetched(values)
+        self._note_fetched((values,))
         self.stats["rows_fetched"] += 1
         self.telemetry.inc("repair.rows_fetched")
 

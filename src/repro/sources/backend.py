@@ -26,7 +26,8 @@ question                  plan kind
 Values decode on the way back through
 :func:`~repro.backends.sqlite.decode_backend_value`, so group keys,
 histograms and fetched rows compare equal to the native source's Python
-values.
+values.  Only BOOLEAN columns decode to something else, so a fetched row
+decodes through a per-schema decoder that touches just those columns.
 """
 
 from __future__ import annotations
@@ -71,6 +72,8 @@ class BackendTupleSource(TupleSource):
         self._schema: Optional[RelationSchema] = None
         #: each column's dtype by name, read off the schema once
         self._dtypes: Optional[Dict[str, DataType]] = None
+        #: the columns a fetched row decodes, worked out from the schema once
+        self._decoded: Optional[List[Tuple[str, DataType]]] = None
         self._generator = generator
         #: SQL issued by this source (tests and debugging read this)
         self.last_sql: List[str] = []
@@ -114,10 +117,23 @@ class BackendTupleSource(TupleSource):
         )
 
     def _decode_row(self, row: Dict[str, Any]) -> Dict[str, Any]:
-        return {
-            attr: decode_backend_value(dtype, row.get(attr))
-            for attr, dtype in self._column_dtypes().items()
-        }
+        """A ``row_fetch`` / ``page_fetch`` row as engine values, its tid dropped.
+
+        Both plans select ``tid`` and then every attribute, nothing else,
+        so a row decodes as a copy without its tid; only the columns whose
+        dtype :func:`decode_backend_value` changes (BOOLEAN) are decoded.
+        """
+        if self._decoded is None:
+            self._decoded = [
+                (attr, dtype)
+                for attr, dtype in self._column_dtypes().items()
+                if dtype is DataType.BOOLEAN
+            ]
+        values = dict(row)
+        del values["tid"]
+        for attr, dtype in self._decoded:
+            values[attr] = decode_backend_value(dtype, values[attr])
+        return values
 
     # -- protocol ---------------------------------------------------------------
 

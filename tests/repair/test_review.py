@@ -1,10 +1,13 @@
 """Tests for the repair review workflow (Fig. 5)."""
 
+import random
+
 import pytest
 
+from repro.core.satisfaction import scan_violations
 from repro.errors import RepairError
 from repro.repair.repairer import BatchRepairer
-from repro.repair.review import RepairReview
+from repro.repair.review import ConflictNote, RepairReview
 
 
 @pytest.fixture
@@ -78,3 +81,53 @@ class TestDecisions:
         change = review.modified_cells()[0]
         final.update(change.tid, {change.attribute: "Scratch"})
         assert review.working.value(change.tid, change.attribute) != "Scratch"
+
+
+class TestIncrementalConflicts:
+    """An edit re-files one tuple; its notes equal a fresh scan's.
+
+    The review keeps one violation state over its working copy instead of
+    scanning the whole copy per sub-CFD on every override and revert.  The
+    oracle below is that scan.
+    """
+
+    @staticmethod
+    def _fresh_notes(review, tid):
+        notes = []
+        for cfd in review.cfds:
+            for sub in cfd.normalize():
+                scan = scan_violations(review.working, sub)
+                for violating_tid, _pattern in scan.single_tuple_violations():
+                    if violating_tid == tid:
+                        notes.append(ConflictNote(cfd.identifier, "single", (tid,), sub.rhs[0]))
+                for _pattern, _key, tids in scan.multi_tuple_violation_groups():
+                    if tid in tids:
+                        notes.append(
+                            ConflictNote(cfd.identifier, "multi", tuple(tids), sub.rhs[0])
+                        )
+        return notes
+
+    def test_overrides_and_reverts_report_what_a_fresh_scan_finds(
+        self, noisy_customers, customer_cfds
+    ):
+        repair = BatchRepairer().repair(noisy_customers.dirty, customer_cfds)
+        review = RepairReview(repair, customer_cfds)
+        changes = review.modified_cells()
+        assert len(changes) > 5
+        rng = random.Random(17)
+        tids = review.working.tids()
+        reported = 0
+        for _step in range(60):
+            change = rng.choice(changes)
+            if rng.random() < 0.3:
+                notes = review.revert(change.tid, change.attribute)
+            else:
+                # another tuple's value often joins or splits a group
+                other = review.working.value(rng.choice(tids), change.attribute)
+                value = rng.choice([other, change.old_value, "Custom Value", None])
+                notes = review.override(change.tid, change.attribute, value)
+            assert notes == self._fresh_notes(review, change.tid)
+            reported += len(notes)
+            for tid in rng.sample(tids, 3):
+                assert review.conflicts_for(tid) == self._fresh_notes(review, tid)
+        assert reported  # the sequence did reintroduce conflicts
