@@ -11,6 +11,9 @@ working relation for every sub-CFD in every round.  Two things pin it:
   ones a fresh ``scan_violations`` per sub-CFD of the working relation
   yields — the per-round collection the state replaced, kept here as the
   oracle;
+* the same check on a relation whose repair makes the resident closure
+  admit a row, or page in every row when that would cross the fetch
+  threshold mid-repair (random relations rarely do either);
 * a counted pin over the paper's CFDs: after the first read, the state
   files only the tuples a change moved, under the sub-CFDs that mention
   the changed attribute, and the rows the closure admitted.
@@ -136,6 +139,36 @@ PIN_ROWS = [
      "STR": f"u{index}", "CC": "01", "AC": "212"}
     for index in range(12)
 ]
+
+
+@pytest.mark.parametrize("fetch_threshold", [None, 0.2])
+def test_rows_the_closure_admits_are_read_in_the_next_round(
+    sqlite_backend_factory, fetch_threshold
+):
+    """Random relations rarely make the closure admit rows; this one does.
+
+    Without a threshold the closure admits t2; with 0.2 the dirty region
+    (3 of 16 rows) loads, and t2 would cross the threshold, so the
+    closure pages in every row mid-repair instead.
+    """
+    cfds = paper_cfds()
+    backend = sqlite_backend_factory()
+    backend.add_relation(Relation.from_rows(customer_schema(), PIN_ROWS))
+    source = BackendRepairSource(
+        BackendTupleSource(backend, "customer"),
+        ErrorDetector(backend).detect("customer", cfds),
+        fetch_threshold=fetch_threshold,
+    )
+    repairer = _CheckedRepairer(cfds)
+    repair = repairer.repair_with_source(source, cfds)
+    assert repairer.reads == repair.iterations == 3
+    assert repair.residual_violations == 0
+    if fetch_threshold is None:
+        assert repair.original.tids() == [0, 1, 2, 3]
+        assert source.stats["fallback_shipback"] == 0
+    else:
+        assert len(repair.original) == len(PIN_ROWS)
+        assert source.stats["fallback_shipback"] == 1
 
 
 def test_later_rounds_refile_only_changed_and_admitted_tuples(
