@@ -49,7 +49,9 @@ class RepairReview:
     def __init__(self, repair: Repair, cfds: Sequence[CFD]):
         self.repair = repair
         self.cfds = list(cfds)
-        #: working copy the reviewer edits; starts as the candidate repair
+        #: working copy the reviewer edits; starts as the candidate repair.
+        #: Edit it through :meth:`override` and :meth:`revert`, which keep
+        #: the conflict checks' violation state current
         self.working: Relation = repair.repaired.copy()
         self.decisions: Dict[Cell, ReviewDecision] = {}
         #: (parent CFD, sub-CFD) pairs in the order conflicts are reported
