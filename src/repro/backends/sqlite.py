@@ -762,16 +762,21 @@ def _encode(value: Any) -> Any:
     return value
 
 
+#: the data types whose stored values decode to something else; a stored
+#: value of any other type is already its engine value
+DECODED_DTYPES = frozenset({DataType.BOOLEAN})
+
+
 def decode_backend_value(dtype: DataType, value: Any) -> Any:
     """Decode one stored value of type ``dtype`` into its engine value.
 
     The inverse of :func:`_encode`: SQLite hands back 0/1 for booleans,
     which the working store holds as ``bool`` — hash-equal, but reports
-    must show the latter.  Every other type round-trips unchanged.  The
-    detector's report assembly and the backend tuple source decode
-    through here too.
+    must show the latter.  Every type outside :data:`DECODED_DTYPES`
+    round-trips unchanged.  The detector's report assembly and the
+    backend tuple source decode through here too.
     """
-    if value is not None and dtype is DataType.BOOLEAN:
+    if value is not None and dtype in DECODED_DTYPES:
         return bool(value)
     return value
 

@@ -26,7 +26,7 @@ alike, which single-tuple violation and which LHS group a row joins.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, Iterable, List, Sequence, Set, Tuple
 
 from ..engine.relation import Relation
 from .cfd import CFD, PatternMatcher
@@ -169,11 +169,11 @@ def _file(
 class ViolationState:
     """The violations of several CFDs over one relation, kept row by row.
 
-    Built over ``relation`` (when given) by filing each stored row, then
-    kept current by the caller: :meth:`file_new` files tuples the relation
-    gained, and :meth:`refile` re-files a tuple after one of its cells
-    changed.  A row's LHS key is built once per distinct LHS and shared by
-    every CFD over that LHS.  :meth:`scan` reads one CFD's violations out
+    Built over ``relation`` by filing each stored row, then kept current
+    by the caller: :meth:`file_new` files tuples the relation gained, and
+    :meth:`refile` re-files a tuple after one of its cells changed.  A
+    row's LHS key is built once per distinct LHS and shared by every CFD
+    over that LHS.  :meth:`scan` reads one CFD's violations out
     in :func:`scan_violations`' order, re-deciding only the group keys
     touched since the last read.
 
@@ -182,7 +182,7 @@ class ViolationState:
     relies on a relation replacing, not editing, a changed tuple's row.
     """
 
-    def __init__(self, cfds: Sequence[CFD], relation: Optional[Relation] = None):
+    def __init__(self, cfds: Sequence[CFD], relation: Relation):
         self.cfds: List[CFD] = list(cfds)
         #: per CFD, one state per pattern row
         self._patterns: List[List[_PatternState]] = []
@@ -205,8 +205,7 @@ class ViolationState:
         }
         #: tids filed so far
         self._tids: Set[int] = set()
-        if relation is not None:
-            self.file_new(relation)
+        self.file_new(relation)
 
     def file_new(self, relation: Relation) -> None:
         """File the tuples of ``relation`` the state has not filed yet, under every CFD.
@@ -242,23 +241,6 @@ class ViolationState:
         for state in self._patterns[index]:
             singles.append(sorted(state.singles))
             groups.append(state.violating_groups())
-        return ViolationScan(singles=singles, groups=groups)
-
-    def tuple_scan(self, index: int, tid: int, row: Row) -> ViolationScan:
-        """:meth:`scan` narrowed to the violations tuple ``tid`` takes part in.
-
-        ``row`` is the tuple's current row.  Its singles and the violating
-        group of its key, per pattern row, without reading any other
-        group.
-        """
-        key = tuple(map(row.get, self.cfds[index].lhs))
-        singles: List[List[int]] = []
-        groups: List[List[Tuple[GroupKey, List[int]]]] = []
-        for state in self._patterns[index]:
-            state.settle()
-            singles.append([tid] if tid in state.singles else [])
-            group = state.groups.get(key) if key in state.violating else None
-            groups.append([(key, sorted(group))] if group and tid in group else [])
         return ViolationScan(singles=singles, groups=groups)
 
 

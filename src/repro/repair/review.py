@@ -142,37 +142,37 @@ class RepairReview:
     def conflicts_for(self, tid: int) -> List[ConflictNote]:
         """Violations involving ``tid`` in the current working data.
 
-        Read off the review's violation state: the tuple's single-tuple
-        violations and its own LHS group under each sub-CFD, in CFD order.
+        Read off the review's violation state, which every edit keeps
+        current: a check reads the sub-CFDs' violations, not the working
+        copy's rows.
         """
-        notes: List[ConflictNote] = []
-        if tid not in self.working:
-            return notes
         if self._violations is None:
             self._violations = ViolationState(
                 [sub for _cfd, sub in self._subs], self.working
             )
-        row = self.working.get(tid)
+        notes: List[ConflictNote] = []
         for index, (cfd, sub) in enumerate(self._subs):
-            scan = self._violations.tuple_scan(index, tid, row)
-            for _tid, _pattern in scan.single_tuple_violations():
-                notes.append(
-                    ConflictNote(
-                        cfd_id=cfd.identifier,
-                        kind="single",
-                        tids=(tid,),
-                        attribute=sub.rhs[0],
+            scan = self._violations.scan(index)
+            for violating_tid, _pattern in scan.single_tuple_violations():
+                if violating_tid == tid:
+                    notes.append(
+                        ConflictNote(
+                            cfd_id=cfd.identifier,
+                            kind="single",
+                            tids=(tid,),
+                            attribute=sub.rhs[0],
+                        )
                     )
-                )
             for _pattern, _key, tids in scan.multi_tuple_violation_groups():
-                notes.append(
-                    ConflictNote(
-                        cfd_id=cfd.identifier,
-                        kind="multi",
-                        tids=tuple(tids),
-                        attribute=sub.rhs[0],
+                if tid in tids:
+                    notes.append(
+                        ConflictNote(
+                            cfd_id=cfd.identifier,
+                            kind="multi",
+                            tids=tuple(tids),
+                            attribute=sub.rhs[0],
+                        )
                     )
-                )
         return notes
 
     def pending_cells(self) -> List[Cell]:

@@ -26,8 +26,8 @@ question                  plan kind
 Values decode on the way back through
 :func:`~repro.backends.sqlite.decode_backend_value`, so group keys,
 histograms and fetched rows compare equal to the native source's Python
-values.  Only BOOLEAN columns decode to something else, so a fetched row
-decodes through a per-schema decoder that touches just those columns.
+values.  A fetched row decodes only its columns of a type in
+:data:`~repro.backends.sqlite.DECODED_DTYPES`, picked once per schema.
 """
 
 from __future__ import annotations
@@ -36,7 +36,7 @@ from collections import Counter
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from ..backends.base import StorageBackend
-from ..backends.sqlite import decode_backend_value
+from ..backends.sqlite import DECODED_DTYPES, decode_backend_value
 from ..core.cfd import CFD
 from ..detection.sqlgen import (
     LHS_COLUMN_PREFIX,
@@ -73,7 +73,7 @@ class BackendTupleSource(TupleSource):
         #: each column's dtype by name, read off the schema once
         self._dtypes: Optional[Dict[str, DataType]] = None
         #: the columns a fetched row decodes, worked out from the schema once
-        self._decoded: Optional[List[Tuple[str, DataType]]] = None
+        self._decoded: Optional[List[str]] = None
         self._generator = generator
         #: SQL issued by this source (tests and debugging read this)
         self.last_sql: List[str] = []
@@ -121,18 +121,17 @@ class BackendTupleSource(TupleSource):
 
         Both plans select ``tid`` and then every attribute, nothing else,
         so a row decodes as a copy without its tid; only the columns whose
-        dtype :func:`decode_backend_value` changes (BOOLEAN) are decoded.
+        dtype is in :data:`DECODED_DTYPES` are decoded.
         """
+        dtypes = self._column_dtypes()
         if self._decoded is None:
             self._decoded = [
-                (attr, dtype)
-                for attr, dtype in self._column_dtypes().items()
-                if dtype is DataType.BOOLEAN
+                attr for attr, dtype in dtypes.items() if dtype in DECODED_DTYPES
             ]
         values = dict(row)
         del values["tid"]
-        for attr, dtype in self._decoded:
-            values[attr] = decode_backend_value(dtype, values[attr])
+        for attr in self._decoded:
+            values[attr] = decode_backend_value(dtypes[attr], values[attr])
         return values
 
     # -- protocol ---------------------------------------------------------------
