@@ -47,7 +47,7 @@ from typing import Any, Dict, Iterable, List, Optional, Sequence, Set, Tuple, Un
 from ..backends.base import StorageBackend
 from ..backends.sqlite import decode_backend_value
 from ..core.cfd import CFD
-from ..core.satisfaction import scan_violations
+from ..core.satisfaction import ViolationScan, scan_violations
 from ..engine.database import Database
 from ..engine.relation import Relation
 from ..engine.types import RelationSchema
@@ -73,12 +73,72 @@ def _sub_cfd(cfd: CFD, rhs_attribute: str) -> CFD:
     )
 
 
+def _typed_cfds(
+    relation_name: str, cfds: Sequence[CFD], schema: RelationSchema
+) -> List[CFD]:
+    """``cfds`` typed by ``schema`` (see :meth:`CFD.coerced_to`).
+
+    Each must target ``relation_name``.
+    """
+    for cfd in cfds:
+        if cfd.relation != relation_name:
+            raise DetectionError(
+                f"CFD {cfd.identifier} targets relation {cfd.relation!r}, "
+                f"not {relation_name!r}"
+            )
+    return [cfd.coerced_to(schema) for cfd in cfds]
+
+
 @dataclass(frozen=True)
 class _Unit:
     """One detection unit: a typed CFD restricted to one RHS attribute."""
 
     parent: CFD
     sub: CFD
+
+    def violations(self, scan: ViolationScan, relation: Relation) -> List[Violation]:
+        """The unit's violations in ``scan``, a native read of ``relation``.
+
+        A tuple that violates several constant patterns is reported once,
+        under the first, and a group several patterns cover once, under
+        the lowest.  A single-tuple violation takes its LHS values from
+        ``relation``.
+        """
+        cfd_id, lhs, rhs_attribute = self.parent.identifier, self.sub.lhs, self.sub.rhs[0]
+        violations: List[Violation] = []
+        seen_tids: Set[int] = set()
+        for tid, pattern_index in scan.single_tuple_violations():
+            if tid in seen_tids:
+                continue
+            seen_tids.add(tid)
+            violations.append(
+                Violation(
+                    cfd_id=cfd_id,
+                    kind=SINGLE,
+                    tids=(tid,),
+                    rhs_attribute=rhs_attribute,
+                    pattern_index=pattern_index,
+                    lhs_attributes=lhs,
+                    lhs_values=tuple(relation.value(tid, attr) for attr in lhs),
+                )
+            )
+        seen_keys: Set[Tuple[Any, ...]] = set()
+        for pattern_index, lhs_values, tids in scan.multi_tuple_violation_groups():
+            if lhs_values in seen_keys:
+                continue
+            seen_keys.add(lhs_values)
+            violations.append(
+                Violation(
+                    cfd_id=cfd_id,
+                    kind=MULTI,
+                    tids=tuple(tids),
+                    rhs_attribute=rhs_attribute,
+                    pattern_index=pattern_index,
+                    lhs_attributes=lhs,
+                    lhs_values=lhs_values,
+                )
+            )
+        return violations
 
 
 @dataclass(frozen=True)
@@ -192,15 +252,14 @@ class ErrorDetector:
         self.last_sql = []
         if self.database is not None:
             relation = self.database.relation(relation_name)
-            tuple_count = len(relation)
-            typed = self._validate(relation_name, cfds, relation.schema)
             violations: List[Violation] = []
-            for cfd in typed:
+            for cfd in _typed_cfds(relation_name, cfds, relation.schema):
                 for rhs_attribute in cfd.rhs:
-                    sub = self._sub_cfd(cfd, rhs_attribute)
-                    violations.extend(self._detect_native(relation, cfd, sub))
+                    unit = _Unit(parent=cfd, sub=self._sub_cfd(cfd, rhs_attribute))
+                    scan = scan_violations(relation, unit.sub)
+                    violations.extend(unit.violations(scan, relation))
             cfd_ids = tuple(cfd.identifier for cfd in cfds)
-            return self._report(relation_name, cfd_ids, violations, tuple_count)
+            return self._report(relation_name, cfd_ids, violations, len(relation))
 
         return self._run(relation_name, self._prepare(relation_name, cfds))
 
@@ -295,7 +354,7 @@ class ErrorDetector:
             )
         units: List[_Unit] = []
         indexes: Dict[Tuple[str, ...], None] = {}
-        for cfd in self._validate(relation_name, cfds, schema):
+        for cfd in _typed_cfds(relation_name, cfds, schema):
             for rhs_attribute in cfd.rhs:
                 sub = self._sub_cfd(cfd, rhs_attribute)
                 if sub.lhs:
@@ -361,18 +420,6 @@ class ErrorDetector:
             tuple_count=tuple_count,
             cfd_ids=cfd_ids,
         )
-
-    def _validate(
-        self, relation_name: str, cfds: Sequence[CFD], schema: RelationSchema
-    ) -> List[CFD]:
-        """The CFDs with their constants typed by ``schema`` (see :meth:`CFD.coerced_to`)."""
-        for cfd in cfds:
-            if cfd.relation != relation_name:
-                raise DetectionError(
-                    f"CFD {cfd.identifier} targets relation {cfd.relation!r}, "
-                    f"not {relation_name!r}"
-                )
-        return [cfd.coerced_to(schema) for cfd in cfds]
 
     def _detect_sql(
         self,
@@ -514,49 +561,6 @@ class ErrorDetector:
                         decode_backend_value(schema.attribute(attr).dtype, value)
                         for attr, value in zip(cfd.lhs, lhs_values)
                     ),
-                )
-            )
-        return violations
-
-    # -- native (non-SQL) path --------------------------------------------------------
-
-    def _detect_native(
-        self, relation: Relation, parent: CFD, cfd: CFD
-    ) -> List[Violation]:
-        rhs_attribute = cfd.rhs[0]
-        violations: List[Violation] = []
-        scan = scan_violations(relation, cfd)
-        seen_single: Set[int] = set()
-        for tid, pattern_index in scan.single_tuple_violations():
-            if tid in seen_single:
-                continue
-            seen_single.add(tid)
-            data_row = relation.get(tid)
-            violations.append(
-                Violation(
-                    cfd_id=parent.identifier,
-                    kind=SINGLE,
-                    tids=(tid,),
-                    rhs_attribute=rhs_attribute,
-                    pattern_index=pattern_index,
-                    lhs_attributes=cfd.lhs,
-                    lhs_values=tuple(data_row.get(attr) for attr in cfd.lhs),
-                )
-            )
-        seen_groups: Set[Tuple[Any, ...]] = set()
-        for pattern_index, lhs_values, tids in scan.multi_tuple_violation_groups():
-            if lhs_values in seen_groups:
-                continue
-            seen_groups.add(lhs_values)
-            violations.append(
-                Violation(
-                    cfd_id=parent.identifier,
-                    kind=MULTI,
-                    tids=tuple(tids),
-                    rhs_attribute=rhs_attribute,
-                    pattern_index=pattern_index,
-                    lhs_attributes=cfd.lhs,
-                    lhs_values=lhs_values,
                 )
             )
         return violations

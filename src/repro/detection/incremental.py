@@ -7,9 +7,16 @@ deletion or value modification can only create or remove violations that
 involve the modified tuple, i.e. violations whose LHS group contains the
 tuple's (old or new) LHS values.
 
-The :class:`IncrementalDetector` keeps per-CFD group state in Python
-dictionaries, so each update touches only the affected groups.  The same
-locality, pushed down as SQL, is the restricted ``Q_C``/``Q_V`` plans that
+The :class:`IncrementalDetector` keeps its violations in one
+:class:`~repro.core.satisfaction.ViolationState` over its detection units
+(one CFD restricted to one RHS attribute), the state the repair planner
+and the repair review keep too.  Each update is one state call: an insert
+files the new tuple, a delete unfiles it, and a modification re-files the
+tuple under the CFDs that mention a changed attribute, so an update
+touches only its tuple's groups.  A report reads each unit's violations
+off the state, re-deciding only the groups updates touched since the last
+read.  The same locality, pushed down as SQL, is the restricted
+``Q_C``/``Q_V`` plans that
 :meth:`~repro.detection.detector.ErrorDetector.detect_for_tuples` runs
 against the storage backend.
 
@@ -18,50 +25,38 @@ single operations ship as singleton batches, and the :meth:`batch` context
 manager groups a whole update batch into one coalesced changeset applied to
 the mirror backend in a single transaction.
 
-The detector also counts how many tuple examinations its state maintenance
-performed (``tuples_examined``) and how many batches it shipped to the
-mirror (``batches_shipped``); the DET-INCR and DELTA-BATCH benchmarks read
-these to show the incremental-vs-batch trade-offs.
+The detector also counts how many (tuple, pattern row) pairs its state
+filed or unfiled (``tuples_examined``) and how many batches it shipped to
+the mirror (``batches_shipped``); the DET-INCR and DELTA-BATCH benchmarks
+read these to show the incremental-vs-batch trade-offs.
 """
 
 from __future__ import annotations
 
-from collections import defaultdict
 from contextlib import contextmanager
-from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Iterator, List, Mapping, Optional, Sequence
 
 from ..backends.base import StorageBackend
 from ..backends.delta import DeltaBatch
 from ..core.cfd import CFD
+from ..core.satisfaction import ViolationState
 from ..engine.database import Database
 from ..engine.relation import Relation
 from ..errors import DetectionError
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
-from .detector import _sub_cfd
-from .violations import MULTI, SINGLE, Violation, ViolationReport
-
-
-@dataclass
-class _WorkUnit:
-    """Detection state for one (parent CFD, RHS attribute) pair."""
-
-    parent: CFD
-    cfd: CFD  # single-RHS restriction of the parent
-    #: tid -> pattern index of the first constant-RHS pattern it violates
-    singles: Dict[int, int] = field(default_factory=dict)
-    #: pattern index -> lhs values -> {tid: rhs value}
-    groups: Dict[int, Dict[Tuple[Any, ...], Dict[int, Any]]] = field(
-        default_factory=lambda: defaultdict(dict)
-    )
-
-    @property
-    def rhs_attribute(self) -> str:
-        return self.cfd.rhs[0]
+from .detector import _sub_cfd, _typed_cfds, _Unit
+from .violations import Violation, ViolationReport
 
 
 class IncrementalDetector:
-    """Maintains CFD violation state across inserts, deletes and updates."""
+    """Keeps a relation's CFD violations current across inserts, deletes and updates.
+
+    The violations live in one :class:`~repro.core.satisfaction.ViolationState`
+    over the detector's units, built over the relation by :meth:`use_cfds`
+    and kept current by :meth:`insert`, :meth:`delete` and :meth:`update`.
+    A :meth:`report` re-decides the groups updates touched, so reports,
+    like updates, come from one thread at a time.
+    """
 
     def __init__(
         self,
@@ -84,9 +79,6 @@ class IncrementalDetector:
         #: the backend copy has silently diverged and needs a full re-sync
         #: (the Semandaq facade checks this flag before each detect)
         self.mirror_desynced = False
-        #: number of (tuple, pattern) examinations performed by state
-        #: maintenance so far
-        self.tuples_examined = 0
         #: number of DeltaBatch round trips shipped to the mirror
         self.batches_shipped = 0
         #: number of inserts, deletes and updates applied to the relation;
@@ -97,82 +89,48 @@ class IncrementalDetector:
         self._pending: Optional[DeltaBatch] = None
         #: the CFDs with their constants typed by the relation's schema
         self.cfds: List[CFD] = []
-        self._units: List[_WorkUnit] = []
+        #: one per CFD and RHS attribute, in the order reports list them
+        self._units: List[_Unit] = []
+        #: the units' violations (the state's CFDs are the units' subs)
+        self._violations: Optional[ViolationState] = None
         self.use_cfds(cfds)
 
+    @property
+    def tuples_examined(self) -> int:
+        """(tuple, pattern row) pairs the violation state filed or unfiled so far.
+
+        Building the state counts every stored row under every pattern
+        row; an update counts only the CFDs it re-files the tuple under.
+        """
+        return self._violations.examined
+
     def use_cfds(self, cfds: Sequence[CFD]) -> None:
-        """Check ``cfds`` from now on: rebuild the group state over the relation.
+        """Check ``cfds`` from now on: rebuild the violation state over the relation.
 
         The relation, the mirror and the counters stay, so updates keep
-        shipping to the same backend and ``changes_applied`` keeps
-        growing.
+        shipping to the same backend, and ``changes_applied`` and
+        ``tuples_examined`` keep growing.
         """
-        for cfd in cfds:
-            if cfd.relation != self.relation_name:
-                raise DetectionError(
-                    f"CFD {cfd.identifier} targets {cfd.relation!r}, not {self.relation_name!r}"
-                )
-        self.cfds = [cfd.coerced_to(self.relation.schema) for cfd in cfds]
+        self.cfds = _typed_cfds(self.relation_name, cfds, self.relation.schema)
         self._units = [
-            _WorkUnit(parent=cfd, cfd=_sub_cfd(cfd, rhs_attribute))
+            _Unit(parent=cfd, sub=_sub_cfd(cfd, rhs_attribute))
             for cfd in self.cfds
             for rhs_attribute in cfd.rhs
         ]
-        for tid, row in self.relation.stored_rows():
-            self._add_tuple(tid, row)
-
-    # -- state maintenance -------------------------------------------------------------
-
-    def _add_tuple(self, tid: int, row: Mapping[str, Any]) -> None:
-        for unit in self._units:
-            self._add_to_unit(unit, tid, row)
-
-    def _remove_tuple(self, tid: int, row: Mapping[str, Any]) -> None:
-        for unit in self._units:
-            self._remove_from_unit(unit, tid, row)
-
-    def _add_to_unit(self, unit: _WorkUnit, tid: int, row: Mapping[str, Any]) -> None:
-        cfd = unit.cfd
-        rhs_attribute = unit.rhs_attribute
-        # every pattern row shares the LHS, so the key is built once per tuple
-        key = tuple(map(row.get, cfd.lhs))
-        applicable = None not in key
-        for pattern_index, matcher in enumerate(cfd.matchers):
-            self.tuples_examined += 1
-            if not (applicable and matcher.key_matches(key)):
-                continue
-            if matcher.rhs_constants:
-                if matcher.violates_constant(row):
-                    unit.singles.setdefault(tid, pattern_index)
-            else:
-                if row.get(rhs_attribute) is None or not cfd.lhs:
-                    continue
-                unit.groups[pattern_index].setdefault(key, {})[tid] = row.get(
-                    rhs_attribute
-                )
-
-    def _remove_from_unit(self, unit: _WorkUnit, tid: int, row: Mapping[str, Any]) -> None:
-        unit.singles.pop(tid, None)
-        cfd = unit.cfd
-        for pattern_index, pattern in enumerate(cfd.patterns):
-            self.tuples_examined += 1
-            if not cfd.lhs:
-                continue
-            key = tuple(row.get(attr) for attr in cfd.lhs)
-            members = unit.groups.get(pattern_index, {}).get(key)
-            if members is not None:
-                members.pop(tid, None)
-                if not members:
-                    unit.groups[pattern_index].pop(key, None)
+        examined = self.tuples_examined if self._violations is not None else 0
+        self._violations = ViolationState(
+            [unit.sub for unit in self._units], self.relation
+        )
+        self._violations.examined += examined
 
     # -- update API --------------------------------------------------------------------
 
     def insert(self, row: Mapping[str, Any]) -> int:
-        """Insert ``row`` into the relation and update detection state."""
+        """Insert ``row`` into the relation and file it."""
         tid = self.relation.insert(dict(row))
         self.changes_applied += 1
         stored = self.relation.get(tid)
-        self._add_tuple(tid, stored)
+        self._violations.file([(tid, stored)])
         # Record the coerced row under the same tid, keeping tuple ids
         # aligned between the working store and the backend copy.  The
         # delta ships last so a backend failure leaves relation and
@@ -181,21 +139,18 @@ class IncrementalDetector:
         return tid
 
     def delete(self, tid: int) -> None:
-        """Delete tuple ``tid`` and update detection state."""
-        old_row = dict(self.relation.get(tid))
-        self.relation.delete(tid)
+        """Delete tuple ``tid`` and unfile it."""
+        old_row = self.relation.delete(tid)
         self.changes_applied += 1
-        self._remove_tuple(tid, old_row)
+        self._violations.unfile(tid, old_row)
         self._record(lambda batch: batch.record_delete(tid))
 
     def update(self, tid: int, changes: Mapping[str, Any]) -> None:
-        """Modify attribute values of tuple ``tid`` and update detection state."""
-        old_row = dict(self.relation.get(tid))
-        self.relation.update(tid, dict(changes))
+        """Modify attribute values of tuple ``tid`` and re-file it."""
+        old_row = self.relation.update(tid, dict(changes))
         self.changes_applied += 1
         new_row = self.relation.get(tid)
-        self._remove_tuple(tid, old_row)
-        self._add_tuple(tid, new_row)
+        self._violations.refile(tid, old_row, new_row, changes.keys())
         # ship the coerced values actually stored, not the raw inputs
         stored_changes = {attr: new_row.get(attr) for attr in changes}
         self._record(lambda batch: batch.record_update(tid, stored_changes))
@@ -250,18 +205,6 @@ class IncrementalDetector:
         self.telemetry.inc("delta.ops_recorded", batch.ops_recorded)
         self.telemetry.inc("delta.ops_shipped", batch.statement_count)
 
-    def apply(self, operation: str, **kwargs: Any) -> Optional[int]:
-        """Dispatch an update described by name: ``insert``, ``delete`` or ``update``."""
-        if operation == "insert":
-            return self.insert(kwargs["row"])
-        if operation == "delete":
-            self.delete(kwargs["tid"])
-            return None
-        if operation == "update":
-            self.update(kwargs["tid"], kwargs["changes"])
-            return None
-        raise DetectionError(f"unknown operation {operation!r}")
-
     # -- mirror lifecycle ---------------------------------------------------------------
 
     def mark_resynced(self) -> None:
@@ -280,23 +223,10 @@ class IncrementalDetector:
     # -- report ------------------------------------------------------------------------
 
     def report(self) -> ViolationReport:
-        """Build the current :class:`ViolationReport` from the maintained state."""
+        """The current :class:`ViolationReport`, read off the violation state."""
         violations: List[Violation] = []
-        for unit in self._units:
-            for tid, pattern_index in sorted(unit.singles.items()):
-                row = self.relation.get(tid)
-                violations.append(
-                    Violation(
-                        cfd_id=unit.parent.identifier,
-                        kind=SINGLE,
-                        tids=(tid,),
-                        rhs_attribute=unit.rhs_attribute,
-                        pattern_index=pattern_index,
-                        lhs_attributes=unit.cfd.lhs,
-                        lhs_values=tuple(row.get(attr) for attr in unit.cfd.lhs),
-                    )
-                )
-            violations.extend(self._multi_violations(unit))
+        for index, unit in enumerate(self._units):
+            violations.extend(unit.violations(self._violations.scan(index), self.relation))
         return ViolationReport(
             relation=self.relation_name,
             violations=violations,
@@ -304,39 +234,11 @@ class IncrementalDetector:
             cfd_ids=tuple(cfd.identifier for cfd in self.cfds),
         )
 
-    def _multi_violations(self, unit: _WorkUnit) -> List[Violation]:
-        violations: List[Violation] = []
-        seen_keys: Set[Tuple[Any, ...]] = set()
-        for pattern_index in sorted(unit.groups):
-            for key, members in unit.groups[pattern_index].items():
-                if key in seen_keys:
-                    continue
-                if len(members) < 2:
-                    continue
-                distinct = {
-                    value for value in members.values() if value is not None
-                }
-                if len(distinct) <= 1:
-                    continue
-                seen_keys.add(key)
-                violations.append(
-                    Violation(
-                        cfd_id=unit.parent.identifier,
-                        kind=MULTI,
-                        tids=tuple(sorted(members)),
-                        rhs_attribute=unit.rhs_attribute,
-                        pattern_index=pattern_index,
-                        lhs_attributes=unit.cfd.lhs,
-                        lhs_values=key,
-                    )
-                )
-        return violations
-
     def affected_violations(self, tid: int) -> List[Violation]:
         """Violations that currently involve tuple ``tid``."""
         return self.report().violations_for(tid)
 
     def reset_cost_counter(self) -> None:
         """Reset the cost counters (used by benchmarks)."""
-        self.tuples_examined = 0
+        self._violations.examined = 0
         self.batches_shipped = 0

@@ -31,9 +31,11 @@ class DataMonitor:
     """Monitors one relation against a set of CFDs.
 
     Its :class:`~repro.detection.incremental.IncrementalDetector` keeps the
-    violation state in Python group dictionaries over the working store
-    and ships each applied batch to the attached backend, so the report
-    stays current without re-detection and the backend copy without bulk
+    relation's violations in one
+    :class:`~repro.core.satisfaction.ViolationState` over the working
+    store, which each update re-files only the updated tuple in, and
+    ships each applied batch to the attached backend, so the report stays
+    current without re-detection and the backend copy without bulk
     re-syncs.
     """
 
@@ -78,8 +80,9 @@ class DataMonitor:
     def mode(self) -> str:
         """The incremental evaluation mode: always ``"native"``.
 
-        The detector keeps its group state in Python; the property stays
-        read-only for callers that record it, such as the PIPELINE
+        The detector keeps its violations in a Python
+        :class:`~repro.core.satisfaction.ViolationState`; the property
+        stays read-only for callers that record it, such as the PIPELINE
         benchmark's run fingerprint.
         """
         return "native"

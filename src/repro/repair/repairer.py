@@ -26,9 +26,9 @@ the papers).
 A repair keeps its violations between rounds: one
 :class:`~repro.core.satisfaction.ViolationState` per call is built over the
 loaded working relation, every cell change re-files the changed tuple, and
-tuples the source admits are filed before the next round reads its work
-items off the state.  A round therefore costs its changes, not the
-working relation.
+the tuples the source admits in a round (its ``begin_round`` returns their
+tids) are filed before the round reads its work items off the state.  A
+round therefore costs its changes, not the working relation.
 """
 
 from __future__ import annotations
@@ -214,7 +214,7 @@ class BatchRepairer:
         best_state: Optional[Tuple[int, Relation, Dict[Cell, CellChange]]] = None
         while iterations < self.max_iterations:
             iterations += 1
-            source.begin_round(working)
+            self._begin_round(source, working)
             violations = self._collect_violations(working)
             if best_state is None or len(violations) < best_state[0]:
                 best_state = (len(violations), working.copy(), dict(change_log))
@@ -237,7 +237,7 @@ class BatchRepairer:
                 residual = len(violations)
                 break
         else:
-            source.begin_round(working)
+            self._begin_round(source, working)
             residual = len(self._collect_violations(working))
 
         if best_state is not None and residual > best_state[0]:
@@ -263,15 +263,18 @@ class BatchRepairer:
 
     # -- violation collection ------------------------------------------------------------
 
+    def _begin_round(self, source: RepairDataSource, working: Relation) -> None:
+        """Let ``source`` grow ``working`` for the next read, and file what it admitted."""
+        admitted = source.begin_round(working)
+        if admitted:
+            self._violations.file([(tid, working.get(tid)) for tid in admitted])
+
     def _collect_violations(self, working: Relation):
         """Collect violations as resolution work items, cheapest-to-fix first.
 
-        Tuples the source admitted since the last read are filed first
-        (the working relation only grows between reads), then each sub-CFD
-        is read off the kept state.
+        Each sub-CFD is read off the kept state.
         """
         state = self._violations
-        state.file_new(working)
         restrict = self.restrict_to_tids
         items: List[Tuple[str, CFD, PatternTuple, Any]] = []
         for index, sub in enumerate(state.cfds):
@@ -388,15 +391,14 @@ class BatchRepairer:
         live_tids = [tid for tid in tids if tid in working]
         if len(live_tids) < 2:
             return False
-        rows = {tid: working.get(tid) for tid in live_tids}
-        values = {
-            rows[tid].get(rhs_attribute)
-            for tid in live_tids
-            if rows[tid].get(rhs_attribute) is not None
+        current_values = {
+            (tid, rhs_attribute): working.value(tid, rhs_attribute) for tid in live_tids
         }
+        values = set(current_values.values())
+        values.discard(None)
         if len(values) <= 1:
             return False  # already resolved earlier this round
-        cells = [(tid, rhs_attribute) for tid in live_tids]
+        cells = list(current_values)
         if self.restrict_to_tids is not None:
             changeable = [cell for cell in cells if cell[0] in self.restrict_to_tids]
             if not changeable:
@@ -430,7 +432,7 @@ class BatchRepairer:
         if pinned_conflict:
             # Cells pinned to different constants: break the group instead by
             # changing an LHS cell of one conflicting tuple.
-            row = rows[live_tids[-1]]
+            row = working.get(live_tids[-1])
             option = self._cheapest_lhs_break(cfd, pattern, live_tids[-1], row)
             if option is None:
                 return False
@@ -447,7 +449,6 @@ class BatchRepairer:
             )
             return True
 
-        current_values = {cell: working.get(cell[0]).get(cell[1]) for cell in cells}
         protected_values = None
         if self.restrict_to_tids is not None:
             # Incremental repair: only updated tuples may change, so when a
@@ -525,7 +526,7 @@ class BatchRepairer:
     ) -> Tuple[Tuple[Any, float], ...]:
         attribute = cell[1]
         members = classes.members(cell)
-        current_values = {member: working.get(member[0]).get(member[1]) for member in members}
+        current_values = {member: working.value(*member) for member in members}
         frequencies = self._column_frequencies().get(attribute, Counter())
         frequent = [value for value, _count in frequencies.most_common(5)]
         _best, _cost, ranked = classes.choose_value(
@@ -552,8 +553,7 @@ class BatchRepairer:
                 continue
             if member_tid not in working:
                 continue
-            current = working.get(member_tid).get(member_attribute)
-            if current == value:
+            if working.value(member_tid, member_attribute) == value:
                 continue
             self._record_change(
                 working,
@@ -581,7 +581,7 @@ class BatchRepairer:
         tid, attribute = cell
         old_row = working.update(tid, {attribute: new_value})
         original = original_values.setdefault(cell, old_row.get(attribute))
-        self._violations.refile(tid, old_row, working.get(tid), attribute)
+        self._violations.refile(tid, old_row, working.get(tid), (attribute,))
         # the source may need to grow the working relation over the groups
         # this change moved the tuple into (a no-op for the native source)
         if self._source is not None:

@@ -193,7 +193,7 @@ class RepairReview:
         """Write ``value`` into the working copy and re-file the tuple."""
         old_row = self.working.update(tid, {attribute: value})
         if self._violations is not None:
-            self._violations.refile(tid, old_row, self.working.get(tid), attribute)
+            self._violations.refile(tid, old_row, self.working.get(tid), (attribute,))
 
     def _require_modified(self, tid: int, attribute: str) -> None:
         if (tid, attribute) not in self.repair.changed_cells:

@@ -65,9 +65,8 @@ The key queueing and sub-CFD selection both partial sources share live in
 The planner keeps its violations between rounds
 (:class:`~repro.core.satisfaction.ViolationState`) and files the rows a
 source admitted before it reads the next round's violations.  A source
-therefore only ever adds rows to the working relation: it never changes or
-drops one, and the planner tells that rows arrived from the relation's
-size.
+therefore only ever adds rows to the working relation, and only in
+``begin_round``, which returns their tids: it never changes or drops one.
 """
 
 from __future__ import annotations
@@ -116,11 +115,13 @@ class RepairDataSource:
         """Per-attribute frequency of non-NULL values in the original data."""
         raise NotImplementedError
 
-    def begin_round(self, working: Relation) -> None:
+    def begin_round(self, working: Relation) -> List[int]:
         """Hook before each violation-collection round (closure maintenance).
 
-        It may add tuples to ``working``, never change or remove one.
+        It may add tuples to ``working``, never change or remove one, and
+        returns the tids it added.
         """
+        return []
 
     def note_change(self, working: Relation, tid: int, attribute: str) -> None:
         """Hook after the planner changed ``working[tid][attribute]``."""
@@ -320,9 +321,10 @@ class BackendRepairSource(PartialRepairSource):
         self._require_generator()
         return self._source.value_frequencies()
 
-    def begin_round(self, working: Relation) -> None:
+    def begin_round(self, working: Relation) -> List[int]:
+        admitted: List[int] = []
         if self._complete or not self._pending:
-            return
+            return admitted
         self._require_generator()
         for sub_index, keymap in self._take_pending().items():
             sub = self._subs[sub_index]
@@ -358,9 +360,9 @@ class BackendRepairSource(PartialRepairSource):
                 if tid not in working
             )
             if self._over_threshold(self.stats["rows_fetched"] + len(missing)):
-                self._ship_all(working)
-                return
-            self._fetch_rows(working, missing)
+                return admitted + self._ship_all(working)
+            admitted += self._fetch_rows(working, missing)
+        return admitted
 
     def note_change(self, working: Relation, tid: int, attribute: str) -> None:
         if self._complete:
@@ -422,8 +424,12 @@ class BackendRepairSource(PartialRepairSource):
             return False
         return rows_needed > self.fetch_threshold * self._total_rows
 
-    def _ship_all(self, working: Relation) -> None:
-        """Threshold fallback: complete the working relation in one paged scan."""
+    def _ship_all(self, working: Relation) -> List[int]:
+        """Threshold fallback: complete the working relation in one paged scan.
+
+        Returns the tids it added.
+        """
+        admitted: List[int] = []
         after_tid = -1
         while True:
             page = self._source.page(
@@ -433,12 +439,14 @@ class BackendRepairSource(PartialRepairSource):
                 after_tid = tid
                 if tid not in working:
                     self._admit(working, tid, values)
+                    admitted.append(tid)
             if len(page) < self.FALLBACK_PAGE_SIZE:
                 break
         self._complete = True
         self._take_pending()
         self.stats["fallback_shipback"] = 1
         self.telemetry.inc("repair.fallback_shipback")
+        return admitted
 
     def _note_fetched(self, rows: Sequence[Dict[str, Any]]) -> None:
         """Count pristine fetched rows' RHS values under each closure sub-CFD.
@@ -474,13 +482,17 @@ class BackendRepairSource(PartialRepairSource):
         self.stats["rows_fetched"] += 1
         self.telemetry.inc("repair.rows_fetched")
 
-    def _fetch_rows(self, working: Relation, tids: Sequence[int]) -> None:
+    def _fetch_rows(self, working: Relation, tids: Sequence[int]) -> List[int]:
+        """Fetch the ``tids`` that ``working`` lacks; returns those it added."""
+        admitted: List[int] = []
         missing = [tid for tid in tids if tid not in working]
         if not missing:
-            return
+            return admitted
         for tid, values in sorted(self._source.fetch_rows(missing).items()):
             if tid not in working:
                 self._admit(working, tid, values)
+                admitted.append(tid)
+        return admitted
 
 
 class ScopedRepairSource(PartialRepairSource):
@@ -533,7 +545,8 @@ class ScopedRepairSource(PartialRepairSource):
     def column_frequencies(self) -> Dict[str, Counter]:
         return native_column_frequencies(self.relation)
 
-    def begin_round(self, working: Relation) -> None:
+    def begin_round(self, working: Relation) -> List[int]:
+        admitted: List[int] = []
         for sub_index, keys in self._take_pending().items():
             sub = self._subs[sub_index]
             working_values = self._working_values(working, sub)
@@ -548,6 +561,8 @@ class ScopedRepairSource(PartialRepairSource):
                 if len(values) > 1:
                     for tid in sorted(unseen):
                         self._admit(working, tid)
+                        admitted.append(tid)
+        return admitted
 
     def _stored_values(self, sub: CFD, key: GroupKey, unseen: Set[int]) -> Set[Any]:
         """Distinct non-NULL stored RHS values of the ``unseen`` members.

@@ -96,7 +96,10 @@ def _draw_relation(data):
 
 
 def _apply_random_op(data, detector):
-    """Draw one insert, delete or single-cell update and apply it to ``detector``."""
+    """Draw one insert, delete or update of 1-4 cells and apply it to ``detector``.
+
+    An update of several cells can move a tuple's LHS and RHS at once.
+    """
     op = data.draw(st.sampled_from(["insert", "delete", "update"]))
     tids = detector.relation.tids()
     if op == "insert" or not tids:
@@ -105,8 +108,12 @@ def _apply_random_op(data, detector):
         detector.delete(data.draw(st.sampled_from(tids)))
     else:
         tid = data.draw(st.sampled_from(tids))
-        attribute = data.draw(st.sampled_from(_PROPERTY_ATTRIBUTES))
-        detector.update(tid, {attribute: data.draw(_PROPERTY_VALUE)})
+        attributes = data.draw(
+            st.lists(
+                st.sampled_from(_PROPERTY_ATTRIBUTES), min_size=1, max_size=4, unique=True
+            )
+        )
+        detector.update(tid, {attribute: data.draw(_PROPERTY_VALUE) for attribute in attributes})
 
 
 @pytest.fixture
@@ -154,15 +161,6 @@ class TestUpdates:
         # phi1 does not fire, but the plain FD inside phi3 is untouched; check
         # that the update itself did not corrupt other state.
         assert report.tuple_count == 6
-
-    def test_apply_dispatch(self, incremental):
-        tid = incremental.apply("insert", row={"NAME": "N", "CNT": "US", "CITY": "NYC",
-                                               "ZIP": "01202", "STR": "Mountain Ave",
-                                               "CC": "01", "AC": "212"})
-        incremental.apply("update", tid=tid, changes={"STR": "Other St"})
-        incremental.apply("delete", tid=tid)
-        with pytest.raises(DetectionError):
-            incremental.apply("merge", tid=tid)
 
     def test_cost_counter_and_reset(self, incremental):
         incremental.reset_cost_counter()
@@ -298,6 +296,31 @@ class TestMirroredUpdateSequences:
 
         detector = _replay(script, relation, paper_cfds(), sqlite_options)
         assert detector.batches_shipped == 3
+
+    def test_one_update_moves_lhs_and_rhs(self, sqlite_options):
+        relation = generate_customers(60, seed=47)
+        groups = {}
+        for tid, row in relation.stored_rows():
+            if row["CNT"] == "UK":
+                groups.setdefault(row["ZIP"], []).append(tid)
+        # a member of a clean phi1/phi2 group: UK tuples sharing a ZIP
+        group = next(tids for tids in groups.values() if len(tids) > 1)
+        member = group[0]
+
+        def script(detector):
+            assert detector.report().violations_for(member) == []
+            # one update takes the member out of its (CNT, ZIP) group and
+            # gives it a new CITY: phi3's CC group and phi4 now see it
+            detector.update(member, {"CNT": "Narnia", "CITY": "Nowhere"})
+            moved = detector.report().violations_for(member)
+            assert {v.cfd_id for v in moved} == {"phi3", "phi4"}
+            # back into the group with a CITY its members do not hold
+            detector.update(member, {"CNT": "UK", "CITY": "Elsewhere"})
+            assert [
+                (v.cfd_id, v.tids) for v in detector.report().violations_for(member)
+            ] == [("phi1", tuple(group))]
+
+        _replay(script, relation, paper_cfds(), sqlite_options)
 
     def test_overlapping_pattern_tableau(self, sqlite_options):
         def script(detector):

@@ -103,11 +103,9 @@ class TestRepairMode:
 
 class TestBackendMirroring:
     def test_attached_backend_receives_every_update_as_delta(
-        self, clean_database, customer_cfds
+        self, clean_database, customer_cfds, sqlite_backend_factory
     ):
-        from repro.backends import SqliteBackend
-
-        backend = SqliteBackend()
+        backend = sqlite_backend_factory()
         backend.add_relation(clean_database.relation("customer"))
         monitor = DataMonitor(
             clean_database, "customer", customer_cfds, backend=backend
@@ -120,7 +118,6 @@ class TestBackendMirroring:
         # the backend copy tracked every change, tid for tid
         assert dict(backend.iter_rows("customer")) == dict(relation.rows())
         assert backend.get_row("customer", new_tid)["STR"] == "A Brand New Street"
-        backend.close()
 
     def test_monitor_without_backend_keeps_seed_behaviour(self, monitor):
         assert monitor.backend is None
