@@ -45,6 +45,7 @@ import re
 import sqlite3
 import threading
 from contextlib import contextmanager
+from operator import itemgetter
 from typing import (
     Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 )
@@ -442,18 +443,30 @@ class SqliteBackend(StorageBackend):
     def _bulk_insert(
         self, name: str, pairs: Sequence[Tuple[int, Mapping[str, Any]]]
     ) -> None:
+        """Insert ``(tid, row)`` pairs with one ``executemany``.
+
+        Each row is coerced against the relation's schema, so it holds
+        every attribute and each value is bound as it is: one
+        ``itemgetter`` call reads a row's values, and no Python call is
+        made per value.  ``sqlite3`` binds a ``bool`` as the integer 0/1,
+        which is how a BOOLEAN column stores it.
+        """
         if not pairs:
             return
         schema = self._schemas[name]
         attrs = schema.attribute_names
         columns = ", ".join(_ident(c) for c in [TID_COLUMN] + attrs)
         placeholders = ", ".join("?" for _ in range(len(attrs) + 1))
+        if len(attrs) > 1:
+            values = itemgetter(*attrs)
+            parameters = ((tid,) + values(row) for tid, row in pairs)
+        else:
+            # itemgetter of one name returns the value, not a 1-tuple,
+            # and takes no empty name list
+            parameters = ((tid, *map(row.__getitem__, attrs)) for tid, row in pairs)
         self._conn.executemany(
             f"INSERT INTO {_ident(name)} ({columns}) VALUES ({placeholders})",
-            (
-                tuple([tid] + [_encode(row.get(a)) for a in attrs])
-                for tid, row in pairs
-            ),
+            parameters,
         )
 
     def insert_row(
@@ -501,7 +514,7 @@ class SqliteBackend(StorageBackend):
             for attr_name, value in changes.items():
                 attr = schema.attribute(attr_name)  # validates existence
                 assignments.append(f"{_ident(attr_name)} = ?")
-                values.append(_encode(attr.coerce(value)))
+                values.append(attr.coerce(value))
             try:
                 cursor = self._conn.execute(
                     f"UPDATE {_ident(name)} SET {', '.join(assignments)} "
@@ -551,17 +564,14 @@ class SqliteBackend(StorageBackend):
                         [(tid, schema.coerce_row(dict(row))) for tid, row in inserts],
                     )
                 for attrs, group in batch.grouped_updates():
-                    for attr_name in attrs:
-                        schema.attribute(attr_name)  # validates existence
+                    # validates existence; resolved once per statement shape
+                    defs = [schema.attribute(a) for a in attrs]
                     assignments = ", ".join(f"{_ident(a)} = ?" for a in attrs)
                     cursor = self._conn.executemany(
                         f"UPDATE {_ident(name)} SET {assignments} "
                         f"WHERE {_ident(TID_COLUMN)} = ?",
                         [
-                            tuple(
-                                _encode(schema.attribute(a).coerce(changes[a]))
-                                for a in attrs
-                            )
+                            tuple(attr.coerce(changes[attr.name]) for attr in defs)
                             + (tid,)
                             for tid, changes in group
                         ],
@@ -755,13 +765,6 @@ class SqliteBackend(StorageBackend):
         return self._schemas[name]
 
 
-def _encode(value: Any) -> Any:
-    """Encode an engine value for SQLite storage (booleans become 0/1)."""
-    if isinstance(value, bool):
-        return int(value)
-    return value
-
-
 #: the data types whose stored values decode to something else; a stored
 #: value of any other type is already its engine value
 DECODED_DTYPES = frozenset({DataType.BOOLEAN})
@@ -770,11 +773,11 @@ DECODED_DTYPES = frozenset({DataType.BOOLEAN})
 def decode_backend_value(dtype: DataType, value: Any) -> Any:
     """Decode one stored value of type ``dtype`` into its engine value.
 
-    The inverse of :func:`_encode`: SQLite hands back 0/1 for booleans,
-    which the working store holds as ``bool`` — hash-equal, but reports
-    must show the latter.  Every type outside :data:`DECODED_DTYPES`
-    round-trips unchanged.  The detector's report assembly and the
-    backend tuple source decode through here too.
+    A BOOLEAN column stores a ``bool`` as the integer 0/1 (``sqlite3``
+    binds it as one) and hands back 0/1, which the working store holds as
+    ``bool`` — hash-equal, but reports must show the latter.  Every type
+    outside :data:`DECODED_DTYPES` round-trips unchanged.  The detector's
+    report assembly and the backend tuple source decode through here too.
     """
     if value is not None and dtype in DECODED_DTYPES:
         return bool(value)

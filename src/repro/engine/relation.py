@@ -58,8 +58,7 @@ class Relation:
     ) -> "Relation":
         """Build a relation from an iterable of row dicts."""
         relation = cls(schema)
-        for row in rows:
-            relation.insert(row)
+        relation.insert_many(rows)
         return relation
 
     @classmethod
@@ -102,18 +101,34 @@ class Relation:
 
     def insert(self, row: Dict[str, Any]) -> int:
         """Insert ``row`` (coerced against the schema) and return its tid."""
-        coerced = self.schema.coerce_row(row)
-        self._check_key(coerced, exclude_tid=None)
-        tid = self._next_tid
-        self._next_tid += 1
-        self._rows[tid] = coerced
-        for index in self._indexes.values():
-            index.add(tid, coerced)
-        return tid
+        return self._insert_coerced(self._next_tid, self.schema.coerce_row(row))
 
     def insert_many(self, rows: Iterable[Dict[str, Any]]) -> List[int]:
-        """Insert every row in ``rows`` and return the assigned tids."""
-        return [self.insert(row) for row in rows]
+        """Insert every row in ``rows`` and return the assigned tids.
+
+        One loop files the rows, each as :meth:`insert` would: coerce it
+        (:meth:`RelationSchema.coerce_row`), check the key if the schema
+        has one, store it under the next tid and add it to every index.
+        A row that fails raises with the rows before it kept and the next
+        tid just past them.
+        """
+        coerce_row = self.schema.coerce_row
+        keyed = bool(self.schema.key)
+        indexes = tuple(self._indexes.values())
+        stored = self._rows
+        first = tid = self._next_tid
+        try:
+            for row in rows:
+                coerced = coerce_row(row)
+                if keyed:
+                    self._check_key(coerced, exclude_tid=None)
+                stored[tid] = coerced
+                for index in indexes:
+                    index.add(tid, coerced)
+                tid += 1
+        finally:
+            self._next_tid = tid
+        return list(range(first, tid))
 
     def insert_at(self, tid: int, row: Dict[str, Any]) -> int:
         """Insert ``row`` under the caller-chosen tuple id ``tid``.

@@ -65,6 +65,16 @@ class DataType(enum.Enum):
         return (bool,)
 
 
+#: the exact Python type of a coerced value of each data type:
+#: :func:`coerce_value` returns a value of this type unchanged
+_STORED_TYPE = {
+    DataType.STRING: str,
+    DataType.INTEGER: int,
+    DataType.FLOAT: float,
+    DataType.BOOLEAN: bool,
+}
+
+
 def coerce_value(value: Any, dtype: DataType) -> Any:
     """Coerce ``value`` to ``dtype``, raising :class:`TypeMismatchError`.
 
@@ -149,18 +159,23 @@ class RelationSchema:
     def __post_init__(self) -> None:
         if not self.name:
             raise SchemaError("relation name must be non-empty")
-        seen = set()
+        by_name: Dict[str, AttributeDef] = {}
         for attr in self.attributes:
-            if attr.name in seen:
+            if attr.name in by_name:
                 raise SchemaError(
                     f"duplicate attribute {attr.name!r} in relation {self.name!r}"
                 )
-            seen.add(attr.name)
+            by_name[attr.name] = attr
         for key_attr in self.key:
-            if key_attr not in seen:
+            if key_attr not in by_name:
                 raise SchemaError(
                     f"key attribute {key_attr!r} not present in relation {self.name!r}"
                 )
+        # Built once: a schema's attributes are not changed after construction.
+        self._by_name = by_name
+        self._coercion_plan = tuple(
+            (attr.name, _STORED_TYPE[attr.dtype], attr.coerce) for attr in self.attributes
+        )
 
     # -- construction helpers ------------------------------------------------
 
@@ -200,7 +215,7 @@ class RelationSchema:
         return [attr.name for attr in self.attributes]
 
     def __contains__(self, attribute: str) -> bool:
-        return any(attr.name == attribute for attr in self.attributes)
+        return attribute in self._by_name
 
     def __len__(self) -> int:
         return len(self.attributes)
@@ -210,10 +225,10 @@ class RelationSchema:
 
     def attribute(self, name: str) -> AttributeDef:
         """Return the definition of attribute ``name``."""
-        for attr in self.attributes:
-            if attr.name == name:
-                return attr
-        raise UnknownAttributeError(self.name, name)
+        try:
+            return self._by_name[name]
+        except KeyError:
+            raise UnknownAttributeError(self.name, name) from None
 
     def index_of(self, name: str) -> int:
         """Return the positional index of attribute ``name``."""
@@ -235,10 +250,18 @@ class RelationSchema:
         """Validate and coerce a row dict against this schema.
 
         Missing attributes become NULL (if nullable); unknown attributes raise.
+        A value whose type is exactly its attribute's stored type (``str``,
+        ``int``, ``float`` or ``bool`` for STRING, INTEGER, FLOAT or
+        BOOLEAN) is kept as it is, since :meth:`AttributeDef.coerce` would
+        return it unchanged.  Every other value, ``None`` included, goes
+        through :meth:`AttributeDef.coerce`: NOT NULL checks, the parsing of
+        numeric and boolean text and every cross-type conversion stay
+        there.  The schema builds the plan of these checks once.
         """
         out: Dict[str, Any] = {}
-        for attr in self.attributes:
-            out[attr.name] = attr.coerce(row.get(attr.name))
+        for name, stored_type, coerce in self._coercion_plan:
+            value = row.get(name)
+            out[name] = value if type(value) is stored_type else coerce(value)
         if not row.keys() <= out.keys():
             unknown = [name for name in row if name not in out]
             raise UnknownAttributeError(self.name, sorted(unknown)[0])

@@ -124,6 +124,45 @@ class TestRowsAndTids:
         assert restored.get(1) == relation.get(1)
         assert restored.get(2) == relation.get(2)
 
+    def test_one_attribute_relation_loads_on_every_path(self, backend):
+        single = RelationSchema("single", [AttributeDef("A", DataType.INTEGER)])
+        relation = Relation(single)
+        assert relation.insert_many([{"A": 1}, {"A": "2"}]) == [0, 1]
+        backend.add_relation(relation)
+        assert backend.insert_many("single", [{"A": 3}, {"A": None}]) == [2, 3]
+        assert backend.insert_row("single", {"A": 4}) == 4
+        batch = DeltaBatch("single")
+        batch.record_insert(5, {"A": "5"})
+        backend.apply_delta_batch("single", batch)
+        assert dict(backend.iter_rows("single")) == {
+            0: {"A": 1}, 1: {"A": 2}, 2: {"A": 3}, 3: {"A": None}, 4: {"A": 4}, 5: {"A": 5}
+        }
+
+    def test_booleans_are_stored_as_integers_on_every_write_path(self, backend):
+        flags = RelationSchema(
+            "flags", [AttributeDef("K"), AttributeDef("B", DataType.BOOLEAN)]
+        )
+        backend.add_relation(
+            Relation.from_rows(flags, [{"K": "a", "B": True}, {"K": "b", "B": False}])
+        )
+        backend.insert_many("flags", [{"K": "c", "B": True}, {"K": "d", "B": "no"}])
+        backend.insert_row("flags", {"K": "e", "B": True})
+        backend.update_row("flags", 0, {"B": False})
+        batch = DeltaBatch("flags")
+        batch.record_update(1, {"B": True})
+        batch.record_insert(5, {"K": "f", "B": False})
+        backend.apply_delta_batch("flags", batch)
+        stored = backend.execute(
+            'SELECT typeof("B") AS storage, "B" AS value FROM "flags" ORDER BY "_tid"'
+        )
+        assert [(row["storage"], row["value"]) for row in stored] == [
+            ("integer", 0), ("integer", 1), ("integer", 1),
+            ("integer", 0), ("integer", 1), ("integer", 0),
+        ]
+        values = [row["B"] for _tid, row in backend.iter_rows("flags")]
+        assert values == [False, True, True, False, True, False]
+        assert all(type(value) is bool for value in values)
+
 
 class TestQueriesAndIndexes:
     def test_execute_with_parameters(self, backend):

@@ -7,6 +7,7 @@ from repro.engine.types import DataType, RelationSchema
 from repro.errors import (
     ConstraintViolationError,
     SchemaError,
+    TypeMismatchError,
     UnknownAttributeError,
     UnknownTupleError,
 )
@@ -112,6 +113,35 @@ class TestKeyConstraint:
         relation.insert({"id": "u1", "name": "a"})
         relation.update(0, {"name": "renamed"})
         assert relation.value(0, "name") == "renamed"
+
+
+class TestInsertMany:
+    @pytest.mark.parametrize(
+        "bad, error",
+        [
+            ({"name": "x", "age": "old", "city": "EDI"}, TypeMismatchError),
+            ({"name": "x", "age": 1, "zip": "EH1"}, UnknownAttributeError),
+        ],
+    )
+    def test_a_failed_row_keeps_the_rows_before_it(self, relation, bad, error):
+        relation.create_index(["city"])
+        rows = [{"name": name, "age": 20, "city": "GLA"} for name in ("dan", "eve")]
+        with pytest.raises(error):
+            relation.insert_many(rows + [bad, {"name": "fay", "age": 9, "city": "GLA"}])
+        assert relation.tids() == [0, 1, 2, 3, 4]
+        assert relation.lookup(["city"], ["GLA"]) == [3, 4]
+        assert relation.insert({"name": "gus", "age": 1, "city": "GLA"}) == 5
+
+    def test_a_key_taken_earlier_in_the_batch_stops_the_load_there(self):
+        schema = RelationSchema.of("users", ["id", "name"], key=["id"])
+        relation = Relation(schema)
+        rows = [{"id": "u1", "name": "a"}, {"id": "u2", "name": "b"}]
+        with pytest.raises(ConstraintViolationError, match="duplicate key"):
+            relation.insert_many(rows + [{"id": "u1", "name": "c"}, {"id": "u3"}])
+        assert relation.to_list() == rows
+        assert relation.lookup(["id"], ["u3"]) == []
+        assert relation.insert_many([{"id": "u3", "name": "d"}]) == [2]
+        assert relation.lookup(["id"], ["u3"]) == [2]
 
 
 class TestQueriesAndIndexes:

@@ -1,7 +1,10 @@
 """Tests for value types, coercion and relation schemas."""
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
+from repro.engine.relation import Relation
 from repro.engine.types import (
     AttributeDef,
     DataType,
@@ -200,3 +203,126 @@ class TestValueComparison:
     def test_compare_values_null_or_mixed_is_none(self):
         assert compare_values(None, 1) is None
         assert compare_values("a", 1) is None
+
+
+class Label(str):
+    """A ``str`` subclass: a STRING value not of the exact stored type."""
+
+
+#: non-NULL values of every kind a caller may hand in: each stored type,
+#: integral and fractional floats, numeric and boolean text, a str subclass
+PRESENT = st.one_of(
+    st.text(max_size=4),
+    st.integers(-3, 3),
+    st.booleans(),
+    st.integers(-3, 3).map(float),
+    st.floats(allow_nan=False),
+    st.sampled_from(["0", "1", " 7 ", "-2", "2.5", "x1"]),
+    st.sampled_from(["true", "F", "yes", " No ", "maybe"]),
+    st.text(max_size=3).map(Label),
+)
+VALUES = st.one_of(st.none(), PRESENT)
+
+#: per data type, values of several kinds that coerce to it, so that most
+#: rows coerce instead of stopping at their first bad value
+COERCIBLE = {
+    DataType.STRING: PRESENT,
+    DataType.INTEGER: st.one_of(
+        st.integers(-3, 3),
+        st.booleans(),
+        st.integers(-3, 3).map(float),
+        st.sampled_from(["0", " 7 ", "-2"]),
+    ),
+    DataType.FLOAT: st.one_of(
+        st.floats(allow_nan=False),
+        st.integers(-3, 3),
+        st.booleans(),
+        st.sampled_from(["2.5", " 7 ", "-2"]),
+    ),
+    DataType.BOOLEAN: st.one_of(
+        st.booleans(), st.sampled_from([0, 1, "true", "F", " No ", "1"])
+    ),
+}
+
+#: attribute names by position; names past the schema's, and ``Z``, are unknown
+NAMES = ("A", "B", "C", "D")
+
+
+@st.composite
+def schemas_and_rows(draw):
+    columns = draw(
+        st.lists(st.tuples(st.sampled_from(DataType), st.booleans()), min_size=1, max_size=3)
+    )
+    schema = RelationSchema(
+        "r",
+        [
+            AttributeDef(name, dtype, nullable)
+            for name, (dtype, nullable) in zip(NAMES, columns)
+        ],
+    )
+    cells = st.fixed_dictionaries(
+        {attr.name: st.one_of(COERCIBLE[attr.dtype], VALUES) for attr in schema}
+    )
+    rows = []
+    for _ in range(draw(st.integers(1, 4))):
+        row = draw(cells)
+        if draw(st.integers(0, 4)) == 0:
+            row[draw(st.sampled_from(NAMES[len(columns):] + ("Z",)))] = draw(VALUES)
+        rows.append(row)
+    return schema, rows
+
+
+def coerce_each_attribute(schema, row):
+    """The per-attribute coercion loop: the reference ``coerce_row`` must match."""
+    out = {attr.name: attr.coerce(row.get(attr.name)) for attr in schema.attributes}
+    if not row.keys() <= out.keys():
+        raise UnknownAttributeError(schema.name, sorted(row.keys() - out.keys())[0])
+    return out
+
+
+def typed_items(row):
+    return [(name, type(value), value) for name, value in row.items()]
+
+
+class TestCompiledCoercion:
+    @settings(max_examples=150, deadline=None)
+    @given(schemas_and_rows())
+    @example((RelationSchema.of("r", [("A", "int"), ("B", "float")]), [{"A": True, "B": 3}]))
+    @example((RelationSchema.of("r", [("A", "bool"), "B"]), [{"A": 1, "B": Label("x")}]))
+    @example((RelationSchema("r", [AttributeDef("A", nullable=False)]), [{}, {"A": None}]))
+    def test_coerce_row_matches_the_per_attribute_loop(self, case):
+        schema, rows = case
+        for row in rows:
+            try:
+                expected = coerce_each_attribute(schema, row)
+            except Exception as exc:  # the reference's error class is the answer
+                with pytest.raises(Exception) as caught:
+                    schema.coerce_row(row)
+                assert type(caught.value) is type(exc)
+                continue
+            assert typed_items(schema.coerce_row(row)) == typed_items(expected)
+
+    def test_only_values_of_another_type_take_attribute_coercion(self, monkeypatch):
+        calls = []
+        coerce = AttributeDef.coerce
+
+        def counting(self, value):
+            calls.append((self.name, value))
+            return coerce(self, value)
+
+        # patched before the schema is built: its plan binds each coerce
+        monkeypatch.setattr(AttributeDef, "coerce", counting)
+        schema = RelationSchema.of(
+            "r", ["S", ("I", "int"), ("F", "float"), ("B", "bool")]
+        )
+        relation = Relation(schema)
+        relation.insert_many([{"S": "a", "I": 1, "F": 1.5, "B": True}] * 3)
+        assert calls == []
+        relation.insert_many(
+            [{"S": Label("b"), "I": "2", "F": 2, "B": False}, {"S": "c", "I": True}]
+        )
+        assert calls == [
+            ("S", Label("b")), ("I", "2"), ("F", 2), ("I", True), ("F", None), ("B", None)
+        ]
+        assert relation.get(3) == {"S": "b", "I": 2, "F": 2.0, "B": False}
+        assert type(relation.value(4, "I")) is int

@@ -14,12 +14,12 @@ from repro.datasets import paper_cfds, paper_example_relation
 
 
 @pytest.fixture
-def demo_system():
-    semandaq = Semandaq()
-    semandaq.register_relation(paper_example_relation())
-    semandaq.add_cfds(paper_cfds())
-    semandaq.detect("customer")
-    return semandaq
+def demo_system(sqlite_config):
+    with Semandaq(sqlite_config()) as semandaq:
+        semandaq.register_relation(paper_example_relation())
+        semandaq.add_cfds(paper_cfds())
+        semandaq.detect("customer")
+        yield semandaq
 
 
 class TestFig2DataExploration:
