@@ -45,7 +45,6 @@ import re
 import sqlite3
 import threading
 from contextlib import contextmanager
-from operator import itemgetter
 from typing import (
     Any, Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Set, Tuple
 )
@@ -446,10 +445,10 @@ class SqliteBackend(StorageBackend):
         """Insert ``(tid, row)`` pairs with one ``executemany``.
 
         Each row is coerced against the relation's schema, so it holds
-        every attribute and each value is bound as it is: one
-        ``itemgetter`` call reads a row's values, and no Python call is
-        made per value.  ``sqlite3`` binds a ``bool`` as the integer 0/1,
-        which is how a BOOLEAN column stores it.
+        every attribute and each value is bound as it is: a row's values
+        are read by a ``map`` over its ``__getitem__``, with no Python call
+        per value.  ``sqlite3`` binds a ``bool`` as the integer 0/1, which
+        is how a BOOLEAN column stores it.
         """
         if not pairs:
             return
@@ -457,16 +456,9 @@ class SqliteBackend(StorageBackend):
         attrs = schema.attribute_names
         columns = ", ".join(_ident(c) for c in [TID_COLUMN] + attrs)
         placeholders = ", ".join("?" for _ in range(len(attrs) + 1))
-        if len(attrs) > 1:
-            values = itemgetter(*attrs)
-            parameters = ((tid,) + values(row) for tid, row in pairs)
-        else:
-            # itemgetter of one name returns the value, not a 1-tuple,
-            # and takes no empty name list
-            parameters = ((tid, *map(row.__getitem__, attrs)) for tid, row in pairs)
         self._conn.executemany(
             f"INSERT INTO {_ident(name)} ({columns}) VALUES ({placeholders})",
-            parameters,
+            ((tid, *map(row.__getitem__, attrs)) for tid, row in pairs),
         )
 
     def insert_row(

@@ -106,29 +106,12 @@ class Relation:
     def insert_many(self, rows: Iterable[Dict[str, Any]]) -> List[int]:
         """Insert every row in ``rows`` and return the assigned tids.
 
-        One loop files the rows, each as :meth:`insert` would: coerce it
-        (:meth:`RelationSchema.coerce_row`), check the key if the schema
-        has one, store it under the next tid and add it to every index.
+        Each row is filed as :meth:`insert` files it, under the next tid.
         A row that fails raises with the rows before it kept and the next
         tid just past them.
         """
         coerce_row = self.schema.coerce_row
-        keyed = bool(self.schema.key)
-        indexes = tuple(self._indexes.values())
-        stored = self._rows
-        first = tid = self._next_tid
-        try:
-            for row in rows:
-                coerced = coerce_row(row)
-                if keyed:
-                    self._check_key(coerced, exclude_tid=None)
-                stored[tid] = coerced
-                for index in indexes:
-                    index.add(tid, coerced)
-                tid += 1
-        finally:
-            self._next_tid = tid
-        return list(range(first, tid))
+        return [self._insert_coerced(self._next_tid, coerce_row(row)) for row in rows]
 
     def insert_at(self, tid: int, row: Dict[str, Any]) -> int:
         """Insert ``row`` under the caller-chosen tuple id ``tid``.

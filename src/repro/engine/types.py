@@ -55,7 +55,11 @@ class DataType(enum.Enum):
         return aliases[normalized]
 
     def python_types(self) -> Tuple[type, ...]:
-        """Return the Python types accepted for this data type."""
+        """Return the Python types accepted for this data type.
+
+        The first is the type of a coerced value: :func:`coerce_value`
+        returns a value of exactly that type unchanged.
+        """
         if self is DataType.STRING:
             return (str,)
         if self is DataType.INTEGER:
@@ -63,16 +67,6 @@ class DataType(enum.Enum):
         if self is DataType.FLOAT:
             return (float, int)
         return (bool,)
-
-
-#: the exact Python type of a coerced value of each data type:
-#: :func:`coerce_value` returns a value of this type unchanged
-_STORED_TYPE = {
-    DataType.STRING: str,
-    DataType.INTEGER: int,
-    DataType.FLOAT: float,
-    DataType.BOOLEAN: bool,
-}
 
 
 def coerce_value(value: Any, dtype: DataType) -> Any:
@@ -174,7 +168,8 @@ class RelationSchema:
         # Built once: a schema's attributes are not changed after construction.
         self._by_name = by_name
         self._coercion_plan = tuple(
-            (attr.name, _STORED_TYPE[attr.dtype], attr.coerce) for attr in self.attributes
+            (attr.name, attr.dtype.python_types()[0], attr.coerce)
+            for attr in self.attributes
         )
 
     # -- construction helpers ------------------------------------------------
