@@ -92,7 +92,7 @@ TID_COLUMN = "_tid"
 #: before SQLite 3.32 default to 999 bound parameters per statement
 SQLITE_PARAMETER_FLOOR = 999
 
-#: default size of the connection's prepared-statement cache.  The default
+#: size of every connection's prepared-statement cache.  The default
 #: of the stdlib module (128) is too small once the detection layer issues
 #: per-pattern, per-chunk Q_C/Q_V statements for several CFDs per round;
 #: 512 keeps every recurring shape compiled.
@@ -106,8 +106,8 @@ INTERNAL_RELATION_PREFIX = "__semandaq_"
 #: default number of pooled read-only connections for file-backed stores
 DEFAULT_POOL_SIZE = 4
 
-#: default ``PRAGMA busy_timeout`` (milliseconds) on every connection —
-#: a reader that races a WAL checkpoint waits instead of erroring
+#: ``PRAGMA busy_timeout`` (milliseconds) on every connection — a reader
+#: that races a WAL checkpoint waits instead of erroring
 DEFAULT_BUSY_TIMEOUT_MS = 5000
 
 #: default seconds :meth:`SqliteBackend.read_connection` waits for a
@@ -135,9 +135,7 @@ class SqliteBackend(StorageBackend):
         path: str = ":memory:",
         synchronous: str = "NORMAL",
         max_parameters: Optional[int] = None,
-        cached_statements: int = STATEMENT_CACHE_SIZE,
         pool_size: Optional[int] = None,
-        busy_timeout_ms: int = DEFAULT_BUSY_TIMEOUT_MS,
         pool_timeout: float = DEFAULT_POOL_TIMEOUT,
     ):
         if sqlite3.sqlite_version_info < MIN_SQLITE_VERSION:
@@ -148,9 +146,6 @@ class SqliteBackend(StorageBackend):
         if pool_size is not None and pool_size < 0:
             raise BackendError(f"pool_size must be >= 0 or None, not {pool_size}")
         self.path = str(path)
-        self._synchronous = synchronous
-        self._cached_statements = cached_statements
-        self._busy_timeout_ms = busy_timeout_ms
         self._pool_timeout = pool_timeout
         #: serialises every writer-connection use; re-entrant so a batch
         #: transaction can call the single-statement helpers it is built of
@@ -169,7 +164,9 @@ class SqliteBackend(StorageBackend):
         # not a database) raises the typed BackendError.
         try:
             self._conn = sqlite3.connect(
-                self.path, cached_statements=cached_statements, check_same_thread=False
+                self.path,
+                cached_statements=STATEMENT_CACHE_SIZE,
+                check_same_thread=False,
             )
             self._conn.execute("PRAGMA journal_mode=WAL")
         except sqlite3.Error as exc:
@@ -179,7 +176,7 @@ class SqliteBackend(StorageBackend):
         self._conn.row_factory = sqlite3.Row
         self._conn.execute(f"PRAGMA synchronous={synchronous}")
         self._conn.execute("PRAGMA temp_store=MEMORY")
-        self._conn.execute(f"PRAGMA busy_timeout={int(busy_timeout_ms)}")
+        self._conn.execute(f"PRAGMA busy_timeout={DEFAULT_BUSY_TIMEOUT_MS}")
         # A private ``:memory:`` database is invisible to other
         # connections, so only file-backed stores get a reader pool;
         # ``pool_size=0`` keeps the single-connection mode on files too.
@@ -236,12 +233,12 @@ class SqliteBackend(StorageBackend):
         conn = sqlite3.connect(
             f"file:{self.path}?mode=ro",
             uri=True,
-            cached_statements=self._cached_statements,
+            cached_statements=STATEMENT_CACHE_SIZE,
             check_same_thread=False,
         )
         conn.row_factory = sqlite3.Row
         conn.execute("PRAGMA query_only=ON")
-        conn.execute(f"PRAGMA busy_timeout={int(self._busy_timeout_ms)}")
+        conn.execute(f"PRAGMA busy_timeout={DEFAULT_BUSY_TIMEOUT_MS}")
         return conn
 
     @contextmanager

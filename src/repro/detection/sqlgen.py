@@ -926,9 +926,8 @@ class DetectionSqlGenerator:
         to the NULL bucket (``"null"``).  Binding order: the group key
         flattened with :meth:`flatten_group_keys`, then the RHS value for
         the ``"eq"`` filter, then the after-tid cursor.  Without ``cfd``
-        the scan is unrestricted (the adaptive repair fallback pages the
-        whole relation through this instead of shipping it via
-        ``to_relation``).
+        the scan is unrestricted, as a :meth:`TupleSource.page` naming no
+        group asks.
         """
         if page_size < 1:
             raise ValueError("page_size must be at least 1")

@@ -103,7 +103,7 @@ def _parse_csv(
         {
             key: (None if value == null_token or value is None else value)
             for key, value in raw.items()
-            if key in schema.attribute_names
+            if key in schema
         }
         for raw in raw_rows
     ]

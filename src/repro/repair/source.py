@@ -1,6 +1,6 @@
 """Repair data sources: where the repairer's relational work runs.
 
-PR 7 splits the data cleanser into two halves:
+The data cleanser is split into two halves:
 
 * the **planner** (:class:`~repro.repair.repairer.BatchRepairer` with the
   equivalence-class and cost machinery of :mod:`repro.repair.eqclass` /
@@ -34,10 +34,16 @@ materialises only a *partial* working relation:
   many members the backend holds per key (keys nobody stores — the
   common fresh-value case — and keys whose members are all fetched
   already are dismissed by count alone; the fetched side is the sum of
-  the per-key value counts the source keeps for every fetched row), and
-  only the remainder pay a sargable
+  the per-key value counts the source keeps for every fetched row), a
+  :meth:`~DetectionSqlGenerator.majority_value_query` histogram dismisses
+  the groups whose combined values are already unanimous, and only the
+  remainder pay a sargable
   :meth:`~DetectionSqlGenerator.covering_members_query` enumeration plus
   a :meth:`~DetectionSqlGenerator.row_fetch_query` for the missing rows.
+
+Those are the only rows the source reads: however much of the relation is
+dirty, it fetches the region and the closure's members and never scans
+the relation.
 
 The closure maintains the invariant the oracle proof rests on: every
 backend member of every LHS group that could *become* violating through a
@@ -226,48 +232,25 @@ class BackendRepairSource(PartialRepairSource):
     pushed-down read goes through, and ``report`` the detection report
     the repair starts from; it must describe the relation as it is now.
     The working relation and its pristine twin start as copies of the
-    report's dirty region (:meth:`BackendTupleSource.dirty_region`), which
-    :meth:`load` reads only when the threshold fallback below does not
-    engage.  A caller that shares ``tuples`` with other readers of the
-    report fetches the region once for all of them (the facade shares one
-    per cached report with the audit and the explorers).  Neither copy
-    aliases a row the caller can change, because a
-    :class:`~repro.engine.relation.Relation` never edits a stored row in
-    place.
-
-    ``fetch_threshold`` (0 < t <= 1, ``None`` = disabled) caps the fraction
-    of the relation the closure may fetch row-by-row.  When the dirty
-    region at load time — or the cumulative fetches a closure round would
-    reach — crosses ``t * row_count``, the source falls back to one
-    keyset-paged full scan (``page_fetch``) and completes the working
-    relation, which is strictly cheaper than paying O(N / chunk) ``IN``
-    restrictions to fetch nearly everything anyway.  The blanket-group
-    pathology (``[CC] -> [CNT]`` noise turning whole countries into one
-    multi-tuple violation) is exactly that regime.
+    report's dirty region (:meth:`BackendTupleSource.dirty_region`), and
+    the closure adds the members of the groups a change queued.  A caller
+    that shares ``tuples`` with other readers of the report fetches the
+    region once for all of them (the facade shares one per cached report
+    with the audit and the explorers).  Neither copy aliases a row the
+    caller can change, because a :class:`~repro.engine.relation.Relation`
+    never edits a stored row in place.
     """
 
     kind = "backend"
 
-    #: rows per ``page_fetch`` statement when the full-scan fallback engages
-    FALLBACK_PAGE_SIZE = 512
-
-    def __init__(
-        self,
-        tuples: BackendTupleSource,
-        report: ViolationReport,
-        fetch_threshold: Optional[float] = None,
-    ):
+    def __init__(self, tuples: BackendTupleSource, report: ViolationReport):
         self.report = report
         self.telemetry = tuples.telemetry
-        self.fetch_threshold = fetch_threshold
         #: shared read layer: every pushed-down read goes through here
         self._source = tuples
         self._generator: Optional[DetectionSqlGenerator] = None
         self._original: Optional[Relation] = None
         self._total_rows = 0
-        #: whether the working relation holds every stored tuple (set by
-        #: the threshold fallback; closure rounds become no-ops)
-        self._complete = False
         #: per closure sub-CFD: pristine non-NULL RHS values per LHS key
         #: among the fetched rows, counted at fetch time.  Their sum is the
         #: key's fetched member count, which the begin_round pre-filter
@@ -284,7 +267,6 @@ class BackendRepairSource(PartialRepairSource):
             "groups_checked": 0,
             "groups_expanded": 0,
             "groups_pruned": 0,
-            "fallback_shipback": 0,
         }
 
     # -- protocol ----------------------------------------------------------------
@@ -297,12 +279,6 @@ class BackendRepairSource(PartialRepairSource):
         self._start_closure(cfds)
         self._fetched_values = [{} for _ in self._subs]
         self._total_rows = self._source.row_count()
-        if self._over_threshold(len(self.report.dirty_tids())):
-            schema = self._source.schema()
-            working = Relation(schema)
-            self._original = Relation(schema)
-            self._ship_all(working)
-            return working
         # The initial working set: exactly the report's violating tuples.
         region = self._source.dirty_region(self.report)
         working = region.copy()
@@ -323,7 +299,7 @@ class BackendRepairSource(PartialRepairSource):
 
     def begin_round(self, working: Relation) -> List[int]:
         admitted: List[int] = []
-        if self._complete or not self._pending:
+        if not self._pending:
             return admitted
         self._require_generator()
         for sub_index, keymap in self._take_pending().items():
@@ -359,14 +335,12 @@ class BackendRepairSource(PartialRepairSource):
                 )
                 if tid not in working
             )
-            if self._over_threshold(self.stats["rows_fetched"] + len(missing)):
-                return admitted + self._ship_all(working)
             admitted += self._fetch_rows(working, missing)
         return admitted
 
     def note_change(self, working: Relation, tid: int, attribute: str) -> None:
-        if self._complete:
-            return  # the working relation already holds every stored tuple
+        # defined here, not only inherited: a tracer that wraps this
+        # class's own methods finds it in the class __dict__
         super().note_change(working, tid, attribute)
 
     def fetch_fraction(self) -> float:
@@ -418,35 +392,6 @@ class BackendRepairSource(PartialRepairSource):
                 continue
             expand.append(key)
         return expand
-
-    def _over_threshold(self, rows_needed: int) -> bool:
-        if self.fetch_threshold is None or not self._total_rows:
-            return False
-        return rows_needed > self.fetch_threshold * self._total_rows
-
-    def _ship_all(self, working: Relation) -> List[int]:
-        """Threshold fallback: complete the working relation in one paged scan.
-
-        Returns the tids it added.
-        """
-        admitted: List[int] = []
-        after_tid = -1
-        while True:
-            page = self._source.page(
-                after_tid=after_tid, page_size=self.FALLBACK_PAGE_SIZE
-            )
-            for tid, values in page:
-                after_tid = tid
-                if tid not in working:
-                    self._admit(working, tid, values)
-                    admitted.append(tid)
-            if len(page) < self.FALLBACK_PAGE_SIZE:
-                break
-        self._complete = True
-        self._take_pending()
-        self.stats["fallback_shipback"] = 1
-        self.telemetry.inc("repair.fallback_shipback")
-        return admitted
 
     def _note_fetched(self, rows: Sequence[Dict[str, Any]]) -> None:
         """Count pristine fetched rows' RHS values under each closure sub-CFD.

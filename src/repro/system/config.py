@@ -9,12 +9,16 @@ from typing import Any, Dict, Optional
 from ..backends.sqlite import SqliteBackend
 from ..errors import ConfigurationError
 
-#: the keyword options ``backend_options`` may carry: the parameters of
-#: :class:`~repro.backends.sqlite.SqliteBackend`
+#: :class:`~repro.backends.sqlite.SqliteBackend` parameters the config
+#: sets through fields of the same name
+_POOL_FIELDS = ("pool_size", "pool_timeout")
+
+#: the keyword options ``backend_options`` may carry: the other parameters
+#: of :class:`~repro.backends.sqlite.SqliteBackend`
 _BACKEND_OPTIONS = tuple(
     name
     for name in inspect.signature(SqliteBackend.__init__).parameters
-    if name != "self"
+    if name != "self" and name not in _POOL_FIELDS
 )
 
 
@@ -30,9 +34,10 @@ class SemandaqConfig:
         newer) is the only one; the field stays so a configuration can
         name it.
     backend_options:
-        Keyword arguments of :class:`~repro.backends.sqlite.SqliteBackend`
-        (``path``, ``pool_size``, ``max_parameters``, ...); a key it does
-        not take is a :class:`ConfigurationError`.  Without a ``path`` the
+        Keyword arguments of :class:`~repro.backends.sqlite.SqliteBackend`:
+        ``path``, ``synchronous`` and ``max_parameters``.  Any other key,
+        ``pool_size`` and ``pool_timeout`` included (they are the fields
+        below), is a :class:`ConfigurationError`.  Without a ``path`` the
         SQLite store is a private ``:memory:`` database;
         ``{"path": "/tmp/semandaq.db"}`` makes it file-backed.
     use_sql_detection:
@@ -78,7 +83,7 @@ class SemandaqConfig:
         is disabled there regardless).  ``0`` forces single-connection
         mode — every read shares the writer connection under its lock —
         which is the THROUGHPUT benchmark's baseline.  ``None`` keeps the
-        backend default (4).  Ignored by backends without a pool.
+        backend default (4).
     serve_threads:
         Default worker-thread count of :meth:`Semandaq.serve`, the
         concurrent entry point fanning ``detect_for_tuples`` requests
@@ -110,6 +115,12 @@ class SemandaqConfig:
             raise ConfigurationError(
                 f"unknown backend {self.backend!r}; available: sqlite"
             )
+        for name in _POOL_FIELDS:
+            if name in self.backend_options:
+                raise ConfigurationError(
+                    f"backend_options cannot carry {name!r}; "
+                    f"set SemandaqConfig.{name} instead"
+                )
         unknown = sorted(set(self.backend_options) - set(_BACKEND_OPTIONS))
         if unknown:
             raise ConfigurationError(

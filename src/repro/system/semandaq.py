@@ -49,11 +49,6 @@ from ..sources.backend import BackendTupleSource
 from .config import SemandaqConfig
 from .constraint_engine import ConstraintEngine
 
-#: fraction of the relation the resident repair closure may fetch row by
-#: row before its source switches to one keyset-paged full scan (see
-#: :class:`~repro.repair.source.BackendRepairSource`)
-RESIDENT_FETCH_THRESHOLD = 0.5
-
 
 @dataclass
 class _Detected:
@@ -90,27 +85,17 @@ def _same_cfds(mine: Sequence[CFD], theirs: Sequence[CFD]) -> bool:
 class Semandaq:
     """End-to-end CFD-based data quality system."""
 
-    def __init__(
-        self,
-        config: Optional[SemandaqConfig] = None,
-        database: Optional[Database] = None,
-        backend: Optional[StorageBackend] = None,
-    ):
+    def __init__(self, config: Optional[SemandaqConfig] = None):
         self.config = config or SemandaqConfig()
         self.config.validate()
         #: the working store: the native paths (and the native detection
         #: oracle) read it; every relation is mirrored into the backend
-        self.database = database or Database()
-        if backend is not None:
-            self.backend = backend
-        else:
-            # thread the serving-layer knobs through to the reader pool
-            # (explicit backend_options win over the config fields)
-            backend_options = dict(self.config.backend_options)
-            if self.config.pool_size is not None:
-                backend_options.setdefault("pool_size", self.config.pool_size)
-            backend_options.setdefault("pool_timeout", self.config.pool_timeout)
-            self.backend = SqliteBackend(**backend_options)
+        self.database = Database()
+        self.backend: StorageBackend = SqliteBackend(
+            pool_size=self.config.pool_size,
+            pool_timeout=self.config.pool_timeout,
+            **self.config.backend_options,
+        )
         #: the system-wide telemetry sink; shared by the detector, the
         #: monitors and the instrumented backend so ``metrics()`` is one
         #: coherent picture.  Disabled (a no-op) unless the config turns on
@@ -120,7 +105,7 @@ class Semandaq:
             explain_plans=self.config.explain_plans,
             log_sql=self.config.log_sql,
         )
-        if self.telemetry.active and not isinstance(self.backend, InstrumentedBackend):
+        if self.telemetry.active:
             self.backend = InstrumentedBackend(self.backend, self.telemetry)
         self.constraints = ConstraintEngine(
             self.database,
@@ -196,10 +181,14 @@ class Semandaq:
         backend — and so would a reference to it still held by user code, so
         its backend is detached as well.  A fresh monitor is created on the
         next ``monitor()`` call, bound to the new data; the stale detection
-        report is dropped and the new contents bulk-loaded.
+        report and candidate repair are dropped and the new contents
+        bulk-loaded.  Without a repair, :meth:`apply_repair` refuses to
+        run, :meth:`review` plans a new one and a new monitor starts in
+        detect mode.
         """
         self._retire_monitor(relation_name)
         self._drop_report(relation_name)
+        self._repairs.pop(relation_name, None)
         self._sync_backend(relation_name)
 
     def _retire_monitor(self, relation_name: str) -> bool:
@@ -514,10 +503,9 @@ class Semandaq:
 
         With SQL detection on the repair is planned over a
         backend-resident data source: it starts from the current report
-        (see :meth:`last_report`) and, unless more than
-        :data:`RESIDENT_FETCH_THRESHOLD` of the relation is dirty, that
-        report's dirty region, which :meth:`audit` and the explorers
-        share, so it runs no detection of its own; group members come from the sargable covering-members
+        (see :meth:`last_report`) and that report's dirty region, which
+        :meth:`audit` and the explorers share, so it runs no detection of
+        its own; group members come from the sargable covering-members
         plans and value frequencies from ``GROUP BY`` aggregates — only
         result-sized rows cross the backend boundary and the working
         relation is never walked.  The repair's ``original`` and
@@ -533,9 +521,7 @@ class Semandaq:
         if self.config.use_sql_detection:
             detected = self._current(relation_name)
             source = BackendRepairSource(
-                self._tuple_source(relation_name, detected),
-                detected.report,
-                fetch_threshold=RESIDENT_FETCH_THRESHOLD,
+                self._tuple_source(relation_name, detected), detected.report
             )
             repair = repairer.repair_with_source(source, detected.cfds)
             self.telemetry.inc("repair.source_resident")
@@ -801,9 +787,7 @@ class Semandaq:
         is unlocked.  Monitors are detached first, so one still held by
         user code keeps working against the working store instead of
         shipping deltas to a closed backend.  Every later call that needs
-        the backend raises :class:`~repro.errors.BackendError`.  Detection
-        adds no relation to the backend, so a caller-supplied backend
-        holds only what the system loaded into it.
+        the backend raises :class:`~repro.errors.BackendError`.
         """
         for monitor in self._monitors.values():
             monitor.detach_backend()

@@ -2,7 +2,14 @@
 
 import pytest
 
-from repro.engine.csvio import dump_csv, dump_json, infer_type, load_csv, load_json
+from repro.engine.csvio import (
+    dump_csv,
+    dump_json,
+    infer_type,
+    load_csv,
+    load_csv_into,
+    load_json,
+)
 from repro.engine.relation import Relation
 from repro.engine.types import DataType, RelationSchema
 from repro.errors import SchemaError
@@ -71,6 +78,48 @@ class TestCsv:
         path.write_text(CSV_TEXT)
         relation = load_csv(path, "people")
         assert len(relation) == 3
+
+
+def _people(count):
+    return "name,age,city\n" + "".join(f"p{i},{i},EDI\n" for i in range(count))
+
+
+class TestLoadCost:
+    """A CSV load reads the schema's name list a fixed number of times."""
+
+    @pytest.fixture
+    def name_lists(self, monkeypatch):
+        calls = []
+        names = RelationSchema.attribute_names
+
+        def counting(schema):
+            calls.append(schema.name)
+            return names.fget(schema)
+
+        monkeypatch.setattr(RelationSchema, "attribute_names", property(counting))
+        return calls
+
+    def _counts(self, name_lists, load):
+        counts = []
+        for rows in (3, 30):
+            del name_lists[:]
+            assert len(load(_people(rows))) == rows
+            counts.append(len(name_lists))
+        return counts
+
+    def test_load_csv(self, name_lists):
+        counts = self._counts(name_lists, lambda text: load_csv(text, "people"))
+        assert counts[0] == counts[1]
+
+    def test_load_csv_into(self, name_lists, sqlite_backend_factory):
+        backend = sqlite_backend_factory()
+        try:
+            counts = self._counts(
+                name_lists, lambda text: load_csv_into(backend, text, "people")
+            )
+            assert counts[0] == counts[1]
+        finally:
+            backend.close()
 
 
 class TestJson:

@@ -1,22 +1,22 @@
-"""Adaptive fetching in the backend-resident repair source.
+"""What the backend-resident repair source fetches, and when.
 
-Two mechanisms keep the closure's row traffic proportional to what the
-planner actually needs:
+The source reads the report's dirty region and the members of the groups
+a change queued, and nothing else:
 
 * **majority pruning** — a re-queued group whose combined value set
   (working values of fetched members plus the backend ``majority_value``
   histogram of unfetched ones) is already unanimous cannot violate, so
   its members are never shipped;
-* **threshold fallback** — when the dirty region (or a closure round's
-  cumulative fetches) would cross ``fetch_threshold`` of the relation,
-  the source switches to one keyset-paged full scan instead of paying
-  per-key ``IN`` restrictions for nearly every tuple (the blanket-group
-  pathology of ``[CC] -> [CNT]`` noise).
+* **the blanket regime** — when every tuple is dirty (the pathology of
+  ``[CC] -> [CNT]`` noise, which turns whole countries into one
+  violation), the region is the whole relation: it is read in one
+  ``row_fetch`` pass, the closure fetches nothing more and no
+  ``page_fetch`` scan runs.
 
 Both must leave the planner's decisions bit-identical to the native
-oracle; ``test_resident_parity.py`` pins the default path, here the
-fallback path gets the same treatment plus unit coverage of the stats,
-counters and configuration validation.
+oracle; ``test_resident_parity.py`` pins random relations, here the
+blanket regime gets the same treatment plus unit coverage of the stats
+and counters.
 """
 
 from collections import Counter
@@ -58,14 +58,30 @@ def sqlite_with(sqlite_backend_factory):
 CFD_AB = "r: [A=_] -> [B=_]"
 
 
-def _source(backend, cfds, telemetry=None, fetch_threshold=None):
+def _source(backend, cfds, telemetry=None):
     """A resident source starting from a report detected over ``backend``."""
     report = ErrorDetector(backend).detect("r", cfds)
     return BackendRepairSource(
-        BackendTupleSource(backend, "r", telemetry=telemetry),
-        report,
-        fetch_threshold=fetch_threshold,
+        BackendTupleSource(backend, "r", telemetry=telemetry), report
     )
+
+
+@pytest.fixture
+def statement_kinds(monkeypatch):
+    """The kinds of the statements tuple sources run, in order."""
+    kinds = []
+    execute = BackendTupleSource._execute
+
+    def recording(source, query):
+        kinds.append(query.kind)
+        return execute(source, query)
+
+    monkeypatch.setattr(BackendTupleSource, "_execute", recording)
+    return kinds
+
+
+def _change_keys(repair):
+    return [(c.tid, c.attribute, c.old_value, c.new_value) for c in repair.changes]
 
 
 #: one violating pair in group g1, one unanimous unfetched group g2
@@ -120,74 +136,59 @@ class TestMajorityPruning:
             backend.close()
 
 
-class TestThresholdFallback:
-    def test_blanket_dirty_region_ships_back_in_pages(self, sqlite_with):
+class TestBlanketRegime:
+    def test_blanket_dirty_region_is_read_in_one_row_fetch(
+        self, sqlite_with, statement_kinds
+    ):
         backend = sqlite_with(BLANKET_ROWS)
         try:
             telemetry = Telemetry(enabled=True)
             cfds = [parse_cfd(CFD_AB)]
-            source = _source(backend, cfds, telemetry=telemetry, fetch_threshold=0.5)
+            source = _source(backend, cfds, telemetry=telemetry)
             working = source.load(cfds)
-            assert source.stats["fallback_shipback"] == 1
             assert len(working) == len(BLANKET_ROWS)
             assert source.fetch_fraction() == 1.0
             snapshot = telemetry.metrics.snapshot()
-            assert snapshot["counters"]["repair.fallback_shipback"] == 1
             assert snapshot["counters"]["repair.rows_fetched"] == len(BLANKET_ROWS)
-            # the closure hooks are no-ops once the relation is complete
+            # a change's group is complete already: counted, never fetched
             working.update(0, {"B": "x"})
             source.note_change(working, 0, "B")
-            statements_before = len(source.last_sql)
-            source.begin_round(working)
-            assert len(source.last_sql) == statements_before
+            assert source.begin_round(working) == []
+            assert statement_kinds == ["row_fetch", "group_stats"]
+            assert source.stats["rows_fetched"] == len(BLANKET_ROWS)
         finally:
             backend.close()
 
-    def test_none_threshold_keeps_the_pure_resident_path(self, sqlite_with):
-        backend = sqlite_with(BLANKET_ROWS)
-        try:
-            cfds = [parse_cfd(CFD_AB)]
-            source = _source(backend, cfds, fetch_threshold=None)
-            working = source.load(cfds)
-            assert source.stats["fallback_shipback"] == 0
-            # every row is dirty, so the dirty fetch materialises them all
-            assert len(working) == len(BLANKET_ROWS)
-        finally:
-            backend.close()
-
-    def test_sparse_dirty_region_never_falls_back(self, sqlite_with):
+    def test_sparse_dirty_region_fetches_only_the_region(self, sqlite_with):
         backend = sqlite_with(PRUNABLE_ROWS)
         try:
             cfds = [parse_cfd(CFD_AB)]
-            source = _source(backend, cfds, fetch_threshold=0.5)
+            source = _source(backend, cfds)
             working = source.load(cfds)
-            assert source.stats["fallback_shipback"] == 0
             assert len(working) == 2
             assert source.fetch_fraction() == pytest.approx(2 / 5)
         finally:
             backend.close()
 
-    def test_fallback_repair_matches_the_native_oracle(self, sqlite_backend_factory):
+    def test_blanket_repair_matches_the_native_oracle(
+        self, sqlite_backend_factory, statement_kinds
+    ):
         relation = _relation(BLANKET_ROWS)
         cfds = [parse_cfd(CFD_AB)]
         native = BatchRepairer(max_iterations=12).repair(relation, cfds)
         backend = sqlite_backend_factory()
         try:
             backend.add_relation(relation.copy())
-            source = _source(backend, cfds, fetch_threshold=0.5)
+            source = _source(backend, cfds)
             resident = BatchRepairer(max_iterations=12).repair_with_source(
                 source, cfds
             )
-            assert source.stats["fallback_shipback"] == 1
-            assert [
-                (c.tid, c.attribute, c.old_value, c.new_value)
-                for c in resident.changes
-            ] == [
-                (c.tid, c.attribute, c.old_value, c.new_value)
-                for c in native.changes
-            ]
+            assert _change_keys(resident) == _change_keys(native)
             assert resident.total_cost == pytest.approx(native.total_cost)
             assert resident.residual_violations == native.residual_violations
+            assert source.fetch_fraction() == 1.0
+            assert statement_kinds.count("row_fetch") == 1
+            assert "page_fetch" not in statement_kinds
         finally:
             backend.close()
 
@@ -209,21 +210,26 @@ class TestSystemIntegration:
         system.add_cfds(paper_cfds())
         return system
 
-    def test_blanket_noise_engages_the_fallback_through_the_facade(self, sqlite_config):
+    def test_blanket_noise_through_the_facade_matches_the_native_repair(
+        self, sqlite_config, statement_kinds
+    ):
         system = self._blanket_system(sqlite_config, telemetry=True)
+        oracle = self._blanket_system(sqlite_config, use_sql_detection=False)
         try:
-            before = system.detect("customer").total_violations()
-            system.clean("customer")
-            after = system.detect("customer").total_violations()
-            assert after < before
+            # [CC] -> [CNT] noise dirties whole countries: every tuple
+            report = system.detect("customer")
+            assert len(report.dirty_tids()) == report.tuple_count == 60
+            del statement_kinds[:]
+            repair = system.repair("customer")
+            assert _change_keys(repair) == _change_keys(oracle.repair("customer"))
+            assert statement_kinds.count("row_fetch") == 1
+            assert "page_fetch" not in statement_kinds
             counters = system.metrics()["counters"]
-            # [CC] -> [CNT] noise dirties whole countries: the adaptive
-            # source must either ship back or have stayed under threshold
-            assert (
-                counters.get("repair.fallback_shipback", 0) == 1
-                or counters["repair.rows_fetched"] <= 0.5 * 60
-            )
-            assert "repair.fetch_fraction" in counters
-            assert counters["repair.rows_fetched"] > 0
+            assert counters["repair.fetch_fraction"] == 100
+            assert counters["repair.rows_fetched"] == 60
+            before = report.total_violations()
+            system.apply_repair("customer")
+            assert system.detect("customer").total_violations() < before
         finally:
             system.close()
+            oracle.close()

@@ -6,14 +6,12 @@ changes and files the tuples its source admits, instead of scanning the
 working relation for every sub-CFD in every round.  Two things pin it:
 
 * a property: in every round of every repair, over each of the three
-  sources (native, backend with and without the threshold fallback,
-  scoped under ``restrict_to_tids``), the planner's work items equal the
-  ones a fresh ``scan_violations`` per sub-CFD of the working relation
-  yields — the per-round collection the state replaced, kept here as the
-  oracle;
+  sources (native, backend and scoped under ``restrict_to_tids``), the
+  planner's work items equal the ones a fresh ``scan_violations`` per
+  sub-CFD of the working relation yields — the per-round collection the
+  state replaced, kept here as the oracle;
 * the same check on a relation whose repair makes the resident closure
-  admit a row, or page in every row when that would cross the fetch
-  threshold mid-repair (random relations rarely do either);
+  admit a row (random relations rarely do);
 * a counted pin over the paper's CFDs: after the first read, the state
   files only the tuples a change moved, under the sub-CFDs that mention
   the changed attribute, and the rows the closure admitted.
@@ -76,7 +74,7 @@ class _CheckedRepairer(BatchRepairer):
         return items
 
 
-SOURCES = ["native", "backend", "backend-fallback", "scoped"]
+SOURCES = ["native", "backend", "scoped"]
 
 
 @pytest.mark.parametrize("source_kind", SOURCES)
@@ -103,16 +101,12 @@ def test_every_round_reads_what_a_fresh_scan_finds(sqlite_options, source_kind, 
     elif source_kind == "scoped":
         repair = repairer.repair_with_source(ScopedRepairSource(relation, restrict), cfds)
     else:
-        threshold = None
-        if source_kind == "backend-fallback":
-            threshold = data.draw(st.sampled_from([0.1, 0.5]))
         backend = SqliteBackend(**sqlite_options())
         try:
             backend.add_relation(relation.copy())
             source = BackendRepairSource(
                 BackendTupleSource(backend, "r"),
                 ErrorDetector(backend).detect("r", cfds),
-                fetch_threshold=threshold,
             )
             repair = repairer.repair_with_source(source, cfds)
         finally:
@@ -141,15 +135,10 @@ PIN_ROWS = [
 ]
 
 
-@pytest.mark.parametrize("fetch_threshold", [None, 0.2])
-def test_rows_the_closure_admits_are_read_in_the_next_round(
-    sqlite_backend_factory, fetch_threshold
-):
+def test_rows_the_closure_admits_are_read_in_the_next_round(sqlite_backend_factory):
     """Random relations rarely make the closure admit rows; this one does.
 
-    Without a threshold the closure admits t2; with 0.2 the dirty region
-    (3 of 16 rows) loads, and t2 would cross the threshold, so the
-    closure pages in every row mid-repair instead.
+    The dirty region is t0, t1 and t3; the closure admits t2.
     """
     cfds = paper_cfds()
     backend = sqlite_backend_factory()
@@ -157,18 +146,12 @@ def test_rows_the_closure_admits_are_read_in_the_next_round(
     source = BackendRepairSource(
         BackendTupleSource(backend, "customer"),
         ErrorDetector(backend).detect("customer", cfds),
-        fetch_threshold=fetch_threshold,
     )
     repairer = _CheckedRepairer(cfds)
     repair = repairer.repair_with_source(source, cfds)
     assert repairer.reads == repair.iterations == 3
     assert repair.residual_violations == 0
-    if fetch_threshold is None:
-        assert repair.original.tids() == [0, 1, 2, 3]
-        assert source.stats["fallback_shipback"] == 0
-    else:
-        assert len(repair.original) == len(PIN_ROWS)
-        assert source.stats["fallback_shipback"] == 1
+    assert repair.original.tids() == [0, 1, 2, 3]
 
 
 def test_later_rounds_refile_only_changed_and_admitted_tuples(

@@ -1,11 +1,13 @@
 """Tests for system configuration validation."""
 
 import inspect
+import threading
 
 import pytest
 
 from repro import Semandaq
 from repro.backends import SqliteBackend
+from repro.backends.pool import PoolTimeoutError
 from repro.errors import BackendError, ConfigurationError
 from repro.system.config import SemandaqConfig
 
@@ -77,7 +79,7 @@ class TestSemandaqConfig:
 
 
 class TestBackendOptions:
-    """``backend_options`` are SqliteBackend's keyword arguments."""
+    """``backend_options`` are SqliteBackend's keyword arguments but the pool's."""
 
     def test_unknown_option_is_rejected_by_name(self):
         with pytest.raises(ConfigurationError, match="bogus"):
@@ -91,8 +93,10 @@ class TestBackendOptions:
             for name in inspect.signature(SqliteBackend.__init__).parameters
             if name != "self"
         ]
-        assert {"path", "pool_size", "max_parameters"} <= set(names)
-        SemandaqConfig(backend_options={name: None for name in names}).validate()
+        accepted = [name for name in names if name not in ("pool_size", "pool_timeout")]
+        assert accepted == ["path", "synchronous", "max_parameters"]
+        for name in accepted:
+            SemandaqConfig(backend_options={name: None}).validate()
         system = Semandaq(
             SemandaqConfig(backend_options={"path": ":memory:", "max_parameters": 12})
         )
@@ -104,7 +108,38 @@ class TestBackendOptions:
         with pytest.raises(BackendError, match="cannot open"):
             Semandaq(SemandaqConfig(backend_options={"path": path}))
 
-    def test_negative_pool_size_option_raises_backend_error(self, tmp_path):
-        options = {"path": str(tmp_path / "store.db"), "pool_size": -1}
-        with pytest.raises(BackendError, match="pool_size"):
-            Semandaq(SemandaqConfig(backend_options=options))
+    @pytest.mark.parametrize("name, value", [("pool_size", 1), ("pool_timeout", 1.0)])
+    def test_pool_options_are_refused_by_name(self, name, value):
+        """The pool is set through the config fields, never ``backend_options``."""
+        with pytest.raises(ConfigurationError, match=f"SemandaqConfig.{name}"):
+            SemandaqConfig(backend_options={name: value}).validate()
+        with pytest.raises(ConfigurationError, match=f"SemandaqConfig.{name}"):
+            Semandaq(SemandaqConfig(backend_options={"path": ":memory:", name: value}))
+
+    def test_pool_fields_reach_the_backend(self, tmp_path):
+        config = SemandaqConfig(
+            pool_size=1,
+            pool_timeout=0.05,
+            backend_options={"path": str(tmp_path / "pool.db")},
+        )
+        system = Semandaq(config)
+        timeouts = []
+
+        def second_reader():
+            try:
+                with system.backend.read_connection():
+                    pass
+            except PoolTimeoutError as exc:
+                timeouts.append(exc)
+
+        try:
+            assert system.backend.pool_stats()["pool.size"] == 1
+            # the one reader is taken, so a second one waits pool_timeout
+            with system.backend.read_connection():
+                worker = threading.Thread(target=second_reader)
+                worker.start()
+                worker.join(timeout=10)
+            assert not worker.is_alive()
+            assert len(timeouts) == 1
+        finally:
+            system.close()

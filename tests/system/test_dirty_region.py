@@ -6,9 +6,8 @@ change: the facade's own, the monitor it built, ``mark_backend_stale`` or
 the constraint engine.  On the resident path the report carries its dirty
 region, the violating tuples fetched by one ``row_fetch`` pass on first
 use; the audit, the explorers and the repair all read it, so a clean pass
-detects once and fetches its dirty rows once, and a repair whose fallback
-ships the whole relation fetches none.  No row a caller receives aliases
-the region.
+detects once and fetches its dirty rows once, and a step that needs no
+dirty rows fetches none.  No row a caller receives aliases the region.
 """
 
 import pytest
@@ -254,18 +253,16 @@ class TestOneDirtyRegionPerReport:
         finally:
             system.close()
 
-    def test_the_fallback_and_the_cfd_list_fetch_no_dirty_rows(
+    def test_the_cfd_list_fetches_no_dirty_rows_and_the_repair_fetches_them_once(
         self, tmp_path, monkeypatch
     ):
-        """A repair that ships the whole relation never fetches the region.
+        """An explorer reads the region only on a step that needs dirty rows.
 
-        Every tuple is dirty, so the repair's threshold fallback pages the
-        relation in; fetching the dirty tids first would ship them twice.
-        An explorer reads the region only on a step that needs dirty rows,
-        and the CFD list needs none.
+        The CFD list needs none.  Every tuple is dirty, so the region is
+        the whole relation; the repair reads it once and nothing else.
         """
         system = Semandaq(
-            SemandaqConfig(telemetry=True, backend_options={"path": str(tmp_path / "b.db")})
+            SemandaqConfig(backend_options={"path": str(tmp_path / "b.db")})
         )
         system.register_relation(
             RelationSchema.of("r", ["A", "B"]),
@@ -277,10 +274,10 @@ class TestOneDirtyRegionPerReport:
             assert len(system.detect("r").dirty_tids()) == 10
             assert system.explorer("r").list_cfds()[0].violating_tuples == 10
             assert system.exploration_session("r").options()
+            assert counted.fetches == []
             summary = system.clean("r")
             assert summary["violations_after"] == 0
-            assert system.metrics()["counters"]["repair.fallback_shipback"] == 1
-            assert counted.fetches == []
+            assert counted.fetches == [list(range(10))]
         finally:
             system.close()
 

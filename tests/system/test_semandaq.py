@@ -194,6 +194,43 @@ class TestRepairReviewApply:
         assert summary["cells_changed"] > 0
 
 
+class TestReplacingARelationDropsItsRepair:
+    """A candidate repair describes the data it was planned over.
+
+    Replacing the relation drops it: ``apply_repair`` refuses to run,
+    ``review`` plans a new repair and a new monitor starts in detect mode.
+    """
+
+    @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
+    @pytest.mark.parametrize("replace_by", ["register_relation", "load_csv"])
+    def test_the_old_repair_never_reaches_the_new_data(
+        self, sqlite_config, use_sql, replace_by
+    ):
+        system = Semandaq(sqlite_config(use_sql_detection=use_sql))
+        dirty = inject_noise(
+            generate_customers(200, seed=511), rate=0.1, seed=512, attributes=["CITY"]
+        ).dirty
+        fresh = generate_customers(200, seed=513)
+        try:
+            system.register_relation(dirty)
+            system.add_cfds(paper_cfds())
+            assert system.repair("customer").changes
+            if replace_by == "register_relation":
+                system.register_relation(fresh.copy(), replace=True)
+            else:
+                system.load_csv(dump_csv(fresh), "customer", infer_types=False)
+            with pytest.raises(ConfigurationError, match="call repair"):
+                system.apply_repair("customer")
+            assert system.monitor("customer").summary()["mode"] == "detect"
+            assert system.review("customer").modified_cells() == []
+            assert system.database.relation("customer").to_list() == fresh.to_list()
+            assert sorted(system.backend.iter_rows("customer")) == sorted(
+                fresh.rows()
+            )
+        finally:
+            system.close()
+
+
 class TestMonitoring:
     def test_monitor_detect_mode(self, system):
         monitor = system.monitor("customer")
