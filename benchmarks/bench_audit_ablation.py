@@ -21,7 +21,7 @@ SIZE = 600
 _clean, _noise = make_dirty_customers(SIZE, rate=0.05, seed=131)
 _DATABASE = make_database(_noise.dirty)
 _CFDS = paper_cfds()
-_REPORT = ErrorDetector(_DATABASE, use_sql=False).detect("customer", _CFDS)
+_REPORT = ErrorDetector(_DATABASE).detect("customer", _CFDS)
 _RELATION = _DATABASE.relation("customer")
 
 
@@ -37,7 +37,7 @@ def test_audit_with_redetection(benchmark):
     auditor = DataAuditor()
 
     def run():
-        report = ErrorDetector(_DATABASE, use_sql=False).detect("customer", _CFDS)
+        report = ErrorDetector(_DATABASE).detect("customer", _CFDS)
         return auditor.audit(_RELATION, _CFDS, report)
 
     result = benchmark(run)
@@ -59,7 +59,7 @@ def test_audit_ablation_bench_json():
     result, reuse_ms = timed(auditor.audit, _RELATION, _CFDS, _REPORT)
 
     def redetect_and_audit():
-        report = ErrorDetector(_DATABASE, use_sql=False).detect("customer", _CFDS)
+        report = ErrorDetector(_DATABASE).detect("customer", _CFDS)
         return auditor.audit(_RELATION, _CFDS, report)
 
     _, redetect_ms = timed(redetect_and_audit)

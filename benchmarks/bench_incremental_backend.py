@@ -1,17 +1,19 @@
-"""INCR-SYNC — per-tid delta shipping vs whole-relation re-sync.
+"""INCR-SYNC — delta-batch shipping vs whole-relation re-sync.
 
 Before the backend-resident maintenance work, every ``detect()`` on a
 monitored relation re-loaded the whole relation into the storage backend
 (``add_relation(replace=True)``) so the pushed-down queries could see the
-monitor's updates.  The monitor now ships each applied update down as a
-single-statement INSERT/DELETE/UPDATE instead, so the cost of keeping the
-backend current is proportional to the update batch, not the relation.
+monitor's updates.  The monitor now ships each applied update batch down
+as one :class:`~repro.backends.delta.DeltaBatch` instead, so the cost of
+keeping the backend current is proportional to the update batch, not the
+relation.
 
 This benchmark times both sides of that trade on the SQLite backend: a full
-bulk re-load of the relation vs applying a fixed-size batch of per-tid
-UPDATE deltas.  The full-resync series grows linearly with the relation;
-the delta series stays flat, so the gap widens with size — that widening
-gap is the payoff of backend-resident incremental maintenance.
+bulk re-load of the relation vs shipping a fixed-size batch of per-tid cell
+updates as one ``apply_delta_batch`` call.  The full-resync series grows
+linearly with the relation; the delta series stays flat, so the gap widens
+with size — that widening gap is the payoff of backend-resident
+incremental maintenance.
 
 Set ``BENCH_SMOKE=1`` to run the smallest size only (the CI smoke mode).
 """
@@ -22,13 +24,13 @@ import pytest
 
 from bench_utils import emit_bench_json, make_dirty_customers, report_series, timed
 from repro import Semandaq, SemandaqConfig
-from repro.backends import SqliteBackend
+from repro.backends import DeltaBatch, SqliteBackend
 from repro.datasets import paper_cfds
 from repro.detection.detector import ErrorDetector
 from repro.monitor.updates import Update
 
 SIZES = [600] if os.environ.get("BENCH_SMOKE") else [600, 2400, 9600]
-#: number of per-tid UPDATE deltas applied per round (the update batch)
+#: number of per-tid cell updates shipped per round (the update batch)
 BATCH = 24
 _CFDS = paper_cfds()
 _WORKLOADS = {
@@ -57,16 +59,17 @@ def test_backend_sync_cost(benchmark, mode, size):
             backend.add_relation(relation, replace=True)
 
     else:
-        batch = _delta_batch(relation)
+        batch = DeltaBatch("customer")
+        for tid, changes in _delta_batch(relation):
+            batch.record_update(tid, changes)
 
         def sync():
-            for tid, changes in batch:
-                backend.update_row("customer", tid, changes)
+            backend.apply_delta_batch("customer", batch)
 
     benchmark(sync)
     benchmark.extra_info["mode"] = mode
     benchmark.extra_info["rows"] = size
-    benchmark.extra_info["statements"] = 1 if mode == "full_resync" else BATCH
+    benchmark.extra_info["updates"] = BATCH
     backend.close()
 
 
@@ -94,7 +97,7 @@ def test_delta_synced_detection_matches_full_resync():
 
         oracle_backend = SqliteBackend()
         oracle_backend.add_relation(system.database.relation("customer"))
-        oracle = ErrorDetector(oracle_backend, use_sql=True).detect(
+        oracle = ErrorDetector(oracle_backend).detect(
             "customer", system.constraints.cfds("customer")
         )
         oracle_backend.close()

@@ -50,7 +50,7 @@ def test_full_redetection_baseline(benchmark):
     """The batch-detection baseline the incremental numbers are compared to."""
     _clean, noise = make_dirty_customers(RELATION_SIZE, rate=0.02, seed=7)
     database = make_database(noise.dirty)
-    detector = ErrorDetector(database, use_sql=False)
+    detector = ErrorDetector(database)
     report = benchmark(detector.detect, "customer", paper_cfds())
     benchmark.extra_info["size"] = RELATION_SIZE
     benchmark.extra_info["violations"] = report.total_violations()

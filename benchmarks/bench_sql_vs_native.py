@@ -33,7 +33,7 @@ def test_detection_sql_vs_native(benchmark, use_sql):
         source = make_sqlite_backend(_noise.dirty)
     else:
         source = make_database(_noise.dirty.copy())
-    detector = ErrorDetector(source, use_sql=use_sql)
+    detector = ErrorDetector(source)
     report = benchmark(detector.detect, "customer", _CFDS)
     benchmark.extra_info["path"] = "sql" if use_sql else "native"
     benchmark.extra_info["violations"] = report.total_violations()
@@ -44,8 +44,8 @@ def test_detection_sql_vs_native(benchmark, use_sql):
 def test_sql_and_native_agree():
     """Both paths compute identical vio(t) maps — the ablation's sanity check."""
     backend = make_sqlite_backend(_noise.dirty)
-    sql_detector = ErrorDetector(backend, use_sql=True)
-    native_detector = ErrorDetector(make_database(_noise.dirty.copy()), use_sql=False)
+    sql_detector = ErrorDetector(backend)
+    native_detector = ErrorDetector(make_database(_noise.dirty.copy()))
     sql_report, sql_ms = timed(sql_detector.detect, "customer", _CFDS)
     native_report, native_ms = timed(native_detector.detect, "customer", _CFDS)
     backend.close()

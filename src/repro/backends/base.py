@@ -11,14 +11,14 @@ database server:
 * **tid-stable row access** — every stored row keeps the stable integer
   tuple id (``tid``) the detector, auditor and cleanser use to refer to it,
   across round trips;
-* **delta operations** — :meth:`insert_row`, :meth:`delete_row` and
-  :meth:`update_row` apply a single-tuple change without reloading the
-  relation, and :meth:`apply_delta_batch` applies a whole
-  :class:`~repro.backends.delta.DeltaBatch` of such changes in one round
-  trip (one transaction on SQLite).  The data monitor ships every monitored
-  update batch (and every incremental-repair cell change) down this way,
-  which is what keeps a backend-resident copy current at a cost
-  proportional to the update batch instead of the relation;
+* **delta shipping** — :meth:`apply_delta_batch` applies a whole
+  :class:`~repro.backends.delta.DeltaBatch` of tid-keyed inserts, deletes
+  and cell updates in one round trip (one transaction on SQLite).  After
+  the bulk load it is the only way a stored row changes: the data monitor
+  ships every monitored update batch (and every incremental-repair cell
+  change) down this way, and so does an applied repair, which keeps a
+  backend-resident copy current at a cost proportional to the change
+  instead of the relation;
 * **query execution** — :meth:`execute` runs a detection query and returns
   plain row dicts; :attr:`~StorageBackend.max_parameters` is how many
   ``?`` values one statement may bind, the budget the detection-SQL
@@ -99,57 +99,21 @@ class StorageBackend(abc.ABC):
         """Bulk-insert ``rows`` into relation ``name``; returns assigned tids."""
 
     @abc.abstractmethod
-    def insert_row(
-        self, name: str, row: Mapping[str, Any], tid: Optional[int] = None
-    ) -> int:
-        """Insert one row; returns its tid.
-
-        When ``tid`` is given the row is stored under exactly that tuple id
-        (the caller — typically the data monitor mirroring its working
-        store — owns tid assignment); otherwise the backend assigns the next
-        free tid.  A single-statement operation: no other row is touched.
-        """
-
-    @abc.abstractmethod
-    def delete_row(self, name: str, tid: int) -> None:
-        """Delete the row stored under ``tid``; raises ``UnknownTupleError``
-        if absent.  A single-statement operation."""
-
-    @abc.abstractmethod
-    def update_row(
-        self, name: str, tid: int, changes: Mapping[str, Any]
-    ) -> None:
-        """Apply ``changes`` (attribute -> new value) to the row under ``tid``.
-
-        Raises ``UnknownTupleError`` if the tid is not stored.  A
-        single-statement operation: only the named attributes of the one row
-        change.
-        """
-
     def apply_delta_batch(self, name: str, batch: DeltaBatch) -> None:
         """Apply a whole :class:`~repro.backends.delta.DeltaBatch` to ``name``.
 
         The batch is already coalesced (at most one net operation per tid),
         so the application order — all deletes, then all inserts, then all
         updates — is always safe, including for replaces (delete + insert
-        of the same tid).
+        of the same tid).  An insert stores its row under exactly the tid
+        it names, and the next :meth:`insert_many` assigns tids past it.
 
-        The base implementation loops over the single-statement delta ops;
-        backends with a cheaper grouped path (a single transaction, one
-        ``executemany`` per operation kind) override it.  Backends that can
-        roll back must apply the batch atomically: on failure, none of it.
-        A batch that coalesced to *nothing* (e.g. an insert and a delete of
-        the same tid) must be a no-op — in particular, no write transaction
-        may be opened for it.
+        Backends that can roll back must apply the batch atomically: on
+        failure, none of it.  A delete or update of a tid that is not
+        stored raises ``UnknownTupleError``.  A batch that coalesced to
+        *nothing* (e.g. an insert and a delete of the same tid) must be a
+        no-op — in particular, no write transaction may be opened for it.
         """
-        if batch.is_empty():
-            return
-        for tid in batch.deletes:
-            self.delete_row(name, tid)
-        for tid, row in batch.inserts:
-            self.insert_row(name, row, tid=tid)
-        for tid, changes in batch.updates:
-            self.update_row(name, tid, changes)
 
     @abc.abstractmethod
     def get_row(self, name: str, tid: int) -> Dict[str, Any]:
@@ -174,8 +138,7 @@ class StorageBackend(abc.ABC):
         No program path calls this: SQL detection, resident repair, audit
         and the explorer read through pushed-down statements, and the
         native oracles read the working store.  Tests use it to compare
-        the backend copy with the working store, and the benchmarks'
-        ship-the-relation-back baselines to reproduce the old protocol.
+        the backend copy with the working store.
         """
 
     # -- queries and indexes -------------------------------------------------------

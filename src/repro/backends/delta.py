@@ -1,14 +1,12 @@
 """The first-class changeset flowing through the update path: ``DeltaBatch``.
 
-Before this module existed, every layer of the update path spoke in single
-tuples: the data monitor forwarded one ``insert_row``/``delete_row``/
-``update_row`` statement per applied update, and every one of those cost a
-commit on a real-DBMS backend.  A :class:`DeltaBatch` is the grouped
-alternative: it accumulates the *net* per-tuple effect of a whole update
-batch and ships it to a backend in one
+A :class:`DeltaBatch` accumulates the *net* per-tuple effect of a whole
+update batch and ships it to a backend in one
 :meth:`~repro.backends.base.StorageBackend.apply_delta_batch` call — one
-transaction on SQLite (``executemany`` per operation kind, single commit)
-instead of one commit per statement.
+transaction on SQLite (``executemany`` per operation kind, single commit).
+After the bulk load it is the only way a stored row changes: the data
+monitor ships each applied update batch (and each incremental repair) as
+one, and so does the facade's ``apply_repair``.
 
 Recording is **coalescing**: operations on the same tuple id collapse into
 their net effect, so a batch never carries two statements for one tuple:

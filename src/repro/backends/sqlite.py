@@ -458,75 +458,13 @@ class SqliteBackend(StorageBackend):
             ((tid, *map(row.__getitem__, attrs)) for tid, row in pairs),
         )
 
-    def insert_row(
-        self, name: str, row: Mapping[str, Any], tid: Optional[int] = None
-    ) -> int:
-        with self._write_lock:
-            schema = self._require(name)
-            coerced = schema.coerce_row(dict(row))
-            if tid is None:
-                tid = self._next_tid[name]
-            try:
-                self._bulk_insert(name, [(tid, coerced)])
-            except sqlite3.IntegrityError as exc:
-                self._conn.rollback()
-                raise ConstraintViolationError(str(exc)) from exc
-            except sqlite3.Error as exc:
-                raise SqlExecutionError(str(exc)) from exc
-            self._next_tid[name] = max(self._next_tid[name], tid + 1)
-            self._conn.commit()
-            return tid
-
-    def delete_row(self, name: str, tid: int) -> None:
-        with self._write_lock:
-            self._require(name)
-            try:
-                cursor = self._conn.execute(
-                    f"DELETE FROM {_ident(name)} WHERE {_ident(TID_COLUMN)} = ?",
-                    (tid,),
-                )
-            except sqlite3.Error as exc:
-                raise SqlExecutionError(str(exc)) from exc
-            if cursor.rowcount == 0:
-                self._conn.rollback()
-                raise UnknownTupleError(tid)
-            self._conn.commit()
-
-    def update_row(self, name: str, tid: int, changes: Mapping[str, Any]) -> None:
-        with self._write_lock:
-            schema = self._require(name)
-            if not changes:
-                self.get_row(name, tid)  # still raises UnknownTupleError if absent
-                return
-            assignments: List[str] = []
-            values: List[Any] = []
-            for attr_name, value in changes.items():
-                attr = schema.attribute(attr_name)  # validates existence
-                assignments.append(f"{_ident(attr_name)} = ?")
-                values.append(attr.coerce(value))
-            try:
-                cursor = self._conn.execute(
-                    f"UPDATE {_ident(name)} SET {', '.join(assignments)} "
-                    f"WHERE {_ident(TID_COLUMN)} = ?",
-                    tuple(values) + (tid,),
-                )
-            except sqlite3.IntegrityError as exc:
-                self._conn.rollback()
-                raise ConstraintViolationError(str(exc)) from exc
-            except sqlite3.Error as exc:
-                raise SqlExecutionError(str(exc)) from exc
-            if cursor.rowcount == 0:
-                self._conn.rollback()
-                raise UnknownTupleError(tid)
-            self._conn.commit()
-
     def apply_delta_batch(self, name: str, batch: DeltaBatch) -> None:
         """Apply a whole batch in one transaction: executemany per op kind.
 
-        Where the single-statement delta ops pay one commit each, the batch
-        pays exactly one — the grouped statements run inside one implicit
-        transaction and either all commit or (on any failure) all roll
-        back, so the backend copy never holds half an update batch.
+        The batch pays exactly one commit — the grouped statements run
+        inside one implicit transaction and either all commit or (on any
+        failure) all roll back, so the backend copy never holds half an
+        update batch.
         """
         with self._write_lock:
             schema = self._require(name)

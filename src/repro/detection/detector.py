@@ -34,8 +34,7 @@ across ``detect`` calls.  The CFDs a relation is detected with are
 prepared once (typed by the backend's schema and split into detection
 units) and kept until the CFD list or the relation's schema changes.
 Over a :class:`~repro.engine.database.Database` it runs
-the native path only, reading the working relations directly: asking it
-for SQL raises :class:`~repro.errors.SqlBackendRequiredError`.
+the native path, reading the working relations directly.
 """
 
 from __future__ import annotations
@@ -51,7 +50,7 @@ from ..core.satisfaction import ViolationScan, scan_violations
 from ..engine.database import Database
 from ..engine.relation import Relation
 from ..engine.types import RelationSchema
-from ..errors import DetectionError, SqlBackendRequiredError
+from ..errors import DetectionError
 from ..obs.instrument import InstrumentedBackend
 from ..obs.telemetry import NULL_TELEMETRY, Telemetry
 from .sqlgen import LHS_COLUMN_PREFIX, DetectionSqlGenerator, SqlQuery
@@ -179,16 +178,12 @@ class ErrorDetector:
 
     The argument picks the path: over a backend the detector runs SQL,
     over a :class:`~repro.engine.database.Database` it runs the native
-    oracle on the working relations.  ``use_sql`` only asserts that
-    choice: ``True`` over a Database raises
-    :class:`~repro.errors.SqlBackendRequiredError`, ``False`` over a
-    backend raises :class:`~repro.errors.DetectionError`.
+    oracle on the working relations.
     """
 
     def __init__(
         self,
         database: Union[Database, StorageBackend],
-        use_sql: Optional[bool] = None,
         telemetry: Optional[Telemetry] = None,
     ):
         #: telemetry context statements and spans are recorded under; the
@@ -199,21 +194,11 @@ class ErrorDetector:
         #: the working database the native path reads (None over a backend)
         self.database: Optional[Database] = None
         if isinstance(database, StorageBackend):
-            if use_sql is False:
-                raise DetectionError(
-                    "native detection reads the working Database; build "
-                    "the detector over the Database, not a backend"
-                )
             self.backend = database
             if self.telemetry.active and not isinstance(
                 self.backend, InstrumentedBackend
             ):
                 self.backend = InstrumentedBackend(self.backend, self.telemetry)
-        elif use_sql:
-            raise SqlBackendRequiredError(
-                "SQL detection needs a StorageBackend; build the detector "
-                "over a backend, or use native detection over the Database"
-            )
         else:
             self.database = database
         #: per-thread state (``last_sql``): a worker's statement log must

@@ -123,14 +123,6 @@ class DetectionError(SemandaqError):
     """Violation detection failed."""
 
 
-class SqlBackendRequiredError(DetectionError):
-    """SQL detection was asked for without a storage backend to run it on.
-
-    Raised by an :class:`~repro.detection.detector.ErrorDetector` built
-    over a :class:`~repro.engine.database.Database` with ``use_sql=True``.
-    """
-
-
 class RepairError(SemandaqError):
     """The repair algorithm could not produce a candidate repair."""
 

@@ -72,7 +72,7 @@ class DataMonitor:
         self._repairer = IncrementalRepairer(
             cost_model=self.cost_model, telemetry=telemetry
         )
-        self._repairs: List[Repair] = []
+        self._history: List[Repair] = []
 
     # -- mode ------------------------------------------------------------------------
 
@@ -101,7 +101,8 @@ class DataMonitor:
         The incremental detection state is rebuilt under the new set; the
         mode, the update log, the repair history and the change count
         stay, so a reference to this monitor held by user code stays
-        valid.
+        valid.  Called with the monitor's own CFDs, it re-reads a relation
+        that was edited without the monitor.
         """
         self._detector.use_cfds(cfds)
         self.cfds = list(cfds)
@@ -221,12 +222,12 @@ class DataMonitor:
                     self._detector.update(
                         change.tid, {change.attribute: change.new_value}
                     )
-        self._repairs.append(repair)
+        self._history.append(repair)
         return repair
 
     def repairs(self) -> List[Repair]:
         """All incremental repairs performed by this monitor."""
-        return list(self._repairs)
+        return list(self._history)
 
     # -- summaries ----------------------------------------------------------------------------
 
@@ -239,7 +240,7 @@ class DataMonitor:
             "updates_applied": len(self.log),
             "current_violations": report.total_violations(),
             "dirty_tuples": len(report.dirty_tids()),
-            "incremental_repairs": len(self._repairs),
+            "incremental_repairs": len(self._history),
             "tuples_examined": self.detection_cost(),
             "batches_shipped": self._detector.batches_shipped,
         }

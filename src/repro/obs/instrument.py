@@ -10,9 +10,10 @@
   DEBUG statement logging (``log_sql``) and ``EXPLAIN QUERY PLAN``
   capture (``explain_plans``);
 * the write/catalog operations (``insert_many``, ``apply_delta_batch``,
-  the single-row delta ops, ``add_relation``, ``ensure_index``) —
-  duration histograms under ``backend_ms.<op>`` and rows-affected
-  counters under ``backend_rows.<op>``.
+  ``add_relation``, ``create_relation``, ``drop_relation``,
+  ``ensure_index``) — duration histograms under ``backend_ms.<op>`` and,
+  for the two row writers, rows-affected counters under
+  ``backend_rows.<op>``.
 
 The proxy is registered as a virtual subclass of :class:`StorageBackend`
 (it delegates rather than inherits — inheriting would re-trigger the
@@ -103,17 +104,6 @@ class InstrumentedBackend:
     def apply_delta_batch(self, name: str, batch: Any) -> None:
         self._timed("apply_delta_batch", self.inner.apply_delta_batch, name, batch)
         self.telemetry.inc("backend_rows.apply_delta_batch", batch.statement_count)
-
-    def insert_row(
-        self, name: str, row: Mapping[str, Any], tid: Optional[int] = None
-    ) -> int:
-        return self._timed("insert_row", self.inner.insert_row, name, row, tid)
-
-    def delete_row(self, name: str, tid: int) -> None:
-        self._timed("delete_row", self.inner.delete_row, name, tid)
-
-    def update_row(self, name: str, tid: int, changes: Mapping[str, Any]) -> None:
-        self._timed("update_row", self.inner.update_row, name, tid, changes)
 
     def add_relation(self, relation: Any, replace: bool = False) -> None:
         self._timed("add_relation", self.inner.add_relation, relation, replace)

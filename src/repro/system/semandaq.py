@@ -18,6 +18,7 @@ the demo walks through:
 
 from __future__ import annotations
 
+import dataclasses
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -65,6 +66,10 @@ class _Detected:
     #: region (:meth:`~repro.sources.base.TupleSource.dirty_region`), so
     #: the audit, the explorers and the repair fetch it once between them
     tuples: Optional[BackendTupleSource] = None
+    #: the candidate repair planned from the report (see
+    #: :meth:`Semandaq.repair`); it is current exactly as long as the
+    #: report is, and goes with it
+    repair: Optional[Repair] = None
 
     def holds(self, cfds: Sequence[CFD], changes: int) -> bool:
         """Whether the report describes a relation under ``cfds`` after ``changes``.
@@ -126,7 +131,11 @@ class Semandaq:
         self.cost_model = CostModel(attribute_weights=dict(self.config.attribute_weights))
         #: the latest detection per relation; guarded by ``_sync_lock``
         self._reports: Dict[str, _Detected] = {}
-        self._repairs: Dict[str, Repair] = {}
+        #: the repair last applied to each relation (None for a reviewed
+        #: relation applied without a current candidate), kept until the
+        #: relation is replaced: a new monitor of a relation listed here
+        #: starts in repair mode
+        self._applied: Dict[str, Optional[Repair]] = {}
         self._monitors: Dict[str, DataMonitor] = {}
         #: relations that have been bulk-loaded into the backend at least once
         self._synced: Set[str] = set()
@@ -181,14 +190,13 @@ class Semandaq:
         backend — and so would a reference to it still held by user code, so
         its backend is detached as well.  A fresh monitor is created on the
         next ``monitor()`` call, bound to the new data; the stale detection
-        report and candidate repair are dropped and the new contents
-        bulk-loaded.  Without a repair, :meth:`apply_repair` refuses to
-        run, :meth:`review` plans a new one and a new monitor starts in
-        detect mode.
+        report goes with its candidate repair, the new contents are
+        bulk-loaded, and the relation counts as never repaired: a new
+        monitor starts in detect mode.
         """
         self._retire_monitor(relation_name)
         self._drop_report(relation_name)
-        self._repairs.pop(relation_name, None)
+        self._applied.pop(relation_name, None)
         self._sync_backend(relation_name)
 
     def _retire_monitor(self, relation_name: str) -> bool:
@@ -246,11 +254,12 @@ class Semandaq:
         """Re-sync only when the backend copy may be out of date.
 
         See :meth:`_backend_lags`.  Monitored relations no longer force a
-        whole-relation reload: the monitor ships every applied update (and
-        every incremental-repair change) down to the backend as a per-tid
-        delta, so the backend copy tracks the working store continuously.  Facade-level mutations
+        whole-relation reload: the monitor ships every applied update batch
+        (and every incremental repair) down to the backend as one
+        :class:`~repro.backends.delta.DeltaBatch`, so the backend copy
+        tracks the working store continuously.  Facade-level mutations
         (``register_relation``/``load_csv``) sync eagerly and
-        ``apply_repair`` ships per-tid deltas, so repeated ``detect`` calls
+        ``apply_repair`` ships a batch too, so repeated ``detect`` calls
         never bulk-reload a relation that is already current.
         """
         with self._sync_lock:
@@ -263,11 +272,17 @@ class Semandaq:
         Call this after mutating the working database directly (outside the
         monitor and repair paths, which keep the backend current on their
         own).  The cached detection report no longer describes the data,
-        so it is dropped with its dirty region.
+        so it is dropped with its dirty region and its candidate repair.
+        A live monitor of the relation rebuilds its violation state from
+        the edited rows, keeping its mode, log and backend, so one held by
+        user code keeps reporting and shipping correctly.
         """
         with self._sync_lock:
             self._stale.add(relation_name)
             self._drop_report(relation_name)
+            monitor = self._monitors.get(relation_name)
+            if monitor is not None:
+                monitor.use_cfds(monitor.cfds)
 
     def schema_summary(self) -> Dict[str, List[str]]:
         """The automatically discovered schema shown after connecting."""
@@ -301,12 +316,14 @@ class Semandaq:
         """Run (SQL-based) violation detection for every CFD on ``relation_name``.
 
         The backend copy is expected to be current: bulk loads happen at
-        registration, monitors ship every applied update down as a per-tid
-        delta, and ``apply_repair`` ships repaired cells as per-tid UPDATEs.
+        registration, and monitors and ``apply_repair`` ship every change
+        down as one :class:`~repro.backends.delta.DeltaBatch`.
         A full re-sync therefore only happens when the relation was never
         loaded or was explicitly marked stale
         (:meth:`mark_backend_stale`).  The report replaces the cached one,
-        and with it that report's dirty region.
+        and with it that report's dirty region.  Re-detecting a relation
+        nothing changed keeps its candidate repair current: the repair
+        moves to the new report.
         """
         return self._detect(relation_name).report
 
@@ -316,10 +333,13 @@ class Semandaq:
         # counted before the detection runs: a change made meanwhile makes
         # the report look stale, never current
         changes = self._changes_applied(relation_name)
+        previous = self._cached(relation_name)
         detected = _Detected(
             self.detector.detect(relation_name, cfds), cfds, changes
         )
         with self._sync_lock:
+            if previous is not None and self._reports.get(relation_name) is previous:
+                detected.repair = previous.repair
             self._reports[relation_name] = detected
         return detected
 
@@ -327,8 +347,8 @@ class Semandaq:
         monitor = self._monitors.get(relation_name)
         return monitor.changes_applied if monitor is not None else 0
 
-    def _current(self, relation_name: str) -> _Detected:
-        """The cached detection of ``relation_name`` if still current, else a fresh one.
+    def _cached(self, relation_name: str) -> Optional[_Detected]:
+        """The cached detection of ``relation_name`` if it is still current.
 
         A cached report stays current while nothing changed the relation
         or its CFDs since it was computed.  The facade's own mutating
@@ -347,7 +367,17 @@ class Semandaq:
                 cfds, self._changes_applied(relation_name)
             ):
                 return detected
-        return self._detect(relation_name)
+        return None
+
+    def _current(self, relation_name: str) -> _Detected:
+        """The cached detection of ``relation_name`` if still current, else a fresh one."""
+        detected = self._cached(relation_name)
+        return detected if detected is not None else self._detect(relation_name)
+
+    def _candidate(self, relation_name: str) -> Optional[Repair]:
+        """The candidate repair of ``relation_name`` if it is still current."""
+        detected = self._cached(relation_name)
+        return detected.repair if detected is not None else None
 
     def _drop_report(self, relation_name: str) -> None:
         """Forget the cached report of ``relation_name`` and its dirty region."""
@@ -432,7 +462,8 @@ class Semandaq:
         facade or the monitor it built, no applied repair, no
         re-registration, no :meth:`mark_backend_stale` and no CFD added,
         replaced or removed.  Otherwise, or when none is cached, the
-        relation is detected afresh.
+        relation is detected afresh.  The candidate repair of
+        :meth:`repair` is current exactly as long as this report is.
         """
         return self._current(relation_name).report
 
@@ -499,27 +530,30 @@ class Semandaq:
     # -- step 6: repair and review -----------------------------------------------------------------
 
     def repair(self, relation_name: str, cost_model: Optional[CostModel] = None) -> Repair:
-        """Compute a candidate repair of ``relation_name``.
+        """Compute the candidate repair of ``relation_name``.
 
-        With SQL detection on the repair is planned over a
-        backend-resident data source: it starts from the current report
-        (see :meth:`last_report`) and that report's dirty region, which
-        :meth:`audit` and the explorers share, so it runs no detection of
-        its own; group members come from the sargable covering-members
-        plans and value frequencies from ``GROUP BY`` aggregates — only
-        result-sized rows cross the backend boundary and the working
-        relation is never walked.  The repair's ``original`` and
-        ``repaired`` relations hand out copies of their rows, never the
-        region's.  With it off the repairer walks the working relation
-        (the parity oracle).
+        The repair is planned from the current report (see
+        :meth:`last_report`), detected first if none is cached, and stays
+        the candidate :meth:`review` and :meth:`apply_repair` use for as
+        long as that report is current: a change to the relation or its
+        CFDs makes it stale.  With SQL detection on it is planned over a
+        backend-resident data source: it starts from the report and that
+        report's dirty region, which :meth:`audit` and the explorers
+        share, so it runs no detection of its own; group members come
+        from the sargable covering-members plans and value frequencies
+        from ``GROUP BY`` aggregates — only result-sized rows cross the
+        backend boundary and the working relation is never walked.  The
+        repair's ``original`` and ``repaired`` relations hand out copies
+        of their rows, never the region's.  With it off the repairer walks
+        the working relation (the parity oracle).
         """
         repairer = BatchRepairer(
             cost_model=cost_model or self.cost_model,
             max_iterations=self.config.repair_max_iterations,
             telemetry=self.telemetry,
         )
+        detected = self._current(relation_name)
         if self.config.use_sql_detection:
-            detected = self._current(relation_name)
             source = BackendRepairSource(
                 self._tuple_source(relation_name, detected), detected.report
             )
@@ -530,104 +564,93 @@ class Semandaq:
             )
         else:
             repair = repairer.repair(
-                self.database.relation(relation_name),
-                self.constraints.cfds(relation_name),
+                self.database.relation(relation_name), detected.cfds
             )
         self.telemetry.inc("repair.cells_changed", len(repair.changes))
-        self._repairs[relation_name] = repair
+        detected.repair = repair
         return repair
 
-    def _hydrate_repair(self, relation_name: str, repair: Repair) -> Repair:
-        """Expand a backend-resident repair to full-relation form.
+    @staticmethod
+    def _replayed(relation: Relation, repair: Repair) -> Relation:
+        """A copy of ``relation`` with ``repair``'s change list applied.
 
-        A resident repair's ``original``/``repaired`` hold only the partial
-        relation the planner fetched; review and the replace-style apply
-        path need whole relations, so the change list (the complete ground
-        truth) is replayed over a copy of the working store, which shares
-        every row the repair leaves unchanged.
+        The change list is the whole repair on every path, so a current
+        repair replayed over the working relation gives its repaired
+        relation.  The copy shares every row the repair leaves unchanged.
         """
-        original = self.database.relation(relation_name)
-        repaired = original.copy()
+        replayed = relation.copy()
         for change in repair.changes:
-            if change.tid in repaired:
-                repaired.update(change.tid, {change.attribute: change.new_value})
-        return Repair(
-            original=original,
-            repaired=repaired,
-            changes=repair.changes,
-            iterations=repair.iterations,
-            residual_violations=repair.residual_violations,
-            source=repair.source,
-        )
+            replayed.update(change.tid, {change.attribute: change.new_value})
+        return replayed
 
     def review(self, relation_name: str) -> RepairReview:
-        """An interactive review of the latest candidate repair."""
-        if relation_name not in self._repairs:
-            self.repair(relation_name)
-        repair = self._repairs[relation_name]
-        if repair.source == "backend":
-            repair = self._hydrate_repair(relation_name, repair)
-        return RepairReview(repair, self.constraints.cfds(relation_name))
+        """An interactive review of the current candidate repair.
+
+        When there is none, or it is stale, a new one is planned.  The
+        review compares the working relation with the candidate's change
+        list replayed over a copy of it, whichever source planned the
+        repair.
+        """
+        repair = self._candidate(relation_name)
+        if repair is None:
+            repair = self.repair(relation_name)
+        original = self.database.relation(relation_name)
+        return RepairReview(
+            dataclasses.replace(
+                repair, original=original, repaired=self._replayed(original, repair)
+            ),
+            self.constraints.cfds(relation_name),
+        )
 
     def apply_repair(self, relation_name: str, reviewed: Optional[Relation] = None) -> Relation:
-        """Replace the stored relation with the repaired (or reviewed) version.
+        """Apply the current candidate repair (or a reviewed relation).
 
-        The backend copy is brought up to date by shipping one UPDATE per
-        repaired tuple (the repair's cell changes) instead of bulk-reloading
-        the whole relation; a full re-sync only happens when the tuple-id
-        sets diverge (something other than cell repairs changed the data) or
-        the relation was never loaded.  Also drops the cached detection
-        report with its dirty region, before anything is copied or shipped,
-        and switches any monitor of the relation to "cleansed" mode.
+        Without ``reviewed`` the candidate's change list is replayed over a
+        copy of the working relation, which replaces it, and the same
+        cells travel to the backend as one
+        :class:`~repro.backends.delta.DeltaBatch`.  A candidate is applied
+        only while it is current (see :meth:`repair`); without one this
+        raises :class:`~repro.errors.ConfigurationError`, on both paths.
+        A ``reviewed`` relation replaces the working one as it is, and the
+        cells that differ from it ship as one batch.  A full re-sync
+        happens instead when the tuple-id sets differ or the backend copy
+        lags.  The cached report is dropped, with its dirty region and
+        candidate, before anything is copied or shipped.  With SQL
+        detection on, a pushed-down ``detect_for_tuples`` over the
+        repaired tids is the safety net for the resident planner, which
+        never saw the whole relation (violations it still finds count as
+        ``repair.post_check_violations``).  A monitor of the relation
+        switches to "cleansed" mode, as does any monitor started later.
         """
-        if relation_name not in self._repairs and reviewed is None:
-            raise ConfigurationError(
-                f"no candidate repair for {relation_name!r}; call repair() first"
-            )
-        self._drop_report(relation_name)
-        if reviewed is None and self._repairs[relation_name].source == "backend":
-            return self._apply_repair_resident(
-                relation_name, self._repairs[relation_name]
-            )
-        new_relation = reviewed or self._repairs[relation_name].repaired
-        replacement = new_relation.copy()
-        old_relation = (
-            self.database.relation(relation_name)
-            if self.database.has_relation(relation_name)
-            else None
-        )
-        self.database.add_relation(replacement, replace=True)
-        self._ship_backend_delta(relation_name, old_relation, replacement)
-        self._restart_monitor(relation_name)
-        return replacement
-
-    def _apply_repair_resident(self, relation_name: str, repair: Repair) -> Relation:
-        """Apply a backend-resident repair without materialising the relation.
-
-        The repair's change list is the complete ground truth, so the
-        replacement relation is rebuilt from the working copy plus the
-        changes (a Python-side copy sharing the unchanged rows — the
-        backend is never asked to ship rows back) and the same changes
-        travel to the backend as one :class:`DeltaBatch`.  A pushed-down ``detect_for_tuples`` over the
-        changed tids is the safety net that replaces the native
-        ``verify_untouched`` walk (any violations it still finds are
-        surfaced as the ``repair.post_check_violations`` counter).
-        """
-        replacement = self._hydrate_repair(relation_name, repair).repaired
-        self.database.add_relation(replacement, replace=True)
-        batch = DeltaBatch(relation=relation_name)
-        for change in repair.changes:
-            if change.tid in replacement:
+        with self._sync_lock:
+            repair = self._candidate(relation_name)
+            if repair is None and reviewed is None:
+                raise ConfigurationError(
+                    f"no current candidate repair for {relation_name!r}: none "
+                    "was planned, or the relation or its CFDs changed since; "
+                    "call repair()"
+                )
+            self._applied[relation_name] = repair
+            self._drop_report(relation_name)
+        if reviewed is None:
+            replacement = self._replayed(self.database.relation(relation_name), repair)
+            batch: Optional[DeltaBatch] = DeltaBatch(relation=relation_name)
+            for change in repair.changes:
                 batch.record_update(change.tid, {change.attribute: change.new_value})
-        if self._backend_lags(relation_name):
+        else:
+            replacement = reviewed.copy()
+            batch = self._cell_diff(relation_name, replacement)
+        self.database.add_relation(replacement, replace=True)
+        if batch is None or self._backend_lags(relation_name):
             self._sync_backend(relation_name)
         elif not batch.is_empty():
             self.backend.apply_delta_batch(relation_name, batch)
             self.telemetry.inc("sync.delta_batches")
-        changed = sorted(repair.changed_tids())
-        if changed:
+        if self.config.use_sql_detection and reviewed is None and repair.changes:
             post = self.detector.detect_for_tuples(
-                relation_name, self.constraints.cfds(relation_name), changed
+                relation_name,
+                self.constraints.cfds(relation_name),
+                sorted(repair.changed_tids()),
             )
             self.telemetry.inc(
                 "repair.post_check_violations", post.total_violations()
@@ -635,37 +658,22 @@ class Semandaq:
         self._restart_monitor(relation_name)
         return replacement
 
-    def _ship_backend_delta(
-        self,
-        relation_name: str,
-        old_relation: Optional[Relation],
-        new_relation: Relation,
-    ) -> None:
-        """Bring the backend copy from ``old_relation`` to ``new_relation``.
+    def _cell_diff(self, relation_name: str, reviewed: Relation) -> Optional[DeltaBatch]:
+        """The cells of ``reviewed`` that differ from the working relation, as one batch.
 
-        When the backend copy was current (synced, not stale) and the tuple-id
-        sets agree — repairs only modify cell values — the changed cells are
-        shipped as per-tid UPDATE statements.  Anything else falls back to a
-        full bulk re-sync.
-
-        The diff is computed from the in-memory relations (one pass over
-        each, no backend round trips), so it is robust against the working
-        store having drifted since ``repair()`` — e.g. monitor updates in
-        between — where replaying the repair's recorded cell changes would
-        silently miss the reverted cells.  A copy shares the rows it did
-        not change (:meth:`Relation.copy`), so a shared row is skipped
-        without comparing its cells; only the changed cells travel to the
-        backend.
+        None when there is no working relation or its tuple ids differ
+        from ``reviewed``'s: only a full re-sync brings the backend copy
+        there.  A copy shares the rows it did not change
+        (:meth:`Relation.copy`), so a shared row is skipped without
+        comparing its cells.
         """
-        if old_relation is None or self._backend_lags(relation_name):
-            self._sync_backend(relation_name)
-            return
-        old_rows = dict(old_relation.stored_rows())
-        new_rows = dict(new_relation.stored_rows())
+        if not self.database.has_relation(relation_name):
+            return None
+        old_rows = dict(self.database.relation(relation_name).stored_rows())
+        new_rows = dict(reviewed.stored_rows())
         if old_rows.keys() != new_rows.keys():
-            self._sync_backend(relation_name)
-            return
-        attributes = new_relation.attribute_names
+            return None
+        attributes = reviewed.attribute_names
         batch = DeltaBatch(relation=relation_name)
         for tid, old_row in old_rows.items():
             new_row = new_rows[tid]
@@ -678,15 +686,17 @@ class Semandaq:
             }
             if changes:
                 batch.record_update(tid, changes)
-        if not batch.is_empty():
-            self.backend.apply_delta_batch(relation_name, batch)
-            self.telemetry.inc("sync.delta_batches")
+        return batch
 
     # -- step 7: monitor -----------------------------------------------------------------------------
 
     def monitor(self, relation_name: str, cleansed: Optional[bool] = None) -> DataMonitor:
         """The data monitor of ``relation_name`` (created on first use).
 
+        A new monitor starts in repair ("cleansed") mode when a repair was
+        applied to the relation since it was registered, and in detect
+        mode otherwise; ``cleansed`` overrides that.  A candidate that was
+        never applied leaves it in detect mode.
         When the relation's CFDs changed since the monitor last checked
         them (one added, replaced or removed), the monitor switches to the
         current set in place (:meth:`DataMonitor.use_cfds`): its report
@@ -697,7 +707,7 @@ class Semandaq:
         if monitor is None:
             monitor = self._monitors[relation_name] = self._make_monitor(
                 relation_name,
-                cleansed=bool(cleansed) if cleansed is not None else relation_name in self._repairs,
+                cleansed=bool(cleansed) if cleansed is not None else relation_name in self._applied,
             )
             return monitor
         cfds = self.constraints.cfds(relation_name)

@@ -3,11 +3,10 @@
 ``DeltaBatch`` is the first-class changeset of the update path: it records
 the *net* per-tuple effect of an update batch and ships to a backend in one
 ``apply_delta_batch`` round trip — a single transaction on SQLite
-(``executemany`` per op kind, one commit) instead of one commit per
-statement.  These tests pin the coalescing algebra, the grouped
-application's parity with per-statement replay, SQLite's transactional
-atomicity and single-commit behaviour, and the backend context-manager
-protocol.
+(``executemany`` per op kind, one commit).  These tests pin the coalescing
+algebra, the grouped application's parity with an op-by-op replay over a
+:class:`~repro.engine.relation.Relation`, SQLite's transactional atomicity
+and single-commit behaviour, and the backend context-manager protocol.
 """
 
 import sqlite3
@@ -16,7 +15,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.backends import DeltaBatch, SqliteBackend, StorageBackend
+from repro.backends import DeltaBatch, SqliteBackend
 from repro.engine.relation import Relation
 from repro.engine.types import AttributeDef, DataType, RelationSchema
 from repro.errors import BackendError, ConstraintViolationError, UnknownTupleError
@@ -145,15 +144,6 @@ class TestApplyDeltaBatch:
         oracle.insert_at(2, {"NAME": "new washer", "QTY": 1, "OK": False})
         assert list(backend.iter_rows("items")) == list(oracle.rows())
 
-    def test_grouped_path_matches_base_loop(self, backend, sqlite_backend_factory):
-        # SQLite's one-transaction override against the interface's
-        # per-statement loop
-        looped = _loaded(sqlite_backend_factory())
-        backend.apply_delta_batch("items", _mixed_batch())
-        StorageBackend.apply_delta_batch(looped, "items", _mixed_batch())
-        assert list(backend.iter_rows("items")) == list(looped.iter_rows("items"))
-        looped.close()
-
     def test_empty_batch_is_a_no_op(self, backend):
         before = list(backend.iter_rows("items"))
         backend.apply_delta_batch("items", DeltaBatch("items"))
@@ -202,7 +192,7 @@ class TestApplyDeltaBatch:
         batch = DeltaBatch("items")
         batch.record_insert(10, {"NAME": "nail", "QTY": 1, "OK": True})
         backend.apply_delta_batch("items", batch)
-        assert backend.insert_row("items", {"NAME": "pin", "QTY": 2, "OK": True}) == 11
+        assert backend.insert_many("items", [{"NAME": "pin", "QTY": 2, "OK": True}]) == [11]
 
     def test_sqlite_batch_is_atomic_on_unknown_tid(self, sqlite_backend_factory):
         backend = _loaded(sqlite_backend_factory())
@@ -262,7 +252,8 @@ class TestApplyDeltaBatch:
 
 
 class TestBatchReplayProperty:
-    """Random op sequences: one coalesced batch == raw one-by-one replay."""
+    """Random op sequences: one coalesced batch == a raw one-by-one replay
+    over a :class:`Relation`."""
 
     row_strategy = st.fixed_dictionaries(
         {
@@ -312,34 +303,26 @@ class TestBatchReplayProperty:
     def test_coalesced_batch_equals_raw_replay(self, data, sqlite_options):
         ops, live = self._draw_ops(data)
         # the session-scoped options, not the factory: hypothesis re-runs
-        # the body within one test, so each example closes its own stores
+        # the body within one test, so each example closes its own store
         with SqliteBackend(**sqlite_options()) as batch_backend:
-            with SqliteBackend(**sqlite_options()) as replay_backend:
-                self._check_replay(
-                    ops, live, _loaded(batch_backend), _loaded(replay_backend)
-                )
+            self._check_replay(ops, live, _loaded(batch_backend))
 
     @staticmethod
-    def _check_replay(ops, live, batch_backend, replay_backend):
+    def _check_replay(ops, live, batch_backend):
         relation_replay = Relation.from_rows(SCHEMA, ROWS)
         batch = DeltaBatch("items")
         for op, tid, payload in ops:
             if op == "insert":
-                replay_backend.insert_row("items", payload, tid=tid)
                 relation_replay.insert_at(tid, payload)
                 batch.record_insert(tid, payload)
             elif op == "delete":
-                replay_backend.delete_row("items", tid)
                 relation_replay.delete(tid)
                 batch.record_delete(tid)
             else:
-                replay_backend.update_row("items", tid, payload)
                 relation_replay.update(tid, payload)
                 batch.record_update(tid, payload)
         batch_backend.apply_delta_batch("items", batch)
-        expected = list(replay_backend.iter_rows("items"))
-        assert list(batch_backend.iter_rows("items")) == expected
-        assert list(relation_replay.rows()) == expected
+        assert list(batch_backend.iter_rows("items")) == list(relation_replay.rows())
 
         # rollback path: a poisoned batch (one op hits a missing tid) must
         # leave the backend exactly as it was — none of its valid ops stick
@@ -351,8 +334,6 @@ class TestBatchReplayProperty:
         with pytest.raises(UnknownTupleError):
             batch_backend.apply_delta_batch("items", poison)
         assert list(batch_backend.iter_rows("items")) == before
-        for backend in (batch_backend, replay_backend):
-            backend.close()
 
     def test_failed_mirror_batch_sets_desync_and_rolls_back(
         self, sqlite_backend_factory

@@ -1,19 +1,19 @@
 """Backend-resident incremental maintenance: per-tid delta shipping.
 
-The data monitor forwards every applied update — and every incremental-repair
-cell change — to the attached storage backend as a single-statement
-INSERT/DELETE/UPDATE, so a monitored relation never needs the whole-relation
-``add_relation(replace=True)`` re-sync the facade used to issue before each
-``detect``.  These tests pin the delta ops at the backend level, the
-no-full-resync property at the facade level (via the facade's sync counter
-and a backend call log), and the ``clean()`` round-trip on a file-backed
-SQLite store.
+The data monitor ships every applied update batch — and every
+incremental-repair changeset — to the attached storage backend as one
+:class:`~repro.backends.delta.DeltaBatch`, so a monitored relation never
+needs the whole-relation ``add_relation(replace=True)`` re-sync the facade
+used to issue before each ``detect``.  These tests pin one-op batches at
+the backend level, the no-full-resync property at the facade level (via the
+facade's sync counter and a backend call log), and the ``clean()``
+round-trip on a file-backed SQLite store.
 """
 
 import pytest
 
 from repro import Semandaq, SemandaqConfig
-from repro.backends import SqliteBackend
+from repro.backends import DeltaBatch, SqliteBackend
 from repro.datasets import generate_customers, paper_cfds
 from repro.detection.detector import ErrorDetector
 from repro.engine.database import Database
@@ -53,54 +53,48 @@ def backend(sqlite_backend_factory):
     instance.close()
 
 
+def _ship(backend, record, *args):
+    """Ship a one-op batch built by the ``DeltaBatch.record_*`` method ``record``."""
+    batch = DeltaBatch("items")
+    getattr(batch, record)(*args)
+    backend.apply_delta_batch("items", batch)
+
+
 class TestDeltaOps:
-    def test_insert_row_assigns_next_tid(self, backend):
-        tid = backend.insert_row("items", {"NAME": "screw", "QTY": 9, "OK": False})
-        assert tid == 3
-        assert backend.get_row("items", 3)["NAME"] == "screw"
+    def test_an_insert_is_stored_under_its_tid(self, backend):
+        _ship(backend, "record_insert", 10, {"NAME": "nail", "QTY": 1, "OK": True})
+        assert backend.get_row("items", 10) == {"NAME": "nail", "QTY": 1, "OK": True}
         assert backend.row_count("items") == 4
 
-    def test_insert_row_with_explicit_tid_is_stable(self, backend):
-        tid = backend.insert_row("items", {"NAME": "nail", "QTY": 1, "OK": True}, tid=10)
-        assert tid == 10
-        assert backend.get_row("items", 10)["QTY"] == 1
-        # the tid counter advanced past the explicit id
-        assert backend.insert_row("items", {"NAME": "pin", "QTY": 4, "OK": True}) == 11
-
-    def test_insert_row_rejects_live_tid(self, backend):
+    def test_an_insert_onto_a_live_tid_is_refused(self, backend):
         with pytest.raises(ConstraintViolationError):
-            backend.insert_row("items", {"NAME": "dup", "QTY": 0, "OK": True}, tid=0)
+            _ship(backend, "record_insert", 0, {"NAME": "dup", "QTY": 0, "OK": True})
+        assert backend.get_row("items", 0)["NAME"] == "bolt"
 
-    def test_delete_row(self, backend):
-        backend.delete_row("items", 1)
+    def test_delete(self, backend):
+        _ship(backend, "record_delete", 1)
         assert backend.row_count("items") == 2
         with pytest.raises(UnknownTupleError):
             backend.get_row("items", 1)
         with pytest.raises(UnknownTupleError):
-            backend.delete_row("items", 1)
+            _ship(backend, "record_delete", 1)
 
-    def test_update_row_changes_only_named_attributes(self, backend):
-        backend.update_row("items", 2, {"QTY": 99, "OK": False})
+    def test_update_changes_only_named_attributes(self, backend):
+        _ship(backend, "record_update", 2, {"QTY": 99, "OK": False})
         row = backend.get_row("items", 2)
         assert row == {"NAME": "washer", "QTY": 99, "OK": False}
         with pytest.raises(UnknownTupleError):
-            backend.update_row("items", 42, {"QTY": 1})
+            _ship(backend, "record_update", 42, {"QTY": 1})
 
-    def test_update_row_empty_changes_still_validates_tid(self, backend):
-        backend.update_row("items", 0, {})  # no-op on a live tid
-        assert backend.get_row("items", 0)["NAME"] == "bolt"
-        with pytest.raises(UnknownTupleError):
-            backend.update_row("items", 42, {})
-
-    def test_delta_ops_keep_backend_identical_to_relation(self, backend):
+    def test_one_op_batches_keep_backend_identical_to_relation(self, backend):
         relation = Relation.from_rows(SCHEMA, ROWS)
-        backend.insert_row("items", {"NAME": "screw", "QTY": 9, "OK": False})
+        _ship(backend, "record_insert", 3, {"NAME": "screw", "QTY": 9, "OK": False})
         relation.insert({"NAME": "screw", "QTY": 9, "OK": False})
-        backend.update_row("items", 0, {"QTY": 6})
+        _ship(backend, "record_update", 0, {"QTY": 6})
         relation.update(0, {"QTY": 6})
-        backend.delete_row("items", 1)
+        _ship(backend, "record_delete", 1)
         relation.delete(1)
-        backend.insert_row("items", {"NAME": "rivet", "QTY": 3, "OK": True}, tid=8)
+        _ship(backend, "record_insert", 8, {"NAME": "rivet", "QTY": 3, "OK": True})
         relation.insert_at(8, {"NAME": "rivet", "QTY": 3, "OK": True})
         assert list(backend.iter_rows("items")) == list(relation.rows())
 

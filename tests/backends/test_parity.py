@@ -28,7 +28,7 @@ from repro.engine.csvio import dump_csv
 from repro.engine.database import Database
 from repro.engine.relation import Relation
 from repro.engine.types import AttributeDef, DataType, RelationSchema
-from repro.errors import BackendError, DetectionError, SqlBackendRequiredError
+from repro.errors import BackendError
 from tests.tableaux import (
     NULL_CELL_CFD,
     OVERLAP_CFD,
@@ -59,11 +59,11 @@ class TestNativeSqlParity:
     ):
         database = Database()
         database.add_relation(dirty_customers.copy())
-        native = ErrorDetector(database, use_sql=False).detect("customer", cfds)
+        native = ErrorDetector(database).detect("customer", cfds)
 
         sqlite_backend = sqlite_backend_factory()
         sqlite_backend.add_relation(dirty_customers.copy())
-        sqlite_sql = ErrorDetector(sqlite_backend, use_sql=True).detect(
+        sqlite_sql = ErrorDetector(sqlite_backend).detect(
             "customer", cfds
         )
         sqlite_backend.close()
@@ -74,12 +74,10 @@ class TestNativeSqlParity:
 
     def test_database_detector_is_native_only(self, dirty_customers, cfds):
         # SQL runs on a StorageBackend; over the working Database the
-        # detector is the native oracle and refuses SQL
+        # detector is the native oracle
         database = Database()
         database.add_relation(dirty_customers.copy())
-        with pytest.raises(SqlBackendRequiredError):
-            ErrorDetector(database, use_sql=True)
-        native = ErrorDetector(database, use_sql=False)
+        native = ErrorDetector(database)
         assert native.backend is None
         report = native.detect("customer", cfds)
         assert report.total_violations() > 0
@@ -91,9 +89,6 @@ class TestNativeSqlParity:
         # native detection reads the working Database, never a backend copy
         backend = sqlite_backend_factory()
         backend.add_relation(dirty_customers.copy())
-        with pytest.raises(DetectionError) as raised:
-            ErrorDetector(backend, use_sql=False)
-        assert not isinstance(raised.value, SqlBackendRequiredError)
         detector = ErrorDetector(backend)
         assert detector.database is None
         detector.detect("customer", cfds)
@@ -163,10 +158,10 @@ def _all_path_reports(relation, cfds, sqlite_options):
     """
     database = Database()
     database.add_relation(relation.copy())
-    native = ErrorDetector(database, use_sql=False).detect(relation.name, cfds)
+    native = ErrorDetector(database).detect(relation.name, cfds)
     sqlite_backend = SqliteBackend(**sqlite_options())
     sqlite_backend.add_relation(relation.copy())
-    sqlite_sql = ErrorDetector(sqlite_backend, use_sql=True).detect(
+    sqlite_sql = ErrorDetector(sqlite_backend).detect(
         relation.name, cfds
     )
     incremental = IncrementalDetector(database, relation.name, cfds).report()

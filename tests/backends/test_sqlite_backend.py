@@ -130,8 +130,8 @@ class TestRowsAndTids:
         assert relation.insert_many([{"A": 1}, {"A": "2"}]) == [0, 1]
         backend.add_relation(relation)
         assert backend.insert_many("single", [{"A": 3}, {"A": None}]) == [2, 3]
-        assert backend.insert_row("single", {"A": 4}) == 4
         batch = DeltaBatch("single")
+        batch.record_insert(4, {"A": 4})
         batch.record_insert(5, {"A": "5"})
         backend.apply_delta_batch("single", batch)
         assert dict(backend.iter_rows("single")) == {
@@ -146,9 +146,9 @@ class TestRowsAndTids:
             Relation.from_rows(flags, [{"K": "a", "B": True}, {"K": "b", "B": False}])
         )
         backend.insert_many("flags", [{"K": "c", "B": True}, {"K": "d", "B": "no"}])
-        backend.insert_row("flags", {"K": "e", "B": True})
-        backend.update_row("flags", 0, {"B": False})
         batch = DeltaBatch("flags")
+        batch.record_insert(4, {"K": "e", "B": True})
+        batch.record_update(0, {"B": False})
         batch.record_update(1, {"B": True})
         batch.record_insert(5, {"K": "f", "B": False})
         backend.apply_delta_batch("flags", batch)
@@ -256,6 +256,13 @@ class TestQueriesAndIndexes:
 KEYED = RelationSchema("keyed", [AttributeDef("K"), AttributeDef("V")], key=("K",))
 
 
+def _update(backend, name, tid, changes):
+    """Ship one cell update as a one-op batch."""
+    batch = DeltaBatch(name)
+    batch.record_update(tid, changes)
+    backend.apply_delta_batch(name, batch)
+
+
 class TestErrorMapping:
     """sqlite3 errors surface as the typed ``repro.errors`` hierarchy, and a
     failed write leaves the stored rows untouched."""
@@ -265,23 +272,23 @@ class TestErrorMapping:
             KEYED, rows=[{"K": "a", "V": "1"}, {"K": "b", "V": "2"}]
         )
         with pytest.raises(ConstraintViolationError):
-            backend.update_row("keyed", 1, {"K": "a"})
+            _update(backend, "keyed", 1, {"K": "a"})
         assert backend.get_row("keyed", 1) == {"K": "b", "V": "2"}
-        backend.update_row("keyed", 1, {"V": "3"})  # still writable
+        _update(backend, "keyed", 1, {"V": "3"})  # still writable
         assert backend.get_row("keyed", 1)["V"] == "3"
 
     def test_update_of_an_unknown_attribute_raises(self, backend):
         backend.create_relation(SCHEMA, rows=ROWS)
         with pytest.raises(UnknownAttributeError):
-            backend.update_row("mixed", 0, {"NOPE": 1})
+            _update(backend, "mixed", 0, {"NOPE": 1})
 
     def test_update_value_is_coerced_to_the_column_type(self, backend):
         backend.create_relation(SCHEMA, rows=ROWS)
-        backend.update_row("mixed", 0, {"I": "42", "F": 3})
+        _update(backend, "mixed", 0, {"I": "42", "F": 3})
         assert backend.get_row("mixed", 0)["I"] == 42
         assert backend.get_row("mixed", 0)["F"] == 3.0
         with pytest.raises(TypeMismatchError):
-            backend.update_row("mixed", 0, {"I": "forty-two"})
+            _update(backend, "mixed", 0, {"I": "forty-two"})
         assert backend.get_row("mixed", 0)["I"] == 42
 
     def test_batch_onto_a_taken_key_rolls_back_whole(self, backend):

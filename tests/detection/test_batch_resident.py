@@ -62,7 +62,7 @@ def _backend_for(relation, sqlite_options):
 
 def _filtered_oracle(database, relation_name, cfds, tids):
     """The old semantics: a full native detection filtered to ``tids``."""
-    report = ErrorDetector(database, use_sql=False).detect(relation_name, cfds)
+    report = ErrorDetector(database).detect(relation_name, cfds)
     wanted = set(tids)
     return sorted(
         key
@@ -82,7 +82,7 @@ class TestZeroWorkingStoreReads:
         report = detector.detect("customer", paper_cfds())
         assert report.total_violations() > 0
         assert report.tuple_count == len(relation)
-        oracle = ErrorDetector(database, use_sql=False).detect(
+        oracle = ErrorDetector(database).detect(
             "customer", paper_cfds()
         )
         assert _violation_keys(report) == _violation_keys(oracle)
@@ -92,7 +92,7 @@ class TestZeroWorkingStoreReads:
         relation = _dirty_customers()
         backend, database = _backend_for(relation, sqlite_options)
         detector = ErrorDetector(ForbiddenReadBackend(backend))
-        full = ErrorDetector(database, use_sql=False).detect("customer", paper_cfds())
+        full = ErrorDetector(database).detect("customer", paper_cfds())
         wanted = sorted(full.dirty_tids())[:5] + [0, 1]
         report = detector.detect_for_tuples("customer", paper_cfds(), wanted)
         assert report.tuple_count == len(relation)
@@ -121,7 +121,7 @@ class TestDetectForTuplesPushdown:
         relation = _dirty_customers()
         backend, database = _backend_for(relation, sqlite_options)
         detector = ErrorDetector(backend)
-        full = ErrorDetector(database, use_sql=False).detect("customer", paper_cfds())
+        full = ErrorDetector(database).detect("customer", paper_cfds())
         dirty = sorted(full.dirty_tids())
         for wanted in ([], dirty[:1], dirty[:4], [0, 1, 2], list(relation.tids())):
             report = detector.detect_for_tuples("customer", paper_cfds(), wanted)

@@ -123,7 +123,7 @@ class TestCrossVariantParity:
         backend.close()
         database = Database()
         database.add_relation(relation.copy())
-        native = _keys(ErrorDetector(database, use_sql=False).detect("r", cfds))
+        native = _keys(ErrorDetector(database).detect("r", cfds))
         assert report == native
         assert report  # the workload does violate
 

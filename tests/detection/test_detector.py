@@ -35,12 +35,12 @@ def customer_backend(customer_relation, sqlite_options):
 
 @pytest.fixture
 def detector(customer_backend):
-    return ErrorDetector(customer_backend, use_sql=True)
+    return ErrorDetector(customer_backend)
 
 
 @pytest.fixture
 def native_detector(customer_database):
-    return ErrorDetector(customer_database, use_sql=False)
+    return ErrorDetector(customer_database)
 
 
 class TestDetectExample:
@@ -137,8 +137,8 @@ class TestSqlVsNative:
         database = Database()
         database.add_relation(dirty)
         backend = _sqlite(dirty, sqlite_options)
-        sql_report = ErrorDetector(backend, use_sql=True).detect("customer", customer_cfds)
-        native_report = ErrorDetector(database, use_sql=False).detect("customer", customer_cfds)
+        sql_report = ErrorDetector(backend).detect("customer", customer_cfds)
+        native_report = ErrorDetector(database).detect("customer", customer_cfds)
         assert sql_report.vio() == native_report.vio()
         backend.close()
 
@@ -165,9 +165,9 @@ class TestSqlVsNative:
             parse_cfd("customer: [CC=_] -> [CNT=_]"),
         ]
         backend = _sqlite(relation, sqlite_options)
-        sql_report = ErrorDetector(backend, use_sql=True).detect("customer", cfds)
+        sql_report = ErrorDetector(backend).detect("customer", cfds)
         backend.close()
-        native_report = ErrorDetector(database, use_sql=False).detect("customer", cfds)
+        native_report = ErrorDetector(database).detect("customer", cfds)
         assert sql_report.vio() == native_report.vio()
         assert sql_report.dirty_tids() == native_report.dirty_tids()
 
@@ -220,7 +220,7 @@ class TestBackendCatalog:
         ).dirty
         database = Database()
         database.add_relation(dirty.copy())
-        oracle = ErrorDetector(database, use_sql=False)
+        oracle = ErrorDetector(database)
         backend = _sqlite(dirty, sqlite_options)
         phi1, phi2, phi3, phi4 = paper_cfds()
         lists = {"first": [phi3, phi1], "second": [phi4, phi2]}

@@ -123,7 +123,7 @@ def incremental(customer_database, customer_cfds):
 
 class TestInitialState:
     def test_initial_report_matches_batch(self, customer_database, customer_cfds, incremental):
-        batch = ErrorDetector(customer_database, use_sql=False).detect("customer", customer_cfds)
+        batch = ErrorDetector(customer_database).detect("customer", customer_cfds)
         assert reports_equal(incremental.report(), batch)
 
     def test_wrong_relation_rejected(self, customer_database):
@@ -184,7 +184,7 @@ class TestEquivalenceWithBatch:
              "STR": "Third Street", "CC": "44", "AC": "131"}
         )
         incremental.delete(5)
-        batch = ErrorDetector(customer_database, use_sql=False).detect("customer", customer_cfds)
+        batch = ErrorDetector(customer_database).detect("customer", customer_cfds)
         assert reports_equal(incremental.report(), batch)
 
     @given(data=st.data())

@@ -100,7 +100,7 @@ class TestAllDetectionPaths:
     def test_native_path(self):
         database = Database()
         database.add_relation(_relation())
-        report = ErrorDetector(database, use_sql=False).detect(
+        report = ErrorDetector(database).detect(
             "r", [_underscore_cfd()]
         )
         assert _keys(report) == self._expected()
@@ -169,7 +169,7 @@ class TestAllDetectionPaths:
         expected = [("phi_fd", "multi", (0, 1), "B", 0, ("_",))]
         database = Database()
         database.add_relation(relation.copy())
-        assert _keys(ErrorDetector(database, use_sql=False).detect("r", [cfd])) == expected
+        assert _keys(ErrorDetector(database).detect("r", [cfd])) == expected
         backend = sqlite_backend_factory()
         backend.add_relation(relation.copy())
         assert _keys(ErrorDetector(backend).detect("r", [cfd])) == expected

@@ -97,8 +97,9 @@ class ForbiddenReadBackend(StorageBackend):
 
     ``schema``/``row_count`` stay allowed — the paper's pushdown needs the
     catalog, not the rows — as do ``execute`` (the queries run *inside*
-    the backend) and the write/catalog ops the detector uses to
-    materialise tableaux and indexes.
+    the backend), the detector's ``ensure_index`` and the write ops:
+    the bulk loads and ``apply_delta_batch``, the one way a stored row
+    changes after them.
     """
 
     def __init__(self, inner: StorageBackend):
@@ -142,15 +143,6 @@ class ForbiddenReadBackend(StorageBackend):
 
     def insert_many(self, name, rows):
         return self.inner.insert_many(name, rows)
-
-    def insert_row(self, name, row, tid=None):
-        return self.inner.insert_row(name, row, tid=tid)
-
-    def delete_row(self, name, tid):
-        return self.inner.delete_row(name, tid)
-
-    def update_row(self, name, tid, changes):
-        return self.inner.update_row(name, tid, changes)
 
     def apply_delta_batch(self, name, batch):
         return self.inner.apply_delta_batch(name, batch)

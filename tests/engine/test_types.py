@@ -281,7 +281,12 @@ def coerce_each_attribute(schema, row):
 
 
 def typed_items(row):
-    return [(name, type(value), value) for name, value in row.items()]
+    # NaN never equals itself, so two coercions that agree on one compare
+    # through a marker
+    return [
+        (name, type(value), "NaN" if value != value else value)
+        for name, value in row.items()
+    ]
 
 
 class TestCompiledCoercion:

@@ -283,14 +283,14 @@ class TestLhsPages:
 
     VIOLATING = ("k007", "k042", "k099", "k150", "k299")
 
-    def _system(self, sqlite_config, use_sql=True):
+    def _system(self, sqlite_config, sql=True):
         rows = []
         for index in range(300):
             key = f"k{index:03d}"
             rows.append({"A": key, "B": "x"})
             rows.append({"A": key, "B": "y" if key in self.VIOLATING else "x"})
         rows.append({"A": "k042", "B": None})
-        system = Semandaq(config=sqlite_config(use_sql_detection=use_sql))
+        system = Semandaq(config=sqlite_config(use_sql_detection=sql))
         system.register_relation(RelationSchema.of("r", ["A", "B"]), rows)
         system.add_cfd("r: [A=_] -> [B=_]")
         return system

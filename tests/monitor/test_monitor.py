@@ -54,7 +54,7 @@ class TestDetectionMode:
         relation = clean_database.relation("customer")
         monitor.apply(Update.insert(violating_insert(relation)))
         monitor.apply(Update.modify(1, {"CC": "99"}))
-        batch = ErrorDetector(clean_database, use_sql=False).detect("customer", customer_cfds)
+        batch = ErrorDetector(clean_database).detect("customer", customer_cfds)
         assert monitor.current_report().vio() == batch.vio()
 
     def test_violations_involving(self, monitor, clean_database):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.backends import SqliteBackend
+from repro.backends import DeltaBatch, SqliteBackend
 from repro.backends.base import StorageBackend
 from repro.engine.types import RelationSchema
 from repro.errors import BackendError
@@ -47,14 +47,16 @@ class TestInstrumentedBackend:
         assert proxy.schema("r") == SCHEMA
         assert proxy.row_count("r") == 1
 
-    def test_single_row_delta_ops_are_forwarded_and_timed(self, proxy, telemetry):
-        tid = proxy.insert_row("r", {"A": "y", "B": "2"})
-        proxy.update_row("r", tid, {"B": "3"})
-        assert proxy.inner.get_row("r", tid) == {"A": "y", "B": "3"}
-        proxy.delete_row("r", tid)
-        assert proxy.inner.row_count("r") == 1
-        for op in ("insert_row", "update_row", "delete_row"):
-            assert _histogram_count(telemetry, f"backend_ms.{op}") == 1
+    def test_delta_batches_are_forwarded_and_timed(self, proxy, telemetry):
+        batch = DeltaBatch("r")
+        batch.record_insert(1, {"A": "y", "B": "2"})
+        batch.record_update(0, {"B": "3"})
+        proxy.apply_delta_batch("r", batch)
+        assert proxy.inner.get_row("r", 1) == {"A": "y", "B": "2"}
+        assert proxy.inner.get_row("r", 0)["B"] == "3"
+        assert _histogram_count(telemetry, "backend_ms.apply_delta_batch") == 1
+        counters = telemetry.snapshot()["counters"]
+        assert counters["backend_rows.apply_delta_batch"] == 2
 
     def test_insert_many_counts_the_rows_it_wrote(self, proxy, telemetry):
         tids = proxy.insert_many("r", [{"A": "p"}, {"A": "q"}, {"A": "s"}])
@@ -86,7 +88,7 @@ class TestInstrumentedBackend:
         telemetry = Telemetry()
         with InstrumentedBackend(SqliteBackend(), telemetry) as proxy:
             proxy.create_relation(SCHEMA)
-            proxy.insert_row("r", {"A": "x"})
+            proxy.insert_many("r", [{"A": "x"}])
             assert proxy.execute("SELECT COUNT(*) AS n FROM r") == [{"n": 1}]
         snapshot = telemetry.snapshot()
         assert snapshot["counters"] == {}

@@ -51,7 +51,8 @@ class TestResidentRepairPins:
         summary = system.clean("customer")
         assert summary["cells_changed"] > 0
         assert summary["violations_after"] <= summary["violations_before"]
-        assert system._repairs["customer"].source == "backend"
+        # a repair of the cleaned relation is planned on the pinned backend too
+        assert system.repair("customer").source == "backend"
         system.close()
 
     def test_apply_repair_ships_no_rows_out_of_the_backend(self, sqlite_config):

@@ -56,8 +56,7 @@ def test_native_detection_disables_the_resident_source(sqlite_config):
 def test_review_hydrates_a_resident_repair(sqlite_config):
     system = _system(sqlite_config, backend="sqlite")
     try:
-        system.repair("customer")
-        assert system._repairs["customer"].source == "backend"
+        assert system.repair("customer").source == "backend"
         review = system.review("customer")
         # the review works over the full relation, not the partial view
         assert len(review.working) == 50

@@ -269,6 +269,35 @@ class TestMonitoring:
         assert len(system.monitor("customer").log) == 2
 
 
+class TestMarkBackendStaleRefreshesTheMonitor:
+    """After a direct edit of the working relation, ``mark_backend_stale``
+    rebuilds a live monitor's violation state in place."""
+
+    @pytest.mark.parametrize("use_sql", [True, False], ids=["sql", "native"])
+    def test_a_held_monitor_sees_a_direct_edit(self, sqlite_config, use_sql):
+        system = Semandaq(sqlite_config(use_sql_detection=use_sql))
+        system.register_relation(generate_customers(200, seed=1))
+        system.add_cfds(paper_cfds())
+        relation = system.database.relation("customer")
+        edited, other = relation.tids()[:2]
+        city = relation.get(edited)["CITY"]
+        held = system.monitor("customer")
+        held.apply_batch([Update.modify(other, {"NAME": "Someone Else"})])
+        relation.update(edited, {"CITY": "Nowhere"})
+        system.mark_backend_stale("customer")
+        detected = system.detect("customer")
+        assert detected.total_violations() == 1
+        assert _violations(held.current_report()) == _violations(detected)
+        # the same monitor, with its log, keeps shipping to the backend
+        assert system.monitor("customer") is held
+        held.apply_batch([Update.modify(edited, {"CITY": city})])
+        assert len(held.log) == 2
+        assert held.current_report().total_violations() == 0
+        assert system.detect("customer").total_violations() == 0
+        assert dict(system.backend.iter_rows("customer")) == dict(relation.rows())
+        system.close()
+
+
 class TestMonitorFollowsTheCfds:
     """A monitor built before a CFD change switches to the new set in place.
 
